@@ -1,0 +1,552 @@
+//===- tests/golden_main.cpp - Golden behaviour corpus --------------------===//
+//
+// Part of the EasyView reproduction. MIT licensed.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Pins observable behaviour byte for byte: the writeEvProf bytes of every
+/// profile-producing path (each converter, the three view shapes, collapse
+/// recursion, aggregate, diff, prune, thread split, correlated panes, the
+/// cohort accumulator, the EVQL derive and every workload generator) over
+/// small seeded inputs, plus the replies of a scripted PVP session that
+/// calls every deterministic method. Timing-dependent methods (pvp/stats,
+/// pvp/metrics, pvp/selfProfile) are left out.
+///
+///   easyview_golden <dir>               compare against <dir>; exit 1 on
+///                                       any difference
+///   easyview_golden --regenerate <dir>  rewrite <dir> from this build
+///
+/// tools/regen_golden.sh wraps the second form.
+///
+//===----------------------------------------------------------------------===//
+
+#include "analysis/Aggregate.h"
+#include "analysis/Diff.h"
+#include "analysis/FleetAggregate.h"
+#include "analysis/Prune.h"
+#include "analysis/ThreadSplit.h"
+#include "analysis/Transform.h"
+#include "convert/Converters.h"
+#include "ide/JsonRpc.h"
+#include "ide/PvpServer.h"
+#include "proto/EvProf.h"
+#include "query/Vm.h"
+#include "render/CorrelatedView.h"
+#include "support/FileIo.h"
+#include "support/Strings.h"
+#include "workload/FleetWorkload.h"
+#include "workload/GrpcLeakWorkload.h"
+#include "workload/LuleshWorkload.h"
+#include "workload/ReuseWorkload.h"
+#include "workload/ScalingWorkload.h"
+#include "workload/SparkWorkload.h"
+#include "workload/SyntheticProfile.h"
+
+#include "TestHelpers.h"
+
+#include <cstdio>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
+#include <sys/stat.h>
+
+using namespace ev;
+
+namespace {
+
+/// Corpus entry name (a relative path under the golden dir) -> bytes.
+using Corpus = std::map<std::string, std::string>;
+
+//===----------------------------------------------------------------------===
+// Converter fixtures (the inputs tests/convert_test.cpp and
+// tests/extensions_test.cpp use)
+//===----------------------------------------------------------------------===
+
+const char *PerfScriptSample =
+    "app 1234 4000.123456:     250000 cycles:\n"
+    "\tffffffff8104f45a do_syscall_64+0x1a (/boot/vmlinux)\n"
+    "\t          4005d0 compute+0x40 (/home/u/app)\n"
+    "\t          400400 main+0x10 (/home/u/app)\n"
+    "\n"
+    "app 1234 4000.133456:     250000 cycles:\n"
+    "\t          4005d0 compute+0x40 (/home/u/app)\n"
+    "\t          400400 main+0x10 (/home/u/app)\n"
+    "\n";
+
+const char *ChromeComplete = R"({"traceEvents":[
+    {"ph":"X","name":"parent","ts":0,"dur":100,"pid":1,"tid":1},
+    {"ph":"X","name":"child","ts":10,"dur":40,"pid":1,"tid":1},
+    {"ph":"X","name":"sibling","ts":60,"dur":20,"pid":1,"tid":1}
+  ]})";
+
+const char *ChromeBeginEnd = R"([
+    {"ph":"B","name":"a","ts":0,"pid":1,"tid":1},
+    {"ph":"B","name":"b","ts":10,"pid":1,"tid":1},
+    {"ph":"E","name":"b","ts":30,"pid":1,"tid":1},
+    {"ph":"E","name":"a","ts":50,"pid":1,"tid":1},
+    {"ph":"X","name":"t2work","ts":0,"dur":10,"pid":1,"tid":2}
+  ])";
+
+const char *SpeedscopeSampled = R"({
+  "$schema": "https://www.speedscope.app/file-format-schema.json",
+  "shared": {"frames": [
+    {"name": "main", "file": "m.c", "line": 3},
+    {"name": "work", "file": "w.c", "line": 9}
+  ]},
+  "profiles": [{
+    "type": "sampled", "name": "cpu", "unit": "milliseconds",
+    "samples": [[0], [0, 1], [0, 1]],
+    "weights": [2, 3, 4]
+  }]
+})";
+
+const char *SpeedscopeEvented = R"({
+    "$schema": "x", "shared": {"frames": [{"name": "f"}, {"name": "g"}]},
+    "profiles": [{"type": "evented", "name": "t", "events": [
+      {"type": "O", "frame": 0, "at": 0},
+      {"type": "O", "frame": 1, "at": 2},
+      {"type": "C", "frame": 1, "at": 5},
+      {"type": "C", "frame": 0, "at": 10}
+    ]}]
+  })";
+
+const char *SpeedscopeMulti = R"({
+    "shared": {"frames": [{"name": "f"}]},
+    "profiles": [
+      {"type": "sampled", "name": "t1", "samples": [[0]], "weights": [1]},
+      {"type": "sampled", "name": "t2", "samples": [[0]], "weights": [1]}
+    ]
+  })";
+
+const char *HpctkXml = R"(<?xml version="1.0"?>
+<HPCToolkitExperiment version="2.2">
+<Header n="test-db"/>
+<SecCallPathProfile i="0" n="test">
+<SecHeader>
+<MetricTable><Metric i="0" n="CPUTIME (usec):Sum"/></MetricTable>
+<LoadModuleTable><LoadModule i="2" n="/bin/app"/></LoadModuleTable>
+<FileTable><File i="3" n="app.cc"/></FileTable>
+<ProcedureTable>
+  <Procedure i="4" n="main"/>
+  <Procedure i="5" n="work"/>
+</ProcedureTable>
+</SecHeader>
+<SecCallPathProfileData>
+<PF i="10" n="4" f="3" lm="2" l="12">
+  <M n="0" v="100"/>
+  <C i="11" l="20">
+    <PF i="12" n="5" f="3" lm="2" l="30">
+      <M n="0" v="400"/>
+      <L i="13" l="35" f="3">
+        <S i="14" l="36"><M n="0" v="50"/></S>
+      </L>
+    </PF>
+  </C>
+</PF>
+</SecCallPathProfileData>
+</SecCallPathProfile>
+</HPCToolkitExperiment>
+)";
+
+const char *ScaleneJson = R"({
+    "files": {"app.py": {"lines": [
+      {"lineno": 3, "function": "hot", "n_cpu_percent_python": 40.0,
+       "n_cpu_percent_c": 10.0, "n_malloc_mb": 2.0},
+      {"lineno": 9, "function": "cold", "n_cpu_percent_python": 0.5}
+    ]}}})";
+
+const char *PyinstrumentJson = R"({
+    "root_frame": {
+      "function": "<module>", "file_path": "app.py", "line_no": 1,
+      "time": 10.0,
+      "children": [
+        {"function": "slow", "file_path": "app.py", "line_no": 5,
+         "time": 7.0, "children": []},
+        {"function": "fast", "file_path": "app.py", "line_no": 9,
+         "time": 1.0, "children": []}
+      ]
+    }, "duration": 10.0})";
+
+const char *TauProfile =
+    "4 templated_functions_MULTI_TIME\n"
+    "# Name Calls Subrs Excl Incl ProfileCalls #\n"
+    "\".TAU application\" 1 1 1000 29000 0 GROUP=\"TAU_DEFAULT\"\n"
+    "\"main()\" 1 2 2000 28000 0 GROUP=\"TAU_USER\"\n"
+    "\"main() => work()\" 4 0 20000 20000 0 GROUP=\"TAU_CALLPATH\"\n"
+    "\"main() => io()\" 2 0 6000 6000 0 GROUP=\"TAU_CALLPATH\"\n"
+    "0 aggregates\n";
+
+const char *CollapsedText = "main;foo;bar 10\n"
+                            "main;foo 5\n"
+                            "main;baz 2\n"
+                            "libc.so!malloc;brk 3\n"
+                            "main (/bin/app);work (/bin/app) 4\n";
+
+std::string smallPprof() {
+  workload::SyntheticOptions Opt;
+  Opt.TargetBytes = 32 << 10;
+  return workload::generatePprofBytes(Opt);
+}
+
+/// Records the evprof bytes of a successful conversion, or the error text
+/// (so a converter that starts failing shows up as a corpus difference).
+void putResult(Corpus &C, const std::string &Name, Result<Profile> P) {
+  C[Name] = P ? writeEvProf(*P) : "error: " + P.error() + "\n";
+}
+
+void addConverters(Corpus &C) {
+  putResult(C, "convert/collapsed.evprof", convert::fromCollapsed(CollapsedText));
+  putResult(C, "convert/perf-script.evprof",
+            convert::fromPerfScript(PerfScriptSample));
+  putResult(C, "convert/chrome-complete.evprof",
+            convert::fromChromeTrace(ChromeComplete));
+  putResult(C, "convert/chrome-begin-end.evprof",
+            convert::fromChromeTrace(ChromeBeginEnd));
+  putResult(C, "convert/speedscope-sampled.evprof",
+            convert::fromSpeedscope(SpeedscopeSampled));
+  putResult(C, "convert/speedscope-evented.evprof",
+            convert::fromSpeedscope(SpeedscopeEvented));
+  putResult(C, "convert/speedscope-multi.evprof",
+            convert::fromSpeedscope(SpeedscopeMulti));
+  putResult(C, "convert/hpctoolkit.evprof", convert::fromHpctoolkit(HpctkXml));
+  putResult(C, "convert/hpctoolkit-lulesh.evprof",
+            convert::fromHpctoolkit(workload::generateLuleshExperimentXml({})));
+  putResult(C, "convert/scalene.evprof", convert::fromScalene(ScaleneJson));
+  putResult(C, "convert/pyinstrument.evprof",
+            convert::fromPyinstrument(PyinstrumentJson));
+  putResult(C, "convert/tau.evprof", convert::fromTau(TauProfile));
+  putResult(C, "convert/pprof.evprof", convert::fromPprof(smallPprof()));
+  putResult(C, "convert/load-evprof.evprof",
+            convert::load(writeEvProf(test::makeFixedProfile()), "fixed.evprof"));
+  putResult(C, "convert/load-collapsed.evprof",
+            convert::load("main;a;b 10\nmain;c 2\n", "named"));
+}
+
+//===----------------------------------------------------------------------===
+// Analyses and generators
+//===----------------------------------------------------------------------===
+
+void addAnalyses(Corpus &C) {
+  Profile Random = test::makeRandomProfile(7);
+  Profile Fixed = test::makeFixedProfile();
+  workload::SyntheticOptions Opt;
+  Opt.TargetBytes = 32 << 10;
+  Profile Synthetic = workload::generateSyntheticProfile(Opt);
+
+  C["transform/top-down.evprof"] = writeEvProf(topDownTree(Random));
+  C["transform/bottom-up.evprof"] = writeEvProf(bottomUpTree(Random));
+  C["transform/flat.evprof"] = writeEvProf(flatTree(Random));
+  C["transform/collapse-recursion.evprof"] =
+      writeEvProf(collapseRecursion(Random));
+  C["transform/limit-depth.evprof"] = writeEvProf(limitDepth(Random, 3));
+  C["transform/synthetic-bottom-up.evprof"] =
+      writeEvProf(bottomUpTree(Synthetic));
+  C["transform/synthetic-flat.evprof"] = writeEvProf(flatTree(Synthetic));
+
+  std::vector<Profile> Inputs;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    Inputs.push_back(test::makeRandomProfile(Seed, 120, 8, 24));
+  std::vector<const Profile *> Ptrs;
+  for (const Profile &P : Inputs)
+    Ptrs.push_back(&P);
+  AggregateOptions AllStats;
+  AllStats.WithMin = AllStats.WithMax = AllStats.WithMean =
+      AllStats.WithStddev = true;
+  AggregatedProfile Agg = aggregate(Ptrs, AllStats);
+  C["analysis/aggregate-8.evprof"] = writeEvProf(Agg.merged());
+
+  DiffResult D = diffProfiles(Inputs[0], Inputs[1], 0);
+  C["analysis/diff.evprof"] = writeEvProf(D.Merged);
+
+  C["analysis/prune.evprof"] = writeEvProf(pruneByFraction(Random, 0, 0.01));
+  C["analysis/filter.evprof"] =
+      writeEvProf(filterNodes(Random, [](const Profile &P, NodeId Id) {
+        return P.node(Id).Children.size() != 1;
+      }));
+
+  Result<evql::QueryOutput> Q = evql::runProgramAuto(
+      Fixed, "derive twice = 2 * exclusive(\"time\");\n"
+             "derive share = share(\"time\");\n"
+             "print total(\"twice\");");
+  C["analysis/query-derive.evprof"] =
+      Q ? writeEvProf(Q->Result) : "error: " + Q.error() + "\n";
+  Result<evql::QueryOutput> QP =
+      evql::runProgramAuto(Random, "prune when inclusive(\"time\") < 0.02 * "
+                             "total(\"time\");");
+  C["analysis/query-prune.evprof"] =
+      QP ? writeEvProf(QP->Result) : "error: " + QP.error() + "\n";
+
+  // Thread split over the Speedscope multi-profile (thread lanes).
+  Result<Profile> Lanes = convert::fromSpeedscope(SpeedscopeMulti);
+  if (Lanes) {
+    std::vector<Profile> Split = splitByThread(*Lanes);
+    for (size_t I = 0; I < Split.size(); ++I)
+      C["analysis/thread-split-" + std::to_string(I) + ".evprof"] =
+          writeEvProf(Split[I]);
+  }
+
+  workload::ReuseWorkload Reuse = workload::generateReuseWorkload();
+  C["workload/reuse.evprof"] = writeEvProf(Reuse.P);
+  CorrelatedView View(Reuse.P, "reuse");
+  if (View.roleCount() > 1 && !View.paneContexts(0).empty())
+    View.select(0, View.paneContexts(0).front().first);
+  for (size_t Role = 0; Role < View.roleCount(); ++Role)
+    C["analysis/correlated-pane-" + std::to_string(Role) + ".evprof"] =
+        writeEvProf(View.paneProfile(Role));
+
+  workload::FleetOptions FO;
+  FO.Services = 3;
+  FO.Versions = 2;
+  FO.Replicas = 3;
+  workload::FleetWorkload Fleet = workload::generateFleetWorkload(FO);
+  CohortAccumulator Cohort;
+  for (const Profile &P : Fleet.Versions.back())
+    Cohort.add(P);
+  C["analysis/cohort-shape.evprof"] = writeEvProf(Cohort.shape());
+  FleetAggregateOptions Tight;
+  Tight.NodeBudget = 16;
+  CohortAccumulator Pruned(Tight);
+  for (const Profile &P : Fleet.Versions.back())
+    Pruned.add(P);
+  C["analysis/cohort-pruned.evprof"] = writeEvProf(Pruned.shape());
+
+  C["workload/fleet-0-0.evprof"] = writeEvProf(Fleet.Versions[0][0]);
+  C["workload/synthetic.evprof"] = writeEvProf(Synthetic);
+  C["workload/lulesh.evprof"] = writeEvProf(workload::generateLuleshProfile());
+  workload::SparkWorkload Spark = workload::generateSparkWorkload();
+  C["workload/spark-rdd.evprof"] = writeEvProf(Spark.Rdd);
+  C["workload/spark-sql.evprof"] = writeEvProf(Spark.Sql);
+  workload::GrpcLeakOptions GO;
+  GO.Snapshots = 4;
+  workload::GrpcLeakWorkload Leak = workload::generateGrpcLeakWorkload(GO);
+  C["workload/grpc-leak-last.evprof"] = writeEvProf(Leak.Snapshots.back());
+  workload::ScalingWorkload Scaling = workload::generateScalingWorkload();
+  C["workload/scaling-small.evprof"] = writeEvProf(Scaling.Small);
+  C["workload/scaling-large.evprof"] = writeEvProf(Scaling.Large);
+}
+
+//===----------------------------------------------------------------------===
+// Scripted PVP session
+//===----------------------------------------------------------------------===
+
+/// pvp/summary reports the in-memory size of the profile representation,
+/// which is a property of the implementation, not of the profile; that one
+/// figure is masked so the corpus pins behaviour only.
+std::string maskMemoryFigure(std::string Dump) {
+  static constexpr std::string_view Key = "approx memory: ";
+  for (size_t At = Dump.find(Key); At != std::string::npos;
+       At = Dump.find(Key, At + Key.size())) {
+    size_t End = Dump.find("\\n", At);
+    if (End == std::string::npos)
+      break;
+    Dump.replace(At + Key.size(), End - At - Key.size(), "(masked)");
+  }
+  return Dump;
+}
+
+class Session {
+public:
+  json::Value call(const std::string &Method, json::Object Params) {
+    json::Value Reply =
+        Server.handleMessage(rpc::makeRequest(NextId++, Method,
+                                              std::move(Params)));
+    Log += maskMemoryFigure(Reply.dump());
+    Log += '\n';
+    for (const json::Value &Note : Server.takeNotifications()) {
+      Log += Note.dump();
+      Log += '\n';
+    }
+    return Reply;
+  }
+
+  int64_t open(const std::string &Name, const std::string &Bytes) {
+    json::Object P;
+    P.set("name", Name);
+    P.set("dataBase64", base64Encode(Bytes));
+    return resultInt(call("pvp/open", std::move(P)), "profile");
+  }
+
+  static int64_t resultInt(const json::Value &Reply, const char *Key) {
+    if (!Reply.isObject())
+      return -1;
+    const json::Value *R = Reply.asObject().find("result");
+    if (!R || !R->isObject())
+      return -1;
+    const json::Value *V = R->asObject().find(Key);
+    return V && V->isNumber() ? V->asInt() : -1;
+  }
+
+  std::string Log;
+
+private:
+  PvpServer Server;
+  int64_t NextId = 1;
+};
+
+json::Object params(std::initializer_list<std::pair<const char *, json::Value>>
+                        Fields) {
+  json::Object O;
+  for (const auto &[Key, Value] : Fields)
+    O.set(Key, Value);
+  return O;
+}
+
+json::Value ids(std::initializer_list<int64_t> Values) {
+  json::Array A;
+  for (int64_t V : Values)
+    A.push_back(json::Value(V));
+  return json::Value(std::move(A));
+}
+
+std::string pvpSession() {
+  Session S;
+  int64_t Fixed = S.open("fixed.evprof", writeEvProf(test::makeFixedProfile()));
+  int64_t R1 = S.open("r1.evprof", writeEvProf(test::makeRandomProfile(1)));
+  int64_t R2 = S.open("r2.evprof", writeEvProf(test::makeRandomProfile(2)));
+  {
+    json::Object P;
+    P.set("name", "stacks.collapsed");
+    P.set("data", std::string(CollapsedText));
+    S.call("pvp/open", std::move(P));
+  }
+  int64_t Reuse =
+      S.open("reuse.evprof", writeEvProf(workload::generateReuseWorkload().P));
+
+  for (const char *Shape : {"top-down", "bottom-up", "flat"})
+    S.call("pvp/flame", params({{"profile", R1},
+                                {"shape", Shape},
+                                {"maxRects", 64}}));
+  S.call("pvp/flame", params({{"profile", Fixed}}));
+  S.call("pvp/flame", params({{"profile", Fixed}})); // cache hit.
+  S.call("pvp/treeTable", params({{"profile", Fixed}}));
+  S.call("pvp/treeTable", params({{"profile", Fixed}, {"expand", ids({1, 3})}}));
+  S.call("pvp/codeLink", params({{"profile", Fixed}, {"node", 4}}));
+  S.call("pvp/codeLink", params({{"profile", Fixed}, {"node", 5}}));
+  S.call("pvp/hover", params({{"profile", Fixed}, {"node", 3}}));
+  S.call("pvp/codeLens", params({{"profile", Fixed}, {"file", "comp.cc"}}));
+  S.call("pvp/summary", params({{"profile", R1}}));
+  S.call("pvp/search", params({{"profile", R1}, {"pattern", "fn1"}}));
+  S.call("pvp/butterfly", params({{"profile", R1}, {"function", "fn3"}}));
+  S.call("pvp/correlated", params({{"profile", Reuse}, {"kind", "reuse"}}));
+  S.call("pvp/correlated", params({{"profile", Reuse},
+                                   {"kind", "reuse"},
+                                   {"select", ids({13})}}));
+
+  int64_t Agg = Session::resultInt(
+      S.call("pvp/aggregate", params({{"profiles", ids({R1, R2, Fixed})}})),
+      "profile");
+  S.call("pvp/flame", params({{"profile", Agg}, {"maxRects", 32}}));
+  S.call("pvp/histogram", params({{"aggregate", Agg}, {"node", 1}}));
+  int64_t Diff = Session::resultInt(
+      S.call("pvp/diff", params({{"base", R1}, {"test", R2}})), "profile");
+  S.call("pvp/treeTable", params({{"profile", Diff}}));
+  for (const char *Shape :
+       {"top-down", "bottom-up", "flat", "collapse-recursion"})
+    S.call("pvp/transform", params({{"profile", R2}, {"shape", Shape}}));
+  S.call("pvp/prune", params({{"profile", R2}, {"minFraction", 0.05}}));
+  int64_t Derived = Session::resultInt(
+      S.call("pvp/query",
+             params({{"profile", Fixed},
+                     {"program", "derive twice = 2 * exclusive(\"time\");\n"
+                                 "print total(\"twice\");"}})),
+      "profile");
+  S.call("pvp/hover", params({{"profile", Derived}, {"node", 2}}));
+  S.call("pvp/query", params({{"profile", Fixed}, {"program", "print nope;"}}));
+  for (const char *Format :
+       {"evprof", "pprof", "collapsed", "speedscope", "chrome"})
+    S.call("pvp/export", params({{"profile", Fixed}, {"format", Format}}));
+  S.call("pvp/diagnostics",
+         params({{"program", "derive x = exclusive(\"bogus\");"},
+                 {"profile", Fixed}}));
+  S.call("pvp/diagnostics", params({{"profile", R1}}));
+  S.call("pvp/regressions", params({{"base", ids({R1})}, {"test", ids({R2})}}));
+
+  // Live views: open stage 0, subscribe, append two sections, ack.
+  std::vector<std::string> Stages = test::growthStageBytes(3);
+  int64_t Live = S.open("live.evprof", Stages[0]);
+  int64_t Sub = Session::resultInt(
+      S.call("pvp/subscribe", params({{"profile", Live}, {"view", "flame"}})),
+      "subscription");
+  json::Object Append1;
+  Append1.set("profile", Live);
+  Append1.set("dataBase64", base64Encode(test::sectionBytes(Stages, 0)));
+  S.call("pvp/append", std::move(Append1));
+  S.call("pvp/ack", params({{"subscription", Sub}, {"generation", 1}}));
+  json::Object Append2;
+  Append2.set("profile", Live);
+  Append2.set("dataBase64", base64Encode(test::sectionBytes(Stages, 1)));
+  S.call("pvp/append", std::move(Append2));
+  S.call("pvp/unsubscribe", params({{"subscription", Sub}}));
+  S.call("pvp/flame", params({{"profile", Live}}));
+
+  // Errors and teardown.
+  S.call("pvp/nope", json::Object());
+  S.call("pvp/flame", params({{"profile", 9999}}));
+  S.call("pvp/close", params({{"profile", R2}}));
+  S.call("pvp/flame", params({{"profile", R2}}));
+  S.call("pvp/close", params({{"profile", R2}}));
+  return std::move(S.Log);
+}
+
+Corpus buildCorpus() {
+  Corpus C;
+  addConverters(C);
+  addAnalyses(C);
+  C["pvp/session.jsonl"] = pvpSession();
+  return C;
+}
+
+void makeParents(const std::string &Path) {
+  for (size_t Slash = Path.find('/', 1); Slash != std::string::npos;
+       Slash = Path.find('/', Slash + 1))
+    ::mkdir(Path.substr(0, Slash).c_str(), 0755);
+}
+
+} // namespace
+
+int main(int Argc, char **Argv) {
+  bool Regenerate = Argc == 3 && std::strcmp(Argv[1], "--regenerate") == 0;
+  if (Argc != 2 && !Regenerate) {
+    std::fprintf(stderr,
+                 "usage: easyview_golden [--regenerate] <golden-dir>\n");
+    return 2;
+  }
+  std::string Dir = Argv[Argc - 1];
+  Corpus C = buildCorpus();
+
+  if (Regenerate) {
+    for (const auto &[Name, Bytes] : C) {
+      std::string Path = Dir + "/" + Name;
+      makeParents(Path);
+      if (Result<bool> W = writeFile(Path, Bytes); !W) {
+        std::fprintf(stderr, "easyview_golden: %s\n", W.error().c_str());
+        return 1;
+      }
+    }
+    std::printf("wrote %zu golden files to %s\n", C.size(), Dir.c_str());
+    return 0;
+  }
+
+  size_t Failures = 0;
+  for (const auto &[Name, Bytes] : C) {
+    Result<std::string> Want = readFile(Dir + "/" + Name);
+    if (!Want) {
+      std::printf("MISSING  %s\n", Name.c_str());
+      ++Failures;
+    } else if (*Want != Bytes) {
+      size_t At = 0;
+      while (At < Bytes.size() && At < Want->size() && Bytes[At] == (*Want)[At])
+        ++At;
+      std::printf("DIFFERS  %s (first difference at byte %zu; %zu vs %zu "
+                  "bytes)\n",
+                  Name.c_str(), At, Bytes.size(), Want->size());
+      ++Failures;
+    }
+  }
+  std::printf("%zu of %zu golden files match\n", C.size() - Failures,
+              C.size());
+  return Failures == 0 ? 0 : 1;
+}
