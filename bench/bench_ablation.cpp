@@ -161,25 +161,31 @@ void cctBuildLinearScan(benchmark::State &State) {
   PathSet &S = pathSet();
   for (auto _ : State) {
     // Naive insertion: scan the parent's child list per step.
-    Profile P;
-    MetricId M = P.addMetric("m", "count");
+    ProfileBuilder B("linear");
+    MetricId M = B.addMetric("m", "count");
     std::vector<FrameId> Pool;
-    for (int I = 0; I < 2000; ++I) {
-      Frame F;
-      F.Name = P.strings().intern("fn" + std::to_string(I));
-      Pool.push_back(P.internFrame(F));
-    }
+    for (int I = 0; I < 2000; ++I)
+      Pool.push_back(B.functionFrame("fn" + std::to_string(I)));
+    std::vector<std::vector<NodeId>> Children(1);
+    std::vector<FrameId> FrameOf(1, 0);
     for (const auto &Path : S.Paths) {
-      NodeId Cur = P.root();
+      NodeId Cur = B.root();
       for (FrameId F : Path) {
         NodeId Next = InvalidNode;
-        for (NodeId Child : P.node(Cur).Children)
-          if (P.node(Child).FrameRef == F)
+        for (NodeId Child : Children[Cur])
+          if (FrameOf[Child] == F)
             Next = Child;
-        Cur = Next == InvalidNode ? P.createNode(Cur, F) : Next;
+        if (Next == InvalidNode) {
+          Next = B.createNode(Cur, F);
+          Children[Cur].push_back(Next);
+          Children.emplace_back();
+          FrameOf.push_back(F);
+        }
+        Cur = Next;
       }
-      P.node(Cur).addMetric(M, 1.0);
+      B.addValue(Cur, M, 1.0);
     }
+    Profile P = B.take();
     benchmark::DoNotOptimize(P.nodeCount());
   }
 }

@@ -184,7 +184,7 @@ int main(int argc, char **argv) {
   Fleet.set("findings", static_cast<int64_t>(Diags.size()));
 
   // Phase 4: the full fleet through a BUDGETED ProfileStore — every member
-  // is retained (spilled as a columnar segment once cold) yet the store's
+  // is retained (its block spilled once cold) yet the store's
   // resident bytes never exceed the budget while the cohort streams
   // through the accumulator. This is the out-of-core acceptance check, so
   // a budget violation or a statistics mismatch fails the smoke run.
@@ -214,19 +214,19 @@ int main(int argc, char **argv) {
       int64_t Id = Store.add(makeMember(1000 + I));
       if (EarlyIds.size() < 8)
         EarlyIds.push_back(Id);
-      std::shared_ptr<const ColumnarProfile> C = Store.columnar(Id);
-      if (!C) {
-        std::fprintf(stderr, "bench_fleet: columnar fault failed for %lld\n",
+      std::shared_ptr<const Profile> P = Store.get(Id);
+      if (!P) {
+        std::fprintf(stderr, "bench_fleet: store fault failed for %lld\n",
                      static_cast<long long>(Id));
         return 1;
       }
-      StoreAcc.add(*C);
+      StoreAcc.add(*P);
       MaxResident = std::max(MaxResident, Store.stats().ResidentBytes);
     }
     // Revisit the earliest (long-evicted) members: each faults back from
-    // its spill segment by mmap, still without breaching the budget.
+    // its spill file by mmap, still without breaching the budget.
     for (int64_t Id : EarlyIds) {
-      if (!Store.columnar(Id)) {
+      if (!Store.get(Id)) {
         std::fprintf(stderr, "bench_fleet: refault failed for %lld\n",
                      static_cast<long long>(Id));
         return 1;
@@ -249,8 +249,6 @@ int main(int argc, char **argv) {
     Fleet.set("storeSpilledBytes", static_cast<int64_t>(S.SpilledBytes));
     Fleet.set("storeEvictions", static_cast<int64_t>(S.Evictions));
     Fleet.set("storeFaults", static_cast<int64_t>(S.Faults));
-    Fleet.set("storeSharedStringBytes",
-              static_cast<int64_t>(S.SharedStringBytes));
     if (MaxResident > StoreBudget) {
       std::fprintf(stderr,
                    "bench_fleet: store resident %llu exceeded budget %llu\n",
@@ -264,11 +262,11 @@ int main(int argc, char **argv) {
                    "budget too generous for the acceptance check\n");
       return 1;
     }
-    // Streaming from columnar segments must produce the same cohort
+    // Streaming through the budgeted store must produce the same cohort
     // statistics as streaming the decoded profiles (Phase 1).
     if (StoreAcc.profileCount() != Acc.profileCount() ||
         StoreAcc.inclusiveSumColumn(0)[0] != Acc.inclusiveSumColumn(0)[0]) {
-      std::fprintf(stderr, "bench_fleet: columnar cohort diverged\n");
+      std::fprintf(stderr, "bench_fleet: store-streamed cohort diverged\n");
       return 1;
     }
   }

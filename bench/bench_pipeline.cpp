@@ -19,7 +19,6 @@
 #include "analysis/Diff.h"
 #include "analysis/Transform.h"
 #include "ide/PvpServer.h"
-#include "profile/Columnar.h"
 #include "proto/EvProf.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
@@ -125,16 +124,6 @@ int main(int argc, char **argv) {
   std::vector<const Profile *> AggPtrs;
   for (const Profile &P : Runs)
     AggPtrs.push_back(&P);
-  // Columnar twins of the aggregate inputs over one shared string table —
-  // the representation a budgeted ProfileStore serves to pvp/aggregate.
-  SharedStringTable Shared;
-  std::vector<ColumnarProfile> Columns;
-  Columns.reserve(Runs.size());
-  for (const Profile &P : Runs)
-    Columns.push_back(ColumnarProfile::build(P, Shared));
-  std::vector<const ColumnarProfile *> ColPtrs;
-  for (const ColumnarProfile &C : Columns)
-    ColPtrs.push_back(&C);
   AggregateOptions AggOpt;
   AggOpt.WithMin = AggOpt.WithMax = AggOpt.WithMean = AggOpt.WithStddev =
       true;
@@ -151,7 +140,6 @@ int main(int argc, char **argv) {
   };
 
   double Aggregate1T = 0.0, AggregateNT = 0.0;
-  double Columnar1T = 0.0, ColumnarNT = 0.0;
   for (unsigned Threads : ThreadCounts) {
     // "1 thread" is the sequential fallback (no workers at all), the
     // baseline the speedups and the byte-identity property tests compare
@@ -178,20 +166,6 @@ int main(int argc, char **argv) {
     if (Threads == 1)
       Aggregate1T = AggregateMs;
     AggregateNT = AggregateMs;
-
-    // The same merge fed from columnar segments (byte-identical output;
-    // tests/store_test.cpp holds the proof, this row holds the price).
-    Rss = bench::peakRssBytes();
-    double ColumnarMs = timeMs(Reps, [&] {
-      AggregatedProfile Agg = aggregate(
-          std::span<const ColumnarProfile *const>(ColPtrs), AggOpt);
-      (void)Agg;
-    });
-    RssRow("aggregate-columnar", Threads, ColumnarMs, Rss);
-    bench::row("aggregate-columnar threads=%u ms=%.3f", Threads, ColumnarMs);
-    if (Threads == 1)
-      Columnar1T = ColumnarMs;
-    ColumnarNT = ColumnarMs;
 
     Rss = bench::peakRssBytes();
     double DiffMs = timeMs(Reps, [&] {
@@ -283,18 +257,6 @@ int main(int argc, char **argv) {
                       static_cast<int64_t>(ThreadCounts.back()));
     bench::row("aggregate %u-thread speedup=%.2fx", ThreadCounts.back(),
                AggSpeedup);
-  }
-  if (Columnar1T > 0.0 && ColumnarNT > 0.0) {
-    // Columnar vs AoS at matching thread counts: the algorithm is shared,
-    // so this isolates the cost/win of reading flat columns (no AoS
-    // pointer chasing, no per-node vectors) against decoded profiles.
-    Report.setSummary("columnarVsAosAggregate1T",
-                      Columnar1T > 0.0 ? Aggregate1T / Columnar1T : 0.0);
-    Report.setSummary("columnarVsAosAggregateMaxThreads",
-                      ColumnarNT > 0.0 ? AggregateNT / ColumnarNT : 0.0);
-    bench::row("aggregate-columnar vs aos: 1T %.2fx, %uT %.2fx",
-               Aggregate1T / Columnar1T, ThreadCounts.back(),
-               AggregateNT / ColumnarNT);
   }
   Report.setMeta("peakRssBytes", static_cast<int64_t>(bench::peakRssBytes()));
 

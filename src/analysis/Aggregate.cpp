@@ -6,7 +6,7 @@
 
 #include "analysis/Aggregate.h"
 
-#include "profile/Columnar.h"
+#include "profile/ProfileBuilder.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -63,156 +63,35 @@ AggregatedProfile::perProfileInclusive(NodeId Node, MetricId Metric) const {
   return Out;
 }
 
-/// Private-member access for the shared merge implementation below. The
-/// implementation is a template (instantiated once for AoS inputs, once
-/// for columnar inputs), so it cannot itself be named in a friend
-/// declaration; this little struct can.
-struct AggregateAccess {
-  static Profile &merged(AggregatedProfile &A) { return A.Merged; }
-  static size_t &profileCount(AggregatedProfile &A) { return A.ProfileCount; }
-  static size_t &inputMetricCount(AggregatedProfile &A) {
-    return A.InputMetricCount;
-  }
-  static std::unordered_map<uint64_t, uint32_t> &
-  keyIndex(AggregatedProfile &A) {
-    return A.KeyIndex;
-  }
-  static std::vector<uint64_t> &keyOrder(AggregatedProfile &A) {
-    return A.KeyOrder;
-  }
-  static std::vector<double> &matrix(AggregatedProfile &A) {
-    return A.Matrix;
-  }
-};
-
-namespace {
-
-/// Textual identity of a frame, resolved out of the owning profile's string
-/// table so the merge loop never chases StringIds.
-struct CanonFrame {
-  FrameKind Kind;
-  std::string_view Name;
-  std::string_view File;
-  std::string_view Module;
-  uint32_t Line;
-};
-
-/// Everything about one input that can be computed without touching the
-/// merged profile.
-struct ProfilePrep {
-  std::vector<MetricId> MetricMap;
-  std::vector<CanonFrame> Frames;
-};
-
-/// Uniform read-only view of one AoS input. The merge template touches
-/// inputs only through this interface, so the columnar twin below is
-/// guaranteed to replay the identical algorithm.
-struct AosInput {
-  const Profile *P;
-
-  size_t nodeCount() const { return P->nodeCount(); }
-  NodeId parentOf(NodeId Id) const { return P->node(Id).Parent; }
-  FrameId frameRefOf(NodeId Id) const { return P->node(Id).FrameRef; }
-  size_t frameCount() const { return P->frames().size(); }
-  size_t metricCount() const { return P->metrics().size(); }
-  std::string_view metricName(MetricId I) const {
-    return P->metrics()[I].Name;
-  }
-  std::string_view metricUnit(MetricId I) const {
-    return P->metrics()[I].Unit;
-  }
-  MetricAggregation metricAgg(MetricId I) const {
-    return P->metrics()[I].Aggregation;
-  }
-  CanonFrame canonFrame(FrameId F) const {
-    const Frame &Fr = P->frames()[F];
-    return {Fr.Kind, P->text(Fr.Name), P->text(Fr.Loc.File),
-            P->text(Fr.Loc.Module), Fr.Loc.Line};
-  }
-  template <typename Fn> void forEachValue(NodeId Id, Fn &&Visit) const {
-    for (const MetricValue &MV : P->node(Id).Metrics)
-      Visit(MV.Metric, MV.Value);
-  }
-};
-
-/// Uniform view of one columnar input: the tree walk reads the flat
-/// parent/frame columns and the value visit sweeps the metric CSR — no
-/// per-node objects anywhere. String texts resolve through the store-wide
-/// table (views are stable; SharedStringTable reads are lock-cheap and
-/// only taken once per distinct frame/metric, never per node).
-struct ColumnarInput {
-  const ColumnarProfile *C;
-  std::span<const uint32_t> Parents, FrameRefs, MetOff, MetIds;
-  std::span<const double> MetVals;
-  std::span<const uint32_t> StrGlobal;
-
-  explicit ColumnarInput(const ColumnarProfile &CP)
-      : C(&CP), Parents(CP.parents()), FrameRefs(CP.frameRefs()),
-        MetOff(CP.metricOffsets()), MetIds(CP.metricIds()),
-        MetVals(CP.metricValues()), StrGlobal(CP.stringGlobal()) {}
-
-  size_t nodeCount() const { return C->nodeCount(); }
-  NodeId parentOf(NodeId Id) const { return Parents[Id]; }
-  FrameId frameRefOf(NodeId Id) const { return FrameRefs[Id]; }
-  size_t frameCount() const { return C->frameCount(); }
-  size_t metricCount() const { return C->metricCount(); }
-  std::string_view metricName(MetricId I) const {
-    return C->strings().text(C->metricNameIds()[I]);
-  }
-  std::string_view metricUnit(MetricId I) const {
-    return C->strings().text(C->metricUnitIds()[I]);
-  }
-  MetricAggregation metricAgg(MetricId I) const {
-    return static_cast<MetricAggregation>(C->metricAggs()[I]);
-  }
-  CanonFrame canonFrame(FrameId F) const {
-    const SharedStringTable &S = C->strings();
-    return {static_cast<FrameKind>(C->frameKinds()[F]),
-            S.text(StrGlobal[C->frameNames()[F]]),
-            S.text(StrGlobal[C->frameFiles()[F]]),
-            S.text(StrGlobal[C->frameModules()[F]]), C->frameLines()[F]};
-  }
-  template <typename Fn> void forEachValue(NodeId Id, Fn &&Visit) const {
-    for (uint32_t V = MetOff[Id], End = MetOff[Id + 1]; V < End; ++V)
-      Visit(MetIds[V], MetVals[V]);
-  }
-};
-
-/// The merge algorithm, shared verbatim by both input representations.
-/// Every ordering decision (metric declaration order, frame first-touch
-/// interning, node-order key discovery, KeyOrder attach) depends only on
-/// the Input interface, which is why the two public overloads produce
-/// byte-identical merged profiles.
-template <typename Input>
-AggregatedProfile aggregateImpl(const std::vector<Input> &Inputs,
-                                const AggregateOptions &Options,
-                                const CancelToken &Cancel) {
+AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
+                            const AggregateOptions &Options,
+                            const CancelToken &Cancel) {
+  trace::Span Span("analysis/aggregate", "analysis");
   assert(!Inputs.empty() && "aggregate requires at least one profile");
   AggregatedProfile Agg;
-  AggregateAccess::profileCount(Agg) = Inputs.size();
-  const Input &First = Inputs[0];
-  size_t InputMetricCount = First.metricCount();
-  AggregateAccess::inputMetricCount(Agg) = InputMetricCount;
+  Agg.ProfileCount = Inputs.size();
+  const Profile &First = *Inputs[0];
+  size_t InputMetricCount = First.metrics().size();
+  Agg.InputMetricCount = InputMetricCount;
   assert(InputMetricCount < 0xFFFF && "metric id space exhausted");
-  std::unordered_map<uint64_t, uint32_t> &KeyIndex =
-      AggregateAccess::keyIndex(Agg);
-  std::vector<uint64_t> &KeyOrder = AggregateAccess::keyOrder(Agg);
-  std::vector<double> &Matrix = AggregateAccess::matrix(Agg);
+  std::unordered_map<uint64_t, uint32_t> &KeyIndex = Agg.KeyIndex;
+  std::vector<uint64_t> &KeyOrder = Agg.KeyOrder;
+  std::vector<double> &Matrix = Agg.Matrix;
 
-  Profile &Merged = AggregateAccess::merged(Agg);
-  Merged.setName("aggregate of " + std::to_string(Inputs.size()) +
-                 " profiles");
+  ProfileBuilder Merged("aggregate of " + std::to_string(Inputs.size()) +
+                        " profiles");
 
   // Column layout: first the input metrics (holding the per-node SUM when
   // WithSum, otherwise zeros), then the derived statistics.
   std::vector<MetricId> SumIds(InputMetricCount);
   std::vector<MetricId> MinIds, MaxIds, MeanIds, StddevIds;
-  for (MetricId I = 0; I < InputMetricCount; ++I)
-    SumIds[I] = Merged.addMetric(First.metricName(I), First.metricUnit(I),
-                                 First.metricAgg(I));
   for (MetricId I = 0; I < InputMetricCount; ++I) {
-    std::string Name(First.metricName(I));
-    std::string_view Unit = First.metricUnit(I);
+    const MetricDescriptor &M = First.metrics()[I];
+    SumIds[I] = Merged.addMetric(M.Name, M.Unit, M.Aggregation);
+  }
+  for (MetricId I = 0; I < InputMetricCount; ++I) {
+    const std::string &Name = First.metrics()[I].Name;
+    std::string_view Unit = First.metrics()[I].Unit;
     if (Options.WithMin)
       MinIds.push_back(
           Merged.addMetric(Name + ".min", Unit, MetricAggregation::Min));
@@ -227,120 +106,86 @@ AggregatedProfile aggregateImpl(const std::vector<Input> &Inputs,
           Merged.addMetric(Name + ".stddev", Unit, MetricAggregation::Sum));
   }
 
-  // Phase 1 (parallel): canonicalize every input independently — resolve
-  // each frame to its textual identity and map each metric schema onto the
-  // first profile's columns. Reads only the inputs, so profiles fan out
-  // across workers.
-  std::vector<ProfilePrep> Preps =
-      ThreadPool::shared().parallelMap<ProfilePrep>(
-          Inputs.size(), [&](size_t ProfIdx) {
-            const Input &P = Inputs[ProfIdx];
-            ProfilePrep Prep;
-            Prep.MetricMap.assign(P.metricCount(), Profile::InvalidMetric);
-            for (MetricId I = 0; I < P.metricCount(); ++I) {
-              std::string_view Name = P.metricName(I);
-              for (MetricId T = 0; T < InputMetricCount; ++T) {
-                if (First.metricName(T) == Name) {
-                  Prep.MetricMap[I] = T;
-                  break;
-                }
-              }
-            }
-            Prep.Frames.reserve(P.frameCount());
-            for (FrameId F = 0; F < P.frameCount(); ++F)
-              Prep.Frames.push_back(P.canonFrame(F));
-            return Prep;
-          });
+  // Map each input's metric schema onto the first profile's columns.
+  std::vector<std::vector<MetricId>> MetricMaps(Inputs.size());
+  for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
+    const Profile &P = *Inputs[ProfIdx];
+    MetricMaps[ProfIdx].assign(P.metrics().size(), Profile::InvalidMetric);
+    for (MetricId I = 0; I < P.metrics().size(); ++I)
+      MetricMaps[ProfIdx][I] = First.findMetric(P.metrics()[I].Name);
+  }
 
-  // Phase 2 (sequential, ordered): merge every input tree into the unified
+  // Phase 1 (sequential, ordered): merge every input tree into the unified
   // tree, profile by profile and node by node, so the merged node ids are
   // identical for every thread count. Children are matched by textual frame
   // identity under the same merged parent.
-  std::unordered_map<uint64_t, NodeId> ChildIndex;
-  auto ChildFor = [&](NodeId Parent, FrameId F) {
-    uint64_t Key = (static_cast<uint64_t>(Parent) << 32) | F;
-    auto It = ChildIndex.find(Key);
-    if (It != ChildIndex.end())
-      return It->second;
-    NodeId Id = Merged.createNode(Parent, F);
-    ChildIndex.emplace(Key, Id);
-    return Id;
-  };
-
   std::vector<std::vector<NodeId>> OutNodes(Inputs.size());
   for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
-    const Input &P = Inputs[ProfIdx];
-    const ProfilePrep &Prep = Preps[ProfIdx];
+    const Profile &P = *Inputs[ProfIdx];
     std::vector<NodeId> &OutNode = OutNodes[ProfIdx];
     OutNode.assign(P.nodeCount(), InvalidNode);
     OutNode[0] = Merged.root();
-    std::vector<FrameId> FrameMap(P.frameCount(), 0);
-    std::vector<bool> FrameMapped(P.frameCount(), false);
+    constexpr FrameId Unmapped = std::numeric_limits<FrameId>::max();
+    std::vector<FrameId> FrameMap(P.frames().size(), Unmapped);
     auto MapFrame = [&](FrameId F) {
-      if (FrameMapped[F])
-        return FrameMap[F];
-      const CanonFrame &Canon = Prep.Frames[F];
-      Frame Copy;
-      Copy.Kind = Canon.Kind;
-      Copy.Name = Merged.strings().intern(Canon.Name);
-      Copy.Loc.File = Merged.strings().intern(Canon.File);
-      Copy.Loc.Line = Canon.Line;
-      Copy.Loc.Module = Merged.strings().intern(Canon.Module);
       // Addresses are run-specific (ASLR): identity is textual only.
-      Copy.Loc.Address = 0;
-      FrameMap[F] = Merged.internFrame(Copy);
-      FrameMapped[F] = true;
+      if (FrameMap[F] == Unmapped)
+        FrameMap[F] = Merged.importFrame(P, F, ProfileBuilder::Address::Zero);
       return FrameMap[F];
     };
 
+    std::span<const NodeId> Parents = P.parents();
+    std::span<const FrameId> FrameRefs = P.frameRefs();
     for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
       if ((Id & 8191) == 0)
         Cancel.checkpoint();
-      OutNode[Id] = ChildFor(OutNode[P.parentOf(Id)], MapFrame(P.frameRefOf(Id)));
+      OutNode[Id] = Merged.child(OutNode[Parents[Id]], MapFrame(FrameRefs[Id]));
     }
   }
 
-  // Phase 3a (sequential): discover the (node, metric) key set in profile
+  // Phase 2a (sequential): discover the (node, metric) key set in profile
   // then node order, assigning each key a stable dense row.
   for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
-    const Input &P = Inputs[ProfIdx];
-    const std::vector<MetricId> &MetricMap = Preps[ProfIdx].MetricMap;
+    const Profile &P = *Inputs[ProfIdx];
+    const std::vector<MetricId> &MetricMap = MetricMaps[ProfIdx];
     for (NodeId Id = 0; Id < P.nodeCount(); ++Id) {
       if ((Id & 8191) == 0)
         Cancel.checkpoint();
-      P.forEachValue(Id, [&](MetricId M, double) {
-        if (M >= MetricMap.size() || MetricMap[M] == Profile::InvalidMetric)
-          return;
-        uint64_t Key =
-            AggregatedProfile::sampleKey(OutNodes[ProfIdx][Id], MetricMap[M]);
+      for (const MetricValue &MV : P.node(Id).Metrics) {
+        if (MV.Metric >= MetricMap.size() ||
+            MetricMap[MV.Metric] == Profile::InvalidMetric)
+          continue;
+        uint64_t Key = AggregatedProfile::sampleKey(OutNodes[ProfIdx][Id],
+                                                    MetricMap[MV.Metric]);
         if (KeyIndex.emplace(Key, static_cast<uint32_t>(KeyOrder.size()))
                 .second)
           KeyOrder.push_back(Key);
-      });
+      }
     }
   }
 
-  // Phase 3b (parallel): accumulate samples into the dense matrix. Each
+  // Phase 2b (parallel): accumulate samples into the dense matrix. Each
   // profile writes only its own column of every row, so profiles proceed
   // concurrently without synchronization, and the per-profile accumulation
   // order (node order) is the same in every mode.
   size_t N = Inputs.size();
   Matrix.assign(KeyOrder.size() * N, 0.0);
   ThreadPool::shared().parallelFor(Inputs.size(), [&](size_t ProfIdx) {
-    const Input &P = Inputs[ProfIdx];
-    const std::vector<MetricId> &MetricMap = Preps[ProfIdx].MetricMap;
+    const Profile &P = *Inputs[ProfIdx];
+    const std::vector<MetricId> &MetricMap = MetricMaps[ProfIdx];
     for (NodeId Id = 0; Id < P.nodeCount(); ++Id) {
-      P.forEachValue(Id, [&](MetricId M, double Value) {
-        if (M >= MetricMap.size() || MetricMap[M] == Profile::InvalidMetric)
-          return;
-        uint64_t Key =
-            AggregatedProfile::sampleKey(OutNodes[ProfIdx][Id], MetricMap[M]);
-        Matrix[size_t(KeyIndex.find(Key)->second) * N + ProfIdx] += Value;
-      });
+      for (const MetricValue &MV : P.node(Id).Metrics) {
+        if (MV.Metric >= MetricMap.size() ||
+            MetricMap[MV.Metric] == Profile::InvalidMetric)
+          continue;
+        uint64_t Key = AggregatedProfile::sampleKey(OutNodes[ProfIdx][Id],
+                                                    MetricMap[MV.Metric]);
+        Matrix[size_t(KeyIndex.find(Key)->second) * N + ProfIdx] += MV.Value;
+      }
     }
   });
 
-  // Phase 4 (parallel math, sequential attach): the per-row statistics are
+  // Phase 3 (parallel math, sequential attach): the per-row statistics are
   // pure functions of the row, so rows fan out across workers; attaching
   // them to the merged nodes follows KeyOrder so the metric lists come out
   // identical for every thread count (and deterministic across runs, which
@@ -369,41 +214,18 @@ AggregatedProfile aggregateImpl(const std::vector<Input> &Inputs,
     MetricId Metric = static_cast<MetricId>(Key & 0xFFFF);
     const RowStats &S = Stats[R];
     if (Options.WithSum && S.Sum != 0.0)
-      Merged.node(Node).addMetric(SumIds[Metric], S.Sum);
+      Merged.addValue(Node, SumIds[Metric], S.Sum);
     if (Options.WithMin && S.Min != 0.0)
-      Merged.node(Node).addMetric(MinIds[Metric], S.Min);
+      Merged.addValue(Node, MinIds[Metric], S.Min);
     if (Options.WithMax && S.Max != 0.0)
-      Merged.node(Node).addMetric(MaxIds[Metric], S.Max);
+      Merged.addValue(Node, MaxIds[Metric], S.Max);
     if (Options.WithMean && S.Mean != 0.0)
-      Merged.node(Node).addMetric(MeanIds[Metric], S.Mean);
+      Merged.addValue(Node, MeanIds[Metric], S.Mean);
     if (Options.WithStddev && S.Stddev != 0.0)
-      Merged.node(Node).addMetric(StddevIds[Metric], S.Stddev);
+      Merged.addValue(Node, StddevIds[Metric], S.Stddev);
   }
+  Agg.Merged = Merged.take();
   return Agg;
-}
-
-} // namespace
-
-AggregatedProfile aggregate(std::span<const Profile *const> Profiles,
-                            const AggregateOptions &Options,
-                            const CancelToken &Cancel) {
-  trace::Span Span("analysis/aggregate", "analysis");
-  std::vector<AosInput> Inputs;
-  Inputs.reserve(Profiles.size());
-  for (const Profile *P : Profiles)
-    Inputs.push_back(AosInput{P});
-  return aggregateImpl(Inputs, Options, Cancel);
-}
-
-AggregatedProfile aggregate(std::span<const ColumnarProfile *const> Profiles,
-                            const AggregateOptions &Options,
-                            const CancelToken &Cancel) {
-  trace::Span Span("analysis/aggregateColumnar", "analysis");
-  std::vector<ColumnarInput> Inputs;
-  Inputs.reserve(Profiles.size());
-  for (const ColumnarProfile *C : Profiles)
-    Inputs.emplace_back(*C);
-  return aggregateImpl(Inputs, Options, Cancel);
 }
 
 } // namespace ev

@@ -30,8 +30,6 @@
 
 namespace ev {
 
-class ColumnarProfile;
-
 /// Which derived statistics aggregate() appends as metric columns.
 struct AggregateOptions {
   bool WithSum = true;  ///< "<metric>" column: sum across profiles.
@@ -68,10 +66,9 @@ public:
   }
 
 private:
-  /// Backstage pass for the shared merge implementation (Aggregate.cpp),
-  /// which is templated over the input representation (AoS or columnar)
-  /// so both public overloads run the exact same algorithm.
-  friend struct AggregateAccess;
+  friend AggregatedProfile aggregate(std::span<const Profile *const> Profiles,
+                                     const AggregateOptions &Options,
+                                     const CancelToken &Cancel);
 
   Profile Merged;
   size_t ProfileCount = 0;
@@ -96,15 +93,6 @@ private:
 /// input simply contribute zeros. \p Cancel is checked at merge-loop
 /// boundaries; a tripped token raises CancelledException.
 AggregatedProfile aggregate(std::span<const Profile *const> Profiles,
-                            const AggregateOptions &Options = {},
-                            const CancelToken &Cancel = {});
-
-/// Same merge over columnar profiles (profile/Columnar.h): the tree walk
-/// sweeps flat parent/frame columns and the matrix fill reads the metric
-/// CSR directly, skipping AoS materialization entirely. Produces output
-/// writeEvProf-byte-identical to the AoS overload on the same inputs
-/// (both instantiate one shared implementation).
-AggregatedProfile aggregate(std::span<const ColumnarProfile *const> Profiles,
                             const AggregateOptions &Options = {},
                             const CancelToken &Cancel = {});
 

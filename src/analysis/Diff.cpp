@@ -6,12 +6,13 @@
 
 #include "analysis/Diff.h"
 
+#include "profile/ProfileBuilder.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cmath>
 #include <string_view>
-#include <unordered_map>
+#include <limits>
 
 namespace ev {
 
@@ -31,43 +32,12 @@ std::string_view diffTagLabel(DiffTag Tag) {
   return "[?]";
 }
 
-namespace {
-
-/// Read-only per-side index computed before the merge: textual frame
-/// identities plus the dense exclusive column of the diffed metric.
-struct SidePrep {
-  struct CanonFrame {
-    FrameKind Kind;
-    std::string_view Name;
-    std::string_view File;
-    std::string_view Module;
-    uint32_t Line;
-  };
-  std::vector<CanonFrame> Frames;
-  std::vector<double> Values;
-};
-
-SidePrep prepareSide(const Profile &P, MetricId Metric) {
-  SidePrep Prep;
-  Prep.Frames.reserve(P.frames().size());
-  for (const Frame &F : P.frames())
-    Prep.Frames.push_back({F.Kind, P.text(F.Name), P.text(F.Loc.File),
-                           P.text(F.Loc.Module), F.Loc.Line});
-  Prep.Values.resize(P.nodeCount(), 0.0);
-  for (NodeId Id = 0; Id < P.nodeCount(); ++Id)
-    Prep.Values[Id] = P.node(Id).metricOr(Metric);
-  return Prep;
-}
-
-} // namespace
-
 DiffResult diffProfiles(const Profile &Base, const Profile &Test,
                         MetricId Metric, double RelativeEpsilon,
                         const CancelToken &Cancel) {
   trace::Span Span("analysis/diffProfiles", "analysis");
   DiffResult Result;
-  Profile &Merged = Result.Merged;
-  Merged.setName("diff: " + Test.name() + " vs " + Base.name());
+  ProfileBuilder Merged("diff: " + Test.name() + " vs " + Base.name());
 
   const MetricDescriptor &M = Base.metrics().at(Metric);
   Result.BaseMetric = Merged.addMetric("base " + M.Name, M.Unit);
@@ -79,70 +49,41 @@ DiffResult diffProfiles(const Profile &Base, const Profile &Test,
   if (TestInput == Profile::InvalidMetric)
     TestInput = Metric;
 
-  // Both sides' indexes (canonical frames + metric column) build
-  // concurrently — they only read their own input.
-  std::vector<SidePrep> Preps = ThreadPool::shared().parallelMap<SidePrep>(
-      2, [&](size_t Side) {
-        return Side == 0 ? prepareSide(Base, Metric)
-                         : prepareSide(Test, TestInput);
-      });
-
-  std::unordered_map<uint64_t, NodeId> ChildIndex;
-  auto ChildFor = [&](NodeId Parent, FrameId F) {
-    uint64_t Key = (static_cast<uint64_t>(Parent) << 32) | F;
-    auto It = ChildIndex.find(Key);
-    if (It != ChildIndex.end())
-      return It->second;
-    NodeId Id = Merged.createNode(Parent, F);
-    ChildIndex.emplace(Key, Id);
-    return Id;
-  };
-
   // Presence[node]: bit 0 = in base, bit 1 = in test.
   std::vector<uint8_t> Presence;
   Presence.resize(1, 3); // Root is in both.
 
   // The merges themselves stay sequential (base first, then test) so the
   // merged node ids are identical for every thread count.
-  auto MergeSide = [&](const Profile &P, const SidePrep &Prep,
+  auto MergeSide = [&](const Profile &P, MetricId InputMetric,
                        MetricId SideMetric, uint8_t Bit) {
     std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
     OutNode[P.root()] = Merged.root();
-    std::vector<FrameId> FrameMap(P.frames().size(), 0);
-    std::vector<bool> FrameMapped(P.frames().size(), false);
+    constexpr FrameId Unmapped = std::numeric_limits<FrameId>::max();
+    std::vector<FrameId> FrameMap(P.frames().size(), Unmapped);
     auto MapFrame = [&](FrameId F) {
-      if (FrameMapped[F])
-        return FrameMap[F];
-      const SidePrep::CanonFrame &Canon = Prep.Frames[F];
-      Frame Copy;
-      Copy.Kind = Canon.Kind;
-      Copy.Name = Merged.strings().intern(Canon.Name);
-      Copy.Loc.File = Merged.strings().intern(Canon.File);
-      Copy.Loc.Line = Canon.Line;
-      Copy.Loc.Module = Merged.strings().intern(Canon.Module);
-      Copy.Loc.Address = 0;
-      FrameMap[F] = Merged.internFrame(Copy);
-      FrameMapped[F] = true;
+      if (FrameMap[F] == Unmapped)
+        FrameMap[F] = Merged.importFrame(P, F, ProfileBuilder::Address::Zero);
       return FrameMap[F];
     };
     for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
       if ((Id & 8191) == 0)
         Cancel.checkpoint();
       const CCTNode &Node = P.node(Id);
-      OutNode[Id] = ChildFor(OutNode[Node.Parent], MapFrame(Node.FrameRef));
+      OutNode[Id] = Merged.child(OutNode[Node.Parent], MapFrame(Node.FrameRef));
       if (Presence.size() <= OutNode[Id])
         Presence.resize(OutNode[Id] + 1, 0);
       Presence[OutNode[Id]] |= Bit;
     }
     for (NodeId Id = 0; Id < P.nodeCount(); ++Id) {
-      double V = Prep.Values[Id];
+      double V = P.node(Id).metricOr(InputMetric);
       if (V != 0.0)
-        Merged.node(OutNode[Id]).addMetric(SideMetric, V);
+        Merged.addValue(OutNode[Id], SideMetric, V);
     }
   };
 
-  MergeSide(Base, Preps[0], Result.BaseMetric, /*Bit=*/1);
-  MergeSide(Test, Preps[1], Result.TestMetric, /*Bit=*/2);
+  MergeSide(Base, Metric, Result.BaseMetric, /*Bit=*/1);
+  MergeSide(Test, TestInput, Result.TestMetric, /*Bit=*/2);
   Presence.resize(Merged.nodeCount(), 0);
 
   // Delta column (exclusive) and inclusive columns for tagging.
@@ -151,33 +92,35 @@ DiffResult diffProfiles(const Profile &Base, const Profile &Test,
   for (NodeId Id = 0; Id < Merged.nodeCount(); ++Id) {
     if ((Id & 8191) == 0)
       Cancel.checkpoint();
-    double B = Merged.node(Id).metricOr(Result.BaseMetric);
-    double T = Merged.node(Id).metricOr(Result.TestMetric);
+    double B = Merged.metricOr(Id, Result.BaseMetric);
+    double T = Merged.metricOr(Id, Result.TestMetric);
     if (T - B != 0.0)
-      Merged.node(Id).addMetric(Result.DeltaMetric, T - B);
+      Merged.addValue(Id, Result.DeltaMetric, T - B);
     Result.BaseInclusive[Id] = B;
     Result.TestInclusive[Id] = T;
   }
+  Result.Merged = Merged.take();
+  const Profile &Out = Result.Merged;
   // The two inclusive sweeps touch disjoint columns, so they run as two
   // independent tasks with bit-identical results.
   ThreadPool::shared().parallelFor(2, [&](size_t Side) {
     std::vector<double> &Column =
         Side == 0 ? Result.BaseInclusive : Result.TestInclusive;
-    for (NodeId Id = static_cast<NodeId>(Merged.nodeCount()); Id > 1;) {
+    for (NodeId Id = static_cast<NodeId>(Out.nodeCount()); Id > 1;) {
       --Id;
-      Column[Merged.node(Id).Parent] += Column[Id];
+      Column[Out.node(Id).Parent] += Column[Id];
     }
   });
 
   // Tagging is a pure per-node function of presence bits and the inclusive
   // columns; chunks own disjoint node ranges.
-  Result.Tags.assign(Merged.nodeCount(), DiffTag::Common);
+  Result.Tags.assign(Out.nodeCount(), DiffTag::Common);
   ThreadPool::shared().parallelForChunks(
-      Merged.nodeCount(), [&](size_t Begin, size_t End) {
+      Out.nodeCount(), [&](size_t Begin, size_t End) {
         for (NodeId Id = static_cast<NodeId>(Begin); Id < End; ++Id) {
           bool InBase = Presence[Id] & 1;
           bool InTest = Presence[Id] & 2;
-          if (Id == Merged.root()) {
+          if (Id == Out.root()) {
             InBase = true;
             InTest = true;
           }

@@ -6,12 +6,12 @@
 
 #include "analysis/FleetAggregate.h"
 
-#include "profile/Columnar.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <string_view>
 
 namespace ev {
@@ -56,155 +56,58 @@ void StreamingMoments::mergeFrom(const StreamingMoments &Other) {
 }
 
 CohortAccumulator::CohortAccumulator(FleetAggregateOptions O)
-    : Opts(O) {
-  Shape.setName("fleet cohort");
+    : Opts(O), Shape("fleet cohort") {
   Folded.assign(1, 0); // Root.
 }
 
-NodeId CohortAccumulator::childFor(NodeId Parent, FrameId F) {
-  uint64_t Key = (static_cast<uint64_t>(Parent) << 32) | F;
-  auto It = ChildIndex.find(Key);
-  if (It != ChildIndex.end())
-    return It->second;
-  NodeId Id = Shape.createNode(Parent, F);
-  ChildIndex.emplace(Key, Id);
-  Folded.push_back(0);
-  return Id;
+const Profile &CohortAccumulator::shape() const {
+  if (!Frozen)
+    Frozen = std::make_shared<const Profile>(Shape.build());
+  return *Frozen;
 }
 
-void CohortAccumulator::adoptSchema(const Profile &P) {
-  if (!Shape.metrics().empty() || Profiles > 0)
-    return;
-  for (const MetricDescriptor &M : P.metrics())
-    Shape.addMetric(M.Name, M.Unit, M.Aggregation);
-  assert(Shape.metrics().size() < 0xFFFF && "metric id space exhausted");
-}
-
-void CohortAccumulator::adoptSchema(const ColumnarProfile &P) {
-  if (!Shape.metrics().empty() || Profiles > 0)
-    return;
-  const SharedStringTable &S = P.strings();
-  for (size_t I = 0; I < P.metricCount(); ++I)
-    Shape.addMetric(S.text(P.metricNameIds()[I]), S.text(P.metricUnitIds()[I]),
-                    static_cast<MetricAggregation>(P.metricAggs()[I]));
-  assert(Shape.metrics().size() < 0xFFFF && "metric id space exhausted");
-}
-
-void CohortAccumulator::add(const ColumnarProfile &P,
-                            const CancelToken &Cancel) {
-  trace::Span Span("analysis/fleetAddColumnar", "analysis");
-  adoptSchema(P);
-
-  // Identical fold to add(const Profile &) below, reading columns instead
-  // of node objects; every intern/childFor happens in the same order, so
-  // the accumulator state comes out the same either way (pinned by
-  // tests/store_test.cpp).
-  const SharedStringTable &S = P.strings();
-  std::span<const uint32_t> StrGlobal = P.stringGlobal();
-  std::vector<MetricId> MetricMap(P.metricCount(), Profile::InvalidMetric);
-  for (MetricId I = 0; I < P.metricCount(); ++I) {
-    MetricId Target = Shape.findMetric(S.text(P.metricNameIds()[I]));
-    if (Target != Profile::InvalidMetric)
-      MetricMap[I] = Target;
+std::vector<MetricId> CohortAccumulator::mapMetrics(const Profile &P) {
+  if (Shape.metrics().empty() && Profiles == 0) {
+    Shape.addMetrics(P); // The first profile's schema is the cohort's.
+    assert(Shape.metrics().size() < 0xFFFF && "metric id space exhausted");
   }
+  std::vector<MetricId> MetricMap(P.metrics().size());
+  for (MetricId I = 0; I < P.metrics().size(); ++I)
+    MetricMap[I] = Shape.findMetric(P.metrics()[I].Name);
+  return MetricMap;
+}
 
-  std::span<const uint8_t> FrKinds = P.frameKinds();
-  std::span<const uint32_t> FrNames = P.frameNames();
-  std::span<const uint32_t> FrFiles = P.frameFiles();
-  std::span<const uint32_t> FrLines = P.frameLines();
-  std::span<const uint32_t> FrModules = P.frameModules();
-  std::vector<FrameId> FrameMap(P.frameCount(), 0);
-  std::vector<bool> FrameMapped(P.frameCount(), false);
+std::vector<NodeId> CohortAccumulator::mergeTree(const Profile &P,
+                                                 const CancelToken &Cancel) {
+  Frozen.reset();
+  // Map frames by textual identity (addresses are run-specific: ASLR).
+  constexpr FrameId Unmapped = std::numeric_limits<FrameId>::max();
+  std::vector<FrameId> FrameMap(P.frames().size(), Unmapped);
   auto MapFrame = [&](FrameId F) {
-    if (FrameMapped[F])
-      return FrameMap[F];
-    Frame Copy;
-    Copy.Kind = static_cast<FrameKind>(FrKinds[F]);
-    Copy.Name = Shape.strings().intern(S.text(StrGlobal[FrNames[F]]));
-    Copy.Loc.File = Shape.strings().intern(S.text(StrGlobal[FrFiles[F]]));
-    Copy.Loc.Line = FrLines[F];
-    Copy.Loc.Module = Shape.strings().intern(S.text(StrGlobal[FrModules[F]]));
-    Copy.Loc.Address = 0;
-    FrameMap[F] = Shape.internFrame(Copy);
-    FrameMapped[F] = true;
+    if (FrameMap[F] == Unmapped)
+      FrameMap[F] = Shape.importFrame(P, F, ProfileBuilder::Address::Zero);
     return FrameMap[F];
   };
 
-  std::span<const uint32_t> Parents = P.parents();
-  std::span<const uint32_t> FrameRefs = P.frameRefs();
-  size_t Count = P.nodeCount();
-  std::vector<NodeId> OutNode(Count, InvalidNode);
-  OutNode[0] = Shape.root();
-  for (NodeId Id = 1; Id < Count; ++Id) {
+  // Merge the input tree node by node (parents-first input order
+  // guarantees the parent is already mapped).
+  std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
+  OutNode[P.root()] = Shape.root();
+  std::span<const NodeId> Parents = P.parents();
+  std::span<const FrameId> FrameRefs = P.frameRefs();
+  for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
     if ((Id & 8191) == 0)
       Cancel.checkpoint();
-    OutNode[Id] = childFor(OutNode[Parents[Id]], MapFrame(FrameRefs[Id]));
+    OutNode[Id] = Shape.child(OutNode[Parents[Id]], MapFrame(FrameRefs[Id]));
   }
-
-  std::span<const uint32_t> MetOff = P.metricOffsets();
-  std::span<const uint32_t> MetIds = P.metricIds();
-  std::span<const double> MetVals = P.metricValues();
-  std::unordered_map<uint64_t, double> Contrib;
-  for (NodeId Id = 0; Id < Count; ++Id) {
-    if ((Id & 8191) == 0)
-      Cancel.checkpoint();
-    for (uint32_t V = MetOff[Id], End = MetOff[Id + 1]; V < End; ++V) {
-      if (MetIds[V] >= MetricMap.size() ||
-          MetricMap[MetIds[V]] == Profile::InvalidMetric)
-        continue;
-      Contrib[momentKey(OutNode[Id], MetricMap[MetIds[V]])] += MetVals[V];
-    }
-  }
-  for (const auto &[Key, Value] : Contrib)
-    Moments[Key].push(Value);
-
-  ++Profiles;
-  if (Opts.NodeBudget && Shape.nodeCount() > Opts.NodeBudget)
-    pruneToBudget();
+  Folded.resize(Shape.nodeCount(), 0);
+  return OutNode;
 }
 
 void CohortAccumulator::add(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/fleetAdd", "analysis");
-  adoptSchema(P);
-
-  // Map the input's metric schema onto the accumulator's (first profile
-  // wins, matching by name — the batch aggregate's rule).
-  std::vector<MetricId> MetricMap(P.metrics().size(), Profile::InvalidMetric);
-  for (MetricId I = 0; I < P.metrics().size(); ++I) {
-    MetricId Target = Shape.findMetric(P.metrics()[I].Name);
-    if (Target != Profile::InvalidMetric)
-      MetricMap[I] = Target;
-  }
-
-  // Map frames by textual identity (addresses are run-specific: ASLR).
-  std::vector<FrameId> FrameMap(P.frames().size(), 0);
-  std::vector<bool> FrameMapped(P.frames().size(), false);
-  auto MapFrame = [&](FrameId F) {
-    if (FrameMapped[F])
-      return FrameMap[F];
-    const Frame &In = P.frame(F);
-    Frame Copy;
-    Copy.Kind = In.Kind;
-    Copy.Name = Shape.strings().intern(P.text(In.Name));
-    Copy.Loc.File = Shape.strings().intern(P.text(In.Loc.File));
-    Copy.Loc.Line = In.Loc.Line;
-    Copy.Loc.Module = Shape.strings().intern(P.text(In.Loc.Module));
-    Copy.Loc.Address = 0;
-    FrameMap[F] = Shape.internFrame(Copy);
-    FrameMapped[F] = true;
-    return FrameMap[F];
-  };
-
-  // Merge the input tree into the accumulator CCT, node by node
-  // (parents-first input order guarantees the parent is already mapped).
-  std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
-  OutNode[P.root()] = Shape.root();
-  for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
-    if ((Id & 8191) == 0)
-      Cancel.checkpoint();
-    const CCTNode &Node = P.node(Id);
-    OutNode[Id] = childFor(OutNode[Node.Parent], MapFrame(Node.FrameRef));
-  }
+  std::vector<MetricId> MetricMap = mapMetrics(P);
+  std::vector<NodeId> OutNode = mergeTree(P, Cancel);
 
   // Fold the input's exclusive samples. Two input nodes can land on the
   // same accumulator context (frames differing only by address), so the
@@ -234,45 +137,12 @@ void CohortAccumulator::merge(const CohortAccumulator &Other,
   trace::Span Span("analysis/fleetMerge", "analysis");
   if (Other.Profiles == 0)
     return;
-  if (Profiles == 0)
-    adoptSchema(Other.Shape);
-
-  const Profile &OP = Other.Shape;
-  std::vector<MetricId> MetricMap(OP.metrics().size(), Profile::InvalidMetric);
-  for (MetricId I = 0; I < OP.metrics().size(); ++I) {
-    MetricId Target = Shape.findMetric(OP.metrics()[I].Name);
-    if (Target != Profile::InvalidMetric)
-      MetricMap[I] = Target;
-  }
-
-  std::vector<FrameId> FrameMap(OP.frames().size(), 0);
-  std::vector<bool> FrameMapped(OP.frames().size(), false);
-  auto MapFrame = [&](FrameId F) {
-    if (FrameMapped[F])
-      return FrameMap[F];
-    const Frame &In = OP.frame(F);
-    Frame Copy;
-    Copy.Kind = In.Kind;
-    Copy.Name = Shape.strings().intern(OP.text(In.Name));
-    Copy.Loc.File = Shape.strings().intern(OP.text(In.Loc.File));
-    Copy.Loc.Line = In.Loc.Line;
-    Copy.Loc.Module = Shape.strings().intern(OP.text(In.Loc.Module));
-    Copy.Loc.Address = 0;
-    FrameMap[F] = Shape.internFrame(Copy);
-    FrameMapped[F] = true;
-    return FrameMap[F];
-  };
-
-  std::vector<NodeId> OutNode(OP.nodeCount(), InvalidNode);
-  OutNode[OP.root()] = Shape.root();
-  for (NodeId Id = 1; Id < OP.nodeCount(); ++Id) {
-    if ((Id & 8191) == 0)
-      Cancel.checkpoint();
-    const CCTNode &Node = OP.node(Id);
-    OutNode[Id] = childFor(OutNode[Node.Parent], MapFrame(Node.FrameRef));
+  const Profile &OP = Other.shape();
+  std::vector<MetricId> MetricMap = mapMetrics(OP);
+  std::vector<NodeId> OutNode = mergeTree(OP, Cancel);
+  for (NodeId Id = 1; Id < OP.nodeCount(); ++Id)
     if (Other.isFolded(Id))
       Folded[OutNode[Id]] = 1;
-  }
 
   // The accumulator CCT never holds two children of one parent with the
   // same frame, so OutNode is injective: each of Other's moment entries
@@ -325,15 +195,16 @@ CohortNodeStats CohortAccumulator::stats(NodeId Node, MetricId Metric) const {
 
 std::vector<double>
 CohortAccumulator::inclusiveSumColumn(MetricId Metric) const {
-  std::vector<double> Column(Shape.nodeCount(), 0.0);
-  for (NodeId Id = 0; Id < Shape.nodeCount(); ++Id) {
+  std::span<const NodeId> Parents = shape().parents();
+  std::vector<double> Column(Parents.size(), 0.0);
+  for (NodeId Id = 0; Id < Parents.size(); ++Id) {
     auto It = Moments.find(momentKey(Id, Metric));
     if (It != Moments.end())
       Column[Id] = It->second.sum();
   }
-  for (NodeId Id = static_cast<NodeId>(Shape.nodeCount()); Id > 1;) {
+  for (NodeId Id = static_cast<NodeId>(Parents.size()); Id > 1;) {
     --Id;
-    Column[Shape.node(Id).Parent] += Column[Id];
+    Column[Parents[Id]] += Column[Id];
   }
   return Column;
 }
@@ -344,8 +215,6 @@ bool CohortAccumulator::isFolded(NodeId Node) const {
 
 size_t CohortAccumulator::approxMemoryBytes() const {
   size_t Bytes = Shape.approxMemoryBytes();
-  Bytes += ChildIndex.size() * (sizeof(uint64_t) + sizeof(NodeId) +
-                                2 * sizeof(void *));
   Bytes += Moments.size() * (sizeof(uint64_t) + sizeof(StreamingMoments) +
                              2 * sizeof(void *));
   Bytes += Folded.capacity();
@@ -377,6 +246,7 @@ void CohortAccumulator::pruneOnce(size_t Target) {
   // Rank non-root nodes by inclusive weight, heaviest first; ties break on
   // node id so the keep set is deterministic.
   std::vector<double> Weight = inclusiveSumColumn(Opts.WeightMetric);
+  const Profile &Old = shape();
   std::vector<NodeId> Order(Count > 0 ? Count - 1 : 0);
   for (NodeId Id = 1; Id < Count; ++Id)
     Order[Id - 1] = Id;
@@ -398,7 +268,7 @@ void CohortAccumulator::pruneOnce(size_t Target) {
     if (Keep[Id])
       continue;
     Chain.clear();
-    for (NodeId Up = Id; !Keep[Up]; Up = Shape.node(Up).Parent)
+    for (NodeId Up = Id; !Keep[Up]; Up = Old.node(Up).Parent)
       Chain.push_back(Up);
     for (NodeId Up : Chain)
       Keep[Up] = 1;
@@ -410,51 +280,39 @@ void CohortAccumulator::pruneOnce(size_t Target) {
   // conserves subtree sums but gives up attribution. Catch-all moments are
   // sum-carriers only (Present pinned to 1 so sum() = Mean); isFolded()
   // tells analyses to skip them.
-  Profile NewShape;
-  NewShape.setName(Shape.name());
-  for (const MetricDescriptor &M : Shape.metrics())
-    NewShape.addMetric(M.Name, M.Unit, M.Aggregation);
-  std::unordered_map<uint64_t, NodeId> NewChildIndex;
+  ProfileBuilder NewShape(Old.name());
+  NewShape.addMetrics(Old);
   std::vector<char> NewFolded(1, 0);
   auto NewChildFor = [&](NodeId Parent, FrameId F, bool FoldedNode) {
-    uint64_t Key = (static_cast<uint64_t>(Parent) << 32) | F;
-    auto It = NewChildIndex.find(Key);
-    if (It != NewChildIndex.end())
-      return It->second;
-    NodeId Id = NewShape.createNode(Parent, F);
-    NewChildIndex.emplace(Key, Id);
-    NewFolded.push_back(FoldedNode ? 1 : 0);
+    NodeId Id = NewShape.child(Parent, F);
+    if (Id == NewFolded.size())
+      NewFolded.push_back(FoldedNode ? 1 : 0);
     return Id;
   };
   FrameId PrunedFrame;
   {
     Frame F;
     F.Kind = FrameKind::Function;
-    F.Name = NewShape.strings().intern(PrunedFrameName);
+    F.Name = NewShape.intern(PrunedFrameName);
     PrunedFrame = NewShape.internFrame(F);
   }
 
   std::vector<NodeId> NewId(Count, InvalidNode);
   NewId[0] = NewShape.root();
   std::unordered_map<uint64_t, StreamingMoments> NewMoments;
-  size_t MetricCount = Shape.metrics().size();
+  size_t MetricCount = Old.metrics().size();
   for (NodeId Id = 1; Id < Count; ++Id) {
+    NodeId Parent = Old.node(Id).Parent;
     NodeId Mapped;
     if (Keep[Id]) {
-      const Frame &In = Shape.frame(Shape.node(Id).FrameRef);
-      Frame Copy;
-      Copy.Kind = In.Kind;
-      Copy.Name = NewShape.strings().intern(Shape.text(In.Name));
-      Copy.Loc.File = NewShape.strings().intern(Shape.text(In.Loc.File));
-      Copy.Loc.Line = In.Loc.Line;
-      Copy.Loc.Module = NewShape.strings().intern(Shape.text(In.Loc.Module));
-      Mapped = NewChildFor(NewId[Shape.node(Id).Parent],
-                           NewShape.internFrame(Copy), isFolded(Id));
-    } else if (Keep[Shape.node(Id).Parent]) {
-      Mapped = NewChildFor(NewId[Shape.node(Id).Parent], PrunedFrame, true);
+      FrameId F = NewShape.importFrame(Old, Old.node(Id).FrameRef,
+                                       ProfileBuilder::Address::Zero);
+      Mapped = NewChildFor(NewId[Parent], F, isFolded(Id));
+    } else if (Keep[Parent]) {
+      Mapped = NewChildFor(NewId[Parent], PrunedFrame, true);
     } else {
       // Parent already collapsed into a catch-all; ride along with it.
-      Mapped = NewId[Shape.node(Id).Parent];
+      Mapped = NewId[Parent];
     }
     NewId[Id] = Mapped;
   }
@@ -480,7 +338,7 @@ void CohortAccumulator::pruneOnce(size_t Target) {
   }
 
   Shape = std::move(NewShape);
-  ChildIndex = std::move(NewChildIndex);
+  Frozen.reset();
   Moments = std::move(NewMoments);
   Folded = std::move(NewFolded);
 }

@@ -37,15 +37,14 @@
 #ifndef EASYVIEW_ANALYSIS_FLEETAGGREGATE_H
 #define EASYVIEW_ANALYSIS_FLEETAGGREGATE_H
 
-#include "profile/Profile.h"
+#include "profile/ProfileBuilder.h"
 #include "support/Cancel.h"
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 namespace ev {
-
-class ColumnarProfile;
 
 /// Configuration for one accumulator.
 struct FleetAggregateOptions {
@@ -100,13 +99,6 @@ public:
   /// aggregate. The input can be destroyed immediately afterwards.
   void add(const Profile &P, const CancelToken &Cancel = {});
 
-  /// Folds a columnar profile (profile/Columnar.h) without materializing
-  /// its AoS form: the tree walk sweeps the flat parent/frame columns and
-  /// samples come straight from the metric CSR. Produces exactly the
-  /// statistics add(P.materialize()) would — the budget-constrained path
-  /// for fleet cohorts streaming out of a spilling ProfileStore.
-  void add(const ColumnarProfile &P, const CancelToken &Cancel = {});
-
   /// Exact pairwise merge: afterwards this accumulator reports the same
   /// statistics as if every profile of \p Other had been add()ed here (up
   /// to pruning, which is re-evaluated against this node budget).
@@ -117,8 +109,10 @@ public:
 
   /// The canonical accumulator CCT. Node metric lists stay empty — the
   /// moments table is authoritative; shape() provides structure, frames,
-  /// and the metric schema (adopted from the first profile seen).
-  const Profile &shape() const { return Shape; }
+  /// and the metric schema (adopted from the first profile seen). Frozen
+  /// on first use after a change; like every accessor, not safe to call
+  /// concurrently with itself or with a mutation.
+  const Profile &shape() const;
 
   /// Cohort statistics for (\p Node, \p Metric); zeros when the pair never
   /// recorded a value.
@@ -150,18 +144,19 @@ public:
   }
 
 private:
-  NodeId childFor(NodeId Parent, FrameId F);
-  void adoptSchema(const Profile &P);
-  void adoptSchema(const ColumnarProfile &P);
+  /// Merges \p P's tree into Shape; \returns its node -> shape node map.
+  std::vector<NodeId> mergeTree(const Profile &P, const CancelToken &Cancel);
+  /// Maps \p P's metric ids onto Shape's (first profile wins, by name).
+  std::vector<MetricId> mapMetrics(const Profile &P);
   void pruneToBudget();
   void pruneOnce(size_t Target);
 
   FleetAggregateOptions Opts;
-  Profile Shape;
+  ProfileBuilder Shape;
+  /// Shape frozen by shape(); reset by every change to Shape.
+  mutable std::shared_ptr<const Profile> Frozen;
   uint64_t Profiles = 0;
   uint64_t Prunes = 0;
-  /// (parent << 32 | frame) -> child, for prefix merging.
-  std::unordered_map<uint64_t, NodeId> ChildIndex;
   std::unordered_map<uint64_t, StreamingMoments> Moments;
   std::vector<char> Folded; ///< Indexed by NodeId, 1 for "(pruned)" nodes.
 };

@@ -6,7 +6,6 @@
 
 #include "analysis/MetricEngine.h"
 
-#include "profile/Columnar.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -89,10 +88,7 @@ std::vector<HotNode> hottestExclusive(const Profile &P, MetricId Metric,
 }
 
 std::vector<uint32_t> depthColumn(const Profile &P) {
-  std::vector<uint32_t> Parents(P.nodeCount(), InvalidNode);
-  for (NodeId Id = 0; Id < P.nodeCount(); ++Id)
-    Parents[Id] = P.node(Id).Parent;
-  return depthsFromParents(Parents);
+  return depthsFromParents(P.parents());
 }
 
 std::vector<uint32_t> childCountColumn(const Profile &P) {

@@ -37,7 +37,7 @@ std::vector<std::vector<double>> inclusiveColumns(const Profile &P);
 double metricTotal(const Profile &P, MetricId Metric);
 
 /// Per-node depth column (root = 0) in one parents-first prefix pass,
-/// guarded against malformed parent slots (profile/Columnar.h
+/// guarded against malformed parent slots (profile/Profile.h
 /// depthsFromParents has the exact semantics). The EVQL engines precompute
 /// this once per profile topology for the depth() intrinsic.
 std::vector<uint32_t> depthColumn(const Profile &P);

@@ -380,7 +380,7 @@ void ProfileLinter::lintProfile(const Profile &P, DiagnosticSet &Out) const {
 
   // Duplicate metric values on one node.
   for (NodeId Id = 0; Id < Visit; ++Id) {
-    const std::vector<MetricValue> &Values = P.node(Id).Metrics;
+    std::span<const MetricValue> Values = P.node(Id).Metrics;
     for (size_t I = 0; I < Values.size(); ++I) {
       bool Dup = false;
       for (size_t J = 0; J < I && !Dup; ++J)
@@ -399,7 +399,8 @@ void ProfileLinter::lintProfile(const Profile &P, DiagnosticSet &Out) const {
 
   // Duplicate context ids within one group.
   for (size_t G = 0; G < P.groups().size(); ++G) {
-    std::vector<NodeId> Contexts = P.groups()[G].Contexts;
+    ContextGroup Group = P.groups()[G];
+    std::vector<NodeId> Contexts(Group.Contexts.begin(), Group.Contexts.end());
     std::sort(Contexts.begin(), Contexts.end());
     auto Dup = std::adjacent_find(Contexts.begin(), Contexts.end());
     if (Dup != Contexts.end())

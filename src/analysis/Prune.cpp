@@ -7,36 +7,12 @@
 #include "analysis/Prune.h"
 
 #include "analysis/MetricEngine.h"
+#include "profile/ProfileBuilder.h"
 
 #include <cmath>
 #include <vector>
 
 namespace ev {
-
-namespace {
-
-std::vector<MetricId> copySchema(const Profile &Src, Profile &Dst) {
-  std::vector<MetricId> Map(Src.metrics().size());
-  for (MetricId I = 0; I < Src.metrics().size(); ++I) {
-    const MetricDescriptor &M = Src.metrics()[I];
-    Map[I] = Dst.addMetric(M.Name, M.Unit, M.Aggregation);
-  }
-  return Map;
-}
-
-FrameId copyFrameInto(const Profile &Src, FrameId F, Profile &Dst) {
-  const Frame &Old = Src.frame(F);
-  Frame Copy;
-  Copy.Kind = Old.Kind;
-  Copy.Name = Dst.strings().intern(Src.text(Old.Name));
-  Copy.Loc.File = Dst.strings().intern(Src.text(Old.Loc.File));
-  Copy.Loc.Line = Old.Loc.Line;
-  Copy.Loc.Module = Dst.strings().intern(Src.text(Old.Loc.Module));
-  Copy.Loc.Address = Old.Loc.Address;
-  return Dst.internFrame(Copy);
-}
-
-} // namespace
 
 Profile pruneByFraction(const Profile &P, MetricId Metric,
                         double MinFraction) {
@@ -44,9 +20,8 @@ Profile pruneByFraction(const Profile &P, MetricId Metric,
   double Threshold = std::abs(Inclusive.empty() ? 0.0 : Inclusive[0]) *
                      MinFraction;
 
-  Profile Out;
-  Out.setName(P.name());
-  std::vector<MetricId> MetricMap = copySchema(P, Out);
+  ProfileBuilder Out(P.name());
+  std::vector<MetricId> MetricMap = Out.addMetrics(P);
 
   // Kept[i]: the node survives. A node survives when its inclusive value
   // meets the threshold; descendants of a pruned node are implicitly
@@ -54,7 +29,7 @@ Profile pruneByFraction(const Profile &P, MetricId Metric,
   std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
   OutNode[P.root()] = Out.root();
   for (const MetricValue &MV : P.node(P.root()).Metrics)
-    Out.node(Out.root()).addMetric(MetricMap[MV.Metric], MV.Value);
+    Out.addValue(Out.root(), MetricMap[MV.Metric], MV.Value);
 
   for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
     const CCTNode &Node = P.node(Id);
@@ -63,31 +38,29 @@ Profile pruneByFraction(const Profile &P, MetricId Metric,
     if (std::abs(Inclusive[Id]) < Threshold) {
       // Fold the whole subtree's inclusive value into the parent exclusive.
       if (Inclusive[Id] != 0.0)
-        Out.node(OutNode[Node.Parent])
-            .addMetric(MetricMap[Metric], Inclusive[Id]);
+        Out.addValue(OutNode[Node.Parent], MetricMap[Metric], Inclusive[Id]);
       continue;
     }
     OutNode[Id] = Out.createNode(OutNode[Node.Parent],
-                                 copyFrameInto(P, Node.FrameRef, Out));
+                                 Out.importFrame(P, Node.FrameRef));
     for (const MetricValue &MV : Node.Metrics)
-      Out.node(OutNode[Id]).addMetric(MetricMap[MV.Metric], MV.Value);
+      Out.addValue(OutNode[Id], MetricMap[MV.Metric], MV.Value);
   }
-  return Out;
+  return Out.take();
 }
 
 Profile filterNodes(
     const Profile &P,
     const std::function<bool(const Profile &, NodeId)> &Keep) {
-  Profile Out;
-  Out.setName(P.name());
-  std::vector<MetricId> MetricMap = copySchema(P, Out);
+  ProfileBuilder Out(P.name());
+  std::vector<MetricId> MetricMap = Out.addMetrics(P);
 
   // Ancestor[i]: output node that node i (or its nearest surviving
   // ancestor) maps to.
   std::vector<NodeId> Ancestor(P.nodeCount(), InvalidNode);
   Ancestor[P.root()] = Out.root();
   for (const MetricValue &MV : P.node(P.root()).Metrics)
-    Out.node(Out.root()).addMetric(MetricMap[MV.Metric], MV.Value);
+    Out.addValue(Out.root(), MetricMap[MV.Metric], MV.Value);
 
   for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
     const CCTNode &Node = P.node(Id);
@@ -95,23 +68,17 @@ Profile filterNodes(
     if (Keep(P, Id)) {
       // Note: siblings elided earlier may have re-attached children here;
       // merging by frame keeps the output a proper CCT.
-      NodeId Created = InvalidNode;
-      FrameId F = copyFrameInto(P, Node.FrameRef, Out);
-      for (NodeId Child : Out.node(ParentOut).Children)
-        if (Out.node(Child).FrameRef == F)
-          Created = Child;
-      if (Created == InvalidNode)
-        Created = Out.createNode(ParentOut, F);
+      NodeId Created = Out.child(ParentOut, Out.importFrame(P, Node.FrameRef));
       Ancestor[Id] = Created;
       for (const MetricValue &MV : Node.Metrics)
-        Out.node(Created).addMetric(MetricMap[MV.Metric], MV.Value);
+        Out.addValue(Created, MetricMap[MV.Metric], MV.Value);
     } else {
       Ancestor[Id] = ParentOut;
       for (const MetricValue &MV : Node.Metrics)
-        Out.node(ParentOut).addMetric(MetricMap[MV.Metric], MV.Value);
+        Out.addValue(ParentOut, MetricMap[MV.Metric], MV.Value);
     }
   }
-  return Out;
+  return Out.take();
 }
 
 } // namespace ev

@@ -7,6 +7,7 @@
 #include "analysis/ThreadSplit.h"
 
 #include "analysis/Transform.h"
+#include "profile/ProfileBuilder.h"
 
 #include <vector>
 
@@ -21,40 +22,34 @@ bool hasThreadLanes(const Profile &P) {
 
 namespace {
 
+/// Copies the subtrees under \p From's children into \p Out below
+/// \p Target, depth first (last child first), keeping every node.
+void copySubtrees(const Profile &P, NodeId From, ProfileBuilder &Out,
+                  NodeId Target) {
+  std::vector<std::pair<NodeId, NodeId>> Work; // (source, targetParent)
+  for (NodeId Child : P.node(From).Children)
+    Work.emplace_back(Child, Target);
+  while (!Work.empty()) {
+    auto [Src, TargetParent] = Work.back();
+    Work.pop_back();
+    NodeId New = Out.createNode(TargetParent, Out.importFrame(P, P.frameOf(Src)));
+    for (const MetricValue &MV : P.node(Src).Metrics)
+      Out.addValue(New, MV.Metric, MV.Value);
+    for (NodeId Child : P.node(Src).Children)
+      Work.emplace_back(Child, New);
+  }
+}
+
 /// Copies the subtree rooted at \p From (its children; \p From's own
 /// frame is dropped — the lane node becomes the new root) into a fresh
 /// profile.
 Profile extractLane(const Profile &P, NodeId From, std::string Name) {
-  Profile Out;
-  Out.setName(std::move(Name));
-  for (const MetricDescriptor &M : P.metrics())
-    Out.addMetric(M.Name, M.Unit, M.Aggregation);
-
-  // Map source nodes under From to output nodes.
-  std::vector<std::pair<NodeId, NodeId>> Work; // (source, targetParent)
+  ProfileBuilder Out(std::move(Name));
+  Out.addMetrics(P);
   for (const MetricValue &MV : P.node(From).Metrics)
-    Out.node(Out.root()).addMetric(MV.Metric, MV.Value);
-  for (NodeId Child : P.node(From).Children)
-    Work.emplace_back(Child, Out.root());
-
-  while (!Work.empty()) {
-    auto [Src, TargetParent] = Work.back();
-    Work.pop_back();
-    const Frame &F = P.frameOf(Src);
-    Frame Copy;
-    Copy.Kind = F.Kind;
-    Copy.Name = Out.strings().intern(P.text(F.Name));
-    Copy.Loc.File = Out.strings().intern(P.text(F.Loc.File));
-    Copy.Loc.Line = F.Loc.Line;
-    Copy.Loc.Module = Out.strings().intern(P.text(F.Loc.Module));
-    Copy.Loc.Address = F.Loc.Address;
-    NodeId New = Out.createNode(TargetParent, Out.internFrame(Copy));
-    for (const MetricValue &MV : P.node(Src).Metrics)
-      Out.node(New).addMetric(MV.Metric, MV.Value);
-    for (NodeId Child : P.node(Src).Children)
-      Work.emplace_back(Child, New);
-  }
-  return Out;
+    Out.addValue(Out.root(), MV.Metric, MV.Value);
+  copySubtrees(P, From, Out, Out.root());
+  return Out.take();
 }
 
 } // namespace
@@ -79,52 +74,23 @@ std::vector<Profile> splitByThread(const Profile &P) {
   }
   if (HasStray) {
     // Collect everything outside thread lanes under one profile.
-    Profile Stray;
-    Stray.setName("(no thread)");
-    for (const MetricDescriptor &M : P.metrics())
-      Stray.addMetric(M.Name, M.Unit, M.Aggregation);
+    ProfileBuilder Stray("(no thread)");
+    Stray.addMetrics(P);
     for (const MetricValue &MV : P.node(P.root()).Metrics)
-      Stray.node(Stray.root()).addMetric(MV.Metric, MV.Value);
+      Stray.addValue(Stray.root(), MV.Metric, MV.Value);
     for (NodeId Root : StrayRoots) {
       Profile Lane = extractLane(P, Root, "(no thread)");
       // Graft the lane's content under Stray's root, keeping the stray
       // node itself (extractLane drops the lane node, so re-add it).
-      const Frame &F = P.frameOf(Root);
-      Frame Copy;
-      Copy.Kind = F.Kind;
-      Copy.Name = Stray.strings().intern(P.text(F.Name));
-      Copy.Loc.File = Stray.strings().intern(P.text(F.Loc.File));
-      Copy.Loc.Line = F.Loc.Line;
-      Copy.Loc.Module = Stray.strings().intern(P.text(F.Loc.Module));
-      Copy.Loc.Address = F.Loc.Address;
       NodeId Grafted =
-          Stray.createNode(Stray.root(), Stray.internFrame(Copy));
+          Stray.createNode(Stray.root(), Stray.importFrame(P, P.frameOf(Root)));
       for (const MetricValue &MV : P.node(Root).Metrics)
-        Stray.node(Grafted).addMetric(MV.Metric, MV.Value);
+        Stray.addValue(Grafted, MV.Metric, MV.Value);
       // Re-walk the lane copy (skip its synthetic root).
-      std::vector<std::pair<NodeId, NodeId>> Work;
-      for (NodeId Child : Lane.node(Lane.root()).Children)
-        Work.emplace_back(Child, Grafted);
-      while (!Work.empty()) {
-        auto [Src, TargetParent] = Work.back();
-        Work.pop_back();
-        const Frame &LF = Lane.frameOf(Src);
-        Frame C2;
-        C2.Kind = LF.Kind;
-        C2.Name = Stray.strings().intern(Lane.text(LF.Name));
-        C2.Loc.File = Stray.strings().intern(Lane.text(LF.Loc.File));
-        C2.Loc.Line = LF.Loc.Line;
-        C2.Loc.Module = Stray.strings().intern(Lane.text(LF.Loc.Module));
-        C2.Loc.Address = LF.Loc.Address;
-        NodeId New = Stray.createNode(TargetParent, Stray.internFrame(C2));
-        for (const MetricValue &MV : Lane.node(Src).Metrics)
-          Stray.node(New).addMetric(MV.Metric, MV.Value);
-        for (NodeId Child : Lane.node(Src).Children)
-          Work.emplace_back(Child, New);
-      }
+      copySubtrees(Lane, Lane.root(), Stray, Grafted);
     }
-    if (Stray.nodeCount() > 1 || !Stray.node(Stray.root()).Metrics.empty())
-      Out.push_back(std::move(Stray));
+    if (Stray.nodeCount() > 1 || Stray.hasValues(Stray.root()))
+      Out.push_back(Stray.take());
   }
   return Out;
 }

@@ -8,6 +8,7 @@
 
 #include "analysis/MetricEngine.h"
 #include "analysis/Traversal.h"
+#include "profile/ProfileBuilder.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -18,69 +19,19 @@
 
 namespace ev {
 
-namespace {
-
-/// Copies the metric schema of \p Src into \p Dst; returns the id map
-/// (identical when Dst starts empty, but kept explicit for safety).
-std::vector<MetricId> copyMetricSchema(const Profile &Src, Profile &Dst) {
-  std::vector<MetricId> Map(Src.metrics().size());
-  for (MetricId I = 0; I < Src.metrics().size(); ++I) {
-    const MetricDescriptor &M = Src.metrics()[I];
-    Map[I] = Dst.addMetric(M.Name, M.Unit, M.Aggregation);
-  }
-  return Map;
-}
-
-/// Re-interns frame \p F of \p Src into \p Dst.
-FrameId copyFrame(const Profile &Src, const Frame &F, Profile &Dst) {
-  Frame Copy;
-  Copy.Kind = F.Kind;
-  Copy.Name = Dst.strings().intern(Src.text(F.Name));
-  Copy.Loc.File = Dst.strings().intern(Src.text(F.Loc.File));
-  Copy.Loc.Line = F.Loc.Line;
-  Copy.Loc.Module = Dst.strings().intern(Src.text(F.Loc.Module));
-  Copy.Loc.Address = F.Loc.Address;
-  return Dst.internFrame(Copy);
-}
-
-/// Incrementally materializes paths in an output profile, merging common
-/// prefixes exactly like ProfileBuilder but against externally supplied
-/// frame ids.
-class TreeWriter {
-public:
-  explicit TreeWriter(Profile &P) : P(P) {}
-
-  NodeId child(NodeId Parent, FrameId F) {
-    uint64_t Key = (static_cast<uint64_t>(Parent) << 32) | F;
-    auto It = Index.find(Key);
-    if (It != Index.end())
-      return It->second;
-    NodeId Id = P.createNode(Parent, F);
-    Index.emplace(Key, Id);
-    return Id;
-  }
-
-private:
-  Profile &P;
-  std::unordered_map<uint64_t, NodeId> Index;
-};
-
-} // namespace
-
 Profile topDownTree(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/topDownTree", "analysis");
-  Profile Out;
-  Out.setName(P.name());
-  std::vector<MetricId> MetricMap = copyMetricSchema(P, Out);
+  ProfileBuilder Out(P.name());
+  std::vector<MetricId> MetricMap = Out.addMetrics(P);
 
   // Frame table first, then nodes in id order (parents precede children).
   std::vector<FrameId> FrameMap(P.frames().size());
   for (FrameId I = 0; I < P.frames().size(); ++I)
-    FrameMap[I] = copyFrame(P, P.frame(I), Out);
+    FrameMap[I] = Out.importFrame(P, I);
 
   std::vector<NodeId> NodeMap(P.nodeCount(), InvalidNode);
   NodeMap[P.root()] = Out.root();
-  Out.node(Out.root()).FrameRef = FrameMap[P.node(P.root()).FrameRef];
+  Out.setFrame(Out.root(), FrameMap[P.node(P.root()).FrameRef]);
   for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
     if ((Id & 8191) == 0)
       Cancel.checkpoint();
@@ -89,18 +40,17 @@ Profile topDownTree(const Profile &P, const CancelToken &Cancel) {
   }
   for (NodeId Id = 0; Id < P.nodeCount(); ++Id)
     for (const MetricValue &MV : P.node(Id).Metrics)
-      Out.node(NodeMap[Id]).addMetric(MetricMap[MV.Metric], MV.Value);
-  return Out;
+      Out.addValue(NodeMap[Id], MetricMap[MV.Metric], MV.Value);
+  return Out.take();
 }
 
 Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/bottomUpTree", "analysis");
-  Profile Out;
-  Out.setName(P.name() + " (bottom-up)");
-  std::vector<MetricId> MetricMap = copyMetricSchema(P, Out);
+  ProfileBuilder Out(P.name() + " (bottom-up)");
+  std::vector<MetricId> MetricMap = Out.addMetrics(P);
   std::vector<FrameId> FrameMap(P.frames().size());
   for (FrameId I = 0; I < P.frames().size(); ++I)
-    FrameMap[I] = copyFrame(P, P.frame(I), Out);
+    FrameMap[I] = Out.importFrame(P, I);
 
   // Depth of every node in one forward pass (ids are parents-first; the
   // column is guarded against malformed parent slots, see depthColumn).
@@ -136,24 +86,22 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
 
   // The merge itself stays sequential and in the original id order, so the
   // output is identical for every thread count.
-  TreeWriter Writer(Out);
   for (size_t I = 0; I < Contributors.size(); ++I) {
     if ((I & 1023) == 0)
       Cancel.checkpoint();
     NodeId Cur = Out.root();
     for (size_t S = Offset[I]; S < Offset[I + 1]; ++S)
-      Cur = Writer.child(Cur, Paths[S]);
+      Cur = Out.child(Cur, Paths[S]);
     for (const MetricValue &MV : P.node(Contributors[I]).Metrics)
-      Out.node(Cur).addMetric(MetricMap[MV.Metric], MV.Value);
+      Out.addValue(Cur, MetricMap[MV.Metric], MV.Value);
   }
-  return Out;
+  return Out.take();
 }
 
 Profile flatTree(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/flatTree", "analysis");
-  Profile Out;
-  Out.setName(P.name() + " (flat)");
-  std::vector<MetricId> ExclMap = copyMetricSchema(P, Out);
+  ProfileBuilder Out(P.name() + " (flat)");
+  std::vector<MetricId> ExclMap = Out.addMetrics(P);
   // One extra column per metric holding the call-path-aware inclusive sum.
   std::vector<MetricId> InclMap(P.metrics().size());
   for (MetricId I = 0; I < P.metrics().size(); ++I) {
@@ -175,23 +123,20 @@ Profile flatTree(const Profile &P, const CancelToken &Cancel) {
   std::vector<FlatRefs> Refs(P.frames().size());
   for (FrameId I = 0; I < P.frames().size(); ++I) {
     const Frame &F = P.frame(I);
-    StringId ModuleText = Out.strings().intern(P.text(F.Loc.Module));
-    StringId FileText = Out.strings().intern(P.text(F.Loc.File));
+    StringId ModuleText = Out.intern(P.text(F.Loc.Module));
+    StringId FileText = Out.intern(P.text(F.Loc.File));
     Refs[I].Module = Out.internFrame(
         {FrameKind::Function,
-         P.text(F.Loc.Module).empty()
-             ? Out.strings().intern("<unknown module>")
-             : ModuleText,
+         P.text(F.Loc.Module).empty() ? Out.intern("<unknown module>")
+                                      : ModuleText,
          SourceLocation{0, 0, ModuleText, 0}});
     Refs[I].File = Out.internFrame(
         {FrameKind::Function,
-         P.text(F.Loc.File).empty() ? Out.strings().intern("<unknown file>")
-                                    : FileText,
+         P.text(F.Loc.File).empty() ? Out.intern("<unknown file>") : FileText,
          SourceLocation{FileText, 0, ModuleText, 0}});
-    Refs[I].Func = copyFrame(P, F, Out);
+    Refs[I].Func = Out.importFrame(P, F);
   }
 
-  TreeWriter Writer(Out);
   // Count of occurrences of each function frame along the current DFS path,
   // so that recursive functions contribute their inclusive value only once
   // (outermost occurrence).
@@ -219,36 +164,34 @@ Profile flatTree(const Profile &P, const CancelToken &Cancel) {
       // Materialize root -> module -> file -> function from the per-frame
       // precomputed refs.
       const FlatRefs &R = Refs[Node.FrameRef];
-      NodeId ModuleNode = Writer.child(Out.root(), R.Module);
-      NodeId FileNode = Writer.child(ModuleNode, R.File);
-      NodeId FuncNode = Writer.child(FileNode, R.Func);
+      NodeId ModuleNode = Out.child(Out.root(), R.Module);
+      NodeId FileNode = Out.child(ModuleNode, R.File);
+      NodeId FuncNode = Out.child(FileNode, R.Func);
 
       unsigned &Depth = ActiveFrames[Node.FrameRef];
       for (const MetricValue &MV : Node.Metrics)
-        Out.node(FuncNode).addMetric(ExclMap[MV.Metric], MV.Value);
+        Out.addValue(FuncNode, ExclMap[MV.Metric], MV.Value);
       if (Depth == 0)
         for (MetricId M = 0; M < P.metrics().size(); ++M)
           if (Inclusive[M][E.Id] != 0.0)
-            Out.node(FuncNode).addMetric(InclMap[M], Inclusive[M][E.Id]);
+            Out.addValue(FuncNode, InclMap[M], Inclusive[M][E.Id]);
       ++Depth;
       Stack.push_back({E.Id, false});
     }
     for (size_t I = Node.Children.size(); I > 0; --I)
       Stack.push_back({Node.Children[I - 1], true});
   }
-  return Out;
+  return Out.take();
 }
 
 Profile collapseRecursion(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/collapseRecursion", "analysis");
-  Profile Out;
-  Out.setName(P.name());
-  std::vector<MetricId> MetricMap = copyMetricSchema(P, Out);
+  ProfileBuilder Out(P.name());
+  std::vector<MetricId> MetricMap = Out.addMetrics(P);
   std::vector<FrameId> FrameMap(P.frames().size());
   for (FrameId I = 0; I < P.frames().size(); ++I)
-    FrameMap[I] = copyFrame(P, P.frame(I), Out);
+    FrameMap[I] = Out.importFrame(P, I);
 
-  TreeWriter Writer(Out);
   // Map each source node to its (possibly merged) output node. A child with
   // the same frame as its parent collapses into the parent's output node.
   std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
@@ -262,23 +205,22 @@ Profile collapseRecursion(const Profile &P, const CancelToken &Cancel) {
         P.node(Node.Parent).FrameRef == Node.FrameRef) {
       OutNode[Id] = ParentOut; // Self-recursive frame: merge.
     } else {
-      OutNode[Id] = Writer.child(ParentOut, FrameMap[Node.FrameRef]);
+      OutNode[Id] = Out.child(ParentOut, FrameMap[Node.FrameRef]);
     }
     for (const MetricValue &MV : Node.Metrics)
-      Out.node(OutNode[Id]).addMetric(MetricMap[MV.Metric], MV.Value);
+      Out.addValue(OutNode[Id], MetricMap[MV.Metric], MV.Value);
   }
   for (const MetricValue &MV : P.node(P.root()).Metrics)
-    Out.node(Out.root()).addMetric(MetricMap[MV.Metric], MV.Value);
-  return Out;
+    Out.addValue(Out.root(), MetricMap[MV.Metric], MV.Value);
+  return Out.take();
 }
 
 Profile limitDepth(const Profile &P, unsigned MaxDepth) {
-  Profile Out;
-  Out.setName(P.name());
-  std::vector<MetricId> MetricMap = copyMetricSchema(P, Out);
+  ProfileBuilder Out(P.name());
+  std::vector<MetricId> MetricMap = Out.addMetrics(P);
   std::vector<FrameId> FrameMap(P.frames().size());
   for (FrameId I = 0; I < P.frames().size(); ++I)
-    FrameMap[I] = copyFrame(P, P.frame(I), Out);
+    FrameMap[I] = Out.importFrame(P, I);
 
   std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
   std::vector<unsigned> Depth(P.nodeCount(), 0);
@@ -293,11 +235,11 @@ Profile limitDepth(const Profile &P, unsigned MaxDepth) {
           Out.createNode(OutNode[Node.Parent], FrameMap[Node.FrameRef]);
     }
     for (const MetricValue &MV : Node.Metrics)
-      Out.node(OutNode[Id]).addMetric(MetricMap[MV.Metric], MV.Value);
+      Out.addValue(OutNode[Id], MetricMap[MV.Metric], MV.Value);
   }
   for (const MetricValue &MV : P.node(P.root()).Metrics)
-    Out.node(Out.root()).addMetric(MetricMap[MV.Metric], MV.Value);
-  return Out;
+    Out.addValue(Out.root(), MetricMap[MV.Metric], MV.Value);
+  return Out.take();
 }
 
 } // namespace ev

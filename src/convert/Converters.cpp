@@ -186,7 +186,7 @@ Result<Profile> load(std::string_view Bytes, std::string_view NameHint,
                      std::to_string(P->nodeCount()) +
                      " contexts, exceeding the decode limit");
   if (P && !NameHint.empty())
-    P->setName(std::string(NameHint));
+    P = P->renamed(std::string(NameHint));
   return P;
 }
 

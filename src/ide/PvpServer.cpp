@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 
 namespace ev {
 
@@ -100,7 +101,7 @@ PvpServer::PvpServer(ServerLimits Limits, std::shared_ptr<ProfileStore> Store,
                      std::shared_ptr<ViewCache> Cache)
     : Limits(Limits), Store(std::move(Store)), Reader(Limits.Wire),
       NowMs(monoMillis), Cache(std::move(Cache)) {
-  // Arm the out-of-core budget (profile/Columnar.h). Best-effort: an
+  // Arm the out-of-core budget (profile/ProfileStore.h). Best-effort: an
   // unwritable spill directory leaves the store unbudgeted rather than
   // failing construction — the server still works, it just holds
   // everything resident. Re-applying the same budget to an already shared,
@@ -724,46 +725,25 @@ Result<json::Value> PvpServer::doAggregate(const json::Object &Params) {
   AggregateOptions Opt;
   Opt.WithMin = Opt.WithMax = Opt.WithMean = true;
 
-  // On a budgeted (spilling) store every input already carries a columnar
-  // form, so aggregate straight from the column segments: same algorithm,
-  // writeEvProf-byte-identical output, but no AoS materialization of every
-  // input — the whole point of the budget. Unbudgeted stores keep the AoS
-  // path so plain sessions never pay a columnar build. Either branch keeps
-  // its Held handles alive for the whole aggregation even if another
-  // session closes an input mid-request.
-  std::optional<AggregatedProfile> Agg;
-  if (Store->stats().BudgetBytes != 0) {
-    std::vector<std::shared_ptr<const ColumnarProfile>> Held;
-    std::vector<const ColumnarProfile *> Inputs;
-    for (int64_t InputId : Ids) {
-      std::shared_ptr<const ColumnarProfile> C = Store->columnar(InputId);
-      if (!C)
-        break; // Dropped or unreadable spill: fall back to the AoS path.
-      Inputs.push_back(C.get());
-      Held.push_back(std::move(C));
-    }
-    if (Inputs.size() == Ids.size())
-      Agg = aggregate(Inputs, Opt, ActiveCancel);
+  // Held keeps every input alive for the whole aggregation even if
+  // another session closes one mid-request.
+  std::vector<std::shared_ptr<const Profile>> Held;
+  std::vector<const Profile *> Inputs;
+  for (int64_t InputId : Ids) {
+    std::shared_ptr<const Profile> P = profileHandle(InputId);
+    if (!P)
+      return makeError("no profile with id " + std::to_string(InputId));
+    Inputs.push_back(P.get());
+    Held.push_back(std::move(P));
   }
-  if (!Agg) {
-    std::vector<std::shared_ptr<const Profile>> Held;
-    std::vector<const Profile *> Inputs;
-    for (int64_t InputId : Ids) {
-      std::shared_ptr<const Profile> P = profileHandle(InputId);
-      if (!P)
-        return makeError("no profile with id " + std::to_string(InputId));
-      Inputs.push_back(P.get());
-      Held.push_back(std::move(P));
-    }
-    Agg = aggregate(Inputs, Opt, ActiveCancel);
-  }
+  AggregatedProfile Agg = aggregate(Inputs, Opt, ActiveCancel);
 
-  int64_t Id = addProfile(topDownTree(Agg->merged(), ActiveCancel));
+  int64_t Id = addProfile(topDownTree(Agg.merged(), ActiveCancel));
   json::Object Out;
   Out.set("profile", Id);
-  Out.set("nodes", Agg->merged().nodeCount());
+  Out.set("nodes", Agg.merged().nodeCount());
   Out.set("inputs", Ids.size());
-  Aggregates.emplace(Id, std::move(*Agg));
+  Aggregates.emplace(Id, std::move(Agg));
   return json::Value(std::move(Out));
 }
 
@@ -1279,23 +1259,14 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
   // Stream each cohort member through the accumulator. Memory stays
   // O(merged CCT): profiles live in the store either way, but the cohort
   // analysis itself never materializes an O(N profiles) matrix. On a
-  // budgeted store each member is folded straight from its columnar
-  // segment (one resident at a time, spilled members fault in and age
-  // right back out), so a cohort far larger than the budget streams
-  // through without the store ever exceeding it.
-  const bool Budgeted = Store->stats().BudgetBytes != 0;
+  // budgeted store only the member being folded is held (spilled members
+  // fault in and age right back out), so a cohort far larger than the
+  // budget streams through without the store ever exceeding it.
   auto Fill = [&](const std::vector<int64_t> &Ids,
                   CohortAccumulator &Acc) -> Result<bool> {
     for (int64_t ProfId : Ids) {
       if (deadlineExpired())
         return makeError(DeadlineDiag);
-      if (Budgeted && Owned.count(ProfId)) {
-        if (std::shared_ptr<const ColumnarProfile> C =
-                Store->columnar(ProfId)) {
-          Acc.add(*C, ActiveCancel);
-          continue;
-        }
-      }
       std::shared_ptr<const Profile> P = profileHandle(ProfId);
       if (!P)
         return makeError("no profile with id " + std::to_string(ProfId));
@@ -1392,20 +1363,15 @@ Result<json::Value> PvpServer::doStats(const json::Object &) {
   Out.set("cacheShards", static_cast<int64_t>(Cache->shardCount()));
   Out.set("cacheRevalidations", Cache->revalidationDrops());
   Out.set("storeProfiles", static_cast<int64_t>(Store->size()));
-  // Memory attribution (docs/PERF.md "Out-of-core columnar store"): cache
+  // Memory attribution (docs/PERF.md "Out-of-core profile store"): cache
   // memory and store memory reported SEPARATELY so an operator can tell
   // which layer is holding bytes. cacheBytes is the view cache's reply
-  // payload; storeResidentBytes is what counts against storeBudgetBytes
-  // (storeAosBytes + storeColumnarBytes); shared string bytes are
-  // deduplicated across profiles and excluded from the budget, reported on
-  // their own.
+  // payload; storeResidentBytes (the resident profile blocks, strings
+  // included) is what counts against storeBudgetBytes.
   Out.set("cacheBytes", Cache->approxBytes());
   StoreStats SS = Store->stats();
   Out.set("storeBudgetBytes", SS.BudgetBytes);
   Out.set("storeResidentBytes", SS.ResidentBytes);
-  Out.set("storeAosBytes", SS.AosBytes);
-  Out.set("storeColumnarBytes", SS.ColumnarBytes);
-  Out.set("storeSharedStringBytes", SS.SharedStringBytes);
   Out.set("storeSpilledBytes", SS.SpilledBytes);
   Out.set("storeSpills", SS.Spills);
   Out.set("storeEvictions", SS.Evictions);
@@ -1483,6 +1449,56 @@ Result<json::Value> PvpServer::doSelfProfile(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
+/// One PVP method: its handler and its pinned latency histogram.
+struct PvpServer::MethodEntry {
+  Result<json::Value> (PvpServer::*Run)(const json::Object &);
+  telemetry::Histogram *Latency;
+};
+
+const PvpServer::MethodEntry *PvpServer::findMethod(std::string_view Method) {
+  // Built once: a client naming unknown methods registers nothing.
+  static const std::unordered_map<std::string_view, MethodEntry> Table = [] {
+    telemetry::Registry &Reg = telemetry::Registry::global();
+    std::unordered_map<std::string_view, MethodEntry> T;
+    auto Add = [&](std::string_view Name,
+                   Result<json::Value> (PvpServer::*Run)(
+                       const json::Object &)) {
+      T.emplace(Name, MethodEntry{Run, &Reg.histogram("pvp.latencyUs." +
+                                                      std::string(Name))});
+    };
+    Add("pvp/open", &PvpServer::doOpen);
+    Add("pvp/append", &PvpServer::doAppend);
+    Add("pvp/subscribe", &PvpServer::doSubscribe);
+    Add("pvp/ack", &PvpServer::doAck);
+    Add("pvp/unsubscribe", &PvpServer::doUnsubscribe);
+    Add("pvp/close", &PvpServer::doClose);
+    Add("pvp/flame", &PvpServer::doFlame);
+    Add("pvp/treeTable", &PvpServer::doTreeTable);
+    Add("pvp/codeLink", &PvpServer::doCodeLink);
+    Add("pvp/hover", &PvpServer::doHover);
+    Add("pvp/codeLens", &PvpServer::doCodeLens);
+    Add("pvp/summary", &PvpServer::doSummary);
+    Add("pvp/search", &PvpServer::doSearch);
+    Add("pvp/aggregate", &PvpServer::doAggregate);
+    Add("pvp/histogram", &PvpServer::doHistogram);
+    Add("pvp/diff", &PvpServer::doDiff);
+    Add("pvp/query", &PvpServer::doQuery);
+    Add("pvp/transform", &PvpServer::doTransform);
+    Add("pvp/prune", &PvpServer::doPrune);
+    Add("pvp/export", &PvpServer::doExport);
+    Add("pvp/butterfly", &PvpServer::doButterfly);
+    Add("pvp/correlated", &PvpServer::doCorrelated);
+    Add("pvp/diagnostics", &PvpServer::doDiagnostics);
+    Add("pvp/regressions", &PvpServer::doRegressions);
+    Add("pvp/stats", &PvpServer::doStats);
+    Add("pvp/metrics", &PvpServer::doMetrics);
+    Add("pvp/selfProfile", &PvpServer::doSelfProfile);
+    return T;
+  }();
+  auto It = Table.find(Method);
+  return It == Table.end() ? nullptr : &It->second;
+}
+
 json::Value PvpServer::dispatch(std::string_view Method,
                                 const json::Object &Params, int64_t Id) {
   // Memoized fast path: serve repeated view requests straight from the LRU.
@@ -1531,64 +1547,12 @@ json::Value PvpServer::dispatch(std::string_view Method,
       Limits.RequestDeadlineMs == 0 ? 0 : NowMs() + Limits.RequestDeadlineMs;
   Result<json::Value> R = makeError("unreachable");
   try {
-    if (Method == "pvp/open")
-      R = doOpen(Params);
-    else if (Method == "pvp/append")
-      R = doAppend(Params);
-    else if (Method == "pvp/subscribe")
-      R = doSubscribe(Params);
-    else if (Method == "pvp/ack")
-      R = doAck(Params);
-    else if (Method == "pvp/unsubscribe")
-      R = doUnsubscribe(Params);
-    else if (Method == "pvp/close")
-      R = doClose(Params);
-    else if (Method == "pvp/flame")
-      R = doFlame(Params);
-    else if (Method == "pvp/treeTable")
-      R = doTreeTable(Params);
-    else if (Method == "pvp/codeLink")
-      R = doCodeLink(Params);
-    else if (Method == "pvp/hover")
-      R = doHover(Params);
-    else if (Method == "pvp/codeLens")
-      R = doCodeLens(Params);
-    else if (Method == "pvp/summary")
-      R = doSummary(Params);
-    else if (Method == "pvp/search")
-      R = doSearch(Params);
-    else if (Method == "pvp/aggregate")
-      R = doAggregate(Params);
-    else if (Method == "pvp/histogram")
-      R = doHistogram(Params);
-    else if (Method == "pvp/diff")
-      R = doDiff(Params);
-    else if (Method == "pvp/query")
-      R = doQuery(Params);
-    else if (Method == "pvp/transform")
-      R = doTransform(Params);
-    else if (Method == "pvp/prune")
-      R = doPrune(Params);
-    else if (Method == "pvp/export")
-      R = doExport(Params);
-    else if (Method == "pvp/butterfly")
-      R = doButterfly(Params);
-    else if (Method == "pvp/correlated")
-      R = doCorrelated(Params);
-    else if (Method == "pvp/diagnostics")
-      R = doDiagnostics(Params);
-    else if (Method == "pvp/regressions")
-      R = doRegressions(Params);
-    else if (Method == "pvp/stats")
-      R = doStats(Params);
-    else if (Method == "pvp/metrics")
-      R = doMetrics(Params);
-    else if (Method == "pvp/selfProfile")
-      R = doSelfProfile(Params);
-    else
+    const MethodEntry *Entry = findMethod(Method);
+    if (!Entry)
       return rpc::makeErrorResponse(Id, rpc::MethodNotFound,
                                     "unknown method '" + std::string(Method) +
                                         "'");
+    R = (this->*Entry->Run)(Params);
   } catch (const CancelledException &) {
     // Cooperative cancellation unwound the handler (possibly through the
     // analysis thread pool). The reply is an error, so nothing below
@@ -1652,12 +1616,16 @@ json::Value PvpServer::handleMessage(const json::Value &Request,
     if (const json::Value *PV = Obj.find("params"); PV && PV->isObject())
       Params = &PV->asObject();
     const std::string &Method = MethodV->asString();
-    // The span label must outlive the request; method names are a small
-    // closed set, so interning is bounded.
-    trace::Span Span(trace::internLabel(Method), "pvp");
+    // The span label must outlive the request. Only known method names
+    // are interned (a closed set); unknown ones share one label, so junk
+    // method names grow neither the label table nor the histograms.
+    const MethodEntry *Entry = findMethod(Method);
+    trace::Span Span(Entry ? trace::internLabel(Method) : "pvp/unknown",
+                     "pvp");
     uint64_t M0 = monoMicros();
     json::Value Reply = dispatch(Method, *Params, Id);
-    Reg.histogram("pvp.latencyUs." + Method).record(monoMicros() - M0);
+    if (Entry)
+      Entry->Latency->record(monoMicros() - M0);
     return Reply;
   }();
   ActiveCancel = CancelToken();

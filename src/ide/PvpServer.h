@@ -49,9 +49,8 @@
 ///                            cacheHits, cacheMisses, cacheEvictions,
 ///                            cacheShards, cacheRevalidations,
 ///                            storeProfiles, cacheBytes, storeBudgetBytes,
-///                            storeResidentBytes, storeAosBytes,
-///                            storeColumnarBytes, storeSharedStringBytes,
-///                            storeSpilledBytes, storeSpills,
+///                            storeResidentBytes, storeSpilledBytes,
+///                            storeSpills,
 ///                            storeEvictions, storeFaults,
 ///                            storeSpillFailures}  (cache memory and store
 ///                            memory attributed separately)
@@ -136,14 +135,13 @@ struct ServerLimits {
   /// and pvp/summary. 0 disables caching entirely. Ignored when the
   /// session is constructed over an externally shared cache.
   size_t MaxCachedViews = 128;
-  /// Memory budget for the profile store's resident bytes (AoS + columnar;
-  /// docs/PERF.md "Out-of-core columnar store"). 0 (the default) disables
-  /// budgeting: every profile stays resident, no columnar copies are
-  /// built. Non-zero requires SpillDir and turns on LRU spill/evict:
-  /// pvp/aggregate and pvp/regressions then read straight from columnar
-  /// segments and cold profiles spill to disk.
+  /// Memory budget for the profile store's resident blocks (docs/PERF.md
+  /// "Out-of-core profile store"). 0 (the default) disables budgeting:
+  /// every profile stays resident. Non-zero requires SpillDir and turns on
+  /// LRU spilling: cold profile blocks spill to disk and fault back in by
+  /// mmap on their next use.
   uint64_t StoreBudgetBytes = 0;
-  /// Directory for spilled column segments; must be set (and writable)
+  /// Directory for spilled profile blocks; must be set (and writable)
   /// when StoreBudgetBytes is non-zero, otherwise the budget is ignored.
   std::string SpillDir;
   /// Live view subscriptions one session may hold at once; pvp/subscribe
@@ -236,6 +234,9 @@ public:
   size_t profileCount() const { return Owned.size(); }
 
 private:
+  struct MethodEntry;
+  /// \returns the table entry of a known PVP method, or nullptr.
+  static const MethodEntry *findMethod(std::string_view Method);
   json::Value dispatch(std::string_view Method, const json::Object &Params,
                        int64_t Id);
 

@@ -27,30 +27,21 @@ std::string ProfileStore::spillPathFor(int64_t Id) const {
   return SpillDir + "/seg-" + std::to_string(Id) + ".evcol";
 }
 
-void ProfileStore::buildColumnarLocked(int64_t Id, Entry &E) const {
-  assert(E.Aos && "columnar build needs the AoS form");
-  E.Col = std::make_shared<const ColumnarProfile>(
-      ColumnarProfile::build(*E.Aos, Strings));
-  E.ColBytes = E.Col->residentBytes();
-  Counters.ColumnarBytes += E.ColBytes;
-  Budget.recharge(Id, residentOf(E));
+int64_t ProfileStore::addLocked(std::shared_ptr<const Profile> P) {
+  int64_t Id = NextId++;
+  uint64_t Bytes = P->approxMemoryBytes();
+  Entry E;
+  E.P = std::move(P);
+  Counters.ResidentBytes += Bytes;
+  Profiles.emplace(Id, std::move(E));
+  Budget.charge(Id, Bytes);
+  enforceLocked(Id);
+  return Id;
 }
 
 int64_t ProfileStore::add(std::shared_ptr<const Profile> P) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  int64_t Id = NextId++;
-  Entry E;
-  E.Aos = std::move(P);
-  E.AosBytes = E.Aos->approxMemoryBytes();
-  Counters.AosBytes += E.AosBytes;
-  auto [It, Inserted] = Profiles.emplace(Id, std::move(E));
-  assert(Inserted);
-  Budget.charge(Id, residentOf(It->second));
-  if (Budget.limit() != 0) {
-    buildColumnarLocked(Id, It->second);
-    enforceLocked(Id);
-  }
-  return Id;
+  return addLocked(std::move(P));
 }
 
 Result<int64_t> ProfileStore::openStream(std::string_view InitialBytes,
@@ -63,50 +54,35 @@ Result<int64_t> ProfileStore::openStream(std::string_view InitialBytes,
     return makeError(Snapshot.error());
 
   std::lock_guard<std::mutex> Lock(Mutex);
-  int64_t Id = NextId++;
-  Entry E;
-  E.Aos = std::make_shared<const Profile>(Snapshot.take());
-  E.AosBytes = E.Aos->approxMemoryBytes();
-  E.Stream = std::move(Decoder);
-  Counters.AosBytes += E.AosBytes;
-  auto [It, Inserted] = Profiles.emplace(Id, std::move(E));
-  assert(Inserted);
-  (void)Inserted;
-  Budget.charge(Id, residentOf(It->second));
-  if (Budget.limit() != 0) {
-    buildColumnarLocked(Id, It->second);
-    enforceLocked(Id);
-  }
+  int64_t Id = addLocked(std::make_shared<const Profile>(Snapshot.take()));
+  Streams.emplace(Id, std::move(Decoder));
   return Id;
 }
 
-void ProfileStore::refreshSnapshotLocked(int64_t Id, Entry &E) {
-  Result<Profile> Snapshot = E.Stream->snapshot();
+void ProfileStore::refreshSnapshotLocked(int64_t Id, Entry &E,
+                                         const EvProfStreamDecoder &Stream) {
+  Result<Profile> Snapshot = Stream.snapshot();
   assert(Snapshot && "refresh is only reached after successful decode");
   if (!Snapshot)
     return;
-  Counters.AosBytes -= E.AosBytes;
-  E.Aos = std::make_shared<const Profile>(Snapshot.take());
-  E.AosBytes = E.Aos->approxMemoryBytes();
-  Counters.AosBytes += E.AosBytes;
-  // The columnar form and any spill file captured the pre-append content;
-  // both are stale now. Columns are rebuilt lazily (or eagerly below when
-  // budgeted), and the spill file is rewritten on the next tier-2 pass.
-  if (E.Col) {
-    Counters.ColumnarBytes -= E.ColBytes;
-    E.Col.reset();
-    E.ColBytes = 0;
-  }
+  bool WasResident = E.P != nullptr;
+  Counters.ResidentBytes -= Budget.chargeOf(Id); // 0 while spilled.
+  E.P = std::make_shared<const Profile>(Snapshot.take());
+  uint64_t Bytes = E.P->approxMemoryBytes();
+  Counters.ResidentBytes += Bytes;
+  // A spill file captured the pre-append content; it is stale now and is
+  // rewritten on the next eviction.
   if (E.SpillFileBytes != 0) {
     Counters.SpilledBytes -= E.SpillFileBytes;
     ::unlink(E.SpillPath.c_str());
     E.SpillFileBytes = 0;
   }
-  Budget.recharge(Id, residentOf(E));
-  if (Budget.limit() != 0) {
-    buildColumnarLocked(Id, E);
-    enforceLocked(Id);
-  }
+  // A resident entry keeps its LRU position; a spilled one re-enters hot.
+  if (WasResident)
+    Budget.recharge(Id, Bytes);
+  else
+    Budget.charge(Id, Bytes);
+  enforceLocked(Id);
   // Retire every cached view of the old content and wake subscribers.
   ++Generations[Id];
 }
@@ -119,61 +95,40 @@ Result<size_t> ProfileStore::append(int64_t Id, std::string_view Bytes,
     return makeError("unknown profile id " + std::to_string(Id));
   Entry &E = It->second;
 
-  if (!E.Stream) {
+  auto SIt = Streams.find(Id);
+  if (SIt == Streams.end()) {
     // Bootstrap: replay the profile's canonical serialization through a
     // fresh decoder, so the appended section's wire references (string,
     // frame, metric, node ids) resolve against canonical table order —
     // exactly what a client diffing against writeEvProf output expects.
-    std::shared_ptr<const Profile> Aos = ensureAosLocked(Id, E);
-    if (!Aos)
-      return makeError("profile " + std::to_string(Id) +
-                       " is unrecoverable");
+    std::shared_ptr<const Profile> Current = E.P;
+    if (!Current) {
+      Result<Profile> Mapped = Profile::mapFrom(E.SpillPath);
+      if (!Mapped)
+        return makeError("profile " + std::to_string(Id) +
+                         " is unrecoverable");
+      Current = std::make_shared<const Profile>(Mapped.take());
+    }
     auto Decoder = std::make_unique<EvProfStreamDecoder>(Limits);
-    Result<size_t> Replayed = Decoder->feed(writeEvProf(*Aos));
+    Result<size_t> Replayed = Decoder->feed(writeEvProf(*Current));
     if (!Replayed)
       return makeError("cannot bootstrap stream decoder: " +
                        Replayed.error());
-    E.Stream = std::move(Decoder);
+    SIt = Streams.emplace(Id, std::move(Decoder)).first;
   }
+  EvProfStreamDecoder &Stream = *SIt->second;
 
-  auto Signature = [](const Profile &P) {
-    return std::tuple(P.name(), P.nodeCount(), P.frames().size(),
-                      P.metrics().size(), P.strings().size(),
-                      P.groups().size());
+  auto Signature = [](const ProfileBuilder &B) {
+    return std::tuple(B.name(), B.nodeCount(), B.frameCount(),
+                      B.metrics().size(), B.stringCount(), B.groupCount());
   };
-  auto Before = Signature(E.Stream->current());
-  Result<size_t> Added = E.Stream->feed(Bytes);
+  auto Before = Signature(Stream.current());
+  Result<size_t> Added = Stream.feed(Bytes);
   if (!Added)
     return makeError(Added.error());
-  if (Signature(E.Stream->current()) != Before)
-    refreshSnapshotLocked(Id, E);
+  if (Signature(Stream.current()) != Before)
+    refreshSnapshotLocked(Id, E, Stream);
   return *Added;
-}
-
-std::shared_ptr<const Profile>
-ProfileStore::ensureAosLocked(int64_t Id, Entry &E) const {
-  if (E.Aos) {
-    Budget.touch(Id);
-    return E.Aos;
-  }
-  // Fault path: the AoS form was shed. Rebuild it from columns, remapping
-  // the spill file first when the block itself was evicted.
-  if (!E.Col) {
-    Result<ColumnarProfile> Mapped =
-        ColumnarProfile::mapFrom(E.SpillPath, Strings);
-    if (!Mapped)
-      return nullptr; // Spill file lost or corrupt; id is unrecoverable.
-    E.Col = std::make_shared<const ColumnarProfile>(std::move(*Mapped));
-    E.ColBytes = E.Col->residentBytes();
-    Counters.ColumnarBytes += E.ColBytes;
-  }
-  E.Aos = std::make_shared<const Profile>(E.Col->materialize());
-  E.AosBytes = E.Aos->approxMemoryBytes();
-  Counters.AosBytes += E.AosBytes;
-  ++Counters.Faults;
-  Budget.charge(Id, residentOf(E)); // charge() also promotes to hottest.
-  enforceLocked(Id);
-  return E.Aos;
 }
 
 std::shared_ptr<const Profile> ProfileStore::get(int64_t Id) const {
@@ -181,39 +136,22 @@ std::shared_ptr<const Profile> ProfileStore::get(int64_t Id) const {
   auto It = Profiles.find(Id);
   if (It == Profiles.end())
     return nullptr;
-  return ensureAosLocked(Id, It->second);
-}
-
-std::shared_ptr<const ColumnarProfile>
-ProfileStore::columnar(int64_t Id) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Profiles.find(Id);
-  if (It == Profiles.end())
-    return nullptr;
   Entry &E = It->second;
-  if (E.Col) {
+  if (E.P) {
     Budget.touch(Id);
-    return E.Col;
+    return E.P;
   }
-  if (E.SpillFileBytes != 0) {
-    Result<ColumnarProfile> Mapped =
-        ColumnarProfile::mapFrom(E.SpillPath, Strings);
-    if (!Mapped)
-      return nullptr;
-    E.Col = std::make_shared<const ColumnarProfile>(std::move(*Mapped));
-    ++Counters.Faults;
-  } else if (E.Aos) {
-    // First columnar request in an unbudgeted store: build on demand.
-    E.Col = std::make_shared<const ColumnarProfile>(
-        ColumnarProfile::build(*E.Aos, Strings));
-  } else {
-    return nullptr;
-  }
-  E.ColBytes = E.Col->residentBytes();
-  Counters.ColumnarBytes += E.ColBytes;
-  Budget.charge(Id, residentOf(E));
+  // Fault path: the block was spilled; map it back.
+  Result<Profile> Mapped = Profile::mapFrom(E.SpillPath);
+  if (!Mapped)
+    return nullptr; // Spill file lost or corrupt; id is unrecoverable.
+  E.P = std::make_shared<const Profile>(Mapped.take());
+  uint64_t Bytes = E.P->approxMemoryBytes();
+  Counters.ResidentBytes += Bytes;
+  ++Counters.Faults;
+  Budget.charge(Id, Bytes); // charge() also promotes to hottest.
   enforceLocked(Id);
-  return E.Col;
+  return E.P;
 }
 
 bool ProfileStore::drop(int64_t Id) {
@@ -222,26 +160,29 @@ bool ProfileStore::drop(int64_t Id) {
   if (It == Profiles.end())
     return false;
   Entry &E = It->second;
-  Counters.AosBytes -= E.AosBytes;
-  Counters.ColumnarBytes -= E.ColBytes;
+  Counters.ResidentBytes -= Budget.release(Id);
   if (E.SpillFileBytes != 0) {
     Counters.SpilledBytes -= E.SpillFileBytes;
     ::unlink(E.SpillPath.c_str());
   }
-  Budget.release(Id);
   Profiles.erase(It);
+  Generations.erase(Id);
+  Streams.erase(Id);
   return true;
 }
 
 uint64_t ProfileStore::generationOf(int64_t Id) const {
   std::lock_guard<std::mutex> Lock(Mutex);
+  if (!Profiles.count(Id))
+    return RetiredGeneration;
   auto It = Generations.find(Id);
   return It == Generations.end() ? 0 : It->second;
 }
 
 void ProfileStore::bumpGeneration(int64_t Id) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  ++Generations[Id];
+  if (Profiles.count(Id))
+    ++Generations[Id];
 }
 
 size_t ProfileStore::size() const {
@@ -263,10 +204,6 @@ Result<bool> ProfileStore::setBudget(uint64_t Bytes,
     return makeError("cannot create spill directory '" + Dir + "'");
   SpillDir = Dir;
   Budget.setLimit(Bytes);
-  // Every entry must be spillable before enforcement can make progress.
-  for (auto &[Id, E] : Profiles)
-    if (!E.Col && E.Aos)
-      buildColumnarLocked(Id, E);
   enforceLocked(/*Pinned=*/-1);
   return true;
 }
@@ -274,36 +211,18 @@ Result<bool> ProfileStore::setBudget(uint64_t Bytes,
 void ProfileStore::enforceLocked(int64_t Pinned) const {
   if (!Budget.overLimit())
     return;
-  // Tier 1: shed AoS materializations of cold entries that still have
-  // their column block — rebuildable on the next get() fault.
+  // Spill the coldest blocks. Blocks are immutable, so an existing spill
+  // file is reused without a rewrite.
   for (int64_t Id : Budget.coldestFirst()) {
     if (!Budget.overLimit())
       return;
     if (Id == Pinned)
       continue;
     Entry &E = Profiles.find(Id)->second;
-    if (E.Aos && E.Col) {
-      E.Aos.reset();
-      Counters.AosBytes -= E.AosBytes;
-      E.AosBytes = 0;
-      ++Counters.Evictions;
-      Budget.recharge(Id, residentOf(E));
-    }
-  }
-  // Tier 2: spill column blocks themselves. Blocks are immutable, so an
-  // existing spill file is reused without a rewrite.
-  for (int64_t Id : Budget.coldestFirst()) {
-    if (!Budget.overLimit())
-      return;
-    if (Id == Pinned)
-      continue;
-    Entry &E = Profiles.find(Id)->second;
-    if (!E.Col)
-      continue;
     if (E.SpillFileBytes == 0) {
       if (E.SpillPath.empty())
         E.SpillPath = spillPathFor(Id);
-      Result<uint64_t> Written = E.Col->spillTo(E.SpillPath);
+      Result<uint64_t> Written = E.P->spillTo(E.SpillPath);
       if (!Written) {
         ++Counters.SpillFailures; // Keep it resident; try again later.
         continue;
@@ -312,17 +231,9 @@ void ProfileStore::enforceLocked(int64_t Pinned) const {
       Counters.SpilledBytes += E.SpillFileBytes;
       ++Counters.Spills;
     }
-    if (E.Aos) {
-      E.Aos.reset();
-      Counters.AosBytes -= E.AosBytes;
-      E.AosBytes = 0;
-      ++Counters.Evictions;
-    }
-    E.Col.reset();
-    Counters.ColumnarBytes -= E.ColBytes;
-    E.ColBytes = 0;
+    E.P.reset();
+    Counters.ResidentBytes -= Budget.release(Id);
     ++Counters.Evictions;
-    Budget.release(Id);
   }
 }
 
@@ -331,8 +242,6 @@ StoreStats ProfileStore::stats() const {
   StoreStats S = Counters;
   S.Profiles = Profiles.size();
   S.BudgetBytes = Budget.limit();
-  S.ResidentBytes = S.AosBytes + S.ColumnarBytes;
-  S.SharedStringBytes = Strings.payloadBytes();
   assert(S.ResidentBytes == Budget.chargedBytes() &&
          "incremental accounting must match the LRU charges");
   return S;

@@ -15,22 +15,15 @@
 /// drops.
 ///
 /// Beyond the refcounted map, the store is EasyView's out-of-core layer
-/// (docs/PERF.md "Columnar store"): each profile can additionally exist as
-/// a ColumnarProfile — flat SoA columns in one page-aligned block, strings
-/// deduplicated across profiles through a store-wide SharedStringTable.
-/// With a byte budget configured (setBudget), the store keeps hot profiles
-/// fully materialized and sheds cold ones in two LRU tiers:
-///
-///   1. drop the decoded AoS Profile (cheap — rebuilt from columns on the
-///      next get(), the "lazy decode" fault path);
-///   2. spill the column block to `<spillDir>/seg-<id>.evcol` and drop it
-///      (faulted back by mmap, zero decode).
-///
-/// Column blocks are immutable, so a block that was spilled once is never
-/// rewritten — later evictions just drop the resident copy. Analyses that
-/// understand columns (aggregate, CohortAccumulator) read them through
-/// columnar() without ever paying for AoS materialization. stats() exposes
-/// the accounting that pvp/stats and `evtool store --stats` report.
+/// (docs/PERF.md "Out-of-core profile store"). Every profile is one
+/// immutable column block (profile/Profile.h), so with a byte budget
+/// configured (setBudget) the store sheds cold profiles in a single LRU
+/// tier: the block is written once to `<spillDir>/seg-<id>.evcol` and the
+/// resident copy dropped; the next get() faults it back by mmap (zero
+/// decode, fully validated). Blocks are immutable, so a block spilled once
+/// is never rewritten — later evictions just drop the resident mapping.
+/// stats() exposes the accounting that pvp/stats and
+/// `evtool store --stats` report.
 ///
 /// Ids are allocated from a single store-wide counter, so they are unique
 /// across every session sharing the store (the shared view cache keys on
@@ -44,7 +37,6 @@
 #ifndef EASYVIEW_PROFILE_PROFILESTORE_H
 #define EASYVIEW_PROFILE_PROFILESTORE_H
 
-#include "profile/Columnar.h"
 #include "profile/Profile.h"
 #include "profile/StoreBudget.h"
 #include "proto/EvProfStream.h"
@@ -72,9 +64,7 @@ public:
   }
 
   /// Registers an already-shared profile under a fresh id. Under an
-  /// active budget the columnar form is built immediately (interning the
-  /// profile's strings into the shared table) and cold entries are shed
-  /// to stay within the budget.
+  /// active budget cold entries are shed to stay within the budget.
   int64_t add(std::shared_ptr<const Profile> P);
 
   /// Opens a *streaming* profile from the leading bytes of a growing
@@ -87,9 +77,9 @@ public:
 
   /// Feeds additional bytes of the growing .evprof behind \p Id — any
   /// chunking, including mid-field splits; incomplete tails are buffered.
-  /// On progress the profile snapshot is atomically replaced, stale
-  /// columnar/spill forms are discarded, and the invalidation generation
-  /// is bumped (so cached views retire and subscribers get deltas).
+  /// On progress the profile snapshot is atomically replaced, a stale
+  /// spill file is discarded, and the invalidation generation is bumped
+  /// (so cached views retire and subscribers get deltas).
   ///
   /// Works on non-streamed profiles too: the first append bootstraps a
   /// decoder by replaying the profile's canonical writeEvProf form, so the
@@ -105,75 +95,63 @@ public:
   /// \returns the profile for \p Id, or nullptr when absent. The returned
   /// reference keeps the profile alive independent of a concurrent drop().
   /// A budget-evicted profile is faulted back in transparently (remapped
-  /// from its spill file and rematerialized from columns); the result is
-  /// byte-identical to the originally added profile.
+  /// from its spill file); the result is byte-identical to the originally
+  /// added profile.
   std::shared_ptr<const Profile> get(int64_t Id) const;
 
-  /// \returns the columnar form of \p Id (building, or remapping from the
-  /// spill file, on demand), or nullptr when absent. The block and every
-  /// string id it references stay valid for the life of this store.
-  std::shared_ptr<const ColumnarProfile> columnar(int64_t Id) const;
-
-  /// Retires \p Id from the store (in-flight references stay valid) and
-  /// deletes its spill file. \returns true when the id was present.
+  /// Retires \p Id from the store (in-flight references stay valid),
+  /// forgets its generation and deletes its spill file. \returns true when
+  /// the id was present.
   bool drop(int64_t Id);
 
-  /// \returns the invalidation generation of \p Id (0 until bumped).
+  /// Generation reported for ids the store does not hold. No cached view
+  /// records it, so a dropped id's views fail revalidation.
+  static constexpr uint64_t RetiredGeneration = UINT64_MAX;
+
+  /// \returns the invalidation generation of \p Id (0 until bumped), or
+  /// RetiredGeneration when the store does not hold \p Id.
   uint64_t generationOf(int64_t Id) const;
 
   /// Invalidates every cached view of \p Id by advancing its generation.
+  /// Ids the store does not hold are ignored.
   void bumpGeneration(int64_t Id);
 
   size_t size() const;
 
   /// Configures the resident-byte budget. \p Bytes == 0 disables
   /// eviction; otherwise \p SpillDir (created if missing) receives cold
-  /// column segments. Existing entries gain columnar forms immediately so
-  /// every profile is spillable, then the budget is enforced. Best
-  /// effort: a single profile larger than the budget stays resident while
-  /// it is the one in use.
+  /// profile blocks and the budget is enforced at once. Best effort: a
+  /// single profile larger than the budget stays resident while it is the
+  /// one in use.
   Result<bool> setBudget(uint64_t Bytes, const std::string &SpillDir);
 
   /// Point-in-time accounting snapshot (see StoreStats).
   StoreStats stats() const;
 
-  /// The store-wide deduplicating string table backing every columnar
-  /// profile.
-  const SharedStringTable &sharedStrings() const { return Strings; }
-
 private:
   struct Entry {
-    std::shared_ptr<const Profile> Aos;       ///< null when shed (tier 1).
-    std::shared_ptr<const ColumnarProfile> Col; ///< null when spilled.
-    uint64_t AosBytes = 0;       ///< Resident AoS bytes (0 when shed).
-    uint64_t ColBytes = 0;       ///< Resident column-block bytes.
-    uint64_t SpillFileBytes = 0; ///< >0 once a spill file exists on disk.
+    std::shared_ptr<const Profile> P; ///< null while spilled.
+    uint64_t SpillFileBytes = 0;      ///< >0 once a spill file exists.
     std::string SpillPath;
-    /// Present on streaming profiles: the live decoder whose snapshots
-    /// replace Aos on append. Its working profile is NOT budget-charged
-    /// (it is the stream's working state, bounded by its DecodeLimits).
-    std::unique_ptr<EvProfStreamDecoder> Stream;
   };
 
-  /// Builds the columnar form of \p E (requires E.Aos) and charges it.
-  void buildColumnarLocked(int64_t Id, Entry &E) const;
-  /// Faults the AoS form back in (remapping the spill file if needed).
-  /// \returns nullptr when the entry is unrecoverable.
-  std::shared_ptr<const Profile> ensureAosLocked(int64_t Id, Entry &E) const;
-  /// Replaces \p E's snapshot with the decoder's current profile,
-  /// discarding stale columnar/spill forms, and bumps Id's generation.
-  void refreshSnapshotLocked(int64_t Id, Entry &E);
+  /// Replaces \p E's snapshot with \p Stream's current profile,
+  /// discarding a stale spill file, and bumps Id's generation.
+  void refreshSnapshotLocked(int64_t Id, Entry &E,
+                             const EvProfStreamDecoder &Stream);
+  /// Registers \p P under a fresh id; the caller holds Mutex.
+  int64_t addLocked(std::shared_ptr<const Profile> P);
   /// Sheds cold entries until under budget; \p Pinned is never evicted.
   void enforceLocked(int64_t Pinned) const;
-  uint64_t residentOf(const Entry &E) const {
-    return E.AosBytes + E.ColBytes;
-  }
   std::string spillPathFor(int64_t Id) const;
 
   mutable std::mutex Mutex;
   mutable std::map<int64_t, Entry> Profiles;
   std::map<int64_t, uint64_t> Generations;
-  mutable SharedStringTable Strings;
+  /// Live decoders of streaming profiles: their snapshots replace the
+  /// entry's profile on append. A decoder's working state is NOT
+  /// budget-charged (it is bounded by its DecodeLimits).
+  std::map<int64_t, std::unique_ptr<EvProfStreamDecoder>> Streams;
   mutable StoreBudget Budget;
   mutable StoreStats Counters; ///< Cumulative fields; gauges derived.
   std::string SpillDir;

@@ -9,9 +9,7 @@
 /// recency (LRU) order over profile ids, and the per-id resident cost.
 /// The policy is deliberately separated from the store so it can be unit
 /// tested without touching files or profiles — the store asks "who is
-/// coldest?" and decides per victim whether to shed the AoS
-/// materialization (cheap, rebuildable from columns) or spill the column
-/// block itself.
+/// coldest?" and spills that victim's profile block.
 ///
 /// Not thread-safe: ProfileStore calls it under its own mutex.
 ///
@@ -33,16 +31,11 @@ namespace ev {
 struct StoreStats {
   uint64_t Profiles = 0;      ///< Ids currently registered.
   uint64_t BudgetBytes = 0;   ///< Configured budget; 0 = unlimited.
-  uint64_t ResidentBytes = 0; ///< AosBytes + ColumnarBytes (budget-governed).
-  uint64_t AosBytes = 0;      ///< Decoded Profile materializations resident.
-  uint64_t ColumnarBytes = 0; ///< Column blocks resident (arena or mapped).
-  /// Deduplicated shared string payload. Outside the budget: eviction
-  /// cannot reclaim interned text, so it is reported — not governed.
-  uint64_t SharedStringBytes = 0;
-  uint64_t SpilledBytes = 0; ///< Bytes currently held in spill files.
-  uint64_t Spills = 0;       ///< Cumulative spill-file writes.
-  uint64_t Evictions = 0;    ///< Cumulative sheds (AoS drops + block spills).
-  uint64_t Faults = 0;       ///< Cumulative reconstructions (remap/decode).
+  uint64_t ResidentBytes = 0; ///< Profile blocks resident (arena or mapped).
+  uint64_t SpilledBytes = 0;  ///< Bytes currently held in spill files.
+  uint64_t Spills = 0;        ///< Cumulative spill-file writes.
+  uint64_t Evictions = 0;     ///< Cumulative resident-block drops.
+  uint64_t Faults = 0;        ///< Cumulative remaps of spilled blocks.
   uint64_t SpillFailures = 0; ///< Evictions skipped because a spill failed.
 };
 

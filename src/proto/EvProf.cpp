@@ -6,6 +6,7 @@
 
 #include "proto/EvProf.h"
 
+#include "profile/ProfileBuilder.h"
 #include "proto/EvProfFields.h"
 #include "support/ProtoWire.h"
 #include "support/Trace.h"
@@ -199,13 +200,13 @@ Result<Profile> readEvProf(std::string_view Bytes,
 
   const WireCensus Census = prescanEvProf(Bytes);
 
-  // The output profile is created up front so strings intern straight into
-  // its arena during the wire pass — no intermediate std::string table.
-  Profile P;
+  // The builder is created up front so strings intern straight into its
+  // arena during the wire pass — no intermediate std::string table.
+  ProfileBuilder P;
   std::vector<StringId> StringMap;
   StringMap.reserve(Census.Strings);
-  P.strings().reserve(Census.Strings, Census.StringBytes);
-  P.reserveTables(Census.Nodes, Census.Frames);
+  P.reserveStrings(Census.Strings, Census.StringBytes);
+  P.reserve(Census.Nodes, Census.Frames);
 
   // Pass 1: pull the raw tables out of the wire data.
   std::string Name;
@@ -236,7 +237,7 @@ Result<Profile> readEvProf(std::string_view Bytes,
       std::string_view S = R.bytes();
       if (!Guard.chargeString(S.size()) || !Guard.chargeAlloc(S.size()))
         return makeError(Guard.error());
-      StringMap.push_back(P.strings().intern(S));
+      StringMap.push_back(P.intern(S));
       break;
     }
     case FProfileMetric: {
@@ -376,9 +377,9 @@ Result<Profile> readEvProf(std::string_view Bytes,
   if (R.failed())
     return makeError("malformed EvProfile message");
 
-  // Pass 2: rebuild the Profile from the raw tables. Strings were already
+  // Pass 2: rebuild the profile from the raw tables. Strings were already
   // interned into P's arena during the wire pass; StringMap remaps wire ids
-  // onto arena ids (the fresh Profile pre-interns "" and "ROOT").
+  // onto arena ids (the fresh builder pre-interns "" and "ROOT").
   P.setName(std::move(Name));
 
   auto MapString = [&](uint64_t Old) -> Result<StringId> {
@@ -432,8 +433,9 @@ Result<Profile> readEvProf(std::string_view Bytes,
     Result<FrameId> RootFrame = MapFrame(Nodes[0].FrameRef);
     if (!RootFrame)
       return makeError(RootFrame.error());
-    P.node(P.root()).FrameRef = *RootFrame;
-    P.node(P.root()).Metrics = Nodes[0].Values;
+    P.setFrame(P.root(), *RootFrame);
+    for (const MetricValue &MV : Nodes[0].Values)
+      P.appendValue(P.root(), MV);
   }
   std::vector<uint32_t> Depths(Nodes.size(), 0);
   for (size_t I = 1; I < Nodes.size(); ++I) {
@@ -447,33 +449,34 @@ Result<Profile> readEvProf(std::string_view Bytes,
     Result<FrameId> F = MapFrame(N.FrameRef);
     if (!F)
       return makeError(F.error());
-    NodeId Id = P.createNode(static_cast<NodeId>(N.ParentPlus1 - 1), *F);
-    P.node(Id).Metrics = N.Values;
+    P.createNode(static_cast<NodeId>(N.ParentPlus1 - 1), *F);
   }
-  for (const CCTNode &Node : P.nodes())
-    for (const MetricValue &MV : Node.Metrics)
+  for (const RawNode &N : Nodes)
+    for (const MetricValue &MV : N.Values)
       if (MV.Metric >= P.metrics().size())
         return makeError("node metric reference out of range");
+  for (NodeId Id = 0; Id < Nodes.size(); ++Id)
+    for (const MetricValue &MV : Nodes[Id].Values)
+      P.appendValue(Id, MV);
+  Nodes = {};
 
+  std::vector<NodeId> Contexts;
   for (const RawGroup &G : Groups) {
-    ContextGroup Group;
     Result<StringId> Kind = MapString(G.Kind);
     if (!Kind)
       return makeError(Kind.error());
-    Group.Kind = *Kind;
     if (G.Metric >= P.metrics().size())
       return makeError("group metric reference out of range");
-    Group.Metric = static_cast<MetricId>(G.Metric);
-    Group.Value = G.Value;
+    Contexts.clear();
     for (uint64_t Ctx : G.Contexts) {
       if (Ctx >= P.nodeCount())
         return makeError("group context reference out of range");
-      Group.Contexts.push_back(static_cast<NodeId>(Ctx));
+      Contexts.push_back(static_cast<NodeId>(Ctx));
     }
-    P.addGroup(std::move(Group));
+    P.addGroup(*Kind, Contexts, static_cast<MetricId>(G.Metric), G.Value);
   }
 
-  return P;
+  return P.take();
 }
 
 } // namespace ev

@@ -55,7 +55,7 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
     if (!Guard.chargeString(Payload.size()) ||
         !Guard.chargeAlloc(Payload.size()))
       return poison(Guard.error());
-    StringMap.push_back(P.strings().intern(Payload));
+    StringMap.push_back(P.intern(Payload));
     return true;
   }
 
@@ -203,8 +203,9 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
       if (N.ParentPlus1 != 0)
         return poison("first node is not a root");
       // Wire node 0 maps onto the implicit root.
-      P.node(P.root()).FrameRef = *F;
-      P.node(P.root()).Metrics = std::move(N.Values);
+      P.setFrame(P.root(), *F);
+      for (const MetricValue &MV : N.Values)
+        P.appendValue(P.root(), MV);
       Depths.push_back(0);
     } else {
       if (N.ParentPlus1 == 0 || N.ParentPlus1 > I)
@@ -215,7 +216,8 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
         return poison(Guard.error());
       // createNode appends sequentially, so wire ids equal NodeIds.
       NodeId Id = P.createNode(static_cast<NodeId>(N.ParentPlus1 - 1), *F);
-      P.node(Id).Metrics = std::move(N.Values);
+      for (const MetricValue &MV : N.Values)
+        P.appendValue(Id, MV);
       Depths.push_back(Depth);
     }
     ++WireNodes;
@@ -256,21 +258,19 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
     }
     if (R.failed())
       return poison("malformed Group message");
-    ContextGroup Group;
     Result<StringId> KindId = MapString(Kind);
     if (!KindId)
       return poison(KindId.error());
-    Group.Kind = *KindId;
     if (Metric >= P.metrics().size())
       return poison("group metric reference out of range");
-    Group.Metric = static_cast<MetricId>(Metric);
-    Group.Value = Value;
+    std::vector<NodeId> Nodes;
+    Nodes.reserve(Contexts.size());
     for (uint64_t Ctx : Contexts) {
       if (Ctx >= P.nodeCount())
         return poison("group context reference out of range");
-      Group.Contexts.push_back(static_cast<NodeId>(Ctx));
+      Nodes.push_back(static_cast<NodeId>(Ctx));
     }
-    P.addGroup(std::move(Group));
+    P.addGroup(*KindId, Nodes, static_cast<MetricId>(Metric), Value);
     return true;
   }
 
@@ -383,7 +383,7 @@ Result<Profile> EvProfStreamDecoder::snapshot() const {
     return makeError(Diag);
   if (WireNodes == 0)
     return makeError("profile stream has no nodes");
-  return Profile(P);
+  return P.build();
 }
 
 } // namespace ev

@@ -16,7 +16,7 @@
 /// boundary, and appending more fields of the same message is exactly the
 /// protobuf concatenation rule. The decoder therefore consumes complete
 /// top-level fields as they arrive, buffers the incomplete tail, and keeps
-/// a live Profile that grows monotonically.
+/// a live ProfileBuilder that grows monotonically.
 ///
 /// Eager reference resolution means the stream must be *canonically
 /// ordered*: a frame may only reference strings that already arrived, a
@@ -35,7 +35,7 @@
 #ifndef EASYVIEW_PROTO_EVPROFSTREAM_H
 #define EASYVIEW_PROTO_EVPROFSTREAM_H
 
-#include "profile/Profile.h"
+#include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
 #include "support/Limits.h"
 #include "support/Result.h"
@@ -46,7 +46,7 @@
 
 namespace ev {
 
-/// Incrementally decodes a growing .evprof stream into a live Profile.
+/// Incrementally decodes a growing .evprof stream into a live profile.
 ///
 /// Feed bytes in arrival order (any chunking, including mid-varint
 /// splits); every complete top-level field is decoded immediately under
@@ -75,12 +75,13 @@ public:
   /// stream has no nodes" condition).
   bool hasNodes() const { return WireNodes > 0; }
 
-  /// Deep copy of the live profile, structurally complete and verifiable.
-  /// Fails while no node has been decoded yet or after a poisoning error.
+  /// Frozen copy of the live profile, structurally complete and
+  /// verifiable. Fails while no node has been decoded yet or after a
+  /// poisoning error.
   Result<Profile> snapshot() const;
 
   /// The live profile (valid but node-less before the first node field).
-  const Profile &current() const { return P; }
+  const ProfileBuilder &current() const { return P; }
 
   /// Total bytes accepted (consumed + buffered tail), including magic.
   size_t totalBytes() const { return Total; }
@@ -98,7 +99,7 @@ private:
 
   DecodeLimits Limits;   ///< Owned: ResourceGuard keeps a reference.
   ResourceGuard Guard;
-  Profile P;
+  ProfileBuilder P;
   std::vector<StringId> StringMap; ///< wire string id -> arena id.
   std::vector<FrameId> FrameMap;   ///< wire frame id -> profile frame id.
   std::vector<uint32_t> Depths;    ///< per wire node, for depth limiting.

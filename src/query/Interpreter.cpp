@@ -9,6 +9,7 @@
 #include "analysis/MetricEngine.h"
 #include "analysis/Prune.h"
 #include "analysis/Transform.h"
+#include "profile/ProfileBuilder.h"
 #include "query/Parser.h"
 #include "support/Strings.h"
 
@@ -580,10 +581,7 @@ Result<QueryOutput> runProgram(const Profile &P, const Program &Prog,
         Column[Id] = *V;
       }
       Ctx.HasNode = false;
-      MetricId New = Out.Result.addMetric(S.Name, "derived");
-      for (NodeId Id = 0; Id < Out.Result.nodeCount(); ++Id)
-        if (Column[Id] != 0.0)
-          Out.Result.node(Id).addMetric(New, Column[Id]);
+      Out.Result = withDerivedColumn(Out.Result, S.Name, Column);
       Out.DerivedMetrics.push_back(S.Name);
       Ctx.Views.clear(); // Schema changed.
       break;
@@ -630,6 +628,16 @@ Result<QueryOutput> runProgram(const Profile &P, std::string_view Source,
 
 Result<QueryOutput> runProgram(const Profile &P, std::string_view Source) {
   return runProgram(P, Source, AnalysisLimits::defaults());
+}
+
+Profile withDerivedColumn(const Profile &P, std::string_view Name,
+                          const std::vector<double> &Column) {
+  ProfileBuilder B(P);
+  MetricId New = B.addMetric(Name, "derived");
+  for (NodeId Id = 0; Id < Column.size(); ++Id)
+    if (Column[Id] != 0.0)
+      B.addValue(Id, New, Column[Id]);
+  return B.take();
 }
 
 Result<Profile> deriveMetric(const Profile &P, std::string_view Name,

@@ -70,6 +70,12 @@ Result<QueryOutput> runProgram(const Profile &P, const Program &Prog,
                                const AnalysisLimits &Limits);
 Result<QueryOutput> runProgram(const Profile &P, const Program &Prog);
 
+/// The `derive` install step shared by both engines: \returns a copy of
+/// \p P with metric \p Name (unit "derived") carrying \p Column's
+/// non-zero values.
+Profile withDerivedColumn(const Profile &P, std::string_view Name,
+                          const std::vector<double> &Column);
+
 /// One-shot helper: adds metric \p Name computed by \p Formula to a copy
 /// of \p P. Equivalent to running "derive Name = Formula;".
 Result<Profile> deriveMetric(const Profile &P, std::string_view Name,

@@ -27,7 +27,6 @@
 #include "analysis/MetricEngine.h"
 #include "analysis/Prune.h"
 #include "analysis/Transform.h"
-#include "profile/Columnar.h"
 #include "query/Parser.h"
 #include "support/Strings.h"
 #include "support/ThreadPool.h"
@@ -61,6 +60,9 @@ struct Run {
   // Topology and frame-attribute columns, computed once per topology
   // version: derive does not invalidate them, prune/keep does.
   bool TopoValid = false;
+  /// The profile the columns were computed from: the string views below
+  /// point into its block, which this copy keeps alive across derives.
+  Profile TopoSource;
   std::vector<uint32_t> Parents;
   std::vector<uint32_t> Depths;
   std::vector<uint32_t> ChildCounts;
@@ -75,7 +77,8 @@ struct Run {
   void ensureTopo() {
     if (TopoValid)
       return;
-    const Profile &P = Out.Result;
+    TopoSource = Out.Result;
+    const Profile &P = TopoSource;
     size_t N = P.nodeCount();
     Parents.assign(N, InvalidNode);
     ChildCounts.assign(N, 0);
@@ -678,10 +681,7 @@ Result<QueryOutput> runCompiled(const Profile &P,
           });
       if (!Ok)
         return makeError(Ok.error());
-      MetricId New = R.Out.Result.addMetric(CS.Name, "derived");
-      for (NodeId Id = 0; Id < N; ++Id)
-        if (Column[Id] != 0.0)
-          R.Out.Result.node(Id).addMetric(New, Column[Id]);
+      R.Out.Result = withDerivedColumn(R.Out.Result, CS.Name, Column);
       R.Out.DerivedMetrics.push_back(CS.Name);
       R.Views.clear(); // Schema changed; topology did not.
       break;

@@ -6,6 +6,8 @@
 
 #include "render/CorrelatedView.h"
 
+#include "profile/ProfileBuilder.h"
+
 #include "support/Strings.h"
 
 #include <algorithm>
@@ -87,36 +89,14 @@ CorrelatedView::paneContexts(size_t Role) const {
 }
 
 Profile CorrelatedView::paneProfile(size_t Role) const {
-  Profile Out;
-  Out.setName("pane " + std::to_string(Role));
+  ProfileBuilder Out("pane " + std::to_string(Role));
   if (Role >= Roles || Role > Selection.size())
-    return Out;
+    return Out.take();
   const MetricDescriptor &M =
       P->metrics()[ActiveGroups.empty()
                        ? 0
                        : P->groups()[ActiveGroups.front()].Metric];
   MetricId Value = Out.addMetric(M.Name, M.Unit, M.Aggregation);
-
-  std::unordered_map<uint64_t, NodeId> ChildIndex;
-  auto ChildFor = [&](NodeId Parent, FrameId F) {
-    uint64_t Key = (static_cast<uint64_t>(Parent) << 32) | F;
-    auto It = ChildIndex.find(Key);
-    if (It != ChildIndex.end())
-      return It->second;
-    NodeId Id = Out.createNode(Parent, F);
-    ChildIndex.emplace(Key, Id);
-    return Id;
-  };
-  auto MapFrame = [&](const Frame &F) {
-    Frame Copy;
-    Copy.Kind = F.Kind;
-    Copy.Name = Out.strings().intern(P->text(F.Name));
-    Copy.Loc.File = Out.strings().intern(P->text(F.Loc.File));
-    Copy.Loc.Line = F.Loc.Line;
-    Copy.Loc.Module = Out.strings().intern(P->text(F.Loc.Module));
-    Copy.Loc.Address = F.Loc.Address;
-    return Out.internFrame(Copy);
-  };
 
   for (size_t Idx : ActiveGroups) {
     const ContextGroup &G = P->groups()[Idx];
@@ -125,10 +105,10 @@ Profile CorrelatedView::paneProfile(size_t Role) const {
     std::vector<NodeId> Path = P->pathTo(Context);
     NodeId Cur = Out.root();
     for (size_t Step = 1; Step < Path.size(); ++Step)
-      Cur = ChildFor(Cur, MapFrame(P->frameOf(Path[Step])));
-    Out.node(Cur).addMetric(Value, G.Value);
+      Cur = Out.child(Cur, Out.importFrame(*P, P->frameOf(Path[Step])));
+    Out.addValue(Cur, Value, G.Value);
   }
-  return Out;
+  return Out.take();
 }
 
 std::string CorrelatedView::renderText() const {

@@ -51,7 +51,7 @@ Result<std::string> readFileWithRetry(const std::string &Path,
                                       const RetryPolicy &Policy = {});
 
 /// A read-only memory mapping of a whole file (the out-of-core profile
-/// store maps spilled column segments back without a decode pass). The
+/// store maps spilled profile blocks back without a decode pass). The
 /// mapping is released on destruction; moves transfer ownership. A
 /// zero-length file yields a valid mapping with empty bytes() and no
 /// kernel mapping at all.

@@ -752,8 +752,8 @@ int cmdReport(const ParsedArgs &Args, std::string &Out, std::string &Err) {
 /// 'store': loads profiles into a ProfileStore — optionally under a memory
 /// budget with an out-of-core spill directory — and reports the same
 /// memory-attribution stats the PVP server exposes as the store* fields of
-/// pvp/stats (docs/PERF.md "Out-of-core columnar store"). The quickest way
-/// to eyeball spill/dedup behavior on a cohort without standing up a
+/// pvp/stats (docs/PERF.md "Out-of-core profile store"). The quickest way
+/// to eyeball spill/fault behavior on a cohort without standing up a
 /// server.
 int cmdStore(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   if (!Args.Options.count("stats"))
@@ -798,12 +798,12 @@ int cmdStore(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   if (Ids.empty())
     return failData(Err, "no profiles found in the given inputs");
 
-  // Under a budget, sweep every profile once through the columnar reader
-  // so the report reflects steady-state streaming (spilled members fault
-  // in and age back out), not just the load order.
+  // Under a budget, read every profile once so the report reflects
+  // steady-state streaming (spilled members fault in and age back out),
+  // not just the load order.
   if (Budget != 0)
     for (int64_t Id : Ids)
-      (void)Store.columnar(Id);
+      (void)Store.get(Id);
 
   StoreStats S = Store.stats();
   auto Bytes = [](uint64_t N) { return formatBytes(static_cast<double>(N)); };
@@ -812,12 +812,8 @@ int cmdStore(const ParsedArgs &Args, std::string &Out, std::string &Err) {
          (S.BudgetBytes ? Bytes(S.BudgetBytes) : std::string("unbudgeted")) +
          "\n";
   Out += "resident:       " + Bytes(S.ResidentBytes) + "\n";
-  Out += "  aos:          " + Bytes(S.AosBytes) + "\n";
-  Out += "  columnar:     " + Bytes(S.ColumnarBytes) + "\n";
-  Out += "shared strings: " + Bytes(S.SharedStringBytes) +
-         " (deduplicated across profiles)\n";
   Out += "spilled:        " + Bytes(S.SpilledBytes) + " in " +
-         std::to_string(S.Spills) + " segment(s)\n";
+         std::to_string(S.Spills) + " block(s)\n";
   Out += "evictions:      " + std::to_string(S.Evictions) + "\n";
   Out += "faults:         " + std::to_string(S.Faults) + "\n";
   if (S.SpillFailures != 0)

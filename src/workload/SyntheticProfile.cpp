@@ -182,10 +182,8 @@ Profile generateSyntheticProfile(const SyntheticOptions &Options) {
   std::string Bytes = generatePprofBytes(Options);
   Result<Profile> P = convert::fromPprof(Bytes);
   assert(P.ok() && "synthetic pprof bytes must convert cleanly");
-  Profile Out = P.take();
-  Out.setName("synthetic " + std::to_string(Options.TargetBytes >> 20) +
-              "MB profile (seed " + std::to_string(Options.Seed) + ")");
-  return Out;
+  return P->renamed("synthetic " + std::to_string(Options.TargetBytes >> 20) +
+                    "MB profile (seed " + std::to_string(Options.Seed) + ")");
 }
 
 } // namespace workload

@@ -50,6 +50,14 @@ inline Profile makeFixedProfile() {
   return B.take();
 }
 
+/// A copy of \p P whose node \p Id carries \p Value for \p Metric.
+inline Profile withValue(const Profile &P, NodeId Id, MetricId Metric,
+                         double Value) {
+  ProfileBuilder B(P);
+  B.addValue(Id, Metric, Value - P.node(Id).metricOr(Metric));
+  return B.take();
+}
+
 /// Deterministic random profile for property tests: \p Paths call paths of
 /// depth up to \p MaxDepth over a pool of \p Functions functions, two
 /// metrics ("time", "bytes") with non-negative values.

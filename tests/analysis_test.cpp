@@ -303,7 +303,7 @@ TEST(Aggregate, PerProfileSeriesKeepsSlots) {
   Profile B = test::makeFixedProfile();
   // Make B's kernel hotter.
   NodeId KernelB = findByName(B, "kernel");
-  B.node(KernelB).Metrics[0].Value = 60.0;
+  B = test::withValue(B, KernelB, 0, 60.0);
 
   const Profile *Inputs[] = {&A, &B};
   AggregatedProfile Agg = aggregate(Inputs);
@@ -323,7 +323,7 @@ TEST(Aggregate, DerivedStatColumns) {
   Profile A = test::makeFixedProfile();
   Profile B = test::makeFixedProfile();
   NodeId KernelB = findByName(B, "kernel");
-  B.node(KernelB).Metrics[0].Value = 60.0;
+  B = test::withValue(B, KernelB, 0, 60.0);
 
   AggregateOptions Opt;
   Opt.WithMin = Opt.WithMax = Opt.WithMean = Opt.WithStddev = true;
@@ -396,12 +396,11 @@ TEST(Diff, AddedAndDeletedContexts) {
   {
     // Add a context only B has, under main.
     NodeId Main = findByName(B, "main");
-    Frame F;
-    F.Name = B.strings().intern("newStage");
-    F.Loc.File = B.strings().intern("new.cc");
-    F.Loc.Line = 4;
-    NodeId New = B.createNode(Main, B.internFrame(F));
-    B.node(New).addMetric(0, 30.0);
+    ProfileBuilder Grown(B);
+    NodeId New =
+        Grown.createNode(Main, Grown.functionFrame("newStage", "new.cc", 4));
+    Grown.addValue(New, 0, 30.0);
+    B = Grown.take();
   }
   DiffResult D = diffProfiles(A, B, 0);
   NodeId Parse = findByName(D.Merged, "parse");
@@ -416,9 +415,9 @@ TEST(Diff, IncreasedAndDecreasedByInclusiveValue) {
   Profile A = test::makeFixedProfile();
   Profile B = test::makeFixedProfile();
   NodeId KernelB = findByName(B, "kernel");
-  B.node(KernelB).Metrics[0].Value = 80.0; // +40.
+  B = test::withValue(B, KernelB, 0, 80.0); // +40.
   NodeId MemcpyB = findByName(B, "memcpy");
-  B.node(MemcpyB).Metrics[0].Value = 10.0; // -15.
+  B = test::withValue(B, MemcpyB, 0, 10.0); // -15.
 
   DiffResult D = diffProfiles(A, B, 0);
   EXPECT_EQ(D.Tags[findByName(D.Merged, "kernel")], DiffTag::Increased);
@@ -434,7 +433,7 @@ TEST(Diff, DeltaColumnQuantifies) {
   Profile A = test::makeFixedProfile();
   Profile B = test::makeFixedProfile();
   NodeId KernelB = findByName(B, "kernel");
-  B.node(KernelB).Metrics[0].Value = 55.0;
+  B = test::withValue(B, KernelB, 0, 55.0);
   DiffResult D = diffProfiles(A, B, 0);
   NodeId Kernel = findByName(D.Merged, "kernel");
   EXPECT_DOUBLE_EQ(D.Merged.node(Kernel).metricOr(D.DeltaMetric), 15.0);

@@ -7,9 +7,15 @@
 #include "profile/Profile.h"
 #include "profile/ProfileBuilder.h"
 
+#include "support/FileIo.h"
+
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+
+#include <unistd.h>
 
 using namespace ev;
 
@@ -24,36 +30,35 @@ TEST(Profile, FreshProfileHasRoot) {
 }
 
 TEST(Profile, AddMetricDeduplicatesByName) {
-  Profile P;
-  MetricId A = P.addMetric("time", "nanoseconds");
-  MetricId B = P.addMetric("time", "nanoseconds");
-  MetricId C = P.addMetric("bytes", "bytes");
-  EXPECT_EQ(A, B);
+  ProfileBuilder B("t");
+  MetricId A = B.addMetric("time", "nanoseconds");
+  MetricId Same = B.addMetric("time", "nanoseconds");
+  MetricId C = B.addMetric("bytes", "bytes");
+  EXPECT_EQ(A, Same);
   EXPECT_NE(A, C);
+  Profile P = B.take();
   EXPECT_EQ(P.metrics().size(), 2u);
   EXPECT_EQ(P.findMetric("bytes"), C);
   EXPECT_EQ(P.findMetric("missing"), Profile::InvalidMetric);
 }
 
 TEST(Profile, InternFrameDeduplicates) {
-  Profile P;
+  ProfileBuilder B("t");
   Frame F;
-  F.Name = P.strings().intern("fn");
-  F.Loc.File = P.strings().intern("f.cc");
+  F.Name = B.intern("fn");
+  F.Loc.File = B.intern("f.cc");
   F.Loc.Line = 7;
-  FrameId A = P.internFrame(F);
-  FrameId B = P.internFrame(F);
-  EXPECT_EQ(A, B);
+  FrameId A = B.internFrame(F);
+  FrameId Again = B.internFrame(F);
+  EXPECT_EQ(A, Again);
   F.Loc.Line = 8;
-  EXPECT_NE(P.internFrame(F), A);
+  EXPECT_NE(B.internFrame(F), A);
 }
 
 TEST(Profile, CreateNodeLinksBothWays) {
-  Profile P;
-  Frame F;
-  F.Name = P.strings().intern("child");
-  FrameId Fr = P.internFrame(F);
-  NodeId Child = P.createNode(P.root(), Fr);
+  ProfileBuilder B("t");
+  NodeId Child = B.createNode(B.root(), B.functionFrame("child"));
+  Profile P = B.take();
   EXPECT_EQ(P.node(Child).Parent, P.root());
   ASSERT_EQ(P.node(P.root()).Children.size(), 1u);
   EXPECT_EQ(P.node(P.root()).Children[0], Child);
@@ -78,10 +83,13 @@ TEST(Profile, PathToAndDepth) {
 }
 
 TEST(Profile, MetricValueAccumulates) {
-  CCTNode Node;
-  Node.addMetric(0, 5.0);
-  Node.addMetric(0, 2.5);
-  Node.addMetric(1, 1.0);
+  ProfileBuilder B("t");
+  B.addValue(B.root(), 0, 5.0);
+  B.addValue(B.root(), 0, 2.5);
+  B.addValue(B.root(), 1, 1.0);
+  Profile P = B.take();
+  CCTNode Node = P.node(P.root());
+  EXPECT_EQ(Node.Metrics.size(), 2u);
   EXPECT_DOUBLE_EQ(Node.metricOr(0), 7.5);
   EXPECT_DOUBLE_EQ(Node.metricOr(1), 1.0);
   EXPECT_DOUBLE_EQ(Node.metricOr(2), 0.0);
@@ -89,34 +97,43 @@ TEST(Profile, MetricValueAccumulates) {
 }
 
 TEST(Profile, VerifyCatchesBrokenChildLink) {
+  // Child lists are derived from the parents column when a profile is
+  // frozen, so a broken link can only arrive through a corrupted spill
+  // file: re-point the last node's parent and the mapping is refused.
   Profile P = test::makeFixedProfile();
-  // Corrupt: point a child's Parent elsewhere.
+  std::string Path = "/tmp/evprofile_test_" + std::to_string(::getpid()) +
+                     ".evcol";
+  ASSERT_TRUE(P.spillTo(Path).ok());
+  Result<std::string> Bytes = readFile(Path);
+  ASSERT_TRUE(Bytes.ok());
   NodeId Victim = static_cast<NodeId>(P.nodeCount() - 1);
-  P.node(Victim).Parent = Victim == 1 ? 2 : 1;
-  EXPECT_FALSE(P.verify().ok());
+  NodeId Wrong = P.node(Victim).Parent == 1 ? 2 : 1;
+  std::memcpy(Bytes->data() + 4096 + Victim * sizeof(NodeId), &Wrong,
+              sizeof(NodeId));
+  ASSERT_TRUE(writeFile(Path, *Bytes).ok());
+  Result<Profile> Mapped = Profile::mapFrom(Path);
+  ::unlink(Path.c_str());
+  ASSERT_FALSE(Mapped.ok());
+  EXPECT_NE(Mapped.error().find("parents"), std::string::npos);
 }
 
 TEST(Profile, VerifyCatchesOutOfRangeMetric) {
-  Profile P = test::makeFixedProfile();
-  P.node(1).Metrics.push_back({999, 1.0});
+  ProfileBuilder B(test::makeFixedProfile());
+  B.appendValue(1, {999, 1.0});
+  Profile P = B.take();
   Result<bool> R = P.verify();
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.error().find("metric"), std::string::npos);
 }
 
 TEST(Profile, GroupsValidateContexts) {
-  Profile P = test::makeFixedProfile();
-  ContextGroup G;
-  G.Kind = P.strings().intern("reuse");
-  G.Contexts = {1, 2};
-  G.Metric = 0;
-  G.Value = 10;
-  P.addGroup(G);
-  EXPECT_TRUE(P.verify().ok());
-  ContextGroup Bad = G;
-  Bad.Contexts.push_back(9999);
-  P.addGroup(Bad);
-  EXPECT_FALSE(P.verify().ok());
+  ProfileBuilder B(test::makeFixedProfile());
+  const NodeId Good[] = {1, 2};
+  B.addGroup("reuse", Good, 0, 10);
+  EXPECT_TRUE(B.build().verify().ok());
+  const NodeId Bad[] = {1, 2, 9999};
+  B.addGroup("reuse", Bad, 0, 10);
+  EXPECT_FALSE(B.take().verify().ok());
 }
 
 TEST(Profile, ApproxMemoryGrowsWithContent) {
@@ -167,7 +184,7 @@ TEST(ProfileBuilder, SameNameDifferentLocationAreDistinctFrames) {
   std::vector<FrameId> P2 = {A2};
   B.addSample(P1, M, 1);
   B.addSample(P2, M, 1);
-  EXPECT_EQ(B.peek().nodeCount(), 3u);
+  EXPECT_EQ(B.nodeCount(), 3u);
 }
 
 TEST(ProfileBuilder, EmptyPathTargetsRoot) {

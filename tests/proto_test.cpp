@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace ev;
 
 namespace {
@@ -36,7 +38,8 @@ void expectSameShape(const Profile &A, const Profile &B) {
   ASSERT_EQ(A.groups().size(), B.groups().size());
   for (size_t G = 0; G < A.groups().size(); ++G) {
     EXPECT_EQ(A.text(A.groups()[G].Kind), B.text(B.groups()[G].Kind));
-    EXPECT_EQ(A.groups()[G].Contexts, B.groups()[G].Contexts);
+    EXPECT_TRUE(std::ranges::equal(A.groups()[G].Contexts,
+                                   B.groups()[G].Contexts));
     EXPECT_DOUBLE_EQ(A.groups()[G].Value, B.groups()[G].Value);
   }
 }
@@ -56,8 +59,7 @@ TEST(EvProf, MagicDetection) {
 }
 
 TEST(EvProf, RoundTripEmptyProfile) {
-  Profile P;
-  P.setName("empty");
+  Profile P = ProfileBuilder("empty").take();
   Result<Profile> Back = readEvProf(writeEvProf(P));
   ASSERT_TRUE(Back.ok()) << Back.error();
   EXPECT_EQ(Back->name(), "empty");
@@ -73,11 +75,12 @@ TEST(EvProf, RoundTripFixedProfile) {
 }
 
 TEST(EvProf, RoundTripMetricAggregationKinds) {
-  Profile P;
-  P.addMetric("a", "count", MetricAggregation::Sum);
-  P.addMetric("b", "bytes", MetricAggregation::Min);
-  P.addMetric("c", "bytes", MetricAggregation::Max);
-  P.addMetric("d", "bytes", MetricAggregation::Last);
+  ProfileBuilder B;
+  B.addMetric("a", "count", MetricAggregation::Sum);
+  B.addMetric("b", "bytes", MetricAggregation::Min);
+  B.addMetric("c", "bytes", MetricAggregation::Max);
+  B.addMetric("d", "bytes", MetricAggregation::Last);
+  Profile P = B.take();
   Result<Profile> Back = readEvProf(writeEvProf(P));
   ASSERT_TRUE(Back.ok()) << Back.error();
   EXPECT_EQ(Back->metrics()[1].Aggregation, MetricAggregation::Min);

@@ -153,8 +153,9 @@ TEST(FlameLayout, HitTestFindsRect) {
 }
 
 TEST(FlameLayout, EmptyMetricYieldsNoRects) {
-  Profile P;
-  P.addMetric("m", "count");
+  ProfileBuilder B;
+  B.addMetric("m", "count");
+  Profile P = B.take();
   FlameGraph G(P, 0);
   EXPECT_TRUE(G.rects().empty());
   EXPECT_DOUBLE_EQ(G.totalValue(), 0.0);
@@ -371,7 +372,7 @@ TEST(DiffRenderer, TextCarriesTagsAndDeltas) {
   Profile A = test::makeFixedProfile();
   Profile B = test::makeFixedProfile();
   NodeId KernelB = findByName(B, "kernel");
-  B.node(KernelB).Metrics[0].Value = 80.0;
+  B = test::withValue(B, KernelB, 0, 80.0);
   DiffResult D = diffProfiles(A, B, 0);
   std::string Text = renderDiffText(D);
   EXPECT_NE(Text.find("[+] kernel"), std::string::npos);

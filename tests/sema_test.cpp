@@ -578,9 +578,10 @@ TEST(ProfileLint, DuplicateMetricValueOnOneNode) {
   FrameId Main = B.functionFrame("main");
   std::vector<FrameId> Path = {Main};
   NodeId Leaf = B.addSample(Path, Time, 5);
+  // addSample merges same-metric values; a buggy producer's raw append
+  // does not.
+  B.appendValue(Leaf, {Time, 1.0});
   Profile P = B.take();
-  // The builder merges same-metric values; a buggy producer would not.
-  P.node(Leaf).Metrics.push_back({Time, 1.0});
   DiagnosticSet Diags(64);
   ProfileLinter().lintProfile(P, Diags);
   EXPECT_TRUE(hasId(Diags, "EVL207")) << describe(Diags);

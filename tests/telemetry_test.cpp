@@ -396,6 +396,25 @@ TEST(SelfProfile, MetricsEndpointReportsRegistryAndStats) {
   EXPECT_EQ(Stats.find("cacheShards")->asInt(), 1); // Standalone server.
 }
 
+TEST(SelfProfile, UnknownMethodsRegisterNoHistograms) {
+  PvpServer Server;
+  auto HistogramCount = [&Server] {
+    json::Value Resp = Server.handleMessage(
+        rpc::makeRequest(1, "pvp/metrics", json::Object()));
+    const json::Object *R = resultOf(Resp);
+    EXPECT_NE(R, nullptr);
+    return R ? R->find("histograms")->asObject().size() : 0u;
+  };
+  size_t Before = HistogramCount();
+  for (int I = 0; I < 1000; ++I) {
+    json::Value Resp = Server.handleMessage(rpc::makeRequest(
+        I, "pvp/junk" + std::to_string(I), json::Object()));
+    ASSERT_EQ(Resp.asObject().find("error")->asObject().find("code")->asInt(),
+              rpc::MethodNotFound);
+  }
+  EXPECT_EQ(HistogramCount(), Before);
+}
+
 TEST(SelfProfile, EmitsWellFormedEvprofThatLintsClean) {
   trace::clear();
   PvpServer Server;

@@ -22,7 +22,7 @@
 
 #include "analysis/MetricEngine.h"
 #include "ide/MockIde.h"
-#include "profile/Columnar.h"
+#include "profile/Profile.h"
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
 #include "query/Compiler.h"

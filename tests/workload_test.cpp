@@ -203,12 +203,12 @@ TEST(Reuse, AllocationContextsAreDataObjects) {
 TEST(Reuse, HotPairInHourglassFunction) {
   ReuseWorkload W = generateReuseWorkload();
   // The highest-value group's reuse context is in the hot function.
-  const ContextGroup *Best = nullptr;
+  ASSERT_FALSE(W.P.groups().empty());
+  ContextGroup Best = W.P.groups()[0];
   for (const ContextGroup &G : W.P.groups())
-    if (!Best || G.Value > Best->Value)
-      Best = &G;
-  ASSERT_NE(Best, nullptr);
-  EXPECT_EQ(W.P.nameOf(Best->Contexts[2]), W.HotFunction);
+    if (G.Value > Best.Value)
+      Best = G;
+  EXPECT_EQ(W.P.nameOf(Best.Contexts[2]), W.HotFunction);
 }
 
 //===----------------------------------------------------------------------===
