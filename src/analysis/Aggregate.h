@@ -45,7 +45,6 @@ public:
   /// The unified tree. Metric columns are the derived statistics selected
   /// in AggregateOptions, in declaration order per input metric.
   const Profile &merged() const { return Merged; }
-  Profile &merged() { return Merged; }
 
   size_t profileCount() const { return ProfileCount; }
   size_t inputMetricCount() const { return InputMetricCount; }

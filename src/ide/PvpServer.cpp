@@ -738,7 +738,9 @@ Result<json::Value> PvpServer::doAggregate(const json::Object &Params) {
   }
   AggregatedProfile Agg = aggregate(Inputs, Opt, ActiveCancel);
 
-  int64_t Id = addProfile(topDownTree(Agg.merged(), ActiveCancel));
+  // The registered profile shares the merged block with the histogram
+  // state kept in Aggregates.
+  int64_t Id = addProfile(Agg.merged());
   json::Object Out;
   Out.set("profile", Id);
   Out.set("nodes", Agg.merged().nodeCount());

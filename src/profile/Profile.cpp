@@ -359,7 +359,8 @@ Profile ProfileBuilder::build() const {
     for (size_t I = 0; I < Count; ++I) {
       std::string_view T = Texts(I);
       Off[I] = At;
-      std::memcpy(Chars + At, T.data(), T.size());
+      if (!T.empty()) // An empty view may carry a null data pointer.
+        std::memcpy(Chars + At, T.data(), T.size());
       At += static_cast<uint32_t>(T.size());
     }
     Off[Count] = At;

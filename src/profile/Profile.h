@@ -168,11 +168,6 @@ public:
       ++I;
       return *this;
     }
-    iterator operator++(int) {
-      iterator Old = *this;
-      ++I;
-      return Old;
-    }
     bool operator==(const iterator &Other) const { return I == Other.I; }
 
   private:
@@ -187,8 +182,6 @@ public:
   size_t size() const { return Count; }
   bool empty() const { return Count == 0; }
   T operator[](size_t I) const { return (O->*At)(static_cast<uint32_t>(I)); }
-  T front() const { return (*this)[0]; }
-  T back() const { return (*this)[Count - 1]; }
 
 private:
   const Owner *O;

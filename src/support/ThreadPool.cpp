@@ -30,16 +30,17 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-void ThreadPool::runChunks(size_t ChunkSize) {
+void ThreadPool::runChunks(const std::function<void(size_t, size_t)> &Body,
+                           size_t JobSize, size_t ChunkSize) {
   for (;;) {
     if (JobCancelled.load(std::memory_order_relaxed))
       return;
     size_t Begin = JobNext.fetch_add(ChunkSize, std::memory_order_relaxed);
-    if (Begin >= JobEnd)
+    if (Begin >= JobSize)
       return;
-    size_t End = std::min(Begin + ChunkSize, JobEnd);
+    size_t End = std::min(Begin + ChunkSize, JobSize);
     try {
-      (*JobBody)(Begin, End);
+      Body(Begin, End);
     } catch (...) {
       std::lock_guard<std::mutex> Lock(Mutex);
       if (!JobError)
@@ -53,7 +54,11 @@ void ThreadPool::runChunks(size_t ChunkSize) {
 void ThreadPool::workerLoop() {
   uint64_t SeenGeneration = 0;
   for (;;) {
-    size_t Chunk;
+    // The job is read under the lock: a worker that wakes only after the
+    // loop it was woken for finished (JobBody already cleared) must not
+    // read the next loop's fields while a caller writes them.
+    const std::function<void(size_t, size_t)> *Body;
+    size_t End, Chunk;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       WakeWorkers.wait(Lock, [&] {
@@ -63,9 +68,12 @@ void ThreadPool::workerLoop() {
         return;
       SeenGeneration = JobGeneration;
       ++JobActiveWorkers;
+      Body = JobBody;
+      End = JobEnd;
       Chunk = JobChunk;
     }
-    runChunks(Chunk);
+    if (Body)
+      runChunks(*Body, End, Chunk);
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       --JobActiveWorkers;
@@ -115,7 +123,7 @@ void ThreadPool::parallelForChunks(
   }
   WakeWorkers.notify_all();
 
-  runChunks(Chunk); // The caller participates.
+  runChunks(Body, N, Chunk); // The caller participates.
 
   std::unique_lock<std::mutex> Lock(Mutex);
   JobDone.wait(Lock, [&] {

@@ -102,7 +102,8 @@ public:
 
 private:
   void workerLoop();
-  void runChunks(size_t ChunkSize);
+  void runChunks(const std::function<void(size_t, size_t)> &Body, size_t End,
+                 size_t ChunkSize);
 
   std::vector<std::thread> Workers;
 
