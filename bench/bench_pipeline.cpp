@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Times the analysis fast path end to end — decode (pvp/open), aggregation
-/// of 8 runs, differencing, and flame-view serving — across thread counts,
-/// and measures the memoized view cache (cold vs. warm pvp/flame). Results
-/// go to BENCH_pipeline.json (override with --out=PATH); --smoke shrinks
-/// the workload and repetition count for the CI smoke test.
+/// of 8 runs, differencing, and flame-view serving — one row per phase, on
+/// the calling thread the way a PVP session runs them, and measures the
+/// memoized view cache (cold vs. warm pvp/flame). Results go to
+/// BENCH_pipeline.json (override with --out=PATH) together with the host
+/// they were measured on; --smoke shrinks the workload and repetition count
+/// for the CI smoke test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +22,6 @@
 #include "analysis/Transform.h"
 #include "ide/PvpServer.h"
 #include "proto/EvProf.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "workload/LuleshWorkload.h"
 #include "workload/SparkWorkload.h"
@@ -29,6 +30,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <span>
 #include <string>
 #include <thread>
@@ -50,6 +52,19 @@ template <typename Fn> double timeMs(int Reps, Fn &&F) {
       Best = Ms;
   }
   return Best;
+}
+
+/// The CPU model from /proc/cpuinfo, or "unknown" where there is none.
+std::string cpuModel() {
+  std::ifstream In("/proc/cpuinfo");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("model name", 0) == 0) {
+      size_t Colon = Line.find(':');
+      if (Colon != std::string::npos && Colon + 2 <= Line.size())
+        return Line.substr(Colon + 2);
+    }
+  return "unknown";
 }
 
 json::Value flameRequest(int64_t ProfileId) {
@@ -83,8 +98,6 @@ int main(int argc, char **argv) {
 
   const int Reps = Smoke ? 1 : 5;
   const size_t AggInputs = Smoke ? 4 : 8;
-  std::vector<unsigned> ThreadCounts = Smoke ? std::vector<unsigned>{1, 2}
-                                             : std::vector<unsigned>{1, 2, 4};
 
   // Workloads. The paper's case studies (LULESH/HPCToolkit, Spark) are
   // small by construction, so the phase timings run on size-scaled
@@ -115,11 +128,15 @@ int main(int argc, char **argv) {
   Report.setMeta("wireBytes", static_cast<int64_t>(Wire.size()));
   Report.setMeta("hardwareThreads",
                  static_cast<int64_t>(std::thread::hardware_concurrency()));
-  // The thread count EV_THREADS actually resolved to (or the capped
-  // hardware default), so a reader can tell a 1-core host's "no parallel
-  // speedup" apart from a misconfigured run.
-  Report.setMeta("evThreads",
-                 static_cast<int64_t>(ThreadPool::configuredThreads()));
+  Report.setMeta("cpu", cpuModel());
+#if defined(__clang__)
+  Report.setMeta("compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+  Report.setMeta("compiler", "gcc " __VERSION__);
+#endif
+#ifdef EV_BENCH_BUILD_TYPE
+  Report.setMeta("buildType", EV_BENCH_BUILD_TYPE);
+#endif
 
   std::vector<const Profile *> AggPtrs;
   for (const Profile &P : Runs)
@@ -131,93 +148,80 @@ int main(int argc, char **argv) {
   // Every timed phase also reports how far it pushed the process's peak
   // RSS (monotonic high-water, so later phases that fit under an earlier
   // mark report zero).
-  auto RssRow = [&](std::string_view Phase, unsigned Threads, double Ms,
-                    uint64_t RssBefore) {
+  auto RssRow = [&](std::string_view Phase, double Ms, uint64_t RssBefore) {
     json::Object Extra;
     Extra.set("peakRssDeltaBytes",
               static_cast<int64_t>(bench::peakRssBytes() - RssBefore));
-    Report.addRow(Phase, Threads, Ms, std::move(Extra));
+    Report.addRow(Phase, 1, Ms, std::move(Extra));
   };
 
-  double Aggregate1T = 0.0, AggregateNT = 0.0;
-  for (unsigned Threads : ThreadCounts) {
-    // "1 thread" is the sequential fallback (no workers at all), the
-    // baseline the speedups and the byte-identity property tests compare
-    // against.
-    ThreadPool::setSharedThreadCount(Threads == 1 ? 0 : Threads);
+  uint64_t Rss = bench::peakRssBytes();
+  double OpenMs = timeMs(Reps, [&] {
+    Result<Profile> P = readEvProf(Wire);
+    if (!P)
+      std::abort();
+  });
+  RssRow("open", OpenMs, Rss);
+  bench::row("open ms=%.3f", OpenMs);
 
-    uint64_t Rss = bench::peakRssBytes();
-    double OpenMs = timeMs(Reps, [&] {
-      Result<Profile> P = readEvProf(Wire);
-      if (!P)
-        std::abort();
-    });
-    RssRow("open", Threads, OpenMs, Rss);
-    bench::row("open threads=%u ms=%.3f", Threads, OpenMs);
+  Rss = bench::peakRssBytes();
+  double AggregateMs = timeMs(Reps, [&] {
+    AggregatedProfile Agg =
+        aggregate(std::span<const Profile *const>(AggPtrs), AggOpt);
+    (void)Agg;
+  });
+  RssRow("aggregate", AggregateMs, Rss);
+  bench::row("aggregate ms=%.3f", AggregateMs);
 
-    Rss = bench::peakRssBytes();
-    double AggregateMs = timeMs(Reps, [&] {
-      AggregatedProfile Agg =
-          aggregate(std::span<const Profile *const>(AggPtrs), AggOpt);
-      (void)Agg;
-    });
-    RssRow("aggregate", Threads, AggregateMs, Rss);
-    bench::row("aggregate threads=%u ms=%.3f", Threads, AggregateMs);
-    if (Threads == 1)
-      Aggregate1T = AggregateMs;
-    AggregateNT = AggregateMs;
+  Rss = bench::peakRssBytes();
+  double DiffMs = timeMs(Reps, [&] {
+    DiffResult D = diffProfiles(Runs[0], Runs[1], 0);
+    (void)D;
+  });
+  RssRow("diff", DiffMs, Rss);
+  bench::row("diff ms=%.3f", DiffMs);
 
-    Rss = bench::peakRssBytes();
-    double DiffMs = timeMs(Reps, [&] {
-      DiffResult D = diffProfiles(Runs[0], Runs[1], 0);
-      (void)D;
-    });
-    RssRow("diff", Threads, DiffMs, Rss);
-    bench::row("diff threads=%u ms=%.3f", Threads, DiffMs);
+  // Case-study rows: the paper's workloads.
+  std::vector<const Profile *> LuleshPtrs;
+  for (const Profile &P : Lulesh)
+    LuleshPtrs.push_back(&P);
+  double LuleshAggMs = timeMs(Reps, [&] {
+    AggregatedProfile Agg =
+        aggregate(std::span<const Profile *const>(LuleshPtrs), AggOpt);
+    (void)Agg;
+  });
+  Report.addRow("aggregate-lulesh", 1, LuleshAggMs);
+  double SparkDiffMs = timeMs(Reps, [&] {
+    DiffResult D = diffProfiles(Spark.Rdd, Spark.Sql, 0);
+    (void)D;
+  });
+  Report.addRow("diff-spark", 1, SparkDiffMs);
 
-    // Case-study rows: the paper's workloads at the same thread count.
-    std::vector<const Profile *> LuleshPtrs;
-    for (const Profile &P : Lulesh)
-      LuleshPtrs.push_back(&P);
-    double LuleshAggMs = timeMs(Reps, [&] {
-      AggregatedProfile Agg = aggregate(
-          std::span<const Profile *const>(LuleshPtrs), AggOpt);
-      (void)Agg;
-    });
-    Report.addRow("aggregate-lulesh", Threads, LuleshAggMs);
-    double SparkDiffMs = timeMs(Reps, [&] {
-      DiffResult D = diffProfiles(Spark.Rdd, Spark.Sql, 0);
-      (void)D;
-    });
-    Report.addRow("diff-spark", Threads, SparkDiffMs);
-
-    Rss = bench::peakRssBytes();
-    double FlameMs = timeMs(Reps, [&] {
-      Profile Up = bottomUpTree(Runs[0]);
-      (void)Up;
-    });
-    RssRow("flame-shape", Threads, FlameMs, Rss);
-    bench::row("flame-shape threads=%u ms=%.3f", Threads, FlameMs);
-  }
+  Rss = bench::peakRssBytes();
+  double FlameMs = timeMs(Reps, [&] {
+    Profile Up = bottomUpTree(Runs[0]);
+    (void)Up;
+  });
+  RssRow("flame-shape", FlameMs, Rss);
+  bench::row("flame-shape ms=%.3f", FlameMs);
 
   // Memoized view cache: first pvp/flame computes (miss), the repeat is
   // served from the LRU. The cold/warm ratio is the cache speedup.
-  ThreadPool::setSharedThreadCount(0);
   PvpServer Server;
   int64_t Id = Server.addProfile(Runs[0]);
   json::Value Req = flameRequest(Id);
   uint64_t FlameRss = bench::peakRssBytes();
   double ColdMs = timeMs(1, [&] { Server.handleMessage(Req); });
-  RssRow("pvp-flame-cold", 1, ColdMs, FlameRss);
+  RssRow("pvp-flame-cold", ColdMs, FlameRss);
   FlameRss = bench::peakRssBytes();
   double WarmMs = timeMs(Smoke ? 3 : 20, [&] { Server.handleMessage(Req); });
   double CacheSpeedup = WarmMs > 0.0 ? ColdMs / WarmMs : 0.0;
-  RssRow("pvp-flame-warm", 1, WarmMs, FlameRss);
+  RssRow("pvp-flame-warm", WarmMs, FlameRss);
   Report.setSummary("flameCacheSpeedup", CacheSpeedup);
   bench::row("pvp/flame cold ms=%.3f warm ms=%.3f speedup=%.1fx", ColdMs,
              WarmMs, CacheSpeedup);
 
-  // Instrumentation-overhead ablation: the same single-threaded pipeline
+  // Instrumentation-overhead ablation: the same pipeline
   // (decode + aggregate + diff + flame shaping) with span retention on vs
   // off. The delta is what self-profiling costs every request; the
   // acceptance bar is <= 5%.
@@ -237,7 +241,7 @@ int main(int argc, char **argv) {
   trace::setEnabled(true);
   uint64_t AblateRss = bench::peakRssBytes();
   double TracedMs = timeMs(AblateReps, Pipeline);
-  RssRow("pipeline-traced", 1, TracedMs, AblateRss);
+  RssRow("pipeline-traced", TracedMs, AblateRss);
   trace::setEnabled(false);
   AblateRss = bench::peakRssBytes();
   double UntracedMs = timeMs(AblateReps, Pipeline);
@@ -245,19 +249,11 @@ int main(int argc, char **argv) {
   trace::clear();
   double OverheadPct =
       UntracedMs > 0.0 ? (TracedMs / UntracedMs - 1.0) * 100.0 : 0.0;
-  RssRow("pipeline-untraced", 1, UntracedMs, AblateRss);
+  RssRow("pipeline-untraced", UntracedMs, AblateRss);
   Report.setSummary("instrumentationOverheadPct", OverheadPct);
   bench::row("pipeline traced ms=%.3f untraced ms=%.3f overhead=%.2f%%",
              TracedMs, UntracedMs, OverheadPct);
 
-  if (Aggregate1T > 0.0 && AggregateNT > 0.0) {
-    double AggSpeedup = Aggregate1T / AggregateNT;
-    Report.setSummary("aggregateSpeedupMaxThreads", AggSpeedup);
-    Report.setSummary("aggregateMaxThreads",
-                      static_cast<int64_t>(ThreadCounts.back()));
-    bench::row("aggregate %u-thread speedup=%.2fx", ThreadCounts.back(),
-               AggSpeedup);
-  }
   Report.setMeta("peakRssBytes", static_cast<int64_t>(bench::peakRssBytes()));
 
   if (!Report.write(OutPath)) {

@@ -7,7 +7,6 @@
 #include "analysis/Aggregate.h"
 
 #include "profile/ProfileBuilder.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cassert>
@@ -40,16 +39,12 @@ void AggregatedProfile::ensureInclusive() const {
       InclusiveColumns[Metric * ProfileCount + Prof][Node] +=
           Matrix[R * ProfileCount + Prof];
   }
-  // Bottom-up accumulation; node ids are parents-first. Each (metric,
-  // profile) column sweeps independently, so columns distribute across
-  // workers with bit-identical results.
-  ThreadPool::shared().parallelFor(InclusiveColumns.size(), [&](size_t C) {
-    std::vector<double> &Column = InclusiveColumns[C];
+  // Bottom-up accumulation; node ids are parents-first.
+  for (std::vector<double> &Column : InclusiveColumns)
     for (NodeId Id = static_cast<NodeId>(Merged.nodeCount()); Id > 1;) {
       --Id;
       Column[Merged.node(Id).Parent] += Column[Id];
     }
-  });
   InclusiveReady = true;
 }
 
@@ -115,9 +110,8 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
       MetricMaps[ProfIdx][I] = First.findMetric(P.metrics()[I].Name);
   }
 
-  // Phase 1 (sequential, ordered): merge every input tree into the unified
-  // tree, profile by profile and node by node, so the merged node ids are
-  // identical for every thread count. Children are matched by textual frame
+  // Phase 1: merge every input tree into the unified tree, profile by
+  // profile and node by node. Children are matched by textual frame
   // identity under the same merged parent.
   std::vector<std::vector<NodeId>> OutNodes(Inputs.size());
   for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
@@ -143,8 +137,10 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
     }
   }
 
-  // Phase 2a (sequential): discover the (node, metric) key set in profile
-  // then node order, assigning each key a stable dense row.
+  // Phase 2: discover the (node, metric) key set in profile then node
+  // order, assigning each key a stable dense row of the row-major matrix,
+  // and accumulate every sample into its profile's column of that row.
+  size_t N = Inputs.size();
   for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
     const Profile &P = *Inputs[ProfIdx];
     const std::vector<MetricId> &MetricMap = MetricMaps[ProfIdx];
@@ -157,44 +153,20 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
           continue;
         uint64_t Key = AggregatedProfile::sampleKey(OutNodes[ProfIdx][Id],
                                                     MetricMap[MV.Metric]);
-        if (KeyIndex.emplace(Key, static_cast<uint32_t>(KeyOrder.size()))
-                .second)
+        auto [It, Inserted] =
+            KeyIndex.emplace(Key, static_cast<uint32_t>(KeyOrder.size()));
+        if (Inserted) {
           KeyOrder.push_back(Key);
+          Matrix.resize(Matrix.size() + N, 0.0);
+        }
+        Matrix[size_t(It->second) * N + ProfIdx] += MV.Value;
       }
     }
   }
 
-  // Phase 2b (parallel): accumulate samples into the dense matrix. Each
-  // profile writes only its own column of every row, so profiles proceed
-  // concurrently without synchronization, and the per-profile accumulation
-  // order (node order) is the same in every mode.
-  size_t N = Inputs.size();
-  Matrix.assign(KeyOrder.size() * N, 0.0);
-  ThreadPool::shared().parallelFor(Inputs.size(), [&](size_t ProfIdx) {
-    const Profile &P = *Inputs[ProfIdx];
-    const std::vector<MetricId> &MetricMap = MetricMaps[ProfIdx];
-    for (NodeId Id = 0; Id < P.nodeCount(); ++Id) {
-      for (const MetricValue &MV : P.node(Id).Metrics) {
-        if (MV.Metric >= MetricMap.size() ||
-            MetricMap[MV.Metric] == Profile::InvalidMetric)
-          continue;
-        uint64_t Key = AggregatedProfile::sampleKey(OutNodes[ProfIdx][Id],
-                                                    MetricMap[MV.Metric]);
-        Matrix[size_t(KeyIndex.find(Key)->second) * N + ProfIdx] += MV.Value;
-      }
-    }
-  });
-
-  // Phase 3 (parallel math, sequential attach): the per-row statistics are
-  // pure functions of the row, so rows fan out across workers; attaching
-  // them to the merged nodes follows KeyOrder so the metric lists come out
-  // identical for every thread count (and deterministic across runs, which
-  // the old hash-order iteration was not).
-  struct RowStats {
-    double Sum, Min, Max, Mean, Stddev;
-  };
-  std::vector<RowStats> Stats(KeyOrder.size());
-  ThreadPool::shared().parallelFor(KeyOrder.size(), [&](size_t R) {
+  // Phase 3: per-row statistics, attached to the merged nodes in KeyOrder
+  // so the metric lists are deterministic across runs.
+  for (size_t R = 0; R < KeyOrder.size(); ++R) {
     const double *Row = Matrix.data() + R * N;
     double Sum = 0.0, Min = Row[0], Max = Row[0];
     for (size_t I = 0; I < N; ++I) {
@@ -206,23 +178,19 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
     double Var = 0.0;
     for (size_t I = 0; I < N; ++I)
       Var += (Row[I] - Mean) * (Row[I] - Mean);
-    Stats[R] = {Sum, Min, Max, Mean, std::sqrt(Var / static_cast<double>(N))};
-  });
-  for (size_t R = 0; R < KeyOrder.size(); ++R) {
-    uint64_t Key = KeyOrder[R];
-    NodeId Node = static_cast<NodeId>(Key >> 16);
-    MetricId Metric = static_cast<MetricId>(Key & 0xFFFF);
-    const RowStats &S = Stats[R];
-    if (Options.WithSum && S.Sum != 0.0)
-      Merged.addValue(Node, SumIds[Metric], S.Sum);
-    if (Options.WithMin && S.Min != 0.0)
-      Merged.addValue(Node, MinIds[Metric], S.Min);
-    if (Options.WithMax && S.Max != 0.0)
-      Merged.addValue(Node, MaxIds[Metric], S.Max);
-    if (Options.WithMean && S.Mean != 0.0)
-      Merged.addValue(Node, MeanIds[Metric], S.Mean);
-    if (Options.WithStddev && S.Stddev != 0.0)
-      Merged.addValue(Node, StddevIds[Metric], S.Stddev);
+    double Stddev = std::sqrt(Var / static_cast<double>(N));
+    NodeId Node = static_cast<NodeId>(KeyOrder[R] >> 16);
+    MetricId Metric = static_cast<MetricId>(KeyOrder[R] & 0xFFFF);
+    if (Options.WithSum && Sum != 0.0)
+      Merged.addValue(Node, SumIds[Metric], Sum);
+    if (Options.WithMin && Min != 0.0)
+      Merged.addValue(Node, MinIds[Metric], Min);
+    if (Options.WithMax && Max != 0.0)
+      Merged.addValue(Node, MaxIds[Metric], Max);
+    if (Options.WithMean && Mean != 0.0)
+      Merged.addValue(Node, MeanIds[Metric], Mean);
+    if (Options.WithStddev && Stddev != 0.0)
+      Merged.addValue(Node, StddevIds[Metric], Stddev);
   }
   Agg.Merged = Merged.take();
   return Agg;

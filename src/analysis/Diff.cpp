@@ -7,7 +7,6 @@
 #include "analysis/Diff.h"
 
 #include "profile/ProfileBuilder.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cmath>
@@ -53,8 +52,7 @@ DiffResult diffProfiles(const Profile &Base, const Profile &Test,
   std::vector<uint8_t> Presence;
   Presence.resize(1, 3); // Root is in both.
 
-  // The merges themselves stay sequential (base first, then test) so the
-  // merged node ids are identical for every thread count.
+  // Base merges first, then test, which fixes the merged node ids.
   auto MergeSide = [&](const Profile &P, MetricId InputMetric,
                        MetricId SideMetric, uint8_t Bit) {
     std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
@@ -101,46 +99,40 @@ DiffResult diffProfiles(const Profile &Base, const Profile &Test,
   }
   Result.Merged = Merged.take();
   const Profile &Out = Result.Merged;
-  // The two inclusive sweeps touch disjoint columns, so they run as two
-  // independent tasks with bit-identical results.
-  ThreadPool::shared().parallelFor(2, [&](size_t Side) {
-    std::vector<double> &Column =
-        Side == 0 ? Result.BaseInclusive : Result.TestInclusive;
-    for (NodeId Id = static_cast<NodeId>(Out.nodeCount()); Id > 1;) {
-      --Id;
-      Column[Out.node(Id).Parent] += Column[Id];
-    }
-  });
+  // Both inclusive columns in one reverse sweep (ids are parents-first).
+  for (NodeId Id = static_cast<NodeId>(Out.nodeCount()); Id > 1;) {
+    --Id;
+    NodeId Parent = Out.node(Id).Parent;
+    Result.BaseInclusive[Parent] += Result.BaseInclusive[Id];
+    Result.TestInclusive[Parent] += Result.TestInclusive[Id];
+  }
 
   // Tagging is a pure per-node function of presence bits and the inclusive
-  // columns; chunks own disjoint node ranges.
+  // columns.
   Result.Tags.assign(Out.nodeCount(), DiffTag::Common);
-  ThreadPool::shared().parallelForChunks(
-      Out.nodeCount(), [&](size_t Begin, size_t End) {
-        for (NodeId Id = static_cast<NodeId>(Begin); Id < End; ++Id) {
-          bool InBase = Presence[Id] & 1;
-          bool InTest = Presence[Id] & 2;
-          if (Id == Out.root()) {
-            InBase = true;
-            InTest = true;
-          }
-          if (!InBase && InTest) {
-            Result.Tags[Id] = DiffTag::Added;
-            continue;
-          }
-          if (InBase && !InTest) {
-            Result.Tags[Id] = DiffTag::Deleted;
-            continue;
-          }
-          double B = Result.BaseInclusive[Id];
-          double T = Result.TestInclusive[Id];
-          double Scale = std::max(std::abs(B), std::abs(T));
-          if (Scale == 0.0 || std::abs(T - B) <= RelativeEpsilon * Scale)
-            Result.Tags[Id] = DiffTag::Common;
-          else
-            Result.Tags[Id] = T > B ? DiffTag::Increased : DiffTag::Decreased;
-        }
-      });
+  for (NodeId Id = 0; Id < Out.nodeCount(); ++Id) {
+    bool InBase = Presence[Id] & 1;
+    bool InTest = Presence[Id] & 2;
+    if (Id == Out.root()) {
+      InBase = true;
+      InTest = true;
+    }
+    if (!InBase && InTest) {
+      Result.Tags[Id] = DiffTag::Added;
+      continue;
+    }
+    if (InBase && !InTest) {
+      Result.Tags[Id] = DiffTag::Deleted;
+      continue;
+    }
+    double B = Result.BaseInclusive[Id];
+    double T = Result.TestInclusive[Id];
+    double Scale = std::max(std::abs(B), std::abs(T));
+    if (Scale == 0.0 || std::abs(T - B) <= RelativeEpsilon * Scale)
+      Result.Tags[Id] = DiffTag::Common;
+    else
+      Result.Tags[Id] = T > B ? DiffTag::Increased : DiffTag::Decreased;
+  }
   return Result;
 }
 

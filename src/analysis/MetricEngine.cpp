@@ -6,8 +6,6 @@
 
 #include "analysis/MetricEngine.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 
 namespace ev {
@@ -34,25 +32,17 @@ std::vector<std::vector<double>> inclusiveColumns(const Profile &P) {
   std::vector<std::vector<double>> Columns(
       P.metrics().size(), std::vector<double>(P.nodeCount(), 0.0));
   // Scatter the sparse per-node metric lists into dense columns: one walk
-  // over the node table total, not one per metric. Chunks own disjoint node
-  // ranges, so every column slot has exactly one writer.
-  ThreadPool::shared().parallelForChunks(
-      P.nodeCount(), [&](size_t Begin, size_t End) {
-        for (NodeId Id = static_cast<NodeId>(Begin); Id < End; ++Id)
-          for (const MetricValue &MV : P.node(Id).Metrics)
-            if (MV.Metric < Columns.size())
-              Columns[MV.Metric][Id] += MV.Value;
-      });
-  // Fused post-order accumulation (ids are parents-first). Each column's
-  // sweep is independent and internally ordered, so distributing columns
-  // across workers keeps results bit-identical to the sequential sweep.
-  ThreadPool::shared().parallelFor(Columns.size(), [&](size_t C) {
-    std::vector<double> &Column = Columns[C];
+  // over the node table total, not one per metric.
+  for (NodeId Id = 0; Id < P.nodeCount(); ++Id)
+    for (const MetricValue &MV : P.node(Id).Metrics)
+      if (MV.Metric < Columns.size())
+        Columns[MV.Metric][Id] += MV.Value;
+  // Post-order accumulation, one sweep per column (ids are parents-first).
+  for (std::vector<double> &Column : Columns)
     for (NodeId Id = static_cast<NodeId>(P.nodeCount()); Id > 1;) {
       --Id;
       Column[P.node(Id).Parent] += Column[Id];
     }
-  });
   return Columns;
 }
 

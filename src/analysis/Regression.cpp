@@ -87,8 +87,7 @@ FrameKey keyOf(const Profile &P, NodeId Id) {
 }
 
 /// One finding plus its sort key; emitted into the DiagnosticSet only
-/// after the full walk so output order is independent of traversal and
-/// thread count.
+/// after the full walk so output order is independent of traversal.
 struct PendingFinding {
   std::string_view RuleId;
   std::string Path;

@@ -29,7 +29,7 @@
 /// noise in either cohort does not produce findings. Every finding
 /// carries the CCT path, both cohort means, and the delta; findings are
 /// sorted by (rule, path, metric) before emission so output is
-/// byte-identical across thread counts and runs.
+/// byte-identical across ingest orders and runs.
 ///
 //===----------------------------------------------------------------------===//
 

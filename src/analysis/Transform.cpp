@@ -9,7 +9,6 @@
 #include "analysis/MetricEngine.h"
 #include "analysis/Traversal.h"
 #include "profile/ProfileBuilder.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cstdint>
@@ -52,10 +51,6 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
   for (FrameId I = 0; I < P.frames().size(); ++I)
     FrameMap[I] = Out.importFrame(P, I);
 
-  // Depth of every node in one forward pass (ids are parents-first; the
-  // column is guarded against malformed parent slots, see depthColumn).
-  std::vector<uint32_t> Depth = depthColumn(P);
-
   // Contexts that carry a non-zero metric, in id order.
   std::vector<NodeId> Contributors;
   for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
@@ -68,30 +63,19 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
       Contributors.push_back(Id);
   }
 
-  // Each contributor owns a disjoint slice of one flat path buffer, so the
-  // reversed-path reconstruction (leaf frame first, callers outward,
-  // stopping before the root) parallelizes without synchronization.
-  std::vector<size_t> Offset(Contributors.size() + 1, 0);
-  for (size_t I = 0; I < Contributors.size(); ++I)
-    Offset[I + 1] = Offset[I] + Depth[Contributors[I]];
-  std::vector<FrameId> Paths(Offset.back());
-  ThreadPool::shared().parallelFor(Contributors.size(), [&](size_t I) {
-    if ((I & 1023) == 0)
-      Cancel.checkpoint(); // Unwinds through the pool to the caller.
-    size_t Slot = Offset[I];
-    for (NodeId Walk = Contributors[I]; Walk != P.root();
-         Walk = P.node(Walk).Parent)
-      Paths[Slot++] = FrameMap[P.node(Walk).FrameRef];
-  });
-
-  // The merge itself stays sequential and in the original id order, so the
-  // output is identical for every thread count.
+  // Merge each contributor's reversed path (leaf frame first, callers
+  // outward, stopping before the root) in id order.
+  std::vector<FrameId> Path;
   for (size_t I = 0; I < Contributors.size(); ++I) {
     if ((I & 1023) == 0)
       Cancel.checkpoint();
+    Path.clear();
+    for (NodeId Walk = Contributors[I]; Walk != P.root();
+         Walk = P.node(Walk).Parent)
+      Path.push_back(FrameMap[P.node(Walk).FrameRef]);
     NodeId Cur = Out.root();
-    for (size_t S = Offset[I]; S < Offset[I + 1]; ++S)
-      Cur = Out.child(Cur, Paths[S]);
+    for (FrameId F : Path)
+      Cur = Out.child(Cur, F);
     for (const MetricValue &MV : P.node(Contributors[I]).Metrics)
       Out.addValue(Cur, MetricMap[MV.Metric], MV.Value);
   }

@@ -190,10 +190,9 @@ Result<NodeId> nodeParam(const Profile &P, const json::Object &Params) {
 
 } // namespace
 
-Result<json::Value> PvpServer::doOpen(const json::Object &Params) {
-  const json::Value *NameV = Params.find("name");
-  std::string Name(NameV ? NameV->stringOr("profile") : "profile");
-
+Result<std::string> PvpServer::payloadParam(const json::Object &Params,
+                                            std::string *PathOut) const {
+  std::string_view What = PathOut ? "profile" : "append";
   std::string Bytes;
   if (const json::Value *DataV = Params.find("data");
       DataV && DataV->isString()) {
@@ -201,11 +200,12 @@ Result<json::Value> PvpServer::doOpen(const json::Object &Params) {
   } else if (const json::Value *B64 = Params.find("dataBase64");
              B64 && B64->isString()) {
     if (B64->asString().size() / 4 * 3 > Limits.MaxOpenBytes)
-      return makeError("profile payload exceeds the open size limit");
+      return makeError(std::string(What) +
+                       " payload exceeds the open size limit");
     if (!base64Decode(B64->asString(), Bytes))
       return makeError("invalid base64 in 'dataBase64'");
   } else if (const json::Value *PathV = Params.find("path");
-             PathV && PathV->isString()) {
+             PathOut && PathV && PathV->isString()) {
     // File loads retry with bounded exponential backoff: an editor saving
     // over the profile mid-read is transient, not fatal.
     Result<std::string> Read =
@@ -213,16 +213,29 @@ Result<json::Value> PvpServer::doOpen(const json::Object &Params) {
     if (!Read)
       return makeError(Read.error());
     Bytes = Read.take();
-    if (NameV == nullptr)
-      Name = PathV->asString();
+    *PathOut = PathV->asString();
   } else {
-    return makeError("pvp/open needs 'data', 'dataBase64', or 'path'");
+    return makeError(PathOut
+                         ? "pvp/open needs 'data', 'dataBase64', or 'path'"
+                         : "pvp/append needs 'data' or 'dataBase64'");
   }
   if (Bytes.size() > Limits.MaxOpenBytes)
-    return makeError("profile payload of " + std::to_string(Bytes.size()) +
+    return makeError(std::string(What) + " payload of " +
+                     std::to_string(Bytes.size()) +
                      " bytes exceeds the open size limit");
+  return Bytes;
+}
 
-  Result<Profile> P = convert::load(Bytes, Name, Limits.Decode);
+Result<json::Value> PvpServer::doOpen(const json::Object &Params) {
+  std::string Path;
+  Result<std::string> Bytes = payloadParam(Params, &Path);
+  if (!Bytes)
+    return makeError(Bytes.error());
+  std::string Name = Path.empty() ? "profile" : Path;
+  if (const json::Value *NameV = Params.find("name"))
+    Name = NameV->stringOr("profile");
+
+  Result<Profile> P = convert::load(*Bytes, Name, Limits.Decode);
   if (!P)
     return makeError(P.error());
   Result<bool> Ok = P->verify();
@@ -253,28 +266,15 @@ Result<json::Value> PvpServer::doAppend(const json::Object &Params) {
   if (!Owned.count(Id))
     return makeError("no profile with id " + std::to_string(Id));
 
-  std::string Bytes;
-  if (const json::Value *DataV = Params.find("data");
-      DataV && DataV->isString()) {
-    Bytes = DataV->asString();
-  } else if (const json::Value *B64 = Params.find("dataBase64");
-             B64 && B64->isString()) {
-    if (B64->asString().size() / 4 * 3 > Limits.MaxOpenBytes)
-      return makeError("append payload exceeds the open size limit");
-    if (!base64Decode(B64->asString(), Bytes))
-      return makeError("invalid base64 in 'dataBase64'");
-  } else {
-    return makeError("pvp/append needs 'data' or 'dataBase64'");
-  }
-  if (Bytes.size() > Limits.MaxOpenBytes)
-    return makeError("append payload of " + std::to_string(Bytes.size()) +
-                     " bytes exceeds the open size limit");
+  Result<std::string> Bytes = payloadParam(Params, nullptr);
+  if (!Bytes)
+    return makeError(Bytes.error());
 
   // The store decodes incrementally (arbitrary chunking), swaps in a new
   // immutable snapshot, and bumps the generation — which is what retires
   // cached views and makes publishSubscriptions() push deltas after this
   // request completes.
-  Result<size_t> Added = Store->append(Id, Bytes, Limits.Decode);
+  Result<size_t> Added = Store->append(Id, *Bytes, Limits.Decode);
   if (!Added)
     return makeError(Added.error());
 
@@ -761,15 +761,20 @@ Result<json::Value> PvpServer::doHistogram(const json::Object &Params) {
   Result<NodeId> Node = nodeParam(Agg.merged(), Params);
   if (!Node)
     return makeError(Node.error());
-  int64_t Metric = 0;
-  if (const json::Value *MV = Params.find("metric"); MV && MV->isNumber())
-    if (!MV->getInteger(Metric) || Metric < 0)
-      return makeError("'metric' must be a non-negative integer");
-  if (static_cast<size_t>(Metric) >= Agg.inputMetricCount())
+  // The merged profile lists the input metrics first, so an index or name
+  // below inputMetricCount() is an input metric.
+  MetricId Metric = 0;
+  if (Params.find("metric")) {
+    Result<MetricId> M = metricParam(Agg.merged(), Params);
+    if (!M)
+      return makeError(M.error());
+    Metric = *M;
+  }
+  if (Metric >= Agg.inputMetricCount())
     return makeError("metric index out of aggregate input range");
 
   json::Array Series;
-  for (double V : Agg.perProfileInclusive(*Node, static_cast<MetricId>(Metric)))
+  for (double V : Agg.perProfileInclusive(*Node, Metric))
     Series.push_back(V);
   json::Object Out;
   Out.set("series", std::move(Series));
@@ -937,9 +942,15 @@ Result<json::Value> PvpServer::doExport(const json::Object &Params) {
   if (!FmtV || !FmtV->isString())
     return makeError("missing 'format' parameter");
   const std::string &Fmt = FmtV->asString();
+  // An absent metric defaults to 0 even when the profile has none: the
+  // metric-free formats (evprof, pprof) never read it.
   MetricId Metric = 0;
-  if (Result<MetricId> M = metricParam(**P, Params); M)
+  if (Params.find("metric")) {
+    Result<MetricId> M = metricParam(**P, Params);
+    if (!M)
+      return makeError(M.error());
     Metric = *M;
+  }
 
   std::string Bytes;
   if (Fmt == "evprof")
@@ -1041,30 +1052,41 @@ Result<json::Value> PvpServer::doCorrelated(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
-  const json::Value *ProgV = Params.find("program");
-  const json::Value *ProfV = Params.find("profile");
-  if (!ProgV && !ProfV)
-    return makeError("pvp/diagnostics needs 'program' and/or 'profile'");
-  if (ProgV && !ProgV->isString())
-    return makeError("'program' must be a string");
+namespace {
 
-  AnalysisLimits Analysis = Limits.Analysis;
+/// The finding filters shared by pvp/diagnostics and pvp/regressions.
+struct DiagnosticFilter {
+  AnalysisLimits Analysis;
+  Severity MinSeverity = Severity::Note;
+  std::vector<std::string> Disabled;
+
+  bool suppresses(const Diagnostic &D) const {
+    if (D.Sev < MinSeverity)
+      return true;
+    for (const std::string &Rule : Disabled)
+      if (D.Id == Rule || D.Rule == Rule)
+        return true;
+    return false;
+  }
+};
+
+/// Parses 'maxDiagnostics' (which can only lower \p Analysis's cap),
+/// 'minSeverity' and 'disable'.
+Result<DiagnosticFilter> diagnosticFilterParam(const json::Object &Params,
+                                               const AnalysisLimits &Analysis) {
+  DiagnosticFilter F;
+  F.Analysis = Analysis;
   if (const json::Value *MV = Params.find("maxDiagnostics"); MV) {
     int64_t MaxDiags;
     if (MV->getInteger(MaxDiags) && MaxDiags > 0)
-      Analysis.MaxDiagnostics = std::min<size_t>(
-          Analysis.MaxDiagnostics, static_cast<size_t>(MaxDiags));
+      F.Analysis.MaxDiagnostics = std::min<size_t>(
+          F.Analysis.MaxDiagnostics, static_cast<size_t>(MaxDiags));
   }
-
-  Severity MinSeverity = Severity::Note;
   if (const json::Value *SV = Params.find("minSeverity")) {
-    if (!SV->isString() || !parseSeverity(SV->asString(), MinSeverity))
+    if (!SV->isString() || !parseSeverity(SV->asString(), F.MinSeverity))
       return makeError(
           "invalid 'minSeverity' (expected note, info, warning, or error)");
   }
-
-  std::vector<std::string> Disabled;
   if (const json::Value *DV = Params.find("disable")) {
     if (!DV->isArray())
       return makeError("'disable' must be an array of rule ids or names");
@@ -1074,50 +1096,23 @@ Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
       // (and inert), only typos are errors.
       if (!Entry.isString() || !findRule(Entry.asString()))
         return makeError("unknown rule in 'disable'");
-      Disabled.push_back(Entry.asString());
+      F.Disabled.push_back(Entry.asString());
     }
   }
+  return F;
+}
 
-  std::shared_ptr<const Profile> Held;
-  const Profile *P = nullptr;
-  if (ProfV) {
-    Result<std::shared_ptr<const Profile>> L = lookup(Params);
-    if (!L)
-      return makeError(L.error());
-    Held = *L;
-    P = Held.get();
-  }
-
-  // Batch both passes into one diagnostic set: program findings first
-  // (they carry source spans), then profile findings.
-  DiagnosticSet Diags(Analysis.MaxDiagnostics);
-  if (ProgV) {
-    SemaOptions SOpts;
-    SOpts.MetricSource = P;
-    SOpts.Limits = Analysis;
-    SemaChecker(SOpts).checkSource(ProgV->asString(), Diags);
-  }
-  if (P) {
-    LintOptions LOpts;
-    LOpts.Limits = Analysis;
-    LOpts.MinSeverity = MinSeverity;
-    LOpts.Disabled = Disabled;
-    ProfileLinter(LOpts).lintProfile(*P, Diags);
-  }
-  Diags.sortBySource();
-
-  auto Suppressed = [&](const Diagnostic &D) {
-    if (D.Sev < MinSeverity)
-      return true;
-    for (const std::string &Rule : Disabled)
-      if (D.Id == Rule || D.Rule == Rule)
-        return true;
-    return false;
-  };
-
+/// The reply shared by pvp/diagnostics and pvp/regressions: the findings
+/// \p Filter keeps, under \p Key, and their counts. Serialization stops
+/// once \p Expired reports the request deadline, degrading to a truncated
+/// (but valid) reply rather than discarding the findings.
+json::Object diagnosticsReply(const DiagnosticSet &Diags,
+                              const DiagnosticFilter &Filter,
+                              std::string_view Key,
+                              const std::function<bool()> &Expired) {
   size_t Errors = 0, Warnings = 0, Kept = 0;
   for (const Diagnostic &D : Diags.all()) {
-    if (Suppressed(D))
+    if (Filter.suppresses(D))
       continue;
     ++Kept;
     if (D.Sev == Severity::Error)
@@ -1126,14 +1121,12 @@ Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
       ++Warnings;
   }
 
-  // Serialize under the request deadline; running out degrades to a
-  // truncated (but valid) reply rather than discarding the findings.
   json::Array Arr;
   bool DeadlineHit = false;
   for (const Diagnostic &D : Diags.all()) {
-    if (Suppressed(D))
+    if (Filter.suppresses(D))
       continue;
-    if ((Arr.size() & 255) == 0 && deadlineExpired()) {
+    if ((Arr.size() & 255) == 0 && Expired()) {
       DeadlineHit = true;
       break;
     }
@@ -1155,14 +1148,60 @@ Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
 
   json::Object Reply;
   size_t Shown = Arr.size();
-  Reply.set("diagnostics", std::move(Arr));
+  Reply.set(std::string(Key), std::move(Arr));
   Reply.set("errors", Errors);
   Reply.set("warnings", Warnings);
   Reply.set("dropped", Diags.dropped() + (Kept - Shown));
   Reply.set("truncated", Diags.truncated() || DeadlineHit);
   if (DeadlineHit)
     Reply.set("deadlineExpired", true);
-  return json::Value(std::move(Reply));
+  return Reply;
+}
+
+} // namespace
+
+Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
+  const json::Value *ProgV = Params.find("program");
+  const json::Value *ProfV = Params.find("profile");
+  if (!ProgV && !ProfV)
+    return makeError("pvp/diagnostics needs 'program' and/or 'profile'");
+  if (ProgV && !ProgV->isString())
+    return makeError("'program' must be a string");
+
+  Result<DiagnosticFilter> Filter =
+      diagnosticFilterParam(Params, Limits.Analysis);
+  if (!Filter)
+    return makeError(Filter.error());
+
+  std::shared_ptr<const Profile> Held;
+  const Profile *P = nullptr;
+  if (ProfV) {
+    Result<std::shared_ptr<const Profile>> L = lookup(Params);
+    if (!L)
+      return makeError(L.error());
+    Held = *L;
+    P = Held.get();
+  }
+
+  // Batch both passes into one diagnostic set: program findings first
+  // (they carry source spans), then profile findings.
+  DiagnosticSet Diags(Filter->Analysis.MaxDiagnostics);
+  if (ProgV) {
+    SemaOptions SOpts;
+    SOpts.MetricSource = P;
+    SOpts.Limits = Filter->Analysis;
+    SemaChecker(SOpts).checkSource(ProgV->asString(), Diags);
+  }
+  if (P) {
+    LintOptions LOpts;
+    LOpts.Limits = Filter->Analysis;
+    LOpts.MinSeverity = Filter->MinSeverity;
+    LOpts.Disabled = Filter->Disabled;
+    ProfileLinter(LOpts).lintProfile(*P, Diags);
+  }
+  Diags.sortBySource();
+  return json::Value(diagnosticsReply(Diags, *Filter, "diagnostics",
+                                      [this] { return deadlineExpired(); }));
 }
 
 namespace {
@@ -1219,30 +1258,14 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
   if (!TestIds)
     return makeError(TestIds.error());
 
-  AnalysisLimits Analysis = Limits.Analysis;
-  if (const json::Value *MV = Params.find("maxDiagnostics"); MV) {
-    int64_t MaxDiags;
-    if (MV->getInteger(MaxDiags) && MaxDiags > 0)
-      Analysis.MaxDiagnostics = std::min<size_t>(
-          Analysis.MaxDiagnostics, static_cast<size_t>(MaxDiags));
-  }
-
+  Result<DiagnosticFilter> Filter =
+      diagnosticFilterParam(Params, Limits.Analysis);
+  if (!Filter)
+    return makeError(Filter.error());
   RegressionOptions Opts;
-  Opts.Limits = Analysis;
-  if (const json::Value *SV = Params.find("minSeverity")) {
-    if (!SV->isString() || !parseSeverity(SV->asString(), Opts.MinSeverity))
-      return makeError(
-          "invalid 'minSeverity' (expected note, info, warning, or error)");
-  }
-  if (const json::Value *DV = Params.find("disable")) {
-    if (!DV->isArray())
-      return makeError("'disable' must be an array of rule ids or names");
-    for (const json::Value &Entry : DV->asArray()) {
-      if (!Entry.isString() || !findRule(Entry.asString()))
-        return makeError("unknown rule in 'disable'");
-      Opts.Disabled.push_back(Entry.asString());
-    }
-  }
+  Opts.Limits = Filter->Analysis;
+  Opts.MinSeverity = Filter->MinSeverity;
+  Opts.Disabled = Filter->Disabled;
   if (!ratioParam(Params, "relativeMin", Opts.RelativeMin))
     return makeError("'relativeMin' must be a non-negative number");
   if (!ratioParam(Params, "absoluteMin", Opts.AbsoluteMin))
@@ -1282,39 +1305,12 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
   if (Result<bool> R = Fill(*TestIds, Test); !R)
     return makeError(R.error());
 
-  DiagnosticSet Diags(Analysis.MaxDiagnostics);
+  // The analyzer applies the same filter while emitting, so the reply's
+  // pass over it keeps every finding.
+  DiagnosticSet Diags(Filter->Analysis.MaxDiagnostics);
   RegressionAnalyzer(Opts).analyze(Base, Test, Diags, ActiveCancel);
-
-  // Serialize under the request deadline, degrading to a truncated (but
-  // valid) reply exactly like pvp/diagnostics.
-  json::Array Arr;
-  bool DeadlineHit = false;
-  for (const Diagnostic &D : Diags.all()) {
-    if ((Arr.size() & 255) == 0 && deadlineExpired()) {
-      DeadlineHit = true;
-      break;
-    }
-    json::Object DO;
-    DO.set("id", D.Id);
-    DO.set("severity", std::string(severityName(D.Sev)));
-    DO.set("message", D.Message);
-    DO.set("rule", D.Rule);
-    if (!D.Hint.empty())
-      DO.set("hint", D.Hint);
-    if (D.Node != InvalidNode)
-      DO.set("node", D.Node);
-    Arr.push_back(json::Value(std::move(DO)));
-  }
-
-  json::Object Reply;
-  size_t Shown = Arr.size();
-  Reply.set("findings", std::move(Arr));
-  Reply.set("errors", Diags.countAtLeast(Severity::Error));
-  Reply.set("warnings", Diags.count(Severity::Warning));
-  Reply.set("dropped", Diags.dropped() + (Diags.size() - Shown));
-  Reply.set("truncated", Diags.truncated() || DeadlineHit);
-  if (DeadlineHit)
-    Reply.set("deadlineExpired", true);
+  json::Object Reply = diagnosticsReply(Diags, *Filter, "findings",
+                                        [this] { return deadlineExpired(); });
   Reply.set("baseProfiles", Base.profileCount());
   Reply.set("testProfiles", Test.profileCount());
   return json::Value(std::move(Reply));
@@ -1556,10 +1552,9 @@ json::Value PvpServer::dispatch(std::string_view Method,
                                         "'");
     R = (this->*Entry->Run)(Params);
   } catch (const CancelledException &) {
-    // Cooperative cancellation unwound the handler (possibly through the
-    // analysis thread pool). The reply is an error, so nothing below
-    // touches the view cache: no partial view is memoized and no valid
-    // entry is displaced.
+    // Cooperative cancellation unwound the handler. The reply is an
+    // error, so nothing below touches the view cache: no partial view is
+    // memoized and no valid entry is displaced.
     RequestDeadline = 0;
     return rpc::makeErrorResponse(Id, rpc::RequestCancelled,
                                   "request cancelled");

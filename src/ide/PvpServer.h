@@ -276,6 +276,13 @@ private:
   Result<std::shared_ptr<const Profile>>
   lookup(const json::Object &Params, std::string_view Key = "profile") const;
 
+  /// The profile bytes of pvp/open and pvp/append: 'data' verbatim or
+  /// 'dataBase64' decoded, or, for pvp/open (\p PathOut non-null), the file
+  /// named by 'path', which is stored in *PathOut. Every source is held to
+  /// the open size limit.
+  Result<std::string> payloadParam(const json::Object &Params,
+                                   std::string *PathOut) const;
+
   /// Builds the pvp/regressions cache key: every cohort member's
   /// (id, generation) pair is folded into \p Key, so any member's bump
   /// misses and the stale entry ages out of the LRU. \p Prof / \p Gen

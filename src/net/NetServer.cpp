@@ -374,18 +374,20 @@ void NetServer::acceptPending(uint64_t NowMs) {
     if (Conns.size() >= Opts.MaxConnections) {
       // Shed load loudly: a clean JSON-RPC error (best effort — the
       // socket buffer of a fresh connection always has room for one small
-      // frame) and an attributed drop, instead of a mystery hang.
+      // frame) and an attributed drop, instead of a mystery hang. The drop
+      // is counted before the close, as in dropConnection(), so a peer
+      // that sees the close also sees the counter.
       std::string Frame = rpc::frame(rpc::makeErrorResponse(
           0, rpc::ServerOverloaded,
           "server at its connection cap (" +
               std::to_string(Opts.MaxConnections) + ")"));
       (void)sendNoSignal(Fd, Frame.data(), Frame.size());
-      closeSocket(Fd);
       M.Dropped.add();
       M.DropMaxConns.add();
       DroppedTotal.fetch_add(1, std::memory_order_relaxed);
       log("connection shed: at the " + std::to_string(Opts.MaxConnections) +
           "-connection cap (maxConnections)");
+      closeSocket(Fd);
       continue;
     }
 

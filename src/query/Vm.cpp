@@ -15,10 +15,9 @@
 // Error parity with the interpreter: a Trap (or a failed metric-view
 // resolution) kills its active lanes with the interpreter's message; the
 // first instruction to kill a lane wins for that lane (instructions are
-// emitted in interpreter evaluation order), and across lanes/chunks the
-// lowest node id wins (the interpreter stops at the first node that
-// errors). That merge is scheduling-independent, which is what keeps
-// EV_THREADS=0 and EV_THREADS=4 byte-identical.
+// emitted in interpreter evaluation order), and chunks run in ascending
+// node order, so the first dead lane a sweep meets is the lowest failing
+// node, the one the interpreter stops at.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,11 +28,10 @@
 #include "analysis/Transform.h"
 #include "query/Parser.h"
 #include "support/Strings.h"
-#include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <mutex>
 
 namespace ev {
 namespace evql {
@@ -56,7 +54,6 @@ struct Run {
   // chunks; cleared whenever the interpreter clears its map (derive adds a
   // column, prune/keep renumbers nodes).
   std::unordered_map<std::string, MetricView> Views;
-  std::mutex ViewsMutex;
   // Topology and frame-attribute columns, computed once per topology
   // version: derive does not invalidate them, prune/keep does.
   bool TopoValid = false;
@@ -107,7 +104,6 @@ struct Run {
   /// querying lanes anyway), and the message matches byte for byte.
   Result<const MetricView *> viewFor(const std::string &Name,
                                      uint32_t Line) {
-    std::lock_guard<std::mutex> Lock(ViewsMutex);
     auto It = Views.find(Name);
     if (It != Views.end())
       return &It->second;
@@ -590,40 +586,22 @@ Result<bool> executeScalar(Run &R, const CompiledStmt &CS, ChunkState &S) {
   return true;
 }
 
-/// Sweeps \p CS over nodes [First, End), calling \p Sink(S) per finished
-/// chunk (disjoint lane ranges, so sinks write per-node slots without
-/// synchronization). \returns the lowest-node error, if any lane died.
+/// Sweeps \p CS over nodes [First, End) in ascending chunks, calling
+/// \p Sink(S) per finished chunk. \returns the error of the lowest failing
+/// node, stopping at the chunk that holds it.
 Result<bool> sweep(Run &R, const CompiledStmt &CS, size_t First, size_t End,
                    const std::function<void(const ChunkState &)> &Sink) {
-  if (End <= First)
-    return true;
-  size_t Count = End - First;
-  size_t Chunks = (Count + ChunkLen - 1) / ChunkLen;
-  std::mutex ErrMutex;
-  size_t ErrNode = SIZE_MAX;
-  std::string ErrMsg;
-  ThreadPool::shared().parallelFor(Chunks, [&](size_t C) {
-    ChunkState S;
-    S.Base = First + C * ChunkLen;
-    S.Len = std::min(ChunkLen, End - S.Base);
+  ChunkState S;
+  for (size_t Base = First; Base < End; Base += ChunkLen) {
+    S.Base = Base;
+    S.Len = std::min(ChunkLen, End - Base);
     executeChunk(R, CS, S);
+    if (S.AnyDead)
+      for (size_t L = 0; L < S.Len; ++L)
+        if (S.Dead[L])
+          return makeError(S.Err[L]);
     Sink(S);
-    if (!S.AnyDead)
-      return;
-    for (size_t L = 0; L < S.Len; ++L) {
-      if (!S.Dead[L])
-        continue;
-      std::lock_guard<std::mutex> Lock(ErrMutex);
-      size_t Node = S.Base + L;
-      if (Node < ErrNode) {
-        ErrNode = Node;
-        ErrMsg = S.Err[L];
-      }
-      break; // Lowest lane of this chunk; later chunks merge by node id.
-    }
-  });
-  if (ErrNode != SIZE_MAX)
-    return makeError(ErrMsg);
+  }
   return true;
 }
 
@@ -675,9 +653,7 @@ Result<QueryOutput> runCompiled(const Profile &P,
       Result<bool> Ok =
           sweep(R, CS, 0, N, [&](const ChunkState &S) {
             const double *Res = S.Num.data() + size_t(CS.Result) * S.Len;
-            for (size_t L = 0; L < S.Len; ++L)
-              if (!S.Dead[L])
-                Column[S.Base + L] = Res[L];
+            std::copy(Res, Res + S.Len, Column.begin() + S.Base);
           });
       if (!Ok)
         return makeError(Ok.error());
@@ -696,10 +672,7 @@ Result<QueryOutput> runCompiled(const Profile &P,
           sweep(R, CS, 1, N, [&](const ChunkState &S) {
             const uint8_t *Res = S.Bool.data() + size_t(CS.Result) * S.Len;
             for (size_t L = 0; L < S.Len; ++L)
-              if (!S.Dead[L]) {
-                bool Matches = Res[L] != 0;
-                Keep[S.Base + L] = IsPrune ? !Matches : Matches;
-              }
+              Keep[S.Base + L] = IsPrune ? Res[L] == 0 : Res[L] != 0;
           });
       if (!Ok)
         return makeError(Ok.error());

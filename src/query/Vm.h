@@ -15,9 +15,9 @@
 ///
 /// Contract: the interpreter (query/Interpreter.h) is the oracle. For any
 /// program the compiler accepts, runCompiled() produces byte-identical
-/// QueryOutput — including error messages and line numbers — at any
-/// EV_THREADS setting. Chunks own disjoint lane ranges and errors merge by
-/// lowest node id, so results never depend on scheduling.
+/// QueryOutput, including error messages and line numbers. Chunks run in
+/// ascending node order, so an error is the lowest failing node's, the
+/// one the interpreter reports.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,9 +11,8 @@
 /// request, keeps a second copy, and flips it from any thread when the
 /// client cancels. Analysis loops call checkpoint() at iteration
 /// boundaries; a tripped token raises CancelledException, which unwinds
-/// through ev::ThreadPool (it propagates the first body exception to the
-/// calling thread) back to the dispatcher, which maps it to the JSON-RPC
-/// RequestCancelled error.
+/// the analysis on the dispatching thread back to the dispatcher, which
+/// maps it to the JSON-RPC RequestCancelled error.
 ///
 /// A default-constructed token is inert — never cancelled, zero cost to
 /// check — so every cancellable API takes `const CancelToken & = {}` and

@@ -18,7 +18,7 @@
 /// never look the name up again. The registry is sharded by name hash so
 /// concurrent sessions registering distinct metrics rarely contend. This
 /// is safe under the SessionManager's cross-session parallelism and clean
-/// under TSan at EV_THREADS=4 (tests/telemetry_test.cpp).
+/// under TSan (tests/telemetry_test.cpp).
 ///
 /// Snapshots are deterministic: names are emitted in sorted order, so two
 /// runs that performed the same work produce byte-identical counter
@@ -115,7 +115,7 @@ private:
 /// Options for Registry::snapshot(). Timing-derived fields (histogram
 /// sums, mins, maxes, bucket contents) vary run to run even for identical
 /// work; IncludeTimings=false drops them so a snapshot of deterministic
-/// work is byte-stable across thread counts (only event counts remain).
+/// work is byte-stable across runs (only event counts remain).
 struct SnapshotOptions {
   bool IncludeTimings = true;
 };

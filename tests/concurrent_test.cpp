@@ -168,17 +168,32 @@ TEST(ConcurrentCancel, TokenCheckpointThrowsOnceCancelled) {
   EXPECT_FALSE(Inert.cancelled());
 }
 
-TEST(ConcurrentCancel, AnalysisKernelsUnwindThroughThreadPool) {
+TEST(ConcurrentCancel, AnalysisKernelsUnwindOnTheCallingThread) {
   Profile P = test::makeRandomProfile(7);
   CancelToken T = CancelToken::create();
   T.requestCancel();
-  ThreadPool::setSharedThreadCount(4);
-  // bottomUpTree/flatTree checkpoint every 1024 contexts, well inside the
-  // test profile. (topDownTree's stride is 8192 — larger than this input —
-  // so it is exercised by the integration soaks instead.)
-  EXPECT_THROW(bottomUpTree(P, T), CancelledException);
-  EXPECT_THROW(flatTree(P, T), CancelledException);
-  ThreadPool::setSharedThreadCount(ThreadPool::configuredThreads());
+  // Analysis runs on the thread that calls it, the way a session strand
+  // dispatches a request: the tripped checkpoint must unwind the kernel to
+  // a handler on that same thread. bottomUpTree/flatTree checkpoint every
+  // 1024 contexts, well inside the test profile. (topDownTree's stride is
+  // 8192, larger than this input, so the integration soaks cover it.)
+  std::thread::id Caller;
+  std::vector<std::thread::id> CaughtOn;
+  std::thread Strand([&] {
+    Caller = std::this_thread::get_id();
+    try {
+      bottomUpTree(P, T);
+    } catch (const CancelledException &) {
+      CaughtOn.push_back(std::this_thread::get_id());
+    }
+    try {
+      flatTree(P, T);
+    } catch (const CancelledException &) {
+      CaughtOn.push_back(std::this_thread::get_id());
+    }
+  });
+  Strand.join();
+  EXPECT_EQ(CaughtOn, std::vector<std::thread::id>(2, Caller));
 }
 
 TEST(ConcurrentCancel, CancelledRequestAnswersMinus32800) {

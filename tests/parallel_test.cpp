@@ -1,173 +1,27 @@
-//===- tests/parallel_test.cpp - ThreadPool, determinism, view cache ------===//
+//===- tests/parallel_test.cpp - Memoized PVP view cache ------------------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Covers the fast-path overhaul: the ThreadPool itself, the byte-identity
-/// guarantee of the parallel analysis pipeline (EV_THREADS=0 and
-/// EV_THREADS=N must produce identical output), and the memoized PVP view
-/// cache with its invalidation matrix. The `easyview_parallel` ctest entry
-/// (and the tsan preset) runs exactly these suites.
+/// Covers the memoized PVP view cache with its invalidation matrix. The
+/// `easyview_parallel` ctest entry (and the tsan preset) runs exactly these
+/// suites.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Aggregate.h"
-#include "analysis/Diff.h"
-#include "analysis/Transform.h"
 #include "ide/JsonRpc.h"
 #include "ide/PvpServer.h"
-#include "proto/EvProf.h"
-#include "support/ThreadPool.h"
 #include "workload/LuleshWorkload.h"
 
 #include "TestHelpers.h"
 
-#include <atomic>
 #include <chrono>
-#include <numeric>
-#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 using namespace ev;
-
-//===----------------------------------------------------------------------===
-// ThreadPool
-//===----------------------------------------------------------------------===
-
-TEST(ParallelThreadPool, SequentialModeRunsInlineInOrder) {
-  ThreadPool Pool(0);
-  EXPECT_TRUE(Pool.sequential());
-  EXPECT_EQ(Pool.threadCount(), 1u);
-  std::vector<size_t> Visited;
-  Pool.parallelFor(100, [&](size_t I) { Visited.push_back(I); });
-  ASSERT_EQ(Visited.size(), 100u);
-  for (size_t I = 0; I < Visited.size(); ++I)
-    EXPECT_EQ(Visited[I], I); // Ascending order: no workers at all.
-}
-
-TEST(ParallelThreadPool, CoversEveryIndexExactlyOnce) {
-  ThreadPool Pool(4);
-  EXPECT_EQ(Pool.threadCount(), 4u);
-  std::vector<std::atomic<int>> Hits(5000);
-  Pool.parallelFor(Hits.size(), [&](size_t I) { ++Hits[I]; });
-  for (size_t I = 0; I < Hits.size(); ++I)
-    EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
-}
-
-TEST(ParallelThreadPool, ParallelMapPreservesIndexOrder) {
-  ThreadPool Pool(4);
-  std::vector<uint64_t> Out =
-      Pool.parallelMap<uint64_t>(10000, [](size_t I) { return I * I; });
-  ASSERT_EQ(Out.size(), 10000u);
-  for (size_t I = 0; I < Out.size(); ++I)
-    ASSERT_EQ(Out[I], I * I);
-}
-
-TEST(ParallelThreadPool, ExceptionsPropagateToCaller) {
-  ThreadPool Pool(4);
-  EXPECT_THROW(Pool.parallelFor(1000,
-                                [](size_t I) {
-                                  if (I == 537)
-                                    throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
-  // The pool survives a failed loop and runs the next one normally.
-  std::atomic<size_t> Count{0};
-  Pool.parallelFor(100, [&](size_t) { ++Count; });
-  EXPECT_EQ(Count.load(), 100u);
-}
-
-TEST(ParallelThreadPool, ExceptionsPropagateInSequentialMode) {
-  ThreadPool Pool(0);
-  EXPECT_THROW(Pool.parallelFor(10,
-                                [](size_t I) {
-                                  if (I == 3)
-                                    throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
-}
-
-TEST(ParallelThreadPool, NestedLoopsRunInline) {
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Hits(64 * 64);
-  Pool.parallelFor(64, [&](size_t Outer) {
-    // A nested loop must not deadlock; it runs inline on this thread.
-    Pool.parallelFor(64, [&](size_t Inner) { ++Hits[Outer * 64 + Inner]; });
-  });
-  for (size_t I = 0; I < Hits.size(); ++I)
-    ASSERT_EQ(Hits[I].load(), 1);
-}
-
-//===----------------------------------------------------------------------===
-// Byte-identity across thread counts
-//===----------------------------------------------------------------------===
-
-namespace {
-
-/// Restores the shared pool to its environment-configured size so the rest
-/// of the test binary is unaffected by thread-count sweeps.
-class ParallelIdentity : public ::testing::TestWithParam<uint64_t> {
-protected:
-  void TearDown() override {
-    ThreadPool::setSharedThreadCount(ThreadPool::configuredThreads());
-  }
-};
-
-} // namespace
-
-TEST_P(ParallelIdentity, TransformsMatchSequential) {
-  Profile P = test::makeRandomProfile(GetParam());
-  ThreadPool::setSharedThreadCount(0);
-  std::string Up0 = writeEvProf(bottomUpTree(P));
-  std::string Flat0 = writeEvProf(flatTree(P));
-  ThreadPool::setSharedThreadCount(4);
-  EXPECT_EQ(Up0, writeEvProf(bottomUpTree(P)));
-  EXPECT_EQ(Flat0, writeEvProf(flatTree(P)));
-}
-
-TEST_P(ParallelIdentity, AggregateMatchesSequential) {
-  Profile A = test::makeRandomProfile(GetParam());
-  Profile B = test::makeRandomProfile(GetParam() + 1000);
-  Profile C = test::makeRandomProfile(GetParam() + 2000);
-  const Profile *Inputs[] = {&A, &B, &C};
-  AggregateOptions Opt;
-  Opt.WithMin = Opt.WithMax = Opt.WithMean = Opt.WithStddev = true;
-
-  ThreadPool::setSharedThreadCount(0);
-  AggregatedProfile Seq = aggregate(Inputs, Opt);
-  std::string Seq0 = writeEvProf(Seq.merged());
-  ThreadPool::setSharedThreadCount(4);
-  AggregatedProfile Par = aggregate(Inputs, Opt);
-  EXPECT_EQ(Seq0, writeEvProf(Par.merged()));
-
-  // Histograms (per-profile exclusive and inclusive) match slot for slot.
-  for (NodeId Id = 0; Id < Seq.merged().nodeCount(); Id += 7) {
-    EXPECT_EQ(Seq.perProfileExclusive(Id, 0), Par.perProfileExclusive(Id, 0));
-    EXPECT_EQ(Seq.perProfileInclusive(Id, 0), Par.perProfileInclusive(Id, 0));
-  }
-}
-
-TEST_P(ParallelIdentity, DiffMatchesSequential) {
-  Profile Base = test::makeRandomProfile(GetParam());
-  Profile Test = test::makeRandomProfile(GetParam() + 5000);
-
-  ThreadPool::setSharedThreadCount(0);
-  DiffResult Seq = diffProfiles(Base, Test, 0);
-  std::string Seq0 = writeEvProf(Seq.Merged);
-  ThreadPool::setSharedThreadCount(4);
-  DiffResult Par = diffProfiles(Base, Test, 0);
-  EXPECT_EQ(Seq0, writeEvProf(Par.Merged));
-  EXPECT_EQ(Seq.Tags, Par.Tags);
-  EXPECT_EQ(Seq.BaseInclusive, Par.BaseInclusive);
-  EXPECT_EQ(Seq.TestInclusive, Par.TestInclusive);
-}
-
-INSTANTIATE_TEST_SUITE_P(ParallelSeeds, ParallelIdentity,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
-                                           89));
 
 //===----------------------------------------------------------------------===
 // Memoized view cache

@@ -4,13 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ide/JsonRpc.h"
 #include "ide/MockIde.h"
+#include "profile/ProfileBuilder.h"
 
 #include "TestHelpers.h"
 #include "convert/Converters.h"
 #include "proto/EvProf.h"
 #include "support/Strings.h"
 #include "workload/ReuseWorkload.h"
+
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -98,6 +102,90 @@ TEST_F(PvpActionsTest, ExportRoundTripsThroughOpen) {
   Bad.set("profile", ProfileId);
   Bad.set("format", "dot");
   EXPECT_FALSE(call("pvp/export", std::move(Bad)).ok());
+}
+
+namespace {
+
+/// Sends \p Method to \p Server and \returns "<code>: <message>" of the
+/// error reply, or "ok" for a result.
+std::string replyStatus(PvpServer &Server, const char *Method,
+                        json::Object Params) {
+  json::Value R = Server.handleMessage(
+      rpc::makeRequest(1, Method, json::Value(std::move(Params))));
+  const json::Value *E = R.asObject().find("error");
+  if (!E)
+    return "ok";
+  return std::to_string(E->asObject().find("code")->asInt()) + ": " +
+         std::string(E->asObject().find("message")->stringOr(""));
+}
+
+std::string invalidParams(const std::string &Message) {
+  return std::to_string(rpc::InvalidParams) + ": " + Message;
+}
+
+} // namespace
+
+TEST(PvpMetricParam, ExportRejectsAnInvalidMetric) {
+  PvpServer Server;
+  int64_t Id = Server.addProfile(test::makeFixedProfile());
+  auto Export = [&](const char *Fmt, std::optional<json::Value> Metric) {
+    json::Object P;
+    P.set("profile", Id);
+    P.set("format", Fmt);
+    if (Metric)
+      P.set("metric", std::move(*Metric));
+    return replyStatus(Server, "pvp/export", std::move(P));
+  };
+  EXPECT_EQ(Export("collapsed", json::Value("tyme")),
+            invalidParams("unknown metric 'tyme'"));
+  EXPECT_EQ(Export("collapsed", json::Value(int64_t(7))),
+            invalidParams("metric index out of range"));
+  EXPECT_EQ(Export("evprof", json::Value(true)),
+            invalidParams("'metric' must be an index or a name"));
+  EXPECT_EQ(Export("collapsed", json::Value("time")), "ok");
+  EXPECT_EQ(Export("collapsed", std::nullopt), "ok");
+
+  // An absent metric still exports a profile that has no metrics at all.
+  ProfileBuilder B("no metrics");
+  B.child(B.root(), B.functionFrame("main", "main.c", 1, "app"));
+  int64_t Bare = Server.addProfile(B.take());
+  json::Object P;
+  P.set("profile", Bare);
+  P.set("format", "evprof");
+  EXPECT_EQ(replyStatus(Server, "pvp/export", std::move(P)), "ok");
+}
+
+TEST(PvpMetricParam, HistogramRejectsAnInvalidMetric) {
+  PvpServer Server;
+  int64_t A = Server.addProfile(test::makeFixedProfile());
+  int64_t B = Server.addProfile(test::makeFixedProfile());
+  json::Object AggParams;
+  AggParams.set("profiles", json::Array{json::Value(A), json::Value(B)});
+  json::Value Agg = Server.handleMessage(rpc::makeRequest(
+      1, "pvp/aggregate", json::Value(std::move(AggParams))));
+  const json::Value *AggResult = Agg.asObject().find("result");
+  ASSERT_NE(AggResult, nullptr);
+  int64_t AggId = AggResult->asObject().find("profile")->asInt();
+
+  auto Histogram = [&](std::optional<json::Value> Metric) {
+    json::Object P;
+    P.set("aggregate", AggId);
+    P.set("node", 1);
+    if (Metric)
+      P.set("metric", std::move(*Metric));
+    return replyStatus(Server, "pvp/histogram", std::move(P));
+  };
+  EXPECT_EQ(Histogram(json::Value("tyme")),
+            invalidParams("unknown metric 'tyme'"));
+  EXPECT_EQ(Histogram(json::Value(false)),
+            invalidParams("'metric' must be an index or a name"));
+  EXPECT_EQ(Histogram(json::Value(int64_t(-1))),
+            invalidParams("metric index out of range"));
+  // A derived column resolves but has no per-profile samples.
+  EXPECT_EQ(Histogram(json::Value("time.min")),
+            invalidParams("metric index out of aggregate input range"));
+  EXPECT_EQ(Histogram(json::Value("time")), "ok");
+  EXPECT_EQ(Histogram(std::nullopt), "ok");
 }
 
 TEST_F(PvpActionsTest, ButterflyOverRpc) {

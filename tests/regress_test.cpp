@@ -9,7 +9,7 @@
 /// aggregation (Welford/Chan moments, heavy-hitter pruning, memory bound),
 /// the EVL3xx analyzer over the planted fleet workload (100% recall on
 /// plants, zero findings on the noise-only version pair), deterministic
-/// output across thread counts and ingestion orders, the unified rule
+/// output across ingestion orders, the unified rule
 /// registry, `evtool regress`, and `pvp/regressions`.
 ///
 //===----------------------------------------------------------------------===//
@@ -24,7 +24,6 @@
 #include "ide/MockIde.h"
 #include "proto/EvProf.h"
 #include "support/FileIo.h"
-#include "support/ThreadPool.h"
 #include "tool/CliDriver.h"
 #include "workload/FleetWorkload.h"
 
@@ -259,17 +258,15 @@ TEST_F(RegressAnalyzerTest, EveryPlantedRegressionIsFound) {
     EXPECT_LE(Diags.all()[I - 1].Id, Diags.all()[I].Id);
 }
 
-TEST_F(RegressAnalyzerTest, ByteIdenticalAcrossThreadCountsAndIngestOrder) {
+TEST_F(RegressAnalyzerTest, ByteIdenticalAcrossIngestOrder) {
   size_t M = W.Versions.size();
-  ThreadPool::setSharedThreadCount(0);
   DiagnosticSet Forward(1000);
   RegressionAnalyzer().analyze(cohortOf(W.Versions[M - 2]),
                                cohortOf(W.Versions[M - 1]), Forward);
-  std::string Sequential = renderAll(Forward);
+  std::string InOrder = renderAll(Forward);
 
-  // 4 worker threads AND reversed replica ingestion: the canonical shapes
-  // assign different node ids, the rendered findings must not move a byte.
-  ThreadPool::setSharedThreadCount(4);
+  // Reversed replica ingestion: the canonical shapes assign different node
+  // ids, the rendered findings must not move a byte.
   auto Reversed = [](std::vector<Profile> Ps) {
     CohortAccumulator Acc;
     for (size_t I = Ps.size(); I > 0; --I)
@@ -279,10 +276,9 @@ TEST_F(RegressAnalyzerTest, ByteIdenticalAcrossThreadCountsAndIngestOrder) {
   DiagnosticSet Backward(1000);
   RegressionAnalyzer().analyze(Reversed(W.Versions[M - 2]),
                                Reversed(W.Versions[M - 1]), Backward);
-  ThreadPool::setSharedThreadCount(ThreadPool::configuredThreads());
 
-  EXPECT_FALSE(Sequential.empty());
-  EXPECT_EQ(Sequential, renderAll(Backward));
+  EXPECT_FALSE(InOrder.empty());
+  EXPECT_EQ(InOrder, renderAll(Backward));
 }
 
 TEST_F(RegressAnalyzerTest, SeverityFloorAndDisablesFilter) {

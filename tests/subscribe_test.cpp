@@ -9,8 +9,7 @@
 /// (encode/apply byte-identity, fallback, generation peeking), the
 /// pvp/subscribe / pvp/ack / pvp/unsubscribe server methods with their
 /// acked-generation bookkeeping, streaming pvp/append driving pushes over
-/// the real wire framing, thread-count byte-identity, the SessionManager
-/// notify plumbing under a budgeted (spilling) store, and the two
+/// the real wire framing, the SessionManager notify plumbing under a budgeted (spilling) store, and the two
 /// transport-level regressions that long-lived subscriber connections
 /// exposed (FrameReader capacity pinning, ViewCache re-insert accounting).
 /// The `easyview_subscribe` ctest entry (and both sanitizer presets) run
@@ -25,7 +24,6 @@
 #include "ide/ViewDelta.h"
 #include "proto/EvProf.h"
 #include "support/Strings.h"
-#include "support/ThreadPool.h"
 
 #include "TestHelpers.h"
 
@@ -479,22 +477,6 @@ TEST(SubscribeServer, SubscriptionCapYieldsTypedError) {
   ASSERT_NE(Err, nullptr);
   EXPECT_EQ(Err->asObject().find("code")->asInt(),
             static_cast<int64_t>(rpc::SubscriptionLimit));
-}
-
-//===----------------------------------------------------------------------===
-// SubscribeThreads: EV_THREADS=0 vs 4 byte-identity of the delta stream.
-//===----------------------------------------------------------------------===
-
-TEST(SubscribeThreads, DeltaStreamIsByteIdenticalAcrossThreadCounts) {
-  json::Object P;
-  P.set("maxRects", static_cast<int64_t>(4096));
-  ThreadPool::setSharedThreadCount(0);
-  std::string Sequential = runDeltaStream("flame", P, "pvp/flame");
-  ThreadPool::setSharedThreadCount(4);
-  std::string Parallel = runDeltaStream("flame", P, "pvp/flame");
-  ThreadPool::setSharedThreadCount(ThreadPool::configuredThreads());
-  ASSERT_FALSE(Sequential.empty());
-  EXPECT_EQ(Sequential, Parallel);
 }
 
 //===----------------------------------------------------------------------===

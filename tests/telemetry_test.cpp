@@ -21,7 +21,6 @@
 #include "support/Clock.h"
 #include "support/Strings.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -141,12 +140,17 @@ TEST(Telemetry, CountersExactUnderParallelWorkers) {
   telemetry::Registry Reg(4);
   telemetry::Counter &C = Reg.counter("test.parallel");
   telemetry::Histogram &H = Reg.histogram("test.parallelHist");
-  ThreadPool Pool(4);
-  constexpr size_t N = 10000;
-  Pool.parallelFor(N, [&](size_t I) {
-    C.add();
-    H.record(I);
-  });
+  constexpr size_t N = 10000, Threads = 4;
+  std::vector<std::thread> Workers;
+  for (size_t T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (size_t I = T; I < N; I += Threads) {
+        C.add();
+        H.record(I);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
   EXPECT_EQ(C.value(), N);
   EXPECT_EQ(H.count(), N);
   EXPECT_EQ(H.min(), 0u);
@@ -253,14 +257,19 @@ TEST(Trace, SpanNestingRecordsDepthAndPath) {
   EXPECT_LE(Outer->SelfUs, Outer->DurUs);
 }
 
-TEST(Trace, SpansAcrossParallelForWorkers) {
+TEST(Trace, SpansAcrossWorkerThreads) {
   trace::clear();
-  ThreadPool Pool(4);
-  constexpr size_t N = 64;
-  Pool.parallelFor(N, [&](size_t) {
-    trace::Span S("test/parallelBody", "test");
-    (void)S;
-  });
+  constexpr size_t N = 64, Threads = 4;
+  std::vector<std::thread> Workers;
+  for (size_t T = 0; T < Threads; ++T)
+    Workers.emplace_back([] {
+      for (size_t I = 0; I < N / Threads; ++I) {
+        trace::Span S("test/parallelBody", "test");
+        (void)S;
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
   std::vector<trace::SpanRecord> Records = trace::collectSpans();
   size_t Bodies = 0;
   for (const trace::SpanRecord &R : Records)
@@ -532,11 +541,11 @@ TEST(SelfProfile, StatsAggregateAcrossSessionsWithoutDoubleCounting) {
   EXPECT_GE(Stats0->find("cacheShards")->asInt(), 1);
 }
 
-TEST(SelfProfile, CountersAreByteStableAcrossThreadCounts) {
-  // The same deterministic workload, sequential vs 4 threads: the
-  // counters-only snapshot (IncludeTimings=false drops sums/buckets,
-  // which legitimately vary) must be byte-identical — counters sit at
-  // fixed code points, not in scheduling-dependent paths.
+TEST(SelfProfile, CountersAreByteStableAcrossRuns) {
+  // The same deterministic workload, run twice: the counters-only
+  // snapshot (IncludeTimings=false drops sums/buckets, which legitimately
+  // vary) must be byte-identical — counters sit at fixed code points, not
+  // in timing-dependent paths.
   auto RunWorkload = [] {
     telemetry::Registry::global().reset();
     trace::clear();
@@ -553,10 +562,6 @@ TEST(SelfProfile, CountersAreByteStableAcrossThreadCounts) {
     Opts.IncludeTimings = false;
     return telemetry::Registry::global().snapshot(Opts).dump();
   };
-  ThreadPool::setSharedThreadCount(0);
-  std::string Sequential = RunWorkload();
-  ThreadPool::setSharedThreadCount(4);
-  std::string Threaded = RunWorkload();
-  ThreadPool::setSharedThreadCount(0);
-  EXPECT_EQ(Sequential, Threaded);
+  std::string First = RunWorkload();
+  EXPECT_EQ(First, RunWorkload());
 }

@@ -8,11 +8,11 @@
 /// The interpreter is the oracle for the EVQL bytecode VM: for every
 /// program the compiler accepts, runCompiled() must produce byte-identical
 /// QueryOutput — transformed profile bytes, printed lines, derived metric
-/// names, and error messages with their line numbers — at any EV_THREADS
-/// setting. This suite drives both engines over a table-driven corpus
-/// (every builtin, every operator family, every diagnostic path), pins the
-/// interpreter-fallback rule for programs the compiler rejects, checks
-/// thread-count byte-identity, exercises the guarded depth column and the
+/// names, and error messages with their line numbers. This suite drives
+/// both engines over a table-driven corpus (every builtin, every operator
+/// family, every diagnostic path), pins the interpreter-fallback rule for
+/// programs the compiler rejects, checks that a multi-chunk sweep reports
+/// the lowest failing node, exercises the guarded depth column and the
 /// recursion bounds, and covers the ProgramCache (LRU behavior plus
 /// generation-keyed invalidation through pvp/query and pvp/append).
 ///
@@ -30,7 +30,6 @@
 #include "query/Parser.h"
 #include "query/Vm.h"
 #include "support/Strings.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -278,15 +277,16 @@ TEST(EvqlFallback, MixedTypeTernaryFallsBackToInterpreter) {
   expectEnginesAgree(P, Folded);
 }
 
-TEST(EvqlThreads, ByteIdenticalAcrossThreadCounts) {
+TEST(EvqlVm, MatchesInterpreterIncludingLowestFailingNode) {
   Profile P = test::makeRandomProfile(99, 3000, 14, 50);
   const std::string Ok =
       "derive hot = exclusive(\"time\") + inclusive(\"time\") / "
       "(1 + depth()) + min(share(\"time\") * 1000, nchildren() + 3);\n"
       "keep when depth() < 8 || share(\"time\") > 0.001;\n"
       "print total(\"time\"); print nodecount();";
-  // An error whose failing lanes sit mid-profile: the winning diagnostic
-  // must be the lowest failing node id regardless of chunk scheduling.
+  // An error whose failing lanes sit mid-profile and span several chunks:
+  // the reported diagnostic must be the lowest failing node's, the one the
+  // interpreter stops at.
   const std::string Bad =
       "keep when depth() < 3 || metric(\"nope\") > 0;";
 
@@ -298,32 +298,17 @@ TEST(EvqlThreads, ByteIdenticalAcrossThreadCounts) {
   ASSERT_NE(OkC, nullptr);
   ASSERT_NE(BadC, nullptr);
 
-  unsigned Saved = ThreadPool::configuredThreads();
-  std::string Fp0, Err0;
-  for (unsigned Threads : {0u, 4u}) {
-    ThreadPool::setSharedThreadCount(Threads);
-    Result<evql::QueryOutput> V = evql::runCompiled(P, *OkC);
-    ASSERT_TRUE(V.ok()) << V.error();
-    Result<evql::QueryOutput> E = evql::runCompiled(P, *BadC);
-    ASSERT_FALSE(E.ok());
-    if (Threads == 0) {
-      Fp0 = fingerprint(*V);
-      Err0 = E.error();
-    } else {
-      EXPECT_EQ(fingerprint(*V), Fp0);
-      EXPECT_EQ(E.error(), Err0);
-    }
-  }
-  ThreadPool::setSharedThreadCount(Saved);
+  Result<evql::QueryOutput> V = evql::runCompiled(P, *OkC);
+  ASSERT_TRUE(V.ok()) << V.error();
+  Result<evql::QueryOutput> E = evql::runCompiled(P, *BadC);
+  ASSERT_FALSE(E.ok());
 
-  // And the single-thread VM output matches the interpreter (transitively
-  // pinning every thread count to the oracle).
   Result<evql::QueryOutput> I = evql::runProgram(P, Ok);
   ASSERT_TRUE(I.ok()) << I.error();
-  EXPECT_EQ(fingerprint(*I), Fp0);
+  EXPECT_EQ(fingerprint(*I), fingerprint(*V));
   Result<evql::QueryOutput> IE = evql::runProgram(P, Bad);
   ASSERT_FALSE(IE.ok());
-  EXPECT_EQ(IE.error(), Err0);
+  EXPECT_EQ(IE.error(), E.error());
 }
 
 TEST(EvqlRender, NumbersBeyondInt64PrintViaDouble) {
