@@ -8,6 +8,7 @@
 
 #include "analysis/MetricEngine.h"
 #include "proto/EvProf.h"
+#include "proto/EvProfFields.h"
 #include "support/ProtoWire.h"
 
 #include <algorithm>
@@ -82,21 +83,9 @@ bool ProfileLinter::emit(DiagnosticSet &Out, std::string_view RuleId,
   return Out.add(std::move(D));
 }
 
-namespace {
+using namespace evprof;
 
-// Field numbers of the .evprof schema; must stay in sync with the encoder
-// tables in proto/EvProf.cpp.
-enum : uint32_t {
-  FProfileString = 2,
-  FProfileMetric = 3,
-  FProfileFrame = 4,
-  FProfileNode = 5,
-  FProfileGroup = 6,
-};
-enum : uint32_t { FFrameName = 2, FFrameFile = 3, FFrameModule = 5 };
-enum : uint32_t { FNodeParentPlus1 = 1, FNodeFrame = 2, FNodeValue = 3 };
-enum : uint32_t { FValueMetric = 1 };
-enum : uint32_t { FGroupKind = 1, FGroupContext = 2, FGroupMetric = 3 };
+namespace {
 
 /// Table sizes discovered by the counting pass.
 struct WireIndex {

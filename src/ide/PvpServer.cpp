@@ -505,8 +505,11 @@ Result<json::Value> PvpServer::doFlame(const json::Object &Params) {
     return makeError(P.error());
 
   std::string Shape = "top-down";
-  if (const json::Value *SV = Params.find("shape"); SV && SV->isString())
+  if (const json::Value *SV = Params.find("shape"); SV) {
+    if (!SV->isString())
+      return makeError("'shape' must be a string");
     Shape = SV->asString();
+  }
 
   // Shape transforms produce a temporary tree; the geometry refers to it,
   // so node ids in the reply are resolved back to names eagerly.
@@ -573,8 +576,9 @@ Result<json::Value> PvpServer::doTreeTable(const json::Object &Params) {
   if (!P)
     return makeError(P.error());
   TreeTable Table(**P);
-  if (const json::Value *ExpandV = Params.find("expand");
-      ExpandV && ExpandV->isArray()) {
+  if (const json::Value *ExpandV = Params.find("expand"); ExpandV) {
+    if (!ExpandV->isArray())
+      return makeError("'expand' must be an array of node ids");
     for (const json::Value &NV : ExpandV->asArray()) {
       int64_t Node;
       if (NV.getInteger(Node) && Node >= 0 &&
@@ -919,8 +923,11 @@ Result<json::Value> PvpServer::doPrune(const json::Object &Params) {
   if (!Metric)
     return makeError(Metric.error());
   double MinFraction = 0.001;
-  if (const json::Value *MF = Params.find("minFraction"); MF)
-    MinFraction = MF->numberOr(0.001);
+  if (const json::Value *MF = Params.find("minFraction"); MF) {
+    if (!MF->isNumber())
+      return makeError("'minFraction' must be a number");
+    MinFraction = MF->asNumber();
+  }
   if (MinFraction < 0.0 || MinFraction > 1.0)
     return makeError("'minFraction' must be in [0, 1]");
   Profile Pruned = pruneByFraction(**P, *Metric, MinFraction);

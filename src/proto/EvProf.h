@@ -29,6 +29,14 @@
 ///                    uint32 metric = 3; double value = 4; }
 /// \endcode
 ///
+/// The field numbers double as the canonical order: a stream carries its
+/// name, then strings, metrics, frames, nodes and groups, so every entry
+/// arrives before anything that references it. writeEvProf, any protobuf
+/// serializer of the schema and every appended section (pvp/append) emit
+/// that order. The decoder (proto/EvProfStream.h) resolves references as
+/// they arrive and refuses a stream that refers to a string, metric, frame
+/// or node before that entry appears ("... reference out of range").
+///
 /// Children lists are not serialized: they are derivable from parent links,
 /// which keeps the on-disk profile compact (paper §IV-A: the CCT
 /// "minimizes the storage in both memory and disk").

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Field numbers of the .evprof protobuf schema (see proto/EvProf.h for the
-/// message definitions). Shared between the batch codec (EvProf.cpp) and
-/// the streaming decoder (EvProfStream.cpp) so the two can never drift.
+/// message definitions). Shared by the encoder (EvProf.cpp), the decoder
+/// (EvProfStream.cpp) and the lint wire scan (analysis/ProfileLint.cpp) so
+/// they can never drift.
 ///
 //===----------------------------------------------------------------------===//
 

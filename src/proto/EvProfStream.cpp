@@ -1,4 +1,4 @@
-//===- proto/EvProfStream.cpp - Incremental .evprof decoding --------------===//
+//===- proto/EvProfStream.cpp - The .evprof decoder -----------------------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
@@ -9,29 +9,125 @@
 #include "proto/EvProfFields.h"
 #include "support/ProtoWire.h"
 
+#include <algorithm>
+
 namespace ev {
 
 using namespace evprof;
 
+namespace {
+
+/// The top-level field at the front of a buffer.
+struct FieldSpan {
+  uint32_t Number = 0;
+  WireType Type = WireType::Varint;
+  std::string_view Payload; ///< Body of a length-delimited field.
+  size_t Size = 0;          ///< Encoded bytes, tag included; 0 if cut off.
+};
+
+/// Locates the top-level field at the front of \p In. \returns false on
+/// structural corruption, including a length past \p MaxLen, which no
+/// later chunk could complete. A field \p In holds only part of comes back
+/// with Size == 0.
+bool scanField(std::string_view In, size_t MaxLen, FieldSpan &F) {
+  VarintReader VR(In.data(), In.size());
+  // A varint that runs off the end of a short buffer may complete with
+  // the next chunk; one that is still unterminated after ten bytes never
+  // will.
+  auto ReadVarint = [&VR](uint64_t &V) {
+    size_t Avail = VR.remaining();
+    V = VR.readVarint();
+    return !VR.failed() || Avail < 10;
+  };
+  uint64_t Tag = 0;
+  if (!ReadVarint(Tag))
+    return false;
+  if (VR.failed())
+    return true;
+  F.Number = static_cast<uint32_t>(Tag >> 3);
+  F.Type = static_cast<WireType>(Tag & 7);
+  if (F.Number == 0)
+    return false;
+  switch (F.Type) {
+  case WireType::Varint: {
+    uint64_t Ignored = 0;
+    if (!ReadVarint(Ignored))
+      return false;
+    if (VR.failed())
+      return true;
+    break;
+  }
+  case WireType::Fixed64:
+  case WireType::Fixed32: {
+    size_t Width = F.Type == WireType::Fixed64 ? 8 : 4;
+    if (VR.remaining() < Width)
+      return true;
+    VR.skip(Width);
+    break;
+  }
+  case WireType::LengthDelimited: {
+    uint64_t Len = 0;
+    if (!ReadVarint(Len) || Len > MaxLen)
+      return false;
+    if (VR.failed() || VR.remaining() < Len)
+      return true;
+    F.Payload = std::string_view(
+        reinterpret_cast<const char *>(VR.current()),
+        static_cast<size_t>(Len));
+    VR.skip(static_cast<size_t>(Len));
+    break;
+  }
+  default:
+    return false;
+  }
+  F.Size = VR.position();
+  return true;
+}
+
+} // namespace
+
 EvProfStreamDecoder::EvProfStreamDecoder(const DecodeLimits &L)
     : Limits(L), Guard(Limits) {}
 
-Result<bool> EvProfStreamDecoder::poison(std::string Message) {
+Error EvProfStreamDecoder::poison(std::string Message) {
   Poisoned = true;
   Diag = std::move(Message);
   return makeError(Diag);
 }
 
-namespace {
-
-/// Raw node exactly as the batch decoder stages it.
-struct RawNode {
-  uint64_t ParentPlus1 = 0;
-  uint64_t FrameRef = 0;
-  std::vector<MetricValue> Values;
-};
-
-} // namespace
+void EvProfStreamDecoder::reserveFor(std::string_view Bytes) {
+  // One tag-skimming pass that never parses a submessage. The counts are
+  // only hints: a malformed tail surfaces in the decode that follows, and
+  // the caps keep a hostile census from reserving past the decode limits.
+  size_t Strings = 0, StringBytes = 0, Frames = 0, Nodes = 0;
+  ProtoReader R(Bytes);
+  while (R.next()) {
+    switch (R.fieldNumber()) {
+    case FProfileString:
+      ++Strings;
+      StringBytes += R.bytes().size();
+      break;
+    case FProfileFrame:
+      ++Frames;
+      R.skip();
+      break;
+    case FProfileNode:
+      ++Nodes;
+      R.skip();
+      break;
+    default:
+      R.skip();
+    }
+  }
+  Strings = std::min(Strings, Limits.MaxStrings);
+  Frames = std::min(Frames, Limits.MaxFrames);
+  Nodes = std::min(Nodes, Limits.MaxNodes);
+  P.reserveStrings(Strings, StringBytes);
+  P.reserve(Nodes, Frames);
+  StringMap.reserve(Strings);
+  FrameMap.reserve(Frames);
+  Depths.reserve(Nodes);
+}
 
 Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
                                               std::string_view Payload) {
@@ -85,6 +181,9 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
     }
     if (R.failed())
       return poison("malformed Metric message");
+    // A duplicate is refused the moment it arrives: metric ids are
+    // positional, so folding it onto one column would misattribute every
+    // later per-node value.
     for (const MetricDescriptor &Seen : P.metrics())
       if (Seen.Name == M.Name)
         return poison("duplicate metric descriptor '" + M.Name +
@@ -151,15 +250,16 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
   case FProfileNode: {
     if (!Guard.chargeNode())
       return poison(Guard.error());
-    RawNode N;
+    uint64_t ParentPlus1 = 0, FrameRef = 0;
+    NodeValues.clear();
     ProtoReader R(Payload);
     while (R.next()) {
       switch (R.fieldNumber()) {
       case FNodeParentPlus1:
-        N.ParentPlus1 = R.varint();
+        ParentPlus1 = R.varint();
         break;
       case FNodeFrame:
-        N.FrameRef = R.varint();
+        FrameRef = R.varint();
         break;
       case FNodeValue: {
         MetricValue MV;
@@ -180,7 +280,7 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
           return poison("malformed MetricValue message");
         if (!Guard.chargeAlloc(sizeof(MetricValue)))
           return poison(Guard.error());
-        N.Values.push_back(MV);
+        NodeValues.push_back(MV);
         break;
       }
       default:
@@ -189,37 +289,33 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
     }
     if (R.failed())
       return poison("malformed Node message");
-    // Canonical order puts the whole metric schema ahead of the first
-    // node, so the batch decoder's end-of-decode range check is
-    // equivalent to checking here, eagerly.
-    for (const MetricValue &MV : N.Values)
+    for (const MetricValue &MV : NodeValues)
       if (MV.Metric >= P.metrics().size())
         return poison("node metric reference out of range");
     size_t I = WireNodes;
-    Result<FrameId> F = MapFrame(N.FrameRef);
+    Result<FrameId> F = MapFrame(FrameRef);
     if (!F)
       return poison(F.error());
+    NodeId Id = P.root();
+    uint32_t Depth = 0;
     if (I == 0) {
-      if (N.ParentPlus1 != 0)
+      if (ParentPlus1 != 0)
         return poison("first node is not a root");
       // Wire node 0 maps onto the implicit root.
-      P.setFrame(P.root(), *F);
-      for (const MetricValue &MV : N.Values)
-        P.appendValue(P.root(), MV);
-      Depths.push_back(0);
+      P.setFrame(Id, *F);
     } else {
-      if (N.ParentPlus1 == 0 || N.ParentPlus1 > I)
+      if (ParentPlus1 == 0 || ParentPlus1 > I)
         return poison("node " + std::to_string(I) +
                       " has invalid parent reference");
-      uint32_t Depth = Depths[N.ParentPlus1 - 1] + 1;
+      Depth = Depths[ParentPlus1 - 1] + 1;
       if (!Guard.checkDepth(Depth))
         return poison(Guard.error());
       // createNode appends sequentially, so wire ids equal NodeIds.
-      NodeId Id = P.createNode(static_cast<NodeId>(N.ParentPlus1 - 1), *F);
-      for (const MetricValue &MV : N.Values)
-        P.appendValue(Id, MV);
-      Depths.push_back(Depth);
+      Id = P.createNode(static_cast<NodeId>(ParentPlus1 - 1), *F);
     }
+    for (const MetricValue &MV : NodeValues)
+      P.appendValue(Id, MV);
+    Depths.push_back(Depth);
     ++WireNodes;
     return true;
   }
@@ -227,7 +323,8 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
   case FProfileGroup: {
     uint64_t Kind = 0, Metric = 0;
     double Value = 0.0;
-    std::vector<uint64_t> Contexts;
+    std::vector<NodeId> Contexts;
+    bool Dangling = false;
     ProtoReader R(Payload);
     while (R.next()) {
       switch (R.fieldNumber()) {
@@ -240,7 +337,9 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
         while (!VR.atEnd() && !VR.failed()) {
           if (!Guard.chargeAlloc(sizeof(uint64_t)))
             return poison(Guard.error());
-          Contexts.push_back(VR.readVarint());
+          uint64_t Ctx = VR.readVarint();
+          Dangling |= Ctx >= P.nodeCount();
+          Contexts.push_back(static_cast<NodeId>(Ctx));
         }
         if (VR.failed())
           return poison("malformed packed context list");
@@ -263,19 +362,14 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
       return poison(KindId.error());
     if (Metric >= P.metrics().size())
       return poison("group metric reference out of range");
-    std::vector<NodeId> Nodes;
-    Nodes.reserve(Contexts.size());
-    for (uint64_t Ctx : Contexts) {
-      if (Ctx >= P.nodeCount())
-        return poison("group context reference out of range");
-      Nodes.push_back(static_cast<NodeId>(Ctx));
-    }
-    P.addGroup(*KindId, Nodes, static_cast<MetricId>(Metric), Value);
+    if (Dangling)
+      return poison("group context reference out of range");
+    P.addGroup(*KindId, Contexts, static_cast<MetricId>(Metric), Value);
     return true;
   }
 
   default:
-    return true; // Unknown top-level fields are tolerated, as in batch.
+    return true; // Unknown top-level fields are tolerated.
   }
 }
 
@@ -283,98 +377,50 @@ Result<size_t> EvProfStreamDecoder::feed(std::string_view Bytes) {
   if (Poisoned)
     return makeError(Diag);
   Total += Bytes.size();
-  if (Total > Limits.MaxInputBytes) {
-    poison("input of " + std::to_string(Total) +
-           " bytes exceeds the decode limit");
-    return makeError(Diag);
-  }
-  Pending.append(Bytes);
+  if (Total > Limits.MaxInputBytes)
+    return poison("input of " + std::to_string(Total) +
+                  " bytes exceeds the decode limit");
 
   if (!MagicSeen) {
+    size_t Take = std::min(Bytes.size(), EvProfMagic.size() - Pending.size());
+    Pending.append(Bytes.substr(0, Take));
+    Bytes.remove_prefix(Take);
     if (Pending.size() < EvProfMagic.size())
       return size_t(0);
-    if (!isEvProf(Pending)) {
-      poison("not an .evprof stream: bad magic");
-      return makeError(Diag);
-    }
-    Pending.erase(0, EvProfMagic.size());
+    if (!isEvProf(Pending))
+      return poison("not an .evprof stream: bad magic");
+    Pending.clear();
     MagicSeen = true;
+    reserveFor(Bytes);
   }
 
+  // Complete fields decode straight from the caller's bytes; only a field
+  // cut off at the end of the chunk is copied into Pending.
+  bool Buffered = !Pending.empty();
+  if (Buffered)
+    Pending.append(Bytes);
+  std::string_view In = Buffered ? std::string_view(Pending) : Bytes;
   size_t NodesBefore = WireNodes;
   size_t Off = 0;
-  for (;;) {
-    VarintReader VR(Pending.data() + Off, Pending.size() - Off);
-    if (VR.atEnd())
-      break;
-    size_t Avail = VR.remaining();
-    uint64_t Tag = VR.readVarint();
-    if (VR.failed()) {
-      if (Avail < 10)
-        break; // Possibly a varint split across feeds; wait for more.
-      poison("malformed EvProfile message");
-      return makeError(Diag);
-    }
-    uint32_t Field = static_cast<uint32_t>(Tag >> 3);
-    auto WT = static_cast<WireType>(Tag & 7);
-
-    std::string_view Payload;
-    bool Decodable = false;
-    if (WT == WireType::LengthDelimited) {
-      size_t LenAvail = VR.remaining();
-      uint64_t Len = VR.readVarint();
-      if (VR.failed()) {
-        if (LenAvail < 10)
-          break;
-        poison("malformed EvProfile message");
-        return makeError(Diag);
-      }
-      if (Len > Limits.MaxInputBytes) {
-        poison("input of " + std::to_string(Len) +
-               " bytes exceeds the decode limit");
-        return makeError(Diag);
-      }
-      if (VR.remaining() < Len)
-        break; // Field body not fully buffered yet.
-      Payload = std::string_view(
-          reinterpret_cast<const char *>(VR.current()),
-          static_cast<size_t>(Len));
-      VR.skip(static_cast<size_t>(Len));
-      Decodable = true;
-    } else if (WT == WireType::Varint) {
-      size_t VAvail = VR.remaining();
-      VR.readVarint();
-      if (VR.failed()) {
-        if (VAvail < 10)
-          break;
-        poison("malformed EvProfile message");
-        return makeError(Diag);
-      }
-    } else if (WT == WireType::Fixed64) {
-      if (VR.remaining() < 8)
-        break;
-      VR.skip(8);
-    } else if (WT == WireType::Fixed32) {
-      if (VR.remaining() < 4)
-        break;
-      VR.skip(4);
-    } else {
-      poison("malformed EvProfile message");
-      return makeError(Diag);
-    }
-
-    if (Field >= FProfileName && Field <= FProfileGroup && !Decodable) {
-      // A known field with the wrong wire type is structural corruption;
-      // the batch decoder fails the same way.
-      poison("malformed EvProfile message");
-      return makeError(Diag);
-    }
-    if (Decodable)
-      if (Result<bool> R = decodeField(Field, Payload); !R)
+  while (Off < In.size()) {
+    FieldSpan F;
+    if (!scanField(In.substr(Off), Limits.MaxInputBytes, F))
+      return poison("malformed EvProfile message");
+    if (F.Size == 0)
+      break; // Wait for the rest of the field.
+    if (F.Number <= FProfileGroup) {
+      // A known field with the wrong wire type is structural corruption.
+      if (F.Type != WireType::LengthDelimited)
+        return poison("malformed EvProfile message");
+      if (Result<bool> R = decodeField(F.Number, F.Payload); !R)
         return makeError(R.error());
-    Off += VR.position();
+    }
+    Off += F.Size;
   }
-  Pending.erase(0, Off);
+  if (Buffered)
+    Pending.erase(0, Off);
+  else
+    Pending.assign(In.substr(Off));
   return WireNodes - NodesBefore;
 }
 
@@ -384,6 +430,26 @@ Result<Profile> EvProfStreamDecoder::snapshot() const {
   if (WireNodes == 0)
     return makeError("profile stream has no nodes");
   return P.build();
+}
+
+Result<Profile> EvProfStreamDecoder::finish() {
+  if (Poisoned)
+    return makeError(Diag);
+  if (!MagicSeen)
+    return poison("not an .evprof stream: bad magic");
+  if (!Pending.empty())
+    return poison("malformed EvProfile message");
+  if (WireNodes == 0)
+    return poison("profile stream has no nodes");
+  // Release the wire-id tables before the builder freezes, so they never
+  // sit beside the frozen block.
+  StringMap = {};
+  FrameMap = {};
+  Depths = {};
+  NodeValues = {};
+  Profile Out = P.take();
+  poison("the stream was already finished");
+  return Out;
 }
 
 } // namespace ev

@@ -9,9 +9,12 @@
 
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
+#include "proto/EvProfStream.h"
 #include "support/Rng.h"
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ev {
@@ -149,6 +152,23 @@ inline std::vector<std::string> growthStageBytes(size_t Stages,
 inline std::string sectionBytes(const std::vector<std::string> &Stages,
                                 size_t From) {
   return Stages[From + 1].substr(Stages[From].size());
+}
+
+/// Decodes \p Bytes with one EvProfStreamDecoder fed in chunks that end
+/// at each of \p Cuts (any order, duplicates allowed), then finished.
+inline Result<Profile> decodeInChunks(std::string_view Bytes,
+                                      std::vector<size_t> Cuts) {
+  std::sort(Cuts.begin(), Cuts.end());
+  Cuts.push_back(Bytes.size());
+  EvProfStreamDecoder Decoder(DecodeLimits::defaults());
+  size_t From = 0;
+  for (size_t Cut : Cuts) {
+    if (Result<size_t> Fed = Decoder.feed(Bytes.substr(From, Cut - From));
+        !Fed)
+      return makeError(Fed.error());
+    From = Cut;
+  }
+  return Decoder.finish();
 }
 
 } // namespace test

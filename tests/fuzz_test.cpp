@@ -92,7 +92,21 @@ TEST_P(FuzzSeed, BitFlippedEvprof) {
                   R.below(Mutated.size() - EvProfMagic.size());
       Mutated[At] = static_cast<char>(Mutated[At] ^ (1 << R.below(8)));
     }
-    expectSafe(readEvProf(Mutated));
+    Result<Profile> OneShot = readEvProf(Mutated);
+    // The same bytes in 2-3 random chunks must decode the same way.
+    std::vector<size_t> Cuts;
+    for (uint64_t I = 0, N = 1 + R.below(2); I < N; ++I)
+      Cuts.push_back(R.below(Mutated.size() + 1));
+    Result<Profile> Chunked = test::decodeInChunks(Mutated, Cuts);
+    ASSERT_EQ(Chunked.ok(), OneShot.ok())
+        << "round " << Round << ": "
+        << (OneShot.ok() ? Chunked.error() : OneShot.error());
+    if (OneShot.ok())
+      EXPECT_EQ(writeEvProf(*Chunked), writeEvProf(*OneShot))
+          << "round " << Round;
+    else
+      EXPECT_EQ(Chunked.error(), OneShot.error()) << "round " << Round;
+    expectSafe(std::move(OneShot));
   }
 }
 

@@ -542,6 +542,15 @@ TEST(NetBackpressure, SlowReaderDroppedAtWriteQueueCap) {
   EXPECT_TRUE(F.sawLog("writeBackpressure"));
 }
 
+// The flood below decodes and diffs every appended section before the
+// outbox crosses its cap; ThreadSanitizer slows that path several-fold, so
+// only its build waits longer for the cut.
+#ifdef __SANITIZE_THREAD__
+constexpr int FloodCloseTimeoutMs = 90000;
+#else
+constexpr int FloodCloseTimeoutMs = 10000;
+#endif
+
 // Server-initiated pushes ride the same per-connection outbox as replies,
 // so a subscriber that stops reading must hit the same write-queue cap and
 // be dropped with the same attribution — not buffer without bound. Runs
@@ -604,7 +613,7 @@ TEST(SubscribeNet, FloodedSubscriberDroppedWithAttributedReason) {
                                  std::move(AP))))
       break; // Already cut.
   }
-  EXPECT_TRUE(C.waitForClose(10000));
+  EXPECT_TRUE(C.waitForClose(FloodCloseTimeoutMs));
   EXPECT_GE(counterValue("net.drop.writeBackpressure"), BackpressureBefore + 1);
   EXPECT_TRUE(F.sawLog("writeBackpressure"));
   // The drop invariant holds under pushes: every cut connection is

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "proto/EvProf.h"
+#include "proto/EvProfStream.h"
 #include "proto/PprofFormat.h"
 #include "support/Limits.h"
 #include "support/ProtoWire.h"
@@ -168,6 +169,92 @@ TEST(EvProf, RoundTripRandomProfiles) {
     ASSERT_TRUE(Back.ok()) << Back.error();
     expectSameShape(P, *Back);
   }
+}
+
+TEST(EvProfStream, AnySplitDecodesLikeTheWholeStream) {
+  // Every single split point of the fixed profile, then one byte a feed.
+  std::string Fixed = writeEvProf(test::makeFixedProfile());
+  Result<Profile> Whole = readEvProf(Fixed);
+  ASSERT_TRUE(Whole.ok()) << Whole.error();
+  ASSERT_EQ(writeEvProf(*Whole), Fixed);
+  std::vector<size_t> EveryByte;
+  for (size_t Split = 0; Split <= Fixed.size(); ++Split) {
+    Result<Profile> P = test::decodeInChunks(Fixed, {Split});
+    ASSERT_TRUE(P.ok()) << "split " << Split << ": " << P.error();
+    EXPECT_EQ(writeEvProf(*P), Fixed) << "split " << Split;
+    EveryByte.push_back(Split);
+  }
+  Result<Profile> Bytewise = test::decodeInChunks(Fixed, EveryByte);
+  ASSERT_TRUE(Bytewise.ok()) << Bytewise.error();
+  EXPECT_EQ(writeEvProf(*Bytewise), Fixed);
+
+  // 64 random split points per random profile: each alone, then all at
+  // once.
+  for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
+    std::string Bytes = writeEvProf(test::makeRandomProfile(Seed));
+    Result<Profile> Expected = readEvProf(Bytes);
+    ASSERT_TRUE(Expected.ok()) << Expected.error();
+    std::string ExpectedBytes = writeEvProf(*Expected);
+    Rng R(Seed);
+    std::vector<size_t> Cuts;
+    for (int I = 0; I < 64; ++I) {
+      Cuts.push_back(R.below(Bytes.size() + 1));
+      Result<Profile> P = test::decodeInChunks(Bytes, {Cuts.back()});
+      ASSERT_TRUE(P.ok()) << "seed " << Seed << " split " << Cuts.back();
+      EXPECT_EQ(writeEvProf(*P), ExpectedBytes)
+          << "seed " << Seed << " split " << Cuts.back();
+    }
+    Result<Profile> P = test::decodeInChunks(Bytes, Cuts);
+    ASSERT_TRUE(P.ok()) << "seed " << Seed << ": " << P.error();
+    EXPECT_EQ(writeEvProf(*P), ExpectedBytes) << "seed " << Seed;
+  }
+}
+
+TEST(EvProfStream, StreamCutMidFieldFailsAtFinish) {
+  std::string Bytes = writeEvProf(test::makeFixedProfile());
+  std::string_view Cut = std::string_view(Bytes).substr(0, Bytes.size() - 1);
+
+  // Fed alone the cut stream is only waiting for more bytes; the decoded
+  // prefix is already a valid profile.
+  EvProfStreamDecoder Decoder(DecodeLimits::defaults());
+  ASSERT_TRUE(Decoder.feed(Cut).ok());
+  EXPECT_TRUE(Decoder.snapshot().ok());
+  // Ending the stream there is an error, whichever way it is decoded.
+  Result<Profile> Finished = Decoder.finish();
+  ASSERT_FALSE(Finished.ok());
+  EXPECT_EQ(Finished.error(), "malformed EvProfile message");
+  Result<Profile> OneShot = readEvProf(Cut);
+  ASSERT_FALSE(OneShot.ok());
+  EXPECT_EQ(OneShot.error(), "malformed EvProfile message");
+}
+
+TEST(EvProfStream, RefusesStringsAfterTheFramesThatUseThem) {
+  // Re-emit the fixed profile's top-level fields with the string table
+  // moved behind the frames: the schema allows any field order, but the
+  // decoder resolves references as they arrive, so a frame that names a
+  // string before the string appears is refused.
+  std::string Bytes = writeEvProf(test::makeFixedProfile());
+  ProtoReader R(std::string_view(Bytes).substr(EvProfMagic.size()));
+  ProtoWriter Name, Strings, Tables, Tree; // 1; 2; 3 and 4; 5 and 6.
+  while (R.next()) {
+    uint32_t Field = R.fieldNumber();
+    ProtoWriter &To = Field == 1   ? Name
+                      : Field == 2 ? Strings
+                      : Field <= 4 ? Tables
+                                   : Tree;
+    To.writeBytes(Field, R.bytes());
+  }
+  ASSERT_FALSE(R.failed());
+  std::string Canonical(EvProfMagic);
+  Canonical += Name.buffer() + Strings.buffer() + Tables.buffer() +
+               Tree.buffer();
+  ASSERT_EQ(Canonical, Bytes);
+
+  std::string Moved(EvProfMagic);
+  Moved += Name.buffer() + Tables.buffer() + Strings.buffer() + Tree.buffer();
+  Result<Profile> P = readEvProf(Moved);
+  ASSERT_FALSE(P.ok());
+  EXPECT_EQ(P.error(), "string reference out of range");
 }
 
 //===----------------------------------------------------------------------===

@@ -188,6 +188,50 @@ TEST(PvpMetricParam, HistogramRejectsAnInvalidMetric) {
   EXPECT_EQ(Histogram(std::nullopt), "ok");
 }
 
+namespace {
+
+/// Calls \p Method on a fresh fixed profile with \p Key set to \p Value,
+/// or left out when \p Value is empty.
+std::string withOptionalParam(const char *Method, const char *Key,
+                              std::optional<json::Value> Value) {
+  PvpServer Server;
+  json::Object P;
+  P.set("profile", Server.addProfile(test::makeFixedProfile()));
+  if (Value)
+    P.set(Key, std::move(*Value));
+  return replyStatus(Server, Method, std::move(P));
+}
+
+} // namespace
+
+TEST(PvpOptionalParam, FlameRejectsANonStringShape) {
+  EXPECT_EQ(withOptionalParam("pvp/flame", "shape", json::Value(int64_t(1))),
+            invalidParams("'shape' must be a string"));
+  EXPECT_EQ(withOptionalParam("pvp/flame", "shape", json::Value("bottom-up")),
+            "ok");
+  EXPECT_EQ(withOptionalParam("pvp/flame", "shape", std::nullopt), "ok");
+}
+
+TEST(PvpOptionalParam, TreeTableRejectsANonArrayExpand) {
+  EXPECT_EQ(withOptionalParam("pvp/treeTable", "expand", json::Value("1")),
+            invalidParams("'expand' must be an array of node ids"));
+  EXPECT_EQ(withOptionalParam("pvp/treeTable", "expand",
+                              json::Value(json::Array{json::Value(1)})),
+            "ok");
+  EXPECT_EQ(withOptionalParam("pvp/treeTable", "expand", std::nullopt),
+            "ok");
+}
+
+TEST(PvpOptionalParam, PruneRejectsANonNumberMinFraction) {
+  EXPECT_EQ(
+      withOptionalParam("pvp/prune", "minFraction", json::Value("0.5")),
+      invalidParams("'minFraction' must be a number"));
+  EXPECT_EQ(withOptionalParam("pvp/prune", "minFraction", json::Value(0.5)),
+            "ok");
+  EXPECT_EQ(withOptionalParam("pvp/prune", "minFraction", std::nullopt),
+            "ok");
+}
+
 TEST_F(PvpActionsTest, ButterflyOverRpc) {
   json::Object P;
   P.set("profile", ProfileId);
