@@ -1,4 +1,4 @@
-//===- bench/bench_evql.cpp - Interpreter vs bytecode VM ablation ---------===//
+//===- bench/bench_evql.cpp - EVQL oracle vs bytecode VM ablation ---------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
@@ -8,9 +8,9 @@
 /// The EVQL execution ablation behind pvp/query. Two phases:
 ///
 ///  1. Node-visit sweep: a derive/keep-heavy program over a large
-///     synthetic CCT, tree-walking interpreter versus compile-once +
-///     runCompiled. Outputs are asserted byte-identical first (the
-///     interpreter is the oracle), then both engines are timed.
+///     synthetic CCT, the tree-walking test oracle (tests/EvqlOracle.h)
+///     versus compile-once + runCompiled, the production engine. Outputs
+///     are asserted byte-identical first, then both are timed.
 ///  2. Warm compiled-program cache: a parse-heavy source through
 ///     pvp/query end to end. The first call pays lex/parse/compile; warm
 ///     calls hit the ProgramCache in ViewCache and skip the frontend.
@@ -27,8 +27,8 @@
 #include "ide/MockIde.h"
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
+#include "EvqlOracle.h"
 #include "query/Compiler.h"
-#include "query/Interpreter.h"
 #include "query/Parser.h"
 #include "query/Vm.h"
 #include "support/FileIo.h"
@@ -176,25 +176,21 @@ int main(int argc, char **argv) {
   std::shared_ptr<const evql::CompiledProgram> Compiled =
       evql::compileProgram(*Prog, AnalysisLimits());
   double CompileMs = nowMs() - T0;
-  if (!Compiled) {
-    std::fprintf(stderr, "bench_evql: compiler rejected the sweep source\n");
-    return 1;
-  }
 
   // Oracle check before timing anything: byte-identical outputs.
-  Result<evql::QueryOutput> OracleOut = evql::runProgram(Sweep, *Prog);
+  Result<evql::QueryOutput> OracleOut = evql::oracle::runProgram(Sweep, *Prog);
   Result<evql::QueryOutput> VmOut = evql::runCompiled(Sweep, *Compiled);
   if (!OracleOut || !VmOut ||
       outputFingerprint(*OracleOut) != outputFingerprint(*VmOut)) {
     std::fprintf(stderr,
-                 "bench_evql: VM output diverged from the interpreter\n");
+                 "bench_evql: VM output diverged from the oracle\n");
     return 1;
   }
 
   double InterpMs = 1e30, VmMs = 1e30;
   for (int R = 0; R < Reps; ++R) {
     T0 = nowMs();
-    Result<evql::QueryOutput> O = evql::runProgram(Sweep, *Prog);
+    Result<evql::QueryOutput> O = evql::oracle::runProgram(Sweep, *Prog);
     double Ms = nowMs() - T0;
     if (!O)
       return 1;

@@ -16,7 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Diff.h"
-#include "query/Interpreter.h"
+#include "query/Vm.h"
 #include "support/Strings.h"
 #include "workload/ScalingWorkload.h"
 

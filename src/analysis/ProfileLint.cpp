@@ -87,41 +87,6 @@ using namespace evprof;
 
 namespace {
 
-/// Table sizes discovered by the counting pass.
-struct WireIndex {
-  size_t Strings = 0;
-  size_t Metrics = 0;
-  size_t Frames = 0;
-  size_t Nodes = 0;
-  bool Malformed = false;
-};
-
-WireIndex countTables(std::string_view Bytes) {
-  WireIndex Index;
-  ProtoReader R(Bytes);
-  while (R.next()) {
-    switch (R.fieldNumber()) {
-    case FProfileString:
-      ++Index.Strings;
-      break;
-    case FProfileMetric:
-      ++Index.Metrics;
-      break;
-    case FProfileFrame:
-      ++Index.Frames;
-      break;
-    case FProfileNode:
-      ++Index.Nodes;
-      break;
-    default:
-      break;
-    }
-    R.skip();
-  }
-  Index.Malformed = R.failed();
-  return Index;
-}
-
 std::string ofTable(uint64_t Ref, size_t Size, const char *Table) {
   return "references " + std::string(Table) + " " + std::to_string(Ref) +
          " of a " + std::to_string(Size) + "-entry table";
@@ -138,17 +103,24 @@ void ProfileLinter::lintWire(std::string_view Bytes,
   }
   Bytes.remove_prefix(EvProfMagic.size());
 
-  WireIndex Index = countTables(Bytes);
-  if (Index.Malformed) {
-    emit(Out, "EVL100", "malformed EvProfile message",
-         "the stream truncates or corrupts a field tag or length");
-    return; // Reference checks are meaningless past the corruption point.
-  }
-
+  // References resolve against the entries that arrived before them, the
+  // way readEvProf decodes. Findings wait in Found until the walk reaches
+  // the end: past a corrupt top-level field, reference checks are
+  // meaningless, so a malformed stream yields EVL100 alone.
+  DiagnosticSet Found(Opts.Limits.MaxDiagnostics);
+  size_t Strings = 0, Metrics = 0;
   size_t FrameIdx = 0, NodeIdx = 0, GroupIdx = 0;
   ProtoReader R(Bytes);
   while (R.next()) {
     switch (R.fieldNumber()) {
+    case FProfileString:
+      ++Strings;
+      R.skip();
+      break;
+    case FProfileMetric:
+      ++Metrics;
+      R.skip();
+      break;
     case FProfileFrame: {
       ProtoReader FR(R.bytes());
       while (FR.next()) {
@@ -171,21 +143,21 @@ void ProfileLinter::lintWire(std::string_view Bytes,
           continue;
         }
         uint64_t Ref = FR.varint();
-        if (Ref >= Index.Strings)
-          emit(Out, "EVL101",
+        if (Ref >= Strings)
+          emit(Found, "EVL101",
                "frame " + std::to_string(FrameIdx) + " " + Field + " " +
-                   ofTable(Ref, Index.Strings, "string"),
+                   ofTable(Ref, Strings, "string"),
                "re-export the profile; the string table is incomplete");
       }
       if (FR.failed())
-        emit(Out, "EVL100",
+        emit(Found, "EVL100",
              "malformed Frame message at index " + std::to_string(FrameIdx));
       ++FrameIdx;
       break;
     }
     case FProfileNode: {
       if (NodeIdx >= Opts.Limits.MaxLintNodes) {
-        Out.markTruncated();
+        Found.markTruncated();
         R.skip();
         ++NodeIdx;
         break;
@@ -208,10 +180,10 @@ void ProfileLinter::lintWire(std::string_view Bytes,
           while (VR.next()) {
             if (VR.fieldNumber() == FValueMetric) {
               uint64_t Ref = VR.varint();
-              if (Ref >= Index.Metrics)
-                emit(Out, "EVL104",
+              if (Ref >= Metrics)
+                emit(Found, "EVL104",
                      "node " + std::to_string(NodeIdx) + " metric value " +
-                         ofTable(Ref, Index.Metrics, "metric"),
+                         ofTable(Ref, Metrics, "metric"),
                      "drop the value or declare the metric",
                      static_cast<NodeId>(NodeIdx));
             } else {
@@ -219,7 +191,7 @@ void ProfileLinter::lintWire(std::string_view Bytes,
             }
           }
           if (VR.failed())
-            emit(Out, "EVL100",
+            emit(Found, "EVL100",
                  "malformed MetricValue message in node " +
                      std::to_string(NodeIdx));
           break;
@@ -229,22 +201,22 @@ void ProfileLinter::lintWire(std::string_view Bytes,
         }
       }
       if (NR.failed())
-        emit(Out, "EVL100",
+        emit(Found, "EVL100",
              "malformed Node message at index " + std::to_string(NodeIdx));
       if (NodeIdx == 0 && SawParent && ParentPlus1 != 0)
-        emit(Out, "EVL105", "first node is not a root",
+        emit(Found, "EVL105", "first node is not a root",
              "node 0 must omit its parent reference", 0);
       if (NodeIdx > 0 && (ParentPlus1 == 0 || ParentPlus1 > NodeIdx))
-        emit(Out, "EVL105",
+        emit(Found, "EVL105",
              "node " + std::to_string(NodeIdx) +
                  " has parent reference " + std::to_string(ParentPlus1) +
                  "; parents must precede children",
              "serialize nodes in id order with parents first",
              static_cast<NodeId>(NodeIdx));
-      if (SawFrame && FrameRef >= Index.Frames)
-        emit(Out, "EVL102",
+      if (SawFrame && FrameRef >= FrameIdx)
+        emit(Found, "EVL102",
              "node " + std::to_string(NodeIdx) + " " +
-                 ofTable(FrameRef, Index.Frames, "frame"),
+                 ofTable(FrameRef, FrameIdx, "frame"),
              "re-export the profile; the frame table is incomplete",
              static_cast<NodeId>(NodeIdx));
       ++NodeIdx;
@@ -256,18 +228,18 @@ void ProfileLinter::lintWire(std::string_view Bytes,
         switch (GR.fieldNumber()) {
         case FGroupKind: {
           uint64_t Ref = GR.varint();
-          if (Ref >= Index.Strings)
-            emit(Out, "EVL101",
+          if (Ref >= Strings)
+            emit(Found, "EVL101",
                  "group " + std::to_string(GroupIdx) + " kind " +
-                     ofTable(Ref, Index.Strings, "string"));
+                     ofTable(Ref, Strings, "string"));
           break;
         }
         case FGroupMetric: {
           uint64_t Ref = GR.varint();
-          if (Ref >= Index.Metrics)
-            emit(Out, "EVL104",
+          if (Ref >= Metrics)
+            emit(Found, "EVL104",
                  "group " + std::to_string(GroupIdx) + " " +
-                     ofTable(Ref, Index.Metrics, "metric"));
+                     ofTable(Ref, Metrics, "metric"));
           break;
         }
         case FGroupContext: {
@@ -275,14 +247,14 @@ void ProfileLinter::lintWire(std::string_view Bytes,
           VarintReader VR(Packed.data(), Packed.size());
           while (!VR.atEnd() && !VR.failed()) {
             uint64_t Ref = VR.readVarint();
-            if (Ref >= Index.Nodes)
-              emit(Out, "EVL103",
+            if (Ref >= NodeIdx)
+              emit(Found, "EVL103",
                    "group " + std::to_string(GroupIdx) + " context " +
-                       ofTable(Ref, Index.Nodes, "node"),
+                       ofTable(Ref, NodeIdx, "node"),
                    "context groups may only reference decoded CCT nodes");
           }
           if (VR.failed())
-            emit(Out, "EVL100",
+            emit(Found, "EVL100",
                  "malformed packed context list in group " +
                      std::to_string(GroupIdx));
           break;
@@ -292,7 +264,7 @@ void ProfileLinter::lintWire(std::string_view Bytes,
         }
       }
       if (GR.failed())
-        emit(Out, "EVL100",
+        emit(Found, "EVL100",
              "malformed Group message at index " + std::to_string(GroupIdx));
       ++GroupIdx;
       break;
@@ -301,9 +273,15 @@ void ProfileLinter::lintWire(std::string_view Bytes,
       R.skip();
     }
   }
-  if (R.failed())
+  if (R.failed()) {
     emit(Out, "EVL100", "malformed EvProfile message",
          "the stream truncates or corrupts a field tag or length");
+    return;
+  }
+  for (const Diagnostic &D : Found.all())
+    Out.add(D);
+  if (Found.truncated())
+    Out.markTruncated();
 }
 
 void ProfileLinter::lintProfile(const Profile &P, DiagnosticSet &Out) const {

@@ -73,7 +73,10 @@ public:
   explicit ProfileLinter(LintOptions Opts = {}) : Opts(std::move(Opts)) {}
 
   /// Scans raw .evprof bytes without decoding, appending structural
-  /// corruption findings (EVL1xx) to \p Out.
+  /// corruption findings (EVL1xx) to \p Out. One pass in arrival order:
+  /// a reference must name an entry that came before it, as readEvProf
+  /// requires. A stream whose top-level framing is corrupt yields only
+  /// EVL100.
   void lintWire(std::string_view Bytes, DiagnosticSet &Out) const;
 
   /// Runs the decoded-profile rules (EVL2xx) over \p P.

@@ -77,7 +77,7 @@ using evql::Program;
 using evql::Stmt;
 using evql::TokenKind;
 
-/// A folded compile-time constant. Folding mirrors the interpreter exactly
+/// A folded compile-time constant. Folding mirrors the engine exactly
 /// (x / 0 == 0, bool-to-number coercion, ...) so EVQL008/EVQL007 never
 /// claim something the runtime would contradict.
 struct ConstVal {
@@ -107,7 +107,7 @@ struct ConstVal {
   }
 };
 
-/// Truthiness under the interpreter's evalBool: bools as-is, numbers
+/// Truthiness under the engine's condition coercion: bools as-is, numbers
 /// against zero, strings are not conditions.
 std::optional<bool> truthy(const ConstVal &C) {
   if (C.K == ConstVal::Kind::Bool)
@@ -117,7 +117,7 @@ std::optional<bool> truthy(const ConstVal &C) {
   return std::nullopt;
 }
 
-/// Numeric value under the interpreter's evalNumber coercions.
+/// Numeric value under the engine's number coercions.
 std::optional<double> asNumber(const ConstVal &C) {
   if (C.K == ConstVal::Kind::Num)
     return C.Num;
@@ -132,8 +132,8 @@ struct ExprInfo {
   ConstVal Const;
 };
 
-/// Signature of one interpreter builtin (query/Interpreter.cpp evalCall is
-/// the source of truth; sema_test locks the two tables together).
+/// Signature of one EVQL builtin (the compiler's compileCall is the source
+/// of truth).
 struct BuiltinSig {
   std::string_view Name;
   uint8_t Arity;
@@ -188,7 +188,7 @@ const BuiltinSig *findBuiltin(std::string_view Name) {
 }
 
 /// Can a value of \p Actual flow where \p Want is required, under the
-/// interpreter's coercions? Unknown on either side stays quiet: one
+/// engine's coercions? Unknown on either side stays quiet: one
 /// diagnostic per root cause, no cascades.
 bool compatible(SemaType Actual, SemaType Want) {
   if (Actual == SemaType::Unknown || Want == SemaType::Unknown)
@@ -434,6 +434,19 @@ private:
     }
     if (Then.Type == Else.Type)
       return {Then.Type, {}};
+    // The engine's registers are statically typed, so a ternary whose
+    // branches disagree traps on every lane that reaches it.
+    if (Then.Type != SemaType::Unknown && Else.Type != SemaType::Unknown) {
+      auto Name = [](SemaType T) {
+        return T == SemaType::Bool ? std::string("condition")
+                                   : std::string(semaTypeName(T));
+      };
+      report("EVQL005", Severity::Error, E.Line, E.Column,
+             "ternary branches have different types (" + Name(Then.Type) +
+                 " and " + Name(Else.Type) + ")",
+             "type-mismatch",
+             "convert one branch, e.g. with str() or a comparison");
+    }
     return {};
   }
 
@@ -600,9 +613,10 @@ private:
              "'" + E.Text + "' expects " + std::to_string(Sig->Arity) +
                  " argument(s), got " + std::to_string(E.Operands.size()),
              "wrong-arity", "");
-      return {Sig->Ret, {}};
+      return {}; // Always fails at runtime, so it has no type to flow.
     }
-    if (Sig->NeedsNode && !NodeCtx)
+    bool Misplaced = Sig->NeedsNode && !NodeCtx;
+    if (Misplaced)
       report("EVQL011", Severity::Error, E.Line, E.Column,
              "'" + E.Text + "()' needs a node context", "node-context",
              "use it inside 'derive', 'prune when', or 'keep when'");
@@ -620,6 +634,8 @@ private:
           Arg.Const.K == ConstVal::Kind::Str && Opts.MetricSource)
         checkMetricName(Arg.Const.Str, *E.Operands[0]);
     }
+    if (Misplaced)
+      return {};
     return {Sig->Ret, {}};
   }
 
@@ -666,13 +682,12 @@ void SemaChecker::check(const evql::Program &Prog, DiagnosticSet &Out) const {
 
 void SemaChecker::checkSource(std::string_view Source,
                               DiagnosticSet &Out) const {
-  if (Source.size() > Opts.Limits.MaxProgramBytes) {
+  if (std::optional<std::string> TooLarge =
+          evql::programSizeError(Source, Opts.Limits)) {
     Diagnostic D;
     D.Id = "EVQL013";
     D.Sev = Severity::Error;
-    D.Message = "program of " + std::to_string(Source.size()) +
-                " bytes exceeds the analysis limit of " +
-                std::to_string(Opts.Limits.MaxProgramBytes);
+    D.Message = std::move(*TooLarge);
     D.Rule = "program-too-large";
     D.Line = 1;
     D.Column = 1;

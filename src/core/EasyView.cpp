@@ -105,10 +105,7 @@ Result<evql::QueryOutput> EasyViewEngine::query(int64_t Id,
   const Profile *P = profile(Id);
   if (!P)
     return makeError("no profile with id " + std::to_string(Id));
-  // Compile-and-batch by default; the VM falls back to the interpreter for
-  // the rare program the compiler rejects, with identical results either
-  // way (the interpreter is the oracle).
-  return evql::runProgramAuto(*P, Program);
+  return evql::runProgram(*P, Program);
 }
 
 Result<AggregatedProfile>

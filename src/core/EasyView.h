@@ -31,7 +31,7 @@
 #include "analysis/Diff.h"
 #include "ide/MockIde.h"
 #include "profile/Profile.h"
-#include "query/Interpreter.h"
+#include "query/Vm.h"
 #include "render/FlameLayout.h"
 
 #include <string>

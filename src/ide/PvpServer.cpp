@@ -22,7 +22,6 @@
 #include "convert/Exporters.h"
 #include "proto/EvProf.h"
 #include "render/CorrelatedView.h"
-#include "query/Interpreter.h"
 #include "query/Parser.h"
 #include "query/Vm.h"
 #include "render/CodeAnnotations.h"
@@ -836,6 +835,9 @@ Result<json::Value> PvpServer::doQuery(const json::Object &Params) {
     return makeError("missing 'program' parameter");
 
   const std::string &Source = ProgV->asString();
+  if (std::optional<std::string> TooLarge =
+          evql::programSizeError(Source, Limits.Analysis))
+    return makeError(std::move(*TooLarge));
   int64_t SourceId = 0;
   intParam(Params, "profile", SourceId); // Validated by lookup() above.
 
@@ -847,39 +849,31 @@ Result<json::Value> PvpServer::doQuery(const json::Object &Params) {
       Source, SourceId, Store->generationOf(SourceId));
   std::shared_ptr<const evql::CompiledProgram> Compiled =
       Cache->programs().lookup(CacheKey);
-  std::optional<Result<evql::QueryOutput>> Out;
-  if (Compiled) {
-    Out.emplace(evql::runCompiled(**P, *Compiled));
-  } else {
+  if (!Compiled) {
     Result<evql::Program> Prog = evql::parseProgram(Source);
     if (!Prog)
       return makeError(Prog.error());
     Compiled = evql::compileProgram(*Prog, Limits.Analysis);
-    // The interpreter stays the oracle: programs the compiler rejects
-    // (data-dependent types) run through it with identical results.
-    Out.emplace(Compiled ? evql::runCompiled(**P, *Compiled)
-                         : evql::runProgram(**P, *Prog, Limits.Analysis));
   }
-  if (!*Out)
-    return makeError(Out->error());
+  Result<evql::QueryOutput> Out = evql::runCompiled(**P, *Compiled);
+  if (!Out)
+    return makeError(Out.error());
   Store->bumpGeneration(SourceId);
   // Re-insert under the POST-bump key: the bump above retires the key we
   // looked up, so caching against the new generation is what lets the next
   // identical query hit warm while append-driven bumps still invalidate.
-  if (Compiled)
-    Cache->programs().insert(
-        evql::programCacheKey(Source, SourceId,
-                              Store->generationOf(SourceId)),
-        Compiled);
+  Cache->programs().insert(
+      evql::programCacheKey(Source, SourceId, Store->generationOf(SourceId)),
+      Compiled);
 
   json::Object Reply;
-  Reply.set("profile", addProfile(std::move((*Out)->Result)));
+  Reply.set("profile", addProfile(std::move(Out->Result)));
   json::Array Printed;
-  for (std::string &Line : (*Out)->Printed)
+  for (std::string &Line : Out->Printed)
     Printed.push_back(std::move(Line));
   Reply.set("printed", std::move(Printed));
   json::Array Derived;
-  for (std::string &Name : (*Out)->DerivedMetrics)
+  for (std::string &Name : Out->DerivedMetrics)
     Derived.push_back(std::move(Name));
   Reply.set("derived", std::move(Derived));
   return json::Value(std::move(Reply));

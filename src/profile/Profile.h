@@ -212,8 +212,8 @@ private:
 /// explicitly 0, and any malformed slot — the InvalidNode sentinel on a
 /// non-root node, or a forward reference Parents[i] >= i — also maps to 0
 /// instead of indexing out of bounds (crafted trees must never turn a
-/// depth query into UB). Shared by the EVQL interpreter and the bytecode
-/// VM's precomputed depth intrinsic.
+/// depth query into UB). Backs the EVQL VM's precomputed depth intrinsic
+/// and the test oracle's depth().
 std::vector<uint32_t> depthsFromParents(std::span<const uint32_t> Parents);
 
 /// Magic bytes at the start of every spilled profile block file.

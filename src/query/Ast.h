@@ -27,8 +27,8 @@ struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
 /// Expression node. One struct with a kind discriminator keeps the
-/// interpreter a single switch (there is no need for visitors at this
-/// scale).
+/// compiler (and the test oracle) a single switch (there is no need for
+/// visitors at this scale).
 struct Expr {
   enum class Kind : uint8_t {
     NumberLit,

@@ -4,17 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The lowering mirrors the interpreter (query/Interpreter.cpp) clause by
-// clause: every compileX function corresponds to an evalX function, emits
-// operand code in the interpreter's evaluation order, and turns every
-// runtime-error branch into a masked Trap carrying the interpreter's exact
+// The lowering mirrors the tree-walking oracle (tests/EvqlOracle.cpp)
+// clause by clause: every compileX function corresponds to an evalX
+// function, emits operand code in the oracle's evaluation order, and turns
+// every runtime-error branch into a masked Trap carrying the oracle's exact
 // message. Read the two files side by side when changing either.
 //
 //===----------------------------------------------------------------------===//
 
 #include "query/Compiler.h"
 
-#include "query/Interpreter.h"
+#include "query/Vm.h"
 #include "support/Strings.h"
 
 #include <algorithm>
@@ -26,7 +26,7 @@ namespace evql {
 
 namespace {
 
-/// Compile-time constant value; mirrors the interpreter's RtValue.
+/// Compile-time constant value; mirrors the oracle's RtValue.
 struct CVal {
   VType T = VType::Num;
   double N = 0.0;
@@ -71,17 +71,27 @@ struct CVal {
 };
 
 /// A compiled expression: its static type, the register holding it, and
-/// the folded constant when the subtree was pure and constant.
+/// the folded constant when the subtree was pure and constant. Never marks
+/// an expression that traps on every lane reaching it (its type is only a
+/// placeholder), so a ternary takes its other branch's type.
 struct EV {
   VType T = VType::Num;
   uint16_t Reg = 0;
   std::optional<CVal> Const;
+  bool Never = false;
 };
 
-/// Thrown when a program cannot be statically typed (mixed-type ternary)
-/// or outgrows the register file; compileProgram catches it and returns
-/// nullptr so callers fall back to the interpreter.
-struct Unsupported {};
+const char *typeName(VType T) {
+  switch (T) {
+  case VType::Num:
+    return "number";
+  case VType::Bool:
+    return "condition";
+  case VType::Str:
+    return "string";
+  }
+  return "";
+}
 
 /// A 'let' binding in the compile-time environment.
 struct Binding {
@@ -91,12 +101,12 @@ struct Binding {
 };
 
 /// Register ids stay comfortably under the uint16 ceiling; a statement
-/// that needs more falls back to the interpreter.
+/// that needs more lowers to one trap.
 constexpr uint16_t RegCap = 0xFF00;
 
 /// Folds a non-logical binary operator over two constants, mirroring the
-/// interpreter's Binary clause exactly (including the x/0 == 0 guard the
-/// EVQL007 lint documents). \returns nullopt when the interpreter would
+/// oracle's Binary clause exactly (including the x/0 == 0 guard the
+/// EVQL007 lint documents). \returns nullopt when the oracle would
 /// raise a runtime error instead (string operand on the numeric path) —
 /// the caller then emits the code path whose trap reproduces it.
 std::optional<CVal> foldBinary(TokenKind Op, const CVal &L, const CVal &R) {
@@ -167,7 +177,7 @@ std::optional<CVal> foldBinary(TokenKind Op, const CVal &L, const CVal &R) {
 }
 
 /// Lowers the statements of one program. The environment of 'let'
-/// bindings persists across statements, like the interpreter's Globals.
+/// bindings persists across statements, like the oracle's Globals.
 class Lowering {
 public:
   Lowering(const AnalysisLimits &Limits, CompiledProgram &Out)
@@ -210,6 +220,21 @@ public:
       break;
     }
     }
+    if (Overflowed) {
+      // Nothing lowered past the register file survives: the statement
+      // becomes one trap that fails wherever it runs.
+      VType T = CS->ResultType;
+      uint16_t Slot = CS->GlobalSlot;
+      *CS = CompiledStmt();
+      CS->Kind = St.TheKind;
+      CS->Name = St.Name;
+      CS->GlobalSlot = Slot;
+      CurMask = FullMask;
+      Overflowed = false;
+      finish(trap("statement needs more than " + std::to_string(RegCap) +
+                      " registers",
+                  St.Line, T));
+    }
   }
 
 private:
@@ -219,6 +244,9 @@ private:
   std::unordered_map<std::string, Binding> Env;
   bool NodeCtx = false;
   uint16_t CurMask = FullMask;
+  /// Set when the current statement outgrew a register bank; lowering
+  /// carries on with a placeholder register and lowerStmt discards it all.
+  bool Overflowed = false;
 
   void finish(const EV &V) {
     CS->Result = V.Reg;
@@ -229,8 +257,10 @@ private:
     uint16_t *Bank = T == VType::Num    ? &CS->NumRegs
                      : T == VType::Bool ? &CS->BoolRegs
                                         : &CS->StrRegs;
-    if (*Bank >= RegCap)
-      throw Unsupported{};
+    if (*Bank >= RegCap) {
+      Overflowed = true;
+      return RegCap - 1;
+    }
     return (*Bank)++;
   }
 
@@ -238,8 +268,10 @@ private:
     uint16_t *Bank = T == VType::Num    ? &Out.NumGlobals
                      : T == VType::Bool ? &Out.BoolGlobals
                                         : &Out.StrGlobals;
-    if (*Bank >= RegCap)
-      throw Unsupported{};
+    if (*Bank >= RegCap) {
+      Overflowed = true;
+      return 0;
+    }
     return (*Bank)++;
   }
 
@@ -264,12 +296,12 @@ private:
       if (CS->SlotNames[I] == Name)
         return static_cast<uint16_t>(I);
     if (CS->SlotNames.size() >= NoSlot - 1)
-      throw Unsupported{};
+      return NoSlot; // Resolved by name per chunk instead of memoized.
     CS->SlotNames.push_back(Name);
     return static_cast<uint16_t>(CS->SlotNames.size() - 1);
   }
 
-  /// Emits a lazy runtime error with the interpreter's typeError() shape
+  /// Emits a lazy runtime error with the oracle's typeError() shape
   /// ("<what> at line <line>") and returns a dummy register of the type
   /// the surrounding code expects — lanes reaching the trap are dead, so
   /// the dummy's (zero) value is never observed.
@@ -280,6 +312,7 @@ private:
     EV V;
     V.T = T;
     V.Reg = alloc(T);
+    V.Never = true;
     return V;
   }
 
@@ -307,7 +340,7 @@ private:
     return V;
   }
 
-  // Coercion wrappers, one per interpreter evalX helper. Each passes the
+  // Coercion wrappers, one per oracle evalX helper. Each passes the
   // SAME depth through (evalNumber calls evalExpr on the same node).
 
   EV compileNumber(const Expr &E, size_t Depth) {
@@ -361,11 +394,11 @@ private:
   }
 
   EV compileExpr(const Expr &E, size_t Depth) {
-    // Mirrors the interpreter's (and Sema's EVQL012) recursion bound, and
+    // Mirrors the oracle's (and Sema's EVQL012) recursion bound, and
     // bounds the lowering recursion itself: past the budget nothing is
     // recursed into, only a trap is emitted. The trap is masked like any
     // other, so a too-deep subtree on the dead side of a short-circuit
-    // still never errors — exactly the interpreter's laziness.
+    // still never errors — exactly the oracle's laziness.
     if (Depth >= Limits.MaxExprDepth)
       return trap("expression nesting exceeds the analysis limit of " +
                       std::to_string(Limits.MaxExprDepth),
@@ -428,8 +461,8 @@ private:
     size_t Mark = CS->Code.size();
     EV Cond = compileBool(*E.Operands[0], Depth + 1);
     if (Cond.Const) {
-      // The interpreter evaluates only the taken branch; a constant
-      // condition's code is pure, so it folds away entirely.
+      // Only the taken branch is evaluated; a constant condition's code
+      // is pure, so it folds away entirely.
       rewind(Mark);
       return compileExpr(Cond.Const->B ? *E.Operands[1] : *E.Operands[2],
                          Depth + 1);
@@ -451,22 +484,32 @@ private:
     CurMask = MElse;
     EV Else = compileExpr(*E.Operands[2], Depth + 1);
     CurMask = Saved;
-    if (Then.T != Else.T)
-      throw Unsupported{}; // Data-dependent type: interpreter only.
-    uint16_t R = alloc(Then.T);
-    Op Copy = Then.T == VType::Num    ? Op::CopyNum
-              : Then.T == VType::Bool ? Op::CopyBool
-                                      : Op::CopyStr;
-    CurMask = MThen;
-    emit(Copy, R, Then.Reg);
-    CurMask = MElse;
-    emit(Copy, R, Else.Reg);
+    // Typed registers cannot hold a data-dependent type: every lane that
+    // reaches a mixed ternary traps. A branch that always traps has no
+    // type of its own and takes the other's.
+    if (Then.T != Else.T && !Then.Never && !Else.Never)
+      return trap(std::string("ternary branches have different types (") +
+                      typeName(Then.T) + " and " + typeName(Else.T) + ")",
+                  E.Line, Then.T);
+    VType T = Then.Never ? Else.T : Then.T;
+    uint16_t R = alloc(T);
+    Op Copy = T == VType::Num    ? Op::CopyNum
+              : T == VType::Bool ? Op::CopyBool
+                                 : Op::CopyStr;
+    if (!Then.Never) {
+      CurMask = MThen;
+      emit(Copy, R, Then.Reg);
+    }
+    if (!Else.Never) {
+      CurMask = MElse;
+      emit(Copy, R, Else.Reg);
+    }
     CurMask = Saved;
-    return EV{Then.T, R, std::nullopt};
+    return EV{T, R, std::nullopt, Then.Never && Else.Never};
   }
 
   EV compileBinary(const Expr &E, size_t Depth) {
-    // Short-circuit logic first, like the interpreter.
+    // Short-circuit logic first, like the oracle.
     if (E.Op == TokenKind::AmpAmp || E.Op == TokenKind::PipePipe) {
       size_t Mark = CS->Code.size();
       EV Lhs = compileBool(*E.Operands[0], Depth + 1);
@@ -537,7 +580,7 @@ private:
       }
       if (Lhs.T == VType::Str || Rhs.T == VType::Str) {
         // Mixed string/non-string never compares equal — but the
-        // interpreter still evaluated both operands, so their code (and
+        // oracle still evaluated both operands, so their code (and
         // any traps in it) stays.
         emit(Op::LoadBool, R).Imm = E.Op == TokenKind::BangEqual ? 1.0 : 0.0;
         return EV{VType::Bool, R, std::nullopt};
@@ -565,7 +608,7 @@ private:
       break;
     }
 
-    // Numeric path; the interpreter coerces LHS first, so its trap fires
+    // Numeric path; the oracle coerces LHS first, so its trap fires
     // first.
     uint16_t A = toNumeric(Lhs, E.Line);
     uint16_t B = toNumeric(Rhs, E.Line);
@@ -601,7 +644,7 @@ private:
     }
   }
 
-  /// The interpreter's AsNumber: number passes, bool coerces, string is a
+  /// The oracle's AsNumber: number passes, bool coerces, string is a
   /// runtime error at the BINARY expression's line.
   uint16_t toNumeric(const EV &V, size_t Line) {
     switch (V.T) {
@@ -854,7 +897,7 @@ private:
       return EV{VType::Str, R, std::nullopt};
     }
 
-    // The interpreter reports an unknown function without evaluating its
+    // The oracle reports an unknown function without evaluating its
     // operands, so no operand code is emitted here either.
     return trap("unknown function '" + Fn + "'", E.Line, VType::Num);
   }
@@ -865,13 +908,9 @@ private:
 std::shared_ptr<const CompiledProgram>
 compileProgram(const Program &Prog, const AnalysisLimits &Limits) {
   auto Out = std::make_shared<CompiledProgram>();
-  try {
-    Lowering L(Limits, *Out);
-    for (const Stmt &St : Prog.Statements)
-      L.lowerStmt(St);
-  } catch (const Unsupported &) {
-    return nullptr;
-  }
+  Lowering L(Limits, *Out);
+  for (const Stmt &St : Prog.Statements)
+    L.lowerStmt(St);
   return Out;
 }
 

@@ -7,32 +7,37 @@
 /// \file
 /// Lowers a parsed EVQL program into a compact register bytecode that the
 /// batched VM (query/Vm.h) sweeps over columnar profile segments. Design
-/// contract (docs/EVQL.md "Bytecode VM"): the interpreter is the oracle —
-/// a compiled program must produce byte-identical QueryOutput, and
-/// byte-identical error messages, for every input the interpreter accepts
-/// or rejects.
+/// contract (docs/EVQL.md "Execution"): the tree-walking oracle in the
+/// test suite (tests/EvqlOracle.h) defines the language — a compiled
+/// program must produce byte-identical QueryOutput, and byte-identical
+/// error messages, for every input the oracle accepts or rejects, with
+/// the two exceptions property 1 names.
 ///
 /// Three properties make that contract cheap to keep:
 ///
 ///  1. Static typing. Every expression's type (number / bool / string) is
 ///     known at compile time: literals and builtins have fixed types, and
-///     'let' bindings carry their initializer's type. The single construct
+///     'let' bindings carry their initializer's type. The one construct
 ///     that could produce a data-dependent type — a ternary whose branches
-///     disagree — makes compileProgram() return nullptr and the caller
-///     falls back to the interpreter. No other program is rejected.
+///     disagree and whose condition does not fold — lowers to a Trap
+///     ("ternary branches have different types (number and string) at
+///     line L") under the ternary's mask. A statement that needs more
+///     than 65280 registers of one bank (or global slots of one type)
+///     lowers to a single Trap ("statement needs more than 65280
+///     registers at line L"). These two are the only programs whose
+///     outcome differs from the oracle's; compileProgram() never fails.
 ///
-///  2. Lazy traps. Anything the interpreter would reject at RUNTIME
-///     (unknown identifier, arity mismatch, string in a numeric position,
-///     node builtins outside a node context, nesting past the
-///     AnalysisLimits budget) compiles into a Trap instruction carrying
-///     the interpreter's exact message. Traps respect the execution mask,
-///     so an error on the dead side of a short-circuit never fires —
-///     exactly the interpreter's laziness.
+///  2. Lazy traps. Anything the oracle would reject at RUNTIME (unknown
+///     identifier, arity mismatch, string in a numeric position, node
+///     builtins outside a node context, nesting past the AnalysisLimits
+///     budget) compiles into a Trap instruction carrying the oracle's
+///     exact message. Traps respect the execution mask, so an error on
+///     the dead side of a short-circuit never fires.
 ///
 ///  3. Oracle-faithful folding. Constant subexpressions fold at compile
-///     time using the interpreter's own semantics (x/0 == 0 like the
-///     EVQL007 lint describes, string compares, bool coercions), and only
-///     when folding cannot erase a runtime error or a side effect.
+///     time using the language's own semantics (x/0 == 0 like the EVQL007
+///     lint describes, string compares, bool coercions), and only when
+///     folding cannot erase a runtime error or a side effect.
 ///
 /// Programs are cached by ProgramCache under a (source hash, profile id,
 /// generation) key so pvp/query skips lex/parse/compile on warm hits.
@@ -78,7 +83,7 @@ enum class Op : uint8_t {
   CopyStr,       ///< str[A] = str[B]
   BoolToNum,     ///< num[A] = bool[B] ? 1 : 0
   NumToBool,     ///< bool[A] = num[B] != 0
-  // Arithmetic, guarded exactly like the interpreter (x/0 == 0).
+  // Arithmetic, guarded so that x/0 == 0.
   NegNum,        ///< num[A] = -num[B]
   AddNum, SubNum, MulNum,
   DivNum,        ///< num[A] = num[C]==0 ? 0 : num[B]/num[C]  (also ratio())
@@ -168,15 +173,12 @@ struct CompiledProgram {
   }
 };
 
-/// Lowers \p Prog to bytecode. \returns nullptr when the program uses the
-/// one construct the VM cannot statically type (a ternary whose branches
-/// have different types, directly or through a 'let') or when a statement
-/// outgrows the 16-bit register file; such programs run through the
-/// interpreter unchanged. Everything else compiles — including programs
-/// that always fail at runtime, which lower to traps reproducing the
-/// interpreter's exact diagnostics. Expressions nested past
-/// \p Limits.MaxExprDepth bound the lowering recursion the same way they
-/// bound the interpreter: a trap with the EVQL012-style message.
+/// Lowers \p Prog to bytecode. Never returns nullptr: every parsed
+/// program compiles, including programs that always fail at runtime,
+/// which lower to traps reproducing the oracle's exact diagnostics (and
+/// the two compiler-only traps of property 1 above). Expressions nested
+/// past \p Limits.MaxExprDepth bound the lowering recursion: a trap with
+/// the EVQL012-style message.
 std::shared_ptr<const CompiledProgram>
 compileProgram(const Program &Prog, const AnalysisLimits &Limits);
 

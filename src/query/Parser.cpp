@@ -358,6 +358,15 @@ RecoveredProgram parseProgramRecover(std::string_view Source) {
   return Parser(Tokens.take()).parseProgramRecover();
 }
 
+std::optional<std::string> programSizeError(std::string_view Source,
+                                            const AnalysisLimits &Limits) {
+  if (Source.size() <= Limits.MaxProgramBytes)
+    return std::nullopt;
+  return "program of " + std::to_string(Source.size()) +
+         " bytes exceeds the analysis limit of " +
+         std::to_string(Limits.MaxProgramBytes);
+}
+
 Result<ExprPtr> parseExpression(std::string_view Source) {
   Result<std::vector<Token>> Tokens = lex(Source);
   if (!Tokens)

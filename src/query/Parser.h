@@ -35,8 +35,11 @@
 #define EASYVIEW_QUERY_PARSER_H
 
 #include "query/Ast.h"
+#include "support/Limits.h"
 #include "support/Result.h"
 
+#include <optional>
+#include <string>
 #include <string_view>
 
 namespace ev {
@@ -46,6 +49,13 @@ namespace evql {
 /// and the parse stops at the first failure (see parseProgramRecover for
 /// the multi-error entry point the static analyzer uses).
 Result<Program> parseProgram(std::string_view Source);
+
+/// The EVQL013 size budget, checked before any lexing: \returns the
+/// refusal message when \p Source is longer than
+/// \p Limits.MaxProgramBytes, or std::nullopt when it fits. The static
+/// checker, evql::runProgram and pvp/query all refuse with this message.
+std::optional<std::string> programSizeError(std::string_view Source,
+                                            const AnalysisLimits &Limits);
 
 /// Parses a single expression (used by the derived-metric quick API).
 Result<ExprPtr> parseExpression(std::string_view Source);

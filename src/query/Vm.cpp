@@ -12,12 +12,12 @@
 // which the compiler's mask algebra absorbs by construction. Bool register
 // 0 is pinned all-true so Mask == FullMask costs nothing.
 //
-// Error parity with the interpreter: a Trap (or a failed metric-view
-// resolution) kills its active lanes with the interpreter's message; the
-// first instruction to kill a lane wins for that lane (instructions are
-// emitted in interpreter evaluation order), and chunks run in ascending
-// node order, so the first dead lane a sweep meets is the lowest failing
-// node, the one the interpreter stops at.
+// Error parity with the oracle (tests/EvqlOracle.h): a Trap (or a failed
+// metric-view resolution) kills its active lanes with the oracle's
+// message; the first instruction to kill a lane wins for that lane
+// (instructions are emitted in the oracle's evaluation order), and chunks
+// run in ascending node order, so the first dead lane a sweep meets is the
+// lowest failing node, the one a node-by-node walk stops at.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,7 @@
 #include "analysis/MetricEngine.h"
 #include "analysis/Prune.h"
 #include "analysis/Transform.h"
+#include "profile/ProfileBuilder.h"
 #include "query/Parser.h"
 #include "support/Strings.h"
 
@@ -35,6 +36,38 @@
 
 namespace ev {
 namespace evql {
+
+std::string renderNumber(double Value) {
+  // A double compares equal to its int64 round-trip only when the cast is
+  // defined: comparing against the truncated cast directly would itself be
+  // UB for values outside int64 range, e.g. 1e19.
+  constexpr double Int64Min = -9223372036854775808.0; // -2^63, exact
+  constexpr double Int64Max = 9223372036854775808.0;  //  2^63, exact
+  if (Value >= Int64Min && Value < Int64Max &&
+      Value == static_cast<double>(static_cast<int64_t>(Value)))
+    return std::to_string(static_cast<int64_t>(Value));
+  return formatDouble(Value, 6);
+}
+
+std::string renderFormatted(double Value, double Digits) {
+  // formatDouble's buffer caps useful precision far below this; the clamp
+  // only exists so the double->int conversion is defined for hostile digit
+  // counts (static_cast of 1e19 to int is UB).
+  double Clamped = Digits < -1000.0 ? -1000.0
+                   : Digits > 1000.0 ? 1000.0
+                                     : Digits;
+  return formatDouble(Value, static_cast<int>(Clamped));
+}
+
+Profile withDerivedColumn(const Profile &P, std::string_view Name,
+                          const std::vector<double> &Column) {
+  ProfileBuilder B(P);
+  MetricId New = B.addMetric(Name, "derived");
+  for (NodeId Id = 0; Id < Column.size(); ++Id)
+    if (Column[Id] != 0.0)
+      B.addValue(Id, New, Column[Id]);
+  return B.take();
+}
 
 namespace {
 
@@ -51,7 +84,7 @@ struct Run {
   std::vector<uint8_t> BoolGlobals;
   std::vector<std::string> StrGlobals;
   // Metric views of the CURRENT working profile, memoized across lanes and
-  // chunks; cleared whenever the interpreter clears its map (derive adds a
+  // chunks; cleared whenever the schema or topology changes (derive adds a
   // column, prune/keep renumbers nodes).
   std::unordered_map<std::string, MetricView> Views;
   // Topology and frame-attribute columns, computed once per topology
@@ -99,7 +132,7 @@ struct Run {
     TopoValid = true;
   }
 
-  /// The interpreter's Context::viewFor, against the working profile.
+  /// Resolves a metric view of the working profile.
   /// Successful views are memoized; failures are not (the error kills the
   /// querying lanes anyway), and the message matches byte for byte.
   Result<const MetricView *> viewFor(const std::string &Name,
@@ -689,20 +722,27 @@ Result<QueryOutput> runCompiled(const Profile &P,
   return std::move(R.Out);
 }
 
-Result<QueryOutput> runProgramAuto(const Profile &P, std::string_view Source,
-                                   const AnalysisLimits &Limits) {
+Result<QueryOutput> runProgram(const Profile &P, const Program &Prog,
+                               const AnalysisLimits &Limits) {
+  return runCompiled(P, *compileProgram(Prog, Limits));
+}
+
+Result<QueryOutput> runProgram(const Profile &P, const Program &Prog) {
+  return runProgram(P, Prog, AnalysisLimits::defaults());
+}
+
+Result<QueryOutput> runProgram(const Profile &P, std::string_view Source,
+                               const AnalysisLimits &Limits) {
+  if (std::optional<std::string> TooLarge = programSizeError(Source, Limits))
+    return makeError(std::move(*TooLarge));
   Result<Program> Prog = parseProgram(Source);
   if (!Prog)
     return makeError(Prog.error());
-  if (std::shared_ptr<const CompiledProgram> Compiled =
-          compileProgram(*Prog, Limits))
-    return runCompiled(P, *Compiled);
   return runProgram(P, *Prog, Limits);
 }
 
-Result<QueryOutput> runProgramAuto(const Profile &P,
-                                   std::string_view Source) {
-  return runProgramAuto(P, Source, AnalysisLimits::defaults());
+Result<QueryOutput> runProgram(const Profile &P, std::string_view Source) {
+  return runProgram(P, Source, AnalysisLimits::defaults());
 }
 
 } // namespace evql

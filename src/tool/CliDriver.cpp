@@ -21,7 +21,6 @@
 #include "net/NetServer.h"
 #include "profile/ProfileStore.h"
 #include "proto/EvProf.h"
-#include "query/Interpreter.h"
 #include "query/Vm.h"
 #include "render/AnsiRenderer.h"
 #include "render/CodeAnnotations.h"
@@ -58,8 +57,6 @@ std::string usageText() {
          "  diff <base> <test> [--metric M]    differential view\n"
          "  aggregate <out.evprof> <in...>     merge profiles\n"
          "  query <profile> -e <prog>|--file F run an EVQL program\n"
-         "        [--interpreter]                force the tree-walking "
-         "interpreter (default: bytecode VM)\n"
          "  check <query.evql> [--profile P] [--min-severity S]\n"
          "        [--disable R,R...] [--werror] [--list-rules]\n"
          "                                     EVQL static analysis (no "
@@ -111,8 +108,7 @@ struct ParsedArgs {
 /// with the value "1".
 const std::initializer_list<std::string_view> BoolFlags = {"werror",
                                                            "list-rules",
-                                                           "stats",
-                                                           "interpreter"};
+                                                           "stats"};
 
 Result<ParsedArgs> parseArgs(const std::vector<std::string> &Args,
                              size_t From) {
@@ -396,11 +392,7 @@ int cmdQuery(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     return failUsage(Err, "query needs --e <program> or --file <program.evql>");
   }
 
-  // --interpreter forces the tree-walking oracle; the default compiles to
-  // bytecode and runs the batched VM (identical output by contract).
-  Result<evql::QueryOutput> R =
-      Args.Options.count("interpreter") ? evql::runProgram(*P, Program)
-                                        : evql::runProgramAuto(*P, Program);
+  Result<evql::QueryOutput> R = evql::runProgram(*P, Program);
   if (!R)
     return failData(Err, R.error());
   for (const std::string &Line : R->Printed)

@@ -1,15 +1,14 @@
-//===- query/Interpreter.cpp - EVQL evaluation over profiles --------------===//
+//===- tests/EvqlOracle.cpp - Tree-walking EVQL oracle --------------------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 
-#include "query/Interpreter.h"
+#include "EvqlOracle.h"
 
 #include "analysis/MetricEngine.h"
 #include "analysis/Prune.h"
 #include "analysis/Transform.h"
-#include "profile/ProfileBuilder.h"
 #include "query/Parser.h"
 #include "support/Strings.h"
 
@@ -19,27 +18,7 @@
 namespace ev {
 namespace evql {
 
-std::string renderNumber(double Value) {
-  // A double compares equal to its int64 round-trip only when the cast is
-  // defined: comparing against the truncated cast directly (the pre-fix
-  // code) was itself UB for values outside int64 range, e.g. 1e19.
-  constexpr double Int64Min = -9223372036854775808.0; // -2^63, exact
-  constexpr double Int64Max = 9223372036854775808.0;  //  2^63, exact
-  if (Value >= Int64Min && Value < Int64Max &&
-      Value == static_cast<double>(static_cast<int64_t>(Value)))
-    return std::to_string(static_cast<int64_t>(Value));
-  return formatDouble(Value, 6);
-}
-
-std::string renderFormatted(double Value, double Digits) {
-  // formatDouble's buffer caps useful precision far below this; the clamp
-  // only exists so the double->int conversion is defined for hostile digit
-  // counts (static_cast of 1e19 to int is UB).
-  double Clamped = Digits < -1000.0 ? -1000.0
-                   : Digits > 1000.0 ? 1000.0
-                                     : Digits;
-  return formatDouble(Value, static_cast<int>(Clamped));
-}
+namespace oracle {
 
 namespace {
 
@@ -615,7 +594,7 @@ Result<QueryOutput> runProgram(const Profile &P, const Program &Prog,
 }
 
 Result<QueryOutput> runProgram(const Profile &P, const Program &Prog) {
-  return runProgram(P, Prog, AnalysisLimits::defaults());
+  return oracle::runProgram(P, Prog, AnalysisLimits::defaults());
 }
 
 Result<QueryOutput> runProgram(const Profile &P, std::string_view Source,
@@ -623,32 +602,13 @@ Result<QueryOutput> runProgram(const Profile &P, std::string_view Source,
   Result<Program> Prog = parseProgram(Source);
   if (!Prog)
     return makeError(Prog.error());
-  return runProgram(P, *Prog, Limits);
+  return oracle::runProgram(P, *Prog, Limits);
 }
 
 Result<QueryOutput> runProgram(const Profile &P, std::string_view Source) {
   return runProgram(P, Source, AnalysisLimits::defaults());
 }
 
-Profile withDerivedColumn(const Profile &P, std::string_view Name,
-                          const std::vector<double> &Column) {
-  ProfileBuilder B(P);
-  MetricId New = B.addMetric(Name, "derived");
-  for (NodeId Id = 0; Id < Column.size(); ++Id)
-    if (Column[Id] != 0.0)
-      B.addValue(Id, New, Column[Id]);
-  return B.take();
-}
-
-Result<Profile> deriveMetric(const Profile &P, std::string_view Name,
-                             std::string_view Formula) {
-  std::string Source =
-      "derive " + std::string(Name) + " = " + std::string(Formula) + ";";
-  Result<QueryOutput> Out = runProgram(P, Source);
-  if (!Out)
-    return makeError(Out.error());
-  return std::move(Out->Result);
-}
-
+} // namespace oracle
 } // namespace evql
 } // namespace ev

@@ -7,7 +7,7 @@
 #include "analysis/Diff.h"
 #include "analysis/MetricEngine.h"
 #include "convert/Converters.h"
-#include "query/Interpreter.h"
+#include "query/Vm.h"
 #include "render/CodeAnnotations.h"
 #include "workload/ScalingWorkload.h"
 

@@ -267,14 +267,14 @@ void addAnalyses(Corpus &C) {
         return P.node(Id).Children.size() != 1;
       }));
 
-  Result<evql::QueryOutput> Q = evql::runProgramAuto(
+  Result<evql::QueryOutput> Q = evql::runProgram(
       Fixed, "derive twice = 2 * exclusive(\"time\");\n"
              "derive share = share(\"time\");\n"
              "print total(\"twice\");");
   C["analysis/query-derive.evprof"] =
       Q ? writeEvProf(Q->Result) : "error: " + Q.error() + "\n";
   Result<evql::QueryOutput> QP =
-      evql::runProgramAuto(Random, "prune when inclusive(\"time\") < 0.02 * "
+      evql::runProgram(Random, "prune when inclusive(\"time\") < 0.02 * "
                              "total(\"time\");");
   C["analysis/query-prune.evprof"] =
       QP ? writeEvProf(QP->Result) : "error: " + QP.error() + "\n";

@@ -4,9 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "query/Interpreter.h"
 #include "query/Lexer.h"
 #include "query/Parser.h"
+#include "query/Vm.h"
 
 #include "TestHelpers.h"
 #include "analysis/MetricEngine.h"
@@ -163,7 +163,7 @@ TEST(Parser, RejectsDanglingOperator) {
 }
 
 //===----------------------------------------------------------------------===
-// Interpreter
+// Semantics, through the production engine (parse -> compile -> VM)
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -176,7 +176,7 @@ std::string evalToString(const Profile &P, const std::string &Expr) {
 
 } // namespace
 
-TEST(Interpreter, Arithmetic) {
+TEST(EvqlSemantics, Arithmetic) {
   Profile P = test::makeFixedProfile();
   EXPECT_EQ(evalToString(P, "1 + 2 * 3"), "7");
   EXPECT_EQ(evalToString(P, "10 / 4"), "2.500000");
@@ -185,7 +185,7 @@ TEST(Interpreter, Arithmetic) {
   EXPECT_EQ(evalToString(P, "5 / 0"), "0"); // Guarded division.
 }
 
-TEST(Interpreter, BooleansAndComparisons) {
+TEST(EvqlSemantics, BooleansAndComparisons) {
   Profile P = test::makeFixedProfile();
   EXPECT_EQ(evalToString(P, "1 < 2"), "true");
   EXPECT_EQ(evalToString(P, "2 <= 1"), "false");
@@ -196,7 +196,7 @@ TEST(Interpreter, BooleansAndComparisons) {
   EXPECT_EQ(evalToString(P, "\"a\" < \"b\""), "true");
 }
 
-TEST(Interpreter, TernaryAndStrings) {
+TEST(EvqlSemantics, TernaryAndStrings) {
   Profile P = test::makeFixedProfile();
   EXPECT_EQ(evalToString(P, "1 < 2 ? \"yes\" : \"no\""), "yes");
   EXPECT_EQ(evalToString(P, "\"a\" + \"b\""), "ab");
@@ -207,7 +207,7 @@ TEST(Interpreter, TernaryAndStrings) {
   EXPECT_EQ(evalToString(P, "fmt(3.14159, 2)"), "3.14");
 }
 
-TEST(Interpreter, MathBuiltins) {
+TEST(EvqlSemantics, MathBuiltins) {
   Profile P = test::makeFixedProfile();
   EXPECT_EQ(evalToString(P, "min(3, 5)"), "3");
   EXPECT_EQ(evalToString(P, "max(3, 5)"), "5");
@@ -219,13 +219,13 @@ TEST(Interpreter, MathBuiltins) {
   EXPECT_EQ(evalToString(P, "ratio(10, 0)"), "0"); // Guarded.
 }
 
-TEST(Interpreter, ProfileBuiltins) {
+TEST(EvqlSemantics, ProfileBuiltins) {
   Profile P = test::makeFixedProfile();
   EXPECT_EQ(evalToString(P, "total(\"time\")"), "100");
   EXPECT_EQ(evalToString(P, "nodecount()"), "6");
 }
 
-TEST(Interpreter, LetBindsGlobals) {
+TEST(EvqlSemantics, LetBindsGlobals) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> Out = runProgram(P, "let x = 2 * total(\"time\");\n"
                                           "print x + 1;");
@@ -233,7 +233,7 @@ TEST(Interpreter, LetBindsGlobals) {
   EXPECT_EQ(Out->Printed[0], "201");
 }
 
-TEST(Interpreter, DeriveAddsMetricColumn) {
+TEST(EvqlSemantics, DeriveAddsMetricColumn) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> Out = runProgram(
       P, "derive share = 100 * inclusive(\"time\") / total(\"time\");");
@@ -251,7 +251,7 @@ TEST(Interpreter, DeriveAddsMetricColumn) {
   }
 }
 
-TEST(Interpreter, DeriveCanUseNodeAttributes) {
+TEST(EvqlSemantics, DeriveCanUseNodeAttributes) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> Out = runProgram(
       P, "derive flag = contains(name(), \"mem\") ? 1 : 0;");
@@ -261,7 +261,7 @@ TEST(Interpreter, DeriveCanUseNodeAttributes) {
   EXPECT_DOUBLE_EQ(Sum, 1.0); // Only memcpy matches.
 }
 
-TEST(Interpreter, PruneElidesMatchingNodes) {
+TEST(EvqlSemantics, PruneElidesMatchingNodes) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> Out =
       runProgram(P, "prune when name() == \"compute\";");
@@ -278,7 +278,7 @@ TEST(Interpreter, PruneElidesMatchingNodes) {
   EXPECT_DOUBLE_EQ(metricTotal(Out->Result, 0), 100.0);
 }
 
-TEST(Interpreter, KeepInvertsPrune) {
+TEST(EvqlSemantics, KeepInvertsPrune) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> Out = runProgram(
       P, "keep when inclusive(\"time\") >= 0.25 * total(\"time\");");
@@ -288,7 +288,7 @@ TEST(Interpreter, KeepInvertsPrune) {
   EXPECT_DOUBLE_EQ(metricTotal(Out->Result, 0), 100.0);
 }
 
-TEST(Interpreter, StatementsComposeInOrder) {
+TEST(EvqlSemantics, StatementsComposeInOrder) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> Out = runProgram(
       P, "derive d = exclusive(\"time\");\n"
@@ -300,7 +300,7 @@ TEST(Interpreter, StatementsComposeInOrder) {
   EXPECT_EQ(Out->Printed[0], "100");
 }
 
-TEST(Interpreter, DepthAndChildrenBuiltins) {
+TEST(EvqlSemantics, DepthAndChildrenBuiltins) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> Out =
       runProgram(P, "derive d = depth(); derive k = nchildren();");
@@ -311,7 +311,7 @@ TEST(Interpreter, DepthAndChildrenBuiltins) {
                      static_cast<double>(Out->Result.depth(Id)));
 }
 
-TEST(Interpreter, RuntimeErrors) {
+TEST(EvqlSemantics, RuntimeErrors) {
   Profile P = test::makeFixedProfile();
   EXPECT_FALSE(runProgram(P, "print metric(\"nope\");").ok());
   EXPECT_FALSE(runProgram(P, "print undefinedVar;").ok());
@@ -323,14 +323,14 @@ TEST(Interpreter, RuntimeErrors) {
   EXPECT_FALSE(runProgram(P, "let x = depth();").ok());
 }
 
-TEST(Interpreter, ErrorMessagesNameTheProblem) {
+TEST(EvqlSemantics, ErrorMessagesNameTheProblem) {
   Profile P = test::makeFixedProfile();
   Result<QueryOutput> R = runProgram(P, "derive x = metric(\"nope\");");
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.error().find("nope"), std::string::npos);
 }
 
-TEST(Interpreter, PrintsValuesBeyondInt64Range) {
+TEST(EvqlSemantics, PrintsValuesBeyondInt64Range) {
   // The old int64 cast in toString was undefined behavior for values
   // outside int64 range; they now render through formatDouble(V, 6).
   Profile P = test::makeFixedProfile();
@@ -346,7 +346,7 @@ TEST(Interpreter, PrintsValuesBeyondInt64Range) {
   EXPECT_TRUE(runProgram(P, "print fmt(3.5, 2000000000000);").ok());
 }
 
-TEST(Interpreter, ExpressionNestingIsBounded) {
+TEST(EvqlSemantics, ExpressionNestingIsBounded) {
   Profile P = test::makeFixedProfile();
   std::string Src = "print 1";
   for (int I = 0; I < 300; ++I)
@@ -360,17 +360,17 @@ TEST(Interpreter, ExpressionNestingIsBounded) {
       << R.error();
 }
 
-TEST(Interpreter, DeriveMetricHelper) {
+TEST(EvqlSemantics, DeriveScalesAColumn) {
   Profile P = test::makeFixedProfile();
-  Result<Profile> Out =
-      deriveMetric(P, "dbl", "2 * exclusive(\"time\")");
+  Result<QueryOutput> Out =
+      runProgram(P, "derive dbl = 2 * exclusive(\"time\");");
   ASSERT_TRUE(Out.ok()) << Out.error();
-  MetricId M = Out->findMetric("dbl");
+  MetricId M = Out->Result.findMetric("dbl");
   ASSERT_NE(M, Profile::InvalidMetric);
-  EXPECT_DOUBLE_EQ(metricTotal(*Out, M), 200.0);
+  EXPECT_DOUBLE_EQ(metricTotal(Out->Result, M), 200.0);
 }
 
-TEST(Interpreter, PaperStyleCpiFormula) {
+TEST(EvqlSemantics, PaperStyleCpiFormula) {
   // The paper's example: cycles per instruction as a derived metric.
   ProfileBuilder B("cpi");
   MetricId Cycles = B.addMetric("cycles", "count");
@@ -381,12 +381,13 @@ TEST(Interpreter, PaperStyleCpiFormula) {
   B.addValue(N, Instr, 1000);
   Profile P = B.take();
 
-  Result<Profile> Out = deriveMetric(
-      P, "cpi", "ratio(exclusive(\"cycles\"), exclusive(\"instructions\"))");
+  Result<QueryOutput> Out = runProgram(
+      P, "derive cpi = ratio(exclusive(\"cycles\"), "
+         "exclusive(\"instructions\"));");
   ASSERT_TRUE(Out.ok()) << Out.error();
-  MetricId Cpi = Out->findMetric("cpi");
-  for (NodeId Id = 0; Id < Out->nodeCount(); ++Id)
-    if (Out->nameOf(Id) == "hot") {
-      EXPECT_DOUBLE_EQ(Out->node(Id).metricOr(Cpi), 3.0);
+  MetricId Cpi = Out->Result.findMetric("cpi");
+  for (NodeId Id = 0; Id < Out->Result.nodeCount(); ++Id)
+    if (Out->Result.nameOf(Id) == "hot") {
+      EXPECT_DOUBLE_EQ(Out->Result.node(Id).metricOr(Cpi), 3.0);
     }
 }

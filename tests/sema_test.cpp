@@ -311,6 +311,46 @@ TEST(Sema, FoldingMatchesInterpreterSemantics) {
   EXPECT_TRUE(hasId(Short, "EVQL008")) << describe(Short);
 }
 
+TEST(Sema, MixedTypeTernaryIsATypeMismatch) {
+  // The engine's registers are statically typed, so a ternary whose arms
+  // differ under a data-dependent condition fails at runtime; the checker
+  // says so first, with the runtime message minus its line.
+  struct Row {
+    const char *Source;
+    const char *Message; ///< nullptr: EVQL005 must stay quiet.
+  };
+  const Row Rows[] = {
+      {"keep when (isleaf() ? 1 : name()) != \"\";",
+       "ternary branches have different types (number and string)"},
+      {"print nodecount() > 3 ? \"many\" : nodecount() > 1;",
+       "ternary branches have different types (string and condition)"},
+      // Same types, a constant condition, an unknown arm: quiet. An arm
+      // that always fails (wrong arity, node builtin outside a node
+      // context) has no type, as in the engine.
+      {"print nodecount() > 3 ? 1 : 2;", nullptr},
+      {"print true ? 1 : \"s\";", nullptr},
+      {"print nodecount() > 3 ? 1 : missing;", nullptr},
+      {"print nodecount() > 3 ? \"a\" : min(1);", nullptr},
+      {"print nodecount() > 3 ? 1 : name();", nullptr},
+  };
+  for (const Row &R : Rows) {
+    DiagnosticSet Diags = runSema(R.Source);
+    if (!R.Message) {
+      EXPECT_FALSE(hasId(Diags, "EVQL005")) << R.Source << "\n"
+                                             << describe(Diags);
+      continue;
+    }
+    ASSERT_EQ(countId(Diags, "EVQL005"), 1u) << R.Source << "\n"
+                                               << describe(Diags);
+    for (const Diagnostic &D : Diags.all())
+      if (D.Id == "EVQL005") {
+        EXPECT_EQ(D.Message, R.Message);
+        EXPECT_EQ(D.Sev, Severity::Error);
+        EXPECT_EQ(D.Rule, "type-mismatch");
+      }
+  }
+}
+
 TEST(Sema, NoMetricSourceSkipsMetricCheck) {
   DiagnosticSet Diags = runSema("print total(\"anything-at-all\");");
   EXPECT_FALSE(hasId(Diags, "EVQL006")) << describe(Diags);
@@ -416,6 +456,25 @@ std::string forwardParentRef() {
   return wrap(W);
 }
 
+/// The fixed profile with its string table moved behind the frames that
+/// use it: every field is well formed, but references arrive before
+/// their targets, which readEvProf refuses.
+std::string stringsAfterFrames() {
+  std::string Bytes = writeEvProf(test::makeFixedProfile());
+  ProtoReader R(std::string_view(Bytes).substr(EvProfMagic.size()));
+  ProtoWriter Name, Strings, Tables, Tree; // 1; 2; 3 and 4; 5 and 6.
+  while (R.next()) {
+    uint32_t Field = R.fieldNumber();
+    ProtoWriter &To = Field == 1   ? Name
+                      : Field == 2 ? Strings
+                      : Field <= 4 ? Tables
+                                   : Tree;
+    To.writeBytes(Field, R.bytes());
+  }
+  return std::string(EvProfMagic) + Name.buffer() + Tables.buffer() +
+         Strings.buffer() + Tree.buffer();
+}
+
 struct WireCase {
   const char *ExpectId;
   std::string Bytes;
@@ -430,6 +489,7 @@ TEST(ProfileLint, WireScanExplainsEveryCorruptionTheDecoderRejects) {
       {"EVL103", danglingGroupContext()},
       {"EVL104", danglingMetricRef()},
       {"EVL105", forwardParentRef()},
+      {"EVL101", stringsAfterFrames()},
       {"EVL100", "not even close to a profile"},
       {"EVL100", std::string(EvProfMagic) + std::string(64, '\xff')},
   };
@@ -444,6 +504,18 @@ TEST(ProfileLint, WireScanExplainsEveryCorruptionTheDecoderRejects) {
         << C.ExpectId << " missing:\n"
         << describe(Diags);
   }
+}
+
+TEST(ProfileLint, MalformedStreamYieldsOnlyEVL100) {
+  // A dangling reference followed by a truncated top-level field (frame
+  // tag, length 5, no payload): past the corruption, reference findings
+  // mean nothing, so the scan reports the framing alone.
+  std::string Bytes = danglingFrameStringRef() + "\x22\x05";
+  ProfileLinter Linter;
+  DiagnosticSet Diags(64);
+  Linter.lintWire(Bytes, Diags);
+  ASSERT_EQ(Diags.size(), 1u) << describe(Diags);
+  EXPECT_EQ(Diags.all()[0].Id, "EVL100") << describe(Diags);
 }
 
 TEST(ProfileLint, CombinedLintDoesNotDoubleReportExplainedCorruption) {

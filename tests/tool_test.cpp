@@ -172,6 +172,15 @@ TEST_F(ToolTest, QueryErrorsSurface) {
   EXPECT_NE(Err.find("error"), std::string::npos);
   // No program given: that is a usage error, not a data error.
   EXPECT_EQ(run({"query", Evprof}), ExitUsageError);
+  // A source past AnalysisLimits::MaxProgramBytes is refused before
+  // parsing, with the checker's EVQL013 message.
+  std::string Huge = Dir + "/huge.evql";
+  ASSERT_TRUE(writeFile(Huge, "print 1;" + std::string(1u << 20, ' ')).ok());
+  EXPECT_EQ(run({"query", Evprof, "--file", Huge}), ExitDataError);
+  EXPECT_NE(Err.find("program of 1048584 bytes exceeds the analysis limit "
+                     "of 1048576"),
+            std::string::npos)
+      << Err;
 }
 
 TEST_F(ToolTest, ButterflyShowsCallersAndCallees) {

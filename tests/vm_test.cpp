@@ -1,23 +1,26 @@
-//===- tests/vm_test.cpp - EVQL bytecode VM differential suite ------------===//
+//===- tests/vm_test.cpp - EVQL engine differential suite -----------------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interpreter is the oracle for the EVQL bytecode VM: for every
-/// program the compiler accepts, runCompiled() must produce byte-identical
-/// QueryOutput — transformed profile bytes, printed lines, derived metric
-/// names, and error messages with their line numbers. This suite drives
-/// both engines over a table-driven corpus (every builtin, every operator
-/// family, every diagnostic path), pins the interpreter-fallback rule for
-/// programs the compiler rejects, checks that a multi-chunk sweep reports
-/// the lowest failing node, exercises the guarded depth column and the
-/// recursion bounds, and covers the ProgramCache (LRU behavior plus
+/// The tree-walking oracle (EvqlOracle.h) defines EVQL; the production
+/// engine (evql::runProgram: parse -> compileProgram -> runCompiled) must
+/// produce byte-identical QueryOutput — transformed profile bytes, printed
+/// lines, derived metric names, and error messages with their line
+/// numbers. This suite drives both over a table-driven corpus (every
+/// builtin, every operator family, every diagnostic path) and over a
+/// seeded generated corpus, asserts the compiler accepts every program,
+/// pins the two compiler-only traps (mixed-type ternary, register-file
+/// overflow), checks that a multi-chunk sweep reports the lowest failing
+/// node, exercises the guarded depth column and the size and recursion
+/// bounds, and covers the ProgramCache (LRU behavior plus
 /// generation-keyed invalidation through pvp/query and pvp/append).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "EvqlOracle.h"
 #include "TestHelpers.h"
 
 #include "analysis/MetricEngine.h"
@@ -26,15 +29,16 @@
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
 #include "query/Compiler.h"
-#include "query/Interpreter.h"
 #include "query/Parser.h"
 #include "query/Vm.h"
+#include "support/Rng.h"
 #include "support/Strings.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ev {
@@ -56,47 +60,26 @@ std::string fingerprint(const evql::QueryOutput &O) {
   return S;
 }
 
-/// Runs \p Src through the interpreter and the VM and asserts identical
-/// outcomes: same ok/error state, identical error strings, identical
-/// output bytes. Also checks runProgramAuto (the engine entry point)
-/// against the interpreter, which covers the fallback path when the
-/// compiler rejects the program.
-void expectEnginesAgree(const Profile &P, const std::string &Src,
-                        const AnalysisLimits &Limits = AnalysisLimits()) {
-  SCOPED_TRACE("program: " + Src);
-  Result<evql::QueryOutput> I = evql::runProgram(P, Src, Limits);
-  Result<evql::QueryOutput> A = evql::runProgramAuto(P, Src, Limits);
-  ASSERT_EQ(I.ok(), A.ok()) << (I ? A.error() : I.error());
-  if (!I) {
-    EXPECT_EQ(I.error(), A.error());
-  } else {
-    EXPECT_EQ(fingerprint(*I), fingerprint(*A));
-  }
-
-  // When the compiler accepts the program, also pin runCompiled directly.
-  Result<evql::Program> Prog = evql::parseProgram(Src);
-  if (!Prog)
-    return; // Parse errors surface identically through both entry points.
-  std::shared_ptr<const evql::CompiledProgram> C =
-      evql::compileProgram(*Prog, Limits);
-  if (!C)
-    return;
-  Result<evql::QueryOutput> V = evql::runCompiled(P, *C);
-  ASSERT_EQ(I.ok(), V.ok()) << (I ? V.error() : I.error());
-  if (!I)
-    EXPECT_EQ(I.error(), V.error());
-  else
-    EXPECT_EQ(fingerprint(*I), fingerprint(*V));
+/// The outcome of one run as one string: the fingerprint, or the error.
+std::string outcome(const Result<evql::QueryOutput> &R) {
+  return R ? "ok\n" + fingerprint(*R) : "error: " + R.error();
 }
 
-/// Programs the compiler must accept (no interpreter fallback): asserts
-/// compilation succeeds, then engine agreement.
-void expectCompiledAgree(const Profile &P, const std::string &Src) {
+/// Runs \p Src through the oracle and the production engine and asserts
+/// identical outcomes: same ok/error state, identical error strings,
+/// identical output bytes. A program that parses must also compile.
+/// \returns whether the oracle ran the program without error.
+bool expectEnginesAgree(const Profile &P, const std::string &Src,
+                        const AnalysisLimits &Limits = AnalysisLimits()) {
+  SCOPED_TRACE("program: " + Src);
   Result<evql::Program> Prog = evql::parseProgram(Src);
-  ASSERT_TRUE(Prog.ok()) << Prog.error() << "\nprogram: " << Src;
-  EXPECT_NE(evql::compileProgram(*Prog, AnalysisLimits()), nullptr)
-      << "compiler rejected: " << Src;
-  expectEnginesAgree(P, Src);
+  if (Prog) {
+    EXPECT_NE(evql::compileProgram(*Prog, Limits), nullptr);
+  }
+  Result<evql::QueryOutput> O = evql::oracle::runProgram(P, Src, Limits);
+  Result<evql::QueryOutput> V = evql::runProgram(P, Src, Limits);
+  EXPECT_EQ(outcome(O), outcome(V));
+  return O.ok();
 }
 
 TEST(EvqlDifferential, BuiltinsAndOperators) {
@@ -158,7 +141,7 @@ TEST(EvqlDifferential, BuiltinsAndOperators) {
       "print nodecount();",
   };
   for (const char *Src : Corpus)
-    expectCompiledAgree(P, Src);
+    expectEnginesAgree(P, Src);
 }
 
 TEST(EvqlDifferential, RandomProfileSweep) {
@@ -176,10 +159,10 @@ TEST(EvqlDifferential, RandomProfileSweep) {
       "print total(\"time\"); print nodecount();",
   };
   for (const char *Src : Corpus)
-    expectCompiledAgree(P, Src);
+    expectEnginesAgree(P, Src);
 }
 
-TEST(EvqlDifferential, DiagnosticsMatchInterpreterExactly) {
+TEST(EvqlDifferential, DiagnosticsMatchOracleExactly) {
   Profile P = test::makeFixedProfile();
   const char *Corpus[] = {
       // Node-context misuse (long and short forms).
@@ -215,7 +198,7 @@ TEST(EvqlDifferential, DiagnosticsMatchInterpreterExactly) {
   };
   for (const char *Src : Corpus) {
     SCOPED_TRACE(Src);
-    Result<evql::QueryOutput> I = evql::runProgram(P, Src);
+    Result<evql::QueryOutput> I = evql::oracle::runProgram(P, Src);
     ASSERT_FALSE(I.ok()) << "corpus entry unexpectedly succeeded";
     expectEnginesAgree(P, Src);
   }
@@ -223,9 +206,9 @@ TEST(EvqlDifferential, DiagnosticsMatchInterpreterExactly) {
 
 TEST(EvqlDifferential, ShortCircuitSkipsUnevaluatedOperands) {
   Profile P = test::makeFixedProfile();
-  // The interpreter never evaluates the right side when the left decides;
-  // the VM compiles the right side under a lane mask whose error lanes
-  // are all dead. Both must succeed.
+  // The oracle never evaluates the right side when the left decides; the
+  // VM compiles the right side under a lane mask whose error lanes are all
+  // dead. Both must succeed.
   const char *Lazy[] = {
       "prune when false && metric(\"nope\") > 0;",
       "keep when true || nosuchvar > 0;",
@@ -234,7 +217,7 @@ TEST(EvqlDifferential, ShortCircuitSkipsUnevaluatedOperands) {
   };
   for (const char *Src : Lazy) {
     SCOPED_TRACE(Src);
-    Result<evql::QueryOutput> I = evql::runProgram(P, Src);
+    Result<evql::QueryOutput> I = evql::oracle::runProgram(P, Src);
     EXPECT_TRUE(I.ok()) << I.error();
     expectEnginesAgree(P, Src);
   }
@@ -248,36 +231,99 @@ TEST(EvqlDifferential, ShortCircuitSkipsUnevaluatedOperands) {
   };
   for (const char *Src : Failing) {
     SCOPED_TRACE(Src);
-    Result<evql::QueryOutput> I = evql::runProgram(P, Src);
+    Result<evql::QueryOutput> I = evql::oracle::runProgram(P, Src);
     EXPECT_FALSE(I.ok());
     expectEnginesAgree(P, Src);
   }
 }
 
-TEST(EvqlFallback, MixedTypeTernaryFallsBackToInterpreter) {
+TEST(EvqlTraps, MixedTypeTernaryFailsWithPinnedMessage) {
   Profile P = test::makeFixedProfile();
-  // A dynamically-typed ternary (number on one arm, string on the other)
-  // has no typed register representation; the compiler must reject it and
-  // runProgramAuto must fall back to the interpreter with identical
-  // results.
-  std::string Src = "keep when (isleaf() ? 1 : name()) != \"\";";
+  // A ternary with a number on one arm and a string on the other, under a
+  // data-dependent condition, has no typed register representation: it
+  // compiles to a trap under the ternary's mask. The oracle evaluates only
+  // the taken arm and runs it; this is one of the two documented
+  // differences.
+  const std::string Src = "keep when (isleaf() ? 1 : name()) != \"\";";
   Result<evql::Program> Prog = evql::parseProgram(Src);
   ASSERT_TRUE(Prog.ok()) << Prog.error();
-  EXPECT_EQ(evql::compileProgram(*Prog, AnalysisLimits()), nullptr);
-  Result<evql::QueryOutput> I = evql::runProgram(P, Src);
-  ASSERT_TRUE(I.ok()) << I.error();
-  expectEnginesAgree(P, Src);
+  EXPECT_NE(evql::compileProgram(*Prog, AnalysisLimits()), nullptr);
+  EXPECT_TRUE(evql::oracle::runProgram(P, Src).ok());
+  Result<evql::QueryOutput> V = evql::runProgram(P, Src);
+  ASSERT_FALSE(V.ok());
+  EXPECT_EQ(V.error(), "ternary branches have different types (number and "
+                       "string) at line 1");
 
-  // Constant conditions fold to the taken arm, so THIS mixed ternary
-  // stays compilable — the fold mirrors the interpreter's laziness.
-  std::string Folded = "print true ? 1 : \"s\";";
-  Result<evql::Program> FoldedProg = evql::parseProgram(Folded);
-  ASSERT_TRUE(FoldedProg.ok()) << FoldedProg.error();
-  EXPECT_NE(evql::compileProgram(*FoldedProg, AnalysisLimits()), nullptr);
+  // The line is the ternary's; a let fails where it is evaluated.
+  Result<evql::QueryOutput> Let = evql::runProgram(
+      P, "print 1;\nlet x = total(\"time\") > 50 ?\n  \"high\" : 0;\n"
+         "print x;");
+  ASSERT_FALSE(Let.ok());
+  EXPECT_EQ(Let.error(), "ternary branches have different types (string and "
+                         "number) at line 2");
+
+  // The trap is masked like any other: no lane reaches the ternary here,
+  // so both engines succeed with identical output.
+  expectEnginesAgree(
+      P, "keep when depth() < 0 && (isleaf() ? true : name()) != \"\";");
+  // An arm that always traps has no type of its own and takes the other
+  // arm's: both engines report the trap of the lowest failing node.
+  expectEnginesAgree(P, "keep when (isleaf() ? \"a\" : nosuchvar) == \"a\";");
+  expectEnginesAgree(P, "keep when (isleaf() ? name() : min(1)) == \"a\";");
+
+  // Constant conditions fold to the taken arm, so THIS mixed ternary runs
+  // in both engines: the fold mirrors the oracle's laziness.
+  const std::string Folded = "print true ? 1 : \"s\";";
   expectEnginesAgree(P, Folded);
+  Result<evql::QueryOutput> F = evql::runProgram(P, Folded);
+  ASSERT_TRUE(F.ok()) << F.error();
+  EXPECT_EQ(F->Printed, std::vector<std::string>{"1"});
 }
 
-TEST(EvqlVm, MatchesInterpreterIncludingLowestFailingNode) {
+/// A balanced sum of 2^\p Log2 depth() leaves: 2^Log2 - 1 additions, so
+/// 2^(Log2+1) - 1 number registers, at expression depth Log2 + 1.
+std::string balancedDepthSum(unsigned Log2) {
+  if (Log2 == 0)
+    return "depth()";
+  std::string Half = balancedDepthSum(Log2 - 1);
+  return "(" + Half + " + " + Half + ")";
+}
+
+TEST(EvqlTraps, RegisterOverflowFailsWithPinnedMessage) {
+  Profile P = test::makeFixedProfile();
+  // 2^14 leaves fit the register file: the engines agree.
+  expectEnginesAgree(P, "derive x = " + balancedDepthSum(14) + ";");
+
+  // 2^15 leaves need 65535 number registers, past the 65280 cap, yet the
+  // source is well inside MaxProgramBytes. The statement compiles to one
+  // trap; nothing crashes.
+  const std::string Src =
+      "print 1;\nderive x = " + balancedDepthSum(15) + ";";
+  ASSERT_LT(Src.size(), AnalysisLimits().MaxProgramBytes);
+  Result<evql::Program> Prog = evql::parseProgram(Src);
+  ASSERT_TRUE(Prog.ok()) << Prog.error();
+  std::shared_ptr<const evql::CompiledProgram> C =
+      evql::compileProgram(*Prog, AnalysisLimits());
+  ASSERT_NE(C, nullptr);
+  ASSERT_EQ(C->Stmts.size(), 2u);
+  EXPECT_EQ(C->Stmts[1].Code.size(), 1u);
+  Result<evql::QueryOutput> V = evql::runCompiled(P, *C);
+  ASSERT_FALSE(V.ok());
+  EXPECT_EQ(V.error(), "statement needs more than 65280 registers at line 2");
+
+  // Global slots count too: the 65281st numeric 'let' is refused the same
+  // way, on its own line.
+  std::string Lets;
+  for (size_t I = 0; I <= 65280; ++I)
+    Lets += "let v" + std::to_string(I) + "=0;\n";
+  ASSERT_LT(Lets.size(), AnalysisLimits().MaxProgramBytes);
+  Result<evql::QueryOutput> G = evql::runProgram(P, Lets);
+  ASSERT_FALSE(G.ok());
+  EXPECT_EQ(G.error(),
+            "statement needs more than 65280 registers at line 65281");
+}
+
+TEST(EvqlVm, MatchesOracleIncludingLowestFailingNode) {
   Profile P = test::makeRandomProfile(99, 3000, 14, 50);
   const std::string Ok =
       "derive hot = exclusive(\"time\") + inclusive(\"time\") / "
@@ -286,7 +332,7 @@ TEST(EvqlVm, MatchesInterpreterIncludingLowestFailingNode) {
       "print total(\"time\"); print nodecount();";
   // An error whose failing lanes sit mid-profile and span several chunks:
   // the reported diagnostic must be the lowest failing node's, the one the
-  // interpreter stops at.
+  // oracle stops at.
   const std::string Bad =
       "keep when depth() < 3 || metric(\"nope\") > 0;";
 
@@ -303,25 +349,25 @@ TEST(EvqlVm, MatchesInterpreterIncludingLowestFailingNode) {
   Result<evql::QueryOutput> E = evql::runCompiled(P, *BadC);
   ASSERT_FALSE(E.ok());
 
-  Result<evql::QueryOutput> I = evql::runProgram(P, Ok);
+  Result<evql::QueryOutput> I = evql::oracle::runProgram(P, Ok);
   ASSERT_TRUE(I.ok()) << I.error();
   EXPECT_EQ(fingerprint(*I), fingerprint(*V));
-  Result<evql::QueryOutput> IE = evql::runProgram(P, Bad);
+  Result<evql::QueryOutput> IE = evql::oracle::runProgram(P, Bad);
   ASSERT_FALSE(IE.ok());
   EXPECT_EQ(IE.error(), E.error());
 }
 
 TEST(EvqlRender, NumbersBeyondInt64PrintViaDouble) {
   Profile P = test::makeFixedProfile();
-  // 1e19 overflows int64; the old static_cast was UB. Both engines now
-  // route through formatDouble(V, 6).
+  // 1e19 overflows int64; the old static_cast was UB. Both engines route
+  // through formatDouble(V, 6).
   Result<evql::QueryOutput> R =
       evql::runProgram(P, "print 5000000000 * 2000000000;");
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_EQ(R->Printed[0], "10000000000000000000.000000");
-  expectCompiledAgree(P, "print 5000000000 * 2000000000;");
-  expectCompiledAgree(P, "print 0 - 5000000000 * 2000000000;");
-  expectCompiledAgree(P, "print str(5000000000 * 2000000000);");
+  expectEnginesAgree(P, "print 5000000000 * 2000000000;");
+  expectEnginesAgree(P, "print 0 - 5000000000 * 2000000000;");
+  expectEnginesAgree(P, "print str(5000000000 * 2000000000);");
   // In-range integral doubles keep the integer rendering.
   Result<evql::QueryOutput> Small = evql::runProgram(P, "print 4.0 * 25;");
   ASSERT_TRUE(Small.ok());
@@ -332,9 +378,9 @@ TEST(EvqlRender, FmtClampsHostileDigitCounts) {
   Profile P = test::makeFixedProfile();
   // A digit count beyond int range would be UB in the double->int
   // conversion; renderFormatted clamps it for both engines.
-  expectCompiledAgree(P, "print fmt(3.5, 2000000000000);");
-  expectCompiledAgree(P, "print fmt(3.5, 0 - 2000000000000);");
-  expectCompiledAgree(P, "print fmt(1.0 / 3, 3);");
+  expectEnginesAgree(P, "print fmt(3.5, 2000000000000);");
+  expectEnginesAgree(P, "print fmt(3.5, 0 - 2000000000000);");
+  expectEnginesAgree(P, "print fmt(1.0 / 3, 3);");
 }
 
 TEST(EvqlDepth, GuardedDepthColumn) {
@@ -395,11 +441,367 @@ TEST(EvqlLimits, NestingBoundIsACleanDiagnosticInBothEngines) {
   // surface the identical parse error.
   expectEnginesAgree(P, Parens(600));
 
-  // Custom limits thread through compileProgram the same as runProgram.
+  // Custom limits thread through compileProgram the same as the oracle.
   AnalysisLimits Tight;
   Tight.MaxExprDepth = 4;
   expectEnginesAgree(P, Chain(2), Tight);
   expectEnginesAgree(P, "print 1 + 2 * (3 + (4 - (5 + 6)));", Tight);
+}
+
+TEST(EvqlLimits, OversizedProgramIsRefusedBeforeParsing) {
+  Profile P = test::makeFixedProfile();
+  // One byte past MaxProgramBytes: the engine refuses with the checker's
+  // EVQL013 message instead of lexing a megabyte of whitespace.
+  const std::string Huge = "print 1;" + std::string(1u << 20, ' ');
+  const std::string Expected =
+      "program of 1048584 bytes exceeds the analysis limit of 1048576";
+  Result<evql::QueryOutput> R = evql::runProgram(P, Huge);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error(), Expected);
+
+  // pvp/query refuses it too, before parsing or probing the program cache.
+  MockIde Ide;
+  Result<int64_t> Id = Ide.openProfile("fixed", writeEvProf(P));
+  ASSERT_TRUE(Id.ok()) << Id.error();
+  json::Object Params;
+  Params.set("profile", *Id);
+  Params.set("program", Huge);
+  Result<json::Value> Reply = Ide.call("pvp/query", std::move(Params));
+  ASSERT_FALSE(Reply.ok());
+  EXPECT_NE(Reply.error().find(Expected), std::string::npos)
+      << Reply.error();
+  Result<json::Value> Stats = Ide.call("pvp/stats", json::Object());
+  ASSERT_TRUE(Stats.ok()) << Stats.error();
+  const json::Value *Misses = Stats->asObject().find("programCacheMisses");
+  ASSERT_NE(Misses, nullptr);
+  EXPECT_EQ(Misses->numberOr(-1), 0);
+
+  // At the limit exactly, the program runs.
+  const std::string AtLimit =
+      "print 1;" + std::string((1u << 20) - 8, ' ');
+  EXPECT_TRUE(evql::runProgram(P, AtLimit).ok());
+}
+
+//===----------------------------------------------------------------------===
+// Generated differential corpus
+//===----------------------------------------------------------------------===
+
+/// Seeded, type-directed EVQL program generator. Every expression it
+/// builds has one static type, so ternary arms always agree (a mixed-type
+/// ternary is where the engines part ways by design). It covers every
+/// statement kind, operator family and builtin, with expression depth
+/// bounded, and plants traps of every family at random leaves — so traps
+/// land on both the live and the dead side of &&, || and ?:.
+class ProgramGen {
+public:
+  explicit ProgramGen(uint64_t Seed) : R(Seed) {}
+
+  /// Whether the last program has a trap somewhere, live or dead.
+  bool plantedTrap() const { return Planted; }
+
+  std::string program() {
+    std::string Src;
+    size_t Count = static_cast<size_t>(R.range(1, 5));
+    for (size_t I = 0; I < Count; ++I)
+      Src += statement() + "\n";
+    return Src;
+  }
+
+private:
+  enum class Ty { Num, Bool, Str };
+
+  Rng R;
+  bool NodeCtx = false;
+  bool Planted = false;
+  std::vector<std::pair<std::string, Ty>> Lets;
+  std::vector<std::string> Derived;
+
+  template <size_t N> const char *pick(const char *const (&Options)[N]) {
+    return Options[R.below(N)];
+  }
+  Ty anyType() { return static_cast<Ty>(R.below(3)); }
+
+  std::string statement() {
+    switch (R.below(11)) {
+    case 0:
+    case 1: {
+      NodeCtx = false;
+      Ty T = anyType();
+      std::string Name = "v" + std::to_string(Lets.size());
+      std::string Value = expr(T, 3);
+      Lets.emplace_back(Name, T);
+      return "let " + Name + " = " + Value + ";";
+    }
+    case 2:
+    case 3:
+      NodeCtx = false;
+      return "print " + expr(anyType(), 3) + ";";
+    case 4:
+    case 5:
+    case 6: {
+      NodeCtx = true;
+      std::string Name = "d" + std::to_string(Derived.size());
+      std::string Value = expr(Ty::Num, 4);
+      Derived.push_back(Name);
+      return "derive " + Name + " = " + Value + ";";
+    }
+    case 7:
+    case 8:
+      NodeCtx = true;
+      return "prune when " + expr(Ty::Bool, 4) + ";";
+    case 9:
+      NodeCtx = true;
+      return "keep when " + expr(Ty::Bool, 4) + ";";
+    default:
+      NodeCtx = false;
+      return "return " + expr(anyType(), 2) + ";";
+    }
+  }
+
+  /// A metric name: mostly a literal (memoized view slot), sometimes a
+  /// data-dependent one (resolved per lane), rarely a missing one.
+  std::string metricName(unsigned Depth) {
+    if (R.chance(0.03))
+      return "\"nope\"";
+    if (!Derived.empty() && R.chance(0.25))
+      return "\"" + Derived[R.below(Derived.size())] + "\"";
+    if (Depth > 0 && R.chance(0.15))
+      return "(" + expr(Ty::Bool, Depth - 1) + " ? \"time\" : \"bytes\")";
+    return R.chance(0.5) ? "\"time\"" : "\"bytes\"";
+  }
+
+  std::string var(Ty T) {
+    std::vector<std::string> Names;
+    for (const auto &[Name, VT] : Lets)
+      if (VT == T)
+        Names.push_back(Name);
+    return Names.empty() ? "" : Names[R.below(Names.size())];
+  }
+
+  /// An expression that fails on every lane reaching it (or, for the
+  /// metric family, on every lane of a profile without the metric), typed
+  /// \p T.
+  std::string trap(Ty T) {
+    Planted = true;
+    switch (T) {
+    case Ty::Num: {
+      static const char *const Traps[] = {
+          "metric(\"nope\")", "nosuchvar", "nosuchfn(1)", "min(1)",
+          "(1 + \"s\")",      "total(\"nope\")", "floor()"};
+      return pick(Traps);
+    }
+    case Ty::Bool: {
+      static const char *const Traps[] = {
+          "(inclusive(\"nope\") > 0)", "!\"s\"", "hasancestor()",
+          "isleaf(1)", "contains(1, \"a\")"};
+      return pick(Traps);
+    }
+    case Ty::Str: {
+      static const char *const Traps[] = {"str(nosuchvar)", "fmt(1)",
+                                          "name(1)", "parentname(\"x\")"};
+      return pick(Traps);
+    }
+    }
+    return "";
+  }
+
+  /// A condition that is false on every lane, on some lanes, or folds to
+  /// a constant.
+  std::string guard() {
+    static const char *const Node[] = {"depth() < 0", "isleaf()",
+                                       "depth() > 3", "nchildren() > 2",
+                                       "false"};
+    static const char *const Scalar[] = {"nodecount() < 0",
+                                         "total(\"time\") < 0", "false",
+                                         "nodecount() > 100"};
+    return "(" + std::string(NodeCtx ? pick(Node) : pick(Scalar)) + ")";
+  }
+
+  /// A trap behind a guard: depending on the guard it is dead on every
+  /// lane, live on some, or folded away with its short-circuit.
+  std::string guardedTrap(Ty T, unsigned Depth) {
+    std::string G = guard();
+    switch (T == Ty::Bool ? R.below(4) : 2 + R.below(2)) {
+    case 0:
+      return "(" + G + " && " + trap(Ty::Bool) + ")";
+    case 1:
+      return "(!" + G + " || " + trap(Ty::Bool) + ")";
+    case 2:
+      return "(" + G + " ? " + trap(T) + " : " + expr(T, Depth) + ")";
+    default:
+      return "(!" + G + " ? " + expr(T, Depth) + " : " + trap(T) + ")";
+    }
+  }
+
+  std::string leaf(Ty T) {
+    if (R.chance(0.03))
+      return trap(T);
+    if (R.chance(0.2)) {
+      std::string V = var(T);
+      if (!V.empty())
+        return V;
+    }
+    // Node builtins appear outside a node context too, now and then: that
+    // is one more trap family.
+    bool Node = NodeCtx || R.chance(0.02);
+    switch (T) {
+    case Ty::Num: {
+      static const char *const Lits[] = {"0", "1", "2", "3", "0.5", "10",
+                                         "100", "1000", "7.25"};
+      static const char *const NodeNums[] = {"depth()", "nchildren()",
+                                             "line()"};
+      switch (R.below(Node ? 4 : 2)) {
+      case 0:
+        return pick(Lits);
+      case 1:
+        return R.chance(0.5) ? "nodecount()"
+                             : "total(" + metricName(0) + ")";
+      case 2:
+        return pick(NodeNums);
+      default: {
+        static const char *const Fns[] = {"metric", "exclusive",
+                                          "inclusive", "share"};
+        return std::string(pick(Fns)) + "(" + metricName(1) + ")";
+      }
+      }
+    }
+    case Ty::Bool:
+      if (Node && R.chance(0.5))
+        return "isleaf()";
+      return R.chance(0.5) ? "true" : "false";
+    case Ty::Str: {
+      static const char *const Lits[] = {"\"\"",       "\"fn1\"",
+                                         "\"fn2\"",    "\"main\"",
+                                         "\"file3.cc\"", "\"mod0\"",
+                                         "\"function\"", "\"x\""};
+      static const char *const NodeStrs[] = {"name()", "file()", "module()",
+                                             "kind()", "parentname()"};
+      return Node && R.chance(0.5) ? pick(NodeStrs) : pick(Lits);
+    }
+    }
+    return "";
+  }
+
+  std::string expr(Ty T, unsigned Depth) {
+    if (Depth == 0 || R.chance(0.25))
+      return leaf(T);
+    unsigned D = Depth - 1;
+    if (R.chance(0.08))
+      return guardedTrap(T, D);
+    auto Cond = [&] { return expr(Ty::Bool, D); };
+    if (R.chance(0.12))
+      return "(" + Cond() + " ? " + expr(T, D) + " : " + expr(T, D) + ")";
+    switch (T) {
+    case Ty::Num:
+      switch (R.below(6)) {
+      case 0: {
+        static const char *const Ops[] = {" + ", " - ", " * ", " / ", " % "};
+        return "(" + expr(Ty::Num, D) + pick(Ops) + expr(Ty::Num, D) + ")";
+      }
+      case 1:
+        return "-" + expr(Ty::Num, D);
+      case 2:
+        // A condition in arithmetic coerces to 0 or 1.
+        return "(" + expr(Ty::Bool, D) + " * " + expr(Ty::Num, D) + ")";
+      case 3: {
+        static const char *const Fns[] = {"min", "max", "ratio"};
+        return std::string(pick(Fns)) + "(" + expr(Ty::Num, D) + ", " +
+               expr(Ty::Num, D) + ")";
+      }
+      case 4: {
+        static const char *const Fns[] = {"abs", "log", "sqrt", "floor",
+                                          "ceil"};
+        return std::string(pick(Fns)) + "(" + expr(Ty::Num, D) + ")";
+      }
+      default:
+        return leaf(Ty::Num);
+      }
+    case Ty::Bool:
+      switch (R.below(7)) {
+      case 0: {
+        static const char *const Ops[] = {" < ", " <= ", " > ",
+                                          " >= ", " == ", " != "};
+        return "(" + expr(Ty::Num, D) + pick(Ops) + expr(Ty::Num, D) + ")";
+      }
+      case 1: {
+        static const char *const Ops[] = {" < ", " <= ", " > ",
+                                          " >= ", " == ", " != "};
+        return "(" + expr(Ty::Str, D) + pick(Ops) + expr(Ty::Str, D) + ")";
+      }
+      case 2:
+        // Mixed string/number equality is always false, operands still run.
+        return "(" + expr(Ty::Num, D) + (R.chance(0.5) ? " == " : " != ") +
+               expr(Ty::Str, D) + ")";
+      case 3:
+        return "!" + expr(Ty::Bool, D);
+      case 4:
+        // A number as a condition coerces against zero.
+        return "(" + expr(R.chance(0.2) ? Ty::Num : Ty::Bool, D) +
+               (R.chance(0.5) ? " && " : " || ") + expr(Ty::Bool, D) + ")";
+      case 5: {
+        static const char *const Fns[] = {"contains", "startswith",
+                                          "endswith"};
+        return std::string(pick(Fns)) + "(" + expr(Ty::Str, D) + ", " +
+               expr(Ty::Str, D) + ")";
+      }
+      default:
+        return NodeCtx ? "hasancestor(" + expr(Ty::Str, D) + ")" : leaf(T);
+      }
+    case Ty::Str:
+      switch (R.below(4)) {
+      case 0:
+        return "(" + expr(Ty::Str, D) + " + " + expr(Ty::Str, D) + ")";
+      case 1:
+        return "str(" + expr(anyType(), D) + ")";
+      case 2:
+        return "fmt(" + expr(Ty::Num, D) + ", " +
+               std::to_string(R.range(0, 4)) + ")";
+      default:
+        return leaf(Ty::Str);
+      }
+    }
+    return leaf(T);
+  }
+};
+
+TEST(EvqlGenerated, OracleAndEngineAgreeByteForByte) {
+  const uint64_t Seeds = 256;
+  std::string Corpus;
+  size_t Failed = 0, Succeeded = 0, SucceededPastATrap = 0;
+  for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
+    // Mostly small profiles; every 16th crosses the 2048-lane chunk
+    // boundary.
+    size_t Paths = Seed % 16 == 0 ? 900 : 20 + (Seed % 7) * 15;
+    Profile P = test::makeRandomProfile(Seed, Paths, 10, 12);
+    // Every fourth program runs under a tight nesting budget, so the
+    // depth trap fires inside generated expressions as well.
+    AnalysisLimits Limits;
+    if (Seed % 4 == 0)
+      Limits.MaxExprDepth = 5;
+    ProgramGen Gen(Seed);
+    std::string Src = Gen.program();
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    bool Ok = expectEnginesAgree(P, Src, Limits);
+    ++(Ok ? Succeeded : Failed);
+    SucceededPastATrap += Ok && Gen.plantedTrap();
+    Corpus += Src;
+  }
+  // The corpus is worth something only if it both runs and fails, and if
+  // traps sit on dead sides as well as live ones.
+  EXPECT_GE(Succeeded, Seeds / 5);
+  EXPECT_GE(Failed, Seeds / 10);
+  EXPECT_GE(SucceededPastATrap, Seeds / 10);
+  // Every statement kind, operator family and builtin shows up.
+  for (const char *Token :
+       {"let ", "print ", "derive ", "prune when ", "keep when ", "return ",
+        " + ", " - ", " * ", " / ", " % ", "-", "!", " < ", " <= ", " > ",
+        " >= ", " == ", " != ", " && ", " || ", " ? ", "metric(",
+        "exclusive(", "inclusive(", "share(", "total(", "nodecount()",
+        "name()", "file()", "module()", "kind()", "line()", "depth()",
+        "nchildren()", "parentname()", "isleaf()", "hasancestor(", "min(",
+        "max(", "ratio(", "abs(", "log(", "sqrt(", "floor(", "ceil(",
+        "contains(", "startswith(", "endswith(", "str(", "fmt("})
+    EXPECT_NE(Corpus.find(Token), std::string::npos) << Token;
 }
 
 TEST(EvqlCache, ProgramCacheLruAndCounters) {
