@@ -47,6 +47,13 @@ bool DiagnosticSet::add(Diagnostic D) {
   return true;
 }
 
+void DiagnosticSet::append(const DiagnosticSet &Other) {
+  for (const Diagnostic &D : Other.Diags)
+    add(D);
+  Dropped += Other.Dropped;
+  TruncatedFlag = TruncatedFlag || Other.TruncatedFlag;
+}
+
 size_t DiagnosticSet::count(Severity Sev) const {
   size_t N = 0;
   for (const Diagnostic &D : Diags)

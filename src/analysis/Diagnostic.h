@@ -79,6 +79,13 @@ public:
   /// Records that a pass stopped before seeing all input.
   void markTruncated() { TruncatedFlag = true; }
 
+  /// Slots left before the cap.
+  size_t room() const { return Diags.size() < Max ? Max - Diags.size() : 0; }
+  /// Adds \p Other's findings, drop count and truncation to this set. A
+  /// buffer capped at room() appends exactly as if each finding it saw
+  /// had been added here directly.
+  void append(const DiagnosticSet &Other);
+
   /// Number of diagnostics at exactly \p Sev.
   size_t count(Severity Sev) const;
   /// Number of diagnostics at \p Sev or more severe.

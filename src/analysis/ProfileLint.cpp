@@ -106,8 +106,10 @@ void ProfileLinter::lintWire(std::string_view Bytes,
   // References resolve against the entries that arrived before them, the
   // way readEvProf decodes. Findings wait in Found until the walk reaches
   // the end: past a corrupt top-level field, reference checks are
-  // meaningless, so a malformed stream yields EVL100 alone.
-  DiagnosticSet Found(Opts.Limits.MaxDiagnostics);
+  // meaningless, so a malformed stream yields EVL100 alone. Found holds
+  // no more than Out has room for and counts the rest as drops, so
+  // appending it leaves Out as if every finding had gone there directly.
+  DiagnosticSet Found(Out.room());
   size_t Strings = 0, Metrics = 0;
   size_t FrameIdx = 0, NodeIdx = 0, GroupIdx = 0;
   ProtoReader R(Bytes);
@@ -278,10 +280,7 @@ void ProfileLinter::lintWire(std::string_view Bytes,
          "the stream truncates or corrupts a field tag or length");
     return;
   }
-  for (const Diagnostic &D : Found.all())
-    Out.add(D);
-  if (Found.truncated())
-    Out.markTruncated();
+  Out.append(Found);
 }
 
 void ProfileLinter::lintProfile(const Profile &P, DiagnosticSet &Out) const {

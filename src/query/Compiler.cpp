@@ -295,8 +295,12 @@ private:
     for (size_t I = 0; I < CS->SlotNames.size(); ++I)
       if (CS->SlotNames[I] == Name)
         return static_cast<uint16_t>(I);
+    // Every slot follows an alloc(Num) in the same statement, so a table
+    // this full means the number bank has already overflowed: NoSlot only
+    // keeps lowering going until lowerStmt swaps the statement for the
+    // overflow trap.
     if (CS->SlotNames.size() >= NoSlot - 1)
-      return NoSlot; // Resolved by name per chunk instead of memoized.
+      return NoSlot;
     CS->SlotNames.push_back(Name);
     return static_cast<uint16_t>(CS->SlotNames.size() - 1);
   }

@@ -518,6 +518,42 @@ TEST(ProfileLint, MalformedStreamYieldsOnlyEVL100) {
   EXPECT_EQ(Diags.all()[0].Id, "EVL100") << describe(Diags);
 }
 
+TEST(ProfileLint, WireFindingsPastTheCapAreCountedAsDropped) {
+  // 25 frames, each naming string 7 of a 1-entry table: 25 EVL101s.
+  ProtoWriter W;
+  W.writeBytes(2, "");
+  ProtoWriter F;
+  F.writeVarint(2, 7);
+  for (int I = 0; I < 25; ++I)
+    W.writeBytes(4, F.buffer());
+  std::string Bytes = wrap(W);
+
+  // The output set's own cap decides what is kept and the rest is
+  // counted; the linter's analysis limits do not cap wire findings.
+  LintOptions Small;
+  Small.Limits.MaxDiagnostics = 5;
+  ProfileLinter Linter(Small);
+  DiagnosticSet Capped(10);
+  Linter.lintWire(Bytes, Capped);
+  EXPECT_EQ(Capped.size(), 10u);
+  EXPECT_EQ(Capped.dropped(), 15u);
+  EXPECT_TRUE(Capped.truncated());
+
+  // A set that already holds findings keeps only what fits after them.
+  DiagnosticSet Prefilled(10);
+  for (int I = 0; I < 4; ++I)
+    Prefilled.add(Diagnostic());
+  Linter.lintWire(Bytes, Prefilled);
+  EXPECT_EQ(Prefilled.size(), 10u);
+  EXPECT_EQ(Prefilled.dropped(), 19u);
+
+  DiagnosticSet Roomy(64);
+  Linter.lintWire(Bytes, Roomy);
+  EXPECT_EQ(Roomy.size(), 25u);
+  EXPECT_EQ(Roomy.dropped(), 0u);
+  EXPECT_FALSE(Roomy.truncated());
+}
+
 TEST(ProfileLint, CombinedLintDoesNotDoubleReportExplainedCorruption) {
   ProfileLinter Linter;
   DiagnosticSet Diags(64);

@@ -67,15 +67,18 @@ std::string outcome(const Result<evql::QueryOutput> &R) {
 
 /// Runs \p Src through the oracle and the production engine and asserts
 /// identical outcomes: same ok/error state, identical error strings,
-/// identical output bytes. A program that parses must also compile.
+/// identical output bytes. The program must parse and compile; both
+/// engines share the parser, so a parse error would agree trivially.
 /// \returns whether the oracle ran the program without error.
 bool expectEnginesAgree(const Profile &P, const std::string &Src,
                         const AnalysisLimits &Limits = AnalysisLimits()) {
   SCOPED_TRACE("program: " + Src);
   Result<evql::Program> Prog = evql::parseProgram(Src);
-  if (Prog) {
-    EXPECT_NE(evql::compileProgram(*Prog, Limits), nullptr);
+  if (!Prog) {
+    ADD_FAILURE() << "does not parse: " << Prog.error();
+    return false;
   }
+  EXPECT_NE(evql::compileProgram(*Prog, Limits), nullptr);
   Result<evql::QueryOutput> O = evql::oracle::runProgram(P, Src, Limits);
   Result<evql::QueryOutput> V = evql::runProgram(P, Src, Limits);
   EXPECT_EQ(outcome(O), outcome(V));
@@ -437,9 +440,15 @@ TEST(EvqlLimits, NestingBoundIsACleanDiagnosticInBothEngines) {
       << I.error();
   expectEnginesAgree(P, Deep);
 
-  // 600 nested parens: the parser itself refuses; both entry points
-  // surface the identical parse error.
-  expectEnginesAgree(P, Parens(600));
+  // 600 nested parens: the parser itself refuses, and both engines
+  // surface its error verbatim.
+  const std::string TooDeep = Parens(600);
+  Result<evql::Program> Unparsed = evql::parseProgram(TooDeep);
+  ASSERT_FALSE(Unparsed.ok());
+  Result<evql::QueryOutput> V = evql::runProgram(P, TooDeep);
+  ASSERT_FALSE(V.ok());
+  EXPECT_EQ(V.error(), Unparsed.error());
+  EXPECT_EQ(outcome(evql::oracle::runProgram(P, TooDeep)), outcome(V));
 
   // Custom limits thread through compileProgram the same as the oracle.
   AnalysisLimits Tight;
