@@ -11,7 +11,12 @@
 /// cohort accumulator, the EVQL derive and every workload generator) over
 /// small seeded inputs, plus the replies of a scripted PVP session that
 /// calls every deterministic method. Timing-dependent methods (pvp/stats,
-/// pvp/metrics, pvp/selfProfile) are left out.
+/// pvp/metrics, pvp/selfProfile) are left out. A second scripted session
+/// pins the error replies (a missing or ill-typed parameter of every
+/// method, unknown shapes, formats and views, a profile id another session
+/// owns) and the view cache serving a repeated pvp/regressions. The cli/
+/// entries pin stdout, stderr and the exit code of every deterministic
+/// evtool subcommand over the same fixtures, plus the files it writes.
 ///
 ///   easyview_golden <dir>               compare against <dir>; exit 1 on
 ///                                       any difference
@@ -34,6 +39,7 @@
 #include "query/Vm.h"
 #include "render/CorrelatedView.h"
 #include "support/FileIo.h"
+#include "tool/CliDriver.h"
 #include "support/Strings.h"
 #include "workload/FleetWorkload.h"
 #include "workload/GrpcLeakWorkload.h"
@@ -47,11 +53,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 using namespace ev;
 
@@ -59,6 +67,12 @@ namespace {
 
 /// Corpus entry name (a relative path under the golden dir) -> bytes.
 using Corpus = std::map<std::string, std::string>;
+
+void makeParents(const std::string &Path) {
+  for (size_t Slash = Path.find('/', 1); Slash != std::string::npos;
+       Slash = Path.find('/', Slash + 1))
+    ::mkdir(Path.substr(0, Slash).c_str(), 0755);
+}
 
 //===----------------------------------------------------------------------===
 // Converter fixtures (the inputs tests/convert_test.cpp and
@@ -349,6 +363,11 @@ std::string maskMemoryFigure(std::string Dump) {
 
 class Session {
 public:
+  Session() = default;
+  /// A session over shared state, like one strand of SessionManager.
+  Session(std::shared_ptr<ProfileStore> Store, std::shared_ptr<ViewCache> Cache)
+      : Server(ServerLimits(), std::move(Store), std::move(Cache)) {}
+
   json::Value call(const std::string &Method, json::Object Params) {
     json::Value Reply =
         Server.handleMessage(rpc::makeRequest(NextId++, Method,
@@ -491,18 +510,346 @@ std::string pvpSession() {
   return std::move(S.Log);
 }
 
+/// Error replies of every method plus the ownership and cache contracts.
+/// Sessions A and B share one store and one view cache; B addresses a
+/// profile only A opened. Both sessions log into one transcript.
+std::string pvpErrorSession() {
+  auto Store = std::make_shared<ProfileStore>();
+  auto Cache = std::make_shared<ViewCache>(ServerLimits().MaxCachedViews);
+  Session A(Store, Cache);
+  Session B(Store, Cache);
+  std::string Log;
+  auto Flush = [&] {
+    Log += A.Log;
+    Log += B.Log;
+    A.Log.clear();
+    B.Log.clear();
+  };
+  int64_t Fixed = A.open("fixed.evprof", writeEvProf(test::makeFixedProfile()));
+  int64_t R1 = A.open("r1.evprof", writeEvProf(test::makeRandomProfile(1)));
+  int64_t R2 = A.open("r2.evprof", writeEvProf(test::makeRandomProfile(2)));
+  json::Value Text("x");
+
+  A.call("pvp/open", json::Object());
+  A.call("pvp/open", params({{"dataBase64", "!!!"}}));
+  A.call("pvp/open", params({{"data", "not a profile"}}));
+  A.call("pvp/append", json::Object());
+  A.call("pvp/append", params({{"profile", Fixed}}));
+  A.call("pvp/append", params({{"profile", Fixed}, {"data", "garbage"}}));
+  A.call("pvp/close", json::Object());
+  A.call("pvp/close", params({{"profile", Text}}));
+  A.call("pvp/close", params({{"profile", 9999}}));
+  A.call("pvp/subscribe", json::Object());
+  A.call("pvp/subscribe", params({{"profile", Fixed}}));
+  A.call("pvp/subscribe", params({{"profile", Fixed}, {"view", "sideways"}}));
+  A.call("pvp/subscribe", params({{"profile", Fixed},
+                                  {"view", "flame"},
+                                  {"params", 3}}));
+  A.call("pvp/ack", json::Object());
+  A.call("pvp/ack", params({{"subscription", 77}, {"generation", 0}}));
+  A.call("pvp/unsubscribe", json::Object());
+  A.call("pvp/unsubscribe", params({{"subscription", 77}}));
+  A.call("pvp/flame", json::Object());
+  A.call("pvp/flame", params({{"profile", Text}}));
+  A.call("pvp/flame", params({{"profile", 1.5}}));
+  A.call("pvp/flame", params({{"profile", Fixed}, {"shape", 3}}));
+  A.call("pvp/flame", params({{"profile", Fixed}, {"shape", "sideways"}}));
+  A.call("pvp/flame", params({{"profile", Fixed}, {"maxRects", -1}}));
+  A.call("pvp/flame", params({{"profile", Fixed}, {"metric", "nope"}}));
+  A.call("pvp/flame", params({{"profile", Fixed}, {"metric", 7}}));
+  A.call("pvp/flame", params({{"profile", Fixed}, {"metric", true}}));
+  A.call("pvp/treeTable", json::Object());
+  A.call("pvp/treeTable", params({{"profile", Fixed}, {"expand", 3}}));
+  A.call("pvp/codeLink", params({{"profile", Fixed}}));
+  A.call("pvp/codeLink", params({{"profile", Fixed}, {"node", 99}}));
+  A.call("pvp/hover", params({{"profile", Fixed}, {"node", -1}}));
+  A.call("pvp/hover", params({{"profile", Fixed}, {"node", Text}}));
+  A.call("pvp/codeLens", params({{"profile", Fixed}}));
+  A.call("pvp/codeLens", params({{"profile", Fixed}, {"file", 3}}));
+  A.call("pvp/summary", json::Object());
+  A.call("pvp/search", params({{"profile", Fixed}}));
+  A.call("pvp/aggregate", json::Object());
+  A.call("pvp/aggregate", params({{"profiles", ids({})}}));
+  A.call("pvp/aggregate", params({{"profiles", Text}}));
+  A.call("pvp/aggregate", params({{"profiles", ids({Fixed, 9999})}}));
+  A.call("pvp/histogram", json::Object());
+  A.call("pvp/histogram", params({{"aggregate", 9999}, {"node", 0}}));
+  A.call("pvp/diff", params({{"base", Fixed}}));
+  A.call("pvp/diff", params({{"base", Fixed}, {"test", Text}}));
+  A.call("pvp/diff", params({{"base", R1}, {"test", R2}, {"metric", "nope"}}));
+  A.call("pvp/query", params({{"profile", Fixed}}));
+  A.call("pvp/query", params({{"profile", Fixed}, {"program", 3}}));
+  A.call("pvp/query", params({{"profile", Fixed}, {"program", "print ;"}}));
+  A.call("pvp/transform", params({{"profile", Fixed}}));
+  A.call("pvp/transform", params({{"profile", Fixed}, {"shape", 3}}));
+  A.call("pvp/transform", params({{"profile", Fixed}, {"shape", "sideways"}}));
+  A.call("pvp/prune", params({{"profile", Fixed}, {"minFraction", Text}}));
+  A.call("pvp/prune", params({{"profile", Fixed}, {"minFraction", 2.0}}));
+  A.call("pvp/prune", params({{"profile", Fixed}, {"metric", "nope"}}));
+  A.call("pvp/export", params({{"profile", Fixed}}));
+  A.call("pvp/export", params({{"profile", Fixed}, {"format", 3}}));
+  A.call("pvp/export", params({{"profile", Fixed}, {"format", "bogus"}}));
+  A.call("pvp/export", params({{"profile", Fixed},
+                               {"format", "collapsed"},
+                               {"metric", "nope"}}));
+  A.call("pvp/butterfly", params({{"profile", Fixed}}));
+  A.call("pvp/butterfly", params({{"profile", Fixed}, {"function", "nope"}}));
+  A.call("pvp/correlated", params({{"profile", Fixed}}));
+  A.call("pvp/correlated", params({{"profile", Fixed}, {"kind", "nope"}}));
+  A.call("pvp/diagnostics", json::Object());
+  A.call("pvp/diagnostics", params({{"program", 3}}));
+  A.call("pvp/diagnostics", params({{"profile", Fixed},
+                                    {"minSeverity", "bogus"}}));
+  A.call("pvp/diagnostics", params({{"profile", Fixed}, {"disable", Text}}));
+  {
+    json::Array Rules;
+    Rules.push_back(json::Value("no-such-rule"));
+    A.call("pvp/diagnostics", params({{"profile", Fixed},
+                                      {"disable", json::Value(std::move(Rules))}}));
+  }
+  A.call("pvp/regressions", json::Object());
+  A.call("pvp/regressions", params({{"base", R1}}));
+  A.call("pvp/regressions", params({{"base", ids({})}, {"test", R2}}));
+  A.call("pvp/regressions", params({{"base", Text}, {"test", R2}}));
+  A.call("pvp/regressions", params({{"base", R1},
+                                    {"test", R2},
+                                    {"relativeMin", -1}}));
+  A.call("pvp/regressions", params({{"base", R1},
+                                    {"test", R2},
+                                    {"nodeBudget", -1}}));
+  A.call("pvp/regressions", params({{"base", R1}, {"test", ids({R2, 9999})}}));
+  Flush();
+
+  // B addresses A's profiles: every profile-reading method refuses the id.
+  B.call("pvp/flame", params({{"profile", Fixed}}));
+  B.call("pvp/treeTable", params({{"profile", Fixed}}));
+  B.call("pvp/summary", params({{"profile", Fixed}}));
+  B.call("pvp/query", params({{"profile", Fixed}, {"program", "print 1;"}}));
+  B.call("pvp/transform", params({{"profile", Fixed}, {"shape", "flat"}}));
+  B.call("pvp/prune", params({{"profile", Fixed}}));
+  B.call("pvp/export", params({{"profile", Fixed}, {"format", "evprof"}}));
+  B.call("pvp/subscribe", params({{"profile", Fixed}, {"view", "flame"}}));
+  B.call("pvp/append", params({{"profile", Fixed}, {"data", "x"}}));
+  B.call("pvp/aggregate", params({{"profiles", ids({Fixed})}}));
+  B.call("pvp/diff", params({{"base", R1}, {"test", R2}}));
+  B.call("pvp/regressions", params({{"base", R1}, {"test", R2}}));
+  Flush();
+
+  // A repeated pvp/regressions is served from the shared view cache.
+  auto Probe = [&] {
+    json::Object P;
+    P.set("cacheHits", Cache->hits());
+    P.set("cacheMisses", Cache->misses());
+    Log += json::Value(std::move(P)).dump();
+    Log += '\n';
+  };
+  Probe();
+  A.call("pvp/regressions", params({{"base", ids({R1})}, {"test", ids({R2})}}));
+  Flush();
+  Probe();
+  A.call("pvp/regressions", params({{"base", ids({R1})}, {"test", ids({R2})}}));
+  Flush();
+  Probe();
+
+  // B closing A's profile is refused; A still owns and serves it.
+  B.call("pvp/close", params({{"profile", Fixed}}));
+  Flush();
+  A.call("pvp/summary", params({{"profile", Fixed}}));
+  Flush();
+  return Log;
+}
+
+//===----------------------------------------------------------------------===
+// evtool runs
+//===----------------------------------------------------------------------===
+
+/// pvp/summary and `evtool summary` share renderSummaryText; mask its
+/// implementation-dependent memory figure in plain text as well.
+std::string maskMemoryLine(std::string Text) {
+  static constexpr std::string_view Key = "approx memory: ";
+  for (size_t At = Text.find(Key); At != std::string::npos;
+       At = Text.find(Key, At + Key.size())) {
+    size_t End = Text.find('\n', At);
+    if (End == std::string::npos)
+      break;
+    Text.replace(At + Key.size(), End - At - Key.size(), "(masked)");
+  }
+  return Text;
+}
+
+/// Runs `evtool` in-process in the current directory and records its
+/// command line, exit code, stdout, stderr and the bytes of every file in
+/// \p Written. The full usage text that follows an unknown command is
+/// replaced by a marker: the usage text is pinned by the tool tests.
+std::string evtoolRun(const std::vector<std::string> &Args,
+                      const std::vector<std::string> &Written = {}) {
+  std::string Out, Err;
+  int Code = tool::runEvTool(Args, Out, Err);
+  std::string Usage = tool::usageText();
+  if (size_t At = Err.find(Usage); At != std::string::npos)
+    Err.replace(At, Usage.size(), "<usage text>\n");
+  std::string Log = "$ evtool";
+  for (const std::string &A : Args)
+    Log += " " + A;
+  Log += "\nexit: " + std::to_string(Code) + "\n";
+  Log += "--- stdout\n" + maskMemoryLine(Out);
+  Log += "--- stderr\n" + Err;
+  for (const std::string &File : Written) {
+    Result<std::string> Bytes = readFile(File);
+    Log += "--- file " + File + "\n";
+    Log += Bytes ? *Bytes : "(missing)";
+    Log += "\n";
+  }
+  return Log;
+}
+
+void addCli(Corpus &C) {
+  namespace fs = std::filesystem;
+  fs::path Home = fs::current_path();
+  fs::path Dir = fs::temp_directory_path() /
+                 ("easyview-golden-cli-" + std::to_string(::getpid()));
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  fs::current_path(Dir);
+
+  auto Put = [](const std::string &Path, const std::string &Bytes) {
+    makeParents(Path);
+    (void)writeFile(Path, Bytes);
+  };
+  Put("fixed.evprof", writeEvProf(test::makeFixedProfile()));
+  Put("r1.evprof", writeEvProf(test::makeRandomProfile(1, 40, 6, 12)));
+  Put("r2.evprof", writeEvProf(test::makeRandomProfile(2, 40, 6, 12)));
+  Put("stacks.collapsed", CollapsedText);
+  Put("bad.evprof", "EVPF garbage");
+  Put("q.evql", "derive x = exclusive(\"bogus\");\n"
+                "let unused = 3;\n"
+                "print total(\"time\");\n");
+  Put("ok.evql", "derive twice = 2 * exclusive(\"time\");\n"
+                 "print total(\"twice\");\n");
+  workload::FleetOptions FO;
+  FO.Services = 3;
+  FO.Versions = 2;
+  FO.Replicas = 3;
+  workload::FleetWorkload Fleet = workload::generateFleetWorkload(FO);
+  for (size_t I = 0; I < Fleet.Versions.front().size(); ++I)
+    Put("base/" + std::to_string(I) + ".evprof",
+        writeEvProf(Fleet.Versions.front()[I]));
+  for (size_t I = 0; I < Fleet.Versions.back().size(); ++I)
+    Put("test/" + std::to_string(I) + ".evprof",
+        writeEvProf(Fleet.Versions.back()[I]));
+
+  const std::string Derive = "derive twice = 2 * exclusive(\"time\");\n"
+                             "print total(\"twice\");";
+  std::vector<std::pair<std::string, std::string>> Runs = {
+      {"info", evtoolRun({"info", "fixed.evprof"}) +
+                   evtoolRun({"info", "stacks.collapsed"}) +
+                   evtoolRun({"info", "missing.evprof"}) +
+                   evtoolRun({"info"})},
+      {"summary", evtoolRun({"summary", "r1.evprof"}) +
+                      evtoolRun({"summary", "bad.evprof"})},
+      {"flame", evtoolRun({"flame", "fixed.evprof", "--columns", "60"}) +
+                    evtoolRun({"flame", "r1.evprof", "--shape", "bottom-up",
+                               "--columns", "60"}) +
+                    evtoolRun({"flame", "r1.evprof", "--shape", "flat",
+                               "--metric", "bytes", "--columns", "60"}) +
+                    evtoolRun({"flame", "fixed.evprof", "--svg", "f.svg"},
+                              {"f.svg"}) +
+                    evtoolRun({"flame", "fixed.evprof", "--shape", "sideways"}) +
+                    evtoolRun({"flame", "fixed.evprof", "--metric", "nope"}) +
+                    evtoolRun({"flame", "fixed.evprof", "--columns", "x"})},
+      {"table", evtoolRun({"table", "r1.evprof", "--rows", "12"}) +
+                    evtoolRun({"table", "fixed.evprof"}) +
+                    evtoolRun({"table", "fixed.evprof", "--rows", "x"})},
+      {"convert",
+       evtoolRun({"convert", "fixed.evprof", "out.evprof"}, {"out.evprof"}) +
+           evtoolRun({"convert", "fixed.evprof", "out.pprof", "--to", "pprof"},
+                     {"out.pprof"}) +
+           evtoolRun({"convert", "r1.evprof", "out.collapsed", "--to",
+                      "collapsed"},
+                     {"out.collapsed"}) +
+           evtoolRun({"convert", "fixed.evprof", "out.speedscope", "--to",
+                      "speedscope"},
+                     {"out.speedscope"}) +
+           evtoolRun({"convert", "fixed.evprof", "out.chrome", "--to",
+                      "chrome"},
+                     {"out.chrome"}) +
+           evtoolRun({"convert", "stacks.collapsed", "round.evprof"},
+                     {"round.evprof"}) +
+           evtoolRun({"convert", "fixed.evprof", "out.x", "--to", "bogus"}) +
+           evtoolRun({"convert", "fixed.evprof"})},
+      {"diff", evtoolRun({"diff", "r1.evprof", "r2.evprof"}) +
+                   evtoolRun({"diff", "r1.evprof", "r2.evprof", "--metric",
+                              "bytes"}) +
+                   evtoolRun({"diff", "r1.evprof"})},
+      {"aggregate",
+       evtoolRun({"aggregate", "agg.evprof", "r1.evprof", "r2.evprof",
+                  "fixed.evprof"},
+                 {"agg.evprof"}) +
+           evtoolRun({"aggregate", "agg.evprof"})},
+      {"query",
+       evtoolRun({"query", "fixed.evprof", "--e", Derive, "--out", "q.evprof"},
+                 {"q.evprof"}) +
+           evtoolRun({"query", "fixed.evprof", "--file", "ok.evql"}) +
+           evtoolRun({"query", "fixed.evprof", "--e", "print nope;"}) +
+           evtoolRun({"query", "fixed.evprof"})},
+      {"check", evtoolRun({"check", "q.evql", "--profile", "fixed.evprof"}) +
+                    evtoolRun({"check", "--e", Derive}) +
+                    evtoolRun({"check", "q.evql", "--min-severity", "error"}) +
+                    evtoolRun({"check", "q.evql", "--disable",
+                               "EVQL002,unused-binding", "--werror"}) +
+                    evtoolRun({"check", "q.evql", "-Werror"}) +
+                    evtoolRun({"check", "--list-rules"}) +
+                    evtoolRun({"check", "q.evql", "--min-severity", "bogus"}) +
+                    evtoolRun({"check", "q.evql", "--disable", "nope"}) +
+                    evtoolRun({"check"})},
+      {"lint", evtoolRun({"lint", "r1.evprof"}) +
+                   evtoolRun({"lint", "stacks.collapsed", "--werror"}) +
+                   evtoolRun({"lint", "bad.evprof"}) +
+                   evtoolRun({"lint", "fixed.evprof", "--min-severity",
+                              "warning", "--disable", "EVL208"}) +
+                   evtoolRun({"lint"})},
+      {"regress-text",
+       evtoolRun({"regress", "base", "test"}) +
+           evtoolRun({"regress", "base", "test", "--min-severity", "warning",
+                      "--disable", "EVL304", "--rel-min", "0.2", "--sigma",
+                      "2", "--node-budget", "64", "--werror"}) +
+           evtoolRun({"regress", "base/0.evprof", "test/0.evprof"}) +
+           evtoolRun({"regress", "base", "test", "--rel-min", "-1"}) +
+           evtoolRun({"regress", "base", "test", "--format", "xml"}) +
+           evtoolRun({"regress", "base"})},
+      {"regress-json",
+       evtoolRun({"regress", "base", "test", "--format", "json"}) +
+           evtoolRun({"regress", "base", "test", "--format", "json",
+                      "--abs-min", "1000", "--node-budget", "x"})},
+      {"butterfly", evtoolRun({"butterfly", "r1.evprof", "fn3"}) +
+                        evtoolRun({"butterfly", "r1.evprof", "fn3", "--metric",
+                                   "bytes"}) +
+                        evtoolRun({"butterfly", "r1.evprof", "nope"}) +
+                        evtoolRun({"butterfly", "r1.evprof"})},
+      {"annotate", evtoolRun({"annotate", "fixed.evprof", "comp.cc"}) +
+                       evtoolRun({"annotate", "fixed.evprof", "none.cc"}) +
+                       evtoolRun({"annotate", "fixed.evprof"})},
+      {"report", evtoolRun({"report", "fixed.evprof", "out.html"}) +
+                     evtoolRun({"report", "fixed.evprof"})},
+      {"usage-errors", evtoolRun({"frobnicate", "fixed.evprof"}) +
+                           evtoolRun({"flame", "fixed.evprof", "--shape"}) +
+                           evtoolRun({"query", "fixed.evprof", "--e"})},
+  };
+  for (auto &[Name, Log] : Runs)
+    C["cli/" + Name + ".txt"] = std::move(Log);
+
+  fs::current_path(Home);
+  fs::remove_all(Dir);
+}
+
 Corpus buildCorpus() {
   Corpus C;
   addConverters(C);
   addAnalyses(C);
   C["pvp/session.jsonl"] = pvpSession();
+  C["pvp/errors.jsonl"] = pvpErrorSession();
+  addCli(C);
   return C;
-}
-
-void makeParents(const std::string &Path) {
-  for (size_t Slash = Path.find('/', 1); Slash != std::string::npos;
-       Slash = Path.find('/', Slash + 1))
-    ::mkdir(Path.substr(0, Slash).c_str(), 0755);
 }
 
 } // namespace
