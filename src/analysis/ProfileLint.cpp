@@ -58,20 +58,11 @@ const LintRuleInfo *findLintRule(std::string_view IdOrName) {
   return nullptr;
 }
 
-bool ProfileLinter::enabled(const LintRuleInfo &Rule) const {
-  if (Rule.DefaultSev < Opts.MinSeverity)
-    return false;
-  for (const std::string &D : Opts.Disabled)
-    if (Rule.Id == D || Rule.Name == D)
-      return false;
-  return true;
-}
-
 bool ProfileLinter::emit(DiagnosticSet &Out, std::string_view RuleId,
                          std::string Message, std::string Hint,
                          NodeId Node) const {
   const LintRuleInfo *Rule = findLintRule(RuleId);
-  if (!Rule || !enabled(*Rule))
+  if (!Rule || !Opts.Filter.keeps(Rule->DefaultSev, Rule->Id, Rule->Name))
     return false;
   Diagnostic D;
   D.Id = std::string(Rule->Id);

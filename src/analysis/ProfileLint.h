@@ -30,6 +30,7 @@
 #define EASYVIEW_ANALYSIS_PROFILELINT_H
 
 #include "analysis/Diagnostic.h"
+#include "analysis/RuleRegistry.h"
 #include "support/Limits.h"
 
 #include <string>
@@ -56,10 +57,8 @@ const LintRuleInfo *findLintRule(std::string_view IdOrName);
 /// Configuration for a lint run.
 struct LintOptions {
   AnalysisLimits Limits = AnalysisLimits::defaults();
-  /// Findings below this severity are suppressed.
-  Severity MinSeverity = Severity::Note;
-  /// Rules to skip, by id or name.
-  std::vector<std::string> Disabled;
+  /// Which rules emit findings.
+  RuleFilter Filter;
   /// EVL202 fires when the CCT is deeper than this.
   size_t MaxReasonableDepth = 512;
   /// EVL203 fires when one node has more children than this.
@@ -91,7 +90,6 @@ public:
   const LintOptions &options() const { return Opts; }
 
 private:
-  bool enabled(const LintRuleInfo &Rule) const;
   bool emit(DiagnosticSet &Out, std::string_view RuleId,
             std::string Message, std::string Hint = "",
             NodeId Node = InvalidNode) const;

@@ -139,22 +139,13 @@ void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
   if (Base.profileCount() == 0 || Test.profileCount() == 0)
     return;
 
-  auto Enabled = [&](const RegressionRuleInfo &Rule) {
-    if (Rule.DefaultSev < Opts.MinSeverity)
-      return false;
-    for (const std::string &D : Opts.Disabled)
-      if (Rule.Id == D || Rule.Name == D)
-        return false;
-    return true;
-  };
-
   std::vector<PendingFinding> Pending;
   auto Emit = [&](std::string_view RuleId, std::string Path,
                   std::string Metric, std::string Message, std::string Hint,
                   NodeId Node) {
     const RegressionRuleInfo *Rule = findRegressionRule(RuleId);
     assert(Rule && "unknown regression rule id");
-    if (!Enabled(*Rule))
+    if (!Opts.Filter.keeps(Rule->DefaultSev, Rule->Id, Rule->Name))
       return;
     Diagnostic D;
     D.Id = std::string(Rule->Id);

@@ -37,6 +37,7 @@
 #define EASYVIEW_ANALYSIS_REGRESSION_H
 
 #include "analysis/Diagnostic.h"
+#include "analysis/RuleRegistry.h"
 #include "analysis/FleetAggregate.h"
 #include "support/Limits.h"
 
@@ -66,10 +67,8 @@ const RegressionRuleInfo *findRegressionRule(std::string_view IdOrName);
 /// clears the absolute floor AND the relative floor AND the sigma gate.
 struct RegressionOptions {
   AnalysisLimits Limits = AnalysisLimits::defaults();
-  /// Findings below this severity are suppressed.
-  Severity MinSeverity = Severity::Note;
-  /// Rules to skip, by id or name.
-  std::vector<std::string> Disabled;
+  /// Which rules emit findings.
+  RuleFilter Filter;
 
   /// EVL300/301: minimum |delta| / max(|baseMean|, eps).
   double RelativeMin = 0.10;

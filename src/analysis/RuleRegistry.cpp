@@ -12,6 +12,16 @@
 
 namespace ev {
 
+bool RuleFilter::keeps(Severity Sev, std::string_view Id,
+                       std::string_view Name) const {
+  if (Sev < MinSeverity)
+    return false;
+  for (const std::string &Rule : Disabled)
+    if (Id == Rule || Name == Rule)
+      return false;
+  return true;
+}
+
 std::string_view ruleCategoryName(RuleCategory Category) {
   switch (Category) {
   case RuleCategory::Query:

@@ -46,6 +46,19 @@ struct RuleInfo {
   RuleCategory Category;
 };
 
+/// Which findings a run keeps: those at or above MinSeverity whose rule
+/// is not disabled by id or by name. The linter and the regression
+/// analyzer apply it while emitting; pvp/diagnostics, pvp/regressions and
+/// `evtool check` apply it to finished findings.
+struct RuleFilter {
+  Severity MinSeverity = Severity::Note;
+  /// Rules to skip, by id or name.
+  std::vector<std::string> Disabled;
+
+  bool keeps(Severity Sev, std::string_view Id, std::string_view Name) const;
+  bool keeps(const Diagnostic &D) const { return keeps(D.Sev, D.Id, D.Rule); }
+};
+
 /// Every rule of every family, in (category, id) order.
 const std::vector<RuleInfo> &allRules();
 

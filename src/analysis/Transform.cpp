@@ -82,6 +82,17 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
   return Out.take();
 }
 
+std::optional<Profile> flameShape(const Profile &P, std::string_view Shape,
+                                  const CancelToken &Cancel) {
+  if (Shape == "top-down")
+    return P;
+  if (Shape == "bottom-up")
+    return bottomUpTree(P, Cancel);
+  if (Shape == "flat")
+    return flatTree(P, Cancel);
+  return std::nullopt;
+}
+
 Profile flatTree(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/flatTree", "analysis");
   ProfileBuilder Out(P.name() + " (flat)");

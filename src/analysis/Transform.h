@@ -28,6 +28,9 @@
 #include "profile/Profile.h"
 #include "support/Cancel.h"
 
+#include <optional>
+#include <string_view>
+
 namespace ev {
 
 /// All transforms are cooperatively cancellable: the optional token is
@@ -49,6 +52,13 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel = {});
 /// additional "<name> (inclusive)" column records the call-path-aware
 /// inclusive sum per function (recursion counted once).
 Profile flatTree(const Profile &P, const CancelToken &Cancel = {});
+
+/// The tree a flame view of shape \p Shape draws: "top-down" is \p P
+/// itself (the copy shares its block), "bottom-up" and "flat" are the
+/// transforms above. \returns nullopt for any other shape name; callers
+/// word the error themselves.
+std::optional<Profile> flameShape(const Profile &P, std::string_view Shape,
+                                  const CancelToken &Cancel = {});
 
 /// Merges chains of the same frame along call paths, collapsing direct
 /// self-recursion into a single context (paper §V-A(a): "collapsing deep

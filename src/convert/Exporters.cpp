@@ -7,6 +7,7 @@
 #include "convert/Exporters.h"
 
 #include "analysis/MetricEngine.h"
+#include "proto/EvProf.h"
 #include "support/Json.h"
 
 #include <cmath>
@@ -253,6 +254,22 @@ pprof::PprofProfile toPprofModel(const Profile &P) {
 
 std::string toPprof(const Profile &P) {
   return pprof::write(toPprofModel(P));
+}
+
+std::optional<std::string> exportProfile(const Profile &P,
+                                         std::string_view Format,
+                                         MetricId Metric) {
+  if (Format == "evprof")
+    return writeEvProf(P);
+  if (Format == "pprof")
+    return toPprof(P);
+  if (Format == "collapsed")
+    return toCollapsed(P, Metric);
+  if (Format == "speedscope")
+    return toSpeedscope(P, Metric);
+  if (Format == "chrome")
+    return toChromeTrace(P, Metric);
+  return std::nullopt;
 }
 
 } // namespace convert

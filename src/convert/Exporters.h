@@ -21,7 +21,9 @@
 #include "profile/Profile.h"
 #include "proto/PprofFormat.h"
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace ev {
 namespace convert {
@@ -49,6 +51,15 @@ pprof::PprofProfile toPprofModel(const Profile &P);
 
 /// Serialized profile.proto bytes of toPprofModel().
 std::string toPprof(const Profile &P);
+
+/// Serializes \p P in the export format named \p Format: "evprof",
+/// "pprof", "collapsed", "speedscope" or "chrome". \p Metric selects the
+/// column of the single-metric formats; evprof and pprof carry every
+/// metric and ignore it. \returns nullopt for any other format name;
+/// callers word the error themselves.
+std::optional<std::string> exportProfile(const Profile &P,
+                                         std::string_view Format,
+                                         MetricId Metric);
 
 } // namespace convert
 } // namespace ev

@@ -61,17 +61,9 @@ Result<std::string> EasyViewEngine::flameSvg(int64_t Id,
   if (!P)
     return makeError("no profile with id " + std::to_string(Id));
 
-  Profile Shaped;
-  const Profile *View = P;
-  if (Options.Shape == "bottom-up") {
-    Shaped = bottomUpTree(*P);
-    View = &Shaped;
-  } else if (Options.Shape == "flat") {
-    Shaped = flatTree(*P);
-    View = &Shaped;
-  } else if (Options.Shape != "top-down") {
+  std::optional<Profile> View = flameShape(*P, Options.Shape);
+  if (!View)
     return makeError("unknown flame shape '" + Options.Shape + "'");
-  }
   if (Options.Metric >= View->metrics().size())
     return makeError("metric index out of range");
 

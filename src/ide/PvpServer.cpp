@@ -36,7 +36,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 namespace ev {
 
@@ -45,6 +44,9 @@ namespace {
 /// The exact diagnostic a handler returns when it bails on the deadline;
 /// dispatch() maps it to the RequestTimeout error code.
 constexpr const char *DeadlineDiag = "request deadline exceeded";
+
+/// The trace span label of a request naming no known method.
+constexpr const char *UnknownMethodLabel = "pvp/unknown";
 
 /// The exact diagnostic doSubscribe returns at the subscription cap;
 /// dispatch() maps it to the SubscriptionLimit error code.
@@ -294,19 +296,18 @@ Result<json::Value> PvpServer::doClose(const json::Object &Params) {
   if (Removed)
     Store->drop(Id);
   Aggregates.erase(Id);
-  Store->bumpGeneration(Id);
   json::Object Out;
   Out.set("closed", Removed);
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::computeView(const std::string &Method,
+Result<json::Value> PvpServer::computeView(const MethodEntry &View,
                                            const json::Object &ViewParams) {
   // Going through dispatch() (not doFlame/doTreeTable directly) buys two
   // properties: the shared view cache serves repeated computations, and
   // the payload is bit-for-bit what an explicit re-query of the same
   // params would return — the identity the delta codec is tested against.
-  json::Value Envelope = dispatch(Method, ViewParams, /*Id=*/0);
+  json::Value Envelope = dispatch(View, ViewParams, /*Id=*/0);
   const json::Object &Obj = Envelope.asObject();
   if (const json::Value *Err = Obj.find("error")) {
     std::string Message = "view computation failed";
@@ -333,12 +334,13 @@ Result<json::Value> PvpServer::doSubscribe(const json::Object &Params) {
   const json::Value *ViewV = Params.find("view");
   if (!ViewV || !ViewV->isString())
     return makeError("missing 'view' parameter (flame or treeTable)");
-  std::string Method, RowsKey;
+  const MethodEntry *ViewMethod;
+  std::string RowsKey;
   if (ViewV->asString() == "flame") {
-    Method = "pvp/flame";
+    ViewMethod = findMethod("pvp/flame");
     RowsKey = "rects";
   } else if (ViewV->asString() == "treeTable") {
-    Method = "pvp/treeTable";
+    ViewMethod = findMethod("pvp/treeTable");
     RowsKey = "rows";
   } else {
     return makeError("unknown view '" + ViewV->asString() +
@@ -356,14 +358,14 @@ Result<json::Value> PvpServer::doSubscribe(const json::Object &Params) {
   }
 
   uint64_t Gen = Store->generationOf(Id);
-  Result<json::Value> View = computeView(Method, ViewParams);
+  Result<json::Value> View = computeView(*ViewMethod, ViewParams);
   if (!View)
     return makeError(View.error());
 
   int64_t SubId = NextSubId++;
   Subscription &S = Subs[SubId];
   S.ProfileId = Id;
-  S.Method = std::move(Method);
+  S.View = ViewMethod;
   S.RowsKey = std::move(RowsKey);
   S.ViewParams = std::move(ViewParams);
   S.AckedGen = Gen;
@@ -460,7 +462,7 @@ size_t PvpServer::publishSubscriptions() {
     // idempotent against the acked base, never chained on each other.
     if (Gen == S.AckedGen || Gen == S.PushedGen)
       continue;
-    Result<json::Value> View = computeView(S.Method, S.ViewParams);
+    Result<json::Value> View = computeView(*S.View, S.ViewParams);
     if (!View) {
       endSubscription(SubId, S, View.error());
       Ended.push_back(SubId);
@@ -512,18 +514,10 @@ Result<json::Value> PvpServer::doFlame(const json::Object &Params) {
 
   // Shape transforms produce a temporary tree; the geometry refers to it,
   // so node ids in the reply are resolved back to names eagerly.
-  Profile Shaped;
-  const Profile *View = P->get();
-  if (Shape == "bottom-up") {
-    Shaped = bottomUpTree(**P, ActiveCancel);
-    View = &Shaped;
-  } else if (Shape == "flat") {
-    Shaped = flatTree(**P, ActiveCancel);
-    View = &Shaped;
-  } else if (Shape != "top-down") {
+  std::optional<Profile> View = flameShape(**P, Shape, ActiveCancel);
+  if (!View)
     return makeError("unknown shape '" + Shape +
                      "' (top-down, bottom-up, flat)");
-  }
 
   Result<MetricId> Metric = metricParam(*View, Params);
   if (!Metric)
@@ -838,15 +832,10 @@ Result<json::Value> PvpServer::doQuery(const json::Object &Params) {
   if (std::optional<std::string> TooLarge =
           evql::programSizeError(Source, Limits.Analysis))
     return makeError(std::move(*TooLarge));
-  int64_t SourceId = 0;
-  intParam(Params, "profile", SourceId); // Validated by lookup() above.
-
-  // Warm path: a program compiled at the source profile's CURRENT
-  // generation skips lex/parse/compile entirely and goes straight to the
-  // batched VM. The generation in the key is what invalidates cached
-  // programs when pvp/append (or any transform) bumps the profile.
-  std::string CacheKey = evql::programCacheKey(
-      Source, SourceId, Store->generationOf(SourceId));
+  // Warm path: compilation reads only the source, so a program compiled
+  // once serves every profile and generation and a hit goes straight to
+  // the batched VM.
+  std::string CacheKey = evql::programCacheKey(Source);
   std::shared_ptr<const evql::CompiledProgram> Compiled =
       Cache->programs().lookup(CacheKey);
   if (!Compiled) {
@@ -854,17 +843,11 @@ Result<json::Value> PvpServer::doQuery(const json::Object &Params) {
     if (!Prog)
       return makeError(Prog.error());
     Compiled = evql::compileProgram(*Prog, Limits.Analysis);
+    Cache->programs().insert(CacheKey, Compiled);
   }
   Result<evql::QueryOutput> Out = evql::runCompiled(**P, *Compiled);
   if (!Out)
     return makeError(Out.error());
-  Store->bumpGeneration(SourceId);
-  // Re-insert under the POST-bump key: the bump above retires the key we
-  // looked up, so caching against the new generation is what lets the next
-  // identical query hit warm while append-driven bumps still invalidate.
-  Cache->programs().insert(
-      evql::programCacheKey(Source, SourceId, Store->generationOf(SourceId)),
-      Compiled);
 
   json::Object Reply;
   Reply.set("profile", addProfile(std::move(Out->Result)));
@@ -888,24 +871,21 @@ Result<json::Value> PvpServer::doTransform(const json::Object &Params) {
     return makeError("missing 'shape' parameter");
   const std::string &Shape = ShapeV->asString();
 
-  Profile Shaped;
+  // A materialized top-down tree is a fresh copy (flameShape() would
+  // share the block); the other view shapes are the flame ones.
+  std::optional<Profile> Shaped;
   if (Shape == "top-down")
     Shaped = topDownTree(**P, ActiveCancel);
-  else if (Shape == "bottom-up")
-    Shaped = bottomUpTree(**P, ActiveCancel);
-  else if (Shape == "flat")
-    Shaped = flatTree(**P, ActiveCancel);
   else if (Shape == "collapse-recursion")
     Shaped = collapseRecursion(**P, ActiveCancel);
   else
+    Shaped = flameShape(**P, Shape, ActiveCancel);
+  if (!Shaped)
     return makeError("unknown shape '" + Shape + "'");
-  int64_t SourceId = 0;
-  intParam(Params, "profile", SourceId); // Validated by lookup() above.
-  Store->bumpGeneration(SourceId);
 
   json::Object Out;
-  Out.set("nodes", Shaped.nodeCount());
-  Out.set("profile", addProfile(std::move(Shaped)));
+  Out.set("nodes", Shaped->nodeCount());
+  Out.set("profile", addProfile(std::move(*Shaped)));
   return json::Value(std::move(Out));
 }
 
@@ -925,9 +905,6 @@ Result<json::Value> PvpServer::doPrune(const json::Object &Params) {
   if (MinFraction < 0.0 || MinFraction > 1.0)
     return makeError("'minFraction' must be in [0, 1]");
   Profile Pruned = pruneByFraction(**P, *Metric, MinFraction);
-  int64_t SourceId = 0;
-  intParam(Params, "profile", SourceId); // Validated by lookup() above.
-  Store->bumpGeneration(SourceId);
   json::Object Out;
   Out.set("nodes", Pruned.nodeCount());
   Out.set("removed", (*P)->nodeCount() - Pruned.nodeCount());
@@ -953,23 +930,13 @@ Result<json::Value> PvpServer::doExport(const json::Object &Params) {
     Metric = *M;
   }
 
-  std::string Bytes;
-  if (Fmt == "evprof")
-    Bytes = writeEvProf(**P);
-  else if (Fmt == "pprof")
-    Bytes = convert::toPprof(**P);
-  else if (Fmt == "collapsed")
-    Bytes = convert::toCollapsed(**P, Metric);
-  else if (Fmt == "speedscope")
-    Bytes = convert::toSpeedscope(**P, Metric);
-  else if (Fmt == "chrome")
-    Bytes = convert::toChromeTrace(**P, Metric);
-  else
+  std::optional<std::string> Bytes = convert::exportProfile(**P, Fmt, Metric);
+  if (!Bytes)
     return makeError("unknown export format '" + Fmt + "'");
 
   json::Object Out;
-  Out.set("bytes", Bytes.size());
-  Out.set("dataBase64", base64Encode(Bytes));
+  Out.set("bytes", Bytes->size());
+  Out.set("dataBase64", base64Encode(*Bytes));
   return json::Value(std::move(Out));
 }
 
@@ -1058,17 +1025,7 @@ namespace {
 /// The finding filters shared by pvp/diagnostics and pvp/regressions.
 struct DiagnosticFilter {
   AnalysisLimits Analysis;
-  Severity MinSeverity = Severity::Note;
-  std::vector<std::string> Disabled;
-
-  bool suppresses(const Diagnostic &D) const {
-    if (D.Sev < MinSeverity)
-      return true;
-    for (const std::string &Rule : Disabled)
-      if (D.Id == Rule || D.Rule == Rule)
-        return true;
-    return false;
-  }
+  RuleFilter Rules;
 };
 
 /// Parses 'maxDiagnostics' (which can only lower \p Analysis's cap),
@@ -1084,7 +1041,8 @@ Result<DiagnosticFilter> diagnosticFilterParam(const json::Object &Params,
           F.Analysis.MaxDiagnostics, static_cast<size_t>(MaxDiags));
   }
   if (const json::Value *SV = Params.find("minSeverity")) {
-    if (!SV->isString() || !parseSeverity(SV->asString(), F.MinSeverity))
+    if (!SV->isString() ||
+        !parseSeverity(SV->asString(), F.Rules.MinSeverity))
       return makeError(
           "invalid 'minSeverity' (expected note, info, warning, or error)");
   }
@@ -1097,7 +1055,7 @@ Result<DiagnosticFilter> diagnosticFilterParam(const json::Object &Params,
       // (and inert), only typos are errors.
       if (!Entry.isString() || !findRule(Entry.asString()))
         return makeError("unknown rule in 'disable'");
-      F.Disabled.push_back(Entry.asString());
+      F.Rules.Disabled.push_back(Entry.asString());
     }
   }
   return F;
@@ -1113,7 +1071,7 @@ json::Object diagnosticsReply(const DiagnosticSet &Diags,
                               const std::function<bool()> &Expired) {
   size_t Errors = 0, Warnings = 0, Kept = 0;
   for (const Diagnostic &D : Diags.all()) {
-    if (Filter.suppresses(D))
+    if (!Filter.Rules.keeps(D))
       continue;
     ++Kept;
     if (D.Sev == Severity::Error)
@@ -1125,7 +1083,7 @@ json::Object diagnosticsReply(const DiagnosticSet &Diags,
   json::Array Arr;
   bool DeadlineHit = false;
   for (const Diagnostic &D : Diags.all()) {
-    if (Filter.suppresses(D))
+    if (!Filter.Rules.keeps(D))
       continue;
     if ((Arr.size() & 255) == 0 && Expired()) {
       DeadlineHit = true;
@@ -1196,8 +1154,7 @@ Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
   if (P) {
     LintOptions LOpts;
     LOpts.Limits = Filter->Analysis;
-    LOpts.MinSeverity = Filter->MinSeverity;
-    LOpts.Disabled = Filter->Disabled;
+    LOpts.Filter = Filter->Rules;
     ProfileLinter(LOpts).lintProfile(*P, Diags);
   }
   Diags.sortBySource();
@@ -1265,8 +1222,7 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
     return makeError(Filter.error());
   RegressionOptions Opts;
   Opts.Limits = Filter->Analysis;
-  Opts.MinSeverity = Filter->MinSeverity;
-  Opts.Disabled = Filter->Disabled;
+  Opts.Filter = Filter->Rules;
   if (!ratioParam(Params, "relativeMin", Opts.RelativeMin))
     return makeError("'relativeMin' must be a non-negative number");
   if (!ratioParam(Params, "absoluteMin", Opts.AbsoluteMin))
@@ -1315,32 +1271,6 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
   Reply.set("baseProfiles", Base.profileCount());
   Reply.set("testProfiles", Test.profileCount());
   return json::Value(std::move(Reply));
-}
-
-bool PvpServer::regressionCacheKey(const json::Object &Params,
-                                   std::string &Key, int64_t &Prof,
-                                   uint64_t &Gen) const {
-  Result<std::vector<int64_t>> BaseIds = cohortParam(Params, "base");
-  Result<std::vector<int64_t>> TestIds = cohortParam(Params, "test");
-  if (!BaseIds || !TestIds)
-    return false;
-  std::string Members;
-  for (int64_t Id : *BaseIds) {
-    if (!Owned.count(Id))
-      return false;
-    Members += 'b' + std::to_string(Id) + ':' +
-               std::to_string(Store->generationOf(Id)) + ',';
-  }
-  for (int64_t Id : *TestIds) {
-    if (!Owned.count(Id))
-      return false;
-    Members += 't' + std::to_string(Id) + ':' +
-               std::to_string(Store->generationOf(Id)) + ',';
-  }
-  Prof = BaseIds->front();
-  Gen = Store->generationOf(Prof);
-  Key = "pvp/regressions|" + Members + '|' + json::Value(Params).dump();
-  return true;
 }
 
 Result<json::Value> PvpServer::doStats(const json::Object &) {
@@ -1448,97 +1378,146 @@ Result<json::Value> PvpServer::doSelfProfile(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-/// One PVP method: its handler and its pinned latency histogram.
-struct PvpServer::MethodEntry {
-  Result<json::Value> (PvpServer::*Run)(const json::Object &);
-  telemetry::Histogram *Latency;
+namespace {
+
+/// The profiles a successful reply is a pure function of. Naming them
+/// makes a method memoized in the view cache; None is never cached.
+enum class Deps : uint8_t {
+  None,
+  Profile, ///< The 'profile' param.
+  Cohorts, ///< Every id of the 'base' and 'test' cohorts.
 };
 
-const PvpServer::MethodEntry *PvpServer::findMethod(std::string_view Method) {
-  // Built once: a client naming unknown methods registers nothing.
-  static const std::unordered_map<std::string_view, MethodEntry> Table = [] {
-    telemetry::Registry &Reg = telemetry::Registry::global();
-    std::unordered_map<std::string_view, MethodEntry> T;
-    auto Add = [&](std::string_view Name,
-                   Result<json::Value> (PvpServer::*Run)(
-                       const json::Object &)) {
-      T.emplace(Name, MethodEntry{Run, &Reg.histogram("pvp.latencyUs." +
-                                                      std::string(Name))});
-    };
-    Add("pvp/open", &PvpServer::doOpen);
-    Add("pvp/append", &PvpServer::doAppend);
-    Add("pvp/subscribe", &PvpServer::doSubscribe);
-    Add("pvp/ack", &PvpServer::doAck);
-    Add("pvp/unsubscribe", &PvpServer::doUnsubscribe);
-    Add("pvp/close", &PvpServer::doClose);
-    Add("pvp/flame", &PvpServer::doFlame);
-    Add("pvp/treeTable", &PvpServer::doTreeTable);
-    Add("pvp/codeLink", &PvpServer::doCodeLink);
-    Add("pvp/hover", &PvpServer::doHover);
-    Add("pvp/codeLens", &PvpServer::doCodeLens);
-    Add("pvp/summary", &PvpServer::doSummary);
-    Add("pvp/search", &PvpServer::doSearch);
-    Add("pvp/aggregate", &PvpServer::doAggregate);
-    Add("pvp/histogram", &PvpServer::doHistogram);
-    Add("pvp/diff", &PvpServer::doDiff);
-    Add("pvp/query", &PvpServer::doQuery);
-    Add("pvp/transform", &PvpServer::doTransform);
-    Add("pvp/prune", &PvpServer::doPrune);
-    Add("pvp/export", &PvpServer::doExport);
-    Add("pvp/butterfly", &PvpServer::doButterfly);
-    Add("pvp/correlated", &PvpServer::doCorrelated);
-    Add("pvp/diagnostics", &PvpServer::doDiagnostics);
-    Add("pvp/regressions", &PvpServer::doRegressions);
-    Add("pvp/stats", &PvpServer::doStats);
-    Add("pvp/metrics", &PvpServer::doMetrics);
-    Add("pvp/selfProfile", &PvpServer::doSelfProfile);
-    return T;
-  }();
-  auto It = Table.find(Method);
-  return It == Table.end() ? nullptr : &It->second;
+} // namespace
+
+/// One row of the PVP method table: the handler, its pinned latency
+/// histogram, and the policy dispatch() applies around it. docs/PVP.md
+/// lists every method's policy.
+struct PvpServer::MethodEntry {
+  std::string_view Name; ///< Views a string literal (a span label).
+  Result<json::Value> (PvpServer::*Run)(const json::Object &);
+  Deps DependsOn = Deps::None;
+  /// Success bumps the 'profile' param's generation, retiring every
+  /// cached view of it and waking its subscriptions.
+  bool Retires = false;
+  telemetry::Histogram *Latency = nullptr;
+};
+
+namespace {
+
+/// The profile ids \p On names in \p Params, or nullopt when they are
+/// missing or malformed (the handler reports that).
+std::optional<std::vector<int64_t>>
+referencedProfiles(Deps On, const json::Object &Params) {
+  std::vector<int64_t> Ids;
+  if (On == Deps::Profile) {
+    int64_t Id;
+    if (!intParam(Params, "profile", Id))
+      return std::nullopt;
+    Ids.push_back(Id);
+  } else if (On == Deps::Cohorts) {
+    for (std::string_view Key : {"base", "test"}) {
+      Result<std::vector<int64_t>> Cohort = cohortParam(Params, Key);
+      if (!Cohort)
+        return std::nullopt;
+      Ids.insert(Ids.end(), Cohort->begin(), Cohort->end());
+    }
+  }
+  return Ids;
 }
 
-json::Value PvpServer::dispatch(std::string_view Method,
+} // namespace
+
+const std::vector<PvpServer::MethodEntry> &PvpServer::methods() {
+  // Built once: a client naming unknown methods registers nothing. Each
+  // method name is declared here and nowhere else.
+  static const std::vector<MethodEntry> Table = [] {
+    using S = PvpServer;
+    std::vector<MethodEntry> T = {
+        {"pvp/open", &S::doOpen},
+        {"pvp/append", &S::doAppend},
+        {"pvp/subscribe", &S::doSubscribe},
+        {"pvp/ack", &S::doAck},
+        {"pvp/unsubscribe", &S::doUnsubscribe},
+        {"pvp/close", &S::doClose, Deps::None, /*Retires=*/true},
+        {"pvp/flame", &S::doFlame, Deps::Profile},
+        {"pvp/treeTable", &S::doTreeTable, Deps::Profile},
+        {"pvp/codeLink", &S::doCodeLink},
+        {"pvp/hover", &S::doHover},
+        {"pvp/codeLens", &S::doCodeLens},
+        {"pvp/summary", &S::doSummary, Deps::Profile},
+        {"pvp/search", &S::doSearch},
+        {"pvp/aggregate", &S::doAggregate},
+        {"pvp/histogram", &S::doHistogram},
+        {"pvp/diff", &S::doDiff},
+        {"pvp/query", &S::doQuery, Deps::None, /*Retires=*/true},
+        {"pvp/transform", &S::doTransform, Deps::None, /*Retires=*/true},
+        {"pvp/prune", &S::doPrune, Deps::None, /*Retires=*/true},
+        {"pvp/export", &S::doExport},
+        {"pvp/butterfly", &S::doButterfly},
+        {"pvp/correlated", &S::doCorrelated},
+        {"pvp/diagnostics", &S::doDiagnostics},
+        {"pvp/regressions", &S::doRegressions, Deps::Cohorts},
+        {"pvp/stats", &S::doStats},
+        {"pvp/metrics", &S::doMetrics},
+        {"pvp/selfProfile", &S::doSelfProfile},
+    };
+    telemetry::Registry &Reg = telemetry::Registry::global();
+    for (MethodEntry &E : T)
+      E.Latency = &Reg.histogram("pvp.latencyUs." + std::string(E.Name));
+    return T;
+  }();
+  return Table;
+}
+
+const PvpServer::MethodEntry *PvpServer::findMethod(std::string_view Method) {
+  for (const MethodEntry &E : methods())
+    if (E.Name == Method)
+      return &E;
+  return nullptr;
+}
+
+std::vector<std::string_view> PvpServer::methodNames() {
+  std::vector<std::string_view> Names;
+  for (const MethodEntry &E : methods())
+    Names.push_back(E.Name);
+  return Names;
+}
+
+json::Value PvpServer::dispatch(const MethodEntry &Method,
                                 const json::Object &Params, int64_t Id) {
-  // Memoized fast path: serve repeated view requests straight from the LRU.
-  // The key folds in the profile generation, so any state-retiring method
-  // in between forces a recomputation without an explicit flush; the cache
-  // additionally revalidates the generation per entry, which covers
-  // cross-session races (see ide/ViewCache.h).
-  bool Cacheable = Cache->capacity() != 0 &&
-                   (Method == "pvp/flame" || Method == "pvp/treeTable" ||
-                    Method == "pvp/summary");
+  // Memoized fast path: a method that declares the profiles its reply
+  // depends on is served straight from the LRU. The key folds in each
+  // profile's generation, so a retiring method in between forces a
+  // recomputation without an explicit flush; the cache also revalidates
+  // the first profile's generation per entry, which covers cross-session
+  // races (see ide/ViewCache.h). Ownership gates the cache: sessions share
+  // one LRU keyed by globally unique profile ids, so without the check a
+  // session could be served a view of a profile it never opened.
   std::string CacheKey;
   int64_t CacheProf = 0;
   uint64_t CacheGen = 0;
-  if (Cacheable) {
-    // Ownership gates the cache: sessions share one LRU keyed by globally
-    // unique profile ids, so without this check a session could be served
-    // a view of a profile it never opened (cross-session leak).
-    if (intParam(Params, "profile", CacheProf) && Owned.count(CacheProf)) {
+  if (Method.DependsOn != Deps::None && Cache->capacity() != 0) {
+    std::optional<std::vector<int64_t>> Ids =
+        referencedProfiles(Method.DependsOn, Params);
+    if (Ids && std::all_of(Ids->begin(), Ids->end(),
+                           [&](int64_t P) { return Owned.count(P) > 0; })) {
+      CacheKey = std::string(Method.Name) + '|';
+      for (int64_t P : *Ids)
+        CacheKey += std::to_string(P) + ':' +
+                    std::to_string(Store->generationOf(P)) + ',';
+      CacheKey += '|' + json::Value(Params).dump();
+      CacheProf = Ids->front();
       CacheGen = Store->generationOf(CacheProf);
-      CacheKey = std::string(Method) + '|' + std::to_string(CacheProf) +
-                 '|' + std::to_string(CacheGen) + '|' +
-                 json::Value(Params).dump();
-      if (std::unique_ptr<json::Value> Hit =
-              Cache->lookup(CacheKey, CacheGen))
-        return rpc::makeResponse(Id, std::move(*Hit));
-    } else {
-      Cacheable = false;
-    }
-  } else if (Method == "pvp/regressions" && Cache->capacity() != 0) {
-    // Cohort analyses are the most expensive views the session serves, so
-    // they are memoized too. The key folds in EVERY cohort member's
-    // (id, generation) pair — a bump of any member changes the key and the
-    // stale entry ages out of the LRU; per-entry revalidation tracks the
-    // first base member.
-    if (regressionCacheKey(Params, CacheKey, CacheProf, CacheGen)) {
-      Cacheable = true;
-      if (std::unique_ptr<json::Value> Hit =
-              Cache->lookup(CacheKey, CacheGen))
+      if (std::unique_ptr<json::Value> Hit = Cache->lookup(CacheKey, CacheGen))
         return rpc::makeResponse(Id, std::move(*Hit));
     }
   }
+  // A retiring method bumps only a profile this session owned when the
+  // request arrived: closing another session's id changes nothing of it.
+  int64_t Retired = 0;
+  bool Retires = Method.Retires && intParam(Params, "profile", Retired) &&
+                 Owned.count(Retired);
 
   // Arm the soft per-request deadline; long-running handler loops check
   // it periodically and bail with DeadlineDiag.
@@ -1546,12 +1525,7 @@ json::Value PvpServer::dispatch(std::string_view Method,
       Limits.RequestDeadlineMs == 0 ? 0 : NowMs() + Limits.RequestDeadlineMs;
   Result<json::Value> R = makeError("unreachable");
   try {
-    const MethodEntry *Entry = findMethod(Method);
-    if (!Entry)
-      return rpc::makeErrorResponse(Id, rpc::MethodNotFound,
-                                    "unknown method '" + std::string(Method) +
-                                        "'");
-    R = (this->*Entry->Run)(Params);
+    R = (this->*Method.Run)(Params);
   } catch (const CancelledException &) {
     // Cooperative cancellation unwound the handler. The reply is an
     // error, so nothing below touches the view cache: no partial view is
@@ -1567,13 +1541,15 @@ json::Value PvpServer::dispatch(std::string_view Method,
                                             : rpc::InvalidParams;
     return rpc::makeErrorResponse(Id, Code, R.error());
   }
+  if (Retires)
+    Store->bumpGeneration(Retired);
   json::Value Payload = R.take();
   // Only successful replies are memoized; errors stay uncached so a later
   // retry (e.g. after the deadline budget recovers) re-runs the handler.
   // The insert records the generation CAPTURED BEFORE the handler ran: if
   // another session retired the profile mid-request, the next lookup's
   // validation drops this entry instead of serving the stale view.
-  if (Cacheable)
+  if (!CacheKey.empty())
     Cache->insert(std::move(CacheKey), CacheProf, CacheGen, Payload);
   return rpc::makeResponse(Id, std::move(Payload));
 }
@@ -1613,17 +1589,20 @@ json::Value PvpServer::handleMessage(const json::Value &Request,
     const json::Object *Params = &EmptyParams;
     if (const json::Value *PV = Obj.find("params"); PV && PV->isObject())
       Params = &PV->asObject();
-    const std::string &Method = MethodV->asString();
-    // The span label must outlive the request. Only known method names
-    // are interned (a closed set); unknown ones share one label, so junk
-    // method names grow neither the label table nor the histograms.
-    const MethodEntry *Entry = findMethod(Method);
-    trace::Span Span(Entry ? trace::internLabel(Method) : "pvp/unknown",
-                     "pvp");
+    // The span label is the table's name, a string literal, so it
+    // outlives the request. Unknown names share one label, so junk method
+    // names grow neither the label table nor the histograms.
+    const MethodEntry *Entry = findMethod(MethodV->asString());
+    if (!Entry) {
+      trace::Span Span(UnknownMethodLabel, "pvp");
+      return rpc::makeErrorResponse(Id, rpc::MethodNotFound,
+                                    "unknown method '" + MethodV->asString() +
+                                        "'");
+    }
+    trace::Span Span(Entry->Name.data(), "pvp");
     uint64_t M0 = monoMicros();
-    json::Value Reply = dispatch(Method, *Params, Id);
-    if (Entry)
-      Entry->Latency->record(monoMicros() - M0);
+    json::Value Reply = dispatch(*Entry, *Params, Id);
+    Entry->Latency->record(monoMicros() - M0);
     return Reply;
   }();
   ActiveCancel = CancelToken();

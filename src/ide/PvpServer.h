@@ -7,71 +7,11 @@
 /// \file
 /// The Profile Viewer Protocol (PVP): an LSP-inspired protocol that carries
 /// EasyView's IDE actions (paper §VI-B). The server owns loaded profiles
-/// and serves the editor:
-///
-/// Mandatory action:
-///   pvp/codeLink      {profile, node} -> {file, line, available}
-/// Optional actions:
-///   pvp/hover         {profile, node} -> {contents}  (all metric values)
-///   pvp/codeLens      {profile, file} -> {lenses: [{line, text}]}
-///   pvp/summary       {profile} -> {text}            (floating window)
-/// Data plane:
-///   pvp/open          {name, data | dataBase64} -> {profile, nodes, metrics}
-///   pvp/append        {profile, data | dataBase64} -> {profile, nodesAdded,
-///                      nodes, generation}  (streams additional .evprof
-///                      sections into an open profile; bumps its generation)
-///   pvp/close         {profile}
-///   pvp/flame         {profile, metric?, shape?, maxRects?} -> {rects,...}
-///   pvp/treeTable     {profile, expand?: [node...]} -> {rows}
-///   pvp/search        {profile, pattern} -> {matches: [node...]}
-///   pvp/histogram     {aggregate, node, metric?} -> {series}
-///   pvp/aggregate     {profiles: [id...]} -> {profile}  (unified tree)
-///   pvp/diff          {base, test, metric?} -> {profile, tags, text}
-///   pvp/query         {profile, program} -> {profile, printed, derived}
-///   pvp/transform     {profile, shape} -> {profile}   (materialized)
-///   pvp/prune         {profile, metric?, minFraction} -> {profile}
-///   pvp/export        {profile, format, metric?} -> {dataBase64, bytes}
-///   pvp/butterfly     {profile, function, metric?} -> {callers, callees}
-///   pvp/correlated    {profile, kind, select?: [node...]} -> {panes}
-/// Live views (docs/PVP.md "Subscriptions and live view deltas"):
-///   pvp/subscribe     {profile, view: "flame"|"treeTable", params?} ->
-///                      {subscription, profile, generation, view}
-///   pvp/ack           {subscription, generation} -> {acked, generation}
-///   pvp/unsubscribe   {subscription} -> {removed}
-///   notifications pushed server-side (never a response to a request):
-///   pvp/viewDelta     {subscription, profile, fromGeneration,
-///                      toGeneration, deltaBase64}  (ide/ViewDelta.h codec;
-///                      applying it to the last ACKED view reproduces the
-///                      current full view byte-identically)
-///   pvp/subscriptionEnd {subscription, profile, reason}
-/// Introspection (docs/OBSERVABILITY.md):
-///   pvp/stats         {} -> {profiles, cachedViews, cacheCapacity,
-///                            cacheHits, cacheMisses, cacheEvictions,
-///                            cacheShards, cacheRevalidations,
-///                            storeProfiles, cacheBytes, storeBudgetBytes,
-///                            storeResidentBytes, storeSpilledBytes,
-///                            storeSpills,
-///                            storeEvictions, storeFaults,
-///                            storeSpillFailures}  (cache memory and store
-///                            memory attributed separately)
-///   pvp/metrics       {includeTimings?} -> {wallTimeMs, monoTimeMs,
-///                            counters, gauges, histograms, spans, stats}
-///   pvp/selfProfile   {name?, reset?} -> {profile, nodes, spans, bytes,
-///                            dataBase64}  (the server's own execution,
-///                            folded into a CCT and registered like any
-///                            opened profile)
-/// Static analysis (batched; see docs/ANALYSIS.md):
-///   pvp/diagnostics   {profile?, program?, minSeverity?, disable?,
-///                      maxDiagnostics?} -> {diagnostics, errors, warnings,
-///                      dropped, truncated}
-///   pvp/regressions   {base: id|[id...], test: id|[id...], minSeverity?,
-///                      disable?, maxDiagnostics?, relativeMin?,
-///                      absoluteMin?, sigma?, nodeBudget?} -> {findings,
-///                      errors, warnings, dropped, truncated,
-///                      baseProfiles, testProfiles}  (EVL3xx differential
-///                      rules over two streamed cohorts; deadline-degrading
-///                      like pvp/diagnostics, cacheable keyed by every
-///                      cohort member's generation)
+/// and serves the editor: the mandatory pvp/codeLink action, the optional
+/// IDE actions, the data and analysis planes, live view subscriptions and
+/// introspection. docs/PVP.md documents every method together with the
+/// policy of the method table in PvpServer.cpp: which replies the view
+/// cache memoizes and which methods retire a profile's generation.
 ///
 /// Errors use standard JSON-RPC codes. The server is transport-agnostic:
 /// handleMessage() maps one decoded request to one response, and
@@ -105,6 +45,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ev {
@@ -131,9 +72,10 @@ struct ServerLimits {
   uint64_t RequestDeadlineMs = 10000;
   /// Retry policy for path-based pvp/open file loads.
   RetryPolicy OpenRetry;
-  /// Capacity of the memoized view cache serving pvp/flame, pvp/treeTable,
-  /// and pvp/summary. 0 disables caching entirely. Ignored when the
-  /// session is constructed over an externally shared cache.
+  /// Capacity of the memoized view cache serving the methods docs/PVP.md
+  /// "Method policy" marks as cached. 0 disables caching entirely.
+  /// Ignored when the session is constructed over an externally shared
+  /// cache.
   size_t MaxCachedViews = 128;
   /// Memory budget for the profile store's resident blocks (docs/PERF.md
   /// "Out-of-core profile store"). 0 (the default) disables budgeting:
@@ -233,11 +175,20 @@ public:
   /// Profiles owned by THIS session (not the whole shared store).
   size_t profileCount() const { return Owned.size(); }
 
+  /// Every request method the server answers, in method-table order.
+  static std::vector<std::string_view> methodNames();
+
 private:
   struct MethodEntry;
+  /// The method table (PvpServer.cpp): each method's handler, latency
+  /// histogram, cache dependency and generation policy.
+  static const std::vector<MethodEntry> &methods();
   /// \returns the table entry of a known PVP method, or nullptr.
   static const MethodEntry *findMethod(std::string_view Method);
-  json::Value dispatch(std::string_view Method, const json::Object &Params,
+  /// Runs \p Method under its table policy: serves and fills the view
+  /// cache, arms the deadline, maps handler errors to JSON-RPC codes, and
+  /// retires the 'profile' generation after a successful retiring method.
+  json::Value dispatch(const MethodEntry &Method, const json::Object &Params,
                        int64_t Id);
 
   // Method implementations; each returns a result payload or an error
@@ -283,15 +234,6 @@ private:
   Result<std::string> payloadParam(const json::Object &Params,
                                    std::string *PathOut) const;
 
-  /// Builds the pvp/regressions cache key: every cohort member's
-  /// (id, generation) pair is folded into \p Key, so any member's bump
-  /// misses and the stale entry ages out of the LRU. \p Prof / \p Gen
-  /// receive the first base member's pair for the cache's per-entry
-  /// revalidation. \returns false (leave uncached) when the params are
-  /// malformed or any member is not owned by this session.
-  bool regressionCacheKey(const json::Object &Params, std::string &Key,
-                          int64_t &Prof, uint64_t &Gen) const;
-
   /// \returns true once the in-flight request ran past its soft deadline.
   bool deadlineExpired() const;
 
@@ -302,8 +244,8 @@ private:
   /// replays idempotent. PushedView is promoted to AckedView by pvp/ack.
   struct Subscription {
     int64_t ProfileId = 0;
-    std::string Method;  ///< "pvp/flame" or "pvp/treeTable".
-    std::string RowsKey; ///< "rects" or "rows".
+    const MethodEntry *View = nullptr; ///< pvp/flame or pvp/treeTable.
+    std::string RowsKey;               ///< "rects" or "rows".
     json::Object ViewParams;
     uint64_t AckedGen = 0;
     json::Value AckedView;
@@ -315,10 +257,10 @@ private:
     std::function<void(json::Value)> Sink;
   };
 
-  /// Runs \p Method through dispatch() — shared view cache, deadline,
+  /// Runs \p View through dispatch() — shared view cache, deadline,
   /// identical reply bytes to an explicit re-query — and unwraps the
   /// result payload from the response envelope.
-  Result<json::Value> computeView(const std::string &Method,
+  Result<json::Value> computeView(const MethodEntry &View,
                                   const json::Object &ViewParams);
   /// Sends pvp/subscriptionEnd through the subscription's sink.
   void endSubscription(int64_t SubId, const Subscription &S,
@@ -348,13 +290,10 @@ private:
   std::map<int64_t, Subscription> Subs;
   int64_t NextSubId = 1;
 
-  // Memoized view cache (ide/ViewCache.h): read-only view replies
-  // (pvp/flame, pvp/treeTable, pvp/summary) keyed on (method, profile id,
-  // profile generation, request params). Methods that retire or derive
-  // state (pvp/close, pvp/query, pvp/transform, pvp/prune) bump the source
-  // profile's generation in the store, which orphans every cached view of
-  // it; orphans age out of the LRU naturally, and cross-session races are
-  // caught by the cache's per-entry generation validation.
+  // Memoized view cache (ide/ViewCache.h). dispatch() fills and serves it
+  // and bumps generations as the method table says (docs/PVP.md "Method
+  // policy"); orphaned entries age out of the LRU, and cross-session races
+  // are caught by the cache's per-entry generation validation.
   std::shared_ptr<ViewCache> Cache;
 };
 

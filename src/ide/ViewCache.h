@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The memoized view cache behind pvp/flame, pvp/treeTable, and
-/// pvp/summary, shared by every session of a concurrent PVP service. Two
-/// layers of staleness defense:
+/// The memoized view cache behind the PVP methods the method table marks
+/// as cached (docs/PVP.md "Method policy"), shared by every session of a
+/// concurrent PVP service. Two layers of staleness defense:
 ///
 ///  1. Keys embed the profile's invalidation generation, so a bumped
 ///     profile simply stops matching and its old views age out of the LRU.
@@ -90,8 +90,8 @@ public:
   }
 
   /// Compiled EVQL programs memoized for pvp/query, keyed by
-  /// evql::programCacheKey (source hash + profile generation), so warm
-  /// hits skip lex/parse/compile. This cache stores PROGRAMS, not replies,
+  /// evql::programCacheKey (the source alone), so warm hits skip
+  /// lex/parse/compile. This cache stores PROGRAMS, not replies,
   /// so it stays enabled even when the reply cache has capacity 0.
   evql::ProgramCache &programs() { return Programs; }
 

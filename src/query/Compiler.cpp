@@ -927,11 +927,9 @@ uint64_t hashProgramSource(std::string_view Source) {
   return H;
 }
 
-std::string programCacheKey(std::string_view Source, int64_t ProfileId,
-                            uint64_t Generation) {
+std::string programCacheKey(std::string_view Source) {
   return "evql|" + std::to_string(hashProgramSource(Source)) + ':' +
-         std::to_string(Source.size()) + '|' + std::to_string(ProfileId) +
-         '|' + std::to_string(Generation);
+         std::to_string(Source.size());
 }
 
 std::shared_ptr<const CompiledProgram>

@@ -39,8 +39,8 @@
 ///     lint describes, string compares, bool coercions), and only when
 ///     folding cannot erase a runtime error or a side effect.
 ///
-/// Programs are cached by ProgramCache under a (source hash, profile id,
-/// generation) key so pvp/query skips lex/parse/compile on warm hits.
+/// Programs are cached by ProgramCache under a source-only key, so
+/// pvp/query skips lex/parse/compile on warm hits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -185,12 +185,11 @@ compileProgram(const Program &Prog, const AnalysisLimits &Limits);
 /// FNV-1a hash of the program source, used in cache keys.
 uint64_t hashProgramSource(std::string_view Source);
 
-/// Cache key for a compiled program: source hash + length guard against
-/// hash collisions, plus the (profile id, generation) pair the program's
-/// results were validated against. Any pvp/append or transform bump
-/// changes the generation and the stale entry ages out of the LRU.
-std::string programCacheKey(std::string_view Source, int64_t ProfileId,
-                            uint64_t Generation);
+/// Cache key for a compiled program: source hash plus a length guard
+/// against hash collisions. compileProgram() reads only the source (and
+/// the server's fixed limits), so one compiled program serves every
+/// profile and every generation.
+std::string programCacheKey(std::string_view Source);
 
 /// Thread-safe LRU of compiled programs, owned by the ide-layer ViewCache
 /// so pvp/query warm hits skip lex/parse/compile entirely. Entries are

@@ -45,15 +45,6 @@ public:
     return Out;
   }
 
-  Result<ExprPtr> parseSingleExpression() {
-    Result<ExprPtr> E = parseExpr();
-    if (!E)
-      return E;
-    if (!lookingAt(TokenKind::EndOfInput))
-      return fail("trailing tokens after expression");
-    return E;
-  }
-
 private:
   const Token &peek() const { return Tokens[Pos]; }
   const Token &advance() { return Tokens[Pos++]; }
@@ -365,13 +356,6 @@ std::optional<std::string> programSizeError(std::string_view Source,
   return "program of " + std::to_string(Source.size()) +
          " bytes exceeds the analysis limit of " +
          std::to_string(Limits.MaxProgramBytes);
-}
-
-Result<ExprPtr> parseExpression(std::string_view Source) {
-  Result<std::vector<Token>> Tokens = lex(Source);
-  if (!Tokens)
-    return makeError(Tokens.error());
-  return Parser(Tokens.take()).parseSingleExpression();
 }
 
 } // namespace evql

@@ -57,9 +57,6 @@ Result<Program> parseProgram(std::string_view Source);
 std::optional<std::string> programSizeError(std::string_view Source,
                                             const AnalysisLimits &Limits);
 
-/// Parses a single expression (used by the derived-metric quick API).
-Result<ExprPtr> parseExpression(std::string_view Source);
-
 /// One recoverable syntax error with its source position.
 struct SyntaxError {
   std::string Message;

@@ -43,103 +43,14 @@
 namespace ev {
 namespace tool {
 
-std::string usageText() {
-  return "usage: evtool <command> [options]\n"
-         "\n"
-         "commands:\n"
-         "  info <profile>                     format, counts, metrics\n"
-         "  summary <profile>                  floating-window summary\n"
-         "  flame <profile> [--shape S] [--metric M] [--svg F] "
-         "[--columns N]\n"
-         "  table <profile> [--rows N]         tree table, hot path open\n"
-         "  convert <in> <out> [--to FMT]      evprof|pprof|collapsed|\n"
-         "                                     speedscope|chrome\n"
-         "  diff <base> <test> [--metric M]    differential view\n"
-         "  aggregate <out.evprof> <in...>     merge profiles\n"
-         "  query <profile> -e <prog>|--file F run an EVQL program\n"
-         "  check <query.evql> [--profile P] [--min-severity S]\n"
-         "        [--disable R,R...] [--werror] [--list-rules]\n"
-         "                                     EVQL static analysis (no "
-         "execution)\n"
-         "  lint <profile.evprof> [--min-severity S] [--disable R,R...]\n"
-         "       [--werror] [--list-rules]     profile data-quality lints\n"
-         "  regress <base> <test> [--format text|json]\n"
-         "        [--min-severity S] [--disable R,R...] [--werror]\n"
-         "        [--rel-min F] [--abs-min F] [--sigma F] [--node-budget N]\n"
-         "        [--list-rules]               diff two profile cohorts\n"
-         "                                     (files or directories) and\n"
-         "                                     report EVL3xx regressions\n"
-         "  butterfly <profile> <function> [--metric M]\n"
-         "  annotate <profile> <source-file>   per-line code lenses\n"
-         "  report <profile> <out.html>        self-contained HTML report\n"
-         "  store --stats <profile|dir...> [--budget BYTES --spill-dir D]\n"
-         "                                     load into a (optionally\n"
-         "                                     budgeted) profile store and\n"
-         "                                     report resident/spilled/\n"
-         "                                     deduplicated memory\n"
-         "  serve --input <requests.jsonl> [--sessions N]\n"
-         "        [--trace-out F]              run PVP requests through the\n"
-         "                                     concurrent session service;\n"
-         "                                     --trace-out dumps the server's\n"
-         "                                     own spans as Chrome trace JSON\n"
-         "  serve (--listen HOST:PORT | --unix PATH) [--sessions N]\n"
-         "        [--max-conns N] [--idle-ms N] [--frame-ms N] "
-         "[--drain-ms N]\n"
-         "        [--drain-after-ms N]         serve PVP over a real socket;\n"
-         "                                     SIGINT/SIGTERM drain "
-         "gracefully\n"
-         "        [--follow FILE]              tail a growing .evprof: open\n"
-         "                                     it as a live profile in every\n"
-         "                                     session and push view deltas\n"
-         "                                     to subscribers as it grows\n"
-         "  help                               this text\n";
-}
-
 namespace {
 
-/// Simple option scanner: positional arguments plus --key value pairs.
+/// One command line: positional arguments plus the declared options, a
+/// flag mapped to "1".
 struct ParsedArgs {
   std::vector<std::string> Positional;
   std::map<std::string, std::string> Options;
 };
-
-/// Option names that are value-less flags for some command. Flags parse as
-/// "--flag" (or the compiler-style alias "-Werror") and show up in Options
-/// with the value "1".
-const std::initializer_list<std::string_view> BoolFlags = {"werror",
-                                                           "list-rules",
-                                                           "stats"};
-
-Result<ParsedArgs> parseArgs(const std::vector<std::string> &Args,
-                             size_t From) {
-  ParsedArgs Out;
-  auto IsFlag = [](std::string_view Name) {
-    for (std::string_view F : BoolFlags)
-      if (F == Name)
-        return true;
-    return false;
-  };
-  for (size_t I = From; I < Args.size(); ++I) {
-    const std::string &A = Args[I];
-    if (A == "-Werror") {
-      Out.Options["werror"] = "1";
-      continue;
-    }
-    if (startsWith(A, "--")) {
-      std::string Name = A.substr(2);
-      if (IsFlag(Name)) {
-        Out.Options[Name] = "1";
-        continue;
-      }
-      if (I + 1 >= Args.size())
-        return makeError("option '" + A + "' needs a value");
-      Out.Options[Name] = Args[++I];
-      continue;
-    }
-    Out.Positional.push_back(A);
-  }
-  return Out;
-}
 
 Result<Profile> loadProfile(const std::string &Path) {
   // Transient I/O failures retry with bounded backoff, matching the PVP
@@ -238,17 +149,9 @@ int cmdFlame(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   std::string Shape = "top-down";
   if (auto It = Args.Options.find("shape"); It != Args.Options.end())
     Shape = It->second;
-  Profile Shaped;
-  const Profile *View = &*Loaded;
-  if (Shape == "bottom-up") {
-    Shaped = bottomUpTree(*Loaded);
-    View = &Shaped;
-  } else if (Shape == "flat") {
-    Shaped = flatTree(*Loaded);
-    View = &Shaped;
-  } else if (Shape != "top-down") {
+  std::optional<Profile> View = flameShape(*Loaded, Shape);
+  if (!View)
     return failUsage(Err, "unknown shape '" + Shape + "'");
-  }
   Result<MetricId> Metric = resolveMetric(*View, Args);
   if (!Metric)
     return failData(Err, Metric.error());
@@ -305,25 +208,14 @@ int cmdConvert(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   std::string To = "evprof";
   if (auto It = Args.Options.find("to"); It != Args.Options.end())
     To = It->second;
-  std::string Bytes;
-  if (To == "evprof") {
-    Bytes = writeEvProf(*P);
-  } else if (To == "pprof") {
-    Bytes = convert::toPprof(*P);
-  } else if (To == "collapsed") {
-    Bytes = convert::toCollapsed(*P, 0);
-  } else if (To == "speedscope") {
-    Bytes = convert::toSpeedscope(*P, 0);
-  } else if (To == "chrome") {
-    Bytes = convert::toChromeTrace(*P, 0);
-  } else {
+  std::optional<std::string> Bytes = convert::exportProfile(*P, To, 0);
+  if (!Bytes)
     return failUsage(Err, "unknown target format '" + To + "'");
-  }
-  Result<bool> W = writeFile(Args.Positional[1], Bytes);
+  Result<bool> W = writeFile(Args.Positional[1], *Bytes);
   if (!W)
     return failData(Err, W.error());
   Out += "wrote " + Args.Positional[1] + " (" +
-         formatBytes(static_cast<double>(Bytes.size())) + ", " + To +
+         formatBytes(static_cast<double>(Bytes->size())) + ", " + To +
          ")\n";
   return 0;
 }
@@ -439,12 +331,11 @@ int reportDiagnostics(const DiagnosticSet &Diags, const std::string &Subject,
 /// (analysis/RuleRegistry.h), so any family's rules are accepted by any
 /// subcommand and a typo is a usage error everywhere.
 /// \returns false after reporting (setting \p Code) on a malformed option.
-bool parseRuleFilters(const ParsedArgs &Args, Severity &MinSeverity,
-                      std::vector<std::string> &Disabled, std::string &Err,
-                      int &Code) {
+bool parseRuleFilters(const ParsedArgs &Args, RuleFilter &Filter,
+                      std::string &Err, int &Code) {
   if (auto It = Args.Options.find("min-severity");
       It != Args.Options.end()) {
-    if (!parseSeverity(It->second, MinSeverity)) {
+    if (!parseSeverity(It->second, Filter.MinSeverity)) {
       Code = failUsage(Err, "--min-severity expects note, info, warning, "
                             "or error");
       return false;
@@ -458,30 +349,21 @@ bool parseRuleFilters(const ParsedArgs &Args, Severity &MinSeverity,
                                     "' (see --list-rules)");
           return false;
         }
-        Disabled.emplace_back(Rule);
+        Filter.Disabled.emplace_back(Rule);
       }
   }
   return true;
 }
 
-/// Post-filter for passes that do not take the filters natively (the EVQL
-/// checker): keeps findings at or above \p MinSeverity whose id and rule
-/// name are not disabled.
-DiagnosticSet filterDiagnostics(DiagnosticSet In, Severity MinSeverity,
-                                const std::vector<std::string> &Disabled) {
-  if (MinSeverity == Severity::Note && Disabled.empty())
+/// Post-filter for passes that do not take the filter natively (the EVQL
+/// checker): keeps the findings \p Filter keeps.
+DiagnosticSet filterDiagnostics(DiagnosticSet In, const RuleFilter &Filter) {
+  if (Filter.MinSeverity == Severity::Note && Filter.Disabled.empty())
     return In;
   DiagnosticSet Out(In.size() + In.dropped() + 1);
-  for (const Diagnostic &D : In.all()) {
-    if (D.Sev < MinSeverity)
-      continue;
-    bool Skip = false;
-    for (const std::string &Name : Disabled)
-      if (D.Id == Name || D.Rule == Name)
-        Skip = true;
-    if (!Skip)
+  for (const Diagnostic &D : In.all())
+    if (Filter.keeps(D))
       Out.add(D);
-  }
   if (In.truncated())
     Out.markTruncated();
   return Out;
@@ -517,15 +399,14 @@ int cmdCheck(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     Opts.MetricSource = &MetricSource;
   }
 
-  Severity MinSeverity = Severity::Note;
-  std::vector<std::string> Disabled;
+  RuleFilter Filter;
   int Code = ExitSuccess;
-  if (!parseRuleFilters(Args, MinSeverity, Disabled, Err, Code))
+  if (!parseRuleFilters(Args, Filter, Err, Code))
     return Code;
 
   DiagnosticSet Diags(Opts.Limits.MaxDiagnostics);
   SemaChecker(Opts).checkSource(Source, Diags);
-  Diags = filterDiagnostics(std::move(Diags), MinSeverity, Disabled);
+  Diags = filterDiagnostics(std::move(Diags), Filter);
   Diags.sortBySource();
   return reportDiagnostics(Diags, Subject, Args.Options.count("werror") > 0,
                            Out);
@@ -541,7 +422,7 @@ int cmdLint(const ParsedArgs &Args, std::string &Out, std::string &Err) {
 
   LintOptions Opts;
   int Code = ExitSuccess;
-  if (!parseRuleFilters(Args, Opts.MinSeverity, Opts.Disabled, Err, Code))
+  if (!parseRuleFilters(Args, Opts.Filter, Err, Code))
     return Code;
 
   const std::string &Path = Args.Positional[0];
@@ -624,7 +505,7 @@ int cmdRegress(const ParsedArgs &Args, std::string &Out, std::string &Err) {
 
   RegressionOptions Opts;
   int Code = ExitSuccess;
-  if (!parseRuleFilters(Args, Opts.MinSeverity, Opts.Disabled, Err, Code))
+  if (!parseRuleFilters(Args, Opts.Filter, Err, Code))
     return Code;
   if (!parseRatioOption(Args, "rel-min", Opts.RelativeMin, Err, Code) ||
       !parseRatioOption(Args, "abs-min", Opts.AbsoluteMin, Err, Code) ||
@@ -1032,7 +913,177 @@ int cmdServe(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   return ExitSuccess;
 }
 
+int cmdHelp(const ParsedArgs &, std::string &Out, std::string &) {
+  Out += usageText();
+  return ExitSuccess;
+}
+
+/// One option a command accepts: `--Name Meta`, or a flag when Meta is
+/// empty.
+struct Option {
+  std::string_view Name;
+  std::string_view Meta = {};
+};
+
+/// One evtool subcommand. Argument parsing and the usage text both derive
+/// from this table, so an option is accepted exactly where it is
+/// documented.
+struct Command {
+  std::string_view Name;
+  std::string_view Args;    ///< Positional synopsis.
+  std::string_view Summary; ///< One-line description.
+  int (*Run)(const ParsedArgs &, std::string &, std::string &);
+  std::vector<Option> Options = {};
+
+  const Option *option(std::string_view OptName) const {
+    for (const Option &O : Options)
+      if (O.Name == OptName)
+        return &O;
+    return nullptr;
+  }
+};
+
+const std::vector<Command> &commands() {
+  static const Option Metric{"metric", "M"};
+  static const Option MinSeverity{"min-severity", "S"};
+  static const Option Disable{"disable", "R,R..."};
+  static const Option WError{"werror"};
+  static const Option ListRules{"list-rules"};
+  static const std::vector<Command> Table = {
+      {"info", "<profile>", "format, counts, metrics", cmdInfo},
+      {"summary", "<profile>", "floating-window summary", cmdSummary},
+      {"flame", "<profile>", "flame graph as text, or SVG with --svg",
+       cmdFlame,
+       {{"shape", "top-down|bottom-up|flat"}, Metric, {"svg", "F"},
+        {"columns", "N"}}},
+      {"table", "<profile>", "tree table, hot path open", cmdTable,
+       {{"rows", "N"}}},
+      {"convert", "<in> <out>", "convert between profile formats", cmdConvert,
+       {{"to", "evprof|pprof|collapsed|speedscope|chrome"}}},
+      {"diff", "<base> <test>", "differential view", cmdDiff, {Metric}},
+      {"aggregate", "<out.evprof> <in...>", "merge profiles", cmdAggregate},
+      {"query", "<profile>",
+       "run an EVQL program given by --e or --file; --out writes the result",
+       cmdQuery, {{"e", "PROGRAM"}, {"file", "F"}, {"out", "F"}}},
+      {"check", "<query.evql>",
+       "EVQL static analysis (no execution); --e checks an inline program",
+       cmdCheck,
+       {{"e", "PROGRAM"}, {"profile", "P"}, MinSeverity, Disable, WError,
+        ListRules}},
+      {"lint", "<profile.evprof>", "profile data-quality lints", cmdLint,
+       {MinSeverity, Disable, WError, ListRules}},
+      {"regress", "<base> <test>",
+       "diff two profile cohorts (files or directories) and report EVL3xx "
+       "regressions",
+       cmdRegress,
+       {{"format", "text|json"}, MinSeverity, Disable, WError,
+        {"rel-min", "F"}, {"abs-min", "F"}, {"sigma", "F"},
+        {"node-budget", "N"}, ListRules}},
+      {"butterfly", "<profile> <function>", "callers and callees of a function",
+       cmdButterfly, {Metric}},
+      {"annotate", "<profile> <source-file>", "per-line code lenses",
+       cmdAnnotate},
+      {"report", "<profile> <out.html>", "self-contained HTML report",
+       cmdReport},
+      {"store", "<profile|dir...>",
+       "load into a (optionally budgeted) profile store and report resident, "
+       "spilled and deduplicated memory; requires --stats",
+       cmdStore, {{"stats"}, {"budget", "BYTES"}, {"spill-dir", "D"}}},
+      {"serve", "",
+       "run PVP requests from --input through the concurrent session "
+       "service (--trace-out dumps the server's own spans as Chrome trace "
+       "JSON), or serve PVP over a socket with --listen or --unix until "
+       "SIGINT/SIGTERM drains it; --follow tails a growing .evprof as a live "
+       "profile in every session",
+       cmdServe,
+       {{"input", "F"}, {"sessions", "N"}, {"trace-out", "F"},
+        {"listen", "HOST:PORT"}, {"unix", "PATH"}, {"max-conns", "N"},
+        {"idle-ms", "N"}, {"frame-ms", "N"}, {"drain-ms", "N"},
+        {"drain-after-ms", "N"}, {"follow", "FILE"}}},
+      {"help", "", "this text", cmdHelp},
+  };
+  return Table;
+}
+
+const Command *findCommand(std::string_view Name) {
+  for (const Command &C : commands())
+    if (C.Name == Name)
+      return &C;
+  return nullptr;
+}
+
+/// Splits \p Args (after the command name) into positionals and the
+/// options \p Cmd declares; "-Werror" is the compiler-style spelling of
+/// --werror. Any other option is an error.
+Result<ParsedArgs> parseArgs(const Command &Cmd,
+                             const std::vector<std::string> &Args) {
+  ParsedArgs Out;
+  for (size_t I = 1; I < Args.size(); ++I) {
+    const std::string &A = Args[I];
+    std::string_view Name;
+    if (A == "-Werror")
+      Name = "werror";
+    else if (startsWith(A, "--"))
+      Name = std::string_view(A).substr(2);
+    else {
+      Out.Positional.push_back(A);
+      continue;
+    }
+    const Option *O = Cmd.option(Name);
+    if (!O)
+      return makeError("unknown option '" + A + "' for '" +
+                       std::string(Cmd.Name) + "'");
+    if (O->Meta.empty()) {
+      Out.Options[std::string(Name)] = "1";
+      continue;
+    }
+    if (I + 1 >= Args.size())
+      return makeError("option '" + A + "' needs a value");
+    Out.Options[std::string(Name)] = Args[++I];
+  }
+  return Out;
+}
+
+/// Appends \p Words to \p Out in lines of at most 78 columns: the first
+/// indented by \p Indent spaces, the rest by \p ContIndent.
+void appendWrapped(std::string &Out, const std::vector<std::string> &Words,
+                   size_t Indent, size_t ContIndent) {
+  std::string Line(Indent, ' ');
+  size_t Start = Indent;
+  for (const std::string &W : Words) {
+    if (Line.size() > Start && Line.size() + 1 + W.size() > 78) {
+      Out += Line + "\n";
+      Line.assign(ContIndent, ' ');
+      Start = ContIndent;
+    } else if (Line.size() > Start) {
+      Line += ' ';
+    }
+    Line += W;
+  }
+  Out += Line + "\n";
+}
+
 } // namespace
+
+std::string usageText() {
+  std::string Out = "usage: evtool <command> [options]\n\ncommands:\n";
+  for (const Command &C : commands()) {
+    std::vector<std::string> Synopsis = {std::string(C.Name)};
+    for (std::string_view Arg : splitString(C.Args, ' '))
+      if (!Arg.empty())
+        Synopsis.emplace_back(Arg);
+    for (const Option &O : C.Options)
+      Synopsis.push_back("[--" + std::string(O.Name) +
+                         (O.Meta.empty() ? "" : " " + std::string(O.Meta)) +
+                         "]");
+    appendWrapped(Out, Synopsis, 2, 4);
+    std::vector<std::string> Summary;
+    for (std::string_view Word : splitString(C.Summary, ' '))
+      Summary.emplace_back(Word);
+    appendWrapped(Out, Summary, 6, 6);
+  }
+  return Out;
+}
 
 int runEvTool(const std::vector<std::string> &Args, std::string &Out,
               std::string &Err) {
@@ -1040,50 +1091,17 @@ int runEvTool(const std::vector<std::string> &Args, std::string &Out,
     Err += usageText();
     return ExitUsageError;
   }
-  if (Args[0] == "help" || Args[0] == "--help") {
-    Out += usageText();
-    return ExitSuccess;
+  const Command *Cmd = findCommand(Args[0] == "--help" ? "help" : Args[0]);
+  if (!Cmd) {
+    Err += "evtool: error: unknown command '" + Args[0] + "'\n" + usageText();
+    return ExitUsageError;
   }
-  const std::string &Command = Args[0];
-  Result<ParsedArgs> Parsed = parseArgs(Args, 1);
+  Result<ParsedArgs> Parsed = parseArgs(*Cmd, Args);
   if (!Parsed) {
     Err += "evtool: error: " + Parsed.error() + "\n";
     return ExitUsageError;
   }
-  if (Command == "info")
-    return cmdInfo(*Parsed, Out, Err);
-  if (Command == "summary")
-    return cmdSummary(*Parsed, Out, Err);
-  if (Command == "flame")
-    return cmdFlame(*Parsed, Out, Err);
-  if (Command == "table")
-    return cmdTable(*Parsed, Out, Err);
-  if (Command == "convert")
-    return cmdConvert(*Parsed, Out, Err);
-  if (Command == "diff")
-    return cmdDiff(*Parsed, Out, Err);
-  if (Command == "aggregate")
-    return cmdAggregate(*Parsed, Out, Err);
-  if (Command == "query")
-    return cmdQuery(*Parsed, Out, Err);
-  if (Command == "check")
-    return cmdCheck(*Parsed, Out, Err);
-  if (Command == "lint")
-    return cmdLint(*Parsed, Out, Err);
-  if (Command == "regress")
-    return cmdRegress(*Parsed, Out, Err);
-  if (Command == "butterfly")
-    return cmdButterfly(*Parsed, Out, Err);
-  if (Command == "annotate")
-    return cmdAnnotate(*Parsed, Out, Err);
-  if (Command == "report")
-    return cmdReport(*Parsed, Out, Err);
-  if (Command == "store")
-    return cmdStore(*Parsed, Out, Err);
-  if (Command == "serve")
-    return cmdServe(*Parsed, Out, Err);
-  Err += "evtool: error: unknown command '" + Command + "'\n" + usageText();
-  return ExitUsageError;
+  return Cmd->Run(*Parsed, Out, Err);
 }
 
 } // namespace tool

@@ -8,20 +8,10 @@
 /// Implementation of the `evtool` command line, separated from main() so
 /// the test suite can drive it in-process with captured output.
 ///
-/// \code
-///   evtool info <profile>
-///   evtool summary <profile>
-///   evtool flame <profile> [--shape top-down|bottom-up|flat]
-///                [--metric NAME] [--svg <out.svg>] [--columns N]
-///   evtool table <profile> [--rows N]
-///   evtool convert <in> <out> [--to evprof|pprof|collapsed|speedscope|
-///                                   chrome]
-///   evtool diff <base> <test> [--metric NAME]
-///   evtool aggregate <out.evprof> <in...>
-///   evtool query <profile> (-e <program> | --file <program.evql>)
-///   evtool butterfly <profile> <function> [--metric NAME]
-///   evtool report <profile> <out.html>
-/// \endcode
+/// One command table in CliDriver.cpp declares every subcommand, its
+/// positional arguments and the options it accepts; argument parsing and
+/// `evtool help` both derive from it, so an undeclared option is a usage
+/// error.
 ///
 /// Profiles load through format auto-detection, so any supported input
 /// format works everywhere a <profile> is expected.

@@ -262,6 +262,39 @@ TEST(ConcurrentSessions, IndependentSessionsDoNotSeeEachOthersProfiles) {
             rpc::InvalidParams);
 }
 
+TEST(ConcurrentSessions, ClosingAnotherSessionsProfileRetiresNothing) {
+  SessionManager::Options Opts;
+  Opts.Sessions = 2;
+  SessionManager M(Opts);
+  std::string Bytes = writeEvProf(test::makeFixedProfile());
+  int64_t Prof = openedProfile(M.handle(0, openRequest(1, Bytes)));
+  ASSERT_GT(Prof, 0);
+  json::Value First = M.handle(0, flameRequest(2, Prof));
+  ASSERT_NE(resultOf(First), nullptr);
+  uint64_t Gen = M.store().generationOf(Prof);
+
+  // Session 1 never opened the profile: its close is refused and must not
+  // retire session 0's cached views.
+  json::Value Closed = M.handle(1, closeRequest(3, Prof));
+  ASSERT_NE(resultOf(Closed), nullptr) << Closed.dump();
+  EXPECT_FALSE(resultOf(Closed)->find("closed")->asBool());
+  EXPECT_EQ(M.store().generationOf(Prof), Gen);
+
+  uint64_t Hits = M.viewCache().hits();
+  json::Value Again = M.handle(0, flameRequest(4, Prof));
+  EXPECT_EQ(M.viewCache().hits(), Hits + 1);
+  ASSERT_NE(resultOf(Again), nullptr);
+  EXPECT_EQ(json::Value(*resultOf(Again)).dump(),
+            json::Value(*resultOf(First)).dump());
+
+  // The owner's close still retires the profile.
+  json::Value OwnerClose = M.handle(0, closeRequest(5, Prof));
+  ASSERT_NE(resultOf(OwnerClose), nullptr);
+  EXPECT_TRUE(resultOf(OwnerClose)->find("closed")->asBool());
+  EXPECT_EQ(errorCodeOf(M.handle(0, flameRequest(6, Prof))),
+            rpc::InvalidParams);
+}
+
 TEST(ConcurrentSessions, SharedStoreAllocatesGloballyUniqueIds) {
   SessionManager::Options Opts;
   Opts.Sessions = 4;

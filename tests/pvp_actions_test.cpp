@@ -11,9 +11,11 @@
 #include "TestHelpers.h"
 #include "convert/Converters.h"
 #include "proto/EvProf.h"
+#include "support/FileIo.h"
 #include "support/Strings.h"
 #include "workload/ReuseWorkload.h"
 
+#include <algorithm>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -308,4 +310,68 @@ TEST_F(PvpActionsTest, TransformedProfileServesViews) {
   Result<json::Value> Flame = call("pvp/flame", std::move(F));
   ASSERT_TRUE(Flame.ok()) << Flame.error();
   EXPECT_DOUBLE_EQ(Flame->asObject().find("total")->asNumber(), 100.0);
+}
+
+//===----------------------------------------------------------------------===
+// Method table policy
+//===----------------------------------------------------------------------===
+
+TEST(PvpMethodTable, DocsListExactlyTheTableMethods) {
+  Result<std::string> Doc =
+      readFile(std::string(EASYVIEW_SOURCE_DIR) + "/docs/PVP.md");
+  ASSERT_TRUE(Doc.ok()) << Doc.error();
+  // Request methods are the first cell of every row of a "| method |"
+  // table; notifications live in a "| notification |" table.
+  std::vector<std::string> Documented;
+  bool InMethodTable = false;
+  for (std::string_view Line : splitString(*Doc, '\n')) {
+    if (Line.rfind("| method |", 0) == 0) {
+      InMethodTable = true;
+      continue;
+    }
+    if (Line.rfind("|", 0) != 0) {
+      InMethodTable = false;
+      continue;
+    }
+    if (InMethodTable && Line.rfind("| `pvp/", 0) == 0)
+      Documented.emplace_back(Line.substr(3, Line.find('`', 3) - 3));
+  }
+  std::vector<std::string> Served;
+  for (std::string_view Name : PvpServer::methodNames())
+    Served.emplace_back(Name);
+  std::sort(Documented.begin(), Documented.end());
+  std::sort(Served.begin(), Served.end());
+  EXPECT_EQ(std::adjacent_find(Documented.begin(), Documented.end()),
+            Documented.end());
+  EXPECT_EQ(Documented, Served);
+}
+
+TEST(PvpMethodTable, RetiringMethodsBumpOnceAndOnlyOnSuccess) {
+  auto Store = std::make_shared<ProfileStore>();
+  PvpServer Server(ServerLimits(), Store, std::make_shared<ViewCache>(16));
+  int64_t Id = Server.addProfile(test::makeFixedProfile());
+  auto Call = [&](const char *Method, const char *Key, json::Value V) {
+    json::Object P;
+    P.set("profile", Id);
+    P.set(Key, std::move(V));
+    return replyStatus(Server, Method, std::move(P));
+  };
+
+  uint64_t Gen = Store->generationOf(Id);
+  EXPECT_EQ(Call("pvp/transform", "shape", json::Value("flat")), "ok");
+  EXPECT_EQ(Store->generationOf(Id), Gen + 1);
+  EXPECT_EQ(Call("pvp/prune", "minFraction", json::Value(0.1)), "ok");
+  EXPECT_EQ(Store->generationOf(Id), Gen + 2);
+  EXPECT_EQ(Call("pvp/query", "program", json::Value("print 1;")), "ok");
+  EXPECT_EQ(Store->generationOf(Id), Gen + 3);
+
+  // Failures retire nothing.
+  EXPECT_NE(Call("pvp/transform", "shape", json::Value("sideways")), "ok");
+  EXPECT_NE(Call("pvp/prune", "minFraction", json::Value(2.0)), "ok");
+  EXPECT_NE(Call("pvp/query", "program", json::Value("print ;")), "ok");
+  EXPECT_EQ(Store->generationOf(Id), Gen + 3);
+
+  // Views are not retiring: a flame leaves the generation alone.
+  EXPECT_EQ(Call("pvp/flame", "maxRects", json::Value(int64_t(8))), "ok");
+  EXPECT_EQ(Store->generationOf(Id), Gen + 3);
 }

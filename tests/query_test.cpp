@@ -100,42 +100,58 @@ TEST(Parser, StatementKinds) {
   EXPECT_EQ(Prog->Statements[4].TheKind, Stmt::Kind::Print);
 }
 
+namespace {
+
+/// Parses "print <Source>;" and \returns the printed expression, so the
+/// expression grammar is tested through the one public parser entry.
+Result<ExprPtr> parsePrinted(const std::string &Source) {
+  Result<Program> Prog = parseProgram("print " + Source + ";");
+  if (!Prog)
+    return makeError(Prog.error());
+  if (Prog->Statements.size() != 1 ||
+      Prog->Statements[0].TheKind != Stmt::Kind::Print)
+    return makeError("expected one print statement");
+  return std::move(Prog->Statements[0].Value);
+}
+
+} // namespace
+
 TEST(Parser, PrecedenceMultiplicationBeforeAddition) {
-  Result<ExprPtr> E = parseExpression("1 + 2 * 3");
-  ASSERT_TRUE(E.ok());
+  Result<ExprPtr> E = parsePrinted("1 + 2 * 3");
+  ASSERT_TRUE(E.ok()) << E.error();
   ASSERT_EQ((*E)->TheKind, Expr::Kind::Binary);
   EXPECT_EQ((*E)->Op, TokenKind::Plus);
   EXPECT_EQ((*E)->Operands[1]->Op, TokenKind::Star);
 }
 
 TEST(Parser, ParenthesesOverridePrecedence) {
-  Result<ExprPtr> E = parseExpression("(1 + 2) * 3");
-  ASSERT_TRUE(E.ok());
+  Result<ExprPtr> E = parsePrinted("(1 + 2) * 3");
+  ASSERT_TRUE(E.ok()) << E.error();
   EXPECT_EQ((*E)->Op, TokenKind::Star);
 }
 
 TEST(Parser, ComparisonBindsLooserThanArithmetic) {
-  Result<ExprPtr> E = parseExpression("1 + 2 < 3 * 4");
-  ASSERT_TRUE(E.ok());
+  Result<ExprPtr> E = parsePrinted("1 + 2 < 3 * 4");
+  ASSERT_TRUE(E.ok()) << E.error();
   EXPECT_EQ((*E)->Op, TokenKind::Less);
 }
 
 TEST(Parser, LogicalOperatorsNest) {
-  Result<ExprPtr> E = parseExpression("a() || b() && c()");
-  ASSERT_TRUE(E.ok());
+  Result<ExprPtr> E = parsePrinted("a() || b() && c()");
+  ASSERT_TRUE(E.ok()) << E.error();
   EXPECT_EQ((*E)->Op, TokenKind::PipePipe); // && binds tighter.
 }
 
 TEST(Parser, TernaryRightAssociates) {
-  Result<ExprPtr> E = parseExpression("a() ? 1 : b() ? 2 : 3");
-  ASSERT_TRUE(E.ok());
+  Result<ExprPtr> E = parsePrinted("a() ? 1 : b() ? 2 : 3");
+  ASSERT_TRUE(E.ok()) << E.error();
   ASSERT_EQ((*E)->TheKind, Expr::Kind::Ternary);
   EXPECT_EQ((*E)->Operands[2]->TheKind, Expr::Kind::Ternary);
 }
 
 TEST(Parser, CallsWithArguments) {
-  Result<ExprPtr> E = parseExpression("min(metric(\"a\"), 2 + 3)");
-  ASSERT_TRUE(E.ok());
+  Result<ExprPtr> E = parsePrinted("min(metric(\"a\"), 2 + 3)");
+  ASSERT_TRUE(E.ok()) << E.error();
   EXPECT_EQ((*E)->TheKind, Expr::Kind::Call);
   EXPECT_EQ((*E)->Text, "min");
   ASSERT_EQ((*E)->Operands.size(), 2u);
@@ -157,9 +173,11 @@ TEST(Parser, RejectsMissingWhen) {
 }
 
 TEST(Parser, RejectsDanglingOperator) {
-  EXPECT_FALSE(parseExpression("1 +").ok());
-  EXPECT_FALSE(parseExpression("(1").ok());
-  EXPECT_FALSE(parseExpression("f(1,").ok());
+  EXPECT_FALSE(parsePrinted("1 +").ok());
+  EXPECT_FALSE(parsePrinted("(1").ok());
+  EXPECT_FALSE(parsePrinted("f(1,").ok());
+  // A second expression where the statement must end.
+  EXPECT_FALSE(parsePrinted("1 2").ok());
 }
 
 //===----------------------------------------------------------------------===

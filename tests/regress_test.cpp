@@ -286,7 +286,7 @@ TEST_F(RegressAnalyzerTest, SeverityFloorAndDisablesFilter) {
 
   // EVL301/EVL303 default to Info; a Warning floor suppresses them.
   RegressionOptions Floor;
-  Floor.MinSeverity = Severity::Warning;
+  Floor.Filter.MinSeverity = Severity::Warning;
   DiagnosticSet Warned = analyzePair(M - 2, M - 1, Floor);
   EXPECT_GT(Warned.size(), 0u);
   for (const Diagnostic &D : Warned.all()) {
@@ -297,7 +297,7 @@ TEST_F(RegressAnalyzerTest, SeverityFloorAndDisablesFilter) {
 
   // Disable by id and by name in one list.
   RegressionOptions Disabled;
-  Disabled.Disabled = {"EVL300", "allocation-drift"};
+  Disabled.Filter.Disabled = {"EVL300", "allocation-drift"};
   DiagnosticSet Filtered = analyzePair(M - 2, M - 1, Disabled);
   bool SawOther = false;
   for (const Diagnostic &D : Filtered.all()) {

@@ -724,7 +724,7 @@ TEST(ProfileLint, DisableByNameSuppressesRule) {
   Profile Prof = B.take();
 
   LintOptions Opts;
-  Opts.Disabled = {"exclusive-exceeds-inclusive"};
+  Opts.Filter.Disabled = {"exclusive-exceeds-inclusive"};
   DiagnosticSet Diags(64);
   ProfileLinter(Opts).lintProfile(Prof, Diags);
   EXPECT_FALSE(hasId(Diags, "EVL201")) << describe(Diags);
@@ -740,7 +740,7 @@ TEST(ProfileLint, MinSeveritySuppressesBelowThreshold) {
   Profile Prof = B.take();
 
   LintOptions Opts;
-  Opts.MinSeverity = Severity::Warning; // EVL208 is info
+  Opts.Filter.MinSeverity = Severity::Warning; // EVL208 is info
   DiagnosticSet Diags(64);
   ProfileLinter(Opts).lintProfile(Prof, Diags);
   EXPECT_FALSE(hasId(Diags, "EVL208")) << describe(Diags);

@@ -10,6 +10,7 @@
 #include "proto/EvProf.h"
 #include "support/FileIo.h"
 #include "support/ProtoWire.h"
+#include "support/Strings.h"
 
 #include <gtest/gtest.h>
 
@@ -224,6 +225,50 @@ TEST_F(ToolTest, ConvertTauInput) {
 TEST_F(ToolTest, OptionWithoutValueFails) {
   EXPECT_EQ(run({"flame", Evprof, "--shape"}), ExitUsageError);
   EXPECT_NE(Err.find("needs a value"), std::string::npos);
+}
+
+TEST_F(ToolTest, UndeclaredOptionIsAUsageError) {
+  // An option the command does not declare is refused, not ignored.
+  EXPECT_EQ(run({"query", Evprof, "--frobnicate", "1", "--e", "print 1;"}),
+            ExitUsageError);
+  EXPECT_EQ(Out, "");
+  EXPECT_NE(Err.find("unknown option '--frobnicate'"), std::string::npos)
+      << Err;
+  // The removed interpreter switch is refused by name instead of
+  // swallowing the next argument as its value.
+  EXPECT_EQ(run({"query", Evprof, "--interpreter", "--e", "print 1;"}),
+            ExitUsageError);
+  EXPECT_NE(Err.find("unknown option '--interpreter'"), std::string::npos)
+      << Err;
+  // A flag is declared per command too.
+  EXPECT_EQ(run({"info", Evprof, "--werror"}), ExitUsageError);
+  EXPECT_NE(Err.find("unknown option"), std::string::npos) << Err;
+  EXPECT_EQ(run({"info", Evprof, "-Werror"}), ExitUsageError);
+  EXPECT_NE(Err.find("unknown option '-Werror'"), std::string::npos) << Err;
+}
+
+TEST_F(ToolTest, UsageNamesEveryCommandWithTheParsedSpelling) {
+  ASSERT_EQ(run({"help"}), ExitSuccess);
+  std::string Usage = Out;
+  for (const char *Command :
+       {"info", "summary", "flame", "table", "convert", "diff", "aggregate",
+        "query", "check", "lint", "regress", "butterfly", "annotate",
+        "report", "store", "serve", "help"})
+    EXPECT_TRUE(Usage.find("\n  " + std::string(Command) + " ") !=
+                    std::string::npos ||
+                Usage.find("\n  " + std::string(Command) + "\n") !=
+                    std::string::npos)
+        << Command;
+  // query's program option is spelled the way the parser accepts it.
+  EXPECT_NE(Usage.find("query <profile> [--e PROGRAM]"), std::string::npos)
+      << Usage;
+  EXPECT_EQ(Usage.find(" -e "), std::string::npos) << Usage;
+  ASSERT_EQ(run({"query", Evprof, "--e", "print 1;"}), ExitSuccess) << Err;
+  ASSERT_EQ(run({"--help"}), ExitSuccess);
+  EXPECT_EQ(Out, Usage);
+  // The derived text wraps within 78 columns.
+  for (std::string_view Line : splitString(Usage, '\n'))
+    EXPECT_LE(Line.size(), 78u) << Line;
 }
 
 //===----------------------------------------------------------------------===

@@ -15,8 +15,8 @@
 /// pins the two compiler-only traps (mixed-type ternary, register-file
 /// overflow), checks that a multi-chunk sweep reports the lowest failing
 /// node, exercises the guarded depth column and the size and recursion
-/// bounds, and covers the ProgramCache (LRU behavior plus
-/// generation-keyed invalidation through pvp/query and pvp/append).
+/// bounds, and covers the ProgramCache (LRU behavior plus the source-only
+/// key that keeps pvp/query warm across appends and profiles).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -842,19 +842,21 @@ TEST(EvqlCache, ProgramCacheLruAndCounters) {
   EXPECT_EQ(Off.lookup("k"), nullptr);
 }
 
-TEST(EvqlCache, KeyEmbedsSourceProfileAndGeneration) {
-  std::string A = evql::programCacheKey("print 1;", 7, 3);
-  EXPECT_NE(A, evql::programCacheKey("print 2;", 7, 3));
-  EXPECT_NE(A, evql::programCacheKey("print 1;", 8, 3));
-  EXPECT_NE(A, evql::programCacheKey("print 1;", 7, 4));
-  EXPECT_EQ(A, evql::programCacheKey("print 1;", 7, 3));
+TEST(EvqlCache, KeyDependsOnTheSourceAlone) {
+  std::string A = evql::programCacheKey("print 1;");
+  EXPECT_NE(A, evql::programCacheKey("print 2;"));
+  EXPECT_NE(A, evql::programCacheKey("print 1; "));
+  EXPECT_EQ(A, evql::programCacheKey("print 1;"));
 }
 
-TEST(EvqlCache, PvpQueryHitsWarmAndInvalidatesOnAppend) {
+TEST(EvqlCache, PvpQueryHitsWarmAcrossAppendsAndProfiles) {
   MockIde Ide;
   std::vector<std::string> Stages = test::growthStageBytes(2);
   Result<int64_t> Id = Ide.openProfile("live", Stages[0]);
   ASSERT_TRUE(Id.ok()) << Id.error();
+  Result<int64_t> Other =
+      Ide.openProfile("fixed", writeEvProf(test::makeFixedProfile()));
+  ASSERT_TRUE(Other.ok()) << Other.error();
 
   auto Stat = [&](const char *Key) {
     Result<json::Value> S = Ide.call("pvp/stats", json::Object());
@@ -862,9 +864,9 @@ TEST(EvqlCache, PvpQueryHitsWarmAndInvalidatesOnAppend) {
     const json::Value *V = S->asObject().find(Key);
     return V ? static_cast<int64_t>(V->numberOr(-1)) : -1;
   };
-  auto Query = [&] {
+  auto Query = [&](int64_t Profile) {
     json::Object Params;
-    Params.set("profile", *Id);
+    Params.set("profile", Profile);
     Params.set("program", "derive x = 2 * exclusive(\"time\");"
                           "print total(\"time\");");
     Result<json::Value> R = Ide.call("pvp/query", std::move(Params));
@@ -875,32 +877,33 @@ TEST(EvqlCache, PvpQueryHitsWarmAndInvalidatesOnAppend) {
   int64_t Hits0 = Stat("programCacheHits");
   int64_t Misses0 = Stat("programCacheMisses");
 
-  // Cold: compile, then insert under the post-query generation.
-  Query();
+  // Cold: compile and insert.
+  Query(*Id);
   EXPECT_EQ(Stat("programCacheHits"), Hits0);
   EXPECT_EQ(Stat("programCacheMisses"), Misses0 + 1);
 
-  // Warm: the identical source at the current generation hits.
-  Query();
+  // Warm: the identical source hits, though the first query bumped the
+  // profile's generation.
+  Query(*Id);
   EXPECT_EQ(Stat("programCacheHits"), Hits0 + 1);
   EXPECT_EQ(Stat("programCacheMisses"), Misses0 + 1);
   int64_t Size1 = Stat("programCacheSize");
 
-  // pvp/append bumps the profile generation, so the cached program's key
-  // stops matching: the next identical query is a miss (recompile), and
-  // the one after that hits again.
+  // Compilation reads only the source, so neither an append (a new
+  // generation) nor a second profile forces a recompile.
   json::Object AP;
   AP.set("profile", *Id);
   AP.set("dataBase64", base64Encode(test::sectionBytes(Stages, 0)));
   Result<json::Value> Appended = Ide.call("pvp/append", std::move(AP));
   ASSERT_TRUE(Appended.ok()) << Appended.error();
 
-  Query();
-  EXPECT_EQ(Stat("programCacheHits"), Hits0 + 1);
-  EXPECT_EQ(Stat("programCacheMisses"), Misses0 + 2);
-  Query();
+  Query(*Id);
   EXPECT_EQ(Stat("programCacheHits"), Hits0 + 2);
-  EXPECT_GE(Stat("programCacheSize"), Size1);
+  EXPECT_EQ(Stat("programCacheMisses"), Misses0 + 1);
+  Query(*Other);
+  EXPECT_EQ(Stat("programCacheHits"), Hits0 + 3);
+  EXPECT_EQ(Stat("programCacheMisses"), Misses0 + 1);
+  EXPECT_EQ(Stat("programCacheSize"), Size1);
 }
 
 TEST(EvqlCache, QueryReplyByteIdenticalColdAndWarm) {
