@@ -1503,12 +1503,16 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
     if (Ids && std::all_of(Ids->begin(), Ids->end(),
                            [&](int64_t P) { return Owned.count(P) > 0; })) {
       CacheKey = std::string(Method.Name) + '|';
-      for (int64_t P : *Ids)
-        CacheKey += std::to_string(P) + ':' +
-                    std::to_string(Store->generationOf(P)) + ',';
+      for (size_t I = 0; I < Ids->size(); ++I) {
+        uint64_t Gen = Store->generationOf((*Ids)[I]);
+        if (I == 0) {
+          CacheProf = (*Ids)[0];
+          CacheGen = Gen;
+        }
+        CacheKey +=
+            std::to_string((*Ids)[I]) + ':' + std::to_string(Gen) + ',';
+      }
       CacheKey += '|' + json::Value(Params).dump();
-      CacheProf = Ids->front();
-      CacheGen = Store->generationOf(CacheProf);
       if (std::unique_ptr<json::Value> Hit = Cache->lookup(CacheKey, CacheGen))
         return rpc::makeResponse(Id, std::move(*Hit));
     }

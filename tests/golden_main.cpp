@@ -604,8 +604,9 @@ std::string pvpErrorSession() {
   {
     json::Array Rules;
     Rules.push_back(json::Value("no-such-rule"));
-    A.call("pvp/diagnostics", params({{"profile", Fixed},
-                                      {"disable", json::Value(std::move(Rules))}}));
+    json::Value Disable(std::move(Rules));
+    A.call("pvp/diagnostics",
+           params({{"profile", Fixed}, {"disable", std::move(Disable)}}));
   }
   A.call("pvp/regressions", json::Object());
   A.call("pvp/regressions", params({{"base", R1}}));
@@ -754,7 +755,8 @@ void addCli(Corpus &C) {
                                "--metric", "bytes", "--columns", "60"}) +
                     evtoolRun({"flame", "fixed.evprof", "--svg", "f.svg"},
                               {"f.svg"}) +
-                    evtoolRun({"flame", "fixed.evprof", "--shape", "sideways"}) +
+                    evtoolRun({"flame", "fixed.evprof", "--shape",
+                               "sideways"}) +
                     evtoolRun({"flame", "fixed.evprof", "--metric", "nope"}) +
                     evtoolRun({"flame", "fixed.evprof", "--columns", "x"})},
       {"table", evtoolRun({"table", "r1.evprof", "--rows", "12"}) +
