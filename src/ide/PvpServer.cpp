@@ -95,8 +95,7 @@ bool intParam(const json::Object &Params, std::string_view Key,
 
 PvpServer::PvpServer(ServerLimits Limits)
     : PvpServer(Limits, std::make_shared<ProfileStore>(),
-                std::make_shared<ViewCache>(Limits.MaxCachedViews,
-                                            /*Shards=*/1)) {}
+                std::make_shared<ViewCache>(Limits.MaxCachedViews)) {}
 
 PvpServer::PvpServer(ServerLimits Limits, std::shared_ptr<ProfileStore> Store,
                      std::shared_ptr<ViewCache> Cache)
@@ -1276,21 +1275,13 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
 Result<json::Value> PvpServer::doStats(const json::Object &) {
   json::Object Out;
   Out.set("profiles", static_cast<int64_t>(Owned.size()));
-  // Cache counters are global atomics on the SHARED cache object, already
-  // aggregated across shards and sessions (shards have no private
-  // counters, so summing anything per-shard would double-count). The keys
-  // above this comment are pinned by tests; additions below are strictly
-  // additive. revalidations is a subset of misses, reported separately so
-  // the cross-session staleness rate is visible (pre-PR4 this method
-  // reported the retired single-session view and missed shard/store
-  // state entirely).
+  // Cache counters live on the SHARED cache object, so every session
+  // reports the same totals.
   Out.set("cachedViews", static_cast<int64_t>(Cache->size()));
   Out.set("cacheCapacity", static_cast<int64_t>(Cache->capacity()));
   Out.set("cacheHits", Cache->hits());
   Out.set("cacheMisses", Cache->misses());
   Out.set("cacheEvictions", Cache->evictions());
-  Out.set("cacheShards", static_cast<int64_t>(Cache->shardCount()));
-  Out.set("cacheRevalidations", Cache->revalidationDrops());
   Out.set("storeProfiles", static_cast<int64_t>(Store->size()));
   // Memory attribution (docs/PERF.md "Out-of-core profile store"): cache
   // memory and store memory reported SEPARATELY so an operator can tell
@@ -1488,40 +1479,36 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
                                 const json::Object &Params, int64_t Id) {
   // Memoized fast path: a method that declares the profiles its reply
   // depends on is served straight from the LRU. The key folds in each
-  // profile's generation, so a retiring method in between forces a
-  // recomputation without an explicit flush; the cache also revalidates
-  // the first profile's generation per entry, which covers cross-session
-  // races (see ide/ViewCache.h). Ownership gates the cache: sessions share
-  // one LRU keyed by globally unique profile ids, so without the check a
-  // session could be served a view of a profile it never opened.
+  // profile's generation, the cache's one staleness rule: a view of an old
+  // generation is never looked up again. Ownership gates the cache:
+  // sessions share one LRU keyed by globally unique profile ids, so
+  // without the check a session could be served a view of a profile it
+  // never opened.
   std::string CacheKey;
   int64_t CacheProf = 0;
-  uint64_t CacheGen = 0;
   if (Method.DependsOn != Deps::None && Cache->capacity() != 0) {
     std::optional<std::vector<int64_t>> Ids =
         referencedProfiles(Method.DependsOn, Params);
     if (Ids && std::all_of(Ids->begin(), Ids->end(),
                            [&](int64_t P) { return Owned.count(P) > 0; })) {
+      CacheProf = Ids->front();
       CacheKey = std::string(Method.Name) + '|';
-      for (size_t I = 0; I < Ids->size(); ++I) {
-        uint64_t Gen = Store->generationOf((*Ids)[I]);
-        if (I == 0) {
-          CacheProf = (*Ids)[0];
-          CacheGen = Gen;
-        }
-        CacheKey +=
-            std::to_string((*Ids)[I]) + ':' + std::to_string(Gen) + ',';
-      }
+      for (int64_t P : *Ids)
+        CacheKey += std::to_string(P) + ':' +
+                    std::to_string(Store->generationOf(P)) + ',';
       CacheKey += '|' + json::Value(Params).dump();
-      if (std::unique_ptr<json::Value> Hit = Cache->lookup(CacheKey, CacheGen))
+      if (std::optional<json::Value> Hit = Cache->lookup(CacheKey))
         return rpc::makeResponse(Id, std::move(*Hit));
     }
   }
-  // A retiring method bumps only a profile this session owned when the
-  // request arrived: closing another session's id changes nothing of it.
-  int64_t Retired = 0;
-  bool Retires = Method.Retires && intParam(Params, "profile", Retired) &&
-                 Owned.count(Retired);
+  // The 'profile' this session owned when the request arrived. A retiring
+  // method bumps only such a profile: closing another session's id changes
+  // nothing of it. Whatever ends its generation during the request (the
+  // bump below, a close's drop, an append's own bump) retires its views.
+  int64_t Arrived = 0;
+  bool OwnedOnArrival =
+      intParam(Params, "profile", Arrived) && Owned.count(Arrived);
+  uint64_t GenBefore = OwnedOnArrival ? Store->generationOf(Arrived) : 0;
 
   // Arm the soft per-request deadline; long-running handler loops check
   // it periodically and bail with DeadlineDiag.
@@ -1545,16 +1532,20 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
                                             : rpc::InvalidParams;
     return rpc::makeErrorResponse(Id, Code, R.error());
   }
-  if (Retires)
-    Store->bumpGeneration(Retired);
+  if (OwnedOnArrival) {
+    if (Method.Retires)
+      Store->bumpGeneration(Arrived);
+    if (Store->generationOf(Arrived) != GenBefore)
+      Cache->retire(Arrived);
+  }
   json::Value Payload = R.take();
   // Only successful replies are memoized; errors stay uncached so a later
   // retry (e.g. after the deadline budget recovers) re-runs the handler.
-  // The insert records the generation CAPTURED BEFORE the handler ran: if
-  // another session retired the profile mid-request, the next lookup's
-  // validation drops this entry instead of serving the stale view.
+  // The key holds the generations read before the handler ran: a view
+  // computed while another request retired its profile lands under a key
+  // no later lookup builds, and ages out of the LRU.
   if (!CacheKey.empty())
-    Cache->insert(std::move(CacheKey), CacheProf, CacheGen, Payload);
+    Cache->insert(std::move(CacheKey), CacheProf, Payload);
   return rpc::makeResponse(Id, std::move(Payload));
 }
 

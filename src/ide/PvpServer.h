@@ -95,7 +95,7 @@ class PvpServer {
 public:
   PvpServer() : PvpServer(ServerLimits()) {}
   /// Standalone session: owns a private profile store and a private
-  /// single-shard view cache of ServerLimits::MaxCachedViews entries.
+  /// view cache of ServerLimits::MaxCachedViews entries.
   explicit PvpServer(ServerLimits Limits);
   /// Session over shared state: profiles and cached views live in \p Store
   /// and \p Cache, which other sessions may share concurrently (both are
@@ -290,10 +290,9 @@ private:
   std::map<int64_t, Subscription> Subs;
   int64_t NextSubId = 1;
 
-  // Memoized view cache (ide/ViewCache.h). dispatch() fills and serves it
-  // and bumps generations as the method table says (docs/PVP.md "Method
-  // policy"); orphaned entries age out of the LRU, and cross-session races
-  // are caught by the cache's per-entry generation validation.
+  // Memoized view cache (ide/ViewCache.h). dispatch() fills and serves it,
+  // bumps generations as the method table says (docs/PVP.md "Method
+  // policy") and retires a profile's views when its generation ends.
   std::shared_ptr<ViewCache> Cache;
 };
 

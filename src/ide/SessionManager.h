@@ -7,7 +7,7 @@
 /// \file
 /// The concurrent service layer over PvpServer: N independent PVP sessions
 /// (one per connected editor pane) multiplexed onto a shared TaskQueue,
-/// over a shared refcounted ProfileStore and a shard-locked ViewCache.
+/// over a shared refcounted ProfileStore and a shared ViewCache.
 ///
 /// Scheduling is a classic strand model. Each session keeps a FIFO queue
 /// of pending requests plus a Running flag; at most one request per
@@ -60,8 +60,6 @@ public:
     unsigned Threads = 0;
     /// Guardrails applied to every session.
     ServerLimits Limits;
-    /// Shards of the shared view cache (lock granularity, not capacity).
-    size_t CacheShards = 8;
     /// Pending requests a single session may queue before new submissions
     /// are rejected with a SessionBusy error.
     size_t MaxQueuedPerSession = 256;

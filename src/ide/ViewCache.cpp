@@ -8,8 +8,7 @@
 
 #include "support/Telemetry.h"
 
-#include <algorithm>
-#include <functional>
+#include <iterator>
 
 namespace ev {
 
@@ -22,20 +21,18 @@ struct CacheTelemetry {
   telemetry::Counter &Hits;
   telemetry::Counter &Misses;
   telemetry::Counter &Evictions;
-  telemetry::Counter &Revalidations;
   static CacheTelemetry &get() {
     static CacheTelemetry T{
         telemetry::Registry::global().counter("viewcache.hits"),
         telemetry::Registry::global().counter("viewcache.misses"),
-        telemetry::Registry::global().counter("viewcache.evictions"),
-        telemetry::Registry::global().counter("viewcache.revalidations")};
+        telemetry::Registry::global().counter("viewcache.evictions")};
     return T;
   }
 };
 
 /// Approximate heap footprint of a cached reply. Counts string payloads and
-/// container slots, not allocator overhead — cheap enough to recompute on
-/// every insert (the insert already deep-copies the reply anyway).
+/// value slots, not allocator overhead or the shared_ptr control blocks of
+/// arrays and objects.
 uint64_t approxJsonBytes(const json::Value &V) {
   uint64_t Bytes = sizeof(json::Value);
   if (V.isString()) {
@@ -52,104 +49,69 @@ uint64_t approxJsonBytes(const json::Value &V) {
 
 } // namespace
 
-ViewCache::ViewCache(size_t Capacity, size_t ShardCount)
-    : TotalCapacity(Capacity) {
-  if (ShardCount == 0)
-    ShardCount = 1;
-  // Never leave a shard with zero capacity: a key hashing there would be
-  // permanently uncacheable while other shards have room.
-  if (Capacity != 0)
-    ShardCount = std::min(ShardCount, Capacity);
-  else
-    ShardCount = 1;
-  Shards.reserve(ShardCount);
-  size_t Base = Capacity / ShardCount;
-  size_t Extra = Capacity % ShardCount;
-  for (size_t I = 0; I < ShardCount; ++I) {
-    auto S = std::make_unique<Shard>();
-    S->Capacity = Base + (I < Extra ? 1 : 0);
-    Shards.push_back(std::move(S));
+std::optional<json::Value> ViewCache::lookup(const std::string &Key) {
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    auto It = Index.find(Key);
+    if (It != Index.end()) {
+      Lru.splice(Lru.begin(), Lru, It->second);
+      Hits.fetch_add(1, std::memory_order_relaxed);
+      CacheTelemetry::get().Hits.add();
+      return It->second->Reply;
+    }
   }
+  Misses.fetch_add(1, std::memory_order_relaxed);
+  CacheTelemetry::get().Misses.add();
+  return std::nullopt;
 }
 
-ViewCache::Shard &ViewCache::shardFor(const std::string &Key) {
-  if (Shards.size() == 1)
-    return *Shards.front();
-  return *Shards[std::hash<std::string>{}(Key) % Shards.size()];
-}
-
-std::unique_ptr<json::Value> ViewCache::lookup(const std::string &Key,
-                                               uint64_t CurrentGeneration) {
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Index.find(Key);
-  if (It == S.Index.end()) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    CacheTelemetry::get().Misses.add();
-    return nullptr;
-  }
-  if (It->second->Generation != CurrentGeneration) {
-    // Stale: computed against a retired generation. Drop it so it cannot
-    // shadow a freshly computed view. Counts as a miss (the pinned
-    // hit/miss totals must keep summing to lookup count) AND as a
-    // revalidation drop, which tracks the cross-session race rate.
-    Bytes.fetch_sub(It->second->Bytes, std::memory_order_relaxed);
-    S.Lru.erase(It->second);
-    S.Index.erase(It);
-    Misses.fetch_add(1, std::memory_order_relaxed);
-    Revalidations.fetch_add(1, std::memory_order_relaxed);
-    CacheTelemetry::get().Misses.add();
-    CacheTelemetry::get().Revalidations.add();
-    return nullptr;
-  }
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-  Hits.fetch_add(1, std::memory_order_relaxed);
-  CacheTelemetry::get().Hits.add();
-  return std::make_unique<json::Value>(It->second->Reply);
-}
-
-void ViewCache::insert(std::string Key, int64_t ProfileId,
-                       uint64_t Generation, json::Value Reply) {
-  if (TotalCapacity == 0)
+void ViewCache::insert(std::string Key, int64_t ProfileId, json::Value Reply) {
+  if (Capacity == 0)
     return;
-  Shard &S = shardFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Index.find(Key);
   uint64_t ReplyBytes = approxJsonBytes(Reply);
-  if (It != S.Index.end()) {
-    Bytes.fetch_add(ReplyBytes - It->second->Bytes,
-                    std::memory_order_relaxed);
-    // Refresh EVERY recorded field, not just the payload: a key collision
-    // across profiles (ids are reused only across store instances, but the
-    // attribution must not lie even then) would otherwise leave the entry
-    // blaming the wrong profile.
-    It->second->ProfileId = ProfileId;
-    It->second->Generation = Generation;
-    It->second->Reply = std::move(Reply);
-    It->second->Bytes = ReplyBytes;
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+  // Evicted entries, and the reply a re-insert displaces (swapped into
+  // Reply), are destroyed after the lock is released.
+  std::list<Entry> Evicted;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Index.find(Key);
+  if (It != Index.end()) {
+    Entry &E = *It->second;
+    Bytes.fetch_add(ReplyBytes - E.Bytes, std::memory_order_relaxed);
+    E.ProfileId = ProfileId;
+    std::swap(E.Reply, Reply);
+    E.Bytes = ReplyBytes;
+    Lru.splice(Lru.begin(), Lru, It->second);
     return;
   }
-  S.Lru.push_front(
-      Entry{Key, ProfileId, Generation, std::move(Reply), ReplyBytes});
-  S.Index.emplace(std::move(Key), S.Lru.begin());
+  Lru.push_front(Entry{Key, ProfileId, std::move(Reply), ReplyBytes});
+  Index.emplace(std::move(Key), Lru.begin());
   Bytes.fetch_add(ReplyBytes, std::memory_order_relaxed);
-  while (S.Lru.size() > S.Capacity) {
-    Bytes.fetch_sub(S.Lru.back().Bytes, std::memory_order_relaxed);
-    S.Index.erase(S.Lru.back().Key);
-    S.Lru.pop_back();
+  while (Lru.size() > Capacity) {
+    Bytes.fetch_sub(Lru.back().Bytes, std::memory_order_relaxed);
+    Index.erase(Lru.back().Key);
+    Evicted.splice(Evicted.end(), Lru, std::prev(Lru.end()));
     Evictions.fetch_add(1, std::memory_order_relaxed);
     CacheTelemetry::get().Evictions.add();
   }
 }
 
-size_t ViewCache::size() const {
-  size_t Total = 0;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S->Mutex);
-    Total += S->Lru.size();
+void ViewCache::retire(int64_t ProfileId) {
+  std::list<Entry> Retired; // Destroyed after the lock is released.
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (auto It = Lru.begin(); It != Lru.end();) {
+    auto Next = std::next(It);
+    if (It->ProfileId == ProfileId) {
+      Bytes.fetch_sub(It->Bytes, std::memory_order_relaxed);
+      Index.erase(It->Key);
+      Retired.splice(Retired.end(), Lru, It);
+    }
+    It = Next;
   }
-  return Total;
+}
+
+size_t ViewCache::size() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Lru.size();
 }
 
 } // namespace ev

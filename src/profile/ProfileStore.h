@@ -28,9 +28,9 @@
 /// Ids are allocated from a single store-wide counter, so they are unique
 /// across every session sharing the store (the shared view cache keys on
 /// them). Each profile also carries an invalidation generation, bumped by
-/// state-retiring methods (close/query/transform/prune); cached views
-/// record the generation they were computed at and are revalidated on
-/// every cache hit.
+/// state-retiring methods (query/transform/prune) and by append(), and
+/// retired by drop(). Cached view keys embed it, and the PVP dispatcher
+/// drops a profile's cached views when a request ends its generation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,8 +104,8 @@ public:
   /// the id was present.
   bool drop(int64_t Id);
 
-  /// Generation reported for ids the store does not hold. No cached view
-  /// records it, so a dropped id's views fail revalidation.
+  /// Generation reported for ids the store does not hold, never reached by
+  /// a bump, so a dropped id's generation differs from every one it had.
   static constexpr uint64_t RetiredGeneration = UINT64_MAX;
 
   /// \returns the invalidation generation of \p Id (0 until bumped), or

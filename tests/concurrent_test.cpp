@@ -560,18 +560,26 @@ TEST(ConcurrentStore, GenerationsAdvanceIndependently) {
   EXPECT_EQ(Store.generationOf(B), 0u);
 }
 
-TEST(ConcurrentStore, SharedCacheValidatesGenerationPerEntry) {
-  ViewCache Cache(8, /*Shards=*/4);
-  json::Object Payload;
-  Payload.set("x", 1);
-  Cache.insert("k", /*ProfileId=*/7, /*Generation=*/0,
-               json::Value(std::move(Payload)));
-  // Current generation matches: hit.
-  EXPECT_NE(Cache.lookup("k", 0), nullptr);
-  // Profile retired elsewhere (generation advanced): the stale entry is
-  // dropped, not served.
-  EXPECT_EQ(Cache.lookup("k", 1), nullptr);
-  EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_EQ(Cache.hits(), 1u);
-  EXPECT_EQ(Cache.misses(), 1u);
+TEST(ConcurrentStore, SharedCacheHoldsExactlyMaxCachedViews) {
+  SessionManager::Options Opts;
+  Opts.Limits.MaxCachedViews = 8;
+  SessionManager M(Opts);
+  std::string Bytes = writeEvProf(test::makeFixedProfile());
+  int64_t Prof = openedProfile(M.handle(0, openRequest(1, Bytes)));
+  ASSERT_GT(Prof, 0);
+  // Eight distinct views fill the one LRU without evicting any of them.
+  auto View = [Prof](int64_t ReqId, int MaxRects) {
+    json::Object P;
+    P.set("profile", Prof);
+    P.set("maxRects", MaxRects);
+    return rpc::makeRequest(ReqId, "pvp/flame", std::move(P));
+  };
+  for (int I = 0; I < 8; ++I)
+    ASSERT_NE(resultOf(M.handle(0, View(2 + I, 10 + I))), nullptr);
+  EXPECT_EQ(M.viewCache().size(), 8u);
+  EXPECT_EQ(M.viewCache().evictions(), 0u);
+  uint64_t Hits = M.viewCache().hits();
+  for (int I = 0; I < 8; ++I)
+    M.handle(0, View(10 + I, 10 + I));
+  EXPECT_EQ(M.viewCache().hits(), Hits + 8);
 }

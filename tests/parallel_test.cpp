@@ -13,6 +13,8 @@
 
 #include "ide/JsonRpc.h"
 #include "ide/PvpServer.h"
+#include "proto/EvProf.h"
+#include "support/Strings.h"
 #include "workload/LuleshWorkload.h"
 
 #include "TestHelpers.h"
@@ -142,6 +144,59 @@ TEST(ParallelViewCache, CloseInvalidatesAndNeverServesStaleViews) {
   // The profile is gone: the reply must be an error, not a cached view.
   EXPECT_NE(After.asObject().find("error"), nullptr);
   EXPECT_EQ(statInt(Server, "cacheHits"), 0);
+}
+
+TEST(ParallelViewCache, CloseFreesEveryCachedView) {
+  PvpServer Server;
+  json::Object KeptParams;
+  KeptParams.set("profile", Server.addProfile(test::makeRandomProfile(3)));
+  Server.handleMessage(rpc::makeRequest(1, "pvp/summary", KeptParams));
+  int64_t ViewsBefore = statInt(Server, "cachedViews");
+  int64_t BytesBefore = statInt(Server, "cacheBytes");
+  ASSERT_EQ(ViewsBefore, 1);
+
+  json::Object OpenParams;
+  OpenParams.set("name", "closed.evprof");
+  OpenParams.set("dataBase64",
+                 base64Encode(writeEvProf(test::makeFixedProfile())));
+  json::Value Opened =
+      Server.handleMessage(rpc::makeRequest(2, "pvp/open", OpenParams));
+  int64_t Id = Opened.asObject()
+                   .find("result")
+                   ->asObject()
+                   .find("profile")
+                   ->asInt();
+  json::Object BottomUp = flameParams(Id);
+  BottomUp.set("shape", "bottom-up");
+  Server.handleMessage(rpc::makeRequest(3, "pvp/flame", flameParams(Id)));
+  Server.handleMessage(rpc::makeRequest(4, "pvp/flame", BottomUp));
+  EXPECT_EQ(statInt(Server, "cachedViews"), ViewsBefore + 2);
+  json::Object CP;
+  CP.set("profile", Id);
+  Server.handleMessage(rpc::makeRequest(5, "pvp/close", CP));
+  EXPECT_EQ(statInt(Server, "cachedViews"), ViewsBefore);
+  EXPECT_EQ(statInt(Server, "cacheBytes"), BytesBefore);
+}
+
+TEST(ParallelViewCache, QueryRetiresExactlyThatProfilesViews) {
+  PvpServer Server;
+  int64_t Other = Server.addProfile(test::makeRandomProfile(3));
+  int64_t Id = Server.addProfile(test::makeFixedProfile());
+  Server.handleMessage(rpc::makeRequest(1, "pvp/flame", flameParams(Other)));
+  int64_t OtherBytes = statInt(Server, "cacheBytes");
+  json::Object P;
+  P.set("profile", Id);
+  Server.handleMessage(rpc::makeRequest(2, "pvp/flame", flameParams(Id)));
+  Server.handleMessage(rpc::makeRequest(3, "pvp/treeTable", P));
+  EXPECT_EQ(statInt(Server, "cachedViews"), 3);
+
+  P.set("program", "print total(\"time\");");
+  json::Value Q = Server.handleMessage(rpc::makeRequest(4, "pvp/query", P));
+  ASSERT_NE(Q.asObject().find("result"), nullptr) << Q.dump();
+  EXPECT_EQ(statInt(Server, "cachedViews"), 1);
+  EXPECT_EQ(statInt(Server, "cacheBytes"), OtherBytes);
+  Server.handleMessage(rpc::makeRequest(5, "pvp/flame", flameParams(Other)));
+  EXPECT_EQ(statInt(Server, "cacheHits"), 1);
 }
 
 TEST(ParallelViewCache, EvictionKeepsCapacityAndCounts) {

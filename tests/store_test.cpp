@@ -331,7 +331,7 @@ TEST(StoreBudgeted, SweepStaysUnderBudgetWithFaults) {
 TEST(StoreGeneration, ClosingUnknownIdsLeavesNoTrace) {
   auto Store = std::make_shared<ProfileStore>();
   PvpServer Server(ServerLimits(), Store,
-                   std::make_shared<ViewCache>(16, /*Shards=*/1));
+                   std::make_shared<ViewCache>(16));
   int64_t Kept = Server.addProfile(test::makeFixedProfile());
   size_t Before = Store->size();
   for (int64_t Junk = 1000; Junk < 11000; ++Junk) {
@@ -339,14 +339,14 @@ TEST(StoreGeneration, ClosingUnknownIdsLeavesNoTrace) {
     Params.set("profile", Junk);
     Server.handleMessage(rpc::makeRequest(Junk, "pvp/close", std::move(Params)));
   }
-  // A never-opened id reports the retired generation, which no cached view
-  // can hold, and the closes registered nothing.
+  // A never-opened id reports the retired generation, and the closes
+  // registered nothing.
   EXPECT_EQ(Store->generationOf(4242), std::numeric_limits<uint64_t>::max());
   EXPECT_EQ(Store->size(), Before);
   EXPECT_EQ(Store->generationOf(Kept), 0u);
 
-  // A dropped id keeps failing revalidation: its generation is retired,
-  // never reset to a value an old view recorded.
+  // A dropped id's generation is retired, never reset to a value an old
+  // view's key holds.
   Store->bumpGeneration(Kept);
   EXPECT_EQ(Store->generationOf(Kept), 1u);
   EXPECT_TRUE(Store->drop(Kept));

@@ -654,7 +654,7 @@ TEST(SubscribeWire, PartialOversizedBodyDoesNotPinCapacity) {
 //===----------------------------------------------------------------------===
 
 TEST(SubscribeCache, ReinsertChurnKeepsByteAccountingExact) {
-  ViewCache Cache(8, 1);
+  ViewCache Cache(8);
   json::Object BigObj;
   BigObj.set("rows", std::string(64u << 10, 'r'));
   json::Value Big(std::move(BigObj));
@@ -665,16 +665,25 @@ TEST(SubscribeCache, ReinsertChurnKeepsByteAccountingExact) {
   // A subscribed profile's view is recomputed and re-inserted under the
   // SAME key shape at every generation. The accounting must track the
   // live payload, not accumulate every generation ever inserted.
-  Cache.insert("view|1|g", 1, 1, Big);
+  Cache.insert("view|1|g", 1, Big);
   uint64_t AfterBig = Cache.approxBytes();
-  for (uint64_t Gen = 2; Gen < 50; ++Gen)
-    Cache.insert("view|1|g", 1, Gen, Small);
+  for (int Gen = 2; Gen < 50; ++Gen)
+    Cache.insert("view|1|g", 1, Small);
   EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_LT(Cache.approxBytes(), AfterBig)
+  uint64_t AfterSmall = Cache.approxBytes();
+  EXPECT_LT(AfterSmall, AfterBig)
       << "re-insert accounting leaked the displaced payload";
 
-  // Generation revalidation drops the stale entry and refunds its bytes.
-  EXPECT_EQ(Cache.lookup("view|1|g", 999), nullptr);
+  // Retiring the profile drops the entry and refunds its bytes; another
+  // profile's entry stays.
+  Cache.insert("view|2|g", 2, Small);
+  uint64_t Other = Cache.approxBytes() - AfterSmall;
+  Cache.retire(1);
+  EXPECT_FALSE(Cache.lookup("view|1|g").has_value());
+  EXPECT_TRUE(Cache.lookup("view|2|g").has_value());
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.approxBytes(), Other);
+  Cache.retire(2);
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_EQ(Cache.approxBytes(), 0u);
 }
