@@ -25,7 +25,6 @@
 
 #include "analysis/MetricEngine.h"
 #include "analysis/Prune.h"
-#include "analysis/Transform.h"
 #include "profile/ProfileBuilder.h"
 #include "query/Parser.h"
 #include "support/Strings.h"
@@ -643,7 +642,7 @@ Result<bool> sweep(Run &R, const CompiledStmt &CS, size_t First, size_t End,
 Result<QueryOutput> runCompiled(const Profile &P,
                                 const CompiledProgram &Prog) {
   Run R;
-  R.Out.Result = topDownTree(P);
+  R.Out.Result = P;
   R.NumGlobals.assign(Prog.NumGlobals, 0.0);
   R.BoolGlobals.assign(Prog.BoolGlobals, 0);
   R.StrGlobals.assign(Prog.StrGlobals, std::string());

@@ -8,7 +8,6 @@
 
 #include "analysis/MetricEngine.h"
 #include "analysis/Prune.h"
-#include "analysis/Transform.h"
 #include "query/Parser.h"
 #include "support/Strings.h"
 
@@ -511,7 +510,7 @@ EvalResult evalExpr(const Expr &E, Context &Ctx, size_t Depth) {
 Result<QueryOutput> runProgram(const Profile &P, const Program &Prog,
                                const AnalysisLimits &Limits) {
   QueryOutput Out;
-  Out.Result = topDownTree(P);
+  Out.Result = P;
 
   Context Ctx;
   Ctx.P = &Out.Result;

@@ -360,6 +360,32 @@ TEST(EvqlVm, MatchesOracleIncludingLowestFailingNode) {
   EXPECT_EQ(IE.error(), E.error());
 }
 
+TEST(EvqlVm, DeriveKeepsTheInputsContextGroups) {
+  // A run starts from the input profile, so a program that only derives
+  // keeps its context groups, in the engine and in the oracle.
+  ProfileBuilder B("grouped");
+  MetricId M = B.addMetric("time", "ns");
+  std::vector<FrameId> P1 = {B.functionFrame("main"), B.functionFrame("a")};
+  std::vector<FrameId> P2 = {B.functionFrame("main"), B.functionFrame("b")};
+  const NodeId Contexts[] = {B.addSample(P1, M, 3), B.addSample(P2, M, 5)};
+  B.addGroup("reuse", Contexts, M, 42.0);
+  Profile P = B.take();
+  const std::string Src = "derive twice = metric(\"time\") * 2;";
+  for (const Result<evql::QueryOutput> &R :
+       {evql::runProgram(P, Src), evql::oracle::runProgram(P, Src)}) {
+    ASSERT_TRUE(R.ok()) << R.error();
+    const Profile &Out = R->Result;
+    ASSERT_EQ(Out.groups().size(), 1u);
+    ContextGroup G = Out.groups()[0];
+    EXPECT_EQ(Out.text(G.Kind), "reuse");
+    EXPECT_DOUBLE_EQ(G.Value, 42.0);
+    ASSERT_EQ(G.Contexts.size(), 2u);
+    EXPECT_EQ(G.Contexts[0], Contexts[0]);
+    EXPECT_EQ(G.Contexts[1], Contexts[1]);
+  }
+  expectEnginesAgree(P, Src);
+}
+
 TEST(EvqlRender, NumbersBeyondInt64PrintViaDouble) {
   Profile P = test::makeFixedProfile();
   // 1e19 overflows int64; the old static_cast was UB. Both engines route
