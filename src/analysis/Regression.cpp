@@ -127,6 +127,16 @@ std::string signedDelta(double Delta, std::string_view Unit) {
   return Out;
 }
 
+/// The " (<delta>, <relative change>)" tail of a mean-change message. A
+/// change from a zero base mean has no relative size: it reads "from zero".
+std::string changeTail(double Delta, double BaseMean, std::string_view Unit) {
+  std::string Out = " (" + signedDelta(Delta, Unit) + ", ";
+  if (BaseMean == 0.0)
+    return Out + "from zero)";
+  double Rel = std::fabs(Delta) / std::max(std::fabs(BaseMean), 1e-12);
+  return Out + (Delta >= 0 ? "+" : "-") + formatDouble(Rel * 100.0, 1) + "%)";
+}
+
 } // namespace
 
 void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
@@ -214,9 +224,8 @@ void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
       Emit("EVL308", "(root)", Metrics[M].Name,
            "cohort total for " + Metrics[M].Name + " regressed: base mean " +
                formatMetric(MeanB, Metrics[M].Unit) + ", test mean " +
-               formatMetric(MeanT, Metrics[M].Unit) + " (" +
-               signedDelta(Delta, Metrics[M].Unit) + ", +" +
-               formatDouble(Rel * 100.0, 1) + "%)",
+               formatMetric(MeanT, Metrics[M].Unit) +
+               changeTail(Delta, MeanB, Metrics[M].Unit),
            "per-context findings below attribute the growth",
            TP.root());
   }
@@ -255,10 +264,8 @@ void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
           Emit("EVL306", Path, MP.Name,
                "allocation metric " + MP.Name + " drifted on " + Path +
                    ": base mean " + formatMetric(SB.Mean, MP.Unit) +
-                   ", test mean " + formatMetric(ST.Mean, MP.Unit) + " (" +
-                   signedDelta(Delta, MP.Unit) + ", " +
-                   (Delta >= 0 ? "+" : "-") + formatDouble(Rel * 100.0, 1) +
-                   "%)",
+                   ", test mean " + formatMetric(ST.Mean, MP.Unit) +
+                   changeTail(Delta, SB.Mean, MP.Unit),
                "check allocation sites in this subtree for size changes",
                T);
         }
@@ -270,17 +277,15 @@ void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
           Emit("EVL300", Path, MP.Name,
                "exclusive " + MP.Name + " regressed on " + Path +
                    ": base mean " + formatMetric(SB.Mean, MP.Unit) +
-                   ", test mean " + formatMetric(ST.Mean, MP.Unit) + " (" +
-                   signedDelta(Delta, MP.Unit) + ", +" +
-                   formatDouble(Rel * 100.0, 1) + "%)",
+                   ", test mean " + formatMetric(ST.Mean, MP.Unit) +
+                   changeTail(Delta, SB.Mean, MP.Unit),
                "inspect this context with 'evtool diff' or pvp/flame", T);
         else
           Emit("EVL301", Path, MP.Name,
                "exclusive " + MP.Name + " improved on " + Path +
                    ": base mean " + formatMetric(SB.Mean, MP.Unit) +
-                   ", test mean " + formatMetric(ST.Mean, MP.Unit) + " (" +
-                   signedDelta(Delta, MP.Unit) + ", -" +
-                   formatDouble(Rel * 100.0, 1) + "%)",
+                   ", test mean " + formatMetric(ST.Mean, MP.Unit) +
+                   changeTail(Delta, SB.Mean, MP.Unit),
                "", T);
       }
 

@@ -327,6 +327,41 @@ TEST(RegressAnalyzer, SchemaMismatchIsAnError) {
     EXPECT_EQ(D.Id, "EVL307") << D.Message;
 }
 
+TEST(RegressAnalyzer, GrowthFromAZeroBaseHasNoPercentage) {
+  // 'b' holds no exclusive time in the base cohort and 45 ns in the test
+  // cohort: the change has no relative size, so the tail reads "from zero".
+  auto Build = [](double BSelf) {
+    ProfileBuilder B("svc");
+    MetricId M = B.addMetric("cpu-time", "nanoseconds");
+    std::vector<FrameId> Main = {B.functionFrame("main", "m.cc", 1, "app")};
+    std::vector<FrameId> BPath = Main;
+    BPath.push_back(B.functionFrame("b", "m.cc", 2, "app"));
+    std::vector<FrameId> CPath = BPath;
+    CPath.push_back(B.functionFrame("c", "m.cc", 3, "app"));
+    B.addSample(CPath, M, 1000.0);
+    if (BSelf != 0.0)
+      B.addSample(BPath, M, BSelf);
+    return B.take();
+  };
+  CohortAccumulator Base, Test;
+  for (int I = 0; I < 4; ++I) {
+    Base.add(Build(0.0));
+    Test.add(Build(45.0));
+  }
+  RegressionOptions Opts;
+  Opts.AbsoluteMin = 1.0;
+  Opts.RelativeMin = 0.01;
+  DiagnosticSet Diags(100);
+  RegressionAnalyzer(Opts).analyze(Base, Test, Diags);
+  std::string Regressed;
+  for (const Diagnostic &D : Diags.all())
+    if (D.Id == "EVL300")
+      Regressed += D.Message + "\n";
+  EXPECT_EQ(Regressed, "exclusive cpu-time regressed on main > b: base mean "
+                       "0 ns, test mean 45 ns (+45 ns, from zero)\n")
+      << renderAll(Diags);
+}
+
 //===----------------------------------------------------------------------===
 // Unified rule registry
 //===----------------------------------------------------------------------===
