@@ -1,0 +1,63 @@
+#!/bin/sh
+# Line coverage of src/ from the test suite. Build with the `coverage`
+# preset first, then run from the repository root:
+#
+#   cmake --preset coverage && cmake --build --preset coverage -j"$(nproc)"
+#   tools/coverage.sh [build-dir]     (default: build-coverage)
+#
+# Deletes the old counters, runs ctest in the build dir, then runs gcov over
+# every object of the easyview library and prints the lines executed per
+# src/ top-level directory, for all of src/, and for ide/ViewCache.cpp. A
+# line counts once however many objects instantiate it (headers, inline
+# functions). Exits with ctest's status.
+set -eu
+BUILD=$(cd "${1:-build-coverage}" && pwd)
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+OBJ="$BUILD/src/CMakeFiles/easyview.dir"
+[ -d "$OBJ" ] || { echo "coverage.sh: no library objects in $OBJ" >&2; exit 2; }
+
+find "$BUILD" -name '*.gcda' -exec rm -f {} +
+STATUS=0
+(cd "$BUILD" && ctest --output-on-failure -j"$(nproc)") || STATUS=$?
+
+python3 - "$ROOT/src" "$OBJ" <<'EOF'
+import json, os, subprocess, sys
+from collections import defaultdict
+
+src, obj = sys.argv[1], sys.argv[2]
+lines = defaultdict(dict)  # src-relative file -> {line: executed}
+for dirpath, _, names in os.walk(obj):
+    for name in sorted(names):
+        if not name.endswith(".gcno"):
+            continue
+        out = subprocess.run(
+            ["gcov", "--stdout", "--json-format", os.path.join(dirpath, name)],
+            capture_output=True, text=True, cwd=dirpath, check=True).stdout
+        for doc in out.splitlines():
+            if not doc.strip():
+                continue
+            for f in json.loads(doc)["files"]:
+                path = os.path.normpath(os.path.join(dirpath, f["file"]))
+                if not path.startswith(src + os.sep):
+                    continue
+                seen = lines[os.path.relpath(path, src)]
+                for l in f["lines"]:
+                    n = l["line_number"]
+                    seen[n] = seen.get(n, False) or l["count"] > 0
+
+def row(name, files):
+    total = sum(len(lines[f]) for f in files)
+    hit = sum(sum(lines[f].values()) for f in files)
+    pct = 100.0 * hit / total if total else 0.0
+    print("%-22s %8d %8d %6.1f%%" % (name, total, hit, pct))
+
+print("%-22s %8s %8s %7s" % ("src/", "lines", "executed", "cover"))
+dirs = defaultdict(list)
+for f in lines:
+    dirs[f.split(os.sep)[0]].append(f)
+for d in sorted(dirs):
+    row(d + "/", dirs[d])
+row("all of src/", list(lines))
+row("ide/ViewCache.cpp", ["ide/ViewCache.cpp"])
+EOF
+exit "$STATUS"
