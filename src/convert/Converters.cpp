@@ -150,7 +150,7 @@ Result<Profile> load(std::string_view Bytes, std::string_view NameHint,
     P = readEvProf(Bytes, Limits);
     break;
   case Format::Pprof:
-    P = fromPprof(Bytes);
+    P = fromPprof(Bytes, Limits);
     break;
   case Format::PerfScript:
     P = fromPerfScript(Bytes);

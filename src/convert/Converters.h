@@ -59,7 +59,10 @@ Format detectFormat(std::string_view Bytes, std::string_view NameHint = "");
 
 /// Per-format converters. Each accepts raw bytes in the foreign format and
 /// produces a profile in the generic representation.
-Result<Profile> fromPprof(std::string_view Bytes);
+/// pprof is decoded under \p Limits (strings, metrics, frames, nodes and
+/// path depth), like readEvProf.
+Result<Profile> fromPprof(std::string_view Bytes,
+                          const DecodeLimits &Limits = DecodeLimits::defaults());
 Result<Profile> fromPerfScript(std::string_view Text);
 Result<Profile> fromCollapsed(std::string_view Text);
 Result<Profile> fromChromeTrace(std::string_view Json);
@@ -74,9 +77,9 @@ Result<Profile> fromTau(std::string_view Text);
 Result<Profile> load(std::string_view Bytes, std::string_view NameHint = "");
 
 /// Like load(), but metered against \p Limits: the raw input size is
-/// checked up front (every format), the .evprof decoder runs under the
-/// full budget, and any converted profile whose node count exceeds the
-/// budget is rejected rather than handed to the caller.
+/// checked up front (every format), the .evprof and pprof decoders run
+/// under the full budget, and any converted profile whose node count
+/// exceeds the budget is rejected rather than handed to the caller.
 Result<Profile> load(std::string_view Bytes, std::string_view NameHint,
                      const DecodeLimits &Limits);
 

@@ -1430,7 +1430,7 @@ const std::vector<PvpServer::MethodEntry> &PvpServer::methods() {
         {"pvp/subscribe", &S::doSubscribe},
         {"pvp/ack", &S::doAck},
         {"pvp/unsubscribe", &S::doUnsubscribe},
-        {"pvp/close", &S::doClose, Deps::None, /*Retires=*/true},
+        {"pvp/close", &S::doClose},
         {"pvp/flame", &S::doFlame, Deps::Profile},
         {"pvp/treeTable", &S::doTreeTable, Deps::Profile},
         {"pvp/codeLink", &S::doCodeLink},
@@ -1485,13 +1485,12 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
   // without the check a session could be served a view of a profile it
   // never opened.
   std::string CacheKey;
-  int64_t CacheProf = 0;
+  std::vector<int64_t> CacheProfiles;
   if (Method.DependsOn != Deps::None && Cache->capacity() != 0) {
     std::optional<std::vector<int64_t>> Ids =
         referencedProfiles(Method.DependsOn, Params);
     if (Ids && std::all_of(Ids->begin(), Ids->end(),
                            [&](int64_t P) { return Owned.count(P) > 0; })) {
-      CacheProf = Ids->front();
       CacheKey = std::string(Method.Name) + '|';
       for (int64_t P : *Ids)
         CacheKey += std::to_string(P) + ':' +
@@ -1499,6 +1498,7 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
       CacheKey += '|' + json::Value(Params).dump();
       if (std::optional<json::Value> Hit = Cache->lookup(CacheKey))
         return rpc::makeResponse(Id, std::move(*Hit));
+      CacheProfiles = std::move(*Ids);
     }
   }
   // The 'profile' this session owned when the request arrived. A retiring
@@ -1545,7 +1545,7 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
   // computed while another request retired its profile lands under a key
   // no later lookup builds, and ages out of the LRU.
   if (!CacheKey.empty())
-    Cache->insert(std::move(CacheKey), CacheProf, Payload);
+    Cache->insert(std::move(CacheKey), std::move(CacheProfiles), Payload);
   return rpc::makeResponse(Id, std::move(Payload));
 }
 

@@ -8,6 +8,7 @@
 
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <iterator>
 
 namespace ev {
@@ -65,7 +66,8 @@ std::optional<json::Value> ViewCache::lookup(const std::string &Key) {
   return std::nullopt;
 }
 
-void ViewCache::insert(std::string Key, int64_t ProfileId, json::Value Reply) {
+void ViewCache::insert(std::string Key, std::vector<int64_t> ProfileIds,
+                       json::Value Reply) {
   if (Capacity == 0)
     return;
   uint64_t ReplyBytes = approxJsonBytes(Reply);
@@ -77,13 +79,14 @@ void ViewCache::insert(std::string Key, int64_t ProfileId, json::Value Reply) {
   if (It != Index.end()) {
     Entry &E = *It->second;
     Bytes.fetch_add(ReplyBytes - E.Bytes, std::memory_order_relaxed);
-    E.ProfileId = ProfileId;
+    E.ProfileIds = std::move(ProfileIds);
     std::swap(E.Reply, Reply);
     E.Bytes = ReplyBytes;
     Lru.splice(Lru.begin(), Lru, It->second);
     return;
   }
-  Lru.push_front(Entry{Key, ProfileId, std::move(Reply), ReplyBytes});
+  Lru.push_front(
+      Entry{Key, std::move(ProfileIds), std::move(Reply), ReplyBytes});
   Index.emplace(std::move(Key), Lru.begin());
   Bytes.fetch_add(ReplyBytes, std::memory_order_relaxed);
   while (Lru.size() > Capacity) {
@@ -100,7 +103,8 @@ void ViewCache::retire(int64_t ProfileId) {
   std::lock_guard<std::mutex> Lock(Mutex);
   for (auto It = Lru.begin(); It != Lru.end();) {
     auto Next = std::next(It);
-    if (It->ProfileId == ProfileId) {
+    if (std::find(It->ProfileIds.begin(), It->ProfileIds.end(),
+                  ProfileId) != It->ProfileIds.end()) {
       Bytes.fetch_sub(It->Bytes, std::memory_order_relaxed);
       Index.erase(It->Key);
       Retired.splice(Retired.end(), Lru, It);

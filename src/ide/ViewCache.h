@@ -33,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace ev {
 
@@ -46,12 +47,13 @@ public:
   /// nullopt on miss. The reply is a copy that shares the cached tree.
   std::optional<json::Value> lookup(const std::string &Key);
 
-  /// Inserts \p Reply under \p Key, recording \p ProfileId for retire();
-  /// evicts least-recently-used entries beyond capacity(). Re-inserting an
-  /// existing key refreshes it in place.
-  void insert(std::string Key, int64_t ProfileId, json::Value Reply);
+  /// Inserts \p Reply under \p Key, recording every profile of the key
+  /// (\p ProfileIds) for retire(); evicts least-recently-used entries
+  /// beyond capacity(). Re-inserting an existing key refreshes it in place.
+  void insert(std::string Key, std::vector<int64_t> ProfileIds,
+              json::Value Reply);
 
-  /// Drops every entry recorded for \p ProfileId: its generation ended.
+  /// Drops every entry whose key names \p ProfileId: its generation ended.
   void retire(int64_t ProfileId);
 
   size_t capacity() const { return Capacity; }
@@ -77,7 +79,7 @@ public:
 private:
   struct Entry {
     std::string Key;
-    int64_t ProfileId;
+    std::vector<int64_t> ProfileIds;
     json::Value Reply;
     uint64_t Bytes = 0; ///< approx reply payload, computed at insert.
   };

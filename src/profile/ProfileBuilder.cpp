@@ -10,35 +10,6 @@
 
 namespace ev {
 
-namespace {
-
-constexpr uint64_t EmptyKey = ~uint64_t(0);
-
-/// splitmix64's finalizer: every key bit (parent and frame alike) reaches
-/// the low bits the mask keeps.
-size_t slotOf(uint64_t Key, size_t Mask) {
-  Key ^= Key >> 30;
-  Key *= 0xBF58476D1CE4E5B9ULL;
-  Key ^= Key >> 27;
-  Key *= 0x94D049BB133111EBULL;
-  Key ^= Key >> 31;
-  return static_cast<size_t>(Key) & Mask;
-}
-
-} // namespace
-
-NodeId ProfileBuilder::ChildTable::find(uint64_t Key) const {
-  if (Keys.empty())
-    return InvalidNode;
-  size_t Mask = Keys.size() - 1;
-  for (size_t S = slotOf(Key, Mask);; S = (S + 1) & Mask) {
-    if (Keys[S] == Key)
-      return Children[S];
-    if (Keys[S] == EmptyKey)
-      return InvalidNode;
-  }
-}
-
 void ProfileBuilder::ChildTable::insert(uint64_t Key, NodeId Child) {
   if (2 * (Used + 1) > Keys.size())
     grow();
@@ -187,12 +158,12 @@ NodeId ProfileBuilder::createNode(NodeId Parent, FrameId Frame) {
   return Id;
 }
 
-NodeId ProfileBuilder::child(NodeId Parent, FrameId Frame) {
-  if (!Indexed) {
-    for (NodeId Id = 1; Id < Parents.size(); ++Id)
-      Index.insert(childKey(Parents[Id], FrameRefs[Id]), Id);
-    Indexed = true;
-  }
+NodeId ProfileBuilder::childSlow(NodeId Parent, FrameId Frame) {
+  if (Indexed) // child() looked and missed.
+    return createNode(Parent, Frame);
+  for (NodeId Id = 1; Id < Parents.size(); ++Id)
+    Index.insert(childKey(Parents[Id], FrameRefs[Id]), Id);
+  Indexed = true;
   NodeId Found = Index.find(childKey(Parent, Frame));
   return Found != InvalidNode ? Found : createNode(Parent, Frame);
 }

@@ -116,7 +116,15 @@ public:
 
   /// The child of \p Parent with \p Frame, created on first use: the one
   /// (parent, frame) -> child index every prefix-merging producer shares.
-  NodeId child(NodeId Parent, FrameId Frame);
+  /// The lookup of an existing child is inline: decoders call this once
+  /// per stack frame.
+  NodeId child(NodeId Parent, FrameId Frame) {
+    if (Indexed)
+      if (NodeId Found = Index.find(childKey(Parent, Frame));
+          Found != InvalidNode)
+        return Found;
+    return childSlow(Parent, Frame);
+  }
 
   /// Re-points \p Node at \p Frame (decoders set the root's frame).
   void setFrame(NodeId Node, FrameId Frame) { FrameRefs[Node] = Frame; }
@@ -193,12 +201,35 @@ private:
   class ChildTable {
   public:
     /// \returns the child for \p Key, or InvalidNode.
-    NodeId find(uint64_t Key) const;
+    NodeId find(uint64_t Key) const {
+      if (Keys.empty())
+        return InvalidNode;
+      size_t Mask = Keys.size() - 1;
+      for (size_t S = slotOf(Key, Mask);; S = (S + 1) & Mask) {
+        if (Keys[S] == Key)
+          return Children[S];
+        if (Keys[S] == EmptyKey)
+          return InvalidNode;
+      }
+    }
     /// Inserts \p Key -> \p Child unless \p Key is already present.
     void insert(uint64_t Key, NodeId Child);
     size_t capacity() const { return Keys.size(); }
 
   private:
+    static constexpr uint64_t EmptyKey = ~uint64_t(0);
+
+    /// splitmix64's finalizer: every key bit (parent and frame alike)
+    /// reaches the low bits the mask keeps.
+    static size_t slotOf(uint64_t Key, size_t Mask) {
+      Key ^= Key >> 30;
+      Key *= 0xBF58476D1CE4E5B9ULL;
+      Key ^= Key >> 27;
+      Key *= 0x94D049BB133111EBULL;
+      Key ^= Key >> 31;
+      return static_cast<size_t>(Key) & Mask;
+    }
+
     void grow();
     std::vector<uint64_t> Keys; ///< EmptyKey marks a free slot.
     std::vector<NodeId> Children;
@@ -208,6 +239,10 @@ private:
   static uint64_t childKey(NodeId Parent, FrameId Frame) {
     return (static_cast<uint64_t>(Parent) << 32) | Frame;
   }
+
+  /// child() past the inline lookup: indexes the tree on first use, then
+  /// finds or creates the child.
+  NodeId childSlow(NodeId Parent, FrameId Frame);
 
   std::string Label;
   StringInterner Strings;

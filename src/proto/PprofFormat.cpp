@@ -29,21 +29,6 @@ std::string_view PprofProfile::text(int64_t Id) const {
 
 namespace {
 
-// Top-level Profile message fields.
-enum : uint32_t {
-  FSampleType = 1,
-  FSample = 2,
-  FMapping = 3,
-  FLocation = 4,
-  FFunction = 5,
-  FStringTable = 6,
-  FTimeNanos = 9,
-  FDurationNanos = 10,
-  FPeriodType = 11,
-  FPeriod = 12,
-  FDefaultSampleType = 14,
-};
-
 std::string encodeValueType(const ValueType &VT) {
   ProtoWriter W;
   if (VT.Type)

@@ -29,6 +29,21 @@
 namespace ev {
 namespace pprof {
 
+/// Field numbers of the top-level Profile message.
+enum ProfileField : uint32_t {
+  FSampleType = 1,
+  FSample = 2,
+  FMapping = 3,
+  FLocation = 4,
+  FFunction = 5,
+  FStringTable = 6,
+  FTimeNanos = 9,
+  FDurationNanos = 10,
+  FPeriodType = 11,
+  FPeriod = 12,
+  FDefaultSampleType = 14,
+};
+
 /// message ValueType { int64 type = 1; int64 unit = 2; } (string ids)
 struct ValueType {
   int64_t Type = 0;

@@ -12,6 +12,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 namespace ev {
 namespace json {
@@ -148,14 +149,24 @@ private:
     if (!consume('"'))
       return fail("expected '\"'");
     std::string Out;
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return Out;
-      if (C != '\\') {
-        Out.push_back(C);
-        continue;
+    // The next '"' at or after Pos, or Text.size() when there is none. It
+    // is searched again only once an escape has consumed it, so a
+    // multi-MB string without escapes costs two memchr calls and one copy.
+    size_t Quote = 0;
+    while (true) {
+      if (Quote < Pos) {
+        const void *Q = std::memchr(Text.data() + Pos, '"', Text.size() - Pos);
+        Quote = Q ? static_cast<const char *>(Q) - Text.data() : Text.size();
       }
+      // Copy the run up to the next quote or backslash as it is.
+      const void *S = std::memchr(Text.data() + Pos, '\\', Quote - Pos);
+      size_t RunEnd = S ? static_cast<const char *>(S) - Text.data() : Quote;
+      Out.append(Text.data() + Pos, RunEnd - Pos);
+      Pos = RunEnd;
+      if (Pos == Text.size())
+        return fail("unterminated string");
+      if (Text[Pos++] == '"')
+        return Out;
       if (Pos >= Text.size())
         return fail("unterminated escape");
       char E = Text[Pos++];
@@ -207,7 +218,6 @@ private:
         return fail("unknown escape character");
       }
     }
-    return fail("unterminated string");
   }
 
   static void appendUtf8(std::string &Out, unsigned Code) {

@@ -6,6 +6,7 @@
 
 #include "support/Strings.h"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -217,52 +218,56 @@ std::string base64Encode(std::string_view Bytes) {
 }
 
 bool base64Decode(std::string_view Text, std::string &Out) {
-  auto Value = [](char C) -> int {
-    if (C >= 'A' && C <= 'Z')
-      return C - 'A';
-    if (C >= 'a' && C <= 'z')
-      return C - 'a' + 26;
-    if (C >= '0' && C <= '9')
-      return C - '0' + 52;
-    if (C == '+')
-      return 62;
-    if (C == '/')
-      return 63;
-    return -1;
-  };
+  // Each byte's 6-bit value; Pad for '=', Bad for bytes outside the
+  // alphabet. Both have a high bit set, so one test rejects either.
+  static constexpr uint8_t Pad = 0x40, Bad = 0x80;
+  static constexpr std::array<uint8_t, 256> Values = [] {
+    std::array<uint8_t, 256> V{};
+    V.fill(Bad);
+    const char Alphabet[] =
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    for (uint8_t I = 0; I < 64; ++I)
+      V[static_cast<unsigned char>(Alphabet[I])] = I;
+    V['='] = Pad;
+    return V;
+  }();
+  auto Value = [](char C) { return Values[static_cast<unsigned char>(C)]; };
+
   Out.clear();
   if (Text.size() % 4 != 0)
     return false;
-  Out.reserve(Text.size() / 4 * 3);
-  for (size_t I = 0; I < Text.size(); I += 4) {
-    int Pad = 0;
-    int V[4];
-    for (int J = 0; J < 4; ++J) {
-      char C = Text[I + J];
-      if (C == '=') {
-        // Padding may only appear in the last two slots of the last group.
-        if (I + 4 != Text.size() || J < 2)
-          return false;
-        V[J] = 0;
-        ++Pad;
-        continue;
-      }
-      if (Pad)
-        return false; // Data after padding.
-      V[J] = Value(C);
-      if (V[J] < 0)
-        return false;
-    }
-    uint32_t Triple = (static_cast<uint32_t>(V[0]) << 18) |
-                      (static_cast<uint32_t>(V[1]) << 12) |
-                      (static_cast<uint32_t>(V[2]) << 6) |
-                      static_cast<uint32_t>(V[3]);
-    Out.push_back(static_cast<char>((Triple >> 16) & 0xFF));
-    if (Pad < 2)
-      Out.push_back(static_cast<char>((Triple >> 8) & 0xFF));
-    if (Pad < 1)
-      Out.push_back(static_cast<char>(Triple & 0xFF));
+  if (Text.empty())
+    return true;
+  Out.resize(Text.size() / 4 * 3);
+  char *Dst = Out.data();
+  // Every group but the last holds four alphabet characters.
+  const char *Src = Text.data();
+  const char *Last = Src + Text.size() - 4;
+  for (; Src != Last; Src += 4, Dst += 3) {
+    uint32_t A = Value(Src[0]), B = Value(Src[1]), C = Value(Src[2]),
+             D = Value(Src[3]);
+    if ((A | B | C | D) & (Pad | Bad))
+      return false;
+    uint32_t Triple = A << 18 | B << 12 | C << 6 | D;
+    Dst[0] = static_cast<char>(Triple >> 16);
+    Dst[1] = static_cast<char>(Triple >> 8);
+    Dst[2] = static_cast<char>(Triple);
   }
+  // The last group may end in "=" or "==", and nothing follows a '='.
+  uint32_t A = Value(Last[0]), B = Value(Last[1]), C = Value(Last[2]),
+           D = Value(Last[3]);
+  size_t Padding = D == Pad ? (C == Pad ? 2 : 1) : 0;
+  if (Padding == 2)
+    C = 0;
+  if (Padding)
+    D = 0;
+  if ((A | B | C | D) & (Pad | Bad))
+    return false;
+  uint32_t Triple = A << 18 | B << 12 | C << 6 | D;
+  Dst[0] = static_cast<char>(Triple >> 16);
+  Dst[1] = static_cast<char>(Triple >> 8);
+  Dst[2] = static_cast<char>(Triple);
+  Out.resize(Out.size() - Padding);
   return true;
 }
 

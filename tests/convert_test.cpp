@@ -506,6 +506,37 @@ TEST(PprofConvert, RejectsUnknownLocation) {
   EXPECT_FALSE(fromPprof(pprof::write(In)).ok());
 }
 
+TEST(PprofConvert, LoadRefusesAPathDeeperThanTheDepthBudget) {
+  // 3.7 KB of pprof: one location with 400 inlined lines, sampled once
+  // with that location repeated 1000 times. Unmetered it becomes a
+  // 400,001-node chain, four times DecodeLimits::MaxTreeDepth.
+  pprof::PprofProfile In;
+  In.StringTable = {"", "cpu", "count", "f"};
+  In.SampleTypes.push_back({1, 2});
+  In.Functions.push_back({1, 3, 3, 0, 0});
+  pprof::Location L;
+  L.Id = 1;
+  for (int I = 0; I < 400; ++I)
+    L.Lines.push_back({1, I + 1});
+  In.Locations.push_back(L);
+  pprof::Sample S;
+  S.LocationIds.assign(1000, 1);
+  S.Values = {1};
+  In.Samples.push_back(S);
+  std::string Bytes = pprof::write(In);
+  ASSERT_LT(Bytes.size(), 4096u);
+
+  Result<Profile> P = load(Bytes);
+  ASSERT_FALSE(P.ok()) << P->nodeCount() << " nodes accepted";
+  EXPECT_EQ(P.error(), "decode limit exceeded: tree too deep");
+
+  // The same input under a budget that admits it converts in full.
+  DecodeLimits Roomy = DecodeLimits::unlimited();
+  Result<Profile> Full = load(Bytes, "", Roomy);
+  ASSERT_TRUE(Full.ok()) << Full.error();
+  EXPECT_EQ(Full->nodeCount(), 400001u);
+}
+
 //===----------------------------------------------------------------------===
 // Detection & load
 //===----------------------------------------------------------------------===

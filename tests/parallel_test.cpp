@@ -178,6 +178,31 @@ TEST(ParallelViewCache, CloseFreesEveryCachedView) {
   EXPECT_EQ(statInt(Server, "cacheBytes"), BytesBefore);
 }
 
+TEST(ParallelViewCache, ClosingAnyCohortMemberRetiresTheCohortView) {
+  // A pvp/regressions view depends on every profile of both cohorts, so
+  // the end of any member's generation drops it, not only the first's.
+  for (int Closed = 0; Closed < 3; ++Closed) {
+    PvpServer Server;
+    int64_t Ids[3] = {Server.addProfile(test::makeRandomProfile(3)),
+                      Server.addProfile(test::makeRandomProfile(4)),
+                      Server.addProfile(test::makeRandomProfile(5))};
+    json::Object RP;
+    RP.set("base", json::Array{Ids[0]});
+    RP.set("test", json::Array{Ids[1], Ids[2]});
+    json::Value R =
+        Server.handleMessage(rpc::makeRequest(1, "pvp/regressions", RP));
+    ASSERT_NE(R.asObject().find("result"), nullptr) << R.dump();
+    ASSERT_EQ(statInt(Server, "cachedViews"), 1);
+    ASSERT_GT(statInt(Server, "cacheBytes"), 0);
+
+    json::Object CP;
+    CP.set("profile", Ids[Closed]);
+    Server.handleMessage(rpc::makeRequest(2, "pvp/close", CP));
+    EXPECT_EQ(statInt(Server, "cachedViews"), 0) << "closed member " << Closed;
+    EXPECT_EQ(statInt(Server, "cacheBytes"), 0) << "closed member " << Closed;
+  }
+}
+
 TEST(ParallelViewCache, QueryRetiresExactlyThatProfilesViews) {
   PvpServer Server;
   int64_t Other = Server.addProfile(test::makeRandomProfile(3));

@@ -665,10 +665,10 @@ TEST(SubscribeCache, ReinsertChurnKeepsByteAccountingExact) {
   // A subscribed profile's view is recomputed and re-inserted under the
   // SAME key shape at every generation. The accounting must track the
   // live payload, not accumulate every generation ever inserted.
-  Cache.insert("view|1|g", 1, Big);
+  Cache.insert("view|1|g", {1}, Big);
   uint64_t AfterBig = Cache.approxBytes();
   for (int Gen = 2; Gen < 50; ++Gen)
-    Cache.insert("view|1|g", 1, Small);
+    Cache.insert("view|1|g", {1}, Small);
   EXPECT_EQ(Cache.size(), 1u);
   uint64_t AfterSmall = Cache.approxBytes();
   EXPECT_LT(AfterSmall, AfterBig)
@@ -676,7 +676,7 @@ TEST(SubscribeCache, ReinsertChurnKeepsByteAccountingExact) {
 
   // Retiring the profile drops the entry and refunds its bytes; another
   // profile's entry stays.
-  Cache.insert("view|2|g", 2, Small);
+  Cache.insert("view|2|g", {2}, Small);
   uint64_t Other = Cache.approxBytes() - AfterSmall;
   Cache.retire(1);
   EXPECT_FALSE(Cache.lookup("view|1|g").has_value());

@@ -439,6 +439,93 @@ TEST(Base64, RejectsBadInput) {
   EXPECT_FALSE(base64Decode("=abc", Out));  // Padding in front.
 }
 
+TEST(Base64, DecodeEdgeCaseTable) {
+  struct Case {
+    std::string_view In;
+    bool Ok;
+    std::string_view Out;
+  };
+  const Case Cases[] = {
+      {"", true, ""},
+      {"TWFu", true, "Man"},
+      {"TWE=", true, "Ma"},
+      {"TQ==", true, "M"},
+      {"TWFuTWFu", true, "ManMan"},
+      {"TWFuTQ==", true, "ManM"},
+      {"TWFuTWE=", true, "ManMa"},
+      {"////", true, "\xff\xff\xff"},
+      {"++++", true, "\xfb\xef\xbe"},
+      // Padding only in the last group's last two slots.
+      {"=AAA", false, ""},
+      {"A=AA", false, ""},
+      {"==AA", false, ""},
+      {"====", false, ""},
+      {"A===", false, ""},
+      {"TQ==TWFu", false, ""},
+      {"TWE=TWFu", false, ""},
+      // Nothing after '='.
+      {"TQ=u", false, ""},
+      {"TWFuTQ=u", false, ""},
+      // Length a multiple of 4.
+      {"T", false, ""},
+      {"TW", false, ""},
+      {"TWF", false, ""},
+      {"TWFuT", false, ""},
+      {"TQ=", false, ""},
+      {"TQ", false, ""},
+      // No whitespace, URL-safe alphabet or NUL.
+      {"TW u", false, ""},
+      {"TWF\n", false, ""},
+      {"TW-_", false, ""},
+      {std::string_view("TW\0u", 4), false, ""},
+  };
+  for (const Case &C : Cases) {
+    std::string Out = "stale";
+    EXPECT_EQ(base64Decode(C.In, Out), C.Ok) << '"' << C.In << '"';
+    if (C.Ok) {
+      EXPECT_EQ(Out, C.Out) << '"' << C.In << '"';
+    }
+  }
+}
+
+TEST(Base64, EveryInvalidByteIsRejectedInEverySlot) {
+  const std::string_view Alphabet =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+  for (int B = 0; B < 256; ++B) {
+    char C = static_cast<char>(B);
+    bool Valid = Alphabet.find(C) != std::string_view::npos;
+    for (size_t Slot = 0; Slot < 4; ++Slot) {
+      // In a middle group, where even '=' is invalid.
+      std::string Text = "QUJDQUJDQUJD";
+      Text[4 + Slot] = C;
+      std::string Out;
+      EXPECT_EQ(base64Decode(Text, Out), Valid) << "byte " << B << " slot "
+                                                << Slot;
+      // In the last group, where '=' is valid only in slots 2 and 3 (and
+      // slot 2 only when slot 3 is '=' too).
+      std::string Last = "QUJDQUJD";
+      Last[4 + Slot] = C;
+      bool LastOk = Valid || (C == '=' && Slot == 3);
+      EXPECT_EQ(base64Decode(Last, Out), LastOk) << "byte " << B
+                                                 << " last slot " << Slot;
+    }
+  }
+}
+
+TEST(Base64, SeededRandomRoundTrips) {
+  Rng R(20261018);
+  for (int Trial = 0; Trial < 500; ++Trial) {
+    std::string Bytes(R.below(300), '\0');
+    for (char &C : Bytes)
+      C = static_cast<char>(R.below(256));
+    std::string Encoded = base64Encode(Bytes);
+    ASSERT_EQ(Encoded.size() % 4, 0u);
+    std::string Decoded = "stale";
+    ASSERT_TRUE(base64Decode(Encoded, Decoded)) << Trial;
+    EXPECT_EQ(Decoded, Bytes) << Trial;
+  }
+}
+
 //===----------------------------------------------------------------------===
 // Json
 //===----------------------------------------------------------------------===
@@ -472,6 +559,92 @@ TEST(Json, UnicodeEscapeUtf8) {
   Result<json::Value> Doc = json::parse(R"("é")");
   ASSERT_TRUE(Doc.ok());
   EXPECT_EQ(Doc->asString(), "\xc3\xa9");
+}
+
+TEST(Json, LongStringEscapesAtStartMiddleAndEnd) {
+  // A string past 64 KB with escapes at its first, middle and last
+  // characters: the parser must splice runs between escapes exactly.
+  std::string Raw(70000, 'x');
+  Raw[0] = '\n';
+  Raw[35000] = '"';
+  Raw[35001] = '\\';
+  Raw[69999] = '\t';
+  std::string Text = json::Value(Raw).dump();
+  ASSERT_EQ(Text.front(), '"');
+  EXPECT_EQ(Text.substr(0, 3), "\"\\n");
+  EXPECT_EQ(Text.substr(Text.size() - 3), "\\t\"");
+  Result<json::Value> Doc = json::parse(Text);
+  ASSERT_TRUE(Doc.ok()) << Doc.error();
+  EXPECT_EQ(Doc->asString(), Raw);
+
+  // The same string as an object member, followed by another member.
+  Result<json::Value> Obj =
+      json::parse("{\"k\":" + Text + ",\"n\":\"\\\\\"}");
+  ASSERT_TRUE(Obj.ok()) << Obj.error();
+  EXPECT_EQ(Obj->asObject().find("k")->asString(), Raw);
+  EXPECT_EQ(Obj->asObject().find("n")->asString(), "\\");
+}
+
+TEST(Json, StringEscapeTable) {
+  struct Case {
+    std::string_view Text;
+    std::string_view Value;
+  };
+  const Case Cases[] = {
+      {R"("")", ""},
+      {R"("\"")", "\""},
+      {R"("\\")", "\\"},
+      {R"("\/")", "/"},
+      {R"("\b\f\n\r\t")", "\b\f\n\r\t"},
+      {R"("\u0041")", "A"},
+      {R"("\u00e9\u00E9")", "\xc3\xa9\xc3\xa9"},
+      {R"("\u20ac")", "\xe2\x82\xac"},
+      {R"("a\u0000b")", std::string_view("a\0b", 3)},
+      {R"("\u007f\u0080\u07ff\u0800")", "\x7f\xc2\x80\xdf\xbf\xe0\xa0\x80"},
+      {R"("pre\npost")", "pre\npost"},
+      // Raw bytes outside escapes pass through as they are: an embedded
+      // NUL, a raw control byte and UTF-8.
+      {std::string_view("\"a\0b\"", 5), std::string_view("a\0b", 3)},
+      {"\"tab\there\"", "tab\there"},
+      {"\"\xc3\xa9\"", "\xc3\xa9"},
+  };
+  for (const Case &C : Cases) {
+    Result<json::Value> Doc = json::parse(C.Text);
+    ASSERT_TRUE(Doc.ok()) << C.Text << ": " << Doc.error();
+    EXPECT_EQ(Doc->asString(), C.Value) << C.Text;
+  }
+}
+
+TEST(Json, MalformedStringErrorsKeepTheirOffsets) {
+  struct Case {
+    std::string_view Text;
+    std::string_view Error;
+  };
+  const Case Cases[] = {
+      {"\"abc", "unterminated string at offset 4"},
+      {"\"", "unterminated string at offset 1"},
+      {"\"abc\\", "unterminated escape at offset 5"},
+      {"\"ab\\q\"", "unknown escape character at offset 5"},
+      {"\"\\u12\"", "truncated \\u escape at offset 3"},
+      {"\"\\u12xy\"", "invalid \\u escape at offset 6"},
+      {"\"\\u12", "truncated \\u escape at offset 3"},
+      {"\"\\u00zz\"", "invalid \\u escape at offset 6"},
+      {"{\"k\":\"v", "unterminated string at offset 7"},
+      {"{\"k", "unterminated string at offset 3"},
+      {std::string_view("\"a\0b", 4), "unterminated string at offset 4"},
+  };
+  for (const Case &C : Cases) {
+    Result<json::Value> Doc = json::parse(C.Text);
+    ASSERT_FALSE(Doc.ok()) << C.Text;
+    EXPECT_EQ(Doc.error(), C.Error) << C.Text;
+  }
+  // An unterminated string past 64 KB reports the end of input.
+  std::string Long = "\"" + std::string(70000, 'y') + "\\n" +
+                     std::string(100, 'z');
+  Result<json::Value> Doc = json::parse(Long);
+  ASSERT_FALSE(Doc.ok());
+  EXPECT_EQ(Doc.error(),
+            "unterminated string at offset " + std::to_string(Long.size()));
 }
 
 TEST(Json, RejectsMalformed) {
