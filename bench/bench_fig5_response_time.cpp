@@ -10,10 +10,21 @@
 /// top-down flame-graph render — for EasyView versus the default-pprof and
 /// GoLand-plugin baselines, across profile sizes.
 ///
-/// The paper sweeps ~1MB to ~1GB production profiles; the sizes here are
-/// scaled to laptop-class CI (1MB..64MB synthetic equivalents; the 1GB
-/// point is reported as an extrapolation note in EXPERIMENTS.md). Expected
-/// SHAPE: EasyView < GoLand < PProf at every size, gap widening with size.
+/// The paper sweeps ~1MB to ~1GB production profiles; the sweep here is
+/// 1..64MB of in-process synthetic pprof (the 1GB point is an
+/// extrapolation in EXPERIMENTS.md). Expected SHAPE: EasyView < GoLand <
+/// PProf at every size, gap widening with size. The EasyView column runs
+/// the streaming pprof decoder (convert::fromPprof); the GoLand-style
+/// baseline parses with pprof::read into the object model.
+///
+/// Each row also splits EasyView's side of an editor's open into layers:
+/// the JSON parse of the pvp/open request that carries the bytes, the
+/// base64 decode of its 'dataBase64', the pprof decode into a frozen
+/// calling context tree (decoding and tree construction are one streamed
+/// pass), the metric columns ("build") and the first flame layout. The
+/// peak RSS column is what that whole server-side open (parse, base64,
+/// decode, build, layout) adds to the process's resident set, measured in
+/// a forked child so every size starts from the same high-water mark.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,12 +33,19 @@
 #include "baseline/GolandTreeTable.h"
 #include "baseline/PprofFlameView.h"
 #include "core/EasyView.h"
+#include "ide/JsonRpc.h"
+#include "support/Strings.h"
 #include "workload/SyntheticProfile.h"
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
+#include <functional>
 #include <map>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace ev;
 
@@ -85,34 +103,112 @@ BENCHMARK(golandOpen)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
 BENCHMARK(pprofOpen)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
+double timeMs(const std::function<void()> &Fn) {
+  auto T0 = std::chrono::steady_clock::now();
+  Fn();
+  auto T1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(T1 - T0).count();
+}
+
+/// Resident set size of this process now, in bytes.
+uint64_t currentRssBytes() {
+  long Pages = 0, Resident = 0;
+  if (FILE *F = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(F, "%ld %ld", &Pages, &Resident) != 2)
+      Resident = 0;
+    std::fclose(F);
+  }
+  return static_cast<uint64_t>(Resident) * sysconf(_SC_PAGESIZE);
+}
+
+/// MB that \p Fn adds to the resident high-water mark, run in a forked
+/// child (a child's high-water mark starts at its size at fork). -1 when
+/// the child cannot be started.
+double addedPeakRssMb(const std::function<void()> &Fn) {
+  int Pipe[2];
+  if (pipe(Pipe) != 0)
+    return -1;
+  pid_t Child = fork();
+  if (Child < 0) {
+    close(Pipe[0]);
+    close(Pipe[1]);
+    return -1;
+  }
+  if (Child == 0) {
+    close(Pipe[0]);
+    uint64_t Before = currentRssBytes();
+    Fn();
+    double Mb = static_cast<double>(bench::peakRssBytes() - Before) /
+                (1 << 20);
+    ssize_t Written = write(Pipe[1], &Mb, sizeof(Mb));
+    _exit(Written == sizeof(Mb) ? 0 : 1);
+  }
+  close(Pipe[1]);
+  double Mb = -1;
+  if (read(Pipe[0], &Mb, sizeof(Mb)) != sizeof(Mb))
+    Mb = -1;
+  close(Pipe[0]);
+  waitpid(Child, nullptr, 0);
+  return Mb;
+}
+
+/// The server side of an editor's open of \p Bytes: the request's JSON
+/// parse and base64 decode, then the engine's open.
+struct OpenLayers {
+  double ParseMs = 0, Base64Ms = 0;
+  OpenStats Engine;
+};
+
+OpenLayers openLikeAnEditor(const std::string &Frame) {
+  OpenLayers L;
+  Result<json::Value> Request = makeError("not parsed");
+  L.ParseMs = timeMs([&] { Request = json::parse(Frame); });
+  std::string Bytes;
+  const json::Value &Params = *Request->asObject().find("params");
+  L.Base64Ms = timeMs([&] {
+    base64Decode(Params.asObject().find("dataBase64")->asString(), Bytes);
+  });
+  EasyViewEngine Engine;
+  auto R = Engine.openProfileBytes(Bytes);
+  benchmark::DoNotOptimize(R);
+  L.Engine = Engine.lastOpenStats();
+  return L;
+}
+
 /// Prints the figure rows with one timed run per (tool, size).
 void printFigure() {
   bench::row("Fig5: response time to open a profile (ms); lower is better");
-  bench::row("(sizes scaled to CI hardware; the paper sweeps 1MB..1GB "
+  bench::row("(in-process synthetic pprof; the paper sweeps 1MB..1GB "
              "production profiles)");
-  bench::row("%-8s %12s %12s %12s", "size", "EasyView", "GoLand", "PProf");
-  for (size_t Mb : {1, 2, 4, 8}) {
+  bench::row("%-8s %10s %10s %10s | %8s %8s %8s %8s %8s | %8s", "size",
+             "EasyView", "GoLand", "PProf", "parse", "base64", "decode",
+             "build", "layout", "peakMB");
+  for (size_t Mb : {1, 2, 4, 8, 16, 64}) {
     const std::string &Bytes = profileBytes(Mb);
-    auto TimeMs = [&](auto Fn) {
-      auto T0 = std::chrono::steady_clock::now();
-      Fn();
-      auto T1 = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::milli>(T1 - T0).count();
-    };
-    double Ev = TimeMs([&] {
+    double Ev = timeMs([&] {
       EasyViewEngine Engine;
       auto R = Engine.openProfileBytes(Bytes);
       benchmark::DoNotOptimize(R);
     });
-    double Gl = TimeMs([&] {
+    double Gl = timeMs([&] {
       auto R = baseline::openWithGolandView(Bytes);
       benchmark::DoNotOptimize(R);
     });
-    double Pp = TimeMs([&] {
+    double Pp = timeMs([&] {
       auto R = baseline::openWithPprofView(Bytes);
       benchmark::DoNotOptimize(R);
     });
-    bench::row("%-6zuMB %12.1f %12.1f %12.1f", Mb, Ev, Gl, Pp);
+    json::Object Params;
+    Params.set("name", "bench");
+    Params.set("dataBase64", base64Encode(Bytes));
+    std::string Frame = rpc::makeRequest(1, "pvp/open", std::move(Params)).dump();
+    OpenLayers L = openLikeAnEditor(Frame);
+    double PeakMb = addedPeakRssMb([&] { (void)openLikeAnEditor(Frame); });
+    bench::row("%-6zuMB %10.1f %10.1f %10.1f | %8.1f %8.1f %8.1f %8.1f %8.1f | "
+               "%8.0f %s",
+               Mb, Ev, Gl, Pp, L.ParseMs, L.Base64Ms, L.Engine.ParseMs,
+               L.Engine.AnalyzeMs, L.Engine.LayoutMs, PeakMb,
+               Ev < Gl && Gl < Pp ? "ordered" : "ORDER VIOLATED");
   }
 }
 

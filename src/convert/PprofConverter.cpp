@@ -70,16 +70,20 @@ double unitScale(std::string_view Unit) {
   return 1.0;
 }
 
-/// Appends the packed varints of \p Packed to \p Out. \returns false on a
-/// truncated or over-long varint, as VarintReader does.
+/// Appends the packed varints of \p Packed to \p Out while it holds fewer
+/// than \p Cap entries; later ones are decoded, checked and counted in
+/// \p Dropped. \returns false on a truncated or over-long varint, as
+/// VarintReader does.
 template <typename T>
-bool appendPacked(std::string_view Packed, std::vector<T> &Out) {
+bool appendPacked(std::string_view Packed, std::vector<T> &Out, size_t Cap,
+                  size_t &Dropped) {
   const auto *P = reinterpret_cast<const uint8_t *>(Packed.data());
   const uint8_t *End = P + Packed.size();
   // Every varint takes at least one byte: size for that, trim after.
   size_t Used = Out.size();
-  Out.resize(Used + Packed.size());
+  Out.resize(Used + (Used < Cap ? std::min(Packed.size(), Cap - Used) : 0));
   T *Dst = Out.data() + Used;
+  T *Full = Out.data() + Out.size();
   while (P < End) {
     uint64_t Value = *P++;
     if (Value >= 0x80) {
@@ -97,56 +101,81 @@ bool appendPacked(std::string_view Packed, std::vector<T> &Out) {
       if (!Done)
         return false;
     }
-    *Dst++ = static_cast<T>(Value);
+    if (Dst != Full)
+      *Dst++ = static_cast<T>(Value);
+    else
+      ++Dropped;
   }
   Out.resize(static_cast<size_t>(Dst - Out.data()));
   return true;
 }
 
-/// A repeated varint field, packed or not, appended to \p Out.
-/// \returns false when a packed run is malformed; a malformed unpacked
-/// value fails \p R instead.
+/// A repeated varint field, packed or not, appended to \p Out as
+/// appendPacked does. \returns false when a packed run is malformed; a
+/// malformed unpacked value fails \p R instead.
 template <typename T>
-bool appendRepeated(ProtoReader &R, std::vector<T> &Out) {
+bool appendRepeated(ProtoReader &R, std::vector<T> &Out, size_t Cap,
+                    size_t &Dropped) {
   if (R.wireType() == WireType::LengthDelimited)
-    return appendPacked(R.bytes(), Out);
-  Out.push_back(static_cast<T>(R.varint()));
+    return appendPacked(R.bytes(), Out, Cap, Dropped);
+  T Value = static_cast<T>(R.varint());
+  if (Out.size() < Cap)
+    Out.push_back(Value);
+  else
+    ++Dropped;
   return true;
 }
 
-/// Decodes one Sample message into \p Ids (leaf-first) and \p Values,
-/// replacing their contents. Labels are checked, not kept. \returns the
-/// error pprof::read reports for the message, or nullptr.
-const char *decodeSample(std::string_view Body, std::vector<uint64_t> &Ids,
-                         std::vector<int64_t> &Values) {
-  Ids.clear();
-  Values.clear();
-  ProtoReader R(Body);
-  while (R.next()) {
-    switch (R.fieldNumber()) {
-    case 1:
-      if (!appendRepeated(R, Ids))
-        return "malformed sample location ids";
-      break;
-    case 2:
-      if (!appendRepeated(R, Values))
-        return "malformed sample values";
-      break;
-    case 3: {
-      ProtoReader L(R.bytes());
-      while (L.next())
-        if (L.fieldNumber() >= 1 && L.fieldNumber() <= 4)
-          (void)L.varint();
-      if (L.failed())
-        return "malformed Label";
-      break;
+/// One sample's location ids (leaf-first) and values, in buffers reused
+/// across samples. At most MaxIds ids and MaxValues values are kept, so a
+/// hostile sample cannot allocate past the caps; DroppedIds counts the ids
+/// decoded beyond them.
+struct SampleBuffer {
+  SampleBuffer(size_t MaxIds, size_t MaxValues)
+      : MaxIds(MaxIds), MaxValues(MaxValues) {}
+
+  /// Decodes the Sample message \p Body, replacing the contents. Labels
+  /// are checked, not kept. \returns the error pprof::read reports for
+  /// the message, or nullptr.
+  const char *decode(std::string_view Body) {
+    Ids.clear();
+    Values.clear();
+    DroppedIds = 0;
+    size_t DroppedValues = 0;
+    ProtoReader R(Body);
+    while (R.next()) {
+      switch (R.fieldNumber()) {
+      case 1:
+        if (!appendRepeated(R, Ids, MaxIds, DroppedIds))
+          return "malformed sample location ids";
+        break;
+      case 2:
+        if (!appendRepeated(R, Values, MaxValues, DroppedValues))
+          return "malformed sample values";
+        break;
+      case 3: {
+        ProtoReader L(R.bytes());
+        while (L.next())
+          if (L.fieldNumber() >= 1 && L.fieldNumber() <= 4)
+            (void)L.varint();
+        if (L.failed())
+          return "malformed Label";
+        break;
+      }
+      default:
+        R.skip();
+      }
     }
-    default:
-      R.skip();
-    }
+    return R.failed() ? "malformed Sample" : nullptr;
   }
-  return R.failed() ? "malformed Sample" : nullptr;
-}
+
+  std::vector<uint64_t> Ids;
+  std::vector<int64_t> Values;
+  size_t DroppedIds = 0;
+
+private:
+  size_t MaxIds, MaxValues;
+};
 
 /// Reads the varint fields 1..N of a table message into \p Out[0..N);
 /// other fields are skipped. Field \p Nested, when set, is handed to
@@ -260,7 +289,7 @@ public:
 
   Result<Profile> run() {
     if (!readTables())
-      return fail(SamplesBeforeError);
+      return fail(SamplesSeen);
     if (T.Strings.empty())
       T.Strings.emplace_back();
     if (!T.Strings[0].empty())
@@ -298,7 +327,7 @@ private:
       }
       case pprof::FSample:
         (void)R.bytes();
-        ++SamplesBeforeError;
+        ++SamplesSeen;
         break;
       case pprof::FMapping: {
         // id, memory_start, memory_limit, file_offset, filename, build_id
@@ -315,21 +344,23 @@ private:
         uint64_t L[3] = {};
         size_t FirstLine = T.Lines.size();
         bool LinesOk = true;
+        // Each line becomes a frame; a location without lines becomes one
+        // address frame.
         bool Ok = readMessage(R.bytes(), L, 4, [&](std::string_view Line) {
           uint64_t Ln[2] = {};
           LinesOk = readMessage(Line, Ln);
           T.Lines.push_back({Ln[0], static_cast<int64_t>(Ln[1])});
-          return LinesOk;
+          return LinesOk && Guard.chargeFrame();
         });
+        uint32_t Count = static_cast<uint32_t>(T.Lines.size() - FirstLine);
+        if (Count == 0 && Ok)
+          Guard.chargeFrame();
+        if (Guard.exceeded())
+          return stop(Guard.error());
         if (!LinesOk)
           return stop("malformed Line");
         if (!Ok)
           return stop("malformed Location");
-        uint32_t Count = static_cast<uint32_t>(T.Lines.size() - FirstLine);
-        // A location with no lines still becomes one (address) frame.
-        for (uint32_t I = 0; I < std::max(Count, 1u); ++I)
-          if (!Guard.chargeFrame())
-            return stop(Guard.error());
         T.Locations.push_back(
             {L[0], L[1], L[2], static_cast<uint32_t>(FirstLine), Count});
         break;
@@ -426,8 +457,11 @@ private:
   /// Pass two: every sample, in wire order, into the builder.
   bool buildSamples() {
     IdIndex LocationIds(T.Locations);
-    std::vector<uint64_t> Ids;
-    std::vector<int64_t> Values;
+    // Every location adds at least one frame, so a sample with more
+    // locations than the depth budget is refused before it is walked.
+    const size_t MaxDepth = Guard.limits().MaxTreeDepth;
+    SampleBuffer Sample(MaxDepth, Metrics.size());
+    const std::vector<uint64_t> &Ids = Sample.Ids;
     // The previous sample's path, root first: each location id with the
     // node and the depth reached after its frames.
     struct Step {
@@ -436,13 +470,15 @@ private:
       size_t Depth;
     };
     std::vector<Step> Prev;
-    const size_t MaxDepth = Guard.limits().MaxTreeDepth;
     ProtoReader R(Bytes);
     while (R.next()) {
       if (R.fieldNumber() != pprof::FSample)
         continue;
-      if (const char *Bad = decodeSample(R.bytes(), Ids, Values))
+      if (const char *Bad = Sample.decode(R.bytes()))
         return stop(Bad);
+      if (Sample.DroppedIds &&
+          !Guard.checkDepth(Ids.size() + Sample.DroppedIds))
+        return stop(Guard.error());
       size_t N = Ids.size();
       size_t Common = 0;
       while (Common < std::min(N, Prev.size()) &&
@@ -468,10 +504,10 @@ private:
         }
         Prev.push_back({Id, Cur, Depth});
       }
-      for (size_t M = 0; M < Values.size() && M < Metrics.size(); ++M)
-        if (Values[M] != 0)
+      for (size_t M = 0; M < Sample.Values.size(); ++M)
+        if (Sample.Values[M] != 0)
           B.addValue(Cur, Metrics[M],
-                     static_cast<double>(Values[M]) * Scales[M]);
+                     static_cast<double>(Sample.Values[M]) * Scales[M]);
     }
     return true;
   }
@@ -482,13 +518,12 @@ private:
   Error fail(size_t Samples) {
     if (Guard.exceeded())
       return makeError(Guard.error());
-    std::vector<uint64_t> Ids;
-    std::vector<int64_t> Values;
+    SampleBuffer Sample(Guard.limits().MaxTreeDepth, 0);
     ProtoReader R(Bytes);
     for (size_t Seen = 0; Seen < Samples && R.next();) {
       if (R.fieldNumber() != pprof::FSample)
         continue;
-      if (const char *Bad = decodeSample(R.bytes(), Ids, Values))
+      if (const char *Bad = Sample.decode(R.bytes()))
         return makeError(Bad);
       ++Seen;
     }
@@ -504,7 +539,7 @@ private:
   ResourceGuard Guard;
   ProfileBuilder B;
   Tables T;
-  size_t SamplesBeforeError = 0;
+  size_t SamplesSeen = 0; ///< Sample fields pass one walked past.
   std::string Fault; ///< The first fault pass one or two stopped at.
 
   std::vector<MetricId> Metrics;

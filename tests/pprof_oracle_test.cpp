@@ -375,6 +375,23 @@ TEST(PprofOracle, MalformedMessagesReportTheFirstFaultOnTheWire) {
       {"bad value type", Base + Message([&](ProtoWriter &W) {
                            W.writeBytes(pprof::FPeriodType, "\x08");
                          })},
+      // Varints of ten bytes hold bit 63 in their last byte; more is an
+      // overlong encoding.
+      {"overlong packed id", Base + Message([&](ProtoWriter &W) {
+         W.writeBytes(pprof::FSample, Message([](ProtoWriter &S) {
+                        S.writeBytes(1, std::string(9, '\xff') + '\x02');
+                      }));
+       })},
+      {"eleven-byte packed value", Base + Message([&](ProtoWriter &W) {
+         W.writeBytes(pprof::FSample, Message([](ProtoWriter &S) {
+                        S.writeBytes(2, std::string(10, '\xff') + '\x01');
+                      }));
+       })},
+      {"largest packed id", Base + Message([&](ProtoWriter &W) {
+         W.writeBytes(pprof::FSample, Message([](ProtoWriter &S) {
+                        S.writeBytes(1, std::string(9, '\xff') + '\x01');
+                      }));
+       })},
       {"sample as varint", Base + Message([&](ProtoWriter &W) {
                              W.writeVarint(pprof::FSample, 1);
                            })},
@@ -442,4 +459,37 @@ TEST(PprofOracle, BudgetsRefuseWhatTheOracleAccepts) {
   EXPECT_EQ(Refusal([](DecodeLimits &L) { L.MaxTreeDepth = 3; }),
             "decode limit exceeded: tree too deep");
   EXPECT_EQ(Refusal([](DecodeLimits &) {}), "accepted");
+}
+
+TEST(PprofOracle, SampleLongerThanTheDepthBudgetIsRefused) {
+  // A sample naming more locations than MaxTreeDepth is refused whether
+  // its ids are packed or not; at the budget it converts.
+  for (bool Packed : {true, false}) {
+    ProtoWriter W;
+    for (std::string_view S : {"", "cpu", "count", "f"})
+      W.writeBytes(pprof::FStringTable, S);
+    ProtoWriter T;
+    T.writeInt64(1, 1);
+    W.writeBytes(pprof::FSampleType, T.buffer());
+    ProtoWriter L;
+    L.writeVarint(1, 1);
+    W.writeBytes(pprof::FLocation, L.buffer());
+    ProtoWriter S;
+    std::vector<uint64_t> Ids(60, 1);
+    if (Packed)
+      S.writePackedVarints(1, Ids.data(), Ids.size());
+    else
+      for (uint64_t Id : Ids)
+        S.writeVarint(1, Id);
+    W.writeBytes(pprof::FSample, S.buffer());
+    expectSameAsOracle(W.buffer(), Packed ? "packed" : "unpacked");
+
+    DecodeLimits Tight;
+    Tight.MaxTreeDepth = 59;
+    Result<Profile> P = convert::fromPprof(W.buffer(), Tight);
+    ASSERT_FALSE(P.ok()) << (Packed ? "packed" : "unpacked");
+    EXPECT_EQ(P.error(), "decode limit exceeded: tree too deep");
+    Tight.MaxTreeDepth = 60;
+    EXPECT_TRUE(convert::fromPprof(W.buffer(), Tight).ok());
+  }
 }
