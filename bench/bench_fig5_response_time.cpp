@@ -23,8 +23,8 @@
 /// calling context tree (decoding and tree construction are one streamed
 /// pass), the metric columns ("build") and the first flame layout. The
 /// peak RSS column is what that whole server-side open (parse, base64,
-/// decode, build, layout) adds to the process's resident set, measured in
-/// a forked child so every size starts from the same high-water mark.
+/// decode, build, layout) adds to the process's resident set at its peak,
+/// sampled while it runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,12 +39,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <thread>
 
-#include <sys/wait.h>
+#include <malloc.h>
 #include <unistd.h>
 
 using namespace ev;
@@ -121,35 +123,32 @@ uint64_t currentRssBytes() {
   return static_cast<uint64_t>(Resident) * sysconf(_SC_PAGESIZE);
 }
 
-/// MB that \p Fn adds to the resident high-water mark, run in a forked
-/// child (a child's high-water mark starts at its size at fork). -1 when
-/// the child cannot be started.
+/// MB that \p Fn adds to this process's resident set at its peak. Free
+/// heap goes back to the OS first, so \p Fn cannot reuse resident pages
+/// an earlier size freed; a thread samples the resident set every 200 us
+/// while \p Fn runs.
 double addedPeakRssMb(const std::function<void()> &Fn) {
-  int Pipe[2];
-  if (pipe(Pipe) != 0)
-    return -1;
-  pid_t Child = fork();
-  if (Child < 0) {
-    close(Pipe[0]);
-    close(Pipe[1]);
-    return -1;
-  }
-  if (Child == 0) {
-    close(Pipe[0]);
-    uint64_t Before = currentRssBytes();
-    Fn();
-    double Mb = static_cast<double>(bench::peakRssBytes() - Before) /
-                (1 << 20);
-    ssize_t Written = write(Pipe[1], &Mb, sizeof(Mb));
-    _exit(Written == sizeof(Mb) ? 0 : 1);
-  }
-  close(Pipe[1]);
-  double Mb = -1;
-  if (read(Pipe[0], &Mb, sizeof(Mb)) != sizeof(Mb))
-    Mb = -1;
-  close(Pipe[0]);
-  waitpid(Child, nullptr, 0);
-  return Mb;
+  malloc_trim(0);
+  const uint64_t Before = currentRssBytes();
+  std::atomic<uint64_t> Peak{Before};
+  std::atomic<bool> Done{false};
+  auto Sample = [&] {
+    uint64_t Now = currentRssBytes();
+    for (uint64_t Seen = Peak.load(); Now > Seen;)
+      if (Peak.compare_exchange_weak(Seen, Now))
+        break;
+  };
+  std::thread Sampler([&] {
+    while (!Done.load()) {
+      Sample();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  Fn();
+  Sample();
+  Done = true;
+  Sampler.join();
+  return static_cast<double>(Peak.load() - Before) / (1 << 20);
 }
 
 /// The server side of an editor's open of \p Bytes: the request's JSON
