@@ -203,22 +203,7 @@ bool readMessage(std::string_view Body, uint64_t (&Out)[N]) {
   return readMessage(Body, Out, 0, [](std::string_view) { return true; });
 }
 
-struct MappingRow {
-  uint64_t Id;
-  int64_t Filename;
-};
-
-struct FunctionRow {
-  uint64_t Id;
-  int64_t Name;
-  int64_t Filename;
-};
-
-struct LineRow {
-  uint64_t FunctionId;
-  int64_t LineNumber;
-};
-
+/// A pprof::Location whose lines live in one shared vector.
 struct LocationRow {
   uint64_t Id;
   uint64_t MappingId;
@@ -268,11 +253,11 @@ private:
 /// Everything but the samples, read in pass one.
 struct Tables {
   std::vector<std::string_view> Strings; ///< Views into the input.
-  std::vector<std::pair<int64_t, int64_t>> SampleTypes; ///< (type, unit)
-  std::vector<MappingRow> Mappings;
-  std::vector<FunctionRow> Functions;
+  std::vector<pprof::ValueType> SampleTypes;
+  std::vector<pprof::Mapping> Mappings;
+  std::vector<pprof::Function> Functions;
   std::vector<LocationRow> Locations;
-  std::vector<LineRow> Lines;
+  std::vector<pprof::Line> Lines;
 
   std::string_view text(int64_t Id) const {
     if (Id < 0 || static_cast<uint64_t>(Id) >= Strings.size())
@@ -320,8 +305,8 @@ private:
         if (IsSampleType) {
           if (!Guard.chargeMetric())
             return stop(Guard.error());
-          T.SampleTypes.emplace_back(static_cast<int64_t>(VT[0]),
-                                     static_cast<int64_t>(VT[1]));
+          T.SampleTypes.push_back(
+              {static_cast<int64_t>(VT[0]), static_cast<int64_t>(VT[1])});
         }
         break;
       }
@@ -330,18 +315,18 @@ private:
         ++SamplesSeen;
         break;
       case pprof::FMapping: {
-        // id, memory_start, memory_limit, file_offset, filename, build_id
         uint64_t M[6] = {};
         if (!readMessage(R.bytes(), M))
           return stop("malformed Mapping");
-        if (!Guard.chargeAlloc(sizeof(MappingRow)))
+        if (!Guard.chargeAlloc(sizeof(pprof::Mapping)))
           return stop(Guard.error());
-        T.Mappings.push_back({M[0], static_cast<int64_t>(M[4])});
+        T.Mappings.push_back({M[0], M[1], M[2], M[3],
+                              static_cast<int64_t>(M[4]),
+                              static_cast<int64_t>(M[5])});
         break;
       }
       case pprof::FLocation: {
-        // id, mapping_id, address; line = 4
-        uint64_t L[3] = {};
+        uint64_t L[3] = {}; // Line messages are field 4.
         size_t FirstLine = T.Lines.size();
         bool LinesOk = true;
         // Each line becomes a frame; a location without lines becomes one
@@ -366,14 +351,14 @@ private:
         break;
       }
       case pprof::FFunction: {
-        // id, name, system_name, filename, start_line
         uint64_t F[5] = {};
         if (!readMessage(R.bytes(), F))
           return stop("malformed Function");
-        if (!Guard.chargeAlloc(sizeof(FunctionRow)))
+        if (!Guard.chargeAlloc(sizeof(pprof::Function)))
           return stop(Guard.error());
-        T.Functions.push_back({F[0], static_cast<int64_t>(F[1]),
-                               static_cast<int64_t>(F[3])});
+        T.Functions.push_back(
+            {F[0], static_cast<int64_t>(F[1]), static_cast<int64_t>(F[2]),
+             static_cast<int64_t>(F[3]), static_cast<int64_t>(F[4])});
         break;
       }
       case pprof::FStringTable: {
@@ -406,9 +391,9 @@ private:
   /// Registers the metrics, then interns every location's frames in
   /// table order (duplicate ids included) as one root-first run each.
   void internTables() {
-    for (const auto &[Type, Unit] : T.SampleTypes) {
-      std::string_view TypeText = T.text(Type);
-      std::string_view UnitText = T.text(Unit);
+    for (const pprof::ValueType &VT : T.SampleTypes) {
+      std::string_view TypeText = T.text(VT.Type);
+      std::string_view UnitText = T.text(VT.Unit);
       Metrics.push_back(B.addMetric(TypeText.empty() ? "samples" : TypeText,
                                     mapUnit(UnitText)));
       Scales.push_back(unitScale(UnitText));
@@ -438,7 +423,7 @@ private:
       }
       // pprof stores inline frames innermost-first; emit outermost-first.
       for (uint32_t I = L.LineCount; I > 0; --I) {
-        const LineRow &Ln = T.Lines[L.FirstLine + I - 1];
+        const pprof::Line &Ln = T.Lines[L.FirstLine + I - 1];
         std::string_view Name = "??";
         std::string_view File;
         if (uint32_t F = FunctionIds.find(Ln.FunctionId); F != IdIndex::None) {
