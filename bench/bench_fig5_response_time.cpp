@@ -151,8 +151,9 @@ double addedPeakRssMb(const std::function<void()> &Fn) {
   return static_cast<double>(Peak.load() - Before) / (1 << 20);
 }
 
-/// The server side of an editor's open of \p Bytes: the request's JSON
-/// parse and base64 decode, then the engine's open.
+/// The server side of an editor's open: the JSON parse of the pvp/open
+/// request \p Frame, the base64 decode of its bytes, then the engine's
+/// open.
 struct OpenLayers {
   double ParseMs = 0, Base64Ms = 0;
   OpenStats Engine;
