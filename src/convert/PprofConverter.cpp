@@ -274,7 +274,7 @@ public:
 
   Result<Profile> run() {
     if (!readTables())
-      return fail(SamplesSeen);
+      return firstFault(SamplesSeen);
     if (T.Strings.empty())
       T.Strings.emplace_back();
     if (!T.Strings[0].empty())
@@ -285,7 +285,7 @@ public:
     if (!Guard.chargeNode()) // The root.
       return makeError(Guard.error());
     if (!buildSamples())
-      return fail(SIZE_MAX);
+      return firstFault(SIZE_MAX);
     return B.take();
   }
 
@@ -497,10 +497,11 @@ private:
     return true;
   }
 
-  /// Reports Fault, unless one of the first \p Samples samples on the wire
-  /// is malformed: pprof::read parses every sample before anything else is
-  /// checked, so the first malformed one is the error it reports.
-  Error fail(size_t Samples) {
+  /// The error to report: a tripped budget; else the first malformed
+  /// sample among the first \p Samples on the wire, because pprof::read
+  /// parses each sample as it reaches it, before the fault pass one
+  /// stopped at and before any check that follows the parse; else Fault.
+  Error firstFault(size_t Samples) {
     if (Guard.exceeded())
       return makeError(Guard.error());
     SampleBuffer Sample(Guard.limits().MaxTreeDepth, 0);
@@ -517,7 +518,7 @@ private:
 
   Error fail(std::string Message) {
     Fault = std::move(Message);
-    return fail(SIZE_MAX);
+    return firstFault(SIZE_MAX);
   }
 
   std::string_view Bytes;
