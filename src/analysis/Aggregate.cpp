@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <string_view>
 
 namespace ev {
@@ -114,6 +115,9 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
   // profile and node by node. Children are matched by textual frame
   // identity under the same merged parent.
   std::vector<std::vector<NodeId>> OutNodes(Inputs.size());
+  // One sub-phase span at a time: emplace closes the previous one.
+  std::optional<trace::Span> Phase;
+  Phase.emplace("analysis/aggregate.merge", "analysis");
   for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
     const Profile &P = *Inputs[ProfIdx];
     std::vector<NodeId> &OutNode = OutNodes[ProfIdx];
@@ -140,6 +144,7 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
   // Phase 2: discover the (node, metric) key set in profile then node
   // order, assigning each key a stable dense row of the row-major matrix,
   // and accumulate every sample into its profile's column of that row.
+  Phase.emplace("analysis/aggregate.matrix", "analysis");
   size_t N = Inputs.size();
   for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
     const Profile &P = *Inputs[ProfIdx];
@@ -166,6 +171,7 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
 
   // Phase 3: per-row statistics, attached to the merged nodes in KeyOrder
   // so the metric lists are deterministic across runs.
+  Phase.emplace("analysis/aggregate.stats", "analysis");
   for (size_t R = 0; R < KeyOrder.size(); ++R) {
     const double *Row = Matrix.data() + R * N;
     double Sum = 0.0, Min = Row[0], Max = Row[0];
@@ -192,6 +198,7 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
     if (Options.WithStddev && Stddev != 0.0)
       Merged.addValue(Node, StddevIds[Metric], Stddev);
   }
+  Phase.emplace("analysis/aggregate.freeze", "analysis");
   Agg.Merged = Merged.take();
   return Agg;
 }

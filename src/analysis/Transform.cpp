@@ -12,8 +12,8 @@
 #include "support/Trace.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace ev {
@@ -43,6 +43,148 @@ Profile topDownTree(const Profile &P, const CancelToken &Cancel) {
   return Out.take();
 }
 
+namespace {
+
+/// A contributor: a context with a non-zero exclusive value.
+bool contributes(const CCTNode &Node) {
+  for (const MetricValue &MV : Node.Metrics)
+    if (MV.Value != 0.0)
+      return true;
+  return false;
+}
+
+/// The callers tree of the contributors before any node exists. A node
+/// two or more contributors pass through is *shared*; below the last
+/// shared node on its path, each contributor has an unshared *tail* that
+/// is the rest of its source path, read straight off the parents column.
+struct CallerGroups {
+  /// Stands for the output root where a shared node index is expected.
+  static constexpr uint32_t Root = UINT32_MAX;
+
+  /// Shared nodes in level order: the first contributor passing through,
+  /// the parent shared node and the output frame.
+  std::vector<uint32_t> SharedFirst, SharedParent;
+  std::vector<FrameId> SharedFrame;
+  /// Per contributor: the shared node its tail hangs off (its leaf when
+  /// the tail is empty), and the source node the tail starts at (the
+  /// source root when it is empty).
+  std::vector<uint32_t> Anchor;
+  std::vector<NodeId> TailStart;
+};
+
+/// Groups \p Contributors level by level. Level k refines every group that
+/// still has two or more contributors climbing by the output frame of each
+/// one's k-th ancestor; a group with one contributor left climbing becomes
+/// a shared node plus that contributor's tail.
+CallerGroups groupCallers(const Profile &P,
+                          std::span<const NodeId> Contributors,
+                          std::span<const FrameId> FrameMap,
+                          size_t OutFrames, const CancelToken &Cancel) {
+  trace::Span Span("analysis/bottomUpTree.group", "analysis");
+  std::span<const NodeId> Parents = P.parents();
+  std::span<const FrameId> FrameRefs = P.frameRefs();
+  CallerGroups G;
+  G.Anchor.assign(Contributors.size(), CallerGroups::Root);
+  G.TailStart.assign(Contributors.size(), P.root());
+  if (Contributors.empty())
+    return G;
+
+  // A group's members sit contiguously in contributor order, each with
+  // its source node at the current level.
+  struct Member {
+    uint32_t Contributor;
+    NodeId At;
+  };
+  struct Group {
+    uint32_t Begin, End;
+    uint32_t Shared; ///< The group's node: a shared index or Root.
+  };
+  // One subgroup per distinct frame of a group's members at this level.
+  struct Subgroup {
+    FrameId Frame;
+    uint32_t First;        ///< Its first contributor.
+    uint32_t Count = 0;    ///< Members whose path reaches this level.
+    uint32_t Climbing = 0; ///< Members whose path goes on past it.
+    uint32_t Shared = CallerGroups::Root;
+    uint32_t Fill = 0; ///< Next free slot of its members one level up.
+  };
+  // Frame ids are dense: a slot per output frame, valid while its stamp
+  // is the current group's, so the array is never cleared.
+  struct Slot {
+    uint32_t Stamp = 0;
+    uint32_t Subgroup = 0;
+  };
+  std::vector<Slot> Slots(OutFrames);
+  uint32_t Stamp = 0;
+
+  // Both member arrays hold every contributor: a level never has more
+  // members than the one before.
+  std::vector<Member> Active(Contributors.size()), Next(Contributors.size());
+  for (uint32_t I = 0; I < Contributors.size(); ++I)
+    Active[I] = {I, Contributors[I]};
+  std::vector<Group> Groups{{0, static_cast<uint32_t>(Active.size()),
+                             CallerGroups::Root}},
+      NextGroups;
+  std::vector<uint32_t> SubgroupOf(Active.size());
+  std::vector<Subgroup> Subs;
+  while (!Groups.empty()) {
+    Cancel.checkpoint();
+    uint32_t NextSize = 0;
+    for (const Group &Parent : Groups) {
+      ++Stamp;
+      Subs.clear();
+      for (uint32_t I = Parent.Begin; I < Parent.End; ++I) {
+        const Member &M = Active[I];
+        FrameId F = FrameMap[FrameRefs[M.At]];
+        Slot &S = Slots[F];
+        if (S.Stamp != Stamp) {
+          S = {Stamp, static_cast<uint32_t>(Subs.size())};
+          Subs.push_back({F, M.Contributor});
+        }
+        Subgroup &Sub = Subs[S.Subgroup];
+        ++Sub.Count;
+        Sub.Climbing += Parents[M.At] != P.root();
+        SubgroupOf[I] = S.Subgroup;
+      }
+      for (Subgroup &Sub : Subs) {
+        if (Sub.Count < 2)
+          continue;
+        Sub.Shared = static_cast<uint32_t>(G.SharedFrame.size());
+        G.SharedFirst.push_back(Sub.First);
+        G.SharedParent.push_back(Parent.Shared);
+        G.SharedFrame.push_back(Sub.Frame);
+        if (Sub.Climbing < 2)
+          continue;
+        Sub.Fill = NextSize;
+        NextGroups.push_back({NextSize, NextSize + Sub.Climbing, Sub.Shared});
+        NextSize += Sub.Climbing;
+      }
+      // A stable counting sort of the climbing members by subgroup; the
+      // rest leave the loop here.
+      for (uint32_t I = Parent.Begin; I < Parent.End; ++I) {
+        const Member &M = Active[I];
+        Subgroup &Sub = Subs[SubgroupOf[I]];
+        NodeId Up = Parents[M.At];
+        if (Sub.Count == 1) {
+          G.Anchor[M.Contributor] = Parent.Shared;
+          G.TailStart[M.Contributor] = M.At;
+        } else if (Up == P.root() || Sub.Climbing == 1) {
+          G.Anchor[M.Contributor] = Sub.Shared;
+          G.TailStart[M.Contributor] = Up;
+        } else {
+          Next[Sub.Fill++] = {M.Contributor, Up};
+        }
+      }
+    }
+    std::swap(Active, Next);
+    std::swap(Groups, NextGroups);
+    NextGroups.clear();
+  }
+  return G;
+}
+
+} // namespace
+
 Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/bottomUpTree", "analysis");
   ProfileBuilder Out(P.name() + " (bottom-up)");
@@ -53,32 +195,59 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
 
   // Contexts that carry a non-zero metric, in id order.
   std::vector<NodeId> Contributors;
-  for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
-    const CCTNode &Node = P.node(Id);
-    bool AllZero = true;
-    for (const MetricValue &MV : Node.Metrics)
-      if (MV.Value != 0.0)
-        AllZero = false;
-    if (!Node.Metrics.empty() && !AllZero)
+  for (NodeId Id = 1; Id < P.nodeCount(); ++Id)
+    if (contributes(P.node(Id)))
       Contributors.push_back(Id);
-  }
+  CallerGroups G =
+      groupCallers(P, Contributors, FrameMap, Out.frameCount(), Cancel);
 
-  // Merge each contributor's reversed path (leaf frame first, callers
-  // outward, stopping before the root) in id order.
-  std::vector<FrameId> Path;
-  for (size_t I = 0; I < Contributors.size(); ++I) {
-    if ((I & 1023) == 0)
-      Cancel.checkpoint();
-    Path.clear();
-    for (NodeId Walk = Contributors[I]; Walk != P.root();
-         Walk = P.node(Walk).Parent)
-      Path.push_back(FrameMap[P.node(Walk).FrameRef]);
-    NodeId Cur = Out.root();
-    for (FrameId F : Path)
-      Cur = Out.child(Cur, F);
-    for (const MetricValue &MV : P.node(Contributors[I]).Metrics)
-      Out.addValue(Cur, MetricMap[MV.Metric], MV.Value);
+  {
+    trace::Span Emit("analysis/bottomUpTree.emit", "analysis");
+    // Merging reversed paths one contributor at a time creates nodes in
+    // (first contributor, depth) order: a contributor's new shared nodes
+    // in level order, then its tail. Emitting in that order keeps the node
+    // ids and bytes of that merge (tests/BottomUpOracle.cpp), so bucket
+    // the shared nodes by first contributor.
+    size_t SharedCount = G.SharedFrame.size();
+    std::vector<uint32_t> BucketEnd(Contributors.size() + 1, 0);
+    for (uint32_t First : G.SharedFirst)
+      ++BucketEnd[First + 1];
+    for (size_t I = 1; I < BucketEnd.size(); ++I)
+      BucketEnd[I] += BucketEnd[I - 1];
+    std::vector<uint32_t> ByFirst(SharedCount);
+    {
+      std::vector<uint32_t> Fill(BucketEnd.begin(), BucketEnd.end() - 1);
+      for (uint32_t S = 0; S < SharedCount; ++S)
+        ByFirst[Fill[G.SharedFirst[S]]++] = S;
+    }
+    std::vector<uint32_t> Depths = depthsFromParents(P.parents());
+    size_t TailNodes = 0;
+    for (NodeId Start : G.TailStart)
+      TailNodes += Depths[Start];
+    Out.reserve(SharedCount + TailNodes, 0);
+
+    std::span<const NodeId> Parents = P.parents();
+    std::span<const FrameId> FrameRefs = P.frameRefs();
+    std::vector<NodeId> SharedNode(SharedCount);
+    auto OutNode = [&](uint32_t Shared) {
+      return Shared == CallerGroups::Root ? Out.root() : SharedNode[Shared];
+    };
+    for (uint32_t I = 0; I < Contributors.size(); ++I) {
+      if ((I & 1023) == 0)
+        Cancel.checkpoint();
+      for (uint32_t B = BucketEnd[I]; B < BucketEnd[I + 1]; ++B) {
+        uint32_t S = ByFirst[B];
+        SharedNode[S] =
+            Out.createNode(OutNode(G.SharedParent[S]), G.SharedFrame[S]);
+      }
+      NodeId Leaf = OutNode(G.Anchor[I]);
+      for (NodeId At = G.TailStart[I]; At != P.root(); At = Parents[At])
+        Leaf = Out.createNode(Leaf, FrameMap[FrameRefs[At]]);
+      for (const MetricValue &MV : P.node(Contributors[I]).Metrics)
+        Out.addValue(Leaf, MetricMap[MV.Metric], MV.Value);
+    }
   }
+  trace::Span Freeze("analysis/bottomUpTree.freeze", "analysis");
   return Out.take();
 }
 
@@ -135,7 +304,7 @@ Profile flatTree(const Profile &P, const CancelToken &Cancel) {
   // Count of occurrences of each function frame along the current DFS path,
   // so that recursive functions contribute their inclusive value only once
   // (outermost occurrence).
-  std::unordered_map<FrameId, unsigned> ActiveFrames;
+  std::vector<unsigned> ActiveFrames(P.frames().size(), 0);
 
   // Iterative DFS with explicit enter/leave events.
   struct Event {

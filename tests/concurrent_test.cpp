@@ -174,9 +174,11 @@ TEST(ConcurrentCancel, AnalysisKernelsUnwindOnTheCallingThread) {
   T.requestCancel();
   // Analysis runs on the thread that calls it, the way a session strand
   // dispatches a request: the tripped checkpoint must unwind the kernel to
-  // a handler on that same thread. bottomUpTree/flatTree checkpoint every
-  // 1024 contexts, well inside the test profile. (topDownTree's stride is
-  // 8192, larger than this input, so the integration soaks cover it.)
+  // a handler on that same thread. bottomUpTree checkpoints once per
+  // caller level while it groups and every 1024 contributors while it
+  // emits, so the first level trips it; flatTree checkpoints every 8192
+  // contexts, starting with the first. (topDownTree's stride is 8192 from
+  // node 1, larger than this input, so the integration soaks cover it.)
   std::thread::id Caller;
   std::vector<std::thread::id> CaughtOn;
   std::thread Strand([&] {
