@@ -86,8 +86,6 @@ CallerGroups groupCallers(const Profile &P,
   CallerGroups G;
   G.Anchor.assign(Contributors.size(), CallerGroups::Root);
   G.TailStart.assign(Contributors.size(), P.root());
-  if (Contributors.empty())
-    return G;
 
   // A group's members sit contiguously in contributor order, each with
   // its source node at the current level.
