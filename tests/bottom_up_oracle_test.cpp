@@ -132,7 +132,7 @@ TEST(BottomUpOracle, ChainAtMaxTreeDepth) {
 }
 
 TEST(BottomUpOracle, SourceFramesMergedOnImport) {
-  // Two frames whose texts differ only in their string ids: spill a
+  // Two frames with the same texts under different string ids: spill a
   // profile, rewrite one name into the other in the block and map it
   // back. importFrame interns both to one output frame.
   ProfileBuilder B("merged frames");
