@@ -32,7 +32,7 @@ json::Value roundTrip(PvpServer &Server, int64_t Id, const char *Method,
   std::printf(">> %s\n", Request.dump().substr(0, 160).c_str());
 
   std::string ReplyBytes = Server.handleWire(Wire);
-  rpc::MessageReader Reader;
+  rpc::FrameReader Reader;
   Reader.feed(ReplyBytes);
   auto Reply = Reader.poll();
   if (!Reply) {

@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -57,6 +58,27 @@ AggregatedProfile::perProfileInclusive(NodeId Node, MetricId Metric) const {
   for (size_t Prof = 0; Prof < ProfileCount; ++Prof)
     Out[Prof] = InclusiveColumns[Metric * ProfileCount + Prof][Node];
   return Out;
+}
+
+std::vector<NodeId> mergeTree(ProfileBuilder &Into, const Profile &P,
+                              const CancelToken &Cancel) {
+  constexpr FrameId Unmapped = std::numeric_limits<FrameId>::max();
+  std::vector<FrameId> FrameMap(P.frames().size(), Unmapped);
+  std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
+  OutNode[P.root()] = Into.root();
+  // Parents come first in node order, so each parent is already mapped.
+  std::span<const NodeId> Parents = P.parents();
+  std::span<const FrameId> FrameRefs = P.frameRefs();
+  for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
+    if ((Id & 8191) == 0)
+      Cancel.checkpoint();
+    FrameId &Frame = FrameMap[FrameRefs[Id]];
+    // Addresses are run-specific (ASLR): identity is textual only.
+    if (Frame == Unmapped)
+      Frame = Into.importFrame(P, FrameRefs[Id], ProfileBuilder::Address::Zero);
+    OutNode[Id] = Into.child(OutNode[Parents[Id]], Frame);
+  }
+  return OutNode;
 }
 
 AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
@@ -118,28 +140,8 @@ AggregatedProfile aggregate(std::span<const Profile *const> Inputs,
   // One sub-phase span at a time: emplace closes the previous one.
   std::optional<trace::Span> Phase;
   Phase.emplace("analysis/aggregate.merge", "analysis");
-  for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx) {
-    const Profile &P = *Inputs[ProfIdx];
-    std::vector<NodeId> &OutNode = OutNodes[ProfIdx];
-    OutNode.assign(P.nodeCount(), InvalidNode);
-    OutNode[0] = Merged.root();
-    constexpr FrameId Unmapped = std::numeric_limits<FrameId>::max();
-    std::vector<FrameId> FrameMap(P.frames().size(), Unmapped);
-    auto MapFrame = [&](FrameId F) {
-      // Addresses are run-specific (ASLR): identity is textual only.
-      if (FrameMap[F] == Unmapped)
-        FrameMap[F] = Merged.importFrame(P, F, ProfileBuilder::Address::Zero);
-      return FrameMap[F];
-    };
-
-    std::span<const NodeId> Parents = P.parents();
-    std::span<const FrameId> FrameRefs = P.frameRefs();
-    for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
-      if ((Id & 8191) == 0)
-        Cancel.checkpoint();
-      OutNode[Id] = Merged.child(OutNode[Parents[Id]], MapFrame(FrameRefs[Id]));
-    }
-  }
+  for (size_t ProfIdx = 0; ProfIdx < Inputs.size(); ++ProfIdx)
+    OutNodes[ProfIdx] = mergeTree(Merged, *Inputs[ProfIdx], Cancel);
 
   // Phase 2: discover the (node, metric) key set in profile then node
   // order, assigning each key a stable dense row of the row-major matrix,

@@ -30,6 +30,16 @@
 
 namespace ev {
 
+class ProfileBuilder;
+
+/// Merges \p P's tree into \p Into: each node of \p P lands on the child
+/// of its parent's merged node with the textually identical frame (the
+/// address is dropped, being run-specific). Frames are imported on first
+/// use in node order, so merging the same inputs in the same order gives
+/// the same ids. \returns the merged node of every node of \p P.
+std::vector<NodeId> mergeTree(ProfileBuilder &Into, const Profile &P,
+                              const CancelToken &Cancel = CancelToken());
+
 /// Which derived statistics aggregate() appends as metric columns.
 struct AggregateOptions {
   bool WithSum = true;  ///< "<metric>" column: sum across profiles.

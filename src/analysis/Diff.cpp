@@ -6,12 +6,12 @@
 
 #include "analysis/Diff.h"
 
+#include "analysis/Aggregate.h"
 #include "profile/ProfileBuilder.h"
 #include "support/Trace.h"
 
 #include <cmath>
 #include <string_view>
-#include <limits>
 
 namespace ev {
 
@@ -55,25 +55,10 @@ DiffResult diffProfiles(const Profile &Base, const Profile &Test,
   // Base merges first, then test, which fixes the merged node ids.
   auto MergeSide = [&](const Profile &P, MetricId InputMetric,
                        MetricId SideMetric, uint8_t Bit) {
-    std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
-    OutNode[P.root()] = Merged.root();
-    constexpr FrameId Unmapped = std::numeric_limits<FrameId>::max();
-    std::vector<FrameId> FrameMap(P.frames().size(), Unmapped);
-    auto MapFrame = [&](FrameId F) {
-      if (FrameMap[F] == Unmapped)
-        FrameMap[F] = Merged.importFrame(P, F, ProfileBuilder::Address::Zero);
-      return FrameMap[F];
-    };
-    for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
-      if ((Id & 8191) == 0)
-        Cancel.checkpoint();
-      const CCTNode &Node = P.node(Id);
-      OutNode[Id] = Merged.child(OutNode[Node.Parent], MapFrame(Node.FrameRef));
-      if (Presence.size() <= OutNode[Id])
-        Presence.resize(OutNode[Id] + 1, 0);
-      Presence[OutNode[Id]] |= Bit;
-    }
+    std::vector<NodeId> OutNode = mergeTree(Merged, P, Cancel);
+    Presence.resize(Merged.nodeCount(), 0);
     for (NodeId Id = 0; Id < P.nodeCount(); ++Id) {
+      Presence[OutNode[Id]] |= Bit;
       double V = P.node(Id).metricOr(InputMetric);
       if (V != 0.0)
         Merged.addValue(OutNode[Id], SideMetric, V);
@@ -82,7 +67,6 @@ DiffResult diffProfiles(const Profile &Base, const Profile &Test,
 
   MergeSide(Base, Metric, Result.BaseMetric, /*Bit=*/1);
   MergeSide(Test, TestInput, Result.TestMetric, /*Bit=*/2);
-  Presence.resize(Merged.nodeCount(), 0);
 
   // Delta column (exclusive) and inclusive columns for tagging.
   Result.BaseInclusive.assign(Merged.nodeCount(), 0.0);

@@ -6,12 +6,12 @@
 
 #include "analysis/FleetAggregate.h"
 
+#include "analysis/Aggregate.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <string_view>
 
 namespace ev {
@@ -80,26 +80,7 @@ std::vector<MetricId> CohortAccumulator::mapMetrics(const Profile &P) {
 std::vector<NodeId> CohortAccumulator::mergeTree(const Profile &P,
                                                  const CancelToken &Cancel) {
   Frozen.reset();
-  // Map frames by textual identity (addresses are run-specific: ASLR).
-  constexpr FrameId Unmapped = std::numeric_limits<FrameId>::max();
-  std::vector<FrameId> FrameMap(P.frames().size(), Unmapped);
-  auto MapFrame = [&](FrameId F) {
-    if (FrameMap[F] == Unmapped)
-      FrameMap[F] = Shape.importFrame(P, F, ProfileBuilder::Address::Zero);
-    return FrameMap[F];
-  };
-
-  // Merge the input tree node by node (parents-first input order
-  // guarantees the parent is already mapped).
-  std::vector<NodeId> OutNode(P.nodeCount(), InvalidNode);
-  OutNode[P.root()] = Shape.root();
-  std::span<const NodeId> Parents = P.parents();
-  std::span<const FrameId> FrameRefs = P.frameRefs();
-  for (NodeId Id = 1; Id < P.nodeCount(); ++Id) {
-    if ((Id & 8191) == 0)
-      Cancel.checkpoint();
-    OutNode[Id] = Shape.child(OutNode[Parents[Id]], MapFrame(FrameRefs[Id]));
-  }
+  std::vector<NodeId> OutNode = ev::mergeTree(Shape, P, Cancel);
   Folded.resize(Shape.nodeCount(), 0);
   return OutNode;
 }

@@ -145,9 +145,6 @@ private:
   size_t Dropped = 0;
 };
 
-/// Historical name for FrameReader, kept for in-tree users.
-using MessageReader = FrameReader;
-
 } // namespace rpc
 } // namespace ev
 

@@ -19,7 +19,7 @@ Result<json::Value> MockIde::call(std::string_view Method,
   // Round-trip through the real wire framing so transport bugs surface in
   // every test that uses the mock.
   std::string WireOut = Server.handleWire(rpc::frame(Request));
-  rpc::MessageReader Reader;
+  rpc::FrameReader Reader;
   Reader.feed(WireOut);
   auto Response = Reader.poll();
   if (!Response)

@@ -42,14 +42,18 @@ namespace ev {
 namespace {
 
 /// The exact diagnostic a handler returns when it bails on the deadline;
-/// dispatch() maps it to the RequestTimeout error code.
+/// handleMessage() maps it to the RequestTimeout error code.
 constexpr const char *DeadlineDiag = "request deadline exceeded";
+
+/// The exact diagnostic of a cancelled request; handleMessage() maps it to
+/// the RequestCancelled error code.
+constexpr const char *CancelDiag = "request cancelled";
 
 /// The trace span label of a request naming no known method.
 constexpr const char *UnknownMethodLabel = "pvp/unknown";
 
 /// The exact diagnostic doSubscribe returns at the subscription cap;
-/// dispatch() maps it to the SubscriptionLimit error code.
+/// handleMessage() maps it to the SubscriptionLimit error code.
 constexpr const char *SubLimitDiag =
     "session is at its live-subscription cap";
 
@@ -57,41 +61,175 @@ constexpr const char *SubLimitDiag =
 /// bytes pair is what makes the compactness claim auditable in production:
 /// sub.deltaBytes / sub.fullViewBytes is the fleet-wide delta ratio.
 struct SubMetrics {
-  telemetry::Counter &Subscribed;
-  telemetry::Counter &Unsubscribed;
-  telemetry::Counter &Acks;
-  telemetry::Counter &Pushes;
-  telemetry::Counter &Ended;
-  telemetry::Counter &FullFallbacks;
-  telemetry::Counter &DeltaBytes;
-  telemetry::Counter &FullViewBytes;
+  telemetry::Counter &Subscribed, &Unsubscribed, &Acks, &Pushes, &Ended,
+      &FullFallbacks, &DeltaBytes, &FullViewBytes;
 
   static SubMetrics &get() {
     telemetry::Registry &R = telemetry::Registry::global();
-    static SubMetrics M{R.counter("sub.subscribed"),
-                        R.counter("sub.unsubscribed"),
-                        R.counter("sub.acks"),
-                        R.counter("sub.pushes"),
-                        R.counter("sub.ended"),
-                        R.counter("sub.fullFallbacks"),
-                        R.counter("sub.deltaBytes"),
-                        R.counter("sub.fullViewBytes")};
+    static SubMetrics M{
+        R.counter("sub.subscribed"),   R.counter("sub.unsubscribed"),
+        R.counter("sub.acks"),         R.counter("sub.pushes"),
+        R.counter("sub.ended"),        R.counter("sub.fullFallbacks"),
+        R.counter("sub.deltaBytes"),   R.counter("sub.fullViewBytes")};
     return M;
   }
 };
 
-/// Strict integer extraction: \returns false when \p Key is absent, not a
-/// number, or a number that is not exactly representable as int64 (NaN,
-/// infinity, fractional, or out of range). Every id-like parameter goes
-/// through this so a hostile 1e300 or NaN becomes a clean InvalidParams
-/// error instead of undefined behavior in the double-to-int cast.
-bool intParam(const json::Object &Params, std::string_view Key,
-              int64_t &Out) {
-  const json::Value *V = Params.find(Key);
-  return V && V->getInteger(Out);
+/// The exact diagnostic for a 'minSeverity' that names no severity.
+constexpr const char *SeverityDiag =
+    "invalid 'minSeverity' (expected note, info, warning, or error)";
+
+std::string noProfile(int64_t Id) {
+  return "no profile with id " + std::to_string(Id);
+}
+
+/// Resolves metric selector \p V (an index or a name) in \p P. An absent
+/// selector is metric 0, which \p P must have.
+Result<MetricId> resolveMetric(const Profile &P, const json::Value *V) {
+  int64_t Id = 0;
+  if (!V && P.metrics().empty())
+    return makeError("profile has no metrics");
+  if (V && V->isString()) {
+    MetricId M = P.findMetric(V->asString());
+    if (M == Profile::InvalidMetric)
+      return makeError("unknown metric '" + V->asString() + "'");
+    return M;
+  }
+  if (V && !V->isNumber())
+    return makeError("'metric' must be an index or a name");
+  if (V && (!V->getInteger(Id) || Id < 0 ||
+            static_cast<size_t>(Id) >= P.metrics().size()))
+    return makeError("metric index out of range");
+  return static_cast<MetricId>(Id);
+}
+
+/// The error for a required parameter that is absent or a parameter whose
+/// value is not of its kind: an optional one "must be" its kind, any other
+/// (and an id of any kind) is missing.
+std::string invalidParam(const PvpServer::ParamSpec &S) {
+  using K = PvpServer::ParamKind;
+  static constexpr std::pair<K, const char *> MustBe[] = {
+      {K::Metric, "an index or a name"}, {K::AnyMetric, "an index or a name"},
+      {K::ViewMetric, "an index or a name"}, {K::String, "a string"},
+      {K::Bool, "a boolean"}, {K::Count, "a non-negative integer"},
+      {K::Number, "a number"}, {K::Ratio, "a non-negative number"},
+      {K::Ids, "an array of node ids"},
+      {K::Names, "an array of rule ids or names"}, {K::Object, "an object"}};
+  if (!S.Invalid.empty())
+    return std::string(S.Invalid);
+  std::string Q = "'" + std::string(S.Name) + "'";
+  if (S.Kind == K::Cohort)
+    return "missing " + Q + " parameter (profile id or array of ids)";
+  for (auto [Kind, Phrase] : MustBe)
+    if (Kind == S.Kind && !S.Required)
+      return Q + " must be " + Phrase;
+  bool Text = S.Kind == K::String || S.Kind == K::Ids ||
+              S.Kind == K::Names || S.Kind == K::Object;
+  return (Text ? "missing " : "missing numeric ") + Q + " parameter";
+}
+
+/// The ids a profile-typed parameter names, which must be present and well
+/// formed: one for Profile and ProfileId, a non-empty list for Cohort.
+/// Ownership is the caller's to check.
+Result<std::vector<int64_t>> profileIds(const PvpServer::ParamSpec &S,
+                                        const json::Value *V) {
+  bool Cohort = S.Kind == PvpServer::ParamKind::Cohort;
+  int64_t Id;
+  if (!V || (!Cohort && !V->getInteger(Id)))
+    return makeError(invalidParam(S));
+  if (!Cohort)
+    return std::vector<int64_t>{Id};
+  std::string Q = "'" + std::string(S.Name) + "'";
+  std::vector<int64_t> Ids;
+  const json::Array One = V->isArray() ? json::Array() : json::Array{*V};
+  for (const json::Value &Entry : V->isArray() ? V->asArray() : One) {
+    if (!Entry.getInteger(Id))
+      return makeError(Q + (V->isArray()
+                                ? " must hold integer profile ids"
+                                : " must be a profile id or an array of ids"));
+    Ids.push_back(Id);
+  }
+  if (Ids.empty())
+    return makeError(Q + " cohort is empty");
+  return Ids;
 }
 
 } // namespace
+
+/// One Arg per declared parameter, present when required and of its kind.
+/// A resolved handle keeps its profile alive for the whole request.
+struct PvpServer::Args {
+  struct Arg {
+    const json::Value *Value = nullptr; ///< Null when absent.
+    int64_t Id = 0; ///< Ids, counts and the resolved MetricId or NodeId.
+    std::shared_ptr<const Profile> Handle;
+    const AggregatedProfile *Agg = nullptr;
+    std::vector<int64_t> Cohort;
+  };
+  const MethodEntry *Method = nullptr;
+  std::vector<Arg> Values; ///< In Method->Params order.
+
+  /// \returns the parameter \p Name, or nullptr when it is not declared.
+  const Arg *find(std::string_view Name) const {
+    for (size_t I = 0; I < Values.size(); ++I)
+      if (Method->Params[I].Name == Name)
+        return &Values[I];
+    return nullptr;
+  }
+  const json::Value *value(std::string_view Name) const {
+    assert(find(Name) && "parameter not declared");
+    return find(Name)->Value;
+  }
+  bool has(std::string_view Name) const { return value(Name); }
+  const Profile &profile(std::string_view Name = "profile") const {
+    return *find(Name)->Handle;
+  }
+  /// An id or count, \p Default when absent.
+  int64_t id(std::string_view Name, int64_t Default = 0) const {
+    return has(Name) ? find(Name)->Id : Default;
+  }
+  std::string_view str(std::string_view Name,
+                       std::string_view Default = {}) const {
+    return has(Name) ? std::string_view(value(Name)->asString()) : Default;
+  }
+  double number(std::string_view Name, double Default) const {
+    return has(Name) ? value(Name)->asNumber() : Default;
+  }
+  bool flag(std::string_view Name, bool Default) const {
+    return has(Name) ? value(Name)->asBool() : Default;
+  }
+  const json::Object &object(std::string_view Name) const {
+    return value(Name)->asObject();
+  }
+  const std::vector<int64_t> &cohort(std::string_view Name) const {
+    return find(Name)->Cohort;
+  }
+  const AggregatedProfile &aggregate() const { return *find("aggregate")->Agg; }
+  MetricId metric() const { return static_cast<MetricId>(id("metric")); }
+  NodeId node() const { return static_cast<NodeId>(id("node")); }
+  /// A ViewMetric resolved in \p View.
+  Result<MetricId> metricIn(const Profile &View) const {
+    return resolveMetric(View, value("metric"));
+  }
+  /// The entries of an Ids (Names) parameter, none when it is absent; an
+  /// entry that is not an integer (a string) is nullopt.
+  std::vector<std::optional<int64_t>> ids(std::string_view Name) const {
+    std::vector<std::optional<int64_t>> Out;
+    for (const json::Value &E : has(Name) ? value(Name)->asArray() : None) {
+      int64_t Id;
+      Out.push_back(E.getInteger(Id) ? std::optional(Id) : std::nullopt);
+    }
+    return Out;
+  }
+  std::vector<std::optional<std::string_view>>
+  names(std::string_view Name) const {
+    std::vector<std::optional<std::string_view>> Out;
+    for (const json::Value &E : has(Name) ? value(Name)->asArray() : None)
+      Out.push_back(E.isString() ? std::optional(E.stringOr("")) : std::nullopt);
+    return Out;
+  }
+  static inline const json::Array None;
+};
 
 PvpServer::PvpServer(ServerLimits Limits)
     : PvpServer(Limits, std::make_shared<ProfileStore>(),
@@ -140,80 +278,27 @@ std::shared_ptr<const Profile> PvpServer::profileHandle(int64_t Id) const {
   return Store->get(Id);
 }
 
-Result<std::shared_ptr<const Profile>>
-PvpServer::lookup(const json::Object &Params, std::string_view Key) const {
-  int64_t Id;
-  if (!intParam(Params, Key, Id))
-    return makeError("missing numeric '" + std::string(Key) + "' parameter");
-  std::shared_ptr<const Profile> P = profileHandle(Id);
-  if (!P)
-    return makeError("no profile with id " + std::to_string(Id));
-  return P;
-}
-
-namespace {
-
-/// Resolves the metric parameter: numeric index, name string, or default 0.
-Result<MetricId> metricParam(const Profile &P, const json::Object &Params) {
-  const json::Value *MV = Params.find("metric");
-  if (!MV) {
-    if (P.metrics().empty())
-      return makeError("profile has no metrics");
-    return MetricId(0);
-  }
-  if (MV->isNumber()) {
-    int64_t Id;
-    if (!MV->getInteger(Id) || Id < 0 ||
-        static_cast<size_t>(Id) >= P.metrics().size())
-      return makeError("metric index out of range");
-    return static_cast<MetricId>(Id);
-  }
-  if (MV->isString()) {
-    MetricId Id = P.findMetric(MV->asString());
-    if (Id == Profile::InvalidMetric)
-      return makeError("unknown metric '" + MV->asString() + "'");
-    return Id;
-  }
-  return makeError("'metric' must be an index or a name");
-}
-
-Result<NodeId> nodeParam(const Profile &P, const json::Object &Params) {
-  int64_t Id;
-  const json::Value *NV = Params.find("node");
-  if (!NV || !NV->isNumber())
-    return makeError("missing numeric 'node' parameter");
-  if (!NV->getInteger(Id) || Id < 0 ||
-      static_cast<size_t>(Id) >= P.nodeCount())
-    return makeError("node id out of range");
-  return static_cast<NodeId>(Id);
-}
-
-} // namespace
-
-Result<std::string> PvpServer::payloadParam(const json::Object &Params,
-                                            std::string *PathOut) const {
+Result<std::string> PvpServer::payload(const Args &A,
+                                       std::string *PathOut) const {
   std::string_view What = PathOut ? "profile" : "append";
   std::string Bytes;
-  if (const json::Value *DataV = Params.find("data");
-      DataV && DataV->isString()) {
-    Bytes = DataV->asString();
-  } else if (const json::Value *B64 = Params.find("dataBase64");
-             B64 && B64->isString()) {
-    if (B64->asString().size() / 4 * 3 > Limits.MaxOpenBytes)
+  if (A.has("data")) {
+    Bytes = A.str("data");
+  } else if (A.has("dataBase64")) {
+    std::string_view B64 = A.str("dataBase64");
+    if (B64.size() / 4 * 3 > Limits.MaxOpenBytes)
       return makeError(std::string(What) +
                        " payload exceeds the open size limit");
-    if (!base64Decode(B64->asString(), Bytes))
+    if (!base64Decode(B64, Bytes))
       return makeError("invalid base64 in 'dataBase64'");
-  } else if (const json::Value *PathV = Params.find("path");
-             PathOut && PathV && PathV->isString()) {
+  } else if (PathOut && A.has("path")) {
     // File loads retry with bounded exponential backoff: an editor saving
     // over the profile mid-read is transient, not fatal.
-    Result<std::string> Read =
-        readFileWithRetry(PathV->asString(), Limits.OpenRetry);
+    *PathOut = A.str("path");
+    Result<std::string> Read = readFileWithRetry(*PathOut, Limits.OpenRetry);
     if (!Read)
       return makeError(Read.error());
     Bytes = Read.take();
-    *PathOut = PathV->asString();
   } else {
     return makeError(PathOut
                          ? "pvp/open needs 'data', 'dataBase64', or 'path'"
@@ -226,14 +311,12 @@ Result<std::string> PvpServer::payloadParam(const json::Object &Params,
   return Bytes;
 }
 
-Result<json::Value> PvpServer::doOpen(const json::Object &Params) {
+Result<json::Value> PvpServer::doOpen(const Args &A) {
   std::string Path;
-  Result<std::string> Bytes = payloadParam(Params, &Path);
+  Result<std::string> Bytes = payload(A, &Path);
   if (!Bytes)
     return makeError(Bytes.error());
-  std::string Name = Path.empty() ? "profile" : Path;
-  if (const json::Value *NameV = Params.find("name"))
-    Name = NameV->stringOr("profile");
+  std::string Name(A.str("name", Path.empty() ? "profile" : Path));
 
   Result<Profile> P = convert::load(*Bytes, Name, Limits.Decode);
   if (!P)
@@ -259,14 +342,9 @@ Result<json::Value> PvpServer::doOpen(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doAppend(const json::Object &Params) {
-  int64_t Id;
-  if (!intParam(Params, "profile", Id))
-    return makeError("missing numeric 'profile' parameter");
-  if (!Owned.count(Id))
-    return makeError("no profile with id " + std::to_string(Id));
-
-  Result<std::string> Bytes = payloadParam(Params, nullptr);
+Result<json::Value> PvpServer::doAppend(const Args &A) {
+  int64_t Id = A.id("profile");
+  Result<std::string> Bytes = payload(A, nullptr);
   if (!Bytes)
     return makeError(Bytes.error());
 
@@ -287,10 +365,8 @@ Result<json::Value> PvpServer::doAppend(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doClose(const json::Object &Params) {
-  int64_t Id;
-  if (!intParam(Params, "profile", Id))
-    return makeError("missing numeric 'profile' parameter");
+Result<json::Value> PvpServer::doClose(const Args &A) {
+  int64_t Id = A.id("profile");
   bool Removed = Owned.erase(Id) > 0;
   if (Removed)
     Store->drop(Id);
@@ -300,75 +376,42 @@ Result<json::Value> PvpServer::doClose(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::computeView(const MethodEntry &View,
-                                           const json::Object &ViewParams) {
+Result<json::Value> PvpServer::doSubscribe(const Args &A) {
+  if (Subs.size() >= Limits.MaxSubscriptionsPerSession)
+    return makeError(SubLimitDiag);
+  int64_t Id = A.id("profile");
+  std::string_view View = A.str("view");
+  bool Flame = View == "flame";
+  if (!Flame && View != "treeTable")
+    return makeError("unknown view '" + std::string(View) +
+                     "' (flame, treeTable)");
+  const MethodEntry *ViewMethod =
+      findMethod(Flame ? "pvp/flame" : "pvp/treeTable");
+
+  json::Object ViewParams;
+  ViewParams.set("profile", Id);
+  if (A.has("params"))
+    for (const auto &[Key, V] : A.object("params"))
+      if (Key != "profile")
+        ViewParams.set(Key, V);
+
+  uint64_t Gen = Store->generationOf(Id);
   // Going through dispatch() (not doFlame/doTreeTable directly) buys two
   // properties: the shared view cache serves repeated computations, and
   // the payload is bit-for-bit what an explicit re-query of the same
   // params would return — the identity the delta codec is tested against.
-  json::Value Envelope = dispatch(View, ViewParams, /*Id=*/0);
-  const json::Object &Obj = Envelope.asObject();
-  if (const json::Value *Err = Obj.find("error")) {
-    std::string Message = "view computation failed";
-    if (Err->isObject())
-      if (const json::Value *MV = Err->asObject().find("message"))
-        Message = std::string(MV->stringOr(Message));
-    return makeError(Message);
-  }
-  const json::Value *ResultV = Obj.find("result");
-  if (!ResultV)
-    return makeError("view computation produced no result");
-  return *ResultV;
-}
-
-Result<json::Value> PvpServer::doSubscribe(const json::Object &Params) {
-  if (Subs.size() >= Limits.MaxSubscriptionsPerSession)
-    return makeError(SubLimitDiag);
-  int64_t Id;
-  if (!intParam(Params, "profile", Id))
-    return makeError("missing numeric 'profile' parameter");
-  if (!Owned.count(Id))
-    return makeError("no profile with id " + std::to_string(Id));
-
-  const json::Value *ViewV = Params.find("view");
-  if (!ViewV || !ViewV->isString())
-    return makeError("missing 'view' parameter (flame or treeTable)");
-  const MethodEntry *ViewMethod;
-  std::string RowsKey;
-  if (ViewV->asString() == "flame") {
-    ViewMethod = findMethod("pvp/flame");
-    RowsKey = "rects";
-  } else if (ViewV->asString() == "treeTable") {
-    ViewMethod = findMethod("pvp/treeTable");
-    RowsKey = "rows";
-  } else {
-    return makeError("unknown view '" + ViewV->asString() +
-                     "' (flame, treeTable)");
-  }
-
-  json::Object ViewParams;
-  ViewParams.set("profile", Id);
-  if (const json::Value *PV = Params.find("params")) {
-    if (!PV->isObject())
-      return makeError("'params' must be an object");
-    for (const auto &[Key, V] : PV->asObject())
-      if (Key != "profile")
-        ViewParams.set(Key, V);
-  }
-
-  uint64_t Gen = Store->generationOf(Id);
-  Result<json::Value> View = computeView(*ViewMethod, ViewParams);
-  if (!View)
-    return makeError(View.error());
+  Result<json::Value> Snapshot = dispatch(*ViewMethod, ViewParams);
+  if (!Snapshot)
+    return makeError(Snapshot.error());
 
   int64_t SubId = NextSubId++;
   Subscription &S = Subs[SubId];
   S.ProfileId = Id;
   S.View = ViewMethod;
-  S.RowsKey = std::move(RowsKey);
+  S.RowsKey = Flame ? "rects" : "rows";
   S.ViewParams = std::move(ViewParams);
   S.AckedGen = Gen;
-  S.AckedView = *View;
+  S.AckedView = *Snapshot;
   S.PushedGen = Gen;
   S.Sink = CurrentNotify;
   SubMetrics::get().Subscribed.add();
@@ -377,20 +420,16 @@ Result<json::Value> PvpServer::doSubscribe(const json::Object &Params) {
   Out.set("subscription", SubId);
   Out.set("profile", Id);
   Out.set("generation", Gen);
-  Out.set("view", *View);
+  Out.set("view", *Snapshot);
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doAck(const json::Object &Params) {
-  int64_t SubId;
-  if (!intParam(Params, "subscription", SubId))
-    return makeError("missing numeric 'subscription' parameter");
+Result<json::Value> PvpServer::doAck(const Args &A) {
+  int64_t SubId = A.id("subscription");
   auto It = Subs.find(SubId);
   if (It == Subs.end())
     return makeError("no subscription with id " + std::to_string(SubId));
-  int64_t Gen;
-  if (!intParam(Params, "generation", Gen) || Gen < 0)
-    return makeError("missing numeric 'generation' parameter");
+  int64_t Gen = A.id("generation");
 
   Subscription &S = It->second;
   bool Acked = false;
@@ -418,11 +457,8 @@ Result<json::Value> PvpServer::doAck(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doUnsubscribe(const json::Object &Params) {
-  int64_t SubId;
-  if (!intParam(Params, "subscription", SubId))
-    return makeError("missing numeric 'subscription' parameter");
-  bool Removed = Subs.erase(SubId) > 0;
+Result<json::Value> PvpServer::doUnsubscribe(const Args &A) {
+  bool Removed = Subs.erase(A.id("subscription")) > 0;
   if (Removed)
     SubMetrics::get().Unsubscribed.add();
   json::Object Out;
@@ -461,7 +497,7 @@ size_t PvpServer::publishSubscriptions() {
     // idempotent against the acked base, never chained on each other.
     if (Gen == S.AckedGen || Gen == S.PushedGen)
       continue;
-    Result<json::Value> View = computeView(*S.View, S.ViewParams);
+    Result<json::Value> View = dispatch(*S.View, S.ViewParams);
     if (!View) {
       endSubscription(SubId, S, View.error());
       Ended.push_back(SubId);
@@ -499,39 +535,24 @@ std::vector<json::Value> PvpServer::takeNotifications() {
   return Out;
 }
 
-Result<json::Value> PvpServer::doFlame(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-
-  std::string Shape = "top-down";
-  if (const json::Value *SV = Params.find("shape"); SV) {
-    if (!SV->isString())
-      return makeError("'shape' must be a string");
-    Shape = SV->asString();
-  }
-
+Result<json::Value> PvpServer::doFlame(const Args &A) {
   // Shape transforms produce a temporary tree; the geometry refers to it,
   // so node ids in the reply are resolved back to names eagerly.
-  std::optional<Profile> View = flameShape(**P, Shape, ActiveCancel);
+  std::string_view Shape = A.str("shape", "top-down");
+  std::optional<Profile> View = flameShape(A.profile(), Shape, ActiveCancel);
   if (!View)
-    return makeError("unknown shape '" + Shape +
+    return makeError("unknown shape '" + std::string(Shape) +
                      "' (top-down, bottom-up, flat)");
-
-  Result<MetricId> Metric = metricParam(*View, Params);
+  // The flat shape adds inclusive columns, so the metric resolves in the
+  // view.
+  Result<MetricId> Metric = A.metricIn(*View);
   if (!Metric)
     return makeError(Metric.error());
 
-  size_t MaxRects = 4096;
-  if (const json::Value *MR = Params.find("maxRects"); MR) {
-    int64_t Requested;
-    if (!MR->getInteger(Requested) || Requested < 0)
-      return makeError("'maxRects' must be a non-negative integer");
-    MaxRects = static_cast<size_t>(Requested);
-  }
   // Oversized budgets degrade to the server ceiling rather than erroring:
   // the reply is marked truncated and stays renderable.
-  MaxRects = std::min(MaxRects, Limits.MaxFlameRects);
+  size_t MaxRects = std::min(static_cast<size_t>(A.id("maxRects", 4096)),
+                             Limits.MaxFlameRects);
 
   FlameGraph Graph(*View, *Metric);
   json::Object Out;
@@ -563,21 +584,14 @@ Result<json::Value> PvpServer::doFlame(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doTreeTable(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  TreeTable Table(**P);
-  if (const json::Value *ExpandV = Params.find("expand"); ExpandV) {
-    if (!ExpandV->isArray())
-      return makeError("'expand' must be an array of node ids");
-    for (const json::Value &NV : ExpandV->asArray()) {
-      int64_t Node;
-      if (NV.getInteger(Node) && Node >= 0 &&
-          static_cast<size_t>(Node) < (*P)->nodeCount())
-        Table.expand(static_cast<NodeId>(Node));
-    }
-  } else if (!(*P)->metrics().empty()) {
+Result<json::Value> PvpServer::doTreeTable(const Args &A) {
+  const Profile &P = A.profile();
+  TreeTable Table(P);
+  if (A.has("expand")) {
+    for (std::optional<int64_t> Node : A.ids("expand"))
+      if (Node && *Node >= 0 && static_cast<size_t>(*Node) < P.nodeCount())
+        Table.expand(static_cast<NodeId>(*Node));
+  } else if (!P.metrics().empty()) {
     Table.expandHotPath(0);
   }
   json::Object Out;
@@ -597,7 +611,7 @@ Result<json::Value> PvpServer::doTreeTable(const json::Object &Params) {
     json::Object RO;
     RO.set("node", Row.Node);
     RO.set("depth", Row.Depth);
-    RO.set("name", std::string((*P)->nameOf(Row.Node)));
+    RO.set("name", std::string(P.nameOf(Row.Node)));
     RO.set("expandable", Row.Expandable);
     RO.set("expanded", Row.Expanded);
     Rows.push_back(std::move(RO));
@@ -608,60 +622,37 @@ Result<json::Value> PvpServer::doTreeTable(const json::Object &Params) {
   // Subscriptions pass includeText:false — the rendered text is O(table)
   // and rewrites wholesale on every generation, which would dominate the
   // delta; the row objects alone reconstruct the table.
-  bool IncludeText = true;
-  if (const json::Value *IT = Params.find("includeText"); IT && IT->isBool())
-    IncludeText = IT->asBool();
-  if (IncludeText)
+  if (A.flag("includeText", true))
     Out.set("text", Table.renderText());
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doCodeLink(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  Result<NodeId> Node = nodeParam(**P, Params);
-  if (!Node)
-    return makeError(Node.error());
-  const Frame &F = (*P)->frameOf(*Node);
+Result<json::Value> PvpServer::doCodeLink(const Args &A) {
+  const Profile &P = A.profile();
+  const Frame &F = P.frameOf(A.node());
   json::Object Out;
   Out.set("available", F.Loc.hasSourceMapping());
-  Out.set("file", std::string((*P)->text(F.Loc.File)));
+  Out.set("file", std::string(P.text(F.Loc.File)));
   Out.set("line", F.Loc.Line);
-  Out.set("module", std::string((*P)->text(F.Loc.Module)));
+  Out.set("module", std::string(P.text(F.Loc.Module)));
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doHover(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  Result<NodeId> Node = nodeParam(**P, Params);
-  if (!Node)
-    return makeError(Node.error());
-
+Result<json::Value> PvpServer::doHover(const Args &A) {
   json::Object Out;
-  Out.set("contents", hoverText(**P, *Node));
+  Out.set("contents", hoverText(A.profile(), A.node()));
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doCodeLens(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  const json::Value *FileV = Params.find("file");
-  if (!FileV || !FileV->isString())
-    return makeError("missing 'file' parameter");
-  const std::string &File = FileV->asString();
-
+Result<json::Value> PvpServer::doCodeLens(const Args &A) {
   json::Array Lenses;
-  for (const LineAnnotation &A : annotateFile(**P, File)) {
+  for (const LineAnnotation &L : annotateFile(A.profile(), A.str("file"))) {
     json::Object LO;
-    LO.set("line", A.Line);
-    LO.set("text", A.LensText);
-    LO.set("hotness", A.Hotness);
+    LO.set("line", L.Line);
+    LO.set("text", L.LensText);
+    LO.set("hotness", L.Hotness);
     json::Array Contexts;
-    for (NodeId Ctx : A.Contexts)
+    for (NodeId Ctx : L.Contexts)
       Contexts.push_back(Ctx);
     LO.set("contexts", std::move(Contexts));
     Lenses.push_back(std::move(LO));
@@ -671,32 +662,23 @@ Result<json::Value> PvpServer::doCodeLens(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doSummary(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
+Result<json::Value> PvpServer::doSummary(const Args &A) {
   json::Object Out;
-  Out.set("text", renderSummaryText(**P));
+  Out.set("text", renderSummaryText(A.profile()));
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doSearch(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  const json::Value *PatV = Params.find("pattern");
-  if (!PatV || !PatV->isString())
-    return makeError("missing 'pattern' parameter");
-  const std::string &Pattern = PatV->asString();
-
+Result<json::Value> PvpServer::doSearch(const Args &A) {
+  const Profile &P = A.profile();
+  std::string_view Pattern = A.str("pattern");
   json::Array Matches;
-  for (NodeId Id = 0; Id < (*P)->nodeCount(); ++Id) {
+  for (NodeId Id = 0; Id < P.nodeCount(); ++Id) {
     if ((Id & 4095) == 0) {
       ActiveCancel.checkpoint();
       if (deadlineExpired())
         return makeError(DeadlineDiag);
     }
-    if ((*P)->nameOf(Id).find(Pattern) != std::string_view::npos)
+    if (P.nameOf(Id).find(Pattern) != std::string_view::npos)
       Matches.push_back(Id);
   }
   json::Object Out;
@@ -705,33 +687,22 @@ Result<json::Value> PvpServer::doSearch(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doAggregate(const json::Object &Params) {
-  const json::Value *IdsV = Params.find("profiles");
-  if (!IdsV || !IdsV->isArray() || IdsV->asArray().empty())
-    return makeError("pvp/aggregate needs a non-empty 'profiles' array");
-  std::vector<int64_t> Ids;
-  for (const json::Value &IdV : IdsV->asArray()) {
-    int64_t InputId;
-    if (!IdV.getInteger(InputId))
-      return makeError("'profiles' must contain numeric ids");
-    if (!Owned.count(InputId))
-      return makeError("no profile with id " + std::to_string(InputId));
-    Ids.push_back(InputId);
-  }
-  AggregateOptions Opt;
-  Opt.WithMin = Opt.WithMax = Opt.WithMean = true;
-
+Result<json::Value> PvpServer::doAggregate(const Args &A) {
   // Held keeps every input alive for the whole aggregation even if
   // another session closes one mid-request.
   std::vector<std::shared_ptr<const Profile>> Held;
   std::vector<const Profile *> Inputs;
-  for (int64_t InputId : Ids) {
-    std::shared_ptr<const Profile> P = profileHandle(InputId);
+  for (std::optional<int64_t> InputId : A.ids("profiles")) {
+    if (!InputId)
+      return makeError("'profiles' must contain numeric ids");
+    std::shared_ptr<const Profile> P = profileHandle(*InputId);
     if (!P)
-      return makeError("no profile with id " + std::to_string(InputId));
+      return makeError(noProfile(*InputId));
     Inputs.push_back(P.get());
     Held.push_back(std::move(P));
   }
+  AggregateOptions Opt;
+  Opt.WithMin = Opt.WithMax = Opt.WithMean = true;
   AggregatedProfile Agg = aggregate(Inputs, Opt, ActiveCancel);
 
   // The registered profile shares the merged block with the histogram
@@ -740,94 +711,45 @@ Result<json::Value> PvpServer::doAggregate(const json::Object &Params) {
   json::Object Out;
   Out.set("profile", Id);
   Out.set("nodes", Agg.merged().nodeCount());
-  Out.set("inputs", Ids.size());
+  Out.set("inputs", Inputs.size());
   Aggregates.emplace(Id, std::move(Agg));
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doHistogram(const json::Object &Params) {
-  int64_t AggId;
-  if (!intParam(Params, "aggregate", AggId))
-    return makeError("missing numeric 'aggregate' parameter");
-  auto It = Aggregates.find(AggId);
-  if (It == Aggregates.end())
-    return makeError("no aggregate with id " + std::to_string(AggId));
-  const AggregatedProfile &Agg = It->second;
-
-  Result<NodeId> Node = nodeParam(Agg.merged(), Params);
-  if (!Node)
-    return makeError(Node.error());
+Result<json::Value> PvpServer::doHistogram(const Args &A) {
   // The merged profile lists the input metrics first, so an index or name
   // below inputMetricCount() is an input metric.
-  MetricId Metric = 0;
-  if (Params.find("metric")) {
-    Result<MetricId> M = metricParam(Agg.merged(), Params);
-    if (!M)
-      return makeError(M.error());
-    Metric = *M;
-  }
-  if (Metric >= Agg.inputMetricCount())
+  const AggregatedProfile &Agg = A.aggregate();
+  if (A.metric() >= Agg.inputMetricCount())
     return makeError("metric index out of aggregate input range");
 
   json::Array Series;
-  for (double V : Agg.perProfileInclusive(*Node, Metric))
+  for (double V : Agg.perProfileInclusive(A.node(), A.metric()))
     Series.push_back(V);
   json::Object Out;
   Out.set("series", std::move(Series));
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doDiff(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> Base = lookup(Params, "base");
-  if (!Base)
-    return makeError(Base.error());
-  Result<std::shared_ptr<const Profile>> Test = lookup(Params, "test");
-  if (!Test)
-    return makeError(Test.error());
-  Result<MetricId> Metric = metricParam(**Base, Params);
-  if (!Metric)
-    return makeError(Metric.error());
-
+Result<json::Value> PvpServer::doDiff(const Args &A) {
   DiffResult Diff =
-      diffProfiles(**Base, **Test, *Metric, /*RelativeEpsilon=*/1e-9,
-                   ActiveCancel);
-  size_t Added = 0, Deleted = 0, Increased = 0, Decreased = 0;
-  for (DiffTag Tag : Diff.Tags) {
-    switch (Tag) {
-    case DiffTag::Added:
-      ++Added;
-      break;
-    case DiffTag::Deleted:
-      ++Deleted;
-      break;
-    case DiffTag::Increased:
-      ++Increased;
-      break;
-    case DiffTag::Decreased:
-      ++Decreased;
-      break;
-    case DiffTag::Common:
-      break;
-    }
-  }
+      diffProfiles(A.profile("base"), A.profile("test"), A.metric(),
+                   /*RelativeEpsilon=*/1e-9, ActiveCancel);
+  auto Count = [&](DiffTag Tag) {
+    return static_cast<size_t>(
+        std::count(Diff.Tags.begin(), Diff.Tags.end(), Tag));
+  };
   json::Object Out;
   Out.set("profile", addProfile(std::move(Diff.Merged)));
-  Out.set("added", Added);
-  Out.set("deleted", Deleted);
-  Out.set("increased", Increased);
-  Out.set("decreased", Decreased);
+  Out.set("added", Count(DiffTag::Added));
+  Out.set("deleted", Count(DiffTag::Deleted));
+  Out.set("increased", Count(DiffTag::Increased));
+  Out.set("decreased", Count(DiffTag::Decreased));
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doQuery(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  const json::Value *ProgV = Params.find("program");
-  if (!ProgV || !ProgV->isString())
-    return makeError("missing 'program' parameter");
-
-  const std::string &Source = ProgV->asString();
+Result<json::Value> PvpServer::doQuery(const Args &A) {
+  std::string_view Source = A.str("program");
   if (std::optional<std::string> TooLarge =
           evql::programSizeError(Source, Limits.Analysis))
     return makeError(std::move(*TooLarge));
@@ -844,7 +766,7 @@ Result<json::Value> PvpServer::doQuery(const json::Object &Params) {
     Compiled = evql::compileProgram(*Prog, Limits.Analysis);
     Cache->programs().insert(CacheKey, Compiled);
   }
-  Result<evql::QueryOutput> Out = evql::runCompiled(**P, *Compiled);
+  Result<evql::QueryOutput> Out = evql::runCompiled(A.profile(), *Compiled);
   if (!Out)
     return makeError(Out.error());
 
@@ -861,26 +783,20 @@ Result<json::Value> PvpServer::doQuery(const json::Object &Params) {
   return json::Value(std::move(Reply));
 }
 
-Result<json::Value> PvpServer::doTransform(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  const json::Value *ShapeV = Params.find("shape");
-  if (!ShapeV || !ShapeV->isString())
-    return makeError("missing 'shape' parameter");
-  const std::string &Shape = ShapeV->asString();
-
+Result<json::Value> PvpServer::doTransform(const Args &A) {
+  const Profile &P = A.profile();
+  std::string_view Shape = A.str("shape");
   // A materialized top-down tree is a fresh copy (flameShape() would
   // share the block); the other view shapes are the flame ones.
   std::optional<Profile> Shaped;
   if (Shape == "top-down")
-    Shaped = topDownTree(**P, ActiveCancel);
+    Shaped = topDownTree(P, ActiveCancel);
   else if (Shape == "collapse-recursion")
-    Shaped = collapseRecursion(**P, ActiveCancel);
+    Shaped = collapseRecursion(P, ActiveCancel);
   else
-    Shaped = flameShape(**P, Shape, ActiveCancel);
+    Shaped = flameShape(P, Shape, ActiveCancel);
   if (!Shaped)
-    return makeError("unknown shape '" + Shape + "'");
+    return makeError("unknown shape '" + std::string(Shape) + "'");
 
   json::Object Out;
   Out.set("nodes", Shaped->nodeCount());
@@ -888,50 +804,24 @@ Result<json::Value> PvpServer::doTransform(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doPrune(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  Result<MetricId> Metric = metricParam(**P, Params);
-  if (!Metric)
-    return makeError(Metric.error());
-  double MinFraction = 0.001;
-  if (const json::Value *MF = Params.find("minFraction"); MF) {
-    if (!MF->isNumber())
-      return makeError("'minFraction' must be a number");
-    MinFraction = MF->asNumber();
-  }
+Result<json::Value> PvpServer::doPrune(const Args &A) {
+  double MinFraction = A.number("minFraction", 0.001);
   if (MinFraction < 0.0 || MinFraction > 1.0)
     return makeError("'minFraction' must be in [0, 1]");
-  Profile Pruned = pruneByFraction(**P, *Metric, MinFraction);
+  Profile Pruned = pruneByFraction(A.profile(), A.metric(), MinFraction);
   json::Object Out;
   Out.set("nodes", Pruned.nodeCount());
-  Out.set("removed", (*P)->nodeCount() - Pruned.nodeCount());
+  Out.set("removed", A.profile().nodeCount() - Pruned.nodeCount());
   Out.set("profile", addProfile(std::move(Pruned)));
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doExport(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  const json::Value *FmtV = Params.find("format");
-  if (!FmtV || !FmtV->isString())
-    return makeError("missing 'format' parameter");
-  const std::string &Fmt = FmtV->asString();
-  // An absent metric defaults to 0 even when the profile has none: the
-  // metric-free formats (evprof, pprof) never read it.
-  MetricId Metric = 0;
-  if (Params.find("metric")) {
-    Result<MetricId> M = metricParam(**P, Params);
-    if (!M)
-      return makeError(M.error());
-    Metric = *M;
-  }
-
-  std::optional<std::string> Bytes = convert::exportProfile(**P, Fmt, Metric);
+Result<json::Value> PvpServer::doExport(const Args &A) {
+  std::string_view Fmt = A.str("format");
+  std::optional<std::string> Bytes =
+      convert::exportProfile(A.profile(), Fmt, A.metric());
   if (!Bytes)
-    return makeError("unknown export format '" + Fmt + "'");
+    return makeError("unknown export format '" + std::string(Fmt) + "'");
 
   json::Object Out;
   Out.set("bytes", Bytes->size());
@@ -939,21 +829,11 @@ Result<json::Value> PvpServer::doExport(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doButterfly(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  const json::Value *FnV = Params.find("function");
-  if (!FnV || !FnV->isString())
-    return makeError("missing 'function' parameter");
-  Result<MetricId> Metric = metricParam(**P, Params);
-  if (!Metric)
-    return makeError(Metric.error());
-
-  ButterflyResult B = butterfly(**P, FnV->asString(), *Metric);
+Result<json::Value> PvpServer::doButterfly(const Args &A) {
+  std::string Function(A.str("function"));
+  ButterflyResult B = butterfly(A.profile(), Function, A.metric());
   if (B.Occurrences == 0)
-    return makeError("function '" + FnV->asString() +
-                     "' not found in the profile");
+    return makeError("function '" + Function + "' not found in the profile");
   auto ToArray = [](const std::vector<ButterflyEntry> &Entries) {
     json::Array Out;
     for (const ButterflyEntry &E : Entries) {
@@ -974,30 +854,20 @@ Result<json::Value> PvpServer::doButterfly(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doCorrelated(const json::Object &Params) {
-  Result<std::shared_ptr<const Profile>> P = lookup(Params);
-  if (!P)
-    return makeError(P.error());
-  const json::Value *KindV = Params.find("kind");
-  if (!KindV || !KindV->isString())
-    return makeError("missing 'kind' parameter");
-
-  CorrelatedView View(**P, KindV->asString());
+Result<json::Value> PvpServer::doCorrelated(const Args &A) {
+  const Profile &P = A.profile();
+  std::string Kind(A.str("kind"));
+  CorrelatedView View(P, Kind);
   if (View.roleCount() == 0)
-    return makeError("no context groups of kind '" + KindV->asString() +
-                     "'");
-  if (const json::Value *SelectV = Params.find("select");
-      SelectV && SelectV->isArray()) {
-    size_t Role = 0;
-    for (const json::Value &NV : SelectV->asArray()) {
-      int64_t Node;
-      if (!NV.getInteger(Node) || Node < 0)
-        return makeError("'select' must contain node ids");
-      if (!View.select(Role, static_cast<NodeId>(Node)))
-        return makeError("node " + std::to_string(Node) +
-                         " is not in pane " + std::to_string(Role));
-      ++Role;
-    }
+    return makeError("no context groups of kind '" + Kind + "'");
+  size_t Role = 0;
+  for (std::optional<int64_t> Node : A.ids("select")) {
+    if (!Node || *Node < 0)
+      return makeError("'select' must contain node ids");
+    if (!View.select(Role, static_cast<NodeId>(*Node)))
+      return makeError("node " + std::to_string(*Node) + " is not in pane " +
+                       std::to_string(Role));
+    ++Role;
   }
 
   json::Object Out;
@@ -1009,7 +879,7 @@ Result<json::Value> PvpServer::doCorrelated(const json::Object &Params) {
     for (auto &[Node, Value] : View.paneContexts(Role)) {
       json::Object CO;
       CO.set("node", Node);
-      CO.set("name", std::string((*P)->nameOf(Node)));
+      CO.set("name", std::string(P.nameOf(Node)));
       CO.set("value", Value);
       Contexts.push_back(std::move(CO));
     }
@@ -1027,35 +897,25 @@ struct DiagnosticFilter {
   RuleFilter Rules;
 };
 
-/// Parses 'maxDiagnostics' (which can only lower \p Analysis's cap),
-/// 'minSeverity' and 'disable'.
-Result<DiagnosticFilter> diagnosticFilterParam(const json::Object &Params,
-                                               const AnalysisLimits &Analysis) {
+/// Reads 'maxDiagnostics' (a positive value can only lower \p Analysis's
+/// cap), 'minSeverity' and 'disable'.
+Result<DiagnosticFilter> diagnosticFilter(const PvpServer::Args &A,
+                                          const AnalysisLimits &Analysis) {
   DiagnosticFilter F;
   F.Analysis = Analysis;
-  if (const json::Value *MV = Params.find("maxDiagnostics"); MV) {
-    int64_t MaxDiags;
-    if (MV->getInteger(MaxDiags) && MaxDiags > 0)
-      F.Analysis.MaxDiagnostics = std::min<size_t>(
-          F.Analysis.MaxDiagnostics, static_cast<size_t>(MaxDiags));
-  }
-  if (const json::Value *SV = Params.find("minSeverity")) {
-    if (!SV->isString() ||
-        !parseSeverity(SV->asString(), F.Rules.MinSeverity))
-      return makeError(
-          "invalid 'minSeverity' (expected note, info, warning, or error)");
-  }
-  if (const json::Value *DV = Params.find("disable")) {
-    if (!DV->isArray())
-      return makeError("'disable' must be an array of rule ids or names");
-    for (const json::Value &Entry : DV->asArray()) {
-      // Names are validated against the UNIFIED registry, matching the
-      // evtool subcommands: disabling another family's rule is accepted
-      // (and inert), only typos are errors.
-      if (!Entry.isString() || !findRule(Entry.asString()))
-        return makeError("unknown rule in 'disable'");
-      F.Rules.Disabled.push_back(Entry.asString());
-    }
+  if (int64_t MaxDiags = A.id("maxDiagnostics", 0); MaxDiags > 0)
+    F.Analysis.MaxDiagnostics = std::min<size_t>(
+        F.Analysis.MaxDiagnostics, static_cast<size_t>(MaxDiags));
+  if (A.has("minSeverity") &&
+      !parseSeverity(A.str("minSeverity"), F.Rules.MinSeverity))
+    return makeError(SeverityDiag);
+  for (std::optional<std::string_view> Rule : A.names("disable")) {
+    // Names are validated against the UNIFIED registry, matching the
+    // evtool subcommands: disabling another family's rule is accepted
+    // (and inert), only typos are errors.
+    if (!Rule || !findRule(*Rule))
+      return makeError("unknown rule in 'disable'");
+    F.Rules.Disabled.emplace_back(*Rule);
   }
   return F;
 }
@@ -1069,25 +929,17 @@ json::Object diagnosticsReply(const DiagnosticSet &Diags,
                               std::string_view Key,
                               const std::function<bool()> &Expired) {
   size_t Errors = 0, Warnings = 0, Kept = 0;
-  for (const Diagnostic &D : Diags.all()) {
-    if (!Filter.Rules.keeps(D))
-      continue;
-    ++Kept;
-    if (D.Sev == Severity::Error)
-      ++Errors;
-    else if (D.Sev == Severity::Warning)
-      ++Warnings;
-  }
-
   json::Array Arr;
   bool DeadlineHit = false;
   for (const Diagnostic &D : Diags.all()) {
     if (!Filter.Rules.keeps(D))
       continue;
-    if ((Arr.size() & 255) == 0 && Expired()) {
-      DeadlineHit = true;
-      break;
-    }
+    ++Kept;
+    Errors += D.Sev == Severity::Error;
+    Warnings += D.Sev == Severity::Warning;
+    // Past the deadline the rest is only counted.
+    if (DeadlineHit || ((Arr.size() & 255) == 0 && (DeadlineHit = Expired())))
+      continue;
     json::Object DO;
     DO.set("id", D.Id);
     DO.set("severity", std::string(severityName(D.Sev)));
@@ -1118,37 +970,22 @@ json::Object diagnosticsReply(const DiagnosticSet &Diags,
 
 } // namespace
 
-Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
-  const json::Value *ProgV = Params.find("program");
-  const json::Value *ProfV = Params.find("profile");
-  if (!ProgV && !ProfV)
+Result<json::Value> PvpServer::doDiagnostics(const Args &A) {
+  if (!A.has("program") && !A.has("profile"))
     return makeError("pvp/diagnostics needs 'program' and/or 'profile'");
-  if (ProgV && !ProgV->isString())
-    return makeError("'program' must be a string");
-
-  Result<DiagnosticFilter> Filter =
-      diagnosticFilterParam(Params, Limits.Analysis);
+  Result<DiagnosticFilter> Filter = diagnosticFilter(A, Limits.Analysis);
   if (!Filter)
     return makeError(Filter.error());
-
-  std::shared_ptr<const Profile> Held;
-  const Profile *P = nullptr;
-  if (ProfV) {
-    Result<std::shared_ptr<const Profile>> L = lookup(Params);
-    if (!L)
-      return makeError(L.error());
-    Held = *L;
-    P = Held.get();
-  }
+  const Profile *P = A.has("profile") ? &A.profile() : nullptr;
 
   // Batch both passes into one diagnostic set: program findings first
   // (they carry source spans), then profile findings.
   DiagnosticSet Diags(Filter->Analysis.MaxDiagnostics);
-  if (ProgV) {
+  if (A.has("program")) {
     SemaOptions SOpts;
     SOpts.MetricSource = P;
     SOpts.Limits = Filter->Analysis;
-    SemaChecker(SOpts).checkSource(ProgV->asString(), Diags);
+    SemaChecker(SOpts).checkSource(A.str("program"), Diags);
   }
   if (P) {
     LintOptions LOpts;
@@ -1161,81 +998,19 @@ Result<json::Value> PvpServer::doDiagnostics(const json::Object &Params) {
                                       [this] { return deadlineExpired(); }));
 }
 
-namespace {
-
-/// Parses a cohort parameter: a single profile id or a non-empty array of
-/// ids.
-Result<std::vector<int64_t>> cohortParam(const json::Object &Params,
-                                         std::string_view Key) {
-  const json::Value *V = Params.find(Key);
-  if (!V)
-    return makeError("missing '" + std::string(Key) +
-                     "' parameter (profile id or array of ids)");
-  std::vector<int64_t> Out;
-  if (V->isArray()) {
-    for (const json::Value &Entry : V->asArray()) {
-      int64_t Id;
-      if (!Entry.getInteger(Id))
-        return makeError("'" + std::string(Key) +
-                         "' must hold integer profile ids");
-      Out.push_back(Id);
-    }
-  } else {
-    int64_t Id;
-    if (!V->getInteger(Id))
-      return makeError("'" + std::string(Key) +
-                       "' must be a profile id or an array of ids");
-    Out.push_back(Id);
-  }
-  if (Out.empty())
-    return makeError("'" + std::string(Key) + "' cohort is empty");
-  return Out;
-}
-
-/// Optional non-negative number parameter; leaves \p Out untouched when
-/// absent. \returns false on a present-but-invalid value.
-bool ratioParam(const json::Object &Params, std::string_view Key,
-                double &Out) {
-  const json::Value *V = Params.find(Key);
-  if (!V)
-    return true;
-  if (!V->isNumber() || !(V->asNumber() >= 0.0))
-    return false;
-  Out = V->asNumber();
-  return true;
-}
-
-} // namespace
-
-Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
-  Result<std::vector<int64_t>> BaseIds = cohortParam(Params, "base");
-  if (!BaseIds)
-    return makeError(BaseIds.error());
-  Result<std::vector<int64_t>> TestIds = cohortParam(Params, "test");
-  if (!TestIds)
-    return makeError(TestIds.error());
-
-  Result<DiagnosticFilter> Filter =
-      diagnosticFilterParam(Params, Limits.Analysis);
+Result<json::Value> PvpServer::doRegressions(const Args &A) {
+  Result<DiagnosticFilter> Filter = diagnosticFilter(A, Limits.Analysis);
   if (!Filter)
     return makeError(Filter.error());
   RegressionOptions Opts;
   Opts.Limits = Filter->Analysis;
   Opts.Filter = Filter->Rules;
-  if (!ratioParam(Params, "relativeMin", Opts.RelativeMin))
-    return makeError("'relativeMin' must be a non-negative number");
-  if (!ratioParam(Params, "absoluteMin", Opts.AbsoluteMin))
-    return makeError("'absoluteMin' must be a non-negative number");
-  if (!ratioParam(Params, "sigma", Opts.SigmaGate))
-    return makeError("'sigma' must be a non-negative number");
-
+  Opts.RelativeMin = A.number("relativeMin", Opts.RelativeMin);
+  Opts.AbsoluteMin = A.number("absoluteMin", Opts.AbsoluteMin);
+  Opts.SigmaGate = A.number("sigma", Opts.SigmaGate);
   FleetAggregateOptions AggOpts;
-  if (const json::Value *BV = Params.find("nodeBudget"); BV) {
-    int64_t Budget;
-    if (!BV->getInteger(Budget) || Budget < 0)
-      return makeError("'nodeBudget' must be a non-negative integer");
-    AggOpts.NodeBudget = static_cast<size_t>(Budget);
-  }
+  AggOpts.NodeBudget = static_cast<size_t>(
+      A.id("nodeBudget", static_cast<int64_t>(AggOpts.NodeBudget)));
 
   // Stream each cohort member through the accumulator. Memory stays
   // O(merged CCT): profiles live in the store either way, but the cohort
@@ -1250,15 +1025,15 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
         return makeError(DeadlineDiag);
       std::shared_ptr<const Profile> P = profileHandle(ProfId);
       if (!P)
-        return makeError("no profile with id " + std::to_string(ProfId));
+        return makeError(noProfile(ProfId));
       Acc.add(*P, ActiveCancel);
     }
     return true;
   };
   CohortAccumulator Base(AggOpts), Test(AggOpts);
-  if (Result<bool> R = Fill(*BaseIds, Base); !R)
+  if (Result<bool> R = Fill(A.cohort("base"), Base); !R)
     return makeError(R.error());
-  if (Result<bool> R = Fill(*TestIds, Test); !R)
+  if (Result<bool> R = Fill(A.cohort("test"), Test); !R)
     return makeError(R.error());
 
   // The analyzer applies the same filter while emitting, so the reply's
@@ -1272,7 +1047,7 @@ Result<json::Value> PvpServer::doRegressions(const json::Object &Params) {
   return json::Value(std::move(Reply));
 }
 
-Result<json::Value> PvpServer::doStats(const json::Object &) {
+Result<json::Value> PvpServer::doStats(const Args &) {
   json::Object Out;
   Out.set("profiles", static_cast<int64_t>(Owned.size()));
   // Cache counters live on the SHARED cache object, so every session
@@ -1308,10 +1083,9 @@ Result<json::Value> PvpServer::doStats(const json::Object &) {
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doMetrics(const json::Object &Params) {
+Result<json::Value> PvpServer::doMetrics(const Args &A) {
   telemetry::SnapshotOptions Opts;
-  if (const json::Value *T = Params.find("includeTimings"); T && T->isBool())
-    Opts.IncludeTimings = T->asBool();
+  Opts.IncludeTimings = A.flag("includeTimings", Opts.IncludeTimings);
   json::Value Snap = telemetry::Registry::global().snapshot(Opts);
 
   json::Object Out;
@@ -1330,22 +1104,17 @@ Result<json::Value> PvpServer::doMetrics(const json::Object &Params) {
   Spans.set("lanes", static_cast<uint64_t>(trace::laneCount()));
   Out.set("spans", std::move(Spans));
 
-  Result<json::Value> Stats = doStats(Params);
-  if (!Stats)
-    return Stats;
-  Out.set("stats", Stats.take());
+  Out.set("stats", doStats(A).take());
   return json::Value(std::move(Out));
 }
 
-Result<json::Value> PvpServer::doSelfProfile(const json::Object &Params) {
+Result<json::Value> PvpServer::doSelfProfile(const Args &A) {
   std::vector<trace::SpanRecord> Records = trace::collectSpans();
   if (Records.empty())
     return makeError("no spans retained (tracing disabled or nothing ran)");
 
-  std::string Name = "easyview-self";
-  if (const json::Value *NV = Params.find("name"); NV && NV->isString())
-    Name = NV->asString();
-  Profile Self = trace::toProfile(Name);
+  Profile Self =
+      trace::toProfile(std::string(A.str("name", "easyview-self")));
   Result<bool> Ok = Self.verify();
   if (!Ok)
     return makeError("self-profile failed verification: " + Ok.error());
@@ -1357,7 +1126,7 @@ Result<json::Value> PvpServer::doSelfProfile(const json::Object &Params) {
   // move: the profiler profiled with its own representation.
   int64_t Id = addProfile(std::move(Self));
 
-  if (const json::Value *RV = Params.find("reset"); RV && RV->boolOr(false))
+  if (A.flag("reset", false))
     trace::clear();
 
   json::Object Out;
@@ -1369,89 +1138,78 @@ Result<json::Value> PvpServer::doSelfProfile(const json::Object &Params) {
   return json::Value(std::move(Out));
 }
 
-namespace {
-
-/// The profiles a successful reply is a pure function of. Naming them
-/// makes a method memoized in the view cache; None is never cached.
-enum class Deps : uint8_t {
-  None,
-  Profile, ///< The 'profile' param.
-  Cohorts, ///< Every id of the 'base' and 'test' cohorts.
-};
-
-} // namespace
-
-/// One row of the PVP method table: the handler, its pinned latency
-/// histogram, and the policy dispatch() applies around it. docs/PVP.md
-/// lists every method's policy.
-struct PvpServer::MethodEntry {
-  std::string_view Name; ///< Views a string literal (a span label).
-  Result<json::Value> (PvpServer::*Run)(const json::Object &);
-  Deps DependsOn = Deps::None;
-  /// Success bumps the 'profile' param's generation, retiring every
-  /// cached view of it and waking its subscriptions.
-  bool Retires = false;
-  telemetry::Histogram *Latency = nullptr;
-};
-
-namespace {
-
-/// The profile ids \p On names in \p Params, or nullopt when they are
-/// missing or malformed (the handler reports that).
-std::optional<std::vector<int64_t>>
-referencedProfiles(Deps On, const json::Object &Params) {
-  std::vector<int64_t> Ids;
-  if (On == Deps::Profile) {
-    int64_t Id;
-    if (!intParam(Params, "profile", Id))
-      return std::nullopt;
-    Ids.push_back(Id);
-  } else if (On == Deps::Cohorts) {
-    for (std::string_view Key : {"base", "test"}) {
-      Result<std::vector<int64_t>> Cohort = cohortParam(Params, Key);
-      if (!Cohort)
-        return std::nullopt;
-      Ids.insert(Ids.end(), Cohort->begin(), Cohort->end());
-    }
-  }
-  return Ids;
-}
-
-} // namespace
-
 const std::vector<PvpServer::MethodEntry> &PvpServer::methods() {
   // Built once: a client naming unknown methods registers nothing. Each
   // method name is declared here and nowhere else.
   static const std::vector<MethodEntry> Table = [] {
     using S = PvpServer;
+    using K = ParamKind;
+    constexpr bool Req = true, Cached = true, Retires = true;
+    const ParamSpec Prof{"profile", K::Profile, Req},
+        Node{"node", K::Node, Req}, MaxDiags{"maxDiagnostics", K::Count},
+        MinSeverity{"minSeverity", K::String, false, SeverityDiag},
+        Disable{"disable", K::Names};
     std::vector<MethodEntry> T = {
-        {"pvp/open", &S::doOpen},
-        {"pvp/append", &S::doAppend},
-        {"pvp/subscribe", &S::doSubscribe},
-        {"pvp/ack", &S::doAck},
-        {"pvp/unsubscribe", &S::doUnsubscribe},
-        {"pvp/close", &S::doClose},
-        {"pvp/flame", &S::doFlame, Deps::Profile},
-        {"pvp/treeTable", &S::doTreeTable, Deps::Profile},
-        {"pvp/codeLink", &S::doCodeLink},
-        {"pvp/hover", &S::doHover},
-        {"pvp/codeLens", &S::doCodeLens},
-        {"pvp/summary", &S::doSummary, Deps::Profile},
-        {"pvp/search", &S::doSearch},
-        {"pvp/aggregate", &S::doAggregate},
-        {"pvp/histogram", &S::doHistogram},
-        {"pvp/diff", &S::doDiff},
-        {"pvp/query", &S::doQuery, Deps::None, /*Retires=*/true},
-        {"pvp/transform", &S::doTransform, Deps::None, /*Retires=*/true},
-        {"pvp/prune", &S::doPrune, Deps::None, /*Retires=*/true},
-        {"pvp/export", &S::doExport},
-        {"pvp/butterfly", &S::doButterfly},
-        {"pvp/correlated", &S::doCorrelated},
-        {"pvp/diagnostics", &S::doDiagnostics},
-        {"pvp/regressions", &S::doRegressions, Deps::Cohorts},
-        {"pvp/stats", &S::doStats},
-        {"pvp/metrics", &S::doMetrics},
-        {"pvp/selfProfile", &S::doSelfProfile},
+        {"pvp/open", &S::doOpen,
+         {{"data", K::String}, {"dataBase64", K::String}, {"path", K::String},
+          {"name", K::String}}},
+        {"pvp/append", &S::doAppend,
+         {{"profile", K::ProfileId, Req}, {"data", K::String},
+          {"dataBase64", K::String}}},
+        {"pvp/subscribe", &S::doSubscribe,
+         {{"profile", K::ProfileId, Req},
+          {"view", K::String, Req,
+           "missing 'view' parameter (flame or treeTable)"},
+          {"params", K::Object}}},
+        {"pvp/ack", &S::doAck,
+         {{"subscription", K::Int, Req}, {"generation", K::Count, Req}}},
+        {"pvp/unsubscribe", &S::doUnsubscribe, {{"subscription", K::Int, Req}}},
+        {"pvp/close", &S::doClose, {{"profile", K::Int, Req}}},
+        {"pvp/flame", &S::doFlame,
+         {Prof, {"shape", K::String}, {"metric", K::ViewMetric},
+          {"maxRects", K::Count}},
+         Cached},
+        {"pvp/treeTable", &S::doTreeTable,
+         {Prof, {"expand", K::Ids}, {"includeText", K::Bool}}, Cached},
+        {"pvp/codeLink", &S::doCodeLink, {Prof, Node}},
+        {"pvp/hover", &S::doHover, {Prof, Node}},
+        {"pvp/codeLens", &S::doCodeLens, {Prof, {"file", K::String, Req}}},
+        {"pvp/summary", &S::doSummary, {Prof}, Cached},
+        {"pvp/search", &S::doSearch, {Prof, {"pattern", K::String, Req}}},
+        {"pvp/aggregate", &S::doAggregate,
+         {{"profiles", K::Ids, Req,
+           "pvp/aggregate needs a non-empty 'profiles' array"}}},
+        {"pvp/histogram", &S::doHistogram,
+         {{"aggregate", K::Aggregate, Req}, Node, {"metric", K::AnyMetric}}},
+        {"pvp/diff", &S::doDiff,
+         {{"base", K::Profile, Req}, {"test", K::Profile, Req},
+          {"metric", K::Metric}}},
+        {"pvp/query", &S::doQuery, {Prof, {"program", K::String, Req}},
+         !Cached, Retires},
+        {"pvp/transform", &S::doTransform, {Prof, {"shape", K::String, Req}},
+         !Cached, Retires},
+        {"pvp/prune", &S::doPrune,
+         {Prof, {"metric", K::Metric}, {"minFraction", K::Number}}, !Cached,
+         Retires},
+        {"pvp/export", &S::doExport,
+         {Prof, {"format", K::String, Req}, {"metric", K::AnyMetric}}},
+        {"pvp/butterfly", &S::doButterfly,
+         {Prof, {"function", K::String, Req}, {"metric", K::Metric}}},
+        {"pvp/correlated", &S::doCorrelated,
+         {Prof, {"kind", K::String, Req}, {"select", K::Ids}}},
+        {"pvp/diagnostics", &S::doDiagnostics,
+         {{"program", K::String}, MaxDiags, MinSeverity, Disable,
+          {"profile", K::Profile}}},
+        {"pvp/regressions", &S::doRegressions,
+         {{"base", K::Cohort, Req}, {"test", K::Cohort, Req}, MaxDiags,
+          MinSeverity, Disable, {"relativeMin", K::Ratio},
+          {"absoluteMin", K::Ratio}, {"sigma", K::Ratio},
+          {"nodeBudget", K::Count}},
+         Cached},
+        {"pvp/stats", &S::doStats, {}},
+        {"pvp/metrics", &S::doMetrics, {{"includeTimings", K::Bool}}},
+        {"pvp/selfProfile", &S::doSelfProfile,
+         {{"name", K::String}, {"reset", K::Bool}}},
     };
     telemetry::Registry &Reg = telemetry::Registry::global();
     for (MethodEntry &E : T)
@@ -1468,46 +1226,134 @@ const PvpServer::MethodEntry *PvpServer::findMethod(std::string_view Method) {
   return nullptr;
 }
 
-std::vector<std::string_view> PvpServer::methodNames() {
-  std::vector<std::string_view> Names;
-  for (const MethodEntry &E : methods())
-    Names.push_back(E.Name);
-  return Names;
-}
-
-json::Value PvpServer::dispatch(const MethodEntry &Method,
-                                const json::Object &Params, int64_t Id) {
-  // Memoized fast path: a method that declares the profiles its reply
-  // depends on is served straight from the LRU. The key folds in each
-  // profile's generation, the cache's one staleness rule: a view of an old
-  // generation is never looked up again. Ownership gates the cache:
-  // sessions share one LRU keyed by globally unique profile ids, so
-  // without the check a session could be served a view of a profile it
-  // never opened.
-  std::string CacheKey;
-  std::vector<int64_t> CacheProfiles;
-  if (Method.DependsOn != Deps::None && Cache->capacity() != 0) {
-    std::optional<std::vector<int64_t>> Ids =
-        referencedProfiles(Method.DependsOn, Params);
-    if (Ids && std::all_of(Ids->begin(), Ids->end(),
-                           [&](int64_t P) { return Owned.count(P) > 0; })) {
-      CacheKey = std::string(Method.Name) + '|';
-      for (int64_t P : *Ids)
-        CacheKey += std::to_string(P) + ':' +
-                    std::to_string(Store->generationOf(P)) + ',';
-      CacheKey += '|' + json::Value(Params).dump();
-      if (std::optional<json::Value> Hit = Cache->lookup(CacheKey))
-        return rpc::makeResponse(Id, std::move(*Hit));
-      CacheProfiles = std::move(*Ids);
+std::optional<std::string>
+PvpServer::cacheKey(const MethodEntry &Method, const json::Object &Params,
+                    std::vector<int64_t> &Profiles) const {
+  // Only declared members enter the key, in declaration order, so member
+  // order and members no handler reads do not split an entry.
+  std::string Key(Method.Name);
+  for (const ParamSpec &S : Method.Params) {
+    const json::Value *V = Params.find(S.Name);
+    if (!isProfileTyped(S.Kind)) {
+      if (V)
+        Key.append("|").append(S.Name).append("=").append(V->dump());
+      continue;
+    }
+    Result<std::vector<int64_t>> Ids = profileIds(S, V);
+    if (!Ids)
+      return std::nullopt;
+    Key.append("|").append(S.Name).append("=");
+    for (int64_t P : *Ids) {
+      if (!Owned.count(P))
+        return std::nullopt;
+      Key += std::to_string(P) + ':' +
+             std::to_string(Store->generationOf(P)) + ',';
+      Profiles.push_back(P);
     }
   }
+  return Key;
+}
+
+Result<PvpServer::Args>
+PvpServer::parseArgs(const MethodEntry &Method,
+                     const json::Object &Params) const {
+  using K = ParamKind;
+  Args A{&Method, std::vector<Args::Arg>(Method.Params.size())};
+  // Metric and Node parameters resolve in the first profile or aggregate.
+  const Profile *Subject = nullptr;
+  for (size_t I = 0; I < Method.Params.size(); ++I) {
+    const ParamSpec &S = Method.Params[I];
+    Args::Arg &Out = A.Values[I];
+    const json::Value *V = Out.Value = Params.find(S.Name);
+    if (!V && S.Required)
+      return makeError(invalidParam(S));
+    if (!V && S.Kind != K::Metric)
+      continue;
+    if (isProfileTyped(S.Kind)) {
+      Result<std::vector<int64_t>> Ids = profileIds(S, V);
+      if (!Ids)
+        return makeError(Ids.error());
+      if (S.Kind == K::Cohort) {
+        Out.Cohort = Ids.take();
+        continue;
+      }
+      Out.Id = Ids->front();
+      if (S.Kind == K::Profile)
+        Out.Handle = profileHandle(Out.Id);
+      if (S.Kind == K::Profile ? !Out.Handle : !Owned.count(Out.Id))
+        return makeError(noProfile(Out.Id));
+      Subject = Subject ? Subject : Out.Handle.get();
+      continue;
+    }
+    if (S.Kind == K::Metric || S.Kind == K::AnyMetric) {
+      Result<MetricId> M = resolveMetric(*Subject, V);
+      if (!M)
+        return makeError(M.error());
+      Out.Id = *M;
+      continue;
+    }
+    if (S.Kind == K::Node && V->isNumber()) {
+      if (!V->getInteger(Out.Id) || Out.Id < 0 ||
+          static_cast<size_t>(Out.Id) >= Subject->nodeCount())
+        return makeError("node id out of range");
+      continue;
+    }
+    if (S.Kind == K::Aggregate && V->getInteger(Out.Id)) {
+      auto It = Aggregates.find(Out.Id);
+      if (It == Aggregates.end())
+        return makeError("no aggregate with id " + std::to_string(Out.Id));
+      Out.Agg = &It->second;
+      Subject = &Out.Agg->merged();
+      continue;
+    }
+    // A ViewMetric is resolved by its handler; a Node or Aggregate that
+    // got here is not a number.
+    bool Ok = S.Kind == K::String   ? V->isString()
+              : S.Kind == K::Bool   ? V->isBool()
+              : S.Kind == K::Int    ? V->getInteger(Out.Id)
+              : S.Kind == K::Count  ? V->getInteger(Out.Id) && Out.Id >= 0
+              : S.Kind == K::Number ? V->isNumber()
+              : S.Kind == K::Ratio  ? V->isNumber() && V->asNumber() >= 0.0
+              : S.Kind == K::Ids    ? V->isArray() &&
+                                       !(S.Required && V->asArray().empty())
+              : S.Kind == K::Names  ? V->isArray()
+              : S.Kind == K::Object ? V->isObject()
+                                    : S.Kind == K::ViewMetric;
+    if (!Ok)
+      return makeError(invalidParam(S));
+  }
+  return A;
+}
+
+Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
+                                        const json::Object &Params) {
+  // Memoized fast path: a cached method is served straight from the LRU,
+  // before any other parameter is checked. The key folds in the generation
+  // of each profile its profile-typed parameters name, the cache's one
+  // staleness rule: a view of an old generation is never looked up again.
+  // Ownership gates the cache: sessions share one LRU keyed by globally
+  // unique profile ids, so without the check a session could be served a
+  // view of a profile it never opened.
+  std::string CacheKey;
+  std::vector<int64_t> CacheProfiles;
+  if (Method.Cached && Cache->capacity() != 0) {
+    if (std::optional<std::string> Key =
+            cacheKey(Method, Params, CacheProfiles)) {
+      if (std::optional<json::Value> Hit = Cache->lookup(*Key))
+        return std::move(*Hit);
+      CacheKey = std::move(*Key);
+    }
+  }
+  Result<Args> A = parseArgs(Method, Params);
+  if (!A)
+    return makeError(A.error());
   // The 'profile' this session owned when the request arrived. A retiring
   // method bumps only such a profile: closing another session's id changes
   // nothing of it. Whatever ends its generation during the request (the
   // bump below, a close's drop, an append's own bump) retires its views.
-  int64_t Arrived = 0;
-  bool OwnedOnArrival =
-      intParam(Params, "profile", Arrived) && Owned.count(Arrived);
+  const Args::Arg *Target = A->find("profile");
+  bool OwnedOnArrival = Target && Target->Value && Owned.count(Target->Id);
+  int64_t Arrived = OwnedOnArrival ? Target->Id : 0;
   uint64_t GenBefore = OwnedOnArrival ? Store->generationOf(Arrived) : 0;
 
   // Arm the soft per-request deadline; long-running handler loops check
@@ -1516,22 +1362,16 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
       Limits.RequestDeadlineMs == 0 ? 0 : NowMs() + Limits.RequestDeadlineMs;
   Result<json::Value> R = makeError("unreachable");
   try {
-    R = (this->*Method.Run)(Params);
+    R = (this->*Method.Run)(*A);
   } catch (const CancelledException &) {
     // Cooperative cancellation unwound the handler. The reply is an
     // error, so nothing below touches the view cache: no partial view is
     // memoized and no valid entry is displaced.
-    RequestDeadline = 0;
-    return rpc::makeErrorResponse(Id, rpc::RequestCancelled,
-                                  "request cancelled");
+    R = makeError(CancelDiag);
   }
   RequestDeadline = 0;
-  if (!R) {
-    int Code = R.error() == DeadlineDiag    ? rpc::RequestTimeout
-               : R.error() == SubLimitDiag  ? rpc::SubscriptionLimit
-                                            : rpc::InvalidParams;
-    return rpc::makeErrorResponse(Id, Code, R.error());
-  }
+  if (!R)
+    return R;
   if (OwnedOnArrival) {
     if (Method.Retires)
       Store->bumpGeneration(Arrived);
@@ -1546,7 +1386,7 @@ json::Value PvpServer::dispatch(const MethodEntry &Method,
   // no later lookup builds, and ages out of the LRU.
   if (!CacheKey.empty())
     Cache->insert(std::move(CacheKey), std::move(CacheProfiles), Payload);
-  return rpc::makeResponse(Id, std::move(Payload));
+  return Payload;
 }
 
 json::Value PvpServer::handleMessage(const json::Value &Request,
@@ -1596,9 +1436,15 @@ json::Value PvpServer::handleMessage(const json::Value &Request,
     }
     trace::Span Span(Entry->Name.data(), "pvp");
     uint64_t M0 = monoMicros();
-    json::Value Reply = dispatch(*Entry, *Params, Id);
+    Result<json::Value> Reply = dispatch(*Entry, *Params);
     Entry->Latency->record(monoMicros() - M0);
-    return Reply;
+    if (Reply)
+      return rpc::makeResponse(Id, Reply.take());
+    int Code = Reply.error() == DeadlineDiag   ? rpc::RequestTimeout
+               : Reply.error() == SubLimitDiag ? rpc::SubscriptionLimit
+               : Reply.error() == CancelDiag   ? rpc::RequestCancelled
+                                               : rpc::InvalidParams;
+    return rpc::makeErrorResponse(Id, Code, Reply.error());
   }();
   ActiveCancel = CancelToken();
   // The publish sweep runs with the request's cancel token already

@@ -10,8 +10,10 @@
 /// and serves the editor: the mandatory pvp/codeLink action, the optional
 /// IDE actions, the data and analysis planes, live view subscriptions and
 /// introspection. docs/PVP.md documents every method together with the
-/// policy of the method table in PvpServer.cpp: which replies the view
-/// cache memoizes and which methods retire a profile's generation.
+/// method table in PvpServer.cpp: each method's declared parameters, which
+/// replies the view cache memoizes and which methods retire a profile's
+/// generation. dispatch() parses a request against its declared
+/// parameters once; handlers read the typed result, never the raw params.
 ///
 /// Errors use standard JSON-RPC codes. The server is transport-agnostic:
 /// handleMessage() maps one decoded request to one response, and
@@ -43,12 +45,17 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ev {
+
+namespace telemetry {
+class Histogram;
+} // namespace telemetry
 
 /// Guardrails for one PVP session. Every request runs under these; inputs
 /// that exceed them produce JSON-RPC errors (or degraded-but-valid
@@ -175,64 +182,112 @@ public:
   /// Profiles owned by THIS session (not the whole shared store).
   size_t profileCount() const { return Owned.size(); }
 
-  /// Every request method the server answers, in method-table order.
-  static std::vector<std::string_view> methodNames();
+  /// What a declared parameter holds; the profile-typed kinds come first.
+  /// Metric and Node resolve in the first Profile or Aggregate parameter.
+  enum class ParamKind : uint8_t {
+    Profile,    ///< Id of a profile this session owns, resolved.
+    ProfileId,  ///< As Profile, left to the store to resolve.
+    Cohort,     ///< Profile id or non-empty id array; the handler resolves.
+    Aggregate,  ///< Id of an aggregate this session made.
+    Metric,     ///< Index or name; absent is metric 0, which must exist.
+    AnyMetric,  ///< As Metric, but absent is 0 even without metrics.
+    ViewMetric, ///< As Metric, resolved by the handler in a derived view.
+    Node,       ///< Node id.
+    String,
+    Bool,
+    Int,
+    Count,      ///< A non-negative integer.
+    Number,
+    Ratio,      ///< A non-negative number.
+    Ids,        ///< An array whose integer entries are ids.
+    Names,      ///< An array whose string entries are names.
+    Object,
+  };
+  /// \returns true for the kinds that name profiles: a cached method's
+  /// replies are memoized on exactly these parameters.
+  static bool isProfileTyped(ParamKind K) { return K <= ParamKind::Cohort; }
+  struct ParamSpec {
+    std::string_view Name;
+    ParamKind Kind;
+    bool Required = false;
+    /// The error for a missing or ill-typed value, where the protocol
+    /// words it its own way.
+    std::string_view Invalid = {};
+  };
+
+  /// A request's parameters parsed against its method's declared list.
+  struct Args;
+
+  /// One row of the method table; docs/PVP.md lists every row.
+  struct MethodEntry {
+    std::string_view Name; ///< Views a string literal (a span label).
+    Result<json::Value> (PvpServer::*Run)(const Args &);
+    /// The declared parameters, in the order dispatch() checks them.
+    std::vector<ParamSpec> Params;
+    /// Replies are memoized in the view cache, keyed on the generations of
+    /// the profile-typed parameters and the values of the others.
+    bool Cached = false;
+    /// Success bumps the 'profile' param's generation, retiring every
+    /// cached view of it and waking its subscriptions.
+    bool Retires = false;
+    telemetry::Histogram *Latency = nullptr;
+  };
+  static const std::vector<MethodEntry> &methods();
 
 private:
-  struct MethodEntry;
-  /// The method table (PvpServer.cpp): each method's handler, latency
-  /// histogram, cache dependency and generation policy.
-  static const std::vector<MethodEntry> &methods();
   /// \returns the table entry of a known PVP method, or nullptr.
   static const MethodEntry *findMethod(std::string_view Method);
   /// Runs \p Method under its table policy: serves and fills the view
-  /// cache, arms the deadline, maps handler errors to JSON-RPC codes, and
-  /// retires the 'profile' generation after a successful retiring method.
-  json::Value dispatch(const MethodEntry &Method, const json::Object &Params,
-                       int64_t Id);
+  /// cache, parses \p Params against the declared list, arms the deadline,
+  /// and retires the 'profile' generation after a successful retiring
+  /// method. \returns the result payload or the error message.
+  Result<json::Value> dispatch(const MethodEntry &Method,
+                               const json::Object &Params);
+  /// The view-cache key of a request for a cached method, or nullopt when
+  /// a profile-typed parameter is missing, malformed or not owned. Appends
+  /// the profiles it names to \p Profiles.
+  std::optional<std::string> cacheKey(const MethodEntry &Method,
+                                      const json::Object &Params,
+                                      std::vector<int64_t> &Profiles) const;
+  /// Checks \p Params against \p Method's declared list, in order.
+  Result<Args> parseArgs(const MethodEntry &Method,
+                         const json::Object &Params) const;
 
   // Method implementations; each returns a result payload or an error
-  // string which dispatch() converts into a JSON-RPC error.
-  Result<json::Value> doOpen(const json::Object &Params);
-  Result<json::Value> doAppend(const json::Object &Params);
-  Result<json::Value> doClose(const json::Object &Params);
-  Result<json::Value> doSubscribe(const json::Object &Params);
-  Result<json::Value> doAck(const json::Object &Params);
-  Result<json::Value> doUnsubscribe(const json::Object &Params);
-  Result<json::Value> doFlame(const json::Object &Params);
-  Result<json::Value> doTreeTable(const json::Object &Params);
-  Result<json::Value> doCodeLink(const json::Object &Params);
-  Result<json::Value> doHover(const json::Object &Params);
-  Result<json::Value> doCodeLens(const json::Object &Params);
-  Result<json::Value> doSummary(const json::Object &Params);
-  Result<json::Value> doSearch(const json::Object &Params);
-  Result<json::Value> doAggregate(const json::Object &Params);
-  Result<json::Value> doHistogram(const json::Object &Params);
-  Result<json::Value> doDiff(const json::Object &Params);
-  Result<json::Value> doQuery(const json::Object &Params);
-  Result<json::Value> doTransform(const json::Object &Params);
-  Result<json::Value> doPrune(const json::Object &Params);
-  Result<json::Value> doExport(const json::Object &Params);
-  Result<json::Value> doButterfly(const json::Object &Params);
-  Result<json::Value> doCorrelated(const json::Object &Params);
-  Result<json::Value> doDiagnostics(const json::Object &Params);
-  Result<json::Value> doRegressions(const json::Object &Params);
-  Result<json::Value> doStats(const json::Object &Params);
-  Result<json::Value> doMetrics(const json::Object &Params);
-  Result<json::Value> doSelfProfile(const json::Object &Params);
-
-  /// Resolves the profile id under \p Key to a live profile owned by this
-  /// session. The returned shared_ptr keeps the profile alive for the
-  /// whole request even if another session closes it concurrently.
-  Result<std::shared_ptr<const Profile>>
-  lookup(const json::Object &Params, std::string_view Key = "profile") const;
+  // string which handleMessage() converts into a JSON-RPC error.
+  Result<json::Value> doOpen(const Args &A);
+  Result<json::Value> doAppend(const Args &A);
+  Result<json::Value> doClose(const Args &A);
+  Result<json::Value> doSubscribe(const Args &A);
+  Result<json::Value> doAck(const Args &A);
+  Result<json::Value> doUnsubscribe(const Args &A);
+  Result<json::Value> doFlame(const Args &A);
+  Result<json::Value> doTreeTable(const Args &A);
+  Result<json::Value> doCodeLink(const Args &A);
+  Result<json::Value> doHover(const Args &A);
+  Result<json::Value> doCodeLens(const Args &A);
+  Result<json::Value> doSummary(const Args &A);
+  Result<json::Value> doSearch(const Args &A);
+  Result<json::Value> doAggregate(const Args &A);
+  Result<json::Value> doHistogram(const Args &A);
+  Result<json::Value> doDiff(const Args &A);
+  Result<json::Value> doQuery(const Args &A);
+  Result<json::Value> doTransform(const Args &A);
+  Result<json::Value> doPrune(const Args &A);
+  Result<json::Value> doExport(const Args &A);
+  Result<json::Value> doButterfly(const Args &A);
+  Result<json::Value> doCorrelated(const Args &A);
+  Result<json::Value> doDiagnostics(const Args &A);
+  Result<json::Value> doRegressions(const Args &A);
+  Result<json::Value> doStats(const Args &A);
+  Result<json::Value> doMetrics(const Args &A);
+  Result<json::Value> doSelfProfile(const Args &A);
 
   /// The profile bytes of pvp/open and pvp/append: 'data' verbatim or
   /// 'dataBase64' decoded, or, for pvp/open (\p PathOut non-null), the file
   /// named by 'path', which is stored in *PathOut. Every source is held to
   /// the open size limit.
-  Result<std::string> payloadParam(const json::Object &Params,
-                                   std::string *PathOut) const;
+  Result<std::string> payload(const Args &A, std::string *PathOut) const;
 
   /// \returns true once the in-flight request ran past its soft deadline.
   bool deadlineExpired() const;
@@ -257,11 +312,6 @@ private:
     std::function<void(json::Value)> Sink;
   };
 
-  /// Runs \p View through dispatch() — shared view cache, deadline,
-  /// identical reply bytes to an explicit re-query — and unwraps the
-  /// result payload from the response envelope.
-  Result<json::Value> computeView(const MethodEntry &View,
-                                  const json::Object &ViewParams);
   /// Sends pvp/subscriptionEnd through the subscription's sink.
   void endSubscription(int64_t SubId, const Subscription &S,
                        const std::string &Reason);

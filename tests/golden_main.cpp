@@ -657,6 +657,22 @@ std::string pvpErrorSession() {
   Flush();
   A.call("pvp/summary", params({{"profile", Fixed}}));
   Flush();
+
+  // One type rule: a present parameter of the wrong kind is refused, not
+  // read as its default.
+  A.call("pvp/open", params({{"data", 3}}));
+  A.call("pvp/open", params({{"data", Text}, {"name", 3}}));
+  A.call("pvp/treeTable", params({{"profile", Fixed}, {"includeText", Text}}));
+  A.call("pvp/correlated",
+         params({{"profile", Fixed}, {"kind", "x"}, {"select", 3}}));
+  A.call("pvp/metrics", params({{"includeTimings", Text}}));
+  A.call("pvp/selfProfile", params({{"name", 3}}));
+  A.call("pvp/selfProfile", params({{"reset", Text}}));
+  A.call("pvp/diagnostics",
+         params({{"profile", Fixed}, {"maxDiagnostics", 1.5}}));
+  A.call("pvp/regressions",
+         params({{"base", R1}, {"test", R2}, {"maxDiagnostics", 1.5}}));
+  Flush();
   return Log;
 }
 

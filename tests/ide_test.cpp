@@ -30,7 +30,7 @@ TEST(JsonRpc, FrameAndPoll) {
   std::string Wire = rpc::frame(Msg);
   EXPECT_NE(Wire.find("Content-Length: "), std::string::npos);
 
-  rpc::MessageReader Reader;
+  rpc::FrameReader Reader;
   Reader.feed(Wire);
   auto Out = Reader.poll();
   ASSERT_TRUE(Out.has_value());
@@ -40,7 +40,7 @@ TEST(JsonRpc, FrameAndPoll) {
 
 TEST(JsonRpc, PartialFeedsBuffer) {
   std::string Wire = rpc::frame(rpc::makeNotification("n", json::Object()));
-  rpc::MessageReader Reader;
+  rpc::FrameReader Reader;
   // Feed byte by byte; only the final byte completes the message.
   for (size_t I = 0; I < Wire.size(); ++I) {
     Reader.feed(Wire.substr(I, 1));
@@ -54,7 +54,7 @@ TEST(JsonRpc, PartialFeedsBuffer) {
 TEST(JsonRpc, MultipleMessagesInOneFeed) {
   std::string Wire = rpc::frame(rpc::makeRequest(1, "a", json::Object())) +
                      rpc::frame(rpc::makeRequest(2, "b", json::Object()));
-  rpc::MessageReader Reader;
+  rpc::FrameReader Reader;
   Reader.feed(Wire);
   auto First = Reader.poll();
   auto Second = Reader.poll();
@@ -64,14 +64,14 @@ TEST(JsonRpc, MultipleMessagesInOneFeed) {
 }
 
 TEST(JsonRpc, MissingContentLengthFails) {
-  rpc::MessageReader Reader;
+  rpc::FrameReader Reader;
   Reader.feed("Content-Type: application/json\r\n\r\n{}");
   EXPECT_FALSE(Reader.poll().has_value());
   EXPECT_TRUE(Reader.failed());
 }
 
 TEST(JsonRpc, BadJsonBodyFails) {
-  rpc::MessageReader Reader;
+  rpc::FrameReader Reader;
   Reader.feed("Content-Length: 3\r\n\r\n{{{");
   EXPECT_FALSE(Reader.poll().has_value());
   EXPECT_TRUE(Reader.failed());

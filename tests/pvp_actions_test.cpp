@@ -16,6 +16,7 @@
 #include "workload/ReuseWorkload.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -316,15 +317,19 @@ TEST_F(PvpActionsTest, TransformedProfileServesViews) {
 // Method table policy
 //===----------------------------------------------------------------------===
 
-TEST(PvpMethodTable, DocsListExactlyTheTableMethods) {
+namespace {
+
+/// The cells of every request-method row of docs/PVP.md, in document
+/// order. Request methods are the first cell of every row of a
+/// "| method |" table; notifications live in a "| notification |" table.
+/// Cells split on unescaped '|'.
+std::vector<std::vector<std::string>> documentedMethodRows() {
   Result<std::string> Doc =
       readFile(std::string(EASYVIEW_SOURCE_DIR) + "/docs/PVP.md");
-  ASSERT_TRUE(Doc.ok()) << Doc.error();
-  // Request methods are the first cell of every row of a "| method |"
-  // table; notifications live in a "| notification |" table.
-  std::vector<std::string> Documented;
+  EXPECT_TRUE(Doc.ok()) << Doc.error();
+  std::vector<std::vector<std::string>> Rows;
   bool InMethodTable = false;
-  for (std::string_view Line : splitString(*Doc, '\n')) {
+  for (std::string_view Line : splitString(Doc ? *Doc : "", '\n')) {
     if (Line.rfind("| method |", 0) == 0) {
       InMethodTable = true;
       continue;
@@ -333,17 +338,96 @@ TEST(PvpMethodTable, DocsListExactlyTheTableMethods) {
       InMethodTable = false;
       continue;
     }
-    if (InMethodTable && Line.rfind("| `pvp/", 0) == 0)
-      Documented.emplace_back(Line.substr(3, Line.find('`', 3) - 3));
+    if (!InMethodTable || Line.rfind("| `pvp/", 0) != 0)
+      continue;
+    std::vector<std::string> Cells(1);
+    for (size_t I = 1; I < Line.size(); ++I) {
+      if (Line[I] == '|' && Line[I - 1] != '\\')
+        Cells.emplace_back();
+      else
+        Cells.back() += Line[I];
+    }
+    for (std::string &Cell : Cells)
+      Cell = std::string(trim(Cell));
+    Rows.push_back(std::move(Cells));
   }
+  return Rows;
+}
+
+} // namespace
+
+TEST(PvpMethodTable, DocsListExactlyTheTableMethods) {
+  std::vector<std::string> Documented;
+  for (const std::vector<std::string> &Row : documentedMethodRows())
+    Documented.push_back(Row[0].substr(1, Row[0].find('`', 1) - 1));
   std::vector<std::string> Served;
-  for (std::string_view Name : PvpServer::methodNames())
-    Served.emplace_back(Name);
+  for (const PvpServer::MethodEntry &E : PvpServer::methods())
+    Served.emplace_back(E.Name);
   std::sort(Documented.begin(), Documented.end());
   std::sort(Served.begin(), Served.end());
   EXPECT_EQ(std::adjacent_find(Documented.begin(), Documented.end()),
             Documented.end());
   EXPECT_EQ(Documented, Served);
+}
+
+TEST(PvpMethodTable, DocsListEveryDeclaredParameterAndItsPolicy) {
+  std::map<std::string, std::vector<std::string>> Rows;
+  for (std::vector<std::string> &Row : documentedMethodRows())
+    if (Row.size() >= 5)
+      Rows[Row[0].substr(1, Row[0].find('`', 1) - 1)] = std::move(Row);
+  for (const PvpServer::MethodEntry &E : PvpServer::methods()) {
+    auto It = Rows.find(std::string(E.Name));
+    ASSERT_NE(It, Rows.end()) << E.Name;
+    const std::string &ParamsCell = It->second[1];
+    // Each parameter appears as `name` (required) or `name?` (optional),
+    // possibly followed by ':' and its shape, as in `base: id|[id...]`.
+    std::string CachedOn;
+    for (const PvpServer::ParamSpec &P : E.Params) {
+      std::string Token =
+          "`" + std::string(P.Name) + (P.Required ? "" : "?");
+      size_t At = ParamsCell.find(Token);
+      char Next = At == std::string::npos || At + Token.size() >= ParamsCell.size()
+                      ? '\0'
+                      : ParamsCell[At + Token.size()];
+      EXPECT_TRUE(Next == '`' || Next == ':')
+          << E.Name << " does not document " << Token << "`";
+      if (E.Cached && PvpServer::isProfileTyped(P.Kind))
+        CachedOn += (CachedOn.empty() ? "`" : ", `") + std::string(P.Name) +
+                    "`";
+    }
+    EXPECT_EQ(It->second[3], E.Cached ? CachedOn : "—") << E.Name;
+    EXPECT_EQ(It->second[4], E.Retires ? "`profile`" : "—") << E.Name;
+  }
+}
+
+TEST(PvpMethodTable, CacheKeyIgnoresMemberOrderAndUndeclaredMembers) {
+  auto Cache = std::make_shared<ViewCache>(16);
+  PvpServer Server(ServerLimits(), std::make_shared<ProfileStore>(), Cache);
+  int64_t Id = Server.addProfile(test::makeFixedProfile());
+  auto Flame = [&](json::Object P) {
+    return Server.handleMessage(
+        rpc::makeRequest(1, "pvp/flame", json::Value(std::move(P))));
+  };
+  json::Object First;
+  First.set("profile", Id);
+  First.set("shape", "bottom-up");
+  First.set("maxRects", 8);
+  json::Value FirstReply = Flame(std::move(First));
+  ASSERT_TRUE(FirstReply.asObject().contains("result"));
+  uint64_t Hits = Cache->hits();
+  size_t Entries = Cache->size();
+
+  // The same view, with its members in another order and one member no
+  // handler reads.
+  json::Object Second;
+  Second.set("maxRects", 8);
+  Second.set("comment", "not a pvp/flame parameter");
+  Second.set("shape", "bottom-up");
+  Second.set("profile", Id);
+  json::Value SecondReply = Flame(std::move(Second));
+  EXPECT_EQ(Cache->hits(), Hits + 1);
+  EXPECT_EQ(Cache->size(), Entries);
+  EXPECT_EQ(SecondReply.dump(), FirstReply.dump());
 }
 
 TEST(PvpMethodTable, RetiringMethodsBumpOnceAndOnlyOnSuccess) {
