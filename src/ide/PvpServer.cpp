@@ -41,36 +41,40 @@ namespace ev {
 
 namespace {
 
-/// The exact diagnostic a handler returns when it bails on the deadline;
-/// handleMessage() maps it to the RequestTimeout error code.
-constexpr const char *DeadlineDiag = "request deadline exceeded";
-
-/// The exact diagnostic of a cancelled request; handleMessage() maps it to
-/// the RequestCancelled error code.
-constexpr const char *CancelDiag = "request cancelled";
-
 /// The trace span label of a request naming no known method.
 constexpr const char *UnknownMethodLabel = "pvp/unknown";
 
-/// The exact diagnostic doSubscribe returns at the subscription cap;
-/// handleMessage() maps it to the SubscriptionLimit error code.
-constexpr const char *SubLimitDiag =
-    "session is at its live-subscription cap";
+/// The exact diagnostics handleMessage() maps to their own error codes: a
+/// handler bailing on the deadline (RequestTimeout), a cancelled request
+/// (RequestCancelled) and pvp/subscribe at the subscription cap
+/// (SubscriptionLimit).
+constexpr const char *DeadlineDiag = "request deadline exceeded";
+constexpr const char *CancelDiag = "request cancelled";
+constexpr const char *SubLimitDiag = "session is at its live-subscription cap";
 
 /// Pinned handles for the sub.* counters (docs/OBSERVABILITY.md). The
 /// bytes pair is what makes the compactness claim auditable in production:
 /// sub.deltaBytes / sub.fullViewBytes is the fleet-wide delta ratio.
 struct SubMetrics {
-  telemetry::Counter &Subscribed, &Unsubscribed, &Acks, &Pushes, &Ended,
-      &FullFallbacks, &DeltaBytes, &FullViewBytes;
+  telemetry::Counter &Subscribed;
+  telemetry::Counter &Unsubscribed;
+  telemetry::Counter &Acks;
+  telemetry::Counter &Pushes;
+  telemetry::Counter &Ended;
+  telemetry::Counter &FullFallbacks;
+  telemetry::Counter &DeltaBytes;
+  telemetry::Counter &FullViewBytes;
 
   static SubMetrics &get() {
     telemetry::Registry &R = telemetry::Registry::global();
-    static SubMetrics M{
-        R.counter("sub.subscribed"),   R.counter("sub.unsubscribed"),
-        R.counter("sub.acks"),         R.counter("sub.pushes"),
-        R.counter("sub.ended"),        R.counter("sub.fullFallbacks"),
-        R.counter("sub.deltaBytes"),   R.counter("sub.fullViewBytes")};
+    static SubMetrics M{R.counter("sub.subscribed"),
+                        R.counter("sub.unsubscribed"),
+                        R.counter("sub.acks"),
+                        R.counter("sub.pushes"),
+                        R.counter("sub.ended"),
+                        R.counter("sub.fullFallbacks"),
+                        R.counter("sub.deltaBytes"),
+                        R.counter("sub.fullViewBytes")};
     return M;
   }
 };

@@ -16,6 +16,8 @@
 #include "analysis/ProfileLint.h"
 #include "analysis/Sema.h"
 #include "convert/Converters.h"
+#include "ide/JsonRpc.h"
+#include "ide/PvpServer.h"
 #include "proto/EvProf.h"
 #include "support/Json.h"
 #include "support/Rng.h"
@@ -24,6 +26,8 @@
 #include "TestHelpers.h"
 #include "workload/LuleshWorkload.h"
 #include "workload/SyntheticProfile.h"
+
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +158,59 @@ TEST_P(FuzzSeed, MutatedHpctoolkitXml) {
       Mutated[At] = static_cast<char>(32 + R.below(95));
     }
     expectSafe(convert::fromHpctoolkit(Mutated));
+  }
+}
+
+// Every method's declared parameters, and members no method declares, set
+// to values of every JSON kind: each reply is a result or an invalid-params
+// error, never a crash or another code.
+TEST_P(FuzzSeed, HostileParamsReachEveryMethod) {
+  Rng R(GetParam());
+  for (const PvpServer::MethodEntry &E : PvpServer::methods()) {
+    // A valid 'reset' would clear the process-wide span rings.
+    if (E.Name == "pvp/selfProfile")
+      continue;
+    ServerLimits Limits;
+    Limits.OpenRetry.MaxAttempts = 1; // 'path' names no file: fail fast.
+    PvpServer Server(Limits);
+    int64_t Id = Server.addProfile(test::makeFixedProfile());
+    const json::Value Pool[] = {
+        json::Value(),
+        json::Value(true),
+        json::Value(int64_t(-1)),
+        json::Value(1.5),
+        json::Value(1e300),
+        json::Value(std::numeric_limits<int64_t>::max()),
+        json::Value(Id),
+        json::Value(int64_t(2)),
+        json::Value(""),
+        json::Value("flat"),
+        json::Value("time"),
+        json::Value("print 1;"),
+        json::Value("collapsed"),
+        json::Value(json::Array()),
+        json::Value(json::Array{json::Value(Id), json::Value("x"),
+                                json::Value(int64_t(-1))}),
+        json::Value(json::Array{json::Value(Id), json::Value(Id)}),
+        json::Value(json::Object()),
+    };
+    auto Pick = [&] { return Pool[R.below(std::size(Pool))]; };
+    for (int64_t Round = 0; Round < 24; ++Round) {
+      json::Object P;
+      for (const PvpServer::ParamSpec &S : E.Params)
+        if (R.below(4) != 0)
+          P.set(std::string(S.Name), Pick());
+      if (R.below(4) == 0)
+        P.set("undeclared", Pick());
+      json::Value Reply = Server.handleMessage(
+          rpc::makeRequest(Round, E.Name, json::Value(std::move(P))));
+      const json::Object &O = Reply.asObject();
+      ASSERT_TRUE(O.contains("result") || O.contains("error")) << E.Name;
+      if (const json::Value *Err = O.find("error")) {
+        EXPECT_EQ(Err->asObject().find("code")->asInt(), rpc::InvalidParams)
+            << E.Name << ": " << Reply.dump();
+      }
+    }
   }
 }
 

@@ -327,9 +327,10 @@ std::vector<std::vector<std::string>> documentedMethodRows() {
   Result<std::string> Doc =
       readFile(std::string(EASYVIEW_SOURCE_DIR) + "/docs/PVP.md");
   EXPECT_TRUE(Doc.ok()) << Doc.error();
+  std::string Text = Doc ? *Doc : "";
   std::vector<std::vector<std::string>> Rows;
   bool InMethodTable = false;
-  for (std::string_view Line : splitString(Doc ? *Doc : "", '\n')) {
+  for (std::string_view Line : splitString(Text, '\n')) {
     if (Line.rfind("| method |", 0) == 0) {
       InMethodTable = true;
       continue;
