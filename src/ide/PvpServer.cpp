@@ -83,10 +83,6 @@ struct SubMetrics {
 constexpr const char *SeverityDiag =
     "invalid 'minSeverity' (expected note, info, warning, or error)";
 
-std::string noProfile(int64_t Id) {
-  return "no profile with id " + std::to_string(Id);
-}
-
 /// Resolves metric selector \p V (an index or a name) in \p P. An absent
 /// selector is metric 0, which \p P must have.
 Result<MetricId> resolveMetric(const Profile &P, const json::Value *V) {
@@ -215,8 +211,8 @@ struct PvpServer::Args {
   Result<MetricId> metricIn(const Profile &View) const {
     return resolveMetric(View, value("metric"));
   }
-  /// The entries of an Ids (Names) parameter, none when it is absent; an
-  /// entry that is not an integer (a string) is nullopt.
+  /// The entries of an Ids parameter, none when it is absent; an entry
+  /// that is not an integer is nullopt.
   std::vector<std::optional<int64_t>> ids(std::string_view Name) const {
     std::vector<std::optional<int64_t>> Out;
     for (const json::Value &E : has(Name) ? value(Name)->asArray() : None) {
@@ -225,11 +221,12 @@ struct PvpServer::Args {
     }
     return Out;
   }
-  std::vector<std::optional<std::string_view>>
-  names(std::string_view Name) const {
-    std::vector<std::optional<std::string_view>> Out;
+  /// The entries of a Names parameter; one that is not a string reads as
+  /// the empty name, which names nothing.
+  std::vector<std::string_view> names(std::string_view Name) const {
+    std::vector<std::string_view> Out;
     for (const json::Value &E : has(Name) ? value(Name)->asArray() : None)
-      Out.push_back(E.isString() ? std::optional(E.stringOr("")) : std::nullopt);
+      Out.push_back(E.stringOr(""));
     return Out;
   }
   static inline const json::Array None;
@@ -701,7 +698,7 @@ Result<json::Value> PvpServer::doAggregate(const Args &A) {
       return makeError("'profiles' must contain numeric ids");
     std::shared_ptr<const Profile> P = profileHandle(*InputId);
     if (!P)
-      return makeError(noProfile(*InputId));
+      return makeError("no profile with id " + std::to_string(*InputId));
     Inputs.push_back(P.get());
     Held.push_back(std::move(P));
   }
@@ -913,13 +910,13 @@ Result<DiagnosticFilter> diagnosticFilter(const PvpServer::Args &A,
   if (A.has("minSeverity") &&
       !parseSeverity(A.str("minSeverity"), F.Rules.MinSeverity))
     return makeError(SeverityDiag);
-  for (std::optional<std::string_view> Rule : A.names("disable")) {
+  for (std::string_view Rule : A.names("disable")) {
     // Names are validated against the UNIFIED registry, matching the
     // evtool subcommands: disabling another family's rule is accepted
     // (and inert), only typos are errors.
-    if (!Rule || !findRule(*Rule))
+    if (!findRule(Rule))
       return makeError("unknown rule in 'disable'");
-    F.Rules.Disabled.emplace_back(*Rule);
+    F.Rules.Disabled.emplace_back(Rule);
   }
   return F;
 }
@@ -1029,7 +1026,7 @@ Result<json::Value> PvpServer::doRegressions(const Args &A) {
         return makeError(DeadlineDiag);
       std::shared_ptr<const Profile> P = profileHandle(ProfId);
       if (!P)
-        return makeError(noProfile(ProfId));
+        return makeError("no profile with id " + std::to_string(ProfId));
       Acc.add(*P, ActiveCancel);
     }
     return true;
@@ -1285,7 +1282,7 @@ PvpServer::parseArgs(const MethodEntry &Method,
       if (S.Kind == K::Profile)
         Out.Handle = profileHandle(Out.Id);
       if (S.Kind == K::Profile ? !Out.Handle : !Owned.count(Out.Id))
-        return makeError(noProfile(Out.Id));
+        return makeError("no profile with id " + std::to_string(Out.Id));
       Subject = Subject ? Subject : Out.Handle.get();
       continue;
     }

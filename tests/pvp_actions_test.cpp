@@ -386,10 +386,10 @@ TEST(PvpMethodTable, DocsListEveryDeclaredParameterAndItsPolicy) {
     for (const PvpServer::ParamSpec &P : E.Params) {
       std::string Token =
           "`" + std::string(P.Name) + (P.Required ? "" : "?");
-      size_t At = ParamsCell.find(Token);
-      char Next = At == std::string::npos || At + Token.size() >= ParamsCell.size()
-                      ? '\0'
-                      : ParamsCell[At + Token.size()];
+      size_t End = ParamsCell.find(Token);
+      if (End != std::string::npos)
+        End += Token.size();
+      char Next = End < ParamsCell.size() ? ParamsCell[End] : '\0';
       EXPECT_TRUE(Next == '`' || Next == ':')
           << E.Name << " does not document " << Token << "`";
       if (E.Cached && PvpServer::isProfileTyped(P.Kind))
