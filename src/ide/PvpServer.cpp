@@ -1358,9 +1358,12 @@ Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
   uint64_t GenBefore = OwnedOnArrival ? Store->generationOf(Arrived) : 0;
 
   // Arm the soft per-request deadline; long-running handler loops check
-  // it periodically and bail with DeadlineDiag.
-  RequestDeadline =
-      Limits.RequestDeadlineMs == 0 ? 0 : NowMs() + Limits.RequestDeadlineMs;
+  // it periodically and bail with DeadlineDiag. A nested dispatch (the
+  // view pvp/subscribe computes) spends what is left of its request's
+  // budget; one outside any request (a subscription push) arms its own.
+  uint64_t Enclosing = RequestDeadline;
+  if (Enclosing == 0 && Limits.RequestDeadlineMs != 0)
+    RequestDeadline = NowMs() + Limits.RequestDeadlineMs;
   Result<json::Value> R = makeError("unreachable");
   try {
     R = (this->*Method.Run)(*A);
@@ -1370,7 +1373,7 @@ Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
     // memoized and no valid entry is displaced.
     R = makeError(CancelDiag);
   }
-  RequestDeadline = 0;
+  RequestDeadline = Enclosing;
   if (!R)
     return R;
   if (OwnedOnArrival) {

@@ -479,6 +479,48 @@ TEST(SubscribeServer, SubscriptionCapYieldsTypedError) {
             static_cast<int64_t>(rpc::SubscriptionLimit));
 }
 
+TEST(SubscribeServer, InitialViewSpendsTheSubscribeDeadline) {
+  ServerLimits Limits;
+  PvpServer Server(Limits);
+  std::vector<std::string> Bytes = growthStageBytes(2);
+  Result<Profile> P = readEvProf(Bytes[0]);
+  ASSERT_TRUE(bool(P)) << P.error();
+  int64_t Id = Server.addProfile(P.take());
+
+  // The clock passes the deadline right after pvp/subscribe arms it, so
+  // its nested flame dispatch must find the budget spent, not restart it.
+  uint64_t Reads = 0;
+  const uint64_t Late = 1000 + Limits.RequestDeadlineMs + 1;
+  Server.setClock([&] { return ++Reads == 1 ? 1000 : Late; });
+  json::Object SubParams;
+  SubParams.set("profile", Id);
+  SubParams.set("view", "flame");
+  json::Value Timed = Server.handleMessage(
+      rpc::makeRequest(1, "pvp/subscribe", json::Value(SubParams)));
+  const json::Value *Err = Timed.asObject().find("error");
+  ASSERT_NE(Err, nullptr) << Timed.dump();
+  EXPECT_EQ(Err->asObject().find("code")->asInt(),
+            static_cast<int64_t>(rpc::RequestTimeout));
+  EXPECT_EQ(Server.subscriptionCount(), 0u);
+
+  // A push runs outside any request and arms its own deadline: the
+  // append's budget, spent by the time it publishes, does not leak into it.
+  Server.setClock(nullptr);
+  json::Value Sub = Server.handleMessage(
+      rpc::makeRequest(2, "pvp/subscribe", json::Value(SubParams)));
+  ASSERT_TRUE(Sub.asObject().contains("result")) << Sub.dump();
+  Reads = 0;
+  Server.setClock([&] { return ++Reads == 1 ? 1000 : Late; });
+  json::Object AppendParams;
+  AppendParams.set("profile", Id);
+  AppendParams.set("dataBase64", base64Encode(sectionBytes(Bytes, 0)));
+  json::Value Appended = Server.handleMessage(
+      rpc::makeRequest(3, "pvp/append", json::Value(AppendParams)));
+  ASSERT_TRUE(Appended.asObject().contains("result")) << Appended.dump();
+  EXPECT_EQ(viewDeltasIn(Server.takeNotifications()).size(), 1u);
+  EXPECT_EQ(Server.subscriptionCount(), 1u);
+}
+
 //===----------------------------------------------------------------------===
 // SubscribeManager: the strand notify plumbing, cross-session publishes,
 // and a budgeted store spilling the subscribed profile mid-stream.
