@@ -6,10 +6,10 @@
 
 #include "analysis/Sema.h"
 
+#include "query/Compiler.h"
 #include "query/Parser.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <unordered_map>
 
@@ -23,8 +23,6 @@ std::string_view semaTypeName(SemaType Type) {
     return "string";
   case SemaType::Bool:
     return "bool";
-  case SemaType::NodeSet:
-    return "node-set";
   case SemaType::Unknown:
     return "unknown";
   }
@@ -77,114 +75,24 @@ using evql::Program;
 using evql::Stmt;
 using evql::TokenKind;
 
-/// A folded compile-time constant. Folding mirrors the engine exactly
-/// (x / 0 == 0, bool-to-number coercion, ...) so EVQL008/EVQL007 never
-/// claim something the runtime would contradict.
-struct ConstVal {
-  enum class Kind : uint8_t { None, Num, Str, Bool };
-  Kind K = Kind::None;
-  double Num = 0.0;
-  bool B = false;
-  std::string Str;
-
-  static ConstVal num(double V) {
-    ConstVal C;
-    C.K = Kind::Num;
-    C.Num = V;
-    return C;
-  }
-  static ConstVal str(std::string V) {
-    ConstVal C;
-    C.K = Kind::Str;
-    C.Str = std::move(V);
-    return C;
-  }
-  static ConstVal boolean(bool V) {
-    ConstVal C;
-    C.K = Kind::Bool;
-    C.B = V;
-    return C;
-  }
-};
-
-/// Truthiness under the engine's condition coercion: bools as-is, numbers
-/// against zero, strings are not conditions.
-std::optional<bool> truthy(const ConstVal &C) {
-  if (C.K == ConstVal::Kind::Bool)
-    return C.B;
-  if (C.K == ConstVal::Kind::Num)
-    return C.Num != 0.0;
-  return std::nullopt;
-}
-
-/// Numeric value under the engine's number coercions.
-std::optional<double> asNumber(const ConstVal &C) {
-  if (C.K == ConstVal::Kind::Num)
-    return C.Num;
-  if (C.K == ConstVal::Kind::Bool)
-    return C.B ? 1.0 : 0.0;
-  return std::nullopt;
-}
-
-/// What the checker knows about one expression.
+/// What the checker knows about one expression. Constants come from the
+/// compiler's folder (query/Compiler.h), so EVQL007/EVQL008 never claim
+/// something the engine would contradict.
 struct ExprInfo {
   SemaType Type = SemaType::Unknown;
-  ConstVal Const;
+  std::optional<evql::Const> Value;
 };
 
-/// Signature of one EVQL builtin (the compiler's compileCall is the source
-/// of truth).
-struct BuiltinSig {
-  std::string_view Name;
-  uint8_t Arity;
-  SemaType Args[2];
-  SemaType Ret;
-  bool NeedsNode;   ///< Usable only under derive/prune/keep.
-  bool MetricName;  ///< First argument names a metric column.
-};
+SemaType semaType(evql::VType T) {
+  return T == evql::VType::Num    ? SemaType::Number
+         : T == evql::VType::Bool ? SemaType::Bool
+                                  : SemaType::String;
+}
 
-constexpr SemaType TyN = SemaType::Number;
-constexpr SemaType TyS = SemaType::String;
-constexpr SemaType TyB = SemaType::Bool;
-constexpr SemaType TyAny = SemaType::Unknown;
-
-constexpr BuiltinSig Builtins[] = {
-    {"metric", 1, {TyS, TyAny}, TyN, true, true},
-    {"exclusive", 1, {TyS, TyAny}, TyN, true, true},
-    {"inclusive", 1, {TyS, TyAny}, TyN, true, true},
-    {"total", 1, {TyS, TyAny}, TyN, false, true},
-    {"share", 1, {TyS, TyAny}, TyN, true, true},
-    {"nodecount", 0, {TyAny, TyAny}, TyN, false, false},
-    {"name", 0, {TyAny, TyAny}, TyS, true, false},
-    {"file", 0, {TyAny, TyAny}, TyS, true, false},
-    {"module", 0, {TyAny, TyAny}, TyS, true, false},
-    {"kind", 0, {TyAny, TyAny}, TyS, true, false},
-    {"line", 0, {TyAny, TyAny}, TyN, true, false},
-    {"depth", 0, {TyAny, TyAny}, TyN, true, false},
-    {"nchildren", 0, {TyAny, TyAny}, TyN, true, false},
-    {"isleaf", 0, {TyAny, TyAny}, TyB, true, false},
-    {"parentname", 0, {TyAny, TyAny}, TyS, true, false},
-    {"hasancestor", 1, {TyS, TyAny}, TyB, true, false},
-    {"min", 2, {TyN, TyN}, TyN, false, false},
-    {"max", 2, {TyN, TyN}, TyN, false, false},
-    {"ratio", 2, {TyN, TyN}, TyN, false, false},
-    {"abs", 1, {TyN, TyAny}, TyN, false, false},
-    {"log", 1, {TyN, TyAny}, TyN, false, false},
-    {"sqrt", 1, {TyN, TyAny}, TyN, false, false},
-    {"floor", 1, {TyN, TyAny}, TyN, false, false},
-    {"ceil", 1, {TyN, TyAny}, TyN, false, false},
-    {"contains", 2, {TyS, TyS}, TyB, false, false},
-    {"startswith", 2, {TyS, TyS}, TyB, false, false},
-    {"endswith", 2, {TyS, TyS}, TyB, false, false},
-    {"str", 1, {TyAny, TyAny}, TyS, false, false},
-    {"fmt", 2, {TyN, TyN}, TyS, false, false},
-};
-
-const BuiltinSig *findBuiltin(std::string_view Name) {
-  for (const BuiltinSig &Sig : Builtins)
-    if (Sig.Name == Name)
-      return &Sig;
-  return nullptr;
+SemaType semaType(evql::ArgType T) {
+  return T == evql::ArgType::Number   ? SemaType::Number
+         : T == evql::ArgType::String ? SemaType::String
+                                      : SemaType::Unknown;
 }
 
 /// Can a value of \p Actual flow where \p Want is required, under the
@@ -269,7 +177,7 @@ public:
         Binding &Slot = Bindings[S.Name];
         if (Slot.Line == 0)
           BindingOrder.push_back(S.Name);
-        Slot = Binding{V.Type, V.Const, S.Line, S.Column, false};
+        Slot = Binding{V.Type, V.Value, S.Line, S.Column, false};
         break;
       }
       case Stmt::Kind::Derive: {
@@ -290,7 +198,9 @@ public:
           report("EVQL005", Severity::Error, S.Value->Line, S.Value->Column,
                  "expected a condition, found a string", "type-mismatch",
                  "compare the string with '==' or use contains()");
-        if (std::optional<bool> T = truthy(C.Const)) {
+        std::optional<bool> T =
+            C.Value ? C.Value->asCondition() : std::nullopt;
+        if (T) {
           std::string Effect;
           if (IsPrune)
             Effect = *T ? "this elides every node below the root"
@@ -329,7 +239,7 @@ public:
 private:
   struct Binding {
     SemaType Type = SemaType::Unknown;
-    ConstVal Const;
+    std::optional<evql::Const> Value;
     size_t Line = 0; ///< 0 marks a never-filled slot.
     size_t Column = 0;
     bool Used = false;
@@ -358,18 +268,18 @@ private:
     }
     switch (E.TheKind) {
     case Expr::Kind::NumberLit:
-      return {SemaType::Number, ConstVal::num(E.Number)};
+      return {SemaType::Number, evql::Const::num(E.Number)};
     case Expr::Kind::StringLit:
-      return {SemaType::String, ConstVal::str(E.Text)};
+      return {SemaType::String, evql::Const::str(E.Text)};
     case Expr::Kind::BoolLit:
-      return {SemaType::Bool, ConstVal::boolean(E.BoolValue)};
+      return {SemaType::Bool, evql::Const::boolean(E.BoolValue)};
     case Expr::Kind::Ident: {
       auto It = Bindings.find(E.Text);
       if (It == Bindings.end()) {
         std::string Hint =
             suggestFrom(E.Text, BindingOrder,
                         [](const std::string &S) { return std::string_view(S); });
-        if (Hint.empty() && findBuiltin(E.Text))
+        if (Hint.empty() && evql::findBuiltin(E.Text))
           Hint = "'" + E.Text + "' is a builtin; call it: " + E.Text + "(...)";
         report("EVQL002", Severity::Error, E.Line, E.Column,
                "undefined identifier '" + E.Text + "'",
@@ -377,7 +287,7 @@ private:
         return {};
       }
       It->second.Used = true;
-      return {It->second.Type, It->second.Const};
+      return {It->second.Type, It->second.Value};
     }
     case Expr::Kind::Unary:
       return checkUnary(E, NodeCtx, Depth);
@@ -393,25 +303,15 @@ private:
 
   ExprInfo checkUnary(const Expr &E, bool NodeCtx, size_t Depth) {
     ExprInfo V = checkExpr(*E.Operands[0], NodeCtx, Depth + 1);
-    if (E.Op == TokenKind::Minus) {
-      if (V.Type == SemaType::String)
-        report("EVQL005", Severity::Error, E.Operands[0]->Line,
-               E.Operands[0]->Column, "cannot negate a string",
-               "type-mismatch", "");
-      ExprInfo R{SemaType::Number, {}};
-      if (std::optional<double> N = asNumber(V.Const))
-        R.Const = ConstVal::num(-*N);
-      return R;
-    }
-    // '!'.
+    bool Minus = E.Op == TokenKind::Minus;
     if (V.Type == SemaType::String)
       report("EVQL005", Severity::Error, E.Operands[0]->Line,
-             E.Operands[0]->Column, "expected a condition, found a string",
+             E.Operands[0]->Column,
+             Minus ? "cannot negate a string"
+                   : "expected a condition, found a string",
              "type-mismatch", "");
-    ExprInfo R{SemaType::Bool, {}};
-    if (std::optional<bool> T = truthy(V.Const))
-      R.Const = ConstVal::boolean(!*T);
-    return R;
+    return {Minus ? SemaType::Number : SemaType::Bool,
+            evql::foldUnary(E.Op, V.Value)};
   }
 
   ExprInfo checkTernary(const Expr &E, bool NodeCtx, size_t Depth) {
@@ -422,15 +322,17 @@ private:
              "ternary condition cannot be a string", "type-mismatch", "");
     ExprInfo Then = checkExpr(*E.Operands[1], NodeCtx, Depth + 1);
     ExprInfo Else = checkExpr(*E.Operands[2], NodeCtx, Depth + 1);
-    if (std::optional<bool> T = truthy(C.Const)) {
+    std::optional<bool> Always =
+        C.Value ? C.Value->asCondition() : std::nullopt;
+    if (Always) {
       report("EVQL008", Severity::Warning, E.Operands[0]->Line,
              E.Operands[0]->Column,
              std::string("ternary condition is always ") +
-                 (*T ? "true" : "false"),
+                 (*Always ? "true" : "false"),
              "constant-condition",
-             std::string("only the '") + (*T ? "then" : "else") +
+             std::string("only the '") + (*Always ? "then" : "else") +
                  "' branch can execute");
-      return *T ? Then : Else;
+      return *Always ? Then : Else;
     }
     if (Then.Type == Else.Type)
       return {Then.Type, {}};
@@ -456,6 +358,9 @@ private:
     ExprInfo Lhs = checkExpr(L, NodeCtx, Depth + 1);
     ExprInfo Rhs = checkExpr(R, NodeCtx, Depth + 1);
 
+    std::optional<evql::Const> Folded =
+        evql::foldBinary(E.Op, Lhs.Value, Rhs.Value);
+
     auto StringOperandError = [&](const Expr &Op) {
       report("EVQL005", Severity::Error, Op.Line, Op.Column,
              "string operand in numeric expression", "type-mismatch",
@@ -464,41 +369,17 @@ private:
 
     switch (E.Op) {
     case TokenKind::AmpAmp:
-    case TokenKind::PipePipe: {
+    case TokenKind::PipePipe:
       if (Lhs.Type == SemaType::String)
         report("EVQL005", Severity::Error, L.Line, L.Column,
                "expected a condition, found a string", "type-mismatch", "");
       if (Rhs.Type == SemaType::String)
         report("EVQL005", Severity::Error, R.Line, R.Column,
                "expected a condition, found a string", "type-mismatch", "");
-      ExprInfo Out{SemaType::Bool, {}};
-      std::optional<bool> A = truthy(Lhs.Const);
-      std::optional<bool> B = truthy(Rhs.Const);
-      bool IsAnd = E.Op == TokenKind::AmpAmp;
-      if (A && *A != IsAnd) // Short-circuit: false&&x, true||x.
-        Out.Const = ConstVal::boolean(!IsAnd);
-      else if (A && B)
-        Out.Const = ConstVal::boolean(IsAnd ? (*A && *B) : (*A || *B));
-      return Out;
-    }
+      return {SemaType::Bool, Folded};
     case TokenKind::EqualEqual:
-    case TokenKind::BangEqual: {
-      ExprInfo Out{SemaType::Bool, {}};
-      bool BothStrings = Lhs.Const.K == ConstVal::Kind::Str &&
-                         Rhs.Const.K == ConstVal::Kind::Str;
-      if (BothStrings) {
-        bool Equal = Lhs.Const.Str == Rhs.Const.Str;
-        Out.Const = ConstVal::boolean(E.Op == TokenKind::EqualEqual
-                                          ? Equal
-                                          : !Equal);
-      } else if (asNumber(Lhs.Const) && asNumber(Rhs.Const)) {
-        bool Equal = *asNumber(Lhs.Const) == *asNumber(Rhs.Const);
-        Out.Const = ConstVal::boolean(E.Op == TokenKind::EqualEqual
-                                          ? Equal
-                                          : !Equal);
-      }
-      return Out;
-    }
+    case TokenKind::BangEqual:
+      return {SemaType::Bool, Folded};
     case TokenKind::Less:
     case TokenKind::LessEqual:
     case TokenKind::Greater:
@@ -508,36 +389,11 @@ private:
       if (LStr != RStr && Lhs.Type != SemaType::Unknown &&
           Rhs.Type != SemaType::Unknown)
         StringOperandError(LStr ? L : R);
-      ExprInfo Out{SemaType::Bool, {}};
-      auto Fold = [&](double Cmp) {
-        switch (E.Op) {
-        case TokenKind::Less:
-          return Cmp < 0;
-        case TokenKind::LessEqual:
-          return Cmp <= 0;
-        case TokenKind::Greater:
-          return Cmp > 0;
-        default:
-          return Cmp >= 0;
-        }
-      };
-      if (Lhs.Const.K == ConstVal::Kind::Str &&
-          Rhs.Const.K == ConstVal::Kind::Str)
-        Out.Const = ConstVal::boolean(
-            Fold(static_cast<double>(Lhs.Const.Str.compare(Rhs.Const.Str))));
-      else if (asNumber(Lhs.Const) && asNumber(Rhs.Const))
-        Out.Const = ConstVal::boolean(
-            Fold(*asNumber(Lhs.Const) - *asNumber(Rhs.Const)));
-      return Out;
+      return {SemaType::Bool, Folded};
     }
-    case TokenKind::Plus: {
-      if (Lhs.Type == SemaType::String && Rhs.Type == SemaType::String) {
-        ExprInfo Out{SemaType::String, {}};
-        if (Lhs.Const.K == ConstVal::Kind::Str &&
-            Rhs.Const.K == ConstVal::Kind::Str)
-          Out.Const = ConstVal::str(Lhs.Const.Str + Rhs.Const.Str);
-        return Out;
-      }
+    case TokenKind::Plus:
+      if (Lhs.Type == SemaType::String && Rhs.Type == SemaType::String)
+        return {SemaType::String, Folded};
       if (Lhs.Type == SemaType::String || Rhs.Type == SemaType::String) {
         if (Lhs.Type != SemaType::Unknown && Rhs.Type != SemaType::Unknown)
           StringOperandError(Lhs.Type == SemaType::String ? L : R);
@@ -545,25 +401,17 @@ private:
       }
       if (Lhs.Type == SemaType::Unknown || Rhs.Type == SemaType::Unknown)
         return {}; // Could still be string concatenation at runtime.
-      ExprInfo Out{SemaType::Number, {}};
-      if (asNumber(Lhs.Const) && asNumber(Rhs.Const))
-        Out.Const =
-            ConstVal::num(*asNumber(Lhs.Const) + *asNumber(Rhs.Const));
-      return Out;
-    }
+      return {SemaType::Number, Folded};
     case TokenKind::Minus:
     case TokenKind::Star:
     case TokenKind::Slash:
-    case TokenKind::Percent: {
+    case TokenKind::Percent:
       if (Lhs.Type == SemaType::String)
         StringOperandError(L);
       if (Rhs.Type == SemaType::String)
         StringOperandError(R);
-      bool IsDiv =
-          E.Op == TokenKind::Slash || E.Op == TokenKind::Percent;
-      std::optional<double> A = asNumber(Lhs.Const);
-      std::optional<double> B = asNumber(Rhs.Const);
-      if (IsDiv && B && *B == 0.0)
+      if ((E.Op == TokenKind::Slash || E.Op == TokenKind::Percent) &&
+          Rhs.Value && Rhs.Value->asNumber() == 0.0)
         report("EVQL007", Severity::Warning, R.Line, R.Column,
                std::string("right operand of '") +
                    (E.Op == TokenKind::Slash ? "/" : "%") +
@@ -571,72 +419,56 @@ private:
                "division-by-zero",
                "EVQL defines x / 0 as 0; spell that out with ratio() if "
                "intended");
-      ExprInfo Out{SemaType::Number, {}};
-      if (A && B) {
-        switch (E.Op) {
-        case TokenKind::Minus:
-          Out.Const = ConstVal::num(*A - *B);
-          break;
-        case TokenKind::Star:
-          Out.Const = ConstVal::num(*A * *B);
-          break;
-        case TokenKind::Slash:
-          Out.Const = ConstVal::num(*B == 0.0 ? 0.0 : *A / *B);
-          break;
-        default:
-          Out.Const = ConstVal::num(*B == 0.0 ? 0.0 : std::fmod(*A, *B));
-          break;
-        }
-      }
-      return Out;
-    }
+      return {SemaType::Number, Folded};
     default:
       return {};
     }
   }
 
   ExprInfo checkCall(const Expr &E, bool NodeCtx, size_t Depth) {
-    const BuiltinSig *Sig = findBuiltin(E.Text);
-    if (!Sig) {
+    const evql::Builtin *B = evql::findBuiltin(E.Text);
+    if (!B) {
       for (const evql::ExprPtr &Arg : E.Operands)
         checkExpr(*Arg, NodeCtx, Depth + 1);
       report("EVQL003", Severity::Error, E.Line, E.Column,
              "unknown builtin '" + E.Text + "'", "unknown-builtin",
-             suggestFrom(E.Text, Builtins,
-                         [](const BuiltinSig &S) { return S.Name; }));
+             suggestFrom(E.Text, evql::Builtins,
+                         [](const evql::Builtin &B) { return B.Name; }));
       return {};
     }
-    if (E.Operands.size() != Sig->Arity) {
+    if (E.Operands.size() != B->Arity) {
       for (const evql::ExprPtr &Arg : E.Operands)
         checkExpr(*Arg, NodeCtx, Depth + 1);
       report("EVQL004", Severity::Error, E.Line, E.Column,
-             "'" + E.Text + "' expects " + std::to_string(Sig->Arity) +
+             "'" + E.Text + "' expects " + std::to_string(B->Arity) +
                  " argument(s), got " + std::to_string(E.Operands.size()),
              "wrong-arity", "");
       return {}; // Always fails at runtime, so it has no type to flow.
     }
-    bool Misplaced = Sig->NeedsNode && !NodeCtx;
+    bool Misplaced = B->Where != evql::NodeUse::Anywhere && !NodeCtx;
     if (Misplaced)
       report("EVQL011", Severity::Error, E.Line, E.Column,
              "'" + E.Text + "()' needs a node context", "node-context",
              "use it inside 'derive', 'prune when', or 'keep when'");
-    for (size_t I = 0; I < E.Operands.size(); ++I) {
+    std::optional<evql::Const> Values[2];
+    for (size_t I = 0; I < B->Arity; ++I) {
       ExprInfo Arg = checkExpr(*E.Operands[I], NodeCtx, Depth + 1);
-      if (!compatible(Arg.Type, Sig->Args[I]))
+      SemaType Want = semaType(B->Args[I]);
+      if (!compatible(Arg.Type, Want))
         report("EVQL005", Severity::Error, E.Operands[I]->Line,
                E.Operands[I]->Column,
                "argument " + std::to_string(I + 1) + " of '" + E.Text +
-                   "' must be a " +
-                   std::string(semaTypeName(Sig->Args[I])) + ", found a " +
-                   std::string(semaTypeName(Arg.Type)),
+                   "' must be a " + std::string(semaTypeName(Want)) +
+                   ", found a " + std::string(semaTypeName(Arg.Type)),
                "type-mismatch", "");
-      if (I == 0 && Sig->MetricName &&
-          Arg.Const.K == ConstVal::Kind::Str && Opts.MetricSource)
-        checkMetricName(Arg.Const.Str, *E.Operands[0]);
+      if (I == 0 && B->MetricArg && Arg.Value &&
+          Arg.Value->T == evql::VType::Str && Opts.MetricSource)
+        checkMetricName(Arg.Value->S, *E.Operands[0]);
+      Values[I] = std::move(Arg.Value);
     }
     if (Misplaced)
       return {};
-    return {Sig->Ret, {}};
+    return {semaType(B->Result), evql::foldCall(*B, Values)};
   }
 
   void checkMetricName(const std::string &Name, const Expr &At) {

@@ -40,11 +40,8 @@ namespace ev {
 
 /// The flow-insensitive type lattice the checker infers over. Unknown is
 /// both top (no information) and the recovery type after an error, so one
-/// mistake produces one diagnostic instead of a cascade. NodeSet is the
-/// type of the implicit selection prune/keep statements operate on; no
-/// expression produces it today, but the lattice reserves it so rules can
-/// speak about statement-level values uniformly.
-enum class SemaType : uint8_t { Number, String, Bool, NodeSet, Unknown };
+/// mistake produces one diagnostic instead of a cascade.
+enum class SemaType : uint8_t { Number, String, Bool, Unknown };
 
 /// \returns a stable lowercase name ("number", "string", ...).
 std::string_view semaTypeName(SemaType Type);
@@ -66,10 +63,10 @@ const SemaCheckInfo *findSemaCheck(std::string_view IdOrName);
 
 /// Configuration for a semantic check.
 struct SemaOptions {
-  /// When set, metric-name arguments of metric()/exclusive()/inclusive()/
-  /// total()/share() that are string constants are validated against this
-  /// profile's metric table (plus metrics derived earlier in the program).
-  /// When null the EVQL006 check is skipped.
+  /// When set, metric-name arguments (evql::Builtin::MetricArg) that are
+  /// string constants are validated against this profile's metric table
+  /// (plus metrics derived earlier in the program). When null the EVQL006
+  /// check is skipped.
   const Profile *MetricSource = nullptr;
   AnalysisLimits Limits = AnalysisLimits::defaults();
 };

@@ -15,60 +15,11 @@
 #include "query/Compiler.h"
 
 #include "query/Vm.h"
-#include "support/Strings.h"
-
-#include <algorithm>
-#include <cmath>
-#include <optional>
 
 namespace ev {
 namespace evql {
 
 namespace {
-
-/// Compile-time constant value; mirrors the oracle's RtValue.
-struct CVal {
-  VType T = VType::Num;
-  double N = 0.0;
-  bool B = false;
-  std::string S;
-
-  static CVal num(double V) {
-    CVal C;
-    C.T = VType::Num;
-    C.N = V;
-    return C;
-  }
-  static CVal boolean(bool V) {
-    CVal C;
-    C.T = VType::Bool;
-    C.B = V;
-    return C;
-  }
-  static CVal str(std::string V) {
-    CVal C;
-    C.T = VType::Str;
-    C.S = std::move(V);
-    return C;
-  }
-
-  /// Numeric coercion matching evalNumber/AsNumber; only called on
-  /// non-string constants.
-  double asNumber() const { return T == VType::Bool ? (B ? 1.0 : 0.0) : N; }
-
-  /// RtValue::render() for constants.
-  std::string render() const {
-    switch (T) {
-    case VType::Num:
-      return renderNumber(N);
-    case VType::Bool:
-      return B ? "true" : "false";
-    case VType::Str:
-      return S;
-    }
-    return "";
-  }
-};
 
 /// A compiled expression: its static type, the register holding it, and
 /// the folded constant when the subtree was pure and constant. Never marks
@@ -77,7 +28,7 @@ struct CVal {
 struct EV {
   VType T = VType::Num;
   uint16_t Reg = 0;
-  std::optional<CVal> Const;
+  std::optional<Const> Value;
   bool Never = false;
 };
 
@@ -97,80 +48,136 @@ const char *typeName(VType T) {
 struct Binding {
   VType T = VType::Num;
   uint16_t Slot = 0;
-  std::optional<CVal> Const;
+  std::optional<Const> Value;
 };
 
 /// Register ids stay comfortably under the uint16 ceiling; a statement
 /// that needs more lowers to one trap.
 constexpr uint16_t RegCap = 0xFF00;
 
-/// Folds a non-logical binary operator over two constants, mirroring the
-/// oracle's Binary clause exactly (including the x/0 == 0 guard the
-/// EVQL007 lint documents). \returns nullopt when the oracle would
-/// raise a runtime error instead (string operand on the numeric path) —
-/// the caller then emits the code path whose trap reproduces it.
-std::optional<CVal> foldBinary(TokenKind Op, const CVal &L, const CVal &R) {
-  bool BothStrings = L.T == VType::Str && R.T == VType::Str;
-  switch (Op) {
+/// How a binary operator other than '&&' and '||' applies to operands of
+/// static types L and R, decided the way the oracle's Binary clause
+/// decides it.
+struct BinaryOp {
+  Op O = Op::Trap;      ///< Trap: not a binary operator.
+  bool Numeric = false; ///< Operands coerce to numbers; a string traps.
+  VType Result = VType::Bool;
+};
+
+BinaryOp binaryOp(TokenKind Tok, VType L, VType R) {
+  bool Strings = L == VType::Str && R == VType::Str;
+  auto Arith = [](Op O) { return BinaryOp{O, true, VType::Num}; };
+  auto Compare = [&](Op OnNumbers, Op OnStrings) {
+    return Strings ? BinaryOp{OnStrings, false, VType::Bool}
+                   : BinaryOp{OnNumbers, true, VType::Bool};
+  };
+  // A string never equals a non-string: the answer is a constant, though
+  // the oracle still evaluated both operands, so their code (and any
+  // traps in it) stays.
+  bool Mixed = !Strings && (L == VType::Str || R == VType::Str);
+  BinaryOp Unequal{Op::LoadBool, false, VType::Bool};
+  switch (Tok) {
   case TokenKind::Plus:
-    if (BothStrings)
-      return CVal::str(L.S + R.S);
-    break;
-  case TokenKind::EqualEqual:
-  case TokenKind::BangEqual: {
-    bool Equal;
-    if (BothStrings)
-      Equal = L.S == R.S;
-    else if (L.T == VType::Str || R.T == VType::Str)
-      Equal = false;
-    else
-      Equal = L.asNumber() == R.asNumber();
-    return CVal::boolean(Op == TokenKind::EqualEqual ? Equal : !Equal);
-  }
-  case TokenKind::Less:
-  case TokenKind::LessEqual:
-  case TokenKind::Greater:
-  case TokenKind::GreaterEqual:
-    if (BothStrings) {
-      int Cmp = L.S.compare(R.S);
-      switch (Op) {
-      case TokenKind::Less:
-        return CVal::boolean(Cmp < 0);
-      case TokenKind::LessEqual:
-        return CVal::boolean(Cmp <= 0);
-      case TokenKind::Greater:
-        return CVal::boolean(Cmp > 0);
-      default:
-        return CVal::boolean(Cmp >= 0);
-      }
-    }
-    break;
-  default:
-    break;
-  }
-  if (L.T == VType::Str || R.T == VType::Str)
-    return std::nullopt;
-  double A = L.asNumber();
-  double B = R.asNumber();
-  switch (Op) {
-  case TokenKind::Plus:
-    return CVal::num(A + B);
+    return Strings ? BinaryOp{Op::ConcatStr, false, VType::Str}
+                   : Arith(Op::AddNum);
   case TokenKind::Minus:
-    return CVal::num(A - B);
+    return Arith(Op::SubNum);
   case TokenKind::Star:
-    return CVal::num(A * B);
+    return Arith(Op::MulNum);
   case TokenKind::Slash:
-    return CVal::num(B == 0.0 ? 0.0 : A / B);
+    return Arith(Op::DivNum);
   case TokenKind::Percent:
-    return CVal::num(B == 0.0 ? 0.0 : std::fmod(A, B));
+    return Arith(Op::ModNum);
   case TokenKind::Less:
-    return CVal::boolean(A < B);
+    return Compare(Op::LtNum, Op::LtStr);
   case TokenKind::LessEqual:
-    return CVal::boolean(A <= B);
+    return Compare(Op::LeNum, Op::LeStr);
   case TokenKind::Greater:
-    return CVal::boolean(A > B);
+    return Compare(Op::GtNum, Op::GtStr);
   case TokenKind::GreaterEqual:
-    return CVal::boolean(A >= B);
+    return Compare(Op::GeNum, Op::GeStr);
+  case TokenKind::EqualEqual:
+    return Mixed ? Unequal : Compare(Op::EqNum, Op::EqStr);
+  case TokenKind::BangEqual:
+    return Mixed ? Unequal : Compare(Op::NeNum, Op::NeStr);
+  default:
+    return {};
+  }
+}
+
+/// Applies pure op \p O to constants already in its operand banks.
+/// \returns nullopt for ops that read the profile or the node.
+std::optional<Const> foldOp(Op O, const Const &A, const Const &B) {
+  using namespace scalar;
+  auto Num1 = [&](auto F) { return Const::num(F(A.N)); };
+  auto Num2 = [&](auto F) { return Const::num(F(A.N, B.N)); };
+  auto Cmp = [&](auto F) {
+    return Const::boolean(A.T == VType::Str ? F(A.S, B.S) : F(A.N, B.N));
+  };
+  auto Str2 = [&](auto F) { return Const::boolean(F(A.S, B.S)); };
+  switch (O) {
+  case Op::NegNum:
+    return Num1(Neg);
+  case Op::AddNum:
+    return Num2(Add);
+  case Op::SubNum:
+    return Num2(Sub);
+  case Op::MulNum:
+    return Num2(Mul);
+  case Op::DivNum:
+    return Num2(Div);
+  case Op::ModNum:
+    return Num2(Mod);
+  case Op::MinNum:
+    return Num2(Min);
+  case Op::MaxNum:
+    return Num2(Max);
+  case Op::AbsNum:
+    return Num1(Abs);
+  case Op::LogNum:
+    return Num1(Log);
+  case Op::SqrtNum:
+    return Num1(Sqrt);
+  case Op::FloorNum:
+    return Num1(Floor);
+  case Op::CeilNum:
+    return Num1(Ceil);
+  case Op::LtNum:
+  case Op::LtStr:
+    return Cmp(Lt);
+  case Op::LeNum:
+  case Op::LeStr:
+    return Cmp(Le);
+  case Op::GtNum:
+  case Op::GtStr:
+    return Cmp(Gt);
+  case Op::GeNum:
+  case Op::GeStr:
+    return Cmp(Ge);
+  case Op::EqNum:
+  case Op::EqStr:
+    return Cmp(Eq);
+  case Op::NeNum:
+  case Op::NeStr:
+    return Cmp(Ne);
+  case Op::NotBool:
+    return Const::boolean(Not(A.B));
+  case Op::ConcatStr:
+    return Const::str(Add(A.S, B.S));
+  case Op::ContainsStr:
+    return Str2(Contains);
+  case Op::StartsWithStr:
+    return Str2(StartsWith);
+  case Op::EndsWithStr:
+    return Str2(EndsWith);
+  case Op::StrFromNum:
+    return Const::str(renderNumber(A.N));
+  case Op::StrFromBool:
+    return Const::str(BoolText(A.B));
+  case Op::CopyStr:
+    return A;
+  case Op::FmtStr:
+    return Const::str(renderFormatted(A.N, B.N));
   default:
     return std::nullopt;
   }
@@ -196,7 +203,7 @@ public:
       Binding B;
       B.T = V.T;
       B.Slot = allocGlobal(V.T);
-      B.Const = V.Const;
+      B.Value = V.Value;
       Env[St.Name] = B;
       CS->GlobalSlot = B.Slot;
       finish(V);
@@ -325,7 +332,7 @@ private:
   /// it folded to constants, since traps and effectful ops never fold.
   void rewind(size_t Mark) { CS->Code.resize(Mark); }
 
-  EV materialize(CVal C) {
+  EV materialize(Const C) {
     EV V;
     V.T = C.T;
     V.Reg = alloc(C.T);
@@ -340,7 +347,7 @@ private:
       emit(Op::LoadStr, V.Reg).Str = pool(C.S);
       break;
     }
-    V.Const = std::move(C);
+    V.Value = std::move(C);
     return V;
   }
 
@@ -358,8 +365,8 @@ private:
       EV O;
       O.T = VType::Num;
       O.Reg = R;
-      if (V.Const)
-        O.Const = CVal::num(V.Const->B ? 1.0 : 0.0);
+      if (V.Value)
+        O.Value = Const::num(*V.Value->asNumber());
       return O;
     }
     case VType::Str:
@@ -379,8 +386,8 @@ private:
       EV O;
       O.T = VType::Bool;
       O.Reg = R;
-      if (V.Const)
-        O.Const = CVal::boolean(V.Const->N != 0.0);
+      if (V.Value)
+        O.Value = Const::boolean(*V.Value->asCondition());
       return O;
     }
     case VType::Str:
@@ -409,11 +416,11 @@ private:
                   E.Line, VType::Num);
     switch (E.TheKind) {
     case Expr::Kind::NumberLit:
-      return materialize(CVal::num(E.Number));
+      return materialize(Const::num(E.Number));
     case Expr::Kind::StringLit:
-      return materialize(CVal::str(E.Text));
+      return materialize(Const::str(E.Text));
     case Expr::Kind::BoolLit:
-      return materialize(CVal::boolean(E.BoolValue));
+      return materialize(Const::boolean(E.BoolValue));
     case Expr::Kind::Ident: {
       auto It = Env.find(E.Text);
       if (It == Env.end())
@@ -423,7 +430,7 @@ private:
       EV V;
       V.T = B.T;
       V.Reg = alloc(B.T);
-      V.Const = B.Const;
+      V.Value = B.Value;
       Op Load = B.T == VType::Num    ? Op::LoadGlobalNum
                 : B.T == VType::Bool ? Op::LoadGlobalBool
                                      : Op::LoadGlobalStr;
@@ -432,24 +439,17 @@ private:
     }
     case Expr::Kind::Unary: {
       size_t Mark = CS->Code.size();
-      if (E.Op == TokenKind::Minus) {
-        EV V = compileNumber(*E.Operands[0], Depth + 1);
-        if (V.Const) {
-          rewind(Mark);
-          return materialize(CVal::num(-V.Const->N));
-        }
-        uint16_t R = alloc(VType::Num);
-        emit(Op::NegNum, R, V.Reg);
-        return EV{VType::Num, R, std::nullopt};
-      }
-      EV V = compileBool(*E.Operands[0], Depth + 1);
-      if (V.Const) {
+      bool Minus = E.Op == TokenKind::Minus;
+      EV V = Minus ? compileNumber(*E.Operands[0], Depth + 1)
+                   : compileBool(*E.Operands[0], Depth + 1);
+      if (std::optional<Const> Folded = foldUnary(E.Op, V.Value)) {
         rewind(Mark);
-        return materialize(CVal::boolean(!V.Const->B));
+        return materialize(std::move(*Folded));
       }
-      uint16_t R = alloc(VType::Bool);
-      emit(Op::NotBool, R, V.Reg);
-      return EV{VType::Bool, R, std::nullopt};
+      VType T = Minus ? VType::Num : VType::Bool;
+      uint16_t R = alloc(T);
+      emit(Minus ? Op::NegNum : Op::NotBool, R, V.Reg);
+      return EV{T, R, std::nullopt};
     }
     case Expr::Kind::Ternary:
       return compileTernary(E, Depth);
@@ -464,11 +464,11 @@ private:
   EV compileTernary(const Expr &E, size_t Depth) {
     size_t Mark = CS->Code.size();
     EV Cond = compileBool(*E.Operands[0], Depth + 1);
-    if (Cond.Const) {
+    if (Cond.Value) {
       // Only the taken branch is evaluated; a constant condition's code
       // is pure, so it folds away entirely.
       rewind(Mark);
-      return compileExpr(Cond.Const->B ? *E.Operands[1] : *E.Operands[2],
+      return compileExpr(Cond.Value->B ? *E.Operands[1] : *E.Operands[2],
                          Depth + 1);
     }
     uint16_t MThen, MElse;
@@ -517,15 +517,14 @@ private:
     if (E.Op == TokenKind::AmpAmp || E.Op == TokenKind::PipePipe) {
       size_t Mark = CS->Code.size();
       EV Lhs = compileBool(*E.Operands[0], Depth + 1);
-      if (Lhs.Const) {
+      if (Lhs.Value) {
         // Absorbing element: the RHS is never evaluated (so a trap inside
         // it must not be emitted). Neutral element: the result IS the
         // RHS-as-bool. Either way the constant LHS code is pure.
         rewind(Mark);
-        if (E.Op == TokenKind::AmpAmp && !Lhs.Const->B)
-          return materialize(CVal::boolean(false));
-        if (E.Op == TokenKind::PipePipe && Lhs.Const->B)
-          return materialize(CVal::boolean(true));
+        if (std::optional<Const> Decided =
+                foldBinary(E.Op, Lhs.Value, std::nullopt))
+          return materialize(std::move(*Decided));
         return compileBool(*E.Operands[1], Depth + 1);
       }
       uint16_t MRhs;
@@ -558,94 +557,22 @@ private:
     size_t Mark = CS->Code.size();
     EV Lhs = compileExpr(*E.Operands[0], Depth + 1);
     EV Rhs = compileExpr(*E.Operands[1], Depth + 1);
-    if (Lhs.Const && Rhs.Const)
-      if (std::optional<CVal> Folded = foldBinary(E.Op, *Lhs.Const,
-                                                  *Rhs.Const)) {
-        rewind(Mark);
-        return materialize(std::move(*Folded));
-      }
-
-    bool BothStrings = Lhs.T == VType::Str && Rhs.T == VType::Str;
-    switch (E.Op) {
-    case TokenKind::Plus:
-      if (BothStrings) {
-        uint16_t R = alloc(VType::Str);
-        emit(Op::ConcatStr, R, Lhs.Reg, Rhs.Reg);
-        return EV{VType::Str, R, std::nullopt};
-      }
-      break;
-    case TokenKind::EqualEqual:
-    case TokenKind::BangEqual: {
-      uint16_t R = alloc(VType::Bool);
-      if (BothStrings) {
-        emit(E.Op == TokenKind::EqualEqual ? Op::EqStr : Op::NeStr, R,
-             Lhs.Reg, Rhs.Reg);
-        return EV{VType::Bool, R, std::nullopt};
-      }
-      if (Lhs.T == VType::Str || Rhs.T == VType::Str) {
-        // Mixed string/non-string never compares equal — but the
-        // oracle still evaluated both operands, so their code (and
-        // any traps in it) stays.
-        emit(Op::LoadBool, R).Imm = E.Op == TokenKind::BangEqual ? 1.0 : 0.0;
-        return EV{VType::Bool, R, std::nullopt};
-      }
-      uint16_t A = toNumeric(Lhs, E.Line);
-      uint16_t B = toNumeric(Rhs, E.Line);
-      emit(E.Op == TokenKind::EqualEqual ? Op::EqNum : Op::NeNum, R, A, B);
-      return EV{VType::Bool, R, std::nullopt};
+    if (std::optional<Const> Folded = foldBinary(E.Op, Lhs.Value, Rhs.Value)) {
+      rewind(Mark);
+      return materialize(std::move(*Folded));
     }
-    case TokenKind::Less:
-    case TokenKind::LessEqual:
-    case TokenKind::Greater:
-    case TokenKind::GreaterEqual:
-      if (BothStrings) {
-        uint16_t R = alloc(VType::Bool);
-        Op O = E.Op == TokenKind::Less        ? Op::LtStr
-               : E.Op == TokenKind::LessEqual ? Op::LeStr
-               : E.Op == TokenKind::Greater   ? Op::GtStr
-                                              : Op::GeStr;
-        emit(O, R, Lhs.Reg, Rhs.Reg);
-        return EV{VType::Bool, R, std::nullopt};
-      }
-      break;
-    default:
-      break;
-    }
-
-    // Numeric path; the oracle coerces LHS first, so its trap fires
-    // first.
-    uint16_t A = toNumeric(Lhs, E.Line);
-    uint16_t B = toNumeric(Rhs, E.Line);
-    switch (E.Op) {
-    case TokenKind::Plus:
-    case TokenKind::Minus:
-    case TokenKind::Star:
-    case TokenKind::Slash:
-    case TokenKind::Percent: {
-      uint16_t R = alloc(VType::Num);
-      Op O = E.Op == TokenKind::Plus    ? Op::AddNum
-             : E.Op == TokenKind::Minus ? Op::SubNum
-             : E.Op == TokenKind::Star  ? Op::MulNum
-             : E.Op == TokenKind::Slash ? Op::DivNum
-                                        : Op::ModNum;
-      emit(O, R, A, B);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    case TokenKind::Less:
-    case TokenKind::LessEqual:
-    case TokenKind::Greater:
-    case TokenKind::GreaterEqual: {
-      uint16_t R = alloc(VType::Bool);
-      Op O = E.Op == TokenKind::Less        ? Op::LtNum
-             : E.Op == TokenKind::LessEqual ? Op::LeNum
-             : E.Op == TokenKind::Greater   ? Op::GtNum
-                                            : Op::GeNum;
-      emit(O, R, A, B);
-      return EV{VType::Bool, R, std::nullopt};
-    }
-    default:
+    BinaryOp B = binaryOp(E.Op, Lhs.T, Rhs.T);
+    if (B.O == Op::Trap)
       return trap("unsupported operator", E.Line, VType::Num);
-    }
+    // The oracle coerces the LHS first, so its trap fires first.
+    uint16_t A = B.Numeric ? toNumeric(Lhs, E.Line) : Lhs.Reg;
+    uint16_t C = B.Numeric ? toNumeric(Rhs, E.Line) : Rhs.Reg;
+    uint16_t R = alloc(B.Result);
+    if (B.O == Op::LoadBool)
+      emit(Op::LoadBool, R).Imm = E.Op == TokenKind::BangEqual ? 1.0 : 0.0;
+    else
+      emit(B.O, R, A, C);
+    return EV{B.Result, R, std::nullopt};
   }
 
   /// The oracle's AsNumber: number passes, bool coerces, string is a
@@ -666,248 +593,113 @@ private:
     return V.Reg;
   }
 
-  EV nodeContextTrap(const std::string &Fn, size_t Line, VType T,
-                     bool LongForm) {
-    std::string Msg = "'" + Fn + "()' needs a node context";
-    if (LongForm)
-      Msg += " (use it in 'derive', 'prune', or 'keep')";
-    return trap(std::move(Msg), Line, T);
-  }
-
   EV compileCall(const Expr &E, size_t Depth) {
-    const std::string &Fn = E.Text;
-    size_t Argc = E.Operands.size();
-    auto WrongArity = [&](const char *Expected, VType T) {
-      return trap("'" + Fn + "' expects " + std::string(Expected) +
-                      " argument(s)",
-                  E.Line, T);
-    };
-
-    // Node-context builtins.
-    if (Fn == "metric" || Fn == "exclusive" || Fn == "inclusive") {
-      if (Argc != 1)
-        return WrongArity("1", VType::Num);
-      EV Name = compileString(*E.Operands[0], Depth + 1);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Num, false);
-      uint16_t R = alloc(VType::Num);
-      Instr &I =
-          emit(Fn == "inclusive" ? Op::MetricIncl : Op::MetricExcl, R,
-               Name.Reg);
-      I.Line = static_cast<uint32_t>(E.Line);
-      if (Name.Const)
-        I.Slot = addSlot(Name.Const->S);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    if (Fn == "total") {
-      if (Argc != 1)
-        return WrongArity("1", VType::Num);
-      EV Name = compileString(*E.Operands[0], Depth + 1);
-      uint16_t R = alloc(VType::Num);
-      Instr &I = emit(Op::TotalOp, R, Name.Reg);
-      I.Line = static_cast<uint32_t>(E.Line);
-      if (Name.Const)
-        I.Slot = addSlot(Name.Const->S);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    if (Fn == "nodecount") {
-      if (Argc != 0)
-        return WrongArity("0", VType::Num);
-      uint16_t R = alloc(VType::Num);
-      emit(Op::NodeCountOp, R);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    if (Fn == "name" || Fn == "file" || Fn == "module" || Fn == "kind") {
-      if (Argc != 0)
-        return WrongArity("0", VType::Str);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Str, true);
-      uint16_t R = alloc(VType::Str);
-      Op O = Fn == "name"     ? Op::NodeName
-             : Fn == "file"   ? Op::NodeFile
-             : Fn == "module" ? Op::NodeModule
-                              : Op::NodeKind;
-      emit(O, R);
-      return EV{VType::Str, R, std::nullopt};
-    }
-    if (Fn == "line") {
-      if (Argc != 0)
-        return WrongArity("0", VType::Num);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Num, true);
-      uint16_t R = alloc(VType::Num);
-      emit(Op::NodeLine, R);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    if (Fn == "depth") {
-      if (Argc != 0)
-        return WrongArity("0", VType::Num);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Num, false);
-      uint16_t R = alloc(VType::Num);
-      emit(Op::NodeDepth, R);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    if (Fn == "nchildren") {
-      if (Argc != 0)
-        return WrongArity("0", VType::Num);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Num, false);
-      uint16_t R = alloc(VType::Num);
-      emit(Op::NodeChildren, R);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    if (Fn == "isleaf") {
-      if (Argc != 0)
-        return WrongArity("0", VType::Bool);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Bool, false);
-      uint16_t R = alloc(VType::Bool);
-      emit(Op::NodeIsLeaf, R);
-      return EV{VType::Bool, R, std::nullopt};
-    }
-    if (Fn == "parentname") {
-      if (Argc != 0)
-        return WrongArity("0", VType::Str);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Str, false);
-      uint16_t R = alloc(VType::Str);
-      emit(Op::NodeParentName, R);
-      return EV{VType::Str, R, std::nullopt};
-    }
-    if (Fn == "hasancestor") {
-      if (Argc != 1)
-        return WrongArity("1", VType::Bool);
-      EV Name = compileString(*E.Operands[0], Depth + 1);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Bool, false);
-      uint16_t R = alloc(VType::Bool);
-      emit(Op::HasAncestor, R, Name.Reg);
-      return EV{VType::Bool, R, std::nullopt};
-    }
-    if (Fn == "share") {
-      if (Argc != 1)
-        return WrongArity("1", VType::Num);
-      EV Name = compileString(*E.Operands[0], Depth + 1);
-      if (!NodeCtx)
-        return nodeContextTrap(Fn, E.Line, VType::Num, false);
-      uint16_t R = alloc(VType::Num);
-      Instr &I = emit(Op::ShareOp, R, Name.Reg);
-      I.Line = static_cast<uint32_t>(E.Line);
-      if (Name.Const)
-        I.Slot = addSlot(Name.Const->S);
-      return EV{VType::Num, R, std::nullopt};
-    }
-
-    // Pure numeric builtins.
-    if (Fn == "min" || Fn == "max" || Fn == "ratio") {
-      if (Argc != 2)
-        return WrongArity("2", VType::Num);
-      size_t Mark = CS->Code.size();
-      EV A = compileNumber(*E.Operands[0], Depth + 1);
-      EV B = compileNumber(*E.Operands[1], Depth + 1);
-      if (A.Const && B.Const) {
-        rewind(Mark);
-        double X = A.Const->N, Y = B.Const->N;
-        double F = Fn == "min"   ? std::min(X, Y)
-                   : Fn == "max" ? std::max(X, Y)
-                                 : (Y == 0.0 ? 0.0 : X / Y);
-        return materialize(CVal::num(F));
-      }
-      uint16_t R = alloc(VType::Num);
-      // ratio() shares DivNum: its zero-denominator guard IS the ratio
-      // semantics.
-      Op O = Fn == "min" ? Op::MinNum : Fn == "max" ? Op::MaxNum : Op::DivNum;
-      emit(O, R, A.Reg, B.Reg);
-      return EV{VType::Num, R, std::nullopt};
-    }
-    if (Fn == "abs" || Fn == "log" || Fn == "sqrt" || Fn == "floor" ||
-        Fn == "ceil") {
-      if (Argc != 1)
-        return WrongArity("1", VType::Num);
-      size_t Mark = CS->Code.size();
-      EV A = compileNumber(*E.Operands[0], Depth + 1);
-      if (A.Const) {
-        rewind(Mark);
-        double X = A.Const->N;
-        double F = Fn == "abs"    ? std::abs(X)
-                   : Fn == "log"  ? (X > 0 ? std::log(X) : 0.0)
-                   : Fn == "sqrt" ? (X >= 0 ? std::sqrt(X) : 0.0)
-                   : Fn == "floor" ? std::floor(X)
-                                   : std::ceil(X);
-        return materialize(CVal::num(F));
-      }
-      uint16_t R = alloc(VType::Num);
-      Op O = Fn == "abs"    ? Op::AbsNum
-             : Fn == "log"  ? Op::LogNum
-             : Fn == "sqrt" ? Op::SqrtNum
-             : Fn == "floor" ? Op::FloorNum
-                             : Op::CeilNum;
-      emit(O, R, A.Reg);
-      return EV{VType::Num, R, std::nullopt};
-    }
-
-    // String builtins.
-    if (Fn == "contains" || Fn == "startswith" || Fn == "endswith") {
-      if (Argc != 2)
-        return WrongArity("2", VType::Bool);
-      size_t Mark = CS->Code.size();
-      EV A = compileString(*E.Operands[0], Depth + 1);
-      EV B = compileString(*E.Operands[1], Depth + 1);
-      if (A.Const && B.Const) {
-        rewind(Mark);
-        bool F = Fn == "contains"
-                     ? A.Const->S.find(B.Const->S) != std::string::npos
-                 : Fn == "startswith" ? startsWith(A.Const->S, B.Const->S)
-                                      : endsWith(A.Const->S, B.Const->S);
-        return materialize(CVal::boolean(F));
-      }
-      uint16_t R = alloc(VType::Bool);
-      Op O = Fn == "contains"     ? Op::ContainsStr
-             : Fn == "startswith" ? Op::StartsWithStr
-                                  : Op::EndsWithStr;
-      emit(O, R, A.Reg, B.Reg);
-      return EV{VType::Bool, R, std::nullopt};
-    }
-    if (Fn == "str") {
-      if (Argc != 1)
-        return WrongArity("1", VType::Str);
-      size_t Mark = CS->Code.size();
-      EV V = compileExpr(*E.Operands[0], Depth + 1);
-      if (V.Const) {
-        rewind(Mark);
-        return materialize(CVal::str(V.Const->render()));
-      }
-      uint16_t R = alloc(VType::Str);
-      Op O = V.T == VType::Num    ? Op::StrFromNum
-             : V.T == VType::Bool ? Op::StrFromBool
-                                  : Op::CopyStr;
-      emit(O, R, V.Reg);
-      return EV{VType::Str, R, std::nullopt};
-    }
-    if (Fn == "fmt") {
-      if (Argc != 2)
-        return WrongArity("2", VType::Str);
-      size_t Mark = CS->Code.size();
-      EV A = compileNumber(*E.Operands[0], Depth + 1);
-      EV D = compileNumber(*E.Operands[1], Depth + 1);
-      if (A.Const && D.Const) {
-        rewind(Mark);
-        return materialize(
-            CVal::str(renderFormatted(A.Const->N, D.Const->N)));
-      }
-      uint16_t R = alloc(VType::Str);
-      emit(Op::FmtStr, R, A.Reg, D.Reg);
-      return EV{VType::Str, R, std::nullopt};
-    }
-
+    const Builtin *B = findBuiltin(E.Text);
     // The oracle reports an unknown function without evaluating its
     // operands, so no operand code is emitted here either.
-    return trap("unknown function '" + Fn + "'", E.Line, VType::Num);
+    if (!B)
+      return trap("unknown function '" + E.Text + "'", E.Line, VType::Num);
+    if (E.Operands.size() != B->Arity)
+      return trap("'" + E.Text + "' expects " + std::to_string(B->Arity) +
+                      " argument(s)",
+                  E.Line, B->Result);
+    size_t Mark = CS->Code.size();
+    EV Args[2];
+    std::optional<Const> Values[2];
+    for (size_t I = 0; I < B->Arity; ++I) {
+      const Expr &Arg = *E.Operands[I];
+      Args[I] = B->Args[I] == ArgType::Number ? compileNumber(Arg, Depth + 1)
+                : B->Args[I] == ArgType::String
+                    ? compileString(Arg, Depth + 1)
+                    : compileExpr(Arg, Depth + 1);
+      Values[I] = Args[I].Value;
+    }
+    // The oracle checks the node context after evaluating the operands.
+    if (B->Where != NodeUse::Anywhere && !NodeCtx) {
+      std::string Msg = "'" + E.Text + "()' needs a node context";
+      if (B->Where == NodeUse::NodeHinted)
+        Msg += " (use it in 'derive', 'prune', or 'keep')";
+      return trap(std::move(Msg), E.Line, B->Result);
+    }
+    if (std::optional<Const> Folded = foldCall(*B, Values)) {
+      rewind(Mark);
+      return materialize(std::move(*Folded));
+    }
+    uint16_t R = alloc(B->Result);
+    Instr &I = emit(B->opFor(Args[0].T), R, Args[0].Reg, Args[1].Reg);
+    if (B->MetricArg) {
+      I.Line = static_cast<uint32_t>(E.Line);
+      if (Args[0].Value)
+        I.Slot = addSlot(Args[0].Value->S);
+    }
+    return EV{B->Result, R, std::nullopt};
   }
 };
 
 } // namespace
+
+const Builtin *findBuiltin(std::string_view Name) {
+  for (const Builtin &B : Builtins)
+    if (B.Name == Name)
+      return &B;
+  return nullptr;
+}
+
+std::optional<Const> foldUnary(TokenKind Tok, const std::optional<Const> &V) {
+  if (!V)
+    return std::nullopt;
+  if (Tok == TokenKind::Minus) {
+    std::optional<double> N = V->asNumber();
+    return N ? foldOp(Op::NegNum, Const::num(*N), {}) : std::nullopt;
+  }
+  std::optional<bool> C = V->asCondition();
+  return C ? foldOp(Op::NotBool, Const::boolean(*C), {}) : std::nullopt;
+}
+
+std::optional<Const> foldBinary(TokenKind Tok, const std::optional<Const> &L,
+                                const std::optional<Const> &R) {
+  if (Tok == TokenKind::AmpAmp || Tok == TokenKind::PipePipe) {
+    bool IsAnd = Tok == TokenKind::AmpAmp;
+    std::optional<bool> A = L ? L->asCondition() : std::nullopt;
+    if (A && *A != IsAnd) // false && x, true || x
+      return Const::boolean(*A);
+    std::optional<bool> B = R ? R->asCondition() : std::nullopt;
+    if (!A || !B)
+      return std::nullopt;
+    return Const::boolean(IsAnd ? scalar::And(*A, *B) : scalar::Or(*A, *B));
+  }
+  if (!L || !R)
+    return std::nullopt;
+  BinaryOp B = binaryOp(Tok, L->T, R->T);
+  if (B.O == Op::LoadBool)
+    return Const::boolean(Tok == TokenKind::BangEqual);
+  if (!B.Numeric)
+    return foldOp(B.O, *L, *R);
+  std::optional<double> X = L->asNumber(), Y = R->asNumber();
+  if (!X || !Y)
+    return std::nullopt;
+  return foldOp(B.O, Const::num(*X), Const::num(*Y));
+}
+
+std::optional<Const> foldCall(const Builtin &B,
+                              const std::optional<Const> *Args) {
+  Const In[2];
+  for (size_t I = 0; I < B.Arity; ++I) {
+    if (!Args[I])
+      return std::nullopt;
+    if (B.Args[I] == ArgType::Number) {
+      std::optional<double> N = Args[I]->asNumber();
+      if (!N)
+        return std::nullopt;
+      In[I] = Const::num(*N);
+    } else if (B.Args[I] == ArgType::String && Args[I]->T != VType::Str) {
+      return std::nullopt;
+    } else {
+      In[I] = *Args[I];
+    }
+  }
+  return foldOp(B.opFor(In[0].T), In[0], In[1]);
+}
 
 std::shared_ptr<const CompiledProgram>
 compileProgram(const Program &Prog, const AnalysisLimits &Limits) {

@@ -34,10 +34,13 @@
 ///     exact message. Traps respect the execution mask, so an error on
 ///     the dead side of a short-circuit never fires.
 ///
-///  3. Oracle-faithful folding. Constant subexpressions fold at compile
-///     time using the language's own semantics (x/0 == 0 like the EVQL007
-///     lint describes, string compares, bool coercions), and only when
-///     folding cannot erase a runtime error or a side effect.
+///  3. One folder. Constant subexpressions fold at compile time through
+///     foldUnary/foldBinary/foldCall, which apply the same scalar functions
+///     the VM's lane kernels run (x/0 == 0 like the EVQL007 lint
+///     describes, string compares, bool coercions), and only when folding
+///     cannot erase a runtime error or a side effect. The checker
+///     (analysis/Sema.h) folds through the same functions, so it never
+///     claims a constant the engine contradicts.
 ///
 /// Programs are cached by ProgramCache under a source-only key, so
 /// pvp/query skips lex/parse/compile on warm hits.
@@ -50,12 +53,17 @@
 #include "query/Ast.h"
 #include "support/Limits.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -125,6 +133,186 @@ enum class Op : uint8_t {
   // Lazy runtime error: kills every active lane with message Pool[Str].
   Trap,
 };
+
+/// The type a builtin takes for one argument: a number (a bool coerces),
+/// a string, or any value (str()).
+enum class ArgType : uint8_t { Number, String, Any };
+
+/// Where a builtin may run. Outside derive/prune/keep a node builtin
+/// fails with "'f()' needs a node context"; NodeHinted ones (the frame
+/// attributes) add " (use it in 'derive', 'prune', or 'keep')", as the
+/// oracle words it.
+enum class NodeUse : uint8_t { Anywhere, Node, NodeHinted };
+
+/// One EVQL builtin: its only definition. The compiler lowers a call from
+/// its row, the checker (analysis/Sema.h) types it from the same row, and
+/// docs/EVQL.md "Builtins" lists every row.
+struct Builtin {
+  std::string_view Name;
+  uint8_t Arity;
+  ArgType Args[2];
+  VType Result;
+  NodeUse Where;
+  /// Argument 0 names a metric column: the instruction carries the call's
+  /// Line and memoizes a constant name in a Slot, and the checker looks a
+  /// constant name up in the profile (EVQL006).
+  bool MetricArg;
+  Op Lowered;
+
+  /// The op a call lowers to. str() is the one Any-typed builtin: its
+  /// operand's bank picks the conversion.
+  Op opFor(VType Arg0) const {
+    if (Args[0] != ArgType::Any)
+      return Lowered;
+    return Arg0 == VType::Num    ? Op::StrFromNum
+           : Arg0 == VType::Bool ? Op::StrFromBool
+                                 : Op::CopyStr;
+  }
+};
+
+/// Every EVQL builtin. The order is the tie-break of the checker's
+/// "did you mean" hints.
+inline constexpr auto Builtins = [] {
+  using enum ArgType;
+  using enum VType;
+  using enum NodeUse;
+  using enum Op;
+  constexpr bool Metric = true;
+  return std::to_array<Builtin>({
+      // Name, arity, argument types, result, where, metric arg, op.
+      {"metric", 1, {String}, Num, Node, Metric, MetricExcl},
+      {"exclusive", 1, {String}, Num, Node, Metric, MetricExcl},
+      {"inclusive", 1, {String}, Num, Node, Metric, MetricIncl},
+      {"total", 1, {String}, Num, Anywhere, Metric, TotalOp},
+      {"share", 1, {String}, Num, Node, Metric, ShareOp},
+      {"nodecount", 0, {}, Num, Anywhere, false, NodeCountOp},
+      {"name", 0, {}, Str, NodeHinted, false, NodeName},
+      {"file", 0, {}, Str, NodeHinted, false, NodeFile},
+      {"module", 0, {}, Str, NodeHinted, false, NodeModule},
+      {"kind", 0, {}, Str, NodeHinted, false, NodeKind},
+      {"line", 0, {}, Num, NodeHinted, false, NodeLine},
+      {"depth", 0, {}, Num, Node, false, NodeDepth},
+      {"nchildren", 0, {}, Num, Node, false, NodeChildren},
+      {"isleaf", 0, {}, Bool, Node, false, NodeIsLeaf},
+      {"parentname", 0, {}, Str, Node, false, NodeParentName},
+      {"hasancestor", 1, {String}, Bool, Node, false, HasAncestor},
+      {"min", 2, {Number, Number}, Num, Anywhere, false, MinNum},
+      {"max", 2, {Number, Number}, Num, Anywhere, false, MaxNum},
+      // DivNum's zero-denominator guard IS the ratio semantics.
+      {"ratio", 2, {Number, Number}, Num, Anywhere, false, DivNum},
+      {"abs", 1, {Number}, Num, Anywhere, false, AbsNum},
+      {"log", 1, {Number}, Num, Anywhere, false, LogNum},
+      {"sqrt", 1, {Number}, Num, Anywhere, false, SqrtNum},
+      {"floor", 1, {Number}, Num, Anywhere, false, FloorNum},
+      {"ceil", 1, {Number}, Num, Anywhere, false, CeilNum},
+      {"contains", 2, {String, String}, Bool, Anywhere, false, ContainsStr},
+      {"startswith", 2, {String, String}, Bool, Anywhere, false,
+       StartsWithStr},
+      {"endswith", 2, {String, String}, Bool, Anywhere, false, EndsWithStr},
+      {"str", 1, {Any}, Str, Anywhere, false, StrFromNum},
+      {"fmt", 2, {Number, Number}, Str, Anywhere, false, FmtStr},
+  });
+}();
+
+/// \returns the builtin named \p Name, or nullptr.
+const Builtin *findBuiltin(std::string_view Name);
+
+/// The scalar meaning of every pure operation. The VM's lane kernels
+/// (query/Vm.cpp) apply these per lane and the constant folder applies
+/// them once, so a folded constant is what the engine computes. Each is a
+/// distinct function object, so every kernel gets its own lane loop with
+/// the body inlined. The guards keep EVQL total: x / 0 == x % 0 == 0,
+/// log(x <= 0) == 0 and sqrt(x < 0) == 0.
+namespace scalar {
+inline constexpr auto ToNum = [](bool V) { return V ? 1.0 : 0.0; };
+inline constexpr auto ToBool = [](double V) { return V != 0.0; };
+inline constexpr auto Neg = [](double A) { return -A; };
+/// Numbers add, strings concatenate.
+inline constexpr auto Add = [](const auto &A, const auto &B) { return A + B; };
+inline constexpr auto Sub = [](double A, double B) { return A - B; };
+inline constexpr auto Mul = [](double A, double B) { return A * B; };
+inline constexpr auto Div = [](double A, double B) {
+  return B == 0.0 ? 0.0 : A / B;
+};
+inline constexpr auto Mod = [](double A, double B) {
+  return B == 0.0 ? 0.0 : std::fmod(A, B);
+};
+inline constexpr auto Min = [](double A, double B) { return std::min(A, B); };
+inline constexpr auto Max = [](double A, double B) { return std::max(A, B); };
+inline constexpr auto Abs = [](double A) { return std::abs(A); };
+inline constexpr auto Log = [](double A) { return A > 0 ? std::log(A) : 0.0; };
+inline constexpr auto Sqrt = [](double A) {
+  return A >= 0 ? std::sqrt(A) : 0.0;
+};
+inline constexpr auto Floor = [](double A) { return std::floor(A); };
+inline constexpr auto Ceil = [](double A) { return std::ceil(A); };
+/// Comparisons, on numbers and on strings (byte order) alike.
+inline constexpr auto Lt = [](const auto &A, const auto &B) { return A < B; };
+inline constexpr auto Le = [](const auto &A, const auto &B) { return A <= B; };
+inline constexpr auto Gt = [](const auto &A, const auto &B) { return A > B; };
+inline constexpr auto Ge = [](const auto &A, const auto &B) { return A >= B; };
+inline constexpr auto Eq = [](const auto &A, const auto &B) { return A == B; };
+inline constexpr auto Ne = [](const auto &A, const auto &B) { return A != B; };
+inline constexpr auto Not = [](bool A) { return !A; };
+inline constexpr auto And = [](bool A, bool B) { return A && B; };
+inline constexpr auto Or = [](bool A, bool B) { return A || B; };
+inline constexpr auto AndNot = [](bool A, bool B) { return A && !B; };
+inline constexpr auto Contains = [](const std::string &A,
+                                    const std::string &B) {
+  return A.find(B) != std::string::npos;
+};
+inline constexpr auto StartsWith = [](const std::string &A,
+                                      const std::string &B) {
+  return A.starts_with(B);
+};
+inline constexpr auto EndsWith = [](const std::string &A,
+                                    const std::string &B) {
+  return A.ends_with(B);
+};
+inline constexpr auto BoolText = [](bool V) {
+  return std::string(V ? "true" : "false");
+};
+} // namespace scalar
+
+/// A compile-time constant: one value of one register bank.
+struct Const {
+  VType T = VType::Num;
+  double N = 0.0;
+  bool B = false;
+  std::string S;
+
+  static Const num(double V) { return {VType::Num, V, false, {}}; }
+  static Const boolean(bool V) { return {VType::Bool, 0.0, V, {}}; }
+  static Const str(std::string V) {
+    return {VType::Str, 0.0, false, std::move(V)};
+  }
+  /// The value where a number is expected (a bool coerces) and where a
+  /// condition is (a number is true unless 0). nullopt for a string,
+  /// where the engine traps.
+  std::optional<double> asNumber() const {
+    if (T == VType::Str)
+      return std::nullopt;
+    return T == VType::Bool ? scalar::ToNum(B) : N;
+  }
+  std::optional<bool> asCondition() const {
+    if (T == VType::Str)
+      return std::nullopt;
+    return T == VType::Bool ? B : scalar::ToBool(N);
+  }
+};
+
+/// The constant folder, shared by the compiler and the checker. An absent
+/// operand is one that is not constant. Each \returns nullopt where the
+/// engine would not produce a constant: an operand is absent, a string
+/// sits where a number or condition belongs (a trap), or the builtin
+/// reads the profile or the node. '&&' and '||' fold from a constant left
+/// operand alone when it decides the result, as the right one never runs.
+std::optional<Const> foldUnary(TokenKind Tok, const std::optional<Const> &V);
+std::optional<Const> foldBinary(TokenKind Tok, const std::optional<Const> &L,
+                                const std::optional<Const> &R);
+/// \p Args holds \p B.Arity operands.
+std::optional<Const> foldCall(const Builtin &B,
+                              const std::optional<Const> *Args);
 
 /// Slot value meaning "no memoized view slot" on metric instructions.
 inline constexpr uint16_t NoSlot = 0xFFFF;

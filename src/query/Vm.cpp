@@ -30,8 +30,6 @@
 #include "support/Strings.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 
 namespace ev {
 namespace evql {
@@ -195,6 +193,14 @@ void executeChunk(Run &R, const CompiledStmt &CS, ChunkState &S) {
         if (!S.Dead[L] && (!Mask || Mask[L]))
           Body(L);
     };
+    // Lane kernels of the pure ops: each scalar function is its own type,
+    // so every op instantiates its own loop with the body inlined.
+    auto Unary = [&](auto *A, const auto *B, auto F) {
+      ForLanes([&](size_t L) { A[L] = F(B[L]); });
+    };
+    auto Binary = [&](auto *A, const auto *B, const auto *C, auto F) {
+      ForLanes([&](size_t L) { A[L] = F(B[L], C[L]); });
+    };
 
     switch (I.TheOp) {
     case Op::LoadNum: {
@@ -250,211 +256,120 @@ void executeChunk(Run &R, const CompiledStmt &CS, ChunkState &S) {
       ForLanes([&](size_t L) { A[L] = B[L]; });
       break;
     }
-    case Op::BoolToNum: {
-      double *A = NumRow(I.A);
-      const uint8_t *B = BoolRow(I.B);
-      ForLanes([&](size_t L) { A[L] = B[L] ? 1.0 : 0.0; });
+    case Op::BoolToNum:
+      Unary(NumRow(I.A), BoolRow(I.B), scalar::ToNum);
       break;
-    }
-    case Op::NumToBool: {
-      uint8_t *A = BoolRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = B[L] != 0.0 ? 1 : 0; });
+    case Op::NumToBool:
+      Unary(BoolRow(I.A), NumRow(I.B), scalar::ToBool);
       break;
-    }
-    case Op::NegNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = -B[L]; });
+    case Op::NegNum:
+      Unary(NumRow(I.A), NumRow(I.B), scalar::Neg);
       break;
-    }
-    case Op::AddNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes([&](size_t L) { A[L] = B[L] + C[L]; });
+    case Op::AddNum:
+      Binary(NumRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Add);
       break;
-    }
-    case Op::SubNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes([&](size_t L) { A[L] = B[L] - C[L]; });
+    case Op::SubNum:
+      Binary(NumRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Sub);
       break;
-    }
-    case Op::MulNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes([&](size_t L) { A[L] = B[L] * C[L]; });
+    case Op::MulNum:
+      Binary(NumRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Mul);
       break;
-    }
-    case Op::DivNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes([&](size_t L) { A[L] = C[L] == 0.0 ? 0.0 : B[L] / C[L]; });
+    case Op::DivNum:
+      Binary(NumRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Div);
       break;
-    }
-    case Op::ModNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes(
-          [&](size_t L) { A[L] = C[L] == 0.0 ? 0.0 : std::fmod(B[L], C[L]); });
+    case Op::ModNum:
+      Binary(NumRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Mod);
       break;
-    }
-    case Op::MinNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes([&](size_t L) { A[L] = std::min(B[L], C[L]); });
+    case Op::MinNum:
+      Binary(NumRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Min);
       break;
-    }
-    case Op::MaxNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes([&](size_t L) { A[L] = std::max(B[L], C[L]); });
+    case Op::MaxNum:
+      Binary(NumRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Max);
       break;
-    }
-    case Op::AbsNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = std::abs(B[L]); });
+    case Op::AbsNum:
+      Unary(NumRow(I.A), NumRow(I.B), scalar::Abs);
       break;
-    }
-    case Op::LogNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = B[L] > 0 ? std::log(B[L]) : 0.0; });
+    case Op::LogNum:
+      Unary(NumRow(I.A), NumRow(I.B), scalar::Log);
       break;
-    }
-    case Op::SqrtNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = B[L] >= 0 ? std::sqrt(B[L]) : 0.0; });
+    case Op::SqrtNum:
+      Unary(NumRow(I.A), NumRow(I.B), scalar::Sqrt);
       break;
-    }
-    case Op::FloorNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = std::floor(B[L]); });
+    case Op::FloorNum:
+      Unary(NumRow(I.A), NumRow(I.B), scalar::Floor);
       break;
-    }
-    case Op::CeilNum: {
-      double *A = NumRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = std::ceil(B[L]); });
+    case Op::CeilNum:
+      Unary(NumRow(I.A), NumRow(I.B), scalar::Ceil);
       break;
-    }
     case Op::LtNum:
+      Binary(BoolRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Lt);
+      break;
     case Op::LeNum:
+      Binary(BoolRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Le);
+      break;
     case Op::GtNum:
+      Binary(BoolRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Gt);
+      break;
     case Op::GeNum:
+      Binary(BoolRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Ge);
+      break;
     case Op::EqNum:
-    case Op::NeNum: {
-      uint8_t *A = BoolRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      Op O = I.TheOp;
-      ForLanes([&](size_t L) {
-        bool V = O == Op::LtNum   ? B[L] < C[L]
-                 : O == Op::LeNum ? B[L] <= C[L]
-                 : O == Op::GtNum ? B[L] > C[L]
-                 : O == Op::GeNum ? B[L] >= C[L]
-                 : O == Op::EqNum ? B[L] == C[L]
-                                  : B[L] != C[L];
-        A[L] = V ? 1 : 0;
-      });
+      Binary(BoolRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Eq);
       break;
-    }
-    case Op::NotBool: {
-      uint8_t *A = BoolRow(I.A);
-      const uint8_t *B = BoolRow(I.B);
-      ForLanes([&](size_t L) { A[L] = B[L] ? 0 : 1; });
+    case Op::NeNum:
+      Binary(BoolRow(I.A), NumRow(I.B), NumRow(I.C), scalar::Ne);
       break;
-    }
-    case Op::AndBool: {
-      uint8_t *A = BoolRow(I.A);
-      const uint8_t *B = BoolRow(I.B), *C = BoolRow(I.C);
-      ForLanes([&](size_t L) { A[L] = (B[L] && C[L]) ? 1 : 0; });
+    case Op::NotBool:
+      Unary(BoolRow(I.A), BoolRow(I.B), scalar::Not);
       break;
-    }
-    case Op::OrBool: {
-      uint8_t *A = BoolRow(I.A);
-      const uint8_t *B = BoolRow(I.B), *C = BoolRow(I.C);
-      ForLanes([&](size_t L) { A[L] = (B[L] || C[L]) ? 1 : 0; });
+    case Op::AndBool:
+      Binary(BoolRow(I.A), BoolRow(I.B), BoolRow(I.C), scalar::And);
       break;
-    }
-    case Op::AndNotBool: {
-      uint8_t *A = BoolRow(I.A);
-      const uint8_t *B = BoolRow(I.B), *C = BoolRow(I.C);
-      ForLanes([&](size_t L) { A[L] = (B[L] && !C[L]) ? 1 : 0; });
+    case Op::OrBool:
+      Binary(BoolRow(I.A), BoolRow(I.B), BoolRow(I.C), scalar::Or);
       break;
-    }
-    case Op::ConcatStr: {
-      std::string *A = StrRow(I.A);
-      const std::string *B = StrRow(I.B), *C = StrRow(I.C);
-      ForLanes([&](size_t L) { A[L] = B[L] + C[L]; });
+    case Op::AndNotBool:
+      Binary(BoolRow(I.A), BoolRow(I.B), BoolRow(I.C), scalar::AndNot);
       break;
-    }
+    case Op::ConcatStr:
+      Binary(StrRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Add);
+      break;
     case Op::EqStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Eq);
+      break;
     case Op::NeStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Ne);
+      break;
     case Op::LtStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Lt);
+      break;
     case Op::LeStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Le);
+      break;
     case Op::GtStr:
-    case Op::GeStr: {
-      uint8_t *A = BoolRow(I.A);
-      const std::string *B = StrRow(I.B), *C = StrRow(I.C);
-      Op O = I.TheOp;
-      ForLanes([&](size_t L) {
-        bool V;
-        if (O == Op::EqStr)
-          V = B[L] == C[L];
-        else if (O == Op::NeStr)
-          V = B[L] != C[L];
-        else {
-          int Cmp = B[L].compare(C[L]);
-          V = O == Op::LtStr   ? Cmp < 0
-              : O == Op::LeStr ? Cmp <= 0
-              : O == Op::GtStr ? Cmp > 0
-                               : Cmp >= 0;
-        }
-        A[L] = V ? 1 : 0;
-      });
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Gt);
       break;
-    }
-    case Op::ContainsStr: {
-      uint8_t *A = BoolRow(I.A);
-      const std::string *B = StrRow(I.B), *C = StrRow(I.C);
-      ForLanes([&](size_t L) {
-        A[L] = B[L].find(C[L]) != std::string::npos ? 1 : 0;
-      });
+    case Op::GeStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Ge);
       break;
-    }
-    case Op::StartsWithStr: {
-      uint8_t *A = BoolRow(I.A);
-      const std::string *B = StrRow(I.B), *C = StrRow(I.C);
-      ForLanes([&](size_t L) { A[L] = startsWith(B[L], C[L]) ? 1 : 0; });
+    case Op::ContainsStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::Contains);
       break;
-    }
-    case Op::EndsWithStr: {
-      uint8_t *A = BoolRow(I.A);
-      const std::string *B = StrRow(I.B), *C = StrRow(I.C);
-      ForLanes([&](size_t L) { A[L] = endsWith(B[L], C[L]) ? 1 : 0; });
+    case Op::StartsWithStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::StartsWith);
       break;
-    }
-    case Op::StrFromNum: {
-      std::string *A = StrRow(I.A);
-      const double *B = NumRow(I.B);
-      ForLanes([&](size_t L) { A[L] = renderNumber(B[L]); });
+    case Op::EndsWithStr:
+      Binary(BoolRow(I.A), StrRow(I.B), StrRow(I.C), scalar::EndsWith);
       break;
-    }
-    case Op::StrFromBool: {
-      std::string *A = StrRow(I.A);
-      const uint8_t *B = BoolRow(I.B);
-      ForLanes([&](size_t L) { A[L] = B[L] ? "true" : "false"; });
+    case Op::StrFromNum:
+      Unary(StrRow(I.A), NumRow(I.B), renderNumber);
       break;
-    }
-    case Op::FmtStr: {
-      std::string *A = StrRow(I.A);
-      const double *B = NumRow(I.B), *C = NumRow(I.C);
-      ForLanes([&](size_t L) { A[L] = renderFormatted(B[L], C[L]); });
+    case Op::StrFromBool:
+      Unary(StrRow(I.A), BoolRow(I.B), scalar::BoolText);
       break;
-    }
+    case Op::FmtStr:
+      Binary(StrRow(I.A), NumRow(I.B), NumRow(I.C), renderFormatted);
+      break;
     case Op::NodeName: {
       std::string *A = StrRow(I.A);
       ForLanes([&](size_t L) { A[L] = std::string(R.Names[S.Base + L]); });

@@ -12,12 +12,8 @@
 /// "callbacks at node visit"). 'let' binds reusable values and 'print'
 /// collects report lines.
 ///
-/// Node-context builtins: metric(name), inclusive(name), name(), file(),
-/// module(), line(), depth(), kind(), nchildren(), parentname(),
-/// isleaf(), hasancestor(name), share(name).
-/// Profile-level builtins: total(name), nodecount().
-/// Pure builtins: min, max, abs, log, sqrt, floor, ceil, ratio(a, b),
-/// contains(s, sub), startswith(s, p), endswith(s, p), str(x), fmt(x, d).
+/// The builtins, with their signatures and where each may run, are the
+/// rows of evql::Builtins (query/Compiler.h).
 ///
 /// Every program runs parse -> compileProgram (query/Compiler.h) ->
 /// runCompiled. Instead of walking the AST once per node, the VM sweeps

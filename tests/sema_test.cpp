@@ -16,6 +16,7 @@
 #include "analysis/ProfileLint.h"
 #include "analysis/Sema.h"
 #include "proto/EvProf.h"
+#include "query/Vm.h"
 #include "support/ProtoWire.h"
 
 #include "TestHelpers.h"
@@ -309,6 +310,40 @@ TEST(Sema, FoldingMatchesInterpreterSemantics) {
   // still diagnoses (sema walks both sides), but the fold must not crash.
   DiagnosticSet Short = runSema("keep when 1 > 2 && metric(\"t\") > 0;");
   EXPECT_TRUE(hasId(Short, "EVQL008")) << describe(Short);
+}
+
+TEST(Sema, ConstantConditionsFoldLikeTheEngineRunsThem) {
+  // The checker folds through the compiler's folder: 1e308 * 10 is +inf,
+  // and inf >= inf holds in the engine, so the checker must not call the
+  // condition always false (inf - inf is NaN, not 0). Pure builtin calls
+  // and mixed string/number equality fold too.
+  struct Row {
+    const char *Source;
+    const char *Message;
+  };
+  const Row Rows[] = {
+      {"prune when 1e308 * 10 >= 1e308 * 10;",
+       "'prune when' condition is always true"},
+      {"prune when min(1, 2) > 0;", "'prune when' condition is always true"},
+      {"prune when \"a\" == 1;", "'prune when' condition is always false"},
+  };
+  Profile P = test::makeFixedProfile();
+  for (const Row &R : Rows) {
+    DiagnosticSet Diags = runSema(R.Source);
+    ASSERT_EQ(countId(Diags, "EVQL008"), 1u) << R.Source << "\n"
+                                               << describe(Diags);
+    for (const Diagnostic &D : Diags.all())
+      if (D.Id == "EVQL008") {
+        EXPECT_EQ(D.Message, R.Message) << R.Source;
+      }
+    // The engine agrees: always true prunes every node below the root,
+    // always false prunes nothing.
+    Result<evql::QueryOutput> Out = evql::runProgram(P, R.Source);
+    ASSERT_TRUE(Out.ok()) << Out.error();
+    bool AlwaysTrue = std::string_view(R.Message).ends_with("true");
+    EXPECT_EQ(Out->Result.nodeCount(), AlwaysTrue ? 1u : P.nodeCount())
+        << R.Source;
+  }
 }
 
 TEST(Sema, MixedTypeTernaryIsATypeMismatch) {
