@@ -9,8 +9,8 @@
 /// subscription fed by single-section pvp/append calls, the pushed
 /// pvp/viewDelta payload against the full view a re-querying client would
 /// fetch at the same generation. Runs the real server through the wire
-/// framing (MockIde), verifies every applied delta is dump()-byte-identical
-/// to the re-query before counting it, and reports per-view medians for
+/// framing (MockIde), verifies every applied delta writes the bytes of the
+/// re-query before counting it, and reports per-view medians for
 /// the decoded delta bytes, the base64 wire bytes, and the append-to-push
 /// round trip.
 ///
@@ -141,7 +141,12 @@ bool runView(const char *View, const char *Method, size_t Stages,
     return false;
   }
   int64_t SubId = Sub->asObject().find("subscription")->asInt();
-  json::Value Held = *Sub->asObject().find("view");
+  Result<ViewTable> Held = ViewTable::read(*Sub->asObject().find("view"));
+  if (!Held) {
+    std::fprintf(stderr, "bench_subscribe: bad view: %s\n",
+                 Held.error().c_str());
+    return false;
+  }
 
   for (size_t S = 0; S + 1 < Bytes.size(); ++S) {
     json::Object AP;
@@ -174,7 +179,7 @@ bool runView(const char *View, const char *Method, size_t Stages,
       std::fprintf(stderr, "bench_subscribe: bad delta base64\n");
       return false;
     }
-    Result<json::Value> Applied = applyViewDelta(Held, Raw);
+    Result<ViewTable> Applied = applyViewDelta(*Held, Raw);
     if (!Applied) {
       std::fprintf(stderr, "bench_subscribe: apply failed: %s\n",
                    Applied.error().c_str());
@@ -190,7 +195,7 @@ bool runView(const char *View, const char *Method, size_t Stages,
       return false;
     }
     std::string FullDump = Full->dump();
-    if (Applied->dump() != FullDump) {
+    if (Applied->write() != FullDump) {
       std::fprintf(stderr,
                    "bench_subscribe: applied delta diverged from re-query "
                    "(%s, stage %zu)\n",
@@ -202,7 +207,7 @@ bool runView(const char *View, const char *Method, size_t Stages,
     AckP.set("subscription", SubId);
     AckP.set("generation", *Delta->asObject().find("toGeneration"));
     Ide.call("pvp/ack", std::move(AckP));
-    Held = std::move(*Applied);
+    Held = std::move(Applied);
 
     Sample Row;
     Row.DeltaBytes = static_cast<double>(Raw.size());
@@ -296,8 +301,7 @@ int main(int argc, char **argv) {
   telemetry::Registry &Reg = telemetry::Registry::global();
   json::Object Counters;
   for (const char *Name :
-       {"sub.pushes", "sub.deltaBytes", "sub.fullViewBytes",
-        "sub.fullFallbacks", "sub.acks"})
+       {"sub.pushes", "sub.deltaBytes", "sub.fullViewBytes", "sub.acks"})
     Counters.set(Name, static_cast<int64_t>(Reg.counter(Name).value()));
 
   double WorstMedian =

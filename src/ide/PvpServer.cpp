@@ -7,6 +7,7 @@
 #include "ide/PvpServer.h"
 
 #include "ide/ViewDelta.h"
+#include "ide/ViewTable.h"
 
 #include "analysis/Butterfly.h"
 #include "analysis/Diff.h"
@@ -61,7 +62,6 @@ struct SubMetrics {
   telemetry::Counter &Acks;
   telemetry::Counter &Pushes;
   telemetry::Counter &Ended;
-  telemetry::Counter &FullFallbacks;
   telemetry::Counter &DeltaBytes;
   telemetry::Counter &FullViewBytes;
 
@@ -72,7 +72,6 @@ struct SubMetrics {
                         R.counter("sub.acks"),
                         R.counter("sub.pushes"),
                         R.counter("sub.ended"),
-                        R.counter("sub.fullFallbacks"),
                         R.counter("sub.deltaBytes"),
                         R.counter("sub.fullViewBytes")};
     return M;
@@ -404,17 +403,19 @@ Result<json::Value> PvpServer::doSubscribe(const Args &A) {
   Result<json::Value> Snapshot = dispatch(*ViewMethod, ViewParams);
   if (!Snapshot)
     return makeError(Snapshot.error());
+  Result<ViewTable> Table = ViewTable::read(*Snapshot);
+  if (!Table)
+    return makeError(Table.error());
 
   int64_t SubId = NextSubId++;
-  Subscription &S = Subs[SubId];
-  S.ProfileId = Id;
-  S.View = ViewMethod;
-  S.RowsKey = Flame ? "rects" : "rows";
-  S.ViewParams = std::move(ViewParams);
-  S.AckedGen = Gen;
-  S.AckedView = *Snapshot;
-  S.PushedGen = Gen;
-  S.Sink = CurrentNotify;
+  Subs.emplace(SubId, Subscription{.ProfileId = Id,
+                                   .View = ViewMethod,
+                                   .ViewParams = std::move(ViewParams),
+                                   .AckedGen = Gen,
+                                   .AckedView = Table.take(),
+                                   .PushedGen = Gen,
+                                   .PushedView = std::nullopt,
+                                   .Sink = CurrentNotify});
   SubMetrics::get().Subscribed.add();
 
   json::Object Out;
@@ -437,12 +438,11 @@ Result<json::Value> PvpServer::doAck(const Args &A) {
   if (static_cast<uint64_t>(Gen) == S.AckedGen) {
     // Replay (reconnect, duplicate ack): already the delta base.
     Acked = true;
-  } else if (static_cast<uint64_t>(Gen) == S.PushedGen &&
-             !S.PushedView.isNull()) {
+  } else if (static_cast<uint64_t>(Gen) == S.PushedGen && S.PushedView) {
     // Promote the pushed view to the delta base: from here deltas diff
     // against state the client has confirmed applying.
-    S.AckedView = std::move(S.PushedView);
-    S.PushedView = json::Value();
+    S.AckedView = std::move(*S.PushedView);
+    S.PushedView.reset();
     S.AckedGen = S.PushedGen;
     Acked = true;
   }
@@ -499,19 +499,17 @@ size_t PvpServer::publishSubscriptions() {
     if (Gen == S.AckedGen || Gen == S.PushedGen)
       continue;
     Result<json::Value> View = dispatch(*S.View, S.ViewParams);
-    if (!View) {
-      endSubscription(SubId, S, View.error());
+    Result<ViewTable> Table =
+        View ? ViewTable::read(*View) : makeError(View.error());
+    if (!Table) {
+      endSubscription(SubId, S, Table.error());
       Ended.push_back(SubId);
       continue;
     }
-    ViewDeltaStats DS;
-    std::string Delta =
-        encodeViewDelta(S.AckedView, *View, S.RowsKey, S.AckedGen, Gen, &DS);
+    std::string Delta = encodeViewDelta(S.AckedView, *Table, S.AckedGen, Gen);
     M.Pushes.add();
     M.DeltaBytes.add(Delta.size());
-    M.FullViewBytes.add(View->dump().size());
-    if (DS.FullFallback)
-      M.FullFallbacks.add();
+    M.FullViewBytes.add(View->serializedText()->size());
 
     json::Object P;
     P.set("subscription", SubId);
@@ -522,7 +520,7 @@ size_t PvpServer::publishSubscriptions() {
     if (S.Sink)
       S.Sink(rpc::makeNotification("pvp/viewDelta", json::Value(std::move(P))));
     S.PushedGen = Gen;
-    S.PushedView = std::move(*View);
+    S.PushedView = Table.take();
     ++Pushed;
   }
   for (int64_t SubId : Ended)
@@ -556,33 +554,25 @@ Result<json::Value> PvpServer::doFlame(const Args &A) {
                              Limits.MaxFlameRects);
 
   FlameGraph Graph(*View, *Metric);
-  json::Object Out;
-  Out.set("total", Graph.totalValue());
-  Out.set("culled", Graph.culledCount());
-  Out.set("depth", Graph.depth());
-  json::Array Rects;
-  for (const FlameRect &R : Graph.rects()) {
-    if (Rects.size() >= MaxRects)
-      break;
-    if ((Rects.size() & 1023) == 0) {
+  size_t Kept = std::min(Graph.rects().size(), MaxRects);
+  ViewTable Out(ViewKind::Flame);
+  Out.addScalar("total", Graph.totalValue());
+  Out.addScalar("culled", Graph.culledCount());
+  Out.addScalar("depth", Graph.depth());
+  Out.addScalar("truncated", Graph.rects().size() > Kept);
+  Out.addScalar("droppedRects", Graph.rects().size() - Kept);
+  Out.rowsHere();
+  for (size_t I = 0; I < Kept; ++I) {
+    if ((I & 1023) == 0) {
       ActiveCancel.checkpoint();
       if (deadlineExpired())
         return makeError(DeadlineDiag);
     }
-    json::Object RO;
-    RO.set("node", R.Node);
-    RO.set("depth", R.Depth);
-    RO.set("x", R.X);
-    RO.set("width", R.Width);
-    RO.set("value", R.Value);
-    RO.set("name", std::string(View->nameOf(R.Node)));
-    RO.set("color", toHexColor(R.Color));
-    Rects.push_back(std::move(RO));
+    const FlameRect &R = Graph.rects()[I];
+    Out.addRow(R.Node, R.Depth, R.X, R.Width, R.Value, View->nameOf(R.Node),
+               toHexColor(R.Color));
   }
-  Out.set("truncated", Graph.rects().size() > Rects.size());
-  Out.set("droppedRects", Graph.rects().size() - Rects.size());
-  Out.set("rects", std::move(Rects));
-  return json::Value(std::move(Out));
+  return Out.reply();
 }
 
 Result<json::Value> PvpServer::doTreeTable(const Args &A) {
@@ -595,37 +585,30 @@ Result<json::Value> PvpServer::doTreeTable(const Args &A) {
   } else if (!P.metrics().empty()) {
     Table.expandHotPath(0);
   }
-  json::Object Out;
-  json::Array Rows;
-  size_t Total = 0;
-  for (const TreeTableRow &Row : Table.rows()) {
-    ++Total;
-    // Tables beyond the ceiling truncate rather than error; the editor
-    // still gets a renderable prefix plus the truncation marker.
-    if (Rows.size() >= Limits.MaxTreeTableRows)
-      continue;
-    if ((Rows.size() & 1023) == 0) {
+  // Tables beyond the ceiling truncate rather than error; the editor
+  // still gets a renderable prefix plus the truncation marker.
+  std::vector<TreeTableRow> Rows = Table.rows();
+  size_t Kept = std::min(Rows.size(), Limits.MaxTreeTableRows);
+  ViewTable Out(ViewKind::TreeTable);
+  Out.addScalar("truncated", Rows.size() > Kept);
+  Out.addScalar("droppedRows", Rows.size() - Kept);
+  Out.rowsHere();
+  for (size_t I = 0; I < Kept; ++I) {
+    if ((I & 1023) == 0) {
       ActiveCancel.checkpoint();
       if (deadlineExpired())
         return makeError(DeadlineDiag);
     }
-    json::Object RO;
-    RO.set("node", Row.Node);
-    RO.set("depth", Row.Depth);
-    RO.set("name", std::string(P.nameOf(Row.Node)));
-    RO.set("expandable", Row.Expandable);
-    RO.set("expanded", Row.Expanded);
-    Rows.push_back(std::move(RO));
+    const TreeTableRow &Row = Rows[I];
+    Out.addRow(Row.Node, Row.Depth, P.nameOf(Row.Node), Row.Expandable,
+               Row.Expanded);
   }
-  Out.set("truncated", Total > Rows.size());
-  Out.set("droppedRows", Total - Rows.size());
-  Out.set("rows", std::move(Rows));
   // Subscriptions pass includeText:false — the rendered text is O(table)
   // and rewrites wholesale on every generation, which would dominate the
-  // delta; the row objects alone reconstruct the table.
+  // delta; the rows alone reconstruct the table.
   if (A.flag("includeText", true))
-    Out.set("text", Table.renderText());
-  return json::Value(std::move(Out));
+    Out.addScalar("text", Table.renderText());
+  return Out.reply();
 }
 
 Result<json::Value> PvpServer::doCodeLink(const Args &A) {
@@ -1061,10 +1044,10 @@ Result<json::Value> PvpServer::doStats(const Args &) {
   Out.set("storeProfiles", static_cast<int64_t>(Store->size()));
   // Memory attribution (docs/PERF.md "Out-of-core profile store"): cache
   // memory and store memory reported SEPARATELY so an operator can tell
-  // which layer is holding bytes. cacheBytes is the view cache's reply
-  // payload; storeResidentBytes (the resident profile blocks, strings
+  // which layer is holding bytes. cacheBytes is the reply text the view
+  // cache holds; storeResidentBytes (the resident profile blocks, strings
   // included) is what counts against storeBudgetBytes.
-  Out.set("cacheBytes", Cache->approxBytes());
+  Out.set("cacheBytes", Cache->bytes());
   StoreStats SS = Store->stats();
   Out.set("storeBudgetBytes", SS.BudgetBytes);
   Out.set("storeResidentBytes", SS.ResidentBytes);
@@ -1340,8 +1323,8 @@ Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
   if (Method.Cached && Cache->capacity() != 0) {
     if (std::optional<std::string> Key =
             cacheKey(Method, Params, CacheProfiles)) {
-      if (std::optional<json::Value> Hit = Cache->lookup(*Key))
-        return std::move(*Hit);
+      if (ViewCache::Text Hit = Cache->lookup(*Key))
+        return json::Value::serialized(std::move(Hit));
       CacheKey = std::move(*Key);
     }
   }
@@ -1387,9 +1370,14 @@ Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
   // retry (e.g. after the deadline budget recovers) re-runs the handler.
   // The key holds the generations read before the handler ran: a view
   // computed while another request retired its profile lands under a key
-  // no later lookup builds, and ages out of the LRU.
-  if (!CacheKey.empty())
-    Cache->insert(std::move(CacheKey), std::move(CacheProfiles), Payload);
+  // no later lookup builds, and ages out of the LRU. A tree reply is
+  // written here, once, instead of by the frame writer.
+  if (!CacheKey.empty()) {
+    if (!Payload.isSerialized())
+      Payload = json::Value::serialized(Payload.dump());
+    Cache->insert(std::move(CacheKey), std::move(CacheProfiles),
+                  Payload.serializedText());
+  }
   return Payload;
 }
 

@@ -36,6 +36,7 @@
 #include "analysis/Aggregate.h"
 #include "ide/JsonRpc.h"
 #include "ide/ViewCache.h"
+#include "ide/ViewTable.h"
 #include "profile/Profile.h"
 #include "profile/ProfileStore.h"
 #include "support/Cancel.h"
@@ -292,20 +293,19 @@ private:
   /// \returns true once the in-flight request ran past its soft deadline.
   bool deadlineExpired() const;
 
-  /// One live view subscription. The server keeps the full view reply the
-  /// client last ACKNOWLEDGED (AckedView) so every delta is computed
-  /// against a state the client provably holds — an unacked push is
-  /// superseded by the next one, which still diffs from AckedView, making
-  /// replays idempotent. PushedView is promoted to AckedView by pvp/ack.
+  /// One live view subscription. The server keeps the view the client last
+  /// ACKNOWLEDGED (AckedView) so every delta is computed against a state
+  /// the client provably holds — an unacked push is superseded by the next
+  /// one, which still diffs from AckedView, making replays idempotent.
+  /// PushedView is promoted to AckedView by pvp/ack.
   struct Subscription {
     int64_t ProfileId = 0;
     const MethodEntry *View = nullptr; ///< pvp/flame or pvp/treeTable.
-    std::string RowsKey;               ///< "rects" or "rows".
     json::Object ViewParams;
     uint64_t AckedGen = 0;
-    json::Value AckedView;
+    ViewTable AckedView;
     uint64_t PushedGen = 0;
-    json::Value PushedView;
+    std::optional<ViewTable> PushedView;
     /// Delivery path bound at subscribe time (per-subscriber, so two
     /// connections multiplexed on one session never see each other's
     /// pushes).

@@ -31,26 +31,9 @@ struct CacheTelemetry {
   }
 };
 
-/// Approximate heap footprint of a cached reply. Counts string payloads and
-/// value slots, not allocator overhead or the shared_ptr control blocks of
-/// arrays and objects.
-uint64_t approxJsonBytes(const json::Value &V) {
-  uint64_t Bytes = sizeof(json::Value);
-  if (V.isString()) {
-    Bytes += V.asString().size();
-  } else if (V.isArray()) {
-    for (const json::Value &Elem : V.asArray())
-      Bytes += approxJsonBytes(Elem);
-  } else if (V.isObject()) {
-    for (const auto &[Name, Member] : V.asObject())
-      Bytes += Name.size() + approxJsonBytes(Member);
-  }
-  return Bytes;
-}
-
 } // namespace
 
-std::optional<json::Value> ViewCache::lookup(const std::string &Key) {
+ViewCache::Text ViewCache::lookup(const std::string &Key) {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = Index.find(Key);
@@ -63,34 +46,32 @@ std::optional<json::Value> ViewCache::lookup(const std::string &Key) {
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
   CacheTelemetry::get().Misses.add();
-  return std::nullopt;
+  return nullptr;
 }
 
 void ViewCache::insert(std::string Key, std::vector<int64_t> ProfileIds,
-                       json::Value Reply) {
+                       Text Reply) {
   if (Capacity == 0)
     return;
-  uint64_t ReplyBytes = approxJsonBytes(Reply);
   // Evicted entries, and the reply a re-insert displaces (swapped into
-  // Reply), are destroyed after the lock is released.
+  // Reply), are released after the lock is.
   std::list<Entry> Evicted;
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Index.find(Key);
   if (It != Index.end()) {
     Entry &E = *It->second;
-    Bytes.fetch_add(ReplyBytes - E.Bytes, std::memory_order_relaxed);
+    Bytes.fetch_add(Reply->size() - E.Reply->size(),
+                    std::memory_order_relaxed);
     E.ProfileIds = std::move(ProfileIds);
     std::swap(E.Reply, Reply);
-    E.Bytes = ReplyBytes;
     Lru.splice(Lru.begin(), Lru, It->second);
     return;
   }
-  Lru.push_front(
-      Entry{Key, std::move(ProfileIds), std::move(Reply), ReplyBytes});
+  Bytes.fetch_add(Reply->size(), std::memory_order_relaxed);
+  Lru.push_front(Entry{Key, std::move(ProfileIds), std::move(Reply)});
   Index.emplace(std::move(Key), Lru.begin());
-  Bytes.fetch_add(ReplyBytes, std::memory_order_relaxed);
   while (Lru.size() > Capacity) {
-    Bytes.fetch_sub(Lru.back().Bytes, std::memory_order_relaxed);
+    Bytes.fetch_sub(Lru.back().Reply->size(), std::memory_order_relaxed);
     Index.erase(Lru.back().Key);
     Evicted.splice(Evicted.end(), Lru, std::prev(Lru.end()));
     Evictions.fetch_add(1, std::memory_order_relaxed);
@@ -105,7 +86,7 @@ void ViewCache::retire(int64_t ProfileId) {
     auto Next = std::next(It);
     if (std::find(It->ProfileIds.begin(), It->ProfileIds.end(),
                   ProfileId) != It->ProfileIds.end()) {
-      Bytes.fetch_sub(It->Bytes, std::memory_order_relaxed);
+      Bytes.fetch_sub(It->Reply->size(), std::memory_order_relaxed);
       Index.erase(It->Key);
       Retired.splice(Retired.end(), Lru, It);
     }

@@ -14,9 +14,12 @@
 /// the profile and its entries are dropped at once; otherwise a view stays
 /// until the LRU evicts it.
 ///
-/// One mutex guards one LRU of exactly capacity() entries. Reply sizes are
-/// computed before the lock is taken and dropped replies are destroyed
-/// after it is released, so the critical section only moves list nodes.
+/// An entry holds its reply as compact JSON text in one immutable shared
+/// buffer, so a hit copies a pointer and the frame writer splices the text
+/// (json::Value::serialized). bytes() is the exact text the entries hold.
+/// One mutex guards one LRU of exactly capacity() entries; dropped replies
+/// are released after the lock is, so the critical section only moves list
+/// nodes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,13 +27,12 @@
 #define EASYVIEW_IDE_VIEWCACHE_H
 
 #include "query/Compiler.h"
-#include "support/Json.h"
 
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,25 +45,26 @@ public:
   /// (every insert is a no-op).
   explicit ViewCache(size_t Capacity) : Capacity(Capacity) {}
 
-  /// \returns the cached reply for \p Key, refreshing its LRU position, or
-  /// nullopt on miss. The reply is a copy that shares the cached tree.
-  std::optional<json::Value> lookup(const std::string &Key);
+  using Text = std::shared_ptr<const std::string>;
+
+  /// \returns the cached reply text for \p Key, refreshing its LRU
+  /// position, or null on miss.
+  Text lookup(const std::string &Key);
 
   /// Inserts \p Reply under \p Key, recording every profile of the key
   /// (\p ProfileIds) for retire(); evicts least-recently-used entries
   /// beyond capacity(). Re-inserting an existing key refreshes it in place.
-  void insert(std::string Key, std::vector<int64_t> ProfileIds,
-              json::Value Reply);
+  void insert(std::string Key, std::vector<int64_t> ProfileIds, Text Reply);
 
   /// Drops every entry whose key names \p ProfileId: its generation ended.
   void retire(int64_t ProfileId);
 
   size_t capacity() const { return Capacity; }
   size_t size() const;
-  /// Approximate bytes of cached reply payload. This is what pvp/stats
-  /// reports as cacheBytes, so cache memory is attributable separately from
-  /// the profile store's residentBytes.
-  uint64_t approxBytes() const {
+  /// Bytes of reply text the entries hold. This is what pvp/stats reports
+  /// as cacheBytes, so cache memory is attributable separately from the
+  /// profile store's residentBytes.
+  uint64_t bytes() const {
     return Bytes.load(std::memory_order_relaxed);
   }
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
@@ -80,8 +83,7 @@ private:
   struct Entry {
     std::string Key;
     std::vector<int64_t> ProfileIds;
-    json::Value Reply;
-    uint64_t Bytes = 0; ///< approx reply payload, computed at insert.
+    Text Reply;
   };
 
   const size_t Capacity;

@@ -1,4 +1,4 @@
-//===- ide/ViewDelta.cpp - Compact node/metric deltas between views -------===//
+//===- ide/ViewDelta.cpp - Column deltas between two view tables ----------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
@@ -7,310 +7,217 @@
 #include "ide/ViewDelta.h"
 
 #include "support/ProtoWire.h"
+#include "support/Varint.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <map>
-#include <set>
-#include <vector>
+#include <unordered_map>
 
 namespace ev {
 
 namespace {
 
-// Outer ViewDelta message fields.
+// ViewDelta message fields.
 enum : uint32_t {
-  FVersion = 1,      // varint, currently 1
-  FFromGen = 2,      // varint
-  FToGen = 3,        // varint
-  FRowsKey = 4,      // bytes
-  FFull = 5,         // bytes: full-reply JSON; presence means fallback
-  FRowField = 6,     // repeated bytes: row key schema, in key order
-  FRemoved = 7,      // packed varints: node ids dropped from the view
-  FRowPatch = 8,     // repeated bytes (RowPatch)
-  FOrder = 9,        // packed varints: node ids of the final rows array
-  FScalarPatch = 10, // repeated bytes (ScalarPatch)
-  FColPatch = 11,    // repeated bytes (ColumnPatch)
+  FVersion = 1, // varint, currently 2
+  FFromGen = 2, // varint
+  FToGen = 3,   // varint
+  FKind = 4,    // varint: the ViewKind both tables share
+  FOrder = 5,   // bytes: packed varint node ids of the new rows, in order
+  FColumn = 6,  // repeated bytes (column patch)
+  FScalar = 7,  // repeated bytes (scalar patch)
 };
 
-// ColumnPatch fields: a whole row field replaced in one packed column.
-// When most rows change the same double-backed field (an appended section
-// renormalizes every flame rect's x/width), per-row FieldPatches pay a
-// tag + key + envelope per row; a column pays exactly 8 bytes per row of
-// the final order. Values align 1:1 with FOrder.
+// Column patch fields.
 enum : uint32_t {
-  FColKey = 1, // varint: index into the row key schema
-  FColDbl = 2, // bytes: packed little-endian fixed64 doubles, |FOrder| of them
+  FColField = 1,     // varint: index into the view's schema, never 0
+  FColRuns = 2,      // bytes: packed varint pairs, one per run of
+                     // consecutive positions: the positions skipped since
+                     // the previous run, and the run's length
+  FColValues = 3,    // bytes: one value per position, packed by field type
 };
 
-// RowPatch fields.
+// Scalar patch fields.
 enum : uint32_t {
-  FPatchNode = 1,  // varint
-  FPatchField = 2, // repeated bytes (FieldPatch)
-};
-
-// FieldPatch fields: the key index plus exactly one value alternative.
-// Int-backed and double-backed JSON numbers serialize differently
-// (support/Json.cpp dumps IntValue vs NumberValue), so the patch keeps
-// them distinct: ints as zigzag varints, doubles as raw fixed64 bits.
-enum : uint32_t {
-  FFieldKey = 1,  // varint: index into the row key schema
-  FFieldInt = 2,  // sint64
-  FFieldDbl = 3,  // fixed64
-  FFieldStr = 4,  // bytes
-  FFieldBool = 5, // varint 0/1
-  FFieldNull = 6, // varint 1
-};
-
-// ScalarPatch fields.
-enum : uint32_t {
-  FScalarKey = 1,  // bytes
+  FScalarName = 1, // bytes
   FScalarJson = 2, // bytes: compact JSON of the new value
 };
 
-constexpr uint64_t DeltaVersion = 1;
+constexpr uint64_t DeltaVersion = 2;
+constexpr size_t NoRow = SIZE_MAX;
 
-/// Dump-based equality: two values are "unchanged" exactly when they
-/// serialize to the same bytes, which is the identity the codec promises.
-bool sameDump(const json::Value &A, const json::Value &B) {
-  return A.dump() == B.dump();
+uint64_t bitsOf(double D) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &D, sizeof(Bits));
+  return Bits;
 }
 
-/// A field value the patch encoding supports: flat scalars only. Nested
-/// arrays/objects inside a row force the full-reply fallback.
-bool encodableField(const json::Value &V) {
-  switch (V.kind()) {
-  case json::Kind::Null:
-  case json::Kind::Bool:
-  case json::Kind::Number:
-  case json::Kind::String:
-    return true;
-  default:
-    return false;
-  }
-}
-
-void writeFieldPatch(ProtoWriter &Row, size_t KeyIndex,
-                     const json::Value &V) {
-  ProtoWriter F;
-  F.writeVarint(FFieldKey, KeyIndex);
-  switch (V.kind()) {
-  case json::Kind::Null:
-    F.writeVarint(FFieldNull, 1);
-    break;
-  case json::Kind::Bool:
-    F.writeVarint(FFieldBool, V.asBool() ? 1 : 0);
-    break;
-  case json::Kind::Number:
-    if (V.isInteger())
-      F.writeSignedVarint(FFieldInt, V.asInt());
-    else
-      F.writeDouble(FFieldDbl, V.asNumber());
-    break;
-  case json::Kind::String:
-    F.writeBytes(FFieldStr, V.asString());
-    break;
-  default:
-    break; // Excluded by encodableField.
-  }
-  Row.writeBytes(FPatchField, F.buffer());
-}
-
-/// Top-level key sequence of an object reply, in order.
-std::vector<std::string_view> keySequence(const json::Object &O) {
-  std::vector<std::string_view> Keys;
-  Keys.reserve(O.size());
-  for (const auto &Member : O)
-    Keys.push_back(Member.first);
-  return Keys;
-}
-
-/// Validates one rows array against the shared schema (establishing it
-/// from the first row seen) and indexes rows by their unique integer
-/// "node" key. \returns false when the array does not fit the uniform
-/// table shape the patch encoding needs.
-bool indexRows(const json::Array &Rows, std::vector<std::string> &Schema,
-               bool &SchemaSet,
-               std::map<uint64_t, const json::Object *> &ById,
-               std::vector<uint64_t> &Ids) {
-  for (const json::Value &RowV : Rows) {
-    if (!RowV.isObject())
+/// Maps each node id of \p T to its row. \returns false when two rows
+/// share an id.
+bool rowsById(const ViewTable &T, std::unordered_map<int64_t, size_t> &Out) {
+  const std::vector<int64_t> &Ids = T.Columns[0].Ints;
+  Out.reserve(Ids.size());
+  for (size_t R = 0; R < Ids.size(); ++R)
+    if (!Out.emplace(Ids[R], R).second)
       return false;
-    const json::Object &Row = RowV.asObject();
-    if (!SchemaSet) {
-      for (const auto &Member : Row)
-        Schema.push_back(Member.first);
-      SchemaSet = true;
-    }
-    if (Row.size() != Schema.size())
-      return false;
-    size_t I = 0;
-    for (const auto &Member : Row) {
-      if (Member.first != Schema[I++])
-        return false;
-      if (!encodableField(Member.second))
-        return false;
-    }
-    const json::Value *Node = Row.find("node");
-    int64_t Id = 0;
-    if (!Node || !Node->getInteger(Id) || Id < 0)
-      return false;
-    if (!ById.emplace(static_cast<uint64_t>(Id), &Row).second)
-      return false; // Duplicate node id: not a keyed table.
-    Ids.push_back(static_cast<uint64_t>(Id));
-  }
   return true;
+}
+
+/// Doubles compare by bits, so a NaN is unchanged and a flipped sign of
+/// zero is sent.
+bool sameValue(FieldType T, const ViewTable::Column &A, size_t I,
+               const ViewTable::Column &B, size_t J) {
+  switch (T) {
+  case FieldType::Double:
+    return bitsOf(A.Doubles[I]) == bitsOf(B.Doubles[J]);
+  case FieldType::String:
+    return A.Strings[I] == B.Strings[J];
+  default:
+    return A.Ints[I] == B.Ints[J];
+  }
+}
+
+void copyValue(FieldType T, const ViewTable::Column &From, size_t I,
+               ViewTable::Column &To, size_t J) {
+  switch (T) {
+  case FieldType::Double:
+    To.Doubles[J] = From.Doubles[I];
+    break;
+  case FieldType::String:
+    To.Strings[J] = From.Strings[I];
+    break;
+  default:
+    To.Ints[J] = From.Ints[I];
+  }
+}
+
+void appendValue(std::string &Out, FieldType T, const ViewTable::Column &C,
+                 size_t I) {
+  switch (T) {
+  case FieldType::Int:
+    appendSignedVarint(Out, C.Ints[I]);
+    break;
+  case FieldType::Bool:
+    appendVarint(Out, C.Ints[I] != 0);
+    break;
+  case FieldType::Double:
+    for (unsigned B = 0; B < 8; ++B)
+      Out.push_back(static_cast<char>(bitsOf(C.Doubles[I]) >> (8 * B)));
+    break;
+  case FieldType::String:
+    appendVarint(Out, C.Strings[I].size());
+    Out += C.Strings[I];
+    break;
+  }
+}
+
+/// Reads one value of type \p T into row \p I of \p C. \returns false when
+/// \p R holds no further well-formed value.
+bool readValue(VarintReader &R, FieldType T, ViewTable::Column &C, size_t I) {
+  switch (T) {
+  case FieldType::Int:
+    C.Ints[I] = R.readSignedVarint();
+    break;
+  case FieldType::Bool:
+    C.Ints[I] = R.readVarint() != 0;
+    break;
+  case FieldType::Double: {
+    if (R.remaining() < 8)
+      return false;
+    uint64_t Bits = 0;
+    for (unsigned B = 0; B < 8; ++B)
+      Bits |= static_cast<uint64_t>(R.current()[B]) << (8 * B);
+    R.skip(8);
+    std::memcpy(&C.Doubles[I], &Bits, sizeof(Bits));
+    break;
+  }
+  case FieldType::String: {
+    uint64_t Size = R.readVarint();
+    if (R.failed() || Size > R.remaining())
+      return false;
+    C.Strings[I].assign(reinterpret_cast<const char *>(R.current()), Size);
+    R.skip(Size);
+    break;
+  }
+  }
+  return !R.failed();
 }
 
 } // namespace
 
-std::string encodeViewDelta(const json::Value &Base, const json::Value &Next,
-                            std::string_view RowsKey, uint64_t FromGen,
-                            uint64_t ToGen, ViewDeltaStats *Stats) {
+std::string encodeViewDelta(const ViewTable &Base, const ViewTable &Next,
+                            uint64_t FromGen, uint64_t ToGen,
+                            ViewDeltaStats *Stats) {
+  assert(Base.Kind == Next.Kind && "a delta relates two tables of one view");
   ViewDeltaStats Local;
   ProtoWriter W;
   W.writeVarint(FVersion, DeltaVersion);
   W.writeVarint(FFromGen, FromGen);
   W.writeVarint(FToGen, ToGen);
-  W.writeBytes(FRowsKey, RowsKey);
+  W.writeVarint(FKind, static_cast<uint64_t>(Next.Kind));
 
-  auto Fallback = [&]() -> std::string {
-    Local.FullFallback = true;
-    W.writeBytes(FFull, Next.dump());
-    if (Stats)
-      *Stats = Local;
-    return W.takeBuffer();
-  };
-
-  if (!Base.isObject() || !Next.isObject())
-    return Fallback();
-  const json::Object &BaseObj = Base.asObject();
-  const json::Object &NextObj = Next.asObject();
-  // The delta only patches values in place, never reshapes the reply: a
-  // changed key sequence (params changed what the view reports) falls
-  // back to the full reply.
-  if (keySequence(BaseObj) != keySequence(NextObj))
-    return Fallback();
-
-  const json::Value *BaseRows = BaseObj.find(RowsKey);
-  const json::Value *NextRows = NextObj.find(RowsKey);
-  if (!BaseRows || !NextRows || !BaseRows->isArray() || !NextRows->isArray())
-    return Fallback();
-
-  std::vector<std::string> Schema;
-  bool SchemaSet = false;
-  std::map<uint64_t, const json::Object *> BaseById, NextById;
-  std::vector<uint64_t> BaseIds, NextIds;
-  // The next view establishes the schema (new rows must be fully
-  // expressible in it); the base must match it exactly.
-  if (!indexRows(NextRows->asArray(), Schema, SchemaSet, NextById, NextIds) ||
-      !indexRows(BaseRows->asArray(), Schema, SchemaSet, BaseById, BaseIds))
-    return Fallback();
-
-  for (const std::string &Key : Schema)
-    W.writeBytes(FRowField, Key);
-
-  // Column candidates: a field every next row backs with a double, where
-  // at least half the rows changed it. Such fields (flame's normalized
-  // x/width after any append) dominate per-row patches; packing them as
-  // one fixed64 column costs 8 bytes per row with no per-row envelope.
-  // Unchanged rows re-encode their identical bits, so applying stays
-  // byte-exact.
-  std::vector<bool> InColumn(Schema.size(), false);
-  for (size_t I = 0; I < Schema.size() && !NextIds.empty(); ++I) {
-    if (Schema[I] == "node")
-      continue;
-    bool AllDouble = true;
-    size_t Changed = 0;
-    for (uint64_t Id : NextIds) {
-      const json::Value *V = NextById[Id]->find(Schema[I]);
-      if (!V || !V->isNumber() || V->isInteger()) {
-        AllDouble = false;
-        break;
-      }
-      auto BaseIt = BaseById.find(Id);
-      const json::Value *Old =
-          BaseIt == BaseById.end() ? nullptr : BaseIt->second->find(Schema[I]);
-      if (!Old || !sameDump(*Old, *V))
-        ++Changed;
-    }
-    if (AllDouble && Changed > 0 && Changed * 2 >= NextIds.size())
-      InColumn[I] = true;
-  }
-
-  for (uint64_t Id : NextIds) {
-    const json::Object &Row = *NextById[Id];
-    auto BaseIt = BaseById.find(Id);
-    ProtoWriter RowW;
-    RowW.writeVarint(FPatchNode, Id);
-    if (BaseIt == BaseById.end()) {
-      // New row: carry every field not already covered by a column, in
-      // schema order.
-      size_t I = 0;
-      for (const auto &Member : Row) {
-        if (!InColumn[I])
-          writeFieldPatch(RowW, I, Member.second);
-        ++I;
-      }
+  std::unordered_map<int64_t, size_t> BaseRow;
+  rowsById(Base, BaseRow);
+  const std::vector<int64_t> &Ids = Next.Columns[0].Ints;
+  std::vector<size_t> From(Ids.size(), NoRow); // Each position's base row.
+  std::string Order;
+  for (size_t P = 0; P < Ids.size(); ++P) {
+    appendVarint(Order, static_cast<uint64_t>(Ids[P]));
+    if (auto It = BaseRow.find(Ids[P]); It != BaseRow.end())
+      From[P] = It->second;
+    else
       ++Local.RowsAdded;
-      W.writeBytes(FRowPatch, RowW.buffer());
-      continue;
-    }
-    const json::Object &BaseRow = *BaseIt->second;
-    size_t Patched = 0, I = 0;
-    for (const auto &Member : Row) {
-      const json::Value *Old = BaseRow.find(Member.first);
-      if (!InColumn[I] && (!Old || !sameDump(*Old, Member.second))) {
-        writeFieldPatch(RowW, I, Member.second);
-        ++Patched;
-      }
-      ++I;
-    }
-    if (Patched) {
-      ++Local.RowsPatched;
-      W.writeBytes(FRowPatch, RowW.buffer());
-    }
   }
+  Local.RowsRemoved = Base.rowCount() - (Ids.size() - Local.RowsAdded);
+  W.writeBytes(FOrder, Order);
 
-  std::vector<uint64_t> Removed;
-  for (uint64_t Id : BaseIds)
-    if (!NextById.count(Id))
-      Removed.push_back(Id);
-  Local.RowsRemoved = Removed.size();
-  if (!Removed.empty())
-    W.writePackedVarints(FRemoved, Removed.data(), Removed.size());
-  if (!NextIds.empty())
-    W.writePackedVarints(FOrder, NextIds.data(), NextIds.size());
-
-  for (size_t I = 0; I < Schema.size(); ++I) {
-    if (!InColumn[I])
-      continue;
-    std::string Packed;
-    Packed.reserve(NextIds.size() * 8);
-    for (uint64_t Id : NextIds) {
-      double V = NextById[Id]->find(Schema[I])->asNumber();
-      uint64_t Bits;
-      static_assert(sizeof(Bits) == sizeof(V));
-      std::memcpy(&Bits, &V, sizeof(Bits));
-      for (unsigned B = 0; B < 8; ++B)
-        Packed.push_back(static_cast<char>((Bits >> (8 * B)) & 0xFF));
+  std::span<const ViewField> Fields = Next.schema().Fields;
+  for (size_t F = 1; F < Fields.size(); ++F) {
+    std::string Runs, Values;
+    // The open run [Start, Start + Length), and one past the last written.
+    size_t Start = 0, Length = 0, After = 0;
+    auto Flush = [&] {
+      if (Length == 0)
+        return;
+      appendVarint(Runs, Start - After);
+      appendVarint(Runs, Length);
+      After = Start + Length;
+      Length = 0;
+    };
+    for (size_t P = 0; P < Ids.size(); ++P) {
+      if (From[P] != NoRow && sameValue(Fields[F].Type, Base.Columns[F],
+                                        From[P], Next.Columns[F], P))
+        continue;
+      if (P != Start + Length) {
+        Flush();
+        Start = P;
+      }
+      ++Length;
+      appendValue(Values, Fields[F].Type, Next.Columns[F], P);
+      ++Local.ValuesPatched;
     }
+    Flush();
+    if (Runs.empty())
+      continue;
     ProtoWriter C;
-    C.writeVarint(FColKey, I);
-    C.writeBytes(FColDbl, Packed);
-    W.writeBytes(FColPatch, C.buffer());
+    C.writeVarint(FColField, F);
+    C.writeBytes(FColRuns, Runs);
+    C.writeBytes(FColValues, Values);
+    W.writeBytes(FColumn, C.buffer());
     ++Local.ColumnsPatched;
   }
 
-  for (const auto &Member : NextObj) {
-    if (Member.first == RowsKey)
-      continue;
-    const json::Value *Old = BaseObj.find(Member.first);
-    if (Old && sameDump(*Old, Member.second))
+  for (size_t I = 0; I < Next.Scalars.size(); ++I) {
+    const auto &[Name, V] = Next.Scalars[I];
+    std::string Text = V.dump();
+    if (I < Base.Scalars.size() && Base.Scalars[I].first == Name &&
+        Base.Scalars[I].second.dump() == Text)
       continue;
     ProtoWriter S;
-    S.writeBytes(FScalarKey, Member.first);
-    S.writeBytes(FScalarJson, Member.second.dump());
-    W.writeBytes(FScalarPatch, S.buffer());
+    S.writeBytes(FScalarName, Name);
+    S.writeBytes(FScalarJson, Text);
+    W.writeBytes(FScalar, S.buffer());
     ++Local.ScalarsPatched;
   }
 
@@ -319,327 +226,144 @@ std::string encodeViewDelta(const json::Value &Base, const json::Value &Next,
   return W.takeBuffer();
 }
 
-namespace {
-
-/// One packed column: a schema field replaced across every ordered row.
-struct DecodedColumn {
-  uint64_t Key = 0;
-  std::vector<double> Values; ///< One per FOrder entry, same order.
-};
-
-/// Everything decoded from the outer message in one pass.
-struct DecodedDelta {
-  uint64_t Version = 0;
-  uint64_t FromGen = 0;
-  uint64_t ToGen = 0;
-  std::string RowsKey;
-  bool HasFull = false;
-  std::string Full;
-  std::vector<std::string> Schema;
-  std::vector<uint64_t> Removed;
-  std::vector<std::string> RowPatches;
-  std::vector<uint64_t> Order;
-  std::vector<std::pair<std::string, std::string>> Scalars;
-  std::vector<DecodedColumn> Columns;
-};
-
-Result<bool> readPacked(std::string_view Bytes, std::vector<uint64_t> &Out) {
-  VarintReader VR(Bytes.data(), Bytes.size());
-  while (!VR.atEnd() && !VR.failed())
-    Out.push_back(VR.readVarint());
-  if (VR.failed())
-    return makeError("malformed packed id list in view delta");
-  return true;
-}
-
-Result<DecodedDelta> decodeDelta(std::string_view Delta) {
-  DecodedDelta D;
+Result<ViewTable> applyViewDelta(const ViewTable &Base,
+                                 std::string_view Delta) {
+  uint64_t Version = 0, Kind = 0;
+  std::string_view Order;
+  std::vector<std::string_view> Columns, Scalars;
   ProtoReader R(Delta);
   while (R.next()) {
     switch (R.fieldNumber()) {
     case FVersion:
-      D.Version = R.varint();
+      Version = R.varint();
       break;
-    case FFromGen:
-      D.FromGen = R.varint();
-      break;
-    case FToGen:
-      D.ToGen = R.varint();
-      break;
-    case FRowsKey:
-      D.RowsKey = std::string(R.bytes());
-      break;
-    case FFull:
-      D.HasFull = true;
-      D.Full = std::string(R.bytes());
-      break;
-    case FRowField:
-      D.Schema.push_back(std::string(R.bytes()));
-      break;
-    case FRemoved:
-      if (Result<bool> P = readPacked(R.bytes(), D.Removed); !P)
-        return makeError(P.error());
-      break;
-    case FRowPatch:
-      D.RowPatches.push_back(std::string(R.bytes()));
+    case FKind:
+      Kind = R.varint();
       break;
     case FOrder:
-      if (Result<bool> P = readPacked(R.bytes(), D.Order); !P)
-        return makeError(P.error());
+      Order = R.bytes();
       break;
-    case FScalarPatch: {
-      std::string Key, Json;
-      ProtoReader S(R.bytes());
-      while (S.next()) {
-        switch (S.fieldNumber()) {
-        case FScalarKey:
-          Key = std::string(S.bytes());
-          break;
-        case FScalarJson:
-          Json = std::string(S.bytes());
-          break;
-        default:
-          S.skip();
-        }
-      }
-      if (S.failed())
-        return makeError("malformed scalar patch in view delta");
-      D.Scalars.emplace_back(std::move(Key), std::move(Json));
+    case FColumn:
+      Columns.push_back(R.bytes());
       break;
-    }
-    case FColPatch: {
-      DecodedColumn Col;
-      ProtoReader C(R.bytes());
-      while (C.next()) {
-        switch (C.fieldNumber()) {
-        case FColKey:
-          Col.Key = C.varint();
-          break;
-        case FColDbl: {
-          std::string_view Packed = C.bytes();
-          if (Packed.size() % 8 != 0)
-            return makeError("misaligned column patch in view delta");
-          Col.Values.reserve(Packed.size() / 8);
-          for (size_t Off = 0; Off < Packed.size(); Off += 8) {
-            uint64_t Bits = 0;
-            for (unsigned B = 0; B < 8; ++B)
-              Bits |= static_cast<uint64_t>(
-                          static_cast<uint8_t>(Packed[Off + B]))
-                      << (8 * B);
-            double V;
-            std::memcpy(&V, &Bits, sizeof(V));
-            Col.Values.push_back(V);
-          }
-          break;
-        }
-        default:
-          C.skip();
-        }
-      }
-      if (C.failed())
-        return makeError("malformed column patch in view delta");
-      D.Columns.push_back(std::move(Col));
+    case FScalar:
+      Scalars.push_back(R.bytes());
       break;
-    }
     default:
       R.skip();
     }
   }
   if (R.failed())
     return makeError("malformed view delta message");
-  if (D.Version != DeltaVersion)
+  if (Version != DeltaVersion)
     return makeError("unsupported view delta version " +
-                     std::to_string(D.Version));
-  return D;
-}
+                     std::to_string(Version));
+  if (Kind != static_cast<uint64_t>(Base.Kind))
+    return makeError("view delta is for another view");
 
-struct DecodedFieldPatch {
-  uint64_t Key = 0;
-  json::Value V;
-};
+  ViewTable Next(Base.Kind);
+  Next.Scalars = Base.Scalars;
+  Next.RowsAt = Base.RowsAt;
+  std::vector<int64_t> &Ids = Next.Columns[0].Ints;
+  VarintReader OrderR(Order.data(), Order.size());
+  while (!OrderR.atEnd() && !OrderR.failed())
+    Ids.push_back(static_cast<int64_t>(OrderR.readVarint()));
+  std::unordered_map<int64_t, size_t> BaseRow, NextRow;
+  if (OrderR.failed() || !rowsById(Next, NextRow))
+    return makeError("malformed row order in view delta");
+  if (!rowsById(Base, BaseRow))
+    return makeError("view delta base has duplicate node ids");
 
-Result<bool> decodeRowPatch(std::string_view Bytes, uint64_t &NodeId,
-                            std::vector<DecodedFieldPatch> &Fields) {
-  ProtoReader R(Bytes);
-  while (R.next()) {
-    switch (R.fieldNumber()) {
-    case FPatchNode:
-      NodeId = R.varint();
-      break;
-    case FPatchField: {
-      DecodedFieldPatch F;
-      bool HasValue = false;
-      ProtoReader FR(R.bytes());
-      while (FR.next()) {
-        switch (FR.fieldNumber()) {
-        case FFieldKey:
-          F.Key = FR.varint();
-          break;
-        case FFieldInt:
-          F.V = json::Value(FR.signedVarint());
-          HasValue = true;
-          break;
-        case FFieldDbl:
-          F.V = json::Value(FR.fixedDouble());
-          HasValue = true;
-          break;
-        case FFieldStr:
-          F.V = json::Value(std::string(FR.bytes()));
-          HasValue = true;
-          break;
-        case FFieldBool:
-          F.V = json::Value(FR.varint() != 0);
-          HasValue = true;
-          break;
-        case FFieldNull:
-          FR.varint();
-          F.V = json::Value(nullptr);
-          HasValue = true;
-          break;
-        default:
-          FR.skip();
-        }
+  // Base rows keep their values; Known marks every value set so far, and
+  // the column patches must complete the new rows.
+  std::span<const ViewField> Fields = Base.schema().Fields;
+  size_t N = Ids.size();
+  std::vector<uint8_t> Known(N * Fields.size(), 0);
+  for (size_t F = 1; F < Fields.size(); ++F) {
+    ViewTable::Column &C = Next.Columns[F];
+    FieldType T = Fields[F].Type;
+    if (T == FieldType::Double)
+      C.Doubles.resize(N);
+    else if (T == FieldType::String)
+      C.Strings.resize(N);
+    else
+      C.Ints.resize(N);
+    for (size_t P = 0; P < N; ++P)
+      if (auto It = BaseRow.find(Ids[P]); It != BaseRow.end()) {
+        copyValue(T, Base.Columns[F], It->second, C, P);
+        Known[F * N + P] = 1;
       }
-      if (FR.failed() || !HasValue)
-        return makeError("malformed field patch in view delta");
-      Fields.push_back(std::move(F));
-      break;
-    }
-    default:
-      R.skip();
-    }
-  }
-  if (R.failed())
-    return makeError("malformed row patch in view delta");
-  return true;
-}
-
-} // namespace
-
-Result<json::Value> applyViewDelta(const json::Value &Base,
-                                   std::string_view Delta) {
-  Result<DecodedDelta> Decoded = decodeDelta(Delta);
-  if (!Decoded)
-    return makeError(Decoded.error());
-  const DecodedDelta &D = *Decoded;
-
-  if (D.HasFull) {
-    Result<json::Value> Full = json::parse(D.Full);
-    if (!Full)
-      return makeError("view delta full payload: " + Full.error());
-    return *Full;
   }
 
-  if (!Base.isObject())
-    return makeError("view delta base is not an object");
-  // json::Value copies are shallow (shared Object/Array backing), so the
-  // base must be deep-copied before mutation — otherwise applying a delta
-  // would corrupt the caller's retained copy of the acked view. A
-  // dump/parse round trip is byte-stable (support/Json.cpp serializes
-  // shortest-round-trip doubles) and gives uniquely owned nodes.
-  Result<json::Value> CopyR = json::parse(Base.dump());
-  if (!CopyR)
-    return makeError("view delta base round-trip: " + CopyR.error());
-  json::Value Copy = *CopyR;
-  json::Object &Obj = Copy.asObject();
-
-  json::Value *RowsV = Obj.find(D.RowsKey);
-  if (!RowsV || !RowsV->isArray())
-    return makeError("view delta base has no '" + D.RowsKey + "' rows");
-
-  std::map<uint64_t, json::Value> ById;
-  for (json::Value &RowV : RowsV->asArray()) {
-    if (!RowV.isObject())
-      return makeError("view delta base row is not an object");
-    const json::Value *Node = RowV.asObject().find("node");
-    int64_t Id = 0;
-    if (!Node || !Node->getInteger(Id) || Id < 0)
-      return makeError("view delta base row has no integer node id");
-    if (!ById.emplace(static_cast<uint64_t>(Id), RowV).second)
-      return makeError("view delta base has duplicate node ids");
-  }
-
-  for (uint64_t Id : D.Removed)
-    if (!ById.erase(Id))
-      return makeError("view delta removes unknown node " +
-                       std::to_string(Id));
-
-  // Column values address rows by final position; new rows need them at
-  // construction time to reproduce the schema's key order exactly.
-  std::map<uint64_t, size_t> PosOf;
-  for (size_t P = 0; P < D.Order.size(); ++P)
-    PosOf.emplace(D.Order[P], P);
-  for (const DecodedColumn &Col : D.Columns) {
-    if (Col.Key >= D.Schema.size())
-      return makeError("view delta column key out of range");
-    if (Col.Values.size() != D.Order.size())
-      return makeError("view delta column does not cover the row order");
-  }
-
-  for (const std::string &PatchBytes : D.RowPatches) {
-    uint64_t NodeId = 0;
-    std::vector<DecodedFieldPatch> Fields;
-    if (Result<bool> P = decodeRowPatch(PatchBytes, NodeId, Fields); !P)
-      return makeError(P.error());
-    auto It = ById.find(NodeId);
-    if (It == ById.end()) {
-      // New row: merge field patches and column values in schema order,
-      // so insertion order reproduces the uniform key sequence.
-      std::map<uint64_t, const json::Value *> ByKey;
-      for (const DecodedFieldPatch &F : Fields) {
-        if (F.Key >= D.Schema.size())
-          return makeError("view delta field key out of range");
-        ByKey[F.Key] = &F.V;
+  for (std::string_view Patch : Columns) {
+    uint64_t F = 0;
+    std::string_view Runs, Values;
+    ProtoReader CR(Patch);
+    while (CR.next()) {
+      switch (CR.fieldNumber()) {
+      case FColField:
+        F = CR.varint();
+        break;
+      case FColRuns:
+        Runs = CR.bytes();
+        break;
+      case FColValues:
+        Values = CR.bytes();
+        break;
+      default:
+        CR.skip();
       }
-      auto Pos = PosOf.find(NodeId);
-      json::Object Row;
-      for (size_t I = 0; I < D.Schema.size(); ++I) {
-        if (auto KV = ByKey.find(I); KV != ByKey.end()) {
-          Row.set(D.Schema[I], *KV->second);
-          continue;
-        }
-        if (Pos != PosOf.end())
-          for (const DecodedColumn &Col : D.Columns)
-            if (Col.Key == I)
-              Row.set(D.Schema[I], json::Value(Col.Values[Pos->second]));
+    }
+    if (CR.failed())
+      return makeError("malformed column patch in view delta");
+    if (F == 0 || F >= Fields.size())
+      return makeError("view delta column " + std::to_string(F) +
+                       " is not a field of the view");
+    VarintReader RunR(Runs.data(), Runs.size());
+    VarintReader ValR(Values.data(), Values.size());
+    size_t After = 0; // One past the previous run.
+    while (!RunR.atEnd()) {
+      uint64_t Skip = RunR.readVarint(), Length = RunR.readVarint();
+      if (RunR.failed() || Skip > N - After || Length > N - After - Skip)
+        return makeError("view delta position past the row order");
+      for (After += Skip; Length--; ++After) {
+        if (!readValue(ValR, Fields[F].Type, Next.Columns[F], After))
+          return makeError("view delta column has fewer values than "
+                           "positions");
+        Known[F * N + After] = 1;
       }
-      ById.emplace(NodeId, json::Value(std::move(Row)));
-      continue;
     }
-    json::Object &Row = It->second.asObject();
-    for (const DecodedFieldPatch &F : Fields) {
-      if (F.Key >= D.Schema.size())
-        return makeError("view delta field key out of range");
-      Row.set(D.Schema[F.Key], F.V);
+    if (!ValR.atEnd())
+      return makeError("view delta column has more values than positions");
+  }
+  for (size_t F = 1; F < Fields.size(); ++F)
+    for (size_t P = 0; P < N; ++P)
+      if (!Known[F * N + P])
+        return makeError("view delta row for node " +
+                         std::to_string(Ids[P]) + " has no '" +
+                         std::string(Fields[F].Name) + "'");
+
+  for (std::string_view Patch : Scalars) {
+    std::string_view Name, Text;
+    ProtoReader SR(Patch);
+    while (SR.next()) {
+      if (SR.fieldNumber() == FScalarName)
+        Name = SR.bytes();
+      else if (SR.fieldNumber() == FScalarJson)
+        Text = SR.bytes();
+      else
+        SR.skip();
     }
-  }
-
-  json::Array NewRows;
-  NewRows.reserve(D.Order.size());
-  for (uint64_t Id : D.Order) {
-    auto It = ById.find(Id);
-    if (It == ById.end())
-      return makeError("view delta orders unknown node " +
-                       std::to_string(Id));
-    NewRows.push_back(It->second);
-  }
-  // Columns replace their field across every ordered row (set() keeps an
-  // existing key's position, so the key sequence is untouched; new rows
-  // already hold the same value from construction).
-  for (const DecodedColumn &Col : D.Columns)
-    for (size_t P = 0; P < NewRows.size(); ++P)
-      NewRows[P].asObject().set(D.Schema[Col.Key],
-                                json::Value(Col.Values[P]));
-  Obj.set(D.RowsKey, json::Value(std::move(NewRows)));
-
-  for (const auto &[Key, Json] : D.Scalars) {
-    Result<json::Value> V = json::parse(Json);
+    auto It = std::find_if(Next.Scalars.begin(), Next.Scalars.end(),
+                           [&](const auto &S) { return S.first == Name; });
+    if (SR.failed() || It == Next.Scalars.end())
+      return makeError("view delta sets no member of the view");
+    Result<json::Value> V = json::parse(Text);
     if (!V)
-      return makeError("view delta scalar '" + Key + "': " + V.error());
-    Obj.set(Key, *V);
+      return makeError("view delta member '" + It->first + "': " + V.error());
+    It->second = V.take();
   }
-
-  return Copy;
+  return Next;
 }
 
 Result<std::pair<uint64_t, uint64_t>>

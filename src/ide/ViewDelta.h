@@ -1,44 +1,35 @@
-//===- ide/ViewDelta.h - Compact node/metric deltas between views ---------===//
+//===- ide/ViewDelta.h - Column deltas between two view tables ------------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The delta codec behind pvp/subscribe: instead of re-serializing a whole
-/// pvp/flame / pvp/treeTable reply on every profile generation, the server
-/// sends the subscriber a varint-encoded diff against the last view the
-/// client acknowledged — added/changed/removed rows only, and within a
-/// changed row only the fields that moved.
+/// The delta codec behind pvp/subscribe. Instead of the whole pvp/flame or
+/// pvp/treeTable reply, a subscriber is sent the change from the view it
+/// acknowledged to the current one, as two ViewTables (ide/ViewTable.h)
+/// of the same view and parameters differ.
 ///
-/// Both view replies are uniform tables: an array of flat row objects
-/// (keyed by a unique integer "node") plus a handful of top-level scalars.
-/// The codec exploits that shape:
+/// Rows are keyed by node id. A delta carries the new row order as packed
+/// node ids; a row of the base keeps its values unless a column says
+/// otherwise. For each column it carries the positions (in the new order)
+/// whose value changed or whose row is new, and those values, packed by
+/// the column's type: zigzag varints, varint booleans, little-endian
+/// doubles or length-prefixed strings. Changed top-level members travel as
+/// their JSON text. The schema is the view's own, so nothing else is sent:
+/// after an append, a flame pays about 9 bytes a rect for each of x and
+/// width, which every rect changes, and nothing for an unchanged name.
 ///
-///  - the row key schema (names, in order) is sent once per delta;
-///  - a changed row encodes only its changed fields, numbers as raw
-///    varint/fixed64 (an appended section changes every flame rect's
-///    normalized x/width — 18 bytes of doubles instead of ~100 bytes of
-///    JSON text);
-///  - a double-backed field most rows change at once (those same x/width
-///    renormalizations) ships as one packed fixed64 column over the final
-///    row order — 8 bytes per row, no per-row envelope at all;
-///  - unchanged rows cost only their node id in the packed `order` list;
-///  - replies that do not fit the shape (no rows array, duplicate node
-///    ids, nested row fields, reshaped scalars) fall back to carrying the
-///    full reply — correctness never depends on the fast path.
-///
-/// The contract the subscribe suite pins: applying the delta to the acked
-/// base reproduces the new full reply *byte-identically* (same dump()),
-/// so a client that applies deltas and a client that re-queries can never
-/// diverge.
+/// The contract the subscribe suite pins: the applied table writes exactly
+/// the bytes of the table the delta was encoded from, so a client that
+/// applies deltas and one that re-queries never diverge.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EASYVIEW_IDE_VIEWDELTA_H
 #define EASYVIEW_IDE_VIEWDELTA_H
 
-#include "support/Json.h"
+#include "ide/ViewTable.h"
 #include "support/Result.h"
 
 #include <cstdint>
@@ -47,32 +38,27 @@
 
 namespace ev {
 
-/// How a delta was encoded — reported by bench_subscribe and the sub.*
-/// telemetry so the compactness claim is measurable.
+/// What a delta carries.
 struct ViewDeltaStats {
-  size_t RowsPatched = 0; ///< Rows present in both views with changes.
-  size_t RowsAdded = 0;   ///< Rows only in the new view.
-  size_t RowsRemoved = 0; ///< Rows only in the base view.
+  size_t RowsAdded = 0;   ///< Rows only in the new table.
+  size_t RowsRemoved = 0; ///< Rows only in the base table.
+  size_t ColumnsPatched = 0;
+  size_t ValuesPatched = 0; ///< Column values sent, over every column.
   size_t ScalarsPatched = 0;
-  size_t ColumnsPatched = 0; ///< Fields shipped as packed fixed64 columns.
-  bool FullFallback = false; ///< Delta carries the entire reply.
 };
 
-/// Encodes the change from \p Base to \p Next (two full view replies for
-/// the same subscription). \p RowsKey names the row array ("rects" for
-/// flame, "rows" for treeTable). \p FromGen / \p ToGen are the profile
-/// generations the two views were computed at; they travel in the delta
-/// so the client can detect replays. Never fails: un-diffable shapes
-/// degrade to a full-reply fallback.
-std::string encodeViewDelta(const json::Value &Base, const json::Value &Next,
-                            std::string_view RowsKey, uint64_t FromGen,
-                            uint64_t ToGen, ViewDeltaStats *Stats = nullptr);
+/// Encodes the change from \p Base to \p Next: two tables of the same view
+/// with the same top-level members, each keying its rows by distinct node
+/// ids. \p FromGen and \p ToGen are the profile generations the two were
+/// computed at; they travel in the delta so the client can detect replays.
+std::string encodeViewDelta(const ViewTable &Base, const ViewTable &Next,
+                            uint64_t FromGen, uint64_t ToGen,
+                            ViewDeltaStats *Stats = nullptr);
 
-/// Applies \p Delta to \p Base. \returns the reconstructed new view,
-/// dump()-byte-identical to the `Next` it was encoded from; fails when the
-/// delta is malformed or \p Base is not the view it was encoded against.
-Result<json::Value> applyViewDelta(const json::Value &Base,
-                                   std::string_view Delta);
+/// Applies \p Delta to \p Base. \returns the table the delta was encoded
+/// from, or an error when the delta is malformed or does not fit \p Base.
+Result<ViewTable> applyViewDelta(const ViewTable &Base,
+                                 std::string_view Delta);
 
 /// Reads the (fromGeneration, toGeneration) pair without applying.
 Result<std::pair<uint64_t, uint64_t>>

@@ -301,7 +301,9 @@ private:
   int Depth = 0;
 };
 
-void dumpInt(std::string &Out, int64_t N) {
+} // namespace
+
+void appendInt(std::string &Out, int64_t N) {
   // std::to_chars is locale-independent by definition; snprintf("%lld")
   // honors LC_NUMERIC grouping in some locales.
   char Buffer[32];
@@ -310,7 +312,7 @@ void dumpInt(std::string &Out, int64_t N) {
   Out.append(Buffer, End);
 }
 
-void dumpNumber(std::string &Out, double N) {
+void appendNumber(std::string &Out, double N) {
   if (!std::isfinite(N)) {
     Out += "null"; // JSON has no Inf/NaN.
     return;
@@ -321,7 +323,7 @@ void dumpNumber(std::string &Out, double N) {
   // 9223372036854775808.0, hence the strict <.
   if (N >= -9223372036854775808.0 && N < 9223372036854775808.0 &&
       N == static_cast<double>(static_cast<int64_t>(N))) {
-    dumpInt(Out, static_cast<int64_t>(N));
+    appendInt(Out, static_cast<int64_t>(N));
     return;
   }
   // Shortest round-trip form, locale-independent (snprintf "%.17g" is
@@ -332,7 +334,11 @@ void dumpNumber(std::string &Out, double N) {
   Out.append(Buffer, End);
 }
 
-} // namespace
+void appendString(std::string &Out, std::string_view S) {
+  Out.push_back('"');
+  Out += escapeJson(S);
+  Out.push_back('"');
+}
 
 bool Value::getInteger(int64_t &Out) const {
   if (TheKind != Kind::Number)
@@ -370,15 +376,16 @@ void Value::dumpImpl(std::string &Out, int Indent, int Depth) const {
     return;
   case Kind::Number:
     if (IsInt) {
-      dumpInt(Out, IntValue);
+      appendInt(Out, IntValue);
     } else {
-      dumpNumber(Out, NumberValue);
+      appendNumber(Out, NumberValue);
     }
     return;
   case Kind::String:
-    Out.push_back('"');
-    Out += escapeJson(StringValue);
-    Out.push_back('"');
+    appendString(Out, StringValue);
+    return;
+  case Kind::Serialized:
+    Out += *SerializedValue;
     return;
   case Kind::ArrayKind: {
     const Array &Items = *ArrayValue;
@@ -410,9 +417,8 @@ void Value::dumpImpl(std::string &Out, int Indent, int Depth) const {
         Out.push_back(',');
       First = false;
       Newline(Depth + 1);
-      Out.push_back('"');
-      Out += escapeJson(Member.first);
-      Out += Indent > 0 ? "\": " : "\":";
+      appendString(Out, Member.first);
+      Out += Indent > 0 ? ": " : ":";
       Member.second.dumpImpl(Out, Indent, Depth + 1);
     }
     Newline(Depth);

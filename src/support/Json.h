@@ -60,8 +60,17 @@ private:
   std::vector<std::pair<std::string, Value>> Members;
 };
 
-/// Discriminator for Value.
-enum class Kind { Null, Bool, Number, String, ArrayKind, ObjectKind };
+/// Discriminator for Value. A Serialized value is compact JSON text that
+/// was written once and is spliced into every dump() as it is.
+enum class Kind {
+  Null,
+  Bool,
+  Number,
+  String,
+  ArrayKind,
+  ObjectKind,
+  Serialized
+};
 
 /// A JSON value. Numbers carry a double representation plus, when the
 /// source was integral and fits, an exact int64 representation: pprof
@@ -99,6 +108,18 @@ public:
       : TheKind(Kind::ObjectKind),
         ObjectValue(std::make_shared<Object>(std::move(O))) {}
 
+  /// A value that dumps as \p Text, which must be compact JSON. The text is
+  /// shared and immutable, so copying the value copies a pointer.
+  static Value serialized(std::shared_ptr<const std::string> Text) {
+    Value V;
+    V.TheKind = Kind::Serialized;
+    V.SerializedValue = std::move(Text);
+    return V;
+  }
+  static Value serialized(std::string Text) {
+    return serialized(std::make_shared<const std::string>(std::move(Text)));
+  }
+
   Kind kind() const { return TheKind; }
   bool isNull() const { return TheKind == Kind::Null; }
   bool isBool() const { return TheKind == Kind::Bool; }
@@ -106,6 +127,7 @@ public:
   bool isString() const { return TheKind == Kind::String; }
   bool isArray() const { return TheKind == Kind::ArrayKind; }
   bool isObject() const { return TheKind == Kind::ObjectKind; }
+  bool isSerialized() const { return TheKind == Kind::Serialized; }
 
   bool asBool() const {
     assert(isBool() && "not a bool");
@@ -150,6 +172,10 @@ public:
     assert(isObject() && "not an object");
     return *ObjectValue;
   }
+  const std::shared_ptr<const std::string> &serializedText() const {
+    assert(isSerialized() && "not serialized");
+    return SerializedValue;
+  }
 
   /// Convenience typed getters that tolerate missing/mistyped data:
   /// they return the fallback instead of asserting. Used heavily by the
@@ -164,8 +190,11 @@ public:
 
   /// Serializes to compact JSON text (no insignificant whitespace).
   std::string dump() const;
+  /// As dump(), appending to \p Out.
+  void dump(std::string &Out) const { dumpImpl(Out, /*Indent=*/0, 0); }
 
-  /// Serializes with two-space indentation for human inspection.
+  /// Serializes with two-space indentation for human inspection. Serialized
+  /// members stay compact.
   std::string dumpPretty() const;
 
 private:
@@ -181,7 +210,16 @@ private:
   // documents as immutable.
   std::shared_ptr<Array> ArrayValue;
   std::shared_ptr<Object> ObjectValue;
+  std::shared_ptr<const std::string> SerializedValue;
 };
+
+/// The formatters dump() writes scalars with, for writers that emit JSON
+/// text without building a Value: an integer; a double (integral values
+/// inside the int64 range as integers, NaN and infinities as null); a
+/// string, quoted and escaped.
+void appendInt(std::string &Out, int64_t N);
+void appendNumber(std::string &Out, double N);
+void appendString(std::string &Out, std::string_view S);
 
 /// Parses \p Text. \returns the document or a parse error with offset
 /// information in the message.

@@ -10,6 +10,7 @@
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
 #include "proto/EvProfStream.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -19,6 +20,18 @@
 
 namespace ev {
 namespace test {
+
+/// The 'result' of a PVP response as a tree, or null when it has none. A
+/// view reply arrives as serialized text and is parsed, as a client over
+/// the wire would parse it.
+inline json::Value resultTree(const json::Value &Response) {
+  const json::Value *R =
+      Response.isObject() ? Response.asObject().find("result") : nullptr;
+  if (!R || !R->isSerialized())
+    return R ? *R : json::Value();
+  Result<json::Value> Tree = json::parse(*R->serializedText());
+  return Tree ? Tree.take() : json::Value();
+}
 
 /// A small fixed profile used by many tests:
 ///

@@ -46,9 +46,9 @@ int errorCodeOf(const json::Value &Response) {
   return static_cast<int>(E->asObject().find("code")->asInt());
 }
 
-const json::Object *resultOf(const json::Value &Response) {
-  const json::Value *R = Response.asObject().find("result");
-  return R ? &R->asObject() : nullptr;
+/// The response's result as a tree (see test::resultTree), or null.
+json::Value resultOf(const json::Value &Response) {
+  return test::resultTree(Response);
 }
 
 json::Value openRequest(int64_t ReqId, const std::string &Bytes) {
@@ -84,9 +84,9 @@ json::Value cancelRequest(int64_t ReqId, int64_t TargetId) {
 }
 
 int64_t openedProfile(const json::Value &Response) {
-  const json::Object *R = resultOf(Response);
-  EXPECT_NE(R, nullptr) << Response.dump();
-  return R ? R->find("profile")->asInt() : -1;
+  json::Value R = resultOf(Response);
+  EXPECT_TRUE(R.isObject()) << Response.dump();
+  return R.isObject() ? R.asObject().find("profile")->asInt() : -1;
 }
 
 } // namespace
@@ -218,9 +218,9 @@ TEST(ConcurrentCancel, CancelledRequestNeverPopulatesTheCache) {
   // that recomputes and succeeds.
   json::Value Stats = Server.handleMessage(
       rpc::makeRequest(2, "pvp/stats", json::Object()));
-  EXPECT_EQ(resultOf(Stats)->find("cachedViews")->asInt(), 0);
+  EXPECT_EQ(resultOf(Stats).asObject().find("cachedViews")->asInt(), 0);
   json::Value Fresh = Server.handleMessage(flameRequest(3, Id));
-  EXPECT_NE(resultOf(Fresh), nullptr);
+  EXPECT_TRUE(resultOf(Fresh).isObject());
 }
 
 TEST(ConcurrentCancel, CancelledRequestNeverInvalidatesAValidEntry) {
@@ -228,7 +228,7 @@ TEST(ConcurrentCancel, CancelledRequestNeverInvalidatesAValidEntry) {
   int64_t Id = Server.addProfile(test::makeFixedProfile());
   // Warm the cache with a valid view.
   json::Value Warm = Server.handleMessage(flameRequest(1, Id));
-  ASSERT_NE(resultOf(Warm), nullptr);
+  ASSERT_TRUE(resultOf(Warm).isObject());
   // A cancelled request with different params (different cache key) fails…
   json::Object P;
   P.set("profile", Id);
@@ -244,7 +244,7 @@ TEST(ConcurrentCancel, CancelledRequestNeverInvalidatesAValidEntry) {
             Again.asObject().find("result")->dump());
   json::Value Stats = Server.handleMessage(
       rpc::makeRequest(3, "pvp/stats", json::Object()));
-  EXPECT_EQ(resultOf(Stats)->find("cacheHits")->asInt(), 1);
+  EXPECT_EQ(resultOf(Stats).asObject().find("cacheHits")->asInt(), 1);
 }
 
 //===----------------------------------------------------------------------===
@@ -259,7 +259,7 @@ TEST(ConcurrentSessions, IndependentSessionsDoNotSeeEachOthersProfiles) {
   int64_t Prof = openedProfile(M.handle(0, openRequest(1, Bytes)));
   ASSERT_GT(Prof, 0);
   // Session 0 serves it; session 1 must not resolve the id.
-  EXPECT_NE(resultOf(M.handle(0, flameRequest(2, Prof))), nullptr);
+  EXPECT_TRUE(resultOf(M.handle(0, flameRequest(2, Prof))).isObject());
   EXPECT_EQ(errorCodeOf(M.handle(1, flameRequest(3, Prof))),
             rpc::InvalidParams);
 }
@@ -272,27 +272,26 @@ TEST(ConcurrentSessions, ClosingAnotherSessionsProfileRetiresNothing) {
   int64_t Prof = openedProfile(M.handle(0, openRequest(1, Bytes)));
   ASSERT_GT(Prof, 0);
   json::Value First = M.handle(0, flameRequest(2, Prof));
-  ASSERT_NE(resultOf(First), nullptr);
+  ASSERT_TRUE(resultOf(First).isObject());
   uint64_t Gen = M.store().generationOf(Prof);
 
   // Session 1 never opened the profile: its close is refused and must not
   // retire session 0's cached views.
   json::Value Closed = M.handle(1, closeRequest(3, Prof));
-  ASSERT_NE(resultOf(Closed), nullptr) << Closed.dump();
-  EXPECT_FALSE(resultOf(Closed)->find("closed")->asBool());
+  ASSERT_TRUE(resultOf(Closed).isObject()) << Closed.dump();
+  EXPECT_FALSE(resultOf(Closed).asObject().find("closed")->asBool());
   EXPECT_EQ(M.store().generationOf(Prof), Gen);
 
   uint64_t Hits = M.viewCache().hits();
   json::Value Again = M.handle(0, flameRequest(4, Prof));
   EXPECT_EQ(M.viewCache().hits(), Hits + 1);
-  ASSERT_NE(resultOf(Again), nullptr);
-  EXPECT_EQ(json::Value(*resultOf(Again)).dump(),
-            json::Value(*resultOf(First)).dump());
+  ASSERT_TRUE(resultOf(Again).isObject());
+  EXPECT_EQ(resultOf(Again).dump(), resultOf(First).dump());
 
   // The owner's close still retires the profile.
   json::Value OwnerClose = M.handle(0, closeRequest(5, Prof));
-  ASSERT_NE(resultOf(OwnerClose), nullptr);
-  EXPECT_TRUE(resultOf(OwnerClose)->find("closed")->asBool());
+  ASSERT_TRUE(resultOf(OwnerClose).isObject());
+  EXPECT_TRUE(resultOf(OwnerClose).asObject().find("closed")->asBool());
   EXPECT_EQ(errorCodeOf(M.handle(0, flameRequest(6, Prof))),
             rpc::InvalidParams);
 }
@@ -326,8 +325,8 @@ TEST(ConcurrentSessions, PerSessionFifoOrderIsPreserved) {
     Fs.push_back(M.submit(0, flameRequest(R, Prof)));
   Fs.push_back(M.submit(0, closeRequest(30, Prof)));
   for (size_t I = 0; I + 1 < Fs.size(); ++I)
-    EXPECT_NE(resultOf(Fs[I].get()), nullptr) << I;
-  EXPECT_NE(resultOf(Fs.back().get()), nullptr);
+    EXPECT_TRUE(resultOf(Fs[I].get()).isObject()) << I;
+  EXPECT_TRUE(resultOf(Fs.back().get()).isObject());
 }
 
 TEST(ConcurrentSessions, QueuedRequestCancelsWithoutRunning) {
@@ -348,17 +347,17 @@ TEST(ConcurrentSessions, QueuedRequestCancelsWithoutRunning) {
       M.submit(0, rpc::makeRequest(2, "pvp/open", std::move(Slow)));
   std::future<json::Value> Victim = M.submit(0, flameRequest(3, Prof));
   json::Value CancelReply = M.handle(0, cancelRequest(4, 3));
-  EXPECT_TRUE(resultOf(CancelReply)->find("cancelled")->asBool());
+  EXPECT_TRUE(resultOf(CancelReply).asObject().find("cancelled")->asBool());
   EXPECT_EQ(errorCodeOf(Victim.get()), rpc::RequestCancelled);
   EXPECT_EQ(errorCodeOf(Blocker.get()), rpc::InvalidParams); // Path load fails.
   // The cancelled flame never polluted the cache: recomputing succeeds.
-  EXPECT_NE(resultOf(M.handle(0, flameRequest(5, Prof))), nullptr);
+  EXPECT_TRUE(resultOf(M.handle(0, flameRequest(5, Prof))).isObject());
 }
 
 TEST(ConcurrentSessions, CancelUnknownRequestReportsFalse) {
   SessionManager M(SessionManager::Options{});
   json::Value R = M.handle(0, cancelRequest(1, 999));
-  EXPECT_FALSE(resultOf(R)->find("cancelled")->asBool());
+  EXPECT_FALSE(resultOf(R).asObject().find("cancelled")->asBool());
   EXPECT_FALSE(M.cancel(99, 1)); // Invalid session: false, not a crash.
 }
 
@@ -517,7 +516,7 @@ TEST(ConcurrentSessions, SoakWithInterleavedCancelsAndCloses) {
         for (auto &F : Fs) {
           json::Value R = F.get();
           int Code = errorCodeOf(R);
-          bool Ok = resultOf(R) != nullptr ||
+          bool Ok = resultOf(R).isObject() ||
                     Code == rpc::RequestCancelled ||
                     Code == rpc::InvalidParams;
           if (!Ok)
@@ -577,7 +576,7 @@ TEST(ConcurrentStore, SharedCacheHoldsExactlyMaxCachedViews) {
     return rpc::makeRequest(ReqId, "pvp/flame", std::move(P));
   };
   for (int I = 0; I < 8; ++I)
-    ASSERT_NE(resultOf(M.handle(0, View(2 + I, 10 + I))), nullptr);
+    ASSERT_TRUE(resultOf(M.handle(0, View(2 + I, 10 + I))).isObject());
   EXPECT_EQ(M.viewCache().size(), 8u);
   EXPECT_EQ(M.viewCache().evictions(), 0u);
   uint64_t Hits = M.viewCache().hits();

@@ -566,7 +566,8 @@ TEST(PvpServerLimits, FlameDegradesInsteadOfFailing) {
   P.set("profile", Id);
   json::Value Resp = Server.handleMessage(rpc::makeRequest(1, "pvp/flame", P));
   ASSERT_TRUE(isSuccess(Resp));
-  const json::Object &R = Resp.asObject().find("result")->asObject();
+  json::Value Result = test::resultTree(Resp);
+  const json::Object &R = Result.asObject();
   EXPECT_LE(R.find("rects")->asArray().size(), 3u);
   EXPECT_TRUE(R.find("truncated")->asBool());
   EXPECT_GT(R.find("droppedRects")->asInt(), 0);
@@ -583,7 +584,8 @@ TEST(PvpServerLimits, TreeTableDegradesInsteadOfFailing) {
   json::Value Resp =
       Server.handleMessage(rpc::makeRequest(1, "pvp/treeTable", P));
   ASSERT_TRUE(isSuccess(Resp));
-  const json::Object &R = Resp.asObject().find("result")->asObject();
+  json::Value Result = test::resultTree(Resp);
+  const json::Object &R = Result.asObject();
   EXPECT_LE(R.find("rows")->asArray().size(), 2u);
   EXPECT_TRUE(R.find("truncated")->asBool());
   EXPECT_GT(R.find("droppedRows")->asInt(), 0);

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Covers the live-view subscription stack end to end: the ViewDelta codec
-/// (encode/apply byte-identity, fallback, generation peeking), the
+/// (encode/apply byte-identity, refused deltas, generation peeking), the
 /// pvp/subscribe / pvp/ack / pvp/unsubscribe server methods with their
 /// acked-generation bookkeeping, streaming pvp/append driving pushes over
 /// the real wire framing, the SessionManager notify plumbing under a budgeted (spilling) store, and the two
@@ -94,13 +94,20 @@ std::vector<json::Value> viewDeltasIn(const std::vector<json::Value> &Notes) {
 }
 
 /// Decodes params.deltaBase64 and applies it to \p Held.
-json::Value applyDeltaParams(const json::Value &Held,
-                             const json::Value &Params) {
+Result<ViewTable> applyDeltaParams(const ViewTable &Held,
+                                   const json::Value &Params) {
   std::string Delta;
   EXPECT_TRUE(base64Decode(stringField(Params, "deltaBase64"), Delta));
-  Result<json::Value> Applied = applyViewDelta(Held, Delta);
+  Result<ViewTable> Applied = applyViewDelta(Held, Delta);
   EXPECT_TRUE(bool(Applied)) << (Applied ? "" : Applied.error());
-  return Applied ? *Applied : json::Value();
+  return Applied;
+}
+
+/// The view a pvp/subscribe result carries, as the table a client holds.
+ViewTable heldView(const json::Value &SubResult) {
+  Result<ViewTable> T = ViewTable::read(*SubResult.asObject().find("view"));
+  EXPECT_TRUE(bool(T)) << (T ? "" : T.error());
+  return T ? T.take() : ViewTable(ViewKind::Flame);
 }
 
 } // namespace
@@ -111,128 +118,98 @@ json::Value applyDeltaParams(const json::Value &Held,
 
 namespace {
 
-json::Value makeRow(int64_t Node, double Self, const std::string &Name) {
-  json::Object Row;
-  Row.set("node", Node);
-  Row.set("self", Self);
-  Row.set("name", Name);
-  return json::Value(std::move(Row));
+/// A tree table of rows (node, name); each row's 'expanded' is its
+/// node's parity.
+ViewTable treeTable(std::vector<std::pair<int64_t, std::string>> Rows,
+                    int64_t Dropped) {
+  ViewTable T(ViewKind::TreeTable);
+  T.addScalar("truncated", Dropped > 0);
+  T.addScalar("droppedRows", Dropped);
+  T.rowsHere();
+  for (const auto &[Node, Name] : Rows)
+    T.addRow(Node, 1, Name, true, Node % 2 == 1);
+  return T;
 }
 
-json::Value makeView(std::vector<json::Value> Rows, int64_t Total) {
-  json::Object Obj;
-  json::Array Arr;
-  for (json::Value &R : Rows)
-    Arr.push_back(std::move(R));
-  Obj.set("rows", json::Value(std::move(Arr)));
-  Obj.set("total", Total);
-  return json::Value(std::move(Obj));
+/// A flame of one-level rects (node, x) of width 0.25.
+ViewTable flame(std::vector<std::pair<int64_t, double>> Rects, double Total) {
+  ViewTable T(ViewKind::Flame);
+  T.addScalar("total", Total);
+  T.rowsHere();
+  for (const auto &[Node, X] : Rects)
+    T.addRow(Node, 0, X, 0.25, Total / 4, "f" + std::to_string(Node),
+             "#aabbcc");
+  return T;
+}
+
+/// Encodes Base -> Next, applies it to Base, and checks the applied table
+/// writes Next's bytes.
+ViewDeltaStats roundTrip(const ViewTable &Base, const ViewTable &Next) {
+  ViewDeltaStats Stats;
+  std::string Delta = encodeViewDelta(Base, Next, 3, 4, &Stats);
+  Result<ViewTable> Applied = applyViewDelta(Base, Delta);
+  EXPECT_TRUE(bool(Applied)) << (Applied ? "" : Applied.error());
+  if (Applied)
+    EXPECT_EQ(Applied->write(), Next.write());
+  return Stats;
 }
 
 } // namespace
 
-TEST(SubscribeDelta, RowPatchRoundTripIsByteIdentical) {
-  // Row 1 changes a string (forcing a per-row patch — strings are never
-  // columnized) and a double; the double is backed by every next row and
-  // changed in 2 of 3, so it ships as a packed column instead.
-  json::Value Base =
-      makeView({makeRow(0, 1.5, "root"), makeRow(1, 2.0, "a")}, 10);
-  json::Value Next = makeView({makeRow(0, 1.5, "root"), makeRow(1, 3.5, "aa"),
-                               makeRow(2, 0.25, "b")},
-                              14);
-  ViewDeltaStats Stats;
-  std::string Delta = encodeViewDelta(Base, Next, "rows", 3, 4, &Stats);
-  EXPECT_FALSE(Stats.FullFallback);
+TEST(SubscribeDelta, ChangedAndNewRowsRoundTripByteIdentical) {
+  // Row 1 changes its name, row 2 is new: the name column carries two
+  // values, the 'expanded' column only the new row's.
+  ViewTable Base = treeTable({{0, "root"}, {1, "a"}}, 0);
+  ViewTable Next = treeTable({{0, "root"}, {1, "aa"}, {2, "b"}}, 3);
+  ViewDeltaStats Stats = roundTrip(Base, Next);
   EXPECT_EQ(Stats.RowsAdded, 1u);
-  EXPECT_EQ(Stats.RowsPatched, 1u);
-  EXPECT_EQ(Stats.ColumnsPatched, 1u);
-  EXPECT_EQ(Stats.ScalarsPatched, 1u);
+  EXPECT_EQ(Stats.RowsRemoved, 0u);
+  EXPECT_EQ(Stats.ValuesPatched, 5u); // depth, name x2, expandable, expanded.
+  EXPECT_EQ(Stats.ScalarsPatched, 2u);
 
-  Result<json::Value> Applied = applyViewDelta(Base, Delta);
-  ASSERT_TRUE(bool(Applied)) << Applied.error();
-  EXPECT_EQ(Applied->dump(), Next.dump());
-
+  std::string Delta = encodeViewDelta(Base, Next, 3, 4);
   Result<std::pair<uint64_t, uint64_t>> Gens = peekViewDeltaGenerations(Delta);
   ASSERT_TRUE(bool(Gens)) << Gens.error();
   EXPECT_EQ(Gens->first, 3u);
   EXPECT_EQ(Gens->second, 4u);
 }
 
-TEST(SubscribeDelta, DenseDoubleChangePacksAsColumnNotRowPatches) {
-  // Every row moves its double (a flame renormalization): the codec must
-  // ship one packed fixed64 column and zero per-row patches, and applying
-  // it must still reproduce the next view byte-for-byte.
-  json::Value Base =
-      makeView({makeRow(0, 0.5, "root"), makeRow(1, 0.25, "a"),
-                makeRow(2, 0.125, "b")},
-               8);
-  json::Value Next =
-      makeView({makeRow(0, 0.4, "root"), makeRow(1, 0.2, "a"),
-                makeRow(2, 0.1, "b")},
-               10);
-  ViewDeltaStats Stats;
-  std::string Delta = encodeViewDelta(Base, Next, "rows", 7, 8, &Stats);
-  EXPECT_FALSE(Stats.FullFallback);
+TEST(SubscribeDelta, DenseDoubleChangeCostsOneColumn) {
+  // Every rect moves its x (a flame renormalization): one column carries
+  // every row's new value and no other field is sent.
+  ViewTable Base = flame({{0, 0.0}, {1, 0.25}, {2, 0.5}}, 8);
+  ViewTable Next = flame({{0, 0.1}, {1, 0.35}, {2, 0.6}}, 8);
+  ViewDeltaStats Stats = roundTrip(Base, Next);
   EXPECT_EQ(Stats.ColumnsPatched, 1u);
-  EXPECT_EQ(Stats.RowsPatched, 0u);
-  EXPECT_EQ(Stats.RowsAdded, 0u);
-  Result<json::Value> Applied = applyViewDelta(Base, Delta);
-  ASSERT_TRUE(bool(Applied)) << Applied.error();
-  EXPECT_EQ(Applied->dump(), Next.dump());
-  // The packed column is the whole point: the delta must undercut the
-  // dumped next view by a wide margin even at three rows.
-  EXPECT_LT(Delta.size(), Next.dump().size());
+  EXPECT_EQ(Stats.ValuesPatched, 3u);
+  EXPECT_EQ(Stats.ScalarsPatched, 0u);
+  EXPECT_LT(encodeViewDelta(Base, Next, 7, 8).size(), Next.write().size());
 }
 
 TEST(SubscribeDelta, RemovalAndReorderRoundTrip) {
-  json::Value Base = makeView(
-      {makeRow(0, 1, "r"), makeRow(1, 2, "a"), makeRow(2, 3, "b")}, 6);
-  json::Value Next = makeView({makeRow(2, 3, "b"), makeRow(0, 1, "r")}, 4);
-  ViewDeltaStats Stats;
-  std::string Delta = encodeViewDelta(Base, Next, "rows", 0, 1, &Stats);
-  EXPECT_FALSE(Stats.FullFallback);
+  ViewTable Base = treeTable({{0, "r"}, {1, "a"}, {2, "b"}}, 0);
+  ViewTable Next = treeTable({{2, "b"}, {0, "r"}}, 0);
+  ViewDeltaStats Stats = roundTrip(Base, Next);
   EXPECT_EQ(Stats.RowsRemoved, 1u);
-  Result<json::Value> Applied = applyViewDelta(Base, Delta);
-  ASSERT_TRUE(bool(Applied)) << Applied.error();
-  EXPECT_EQ(Applied->dump(), Next.dump());
-}
-
-TEST(SubscribeDelta, SchemaChangeFallsBackToFullView) {
-  json::Value Base = makeView({makeRow(0, 1, "r")}, 1);
-  // Next's rows carry an extra key, so the uniform-schema requirement
-  // fails and the codec must ship the full view instead of a wrong delta.
-  json::Object Row;
-  Row.set("node", static_cast<int64_t>(0));
-  Row.set("self", 2.0);
-  Row.set("name", std::string("r"));
-  Row.set("extra", true);
-  json::Value Next = makeView({json::Value(std::move(Row))}, 2);
-
-  ViewDeltaStats Stats;
-  std::string Delta = encodeViewDelta(Base, Next, "rows", 7, 8, &Stats);
-  EXPECT_TRUE(Stats.FullFallback);
-  Result<json::Value> Applied = applyViewDelta(Base, Delta);
-  ASSERT_TRUE(bool(Applied)) << Applied.error();
-  EXPECT_EQ(Applied->dump(), Next.dump());
+  EXPECT_EQ(Stats.ValuesPatched, 0u);
 }
 
 TEST(SubscribeDelta, IdenticalViewsProduceEmptyPatchSet) {
-  json::Value Base = makeView({makeRow(0, 1, "r"), makeRow(1, 2, "a")}, 3);
-  ViewDeltaStats Stats;
-  std::string Delta = encodeViewDelta(Base, Base, "rows", 2, 3, &Stats);
-  EXPECT_FALSE(Stats.FullFallback);
-  EXPECT_EQ(Stats.RowsPatched, 0u);
+  ViewTable Base = treeTable({{0, "r"}, {1, "a"}}, 0);
+  ViewDeltaStats Stats = roundTrip(Base, Base);
   EXPECT_EQ(Stats.RowsAdded, 0u);
   EXPECT_EQ(Stats.RowsRemoved, 0u);
-  Result<json::Value> Applied = applyViewDelta(Base, Delta);
-  ASSERT_TRUE(bool(Applied)) << Applied.error();
-  EXPECT_EQ(Applied->dump(), Base.dump());
+  EXPECT_EQ(Stats.ColumnsPatched, 0u);
+  EXPECT_EQ(Stats.ScalarsPatched, 0u);
 }
 
-TEST(SubscribeDelta, MalformedDeltaFailsCleanly) {
-  json::Value Base = makeView({makeRow(0, 1, "r")}, 1);
+TEST(SubscribeDelta, MalformedOrMismatchedDeltaFailsCleanly) {
+  ViewTable Base = treeTable({{0, "r"}}, 0);
   EXPECT_FALSE(applyViewDelta(Base, "not a delta").ok());
   EXPECT_FALSE(peekViewDeltaGenerations("garbage").ok());
+  // A flame delta does not apply to a tree table.
+  ViewTable F = flame({{0, 0.0}}, 1);
+  EXPECT_FALSE(applyViewDelta(Base, encodeViewDelta(F, F, 0, 1)).ok());
 }
 
 //===----------------------------------------------------------------------===
@@ -262,14 +239,14 @@ std::string runDeltaStream(const std::string &View, json::Object ViewParams,
   if (!Sub)
     return std::string();
   int64_t SubId = intField(*Sub, "subscription");
-  json::Value Held = *Sub->asObject().find("view");
+  ViewTable Held = heldView(*Sub);
 
   // The initial view must itself be byte-identical to an explicit query.
   json::Object Requery(ViewParams);
   Requery.set("profile", *Id);
   Result<json::Value> Initial = Ide.call(RequeryMethod, Requery);
   EXPECT_TRUE(bool(Initial)) << (Initial ? "" : Initial.error());
-  EXPECT_EQ(Held.dump(), Initial->dump());
+  EXPECT_EQ(Held.write(), Initial->dump());
 
   std::string DeltaBytes;
   for (size_t S = 0; S + 1 < Stages; ++S) {
@@ -295,12 +272,12 @@ std::string runDeltaStream(const std::string &View, json::Object ViewParams,
     EXPECT_TRUE(base64Decode(stringField(Deltas[0], "deltaBase64"), Raw));
     DeltaBytes += Raw;
 
-    json::Value Applied = applyDeltaParams(Held, Deltas[0]);
+    Result<ViewTable> Applied = applyDeltaParams(Held, Deltas[0]);
     Result<json::Value> Full = Ide.call(RequeryMethod, Requery);
     EXPECT_TRUE(bool(Full)) << (Full ? "" : Full.error());
-    if (!Full)
+    if (!Full || !Applied)
       return std::string();
-    EXPECT_EQ(Applied.dump(), Full->dump())
+    EXPECT_EQ(Applied->write(), Full->dump())
         << "applied delta diverged from re-query at stage " << S + 1;
     // The push is compact: strictly smaller than re-serializing the view.
     EXPECT_LT(Raw.size(), Full->dump().size());
@@ -313,7 +290,7 @@ std::string runDeltaStream(const std::string &View, json::Object ViewParams,
     if (!Ack)
       return std::string();
     EXPECT_TRUE(Ack->asObject().find("acked")->asBool());
-    Held = std::move(Applied);
+    Held = Applied.take();
   }
 
   json::Object Unsub;
@@ -355,7 +332,7 @@ TEST(SubscribeServer, UnackedPushesAlwaysDiffFromAckedBase) {
   ASSERT_TRUE(bool(Sub)) << Sub.error();
   int64_t SubId = intField(*Sub, "subscription");
   int64_t Gen0 = intField(*Sub, "generation");
-  json::Value Acked = *Sub->asObject().find("view");
+  ViewTable Acked = heldView(*Sub);
 
   // Two appends, no ack in between: each push must diff from the ACKED
   // view (replay-safe), not chain on the unacked predecessor.
@@ -374,13 +351,14 @@ TEST(SubscribeServer, UnackedPushesAlwaysDiffFromAckedBase) {
 
   // Applying ONLY the last delta to the original acked view yields the
   // current view — the dropped intermediate push costs nothing.
-  json::Value Applied = applyDeltaParams(Acked, LastDelta);
+  Result<ViewTable> Applied = applyDeltaParams(Acked, LastDelta);
   json::Object Requery;
   Requery.set("includeText", false);
   Requery.set("profile", *Id);
   Result<json::Value> Full = Ide.call("pvp/treeTable", Requery);
   ASSERT_TRUE(bool(Full)) << Full.error();
-  EXPECT_EQ(Applied.dump(), Full->dump());
+  ASSERT_TRUE(bool(Applied));
+  EXPECT_EQ(Applied->write(), Full->dump());
 
   // Ack the latest push; the next delta advances from it.
   int64_t Gen2 = intField(LastDelta, "toGeneration");
@@ -592,7 +570,7 @@ TEST(SubscribeManager, NotifyPlumbingSurvivesSpillingStore) {
   const json::Value *SubResult = SubResponse.asObject().find("result");
   ASSERT_NE(SubResult, nullptr) << SubResponse.dump();
   int64_t SubId = intField(*SubResult, "subscription");
-  json::Value Held = *SubResult->asObject().find("view");
+  ViewTable Held = heldView(*SubResult);
 
   for (size_t S = 0; S + 1 < Bytes.size(); ++S) {
     json::Object AP;
@@ -611,7 +589,8 @@ TEST(SubscribeManager, NotifyPlumbingSurvivesSpillingStore) {
     }
     ASSERT_EQ(Deltas.size(), 1u);
     EXPECT_EQ(intField(Deltas[0], "subscription"), SubId);
-    json::Value Applied = applyDeltaParams(Held, Deltas[0]);
+    Result<ViewTable> Applied = applyDeltaParams(Held, Deltas[0]);
+    ASSERT_TRUE(bool(Applied));
 
     json::Object Requery;
     Requery.set("includeText", false);
@@ -621,7 +600,7 @@ TEST(SubscribeManager, NotifyPlumbingSurvivesSpillingStore) {
                             json::Value(std::move(Requery))));
     const json::Value *FullResult = Full.asObject().find("result");
     ASSERT_NE(FullResult, nullptr) << Full.dump();
-    EXPECT_EQ(Applied.dump(), FullResult->dump());
+    EXPECT_EQ(Applied->write(), FullResult->dump());
 
     json::Object AckP;
     AckP.set("subscription", SubId);
@@ -629,7 +608,7 @@ TEST(SubscribeManager, NotifyPlumbingSurvivesSpillingStore) {
     Manager.handle(0, rpc::makeRequest(200 + static_cast<int64_t>(S),
                                        "pvp/ack",
                                        json::Value(std::move(AckP))));
-    Held = std::move(Applied);
+    Held = Applied.take();
 
     // Touch the churn profile so the subscribed one goes cold and the
     // budget sheds it before the next append.
@@ -697,35 +676,29 @@ TEST(SubscribeWire, PartialOversizedBodyDoesNotPinCapacity) {
 
 TEST(SubscribeCache, ReinsertChurnKeepsByteAccountingExact) {
   ViewCache Cache(8);
-  json::Object BigObj;
-  BigObj.set("rows", std::string(64u << 10, 'r'));
-  json::Value Big(std::move(BigObj));
-  json::Object SmallObj;
-  SmallObj.set("rows", std::string(16, 's'));
-  json::Value Small(std::move(SmallObj));
+  auto Big = std::make_shared<const std::string>(64u << 10, 'r');
+  auto Small = std::make_shared<const std::string>(16, 's');
 
   // A subscribed profile's view is recomputed and re-inserted under the
   // SAME key shape at every generation. The accounting must track the
-  // live payload, not accumulate every generation ever inserted.
+  // live text, not accumulate every generation ever inserted.
   Cache.insert("view|1|g", {1}, Big);
-  uint64_t AfterBig = Cache.approxBytes();
+  EXPECT_EQ(Cache.bytes(), Big->size());
   for (int Gen = 2; Gen < 50; ++Gen)
     Cache.insert("view|1|g", {1}, Small);
   EXPECT_EQ(Cache.size(), 1u);
-  uint64_t AfterSmall = Cache.approxBytes();
-  EXPECT_LT(AfterSmall, AfterBig)
-      << "re-insert accounting leaked the displaced payload";
+  EXPECT_EQ(Cache.bytes(), Small->size());
 
-  // Retiring the profile drops the entry and refunds its bytes; another
-  // profile's entry stays.
-  Cache.insert("view|2|g", {2}, Small);
-  uint64_t Other = Cache.approxBytes() - AfterSmall;
+  // Retiring the profile drops the entry and refunds exactly its bytes;
+  // another profile's entry stays.
+  Cache.insert("view|2|g", {2}, Big);
+  EXPECT_EQ(Cache.bytes(), Small->size() + Big->size());
   Cache.retire(1);
-  EXPECT_FALSE(Cache.lookup("view|1|g").has_value());
-  EXPECT_TRUE(Cache.lookup("view|2|g").has_value());
+  EXPECT_EQ(Cache.lookup("view|1|g"), nullptr);
+  EXPECT_EQ(Cache.lookup("view|2|g"), Big) << "a hit shares the entry's text";
   EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Cache.approxBytes(), Other);
+  EXPECT_EQ(Cache.bytes(), Big->size());
   Cache.retire(2);
   EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_EQ(Cache.approxBytes(), 0u);
+  EXPECT_EQ(Cache.bytes(), 0u);
 }

@@ -460,7 +460,7 @@ TEST(SelfProfile, EmitsWellFormedEvprofThatLintsClean) {
   int64_t SelfId = R->find("profile")->asInt();
   json::Value Flame = Server.handleMessage(
       rpc::makeRequest(5, "pvp/flame", flameParams(SelfId)));
-  EXPECT_NE(resultOf(Flame), nullptr);
+  EXPECT_TRUE(test::resultTree(Flame).isObject());
 }
 
 TEST(SelfProfile, ResetParamClearsRetainedSpans) {
