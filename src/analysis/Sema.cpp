@@ -339,13 +339,13 @@ private:
     // The engine's registers are statically typed, so a ternary whose
     // branches disagree traps on every lane that reaches it.
     if (Then.Type != SemaType::Unknown && Else.Type != SemaType::Unknown) {
-      auto Name = [](SemaType T) {
-        return T == SemaType::Bool ? std::string("condition")
-                                   : std::string(semaTypeName(T));
+      auto VType = [](SemaType T) {
+        return T == SemaType::Number ? evql::VType::Num
+               : T == SemaType::Bool ? evql::VType::Bool
+                                     : evql::VType::Str;
       };
       report("EVQL005", Severity::Error, E.Line, E.Column,
-             "ternary branches have different types (" + Name(Then.Type) +
-                 " and " + Name(Else.Type) + ")",
+             evql::ternaryMismatch(VType(Then.Type), VType(Else.Type)),
              "type-mismatch",
              "convert one branch, e.g. with str() or a comparison");
     }

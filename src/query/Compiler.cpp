@@ -32,18 +32,6 @@ struct EV {
   bool Never = false;
 };
 
-const char *typeName(VType T) {
-  switch (T) {
-  case VType::Num:
-    return "number";
-  case VType::Bool:
-    return "condition";
-  case VType::Str:
-    return "string";
-  }
-  return "";
-}
-
 /// A 'let' binding in the compile-time environment.
 struct Binding {
   VType T = VType::Num;
@@ -492,9 +480,7 @@ private:
     // reaches a mixed ternary traps. A branch that always traps has no
     // type of its own and takes the other's.
     if (Then.T != Else.T && !Then.Never && !Else.Never)
-      return trap(std::string("ternary branches have different types (") +
-                      typeName(Then.T) + " and " + typeName(Else.T) + ")",
-                  E.Line, Then.T);
+      return trap(ternaryMismatch(Then.T, Else.T), E.Line, Then.T);
     VType T = Then.Never ? Else.T : Then.T;
     uint16_t R = alloc(T);
     Op Copy = T == VType::Num    ? Op::CopyNum
@@ -643,6 +629,15 @@ const Builtin *findBuiltin(std::string_view Name) {
     if (B.Name == Name)
       return &B;
   return nullptr;
+}
+
+std::string ternaryMismatch(VType Then, VType Else) {
+  auto Name = [](VType T) {
+    return T == VType::Num ? "number" : T == VType::Bool ? "condition"
+                                                          : "string";
+  };
+  return std::string("ternary branches have different types (") +
+         Name(Then) + " and " + Name(Else) + ")";
 }
 
 std::optional<Const> foldUnary(TokenKind Tok, const std::optional<Const> &V) {

@@ -314,6 +314,12 @@ std::optional<Const> foldBinary(TokenKind Tok, const std::optional<Const> &L,
 std::optional<Const> foldCall(const Builtin &B,
                               const std::optional<Const> *Args);
 
+/// The message of a ternary whose branches have static types \p Then and
+/// \p Else: "ternary branches have different types (number and string)",
+/// a Bool branch named "condition". The engine traps with it and the
+/// checker reports it as EVQL005.
+std::string ternaryMismatch(VType Then, VType Else);
+
 /// Slot value meaning "no memoized view slot" on metric instructions.
 inline constexpr uint16_t NoSlot = 0xFFFF;
 /// Mask register 0 is reserved: it reads all-true, so Mask == 0 means the

@@ -18,9 +18,13 @@
 #include "convert/Converters.h"
 #include "ide/JsonRpc.h"
 #include "ide/PvpServer.h"
+#include "ide/ViewDelta.h"
 #include "proto/EvProf.h"
 #include "support/Json.h"
+#include "support/ProtoWire.h"
 #include "support/Rng.h"
+#include "support/Strings.h"
+#include "support/Varint.h"
 #include "support/Xml.h"
 
 #include "TestHelpers.h"
@@ -331,4 +335,197 @@ TEST_P(FuzzSeed, SemaSurvivesHostileSources) {
   DiagnosticSet Big(Tight.MaxDiagnostics);
   Checker.checkSource(std::string(8192, 'a'), Big);
   EXPECT_TRUE(Big.truncated());
+}
+
+//===----------------------------------------------------------------------===//
+// View deltas under hostile input
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A real view at two generations: stage 0 of the growth profile and the
+/// same view after one appended section.
+struct ViewPair {
+  ViewTable Base{ViewKind::Flame};
+  ViewTable Next{ViewKind::Flame};
+};
+
+ViewPair realViews(const char *Method) {
+  std::vector<std::string> Stages = test::growthStageBytes(2);
+  PvpServer Server;
+  int64_t Id = Server.addProfile(readEvProf(Stages[0]).take());
+  json::Object P;
+  P.set("profile", Id);
+  auto View = [&] {
+    Result<ViewTable> T = ViewTable::read(test::resultTree(
+        Server.handleMessage(rpc::makeRequest(1, Method, json::Value(P)))));
+    EXPECT_TRUE(T.ok()) << (T ? "" : T.error());
+    return T ? T.take() : ViewTable(ViewKind::Flame);
+  };
+  ViewPair Out{View(), View()};
+  json::Object A;
+  A.set("profile", Id);
+  A.set("dataBase64", base64Encode(test::sectionBytes(Stages, 0)));
+  Server.handleMessage(rpc::makeRequest(2, "pvp/append", json::Value(A)));
+  Out.Next = View();
+  return Out;
+}
+
+size_t stringBytes(const ViewTable &T) {
+  size_t Bytes = 0;
+  for (const ViewTable::Column &C : T.Columns)
+    for (const std::string &S : C.Strings)
+      Bytes += S.size();
+  return Bytes;
+}
+
+/// The apply contract under hostile input: an error, or a table whose
+/// columns agree on the row count and whose text reads back; its rows
+/// come from the delta's order and its new strings from the delta, so it
+/// grows with the delta, not with what the delta claims.
+void expectSafeApply(const ViewTable &Base, std::string_view Delta) {
+  Result<ViewTable> T = applyViewDelta(Base, Delta);
+  if (!T.ok())
+    return;
+  size_t Rows = T->rowCount();
+  EXPECT_LE(Rows, Delta.size());
+  EXPECT_LE(stringBytes(*T), stringBytes(Base) + Delta.size());
+  std::span<const ViewField> Fields = T->schema().Fields;
+  for (size_t F = 0; F < Fields.size(); ++F) {
+    const ViewTable::Column &C = T->Columns[F];
+    size_t Size = Fields[F].Type == FieldType::Double   ? C.Doubles.size()
+                  : Fields[F].Type == FieldType::String ? C.Strings.size()
+                                                        : C.Ints.size();
+    ASSERT_EQ(Size, Rows) << Fields[F].Name;
+  }
+  EXPECT_TRUE(ViewTable::read(T->reply()).ok());
+}
+
+} // namespace
+
+TEST_P(FuzzSeed, TruncatedAndBitFlippedViewDeltas) {
+  Rng R(GetParam());
+  for (const char *Method : {"pvp/flame", "pvp/treeTable"}) {
+    ViewPair V = realViews(Method);
+    std::string Delta = encodeViewDelta(V.Base, V.Next, 0, 1);
+    ASSERT_EQ(applyViewDelta(V.Base, Delta)->write(), V.Next.write());
+    for (size_t Len = 0; Len < Delta.size(); Len += 1 + R.below(4))
+      expectSafeApply(V.Base, Delta.substr(0, Len));
+    for (int Round = 0; Round < 200; ++Round) {
+      std::string Mutated = Delta;
+      for (uint64_t Flips = 1 + R.below(3); Flips; --Flips)
+        Mutated[R.below(Mutated.size())] ^=
+            static_cast<char>(1u << R.below(8));
+      expectSafeApply(V.Base, Mutated);
+      expectSafeApply(V.Next, Mutated);
+    }
+  }
+}
+
+TEST(Fuzz, HandBuiltHostileViewDeltas) {
+  ViewPair V = realViews("pvp/flame");
+  const ViewTable &Base = V.Base;
+  // The wire format of docs/PVP.md "Delta wire format".
+  auto Column = [](uint64_t Field, std::string Runs, std::string Values) {
+    ProtoWriter C;
+    C.writeVarint(1, Field);
+    C.writeBytes(2, Runs);
+    C.writeBytes(3, Values);
+    return C.takeBuffer();
+  };
+  auto Delta = [&](std::vector<int64_t> Order,
+                   std::vector<std::string> Columns, uint64_t Kind = 0) {
+    ProtoWriter W;
+    W.writeVarint(1, 2);
+    W.writeVarint(4, Kind);
+    std::string Packed;
+    for (int64_t Id : Order)
+      appendVarint(Packed, static_cast<uint64_t>(Id));
+    W.writeBytes(5, Packed);
+    for (const std::string &C : Columns)
+      W.writeBytes(6, C);
+    return W.takeBuffer();
+  };
+  auto Runs = [](uint64_t Skip, uint64_t Length) {
+    std::string S;
+    appendVarint(S, Skip);
+    appendVarint(S, Length);
+    return S;
+  };
+  std::vector<int64_t> Ids = Base.Columns[0].Ints;
+  ASSERT_GE(Ids.size(), 2u);
+  auto Varints = [](std::initializer_list<int64_t> Vs) {
+    std::string S;
+    for (int64_t V : Vs)
+      appendSignedVarint(S, V);
+    return S;
+  };
+
+  // The base order with nothing changed applies to the base itself.
+  ASSERT_EQ(applyViewDelta(Base, Delta(Ids, {}))->write(), Base.write());
+
+  // A column index past the schema, or the node column itself.
+  EXPECT_FALSE(applyViewDelta(Base, Delta(Ids, {Column(7, Runs(0, 1),
+                                                       Varints({1}))}))
+                   .ok());
+  EXPECT_FALSE(applyViewDelta(Base, Delta(Ids, {Column(0, Runs(0, 1),
+                                                       Varints({1}))}))
+                   .ok());
+  // A position past the order, and a run longer than the order.
+  EXPECT_FALSE(applyViewDelta(
+                   Base, Delta(Ids, {Column(1, Runs(Ids.size(), 1),
+                                            Varints({1}))}))
+                   .ok());
+  EXPECT_FALSE(applyViewDelta(
+                   Base, Delta(Ids, {Column(1, Runs(0, uint64_t(1) << 62),
+                                            Varints({1}))}))
+                   .ok());
+  // Fewer and more values than positions.
+  EXPECT_FALSE(
+      applyViewDelta(Base, Delta(Ids, {Column(1, Runs(0, 2), Varints({1}))}))
+          .ok());
+  EXPECT_FALSE(applyViewDelta(Base, Delta(Ids, {Column(1, Runs(0, 1),
+                                                       Varints({1, 2}))}))
+                   .ok());
+  // An unknown node id in the order is a new row: without a value for
+  // every field it is refused, with them it is a valid table.
+  std::vector<int64_t> WithNew = Ids;
+  WithNew.push_back(1 << 20);
+  EXPECT_FALSE(applyViewDelta(Base, Delta(WithNew, {})).ok());
+  std::vector<std::string> Full;
+  uint64_t Last = WithNew.size() - 1;
+  std::string Name;
+  appendVarint(Name, 3);
+  Name += "new";
+  std::string Half(8, '\0');
+  Half[6] = '\xe0';
+  Half[7] = '\x3f'; // 0.5 as little-endian bits.
+  for (uint64_t F = 1; F < Base.schema().Fields.size(); ++F) {
+    FieldType T = Base.schema().Fields[F].Type;
+    Full.push_back(Column(F, Runs(Last, 1),
+                          T == FieldType::Double   ? Half
+                          : T == FieldType::String ? Name
+                                                   : Varints({2})));
+  }
+  Result<ViewTable> Grown = applyViewDelta(Base, Delta(WithNew, Full));
+  ASSERT_TRUE(Grown.ok()) << Grown.error();
+  EXPECT_EQ(Grown->rowCount(), Ids.size() + 1);
+  expectSafeApply(Base, Delta(WithNew, Full));
+  // A node twice in the order, another view's kind, a string value and a
+  // field whose declared length runs far past the buffer.
+  std::vector<int64_t> Twice = Ids;
+  Twice.push_back(Ids[0]);
+  EXPECT_FALSE(applyViewDelta(Base, Delta(Twice, {})).ok());
+  EXPECT_FALSE(applyViewDelta(Base, Delta(Ids, {}, 1)).ok());
+  std::string LongName;
+  appendVarint(LongName, uint64_t(1) << 40);
+  LongName += "x";
+  EXPECT_FALSE(applyViewDelta(Base, Delta(Ids, {Column(5, Runs(0, 1),
+                                                       LongName)}))
+                   .ok());
+  std::string Long = Delta(Ids, {});
+  Long.push_back(static_cast<char>((6 << 3) | 2));
+  appendVarint(Long, uint64_t(1) << 40);
+  Long += "abc";
+  EXPECT_FALSE(applyViewDelta(Base, Long).ok());
 }

@@ -14,7 +14,9 @@
 /// pvp/metrics, pvp/selfProfile) are left out. A second scripted session
 /// pins the error replies (a missing or ill-typed parameter of every
 /// method, unknown shapes, formats and views, a profile id another session
-/// owns) and the view cache serving a repeated pvp/regressions. The cli/
+/// owns) and the view cache serving a repeated pvp/regressions. A third
+/// pins live views: the pvp/viewDelta pushes of a flame and a tree-table
+/// subscription, so the delta wire format is fixed byte for byte. The cli/
 /// entries pin stdout, stderr and the exit code of every deterministic
 /// evtool subcommand over the same fixtures, plus the files it writes.
 ///
@@ -510,6 +512,36 @@ std::string pvpSession() {
   return std::move(S.Log);
 }
 
+/// Live views: a flame and a tree-table (includeText:false) subscription
+/// on one profile, two appends and the deltas each pushes, an ack of the
+/// flame's latest push, a stale ack of the tree table's first and the
+/// unsubscribes.
+std::string pvpSubscribeSession() {
+  Session S;
+  std::vector<std::string> Stages = test::growthStageBytes(3);
+  int64_t Live = S.open("live.evprof", Stages[0]);
+  json::Object NoText;
+  NoText.set("includeText", false);
+  int64_t Flame = Session::resultInt(
+      S.call("pvp/subscribe", params({{"profile", Live}, {"view", "flame"}})),
+      "subscription");
+  int64_t Table = Session::resultInt(
+      S.call("pvp/subscribe", params({{"profile", Live},
+                                      {"view", "treeTable"},
+                                      {"params", NoText}})),
+      "subscription");
+  for (size_t Stage = 0; Stage < 2; ++Stage)
+    S.call("pvp/append",
+           params({{"profile", Live},
+                   {"dataBase64",
+                    base64Encode(test::sectionBytes(Stages, Stage))}}));
+  S.call("pvp/ack", params({{"subscription", Flame}, {"generation", 2}}));
+  S.call("pvp/ack", params({{"subscription", Table}, {"generation", 1}}));
+  S.call("pvp/unsubscribe", params({{"subscription", Flame}}));
+  S.call("pvp/unsubscribe", params({{"subscription", Table}}));
+  return std::move(S.Log);
+}
+
 /// Error replies of every method plus the ownership and cache contracts.
 /// Sessions A and B share one store and one view cache; B addresses a
 /// profile only A opened. Both sessions log into one transcript.
@@ -866,6 +898,7 @@ Corpus buildCorpus() {
   addAnalyses(C);
   C["pvp/session.jsonl"] = pvpSession();
   C["pvp/errors.jsonl"] = pvpErrorSession();
+  C["pvp/subscribe.jsonl"] = pvpSubscribeSession();
   addCli(C);
   return C;
 }

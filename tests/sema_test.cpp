@@ -386,6 +386,36 @@ TEST(Sema, MixedTypeTernaryIsATypeMismatch) {
   }
 }
 
+TEST(Sema, EveryMixedTernaryPairReadsAsTheEngineTrap) {
+  // The engine's trap and EVQL005 spell the message with one function
+  // (evql::ternaryMismatch): for every (then, else) pair of different
+  // types both name the pair the same way, a condition as "condition".
+  const std::pair<const char *, const char *> Arms[] = {
+      {"1", "number"}, {"\"s\"", "string"}, {"nodecount() > 1", "condition"}};
+  Profile P = test::makeFixedProfile();
+  for (const auto &[Then, ThenName] : Arms)
+    for (const auto &[Else, ElseName] : Arms) {
+      if (Then == Else)
+        continue;
+      std::string Src = std::string("print nodecount() > 3 ? ") + Then +
+                        " : " + Else + ";";
+      std::string Want = std::string("ternary branches have different "
+                                     "types (") +
+                         ThenName + " and " + ElseName + ")";
+      Result<evql::QueryOutput> Run = evql::runProgram(P, Src);
+      ASSERT_FALSE(Run.ok()) << Src;
+      EXPECT_EQ(Run.error(), Want + " at line 1");
+      DiagnosticSet Diags = runSema(Src);
+      ASSERT_EQ(countId(Diags, "EVQL005"), 1u) << Src << "\n"
+                                                 << describe(Diags);
+      for (const Diagnostic &D : Diags.all()) {
+        if (D.Id == "EVQL005") {
+          EXPECT_EQ(D.Message, Want) << Src;
+        }
+      }
+    }
+}
+
 TEST(Sema, NoMetricSourceSkipsMetricCheck) {
   DiagnosticSet Diags = runSema("print total(\"anything-at-all\");");
   EXPECT_FALSE(hasId(Diags, "EVQL006")) << describe(Diags);

@@ -149,8 +149,9 @@ ViewDeltaStats roundTrip(const ViewTable &Base, const ViewTable &Next) {
   std::string Delta = encodeViewDelta(Base, Next, 3, 4, &Stats);
   Result<ViewTable> Applied = applyViewDelta(Base, Delta);
   EXPECT_TRUE(bool(Applied)) << (Applied ? "" : Applied.error());
-  if (Applied)
+  if (Applied) {
     EXPECT_EQ(Applied->write(), Next.write());
+  }
   return Stats;
 }
 
