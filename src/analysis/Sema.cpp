@@ -339,13 +339,14 @@ private:
     // The engine's registers are statically typed, so a ternary whose
     // branches disagree traps on every lane that reaches it.
     if (Then.Type != SemaType::Unknown && Else.Type != SemaType::Unknown) {
-      auto VType = [](SemaType T) {
+      auto EngineType = [](SemaType T) {
         return T == SemaType::Number ? evql::VType::Num
                : T == SemaType::Bool ? evql::VType::Bool
                                      : evql::VType::Str;
       };
       report("EVQL005", Severity::Error, E.Line, E.Column,
-             evql::ternaryMismatch(VType(Then.Type), VType(Else.Type)),
+             evql::ternaryMismatch(EngineType(Then.Type),
+                                   EngineType(Else.Type)),
              "type-mismatch",
              "convert one branch, e.g. with str() or a comparison");
     }

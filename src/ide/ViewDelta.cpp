@@ -64,6 +64,20 @@ bool rowsById(const ViewTable &T, std::unordered_map<int64_t, size_t> &Out) {
   return true;
 }
 
+/// The row of \p Base holding each node id of \p Next, NoRow for a new
+/// row. \returns false when two rows of \p Base share an id.
+bool baseRows(const ViewTable &Base, const ViewTable &Next,
+              std::vector<size_t> &From) {
+  std::unordered_map<int64_t, size_t> Row;
+  bool Distinct = rowsById(Base, Row);
+  const std::vector<int64_t> &Ids = Next.Columns[0].Ints;
+  From.assign(Ids.size(), NoRow);
+  for (size_t P = 0; P < Ids.size(); ++P)
+    if (auto It = Row.find(Ids[P]); It != Row.end())
+      From[P] = It->second;
+  return Distinct;
+}
+
 /// Doubles compare by bits, so a NaN is unchanged and a flipped sign of
 /// zero is sent.
 bool sameValue(FieldType T, const ViewTable::Column &A, size_t I,
@@ -157,18 +171,13 @@ std::string encodeViewDelta(const ViewTable &Base, const ViewTable &Next,
   W.writeVarint(FToGen, ToGen);
   W.writeVarint(FKind, static_cast<uint64_t>(Next.Kind));
 
-  std::unordered_map<int64_t, size_t> BaseRow;
-  rowsById(Base, BaseRow);
   const std::vector<int64_t> &Ids = Next.Columns[0].Ints;
-  std::vector<size_t> From(Ids.size(), NoRow); // Each position's base row.
+  std::vector<size_t> From;
+  baseRows(Base, Next, From);
   std::string Order;
-  for (size_t P = 0; P < Ids.size(); ++P) {
-    appendVarint(Order, static_cast<uint64_t>(Ids[P]));
-    if (auto It = BaseRow.find(Ids[P]); It != BaseRow.end())
-      From[P] = It->second;
-    else
-      ++Local.RowsAdded;
-  }
+  for (int64_t Id : Ids)
+    appendVarint(Order, static_cast<uint64_t>(Id));
+  Local.RowsAdded = std::count(From.begin(), From.end(), NoRow);
   Local.RowsRemoved = Base.rowCount() - (Ids.size() - Local.RowsAdded);
   W.writeBytes(FOrder, Order);
 
@@ -268,10 +277,11 @@ Result<ViewTable> applyViewDelta(const ViewTable &Base,
   VarintReader OrderR(Order.data(), Order.size());
   while (!OrderR.atEnd() && !OrderR.failed())
     Ids.push_back(static_cast<int64_t>(OrderR.readVarint()));
-  std::unordered_map<int64_t, size_t> BaseRow, NextRow;
+  std::unordered_map<int64_t, size_t> NextRow;
   if (OrderR.failed() || !rowsById(Next, NextRow))
     return makeError("malformed row order in view delta");
-  if (!rowsById(Base, BaseRow))
+  std::vector<size_t> From;
+  if (!baseRows(Base, Next, From))
     return makeError("view delta base has duplicate node ids");
 
   // Base rows keep their values; Known marks every value set so far, and
@@ -289,8 +299,8 @@ Result<ViewTable> applyViewDelta(const ViewTable &Base,
     else
       C.Ints.resize(N);
     for (size_t P = 0; P < N; ++P)
-      if (auto It = BaseRow.find(Ids[P]); It != BaseRow.end()) {
-        copyValue(T, Base.Columns[F], It->second, C, P);
+      if (From[P] != NoRow) {
+        copyValue(T, Base.Columns[F], From[P], C, P);
         Known[F * N + P] = 1;
       }
   }
