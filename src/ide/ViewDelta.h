@@ -12,13 +12,14 @@
 ///
 /// Rows are keyed by node id. A delta carries the new row order as packed
 /// node ids; a row of the base keeps its values unless a column says
-/// otherwise. For each column it carries the positions (in the new order)
-/// whose value changed or whose row is new, and those values, packed by
-/// the column's type: zigzag varints, varint booleans, little-endian
-/// doubles or length-prefixed strings. Changed top-level members travel as
-/// their JSON text. The schema is the view's own, so nothing else is sent:
-/// after an append, a flame pays about 9 bytes a rect for each of x and
-/// width, which every rect changes, and nothing for an unchanged name.
+/// otherwise. For each column it carries the runs of positions (in the new
+/// order) whose value changed or whose row is new, and those values,
+/// packed by the column's type: zigzag varints, varint booleans,
+/// little-endian doubles or length-prefixed strings. Changed top-level
+/// members travel as their JSON text. The schema is the view's own, so
+/// nothing else is sent: after an append, a flame pays 8 bytes a rect for
+/// each of x and width, which every rect changes, and nothing for an
+/// unchanged name. docs/PVP.md "Delta wire format" lists the fields.
 ///
 /// The contract the subscribe suite pins: the applied table writes exactly
 /// the bytes of the table the delta was encoded from, so a client that
