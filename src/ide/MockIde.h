@@ -25,6 +25,7 @@ namespace ev {
 
 class MockIde {
 public:
+  explicit MockIde(ServerLimits Limits = {}) : Server(Limits) {}
   /// One code-link navigation performed by the editor.
   struct Navigation {
     std::string File;

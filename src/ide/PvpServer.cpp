@@ -7,7 +7,6 @@
 #include "ide/PvpServer.h"
 
 #include "ide/ViewDelta.h"
-#include "ide/ViewTable.h"
 
 #include "analysis/Butterfly.h"
 #include "analysis/Diff.h"
@@ -266,12 +265,6 @@ int64_t PvpServer::addProfile(Profile P) {
   return Id;
 }
 
-const Profile *PvpServer::profile(int64_t Id) const {
-  // The raw pointer stays valid while the store holds the profile, i.e.
-  // until this session closes it (sequential embedders never race that).
-  return profileHandle(Id).get();
-}
-
 std::shared_ptr<const Profile> PvpServer::profileHandle(int64_t Id) const {
   if (!Owned.count(Id))
     return nullptr;
@@ -380,13 +373,10 @@ Result<json::Value> PvpServer::doSubscribe(const Args &A) {
   if (Subs.size() >= Limits.MaxSubscriptionsPerSession)
     return makeError(SubLimitDiag);
   int64_t Id = A.id("profile");
-  std::string_view View = A.str("view");
-  bool Flame = View == "flame";
-  if (!Flame && View != "treeTable")
-    return makeError("unknown view '" + std::string(View) +
-                     "' (flame, treeTable)");
-  const MethodEntry *ViewMethod =
-      findMethod(Flame ? "pvp/flame" : "pvp/treeTable");
+  std::string View(A.str("view"));
+  const MethodEntry *ViewMethod = findMethod("pvp/" + View);
+  if (!ViewMethod || !std::holds_alternative<ViewHandler>(ViewMethod->Run))
+    return makeError("unknown view '" + View + "' (flame, treeTable)");
 
   json::Object ViewParams;
   ViewParams.set("profile", Id);
@@ -396,23 +386,20 @@ Result<json::Value> PvpServer::doSubscribe(const Args &A) {
         ViewParams.set(Key, V);
 
   uint64_t Gen = Store->generationOf(Id);
-  // Going through dispatch() (not doFlame/doTreeTable directly) buys two
-  // properties: the shared view cache serves repeated computations, and
-  // the payload is bit-for-bit what an explicit re-query of the same
-  // params would return — the identity the delta codec is tested against.
-  Result<json::Value> Snapshot = dispatch(*ViewMethod, ViewParams);
+  // dispatch() computes the view as an explicit re-query does, so the
+  // payload is bit-for-bit its reply (the identity the delta codec is
+  // tested against), and hands over the table it wrote: the delta base.
+  std::optional<ViewTable> Table;
+  Result<json::Value> Snapshot = dispatch(*ViewMethod, ViewParams, &Table);
   if (!Snapshot)
     return makeError(Snapshot.error());
-  Result<ViewTable> Table = ViewTable::read(*Snapshot);
-  if (!Table)
-    return makeError(Table.error());
 
   int64_t SubId = NextSubId++;
   Subs.emplace(SubId, Subscription{.ProfileId = Id,
                                    .View = ViewMethod,
                                    .ViewParams = std::move(ViewParams),
                                    .AckedGen = Gen,
-                                   .AckedView = Table.take(),
+                                   .AckedView = std::move(*Table),
                                    .PushedGen = Gen,
                                    .PushedView = std::nullopt,
                                    .Sink = CurrentNotify});
@@ -486,23 +473,23 @@ size_t PvpServer::publishSubscriptions() {
   size_t Pushed = 0;
   std::vector<int64_t> Ended;
   for (auto &[SubId, S] : Subs) {
-    if (!Owned.count(S.ProfileId) || !Store->get(S.ProfileId)) {
+    // Unlike get(), the generation faults no spilled profile back in.
+    uint64_t Gen = Store->generationOf(S.ProfileId);
+    if (!Owned.count(S.ProfileId) || Gen == ProfileStore::RetiredGeneration) {
       endSubscription(SubId, S, "profile closed");
       Ended.push_back(SubId);
       continue;
     }
-    uint64_t Gen = Store->generationOf(S.ProfileId);
     // Nothing new past what the client holds (AckedGen) or was already
     // sent (PushedGen): no push. An unacked push followed by ANOTHER bump
     // re-enters here and diffs AckedView -> newest — pushes are
     // idempotent against the acked base, never chained on each other.
     if (Gen == S.AckedGen || Gen == S.PushedGen)
       continue;
-    Result<json::Value> View = dispatch(*S.View, S.ViewParams);
-    Result<ViewTable> Table =
-        View ? ViewTable::read(*View) : makeError(View.error());
-    if (!Table) {
-      endSubscription(SubId, S, Table.error());
+    std::optional<ViewTable> Table;
+    Result<json::Value> View = dispatch(*S.View, S.ViewParams, &Table);
+    if (!View) {
+      endSubscription(SubId, S, View.error());
       Ended.push_back(SubId);
       continue;
     }
@@ -520,7 +507,7 @@ size_t PvpServer::publishSubscriptions() {
     if (S.Sink)
       S.Sink(rpc::makeNotification("pvp/viewDelta", json::Value(std::move(P))));
     S.PushedGen = Gen;
-    S.PushedView = Table.take();
+    S.PushedView = std::move(Table);
     ++Pushed;
   }
   for (int64_t SubId : Ended)
@@ -534,7 +521,7 @@ std::vector<json::Value> PvpServer::takeNotifications() {
   return Out;
 }
 
-Result<json::Value> PvpServer::doFlame(const Args &A) {
+Result<ViewTable> PvpServer::doFlame(const Args &A) {
   // Shape transforms produce a temporary tree; the geometry refers to it,
   // so node ids in the reply are resolved back to names eagerly.
   std::string_view Shape = A.str("shape", "top-down");
@@ -572,10 +559,10 @@ Result<json::Value> PvpServer::doFlame(const Args &A) {
     Out.addRow(R.Node, R.Depth, R.X, R.Width, R.Value, View->nameOf(R.Node),
                toHexColor(R.Color));
   }
-  return Out.reply();
+  return Out;
 }
 
-Result<json::Value> PvpServer::doTreeTable(const Args &A) {
+Result<ViewTable> PvpServer::doTreeTable(const Args &A) {
   const Profile &P = A.profile();
   TreeTable Table(P);
   if (A.has("expand")) {
@@ -608,7 +595,7 @@ Result<json::Value> PvpServer::doTreeTable(const Args &A) {
   // delta; the rows alone reconstruct the table.
   if (A.flag("includeText", true))
     Out.addScalar("text", Table.renderText());
-  return Out.reply();
+  return Out;
 }
 
 Result<json::Value> PvpServer::doCodeLink(const Args &A) {
@@ -1310,20 +1297,22 @@ PvpServer::parseArgs(const MethodEntry &Method,
 }
 
 Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
-                                        const json::Object &Params) {
+                                        const json::Object &Params,
+                                        std::optional<ViewTable> *Table) {
   // Memoized fast path: a cached method is served straight from the LRU,
   // before any other parameter is checked. The key folds in the generation
   // of each profile its profile-typed parameters name, the cache's one
   // staleness rule: a view of an old generation is never looked up again.
   // Ownership gates the cache: sessions share one LRU keyed by globally
   // unique profile ids, so without the check a session could be served a
-  // view of a profile it never opened.
+  // view of a profile it never opened. A caller taking the table skips the
+  // lookup: computing a view costs less than reading its text back.
   std::string CacheKey;
   std::vector<int64_t> CacheProfiles;
   if (Method.Cached && Cache->capacity() != 0) {
     if (std::optional<std::string> Key =
             cacheKey(Method, Params, CacheProfiles)) {
-      if (ViewCache::Text Hit = Cache->lookup(*Key))
+      if (ViewCache::Text Hit = Table ? nullptr : Cache->lookup(*Key))
         return json::Value::serialized(std::move(Hit));
       CacheKey = std::move(*Key);
     }
@@ -1347,9 +1336,18 @@ Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
   uint64_t Enclosing = RequestDeadline;
   if (Enclosing == 0 && Limits.RequestDeadlineMs != 0)
     RequestDeadline = NowMs() + Limits.RequestDeadlineMs;
-  Result<json::Value> R = makeError("unreachable");
+  // A view handler fills View and leaves R empty.
+  Result<json::Value> R = json::Value();
+  std::optional<ViewTable> View;
   try {
-    R = (this->*Method.Run)(*A);
+    if (const ViewHandler *Run = std::get_if<ViewHandler>(&Method.Run)) {
+      if (Result<ViewTable> T = (this->**Run)(*A))
+        View = T.take();
+      else
+        R = makeError(T.error());
+    } else {
+      R = (this->*std::get<ReplyHandler>(Method.Run))(*A);
+    }
   } catch (const CancelledException &) {
     // Cooperative cancellation unwound the handler. The reply is an
     // error, so nothing below touches the view cache: no partial view is
@@ -1365,19 +1363,21 @@ Result<json::Value> PvpServer::dispatch(const MethodEntry &Method,
     if (Store->generationOf(Arrived) != GenBefore)
       Cache->retire(Arrived);
   }
-  json::Value Payload = R.take();
+  json::Value Payload = View ? View->reply() : R.take();
   // Only successful replies are memoized; errors stay uncached so a later
   // retry (e.g. after the deadline budget recovers) re-runs the handler.
   // The key holds the generations read before the handler ran: a view
   // computed while another request retired its profile lands under a key
-  // no later lookup builds, and ages out of the LRU. A tree reply is
-  // written here, once, instead of by the frame writer.
+  // no later lookup builds, and ages out of the LRU. Every view reply, and
+  // a cached tree reply, is written once, here, not by the frame writer.
   if (!CacheKey.empty()) {
     if (!Payload.isSerialized())
       Payload = json::Value::serialized(Payload.dump());
     Cache->insert(std::move(CacheKey), std::move(CacheProfiles),
                   Payload.serializedText());
   }
+  if (Table)
+    *Table = std::move(View);
   return Payload;
 }
 

@@ -50,6 +50,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 namespace ev {
@@ -112,28 +113,20 @@ public:
             std::shared_ptr<ViewCache> Cache);
 
   /// Handles one decoded JSON-RPC request; \returns the response payload.
-  json::Value handleMessage(const json::Value &Request) {
-    return handleMessage(Request, CancelToken());
-  }
-
-  /// As above, under a cancellation token: handlers poll \p Cancel at loop
-  /// boundaries and a triggered token yields a RequestCancelled (-32800)
-  /// error response. A cancelled request never populates the view cache.
-  json::Value handleMessage(const json::Value &Request,
-                            const CancelToken &Cancel) {
-    return handleMessage(Request, Cancel, nullptr);
-  }
-
-  /// As above, with a notification sink for server-initiated messages
-  /// (pvp/viewDelta, pvp/subscriptionEnd). A pvp/subscribe served under
-  /// this call binds \p Notify to the subscription for its whole life, so
-  /// the callable must be self-contained (capture shared state by value).
-  /// When \p Notify is null, notifications queue internally — drain them
-  /// with takeNotifications() (handleWire does so after every message and
+  /// Handlers poll \p Cancel at loop boundaries and a triggered token
+  /// yields a RequestCancelled (-32800) error response. A cancelled request
+  /// never populates the view cache.
+  ///
+  /// \p Notify is the sink for server-initiated messages (pvp/viewDelta,
+  /// pvp/subscriptionEnd). A pvp/subscribe served under this call binds it
+  /// to the subscription for its whole life, so the callable must be
+  /// self-contained (capture shared state by value). When \p Notify is
+  /// null, notifications queue internally — drain them with
+  /// takeNotifications() (handleWire does so after every message and
   /// appends them, framed, after the response).
   json::Value handleMessage(const json::Value &Request,
-                            const CancelToken &Cancel,
-                            std::function<void(json::Value)> Notify);
+                            const CancelToken &Cancel = CancelToken(),
+                            std::function<void(json::Value)> Notify = nullptr);
 
   /// Feeds framed bytes; \returns the framed responses produced (possibly
   /// several, possibly none while a message is incomplete). Corrupt frames
@@ -145,16 +138,15 @@ public:
   /// a deterministic clock); nullptr restores the steady clock.
   void setClock(std::function<uint64_t()> NowMs);
 
-  const ServerLimits &limits() const { return Limits; }
   /// Wire-reader telemetry (resync and dropped-byte counters).
   const rpc::FrameReader &wireReader() const { return Reader; }
 
   /// Sweeps every live subscription: for each whose profile generation
   /// moved past the last acked AND last pushed generation, recomputes the
-  /// full view (through the shared view cache, exactly like an explicit
-  /// re-query) and pushes a pvp/viewDelta notification through the
-  /// subscription's sink; subscriptions whose profile is gone get a
-  /// pvp/subscriptionEnd and are dropped. Runs automatically after every
+  /// view (the reply an explicit re-query returns, inserted into the
+  /// shared view cache) and pushes a pvp/viewDelta notification from its
+  /// table through the subscription's sink; subscriptions whose profile is
+  /// gone get a pvp/subscriptionEnd and are dropped. Runs after every
   /// handleMessage(); SessionManager::publishAll() runs it on the strand
   /// for cross-session bumps. \returns the number of deltas pushed.
   size_t publishSubscriptions();
@@ -176,7 +168,7 @@ public:
   /// \returns the profile for \p Id (nullptr if unknown to this session).
   /// The pointer stays valid until the profile is closed; concurrent
   /// callers should prefer profileHandle().
-  const Profile *profile(int64_t Id) const;
+  const Profile *profile(int64_t Id) const { return profileHandle(Id).get(); }
   /// As profile(), but the returned reference keeps the profile alive
   /// independent of a concurrent pvp/close.
   std::shared_ptr<const Profile> profileHandle(int64_t Id) const;
@@ -219,10 +211,14 @@ public:
   /// A request's parameters parsed against its method's declared list.
   struct Args;
 
+  /// A method's handler. The view methods (pvp/flame, pvp/treeTable)
+  /// return their table, which dispatch() writes; the others their reply.
+  using ReplyHandler = Result<json::Value> (PvpServer::*)(const Args &);
+  using ViewHandler = Result<ViewTable> (PvpServer::*)(const Args &);
   /// One row of the method table; docs/PVP.md lists every row.
   struct MethodEntry {
     std::string_view Name; ///< Views a string literal (a span label).
-    Result<json::Value> (PvpServer::*Run)(const Args &);
+    std::variant<ReplyHandler, ViewHandler> Run;
     /// The declared parameters, in the order dispatch() checks them.
     std::vector<ParamSpec> Params;
     /// Replies are memoized in the view cache, keyed on the generations of
@@ -241,9 +237,12 @@ private:
   /// Runs \p Method under its table policy: serves and fills the view
   /// cache, parses \p Params against the declared list, arms the deadline,
   /// and retires the 'profile' generation after a successful retiring
-  /// method. \returns the result payload or the error message.
+  /// method. \returns the result payload or the error message. \p Table,
+  /// when given, receives a view's table; the view is then computed, not
+  /// looked up, and its reply still inserted.
   Result<json::Value> dispatch(const MethodEntry &Method,
-                               const json::Object &Params);
+                               const json::Object &Params,
+                               std::optional<ViewTable> *Table = nullptr);
   /// The view-cache key of a request for a cached method, or nullopt when
   /// a profile-typed parameter is missing, malformed or not owned. Appends
   /// the profiles it names to \p Profiles.
@@ -262,8 +261,8 @@ private:
   Result<json::Value> doSubscribe(const Args &A);
   Result<json::Value> doAck(const Args &A);
   Result<json::Value> doUnsubscribe(const Args &A);
-  Result<json::Value> doFlame(const Args &A);
-  Result<json::Value> doTreeTable(const Args &A);
+  Result<ViewTable> doFlame(const Args &A);
+  Result<ViewTable> doTreeTable(const Args &A);
   Result<json::Value> doCodeLink(const Args &A);
   Result<json::Value> doHover(const Args &A);
   Result<json::Value> doCodeLens(const Args &A);

@@ -8,10 +8,10 @@
 /// The one representation of the two row-shaped PVP views, pvp/flame and
 /// pvp/treeTable. A ViewTable holds the reply's top-level members other
 /// than the rows, in reply order, and one typed column per field of the
-/// view's fixed row schema. The handlers fill a table and write() emits
-/// the reply text once; read() rebuilds a table from a reply, for clients
-/// that apply deltas and for subscription baselines; ide/ViewDelta.h diffs
-/// two tables column by column.
+/// view's fixed row schema. Handlers fill a table; the server writes its
+/// reply text once and keeps it as a subscription's delta base, which
+/// ide/ViewDelta.h diffs column by column. read() is the client's: it
+/// rebuilds a table from a reply, and the server never calls it.
 ///
 /// write() is byte-identical to dump() of the json::Value tree with the
 /// same members: it formats with dump()'s own number, integer and string
@@ -110,8 +110,8 @@ struct ViewTable {
   /// The reply as a json::Value holding write()'s text.
   json::Value reply() const { return json::Value::serialized(write()); }
 
-  /// Rebuilds a table from a flame or tree-table reply, parsed or
-  /// serialized. Fails when it does not have its view's schema.
+  /// A client's rebuild of a table from a flame or tree-table reply,
+  /// parsed or serialized. Fails when it lacks its view's schema.
   static Result<ViewTable> read(const json::Value &Reply);
 
   ViewKind Kind;

@@ -31,6 +31,8 @@
 #include <future>
 #include <mutex>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -219,17 +221,42 @@ TEST(SubscribeDelta, MalformedOrMismatchedDeltaFailsCleanly) {
 
 namespace {
 
+/// The view-cache hit and miss counts pvp/stats reports.
+std::pair<int64_t, int64_t> cacheCounts(MockIde &Ide) {
+  Result<json::Value> Stats = Ide.call("pvp/stats", json::Object());
+  EXPECT_TRUE(bool(Stats)) << (Stats ? "" : Stats.error());
+  if (!Stats)
+    return {-1, -1};
+  return {intField(*Stats, "cacheHits"), intField(*Stats, "cacheMisses")};
+}
+
 /// Drives one subscription through every growth stage and asserts the
 /// applied delta stream is byte-identical to an explicit full re-query at
-/// every generation. \returns the concatenated delta payloads (for the
-/// thread-count identity test).
+/// every generation. With \p WarmCache the view is requested before
+/// pvp/subscribe, and subscribe and every push must add no view-cache
+/// lookup while the reply each inserts serves the next re-query as a hit;
+/// without it the session caches nothing (MaxCachedViews = 0).
+/// \returns the subscribe reply followed by the concatenated delta
+/// payloads, which must not depend on the cache.
 std::string runDeltaStream(const std::string &View, json::Object ViewParams,
-                           const char *RequeryMethod, size_t Stages = 5) {
+                           const char *RequeryMethod, bool WarmCache,
+                           size_t Stages = 5) {
   std::vector<std::string> Bytes = growthStageBytes(Stages);
-  MockIde Ide;
+  ServerLimits Limits;
+  if (!WarmCache)
+    Limits.MaxCachedViews = 0;
+  MockIde Ide(Limits);
   Result<int64_t> Id = Ide.openProfile("live", Bytes[0]);
   EXPECT_TRUE(bool(Id)) << (Id ? "" : Id.error());
   Ide.takeNotifications(); // No subscription yet; nothing expected.
+
+  json::Object Requery(ViewParams);
+  Requery.set("profile", *Id);
+  if (WarmCache) {
+    EXPECT_TRUE(Ide.call(RequeryMethod, Requery).ok());
+  }
+  auto [Hits, Misses] = cacheCounts(Ide);
+  EXPECT_EQ(Hits + Misses, WarmCache ? 1 : 0);
 
   json::Object SubParams;
   SubParams.set("profile", *Id);
@@ -241,16 +268,17 @@ std::string runDeltaStream(const std::string &View, json::Object ViewParams,
     return std::string();
   int64_t SubId = intField(*Sub, "subscription");
   ViewTable Held = heldView(*Sub);
+  EXPECT_EQ(cacheCounts(Ide), std::make_pair(Hits, Misses))
+      << "pvp/subscribe looked its view up in the cache";
 
   // The initial view must itself be byte-identical to an explicit query.
-  json::Object Requery(ViewParams);
-  Requery.set("profile", *Id);
   Result<json::Value> Initial = Ide.call(RequeryMethod, Requery);
   EXPECT_TRUE(bool(Initial)) << (Initial ? "" : Initial.error());
   EXPECT_EQ(Held.write(), Initial->dump());
 
-  std::string DeltaBytes;
+  std::string Stream = Sub->dump();
   for (size_t S = 0; S + 1 < Stages; ++S) {
+    std::tie(Hits, Misses) = cacheCounts(Ide);
     json::Object AppendParams;
     AppendParams.set("profile", *Id);
     AppendParams.set("dataBase64", base64Encode(sectionBytes(Bytes, S)));
@@ -266,18 +294,24 @@ std::string runDeltaStream(const std::string &View, json::Object ViewParams,
     EXPECT_EQ(Deltas.size(), 1u) << "expected exactly one push per append";
     if (Deltas.size() != 1)
       return std::string();
+    EXPECT_EQ(cacheCounts(Ide), std::make_pair(Hits, Misses))
+        << "the push looked its view up in the cache";
     EXPECT_EQ(intField(Deltas[0], "subscription"), SubId);
     EXPECT_EQ(intField(Deltas[0], "toGeneration"), Gen);
 
     std::string Raw;
     EXPECT_TRUE(base64Decode(stringField(Deltas[0], "deltaBase64"), Raw));
-    DeltaBytes += Raw;
+    Stream += Raw;
 
     Result<ViewTable> Applied = applyDeltaParams(Held, Deltas[0]);
     Result<json::Value> Full = Ide.call(RequeryMethod, Requery);
     EXPECT_TRUE(bool(Full)) << (Full ? "" : Full.error());
     if (!Full || !Applied)
       return std::string();
+    if (WarmCache) {
+      EXPECT_EQ(cacheCounts(Ide), std::make_pair(Hits + 1, Misses))
+          << "the re-query missed the view the push inserted";
+    }
     EXPECT_EQ(Applied->write(), Full->dump())
         << "applied delta diverged from re-query at stage " << S + 1;
     // The push is compact: strictly smaller than re-serializing the view.
@@ -300,7 +334,7 @@ std::string runDeltaStream(const std::string &View, json::Object ViewParams,
   EXPECT_TRUE(bool(Removed)) << (Removed ? "" : Removed.error());
   EXPECT_TRUE(Removed->asObject().find("removed")->asBool());
   EXPECT_EQ(Ide.server().subscriptionCount(), 0u);
-  return DeltaBytes;
+  return Stream;
 }
 
 } // namespace
@@ -308,13 +342,63 @@ std::string runDeltaStream(const std::string &View, json::Object ViewParams,
 TEST(SubscribeServer, FlameDeltaStreamMatchesRequery) {
   json::Object P;
   P.set("maxRects", static_cast<int64_t>(4096));
-  runDeltaStream("flame", std::move(P), "pvp/flame");
+  std::string Warm = runDeltaStream("flame", P, "pvp/flame", true);
+  EXPECT_FALSE(Warm.empty());
+  EXPECT_EQ(runDeltaStream("flame", P, "pvp/flame", false), Warm)
+      << "the subscribe reply or a delta depends on the view cache";
 }
 
 TEST(SubscribeServer, TreeTableDeltaStreamMatchesRequery) {
   json::Object P;
   P.set("includeText", false);
-  runDeltaStream("treeTable", std::move(P), "pvp/treeTable");
+  std::string Warm = runDeltaStream("treeTable", P, "pvp/treeTable", true);
+  EXPECT_FALSE(Warm.empty());
+  EXPECT_EQ(runDeltaStream("treeTable", P, "pvp/treeTable", false), Warm)
+      << "the subscribe reply or a delta depends on the view cache";
+}
+
+TEST(SubscribeServer, PublishSweepFaultsNoSpilledProfile) {
+  // A budget of one byte keeps only the profile in use resident.
+  ServerLimits Limits;
+  Limits.StoreBudgetBytes = 1;
+  Limits.SpillDir = testDir();
+  MockIde Ide(Limits);
+  std::vector<std::string> Bytes = growthStageBytes(2);
+  Result<int64_t> Live = Ide.openProfile("live", Bytes[0]);
+  ASSERT_TRUE(bool(Live)) << Live.error();
+  Result<int64_t> Other =
+      Ide.openProfile("other", writeEvProf(test::makeFixedProfile()));
+  ASSERT_TRUE(bool(Other)) << Other.error();
+  json::Object SubParams;
+  SubParams.set("profile", *Live);
+  SubParams.set("view", "flame");
+  ASSERT_TRUE(Ide.call("pvp/subscribe", std::move(SubParams)).ok());
+
+  auto Faults = [&Ide] {
+    Result<json::Value> Stats = Ide.call("pvp/stats", json::Object());
+    return Stats ? intField(*Stats, "storeFaults") : -1;
+  };
+  auto Hover = [&] {
+    EXPECT_TRUE(Ide.hoverNode(*Other, 1).ok());
+  };
+  // The first hover faults the other profile in and spills the live one.
+  Hover();
+  int64_t Before = Faults();
+  // The sweep after each request must find the live profile open without
+  // faulting it back in; its generation did not move, so nothing is
+  // pushed and nothing needs it resident.
+  for (int I = 0; I < 3; ++I)
+    Hover();
+  EXPECT_EQ(Faults(), Before);
+  EXPECT_EQ(Ide.server().subscriptionCount(), 1u);
+  EXPECT_TRUE(Ide.takeNotifications().empty());
+
+  // An append wakes the subscription, which faults the view's profile in.
+  json::Object Append;
+  Append.set("profile", *Live);
+  Append.set("dataBase64", base64Encode(sectionBytes(Bytes, 0)));
+  ASSERT_TRUE(Ide.call("pvp/append", std::move(Append)).ok());
+  EXPECT_EQ(viewDeltasIn(Ide.takeNotifications()).size(), 1u);
 }
 
 TEST(SubscribeServer, UnackedPushesAlwaysDiffFromAckedBase) {

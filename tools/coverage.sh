@@ -1,15 +1,17 @@
 #!/bin/sh
-# Line coverage of src/ from the test suite. Build with the `coverage`
-# preset first, then run from the repository root:
+# Line and branch coverage of src/ from the test suite. Build with the
+# `coverage` preset first, then run from the repository root:
 #
 #   cmake --preset coverage && cmake --build --preset coverage -j"$(nproc)"
 #   tools/coverage.sh [build-dir]     (default: build-coverage)
 #
 # Deletes the old counters, runs ctest in the build dir, then runs gcov over
-# every object of the easyview library and prints the lines executed per
-# src/ top-level directory, for all of src/, and for ide/ViewCache.cpp. A
-# line counts once however many objects instantiate it (headers, inline
-# functions). Exits with ctest's status.
+# every object of the easyview library and prints the lines executed and
+# the branches taken per src/ top-level directory, for all of src/, and for
+# ide/ViewCache.cpp. A line counts once however many objects instantiate it
+# (headers, inline functions). Branches are gcov's non-exception ones (not
+# `throw`), counted once per line and function: a branch is taken if any
+# object took it. Exits with ctest's status.
 set -eu
 BUILD=$(cd "${1:-build-coverage}" && pwd)
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -26,6 +28,8 @@ from collections import defaultdict
 
 src, obj = sys.argv[1], sys.argv[2]
 lines = defaultdict(dict)  # src-relative file -> {line: executed}
+# src-relative file -> {(line, function): [taken, ...]}, one per branch
+branches = defaultdict(dict)
 for dirpath, _, names in os.walk(obj):
     for name in sorted(names):
         if not name.endswith(".gcno"):
@@ -41,17 +45,33 @@ for dirpath, _, names in os.walk(obj):
                 if not path.startswith(src + os.sep):
                     continue
                 seen = lines[os.path.relpath(path, src)]
+                taken = branches[os.path.relpath(path, src)]
                 for l in f["lines"]:
                     n = l["line_number"]
                     seen[n] = seen.get(n, False) or l["count"] > 0
+                    now = [b["count"] > 0 for b in l.get("branches", [])
+                           if not b["throw"]]
+                    if not now:
+                        continue
+                    key = (n, l.get("function_name"))
+                    old = taken.get(key, [])
+                    taken[key] = [a or b for a, b in zip(old, now)] + (
+                        old[len(now):] if len(old) > len(now)
+                        else now[len(old):])
+
+def pct(hit, total):
+    return 100.0 * hit / total if total else 0.0
 
 def row(name, files):
     total = sum(len(lines[f]) for f in files)
     hit = sum(sum(lines[f].values()) for f in files)
-    pct = 100.0 * hit / total if total else 0.0
-    print("%-22s %8d %8d %6.1f%%" % (name, total, hit, pct))
+    btotal = sum(len(b) for f in files for b in branches[f].values())
+    bhit = sum(sum(b) for f in files for b in branches[f].values())
+    print("%-22s %8d %8d %6.1f%% %8d %8d %6.1f%%" %
+          (name, total, hit, pct(hit, total), btotal, bhit, pct(bhit, btotal)))
 
-print("%-22s %8s %8s %7s" % ("src/", "lines", "executed", "cover"))
+print("%-22s %8s %8s %7s %8s %8s %7s" %
+      ("src/", "lines", "executed", "cover", "branches", "taken", "cover"))
 dirs = defaultdict(list)
 for f in lines:
     dirs[f.split(os.sep)[0]].append(f)
