@@ -35,7 +35,8 @@ for dirpath, _, names in os.walk(obj):
         if not name.endswith(".gcno"):
             continue
         out = subprocess.run(
-            ["gcov", "--stdout", "--json-format", os.path.join(dirpath, name)],
+            ["gcov", "--branch-probabilities", "--stdout", "--json-format",
+             os.path.join(dirpath, name)],
             capture_output=True, text=True, cwd=dirpath, check=True).stdout
         for doc in out.splitlines():
             if not doc.strip():
@@ -44,8 +45,8 @@ for dirpath, _, names in os.walk(obj):
                 path = os.path.normpath(os.path.join(dirpath, f["file"]))
                 if not path.startswith(src + os.sep):
                     continue
-                seen = lines[os.path.relpath(path, src)]
-                taken = branches[os.path.relpath(path, src)]
+                rel = os.path.relpath(path, src)
+                seen, taken = lines[rel], branches[rel]
                 for l in f["lines"]:
                     n = l["line_number"]
                     seen[n] = seen.get(n, False) or l["count"] > 0
@@ -53,11 +54,14 @@ for dirpath, _, names in os.walk(obj):
                            if not b["throw"]]
                     if not now:
                         continue
+                    # Objects that compile the same function agree on its
+                    # branches; pad in case one does not.
                     key = (n, l.get("function_name"))
                     old = taken.get(key, [])
-                    taken[key] = [a or b for a, b in zip(old, now)] + (
-                        old[len(now):] if len(old) > len(now)
-                        else now[len(old):])
+                    width = max(len(old), len(now))
+                    old += [False] * (width - len(old))
+                    now += [False] * (width - len(now))
+                    taken[key] = [a or b for a, b in zip(old, now)]
 
 def pct(hit, total):
     return 100.0 * hit / total if total else 0.0
