@@ -787,6 +787,29 @@ void addCli(Corpus &C) {
     Put("test/" + std::to_string(I) + ".evprof",
         writeEvProf(Fleet.Versions.back()[I]));
 
+  // Only session 0 opens a profile, so store ids do not depend on how the
+  // two sessions interleave; session 1 runs profile-free requests.
+  Put("serve.jsonl",
+      "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"pvp/open\",\"params\":"
+      "{\"path\":\"fixed.evprof\"}}\n"
+      "{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"pvp/diagnostics\","
+      "\"params\":{\"program\":\"let unused = 1;\\nprint nope;\"},"
+      "\"session\":1}\n"
+      "{\"jsonrpc\":\"2.0\",\"id\":3,\"method\":\"pvp/flame\",\"params\":"
+      "{\"profile\":1,\"shape\":\"bottom-up\"}}\n"
+      "\n"
+      "{\"jsonrpc\":\"2.0\",\"id\":4,\"method\":\"pvp/nosuch\",\"session\":1}\n"
+      "{\"jsonrpc\":\"2.0\",\"id\":5,\"method\":\"pvp/search\",\"params\":"
+      "{\"profile\":1,\"pattern\":\"kernel\"},\"session\":0}\n"
+      "{\"jsonrpc\":\"2.0\",\"id\":6,\"method\":\"pvp/treeTable\",\"params\":"
+      "{\"profile\":1}}\n"
+      "{\"jsonrpc\":\"2.0\",\"id\":7,\"method\":\"pvp/flame\",\"params\":"
+      "{\"profile\":1,\"shape\":\"bottom-up\"}}\n");
+  Put("serve-bad.jsonl",
+      "{\"jsonrpc\":\"2.0\",\"id\":1,\"method\":\"pvp/stats\"}\n"
+      "{\"jsonrpc\":\"2.0\",\"id\":2,\"method\":\"pvp/stats\",\"session\":2}\n");
+  Put("serve-garbage.jsonl", "{\"jsonrpc\":\n");
+
   const std::string Derive = "derive twice = 2 * exclusive(\"time\");\n"
                              "print total(\"twice\");";
   std::vector<std::pair<std::string, std::string>> Runs = {
@@ -881,6 +904,28 @@ void addCli(Corpus &C) {
                        evtoolRun({"annotate", "fixed.evprof"})},
       {"report", evtoolRun({"report", "fixed.evprof", "out.html"}) +
                      evtoolRun({"report", "fixed.evprof"})},
+      {"store",
+       evtoolRun({"store", "--stats", "base", "fixed.evprof"}) +
+           evtoolRun({"store", "--stats", "r1.evprof", "r2.evprof", "base",
+                      "--budget", "16384", "--spill-dir", "spill"}) +
+           evtoolRun({"store", "--stats", "missing.evprof"}) +
+           evtoolRun({"store", "--stats", "base", "--budget", "x",
+                      "--spill-dir", "spill"}) +
+           evtoolRun({"store", "--stats", "base", "--budget", "4096"}) +
+           evtoolRun({"store", "--stats"}) + evtoolRun({"store", "base"})},
+      {"serve",
+       evtoolRun({"serve", "--input", "serve.jsonl", "--sessions", "2"}) +
+           evtoolRun({"serve", "serve.jsonl", "--sessions", "1"}) +
+           evtoolRun({"serve", "--input", "serve-bad.jsonl", "--sessions",
+                      "2"}) +
+           evtoolRun({"serve", "--input", "serve-garbage.jsonl"}) +
+           evtoolRun({"serve", "--input", "missing.jsonl"}) +
+           evtoolRun({"serve", "--input", "serve.jsonl", "--sessions", "0"}) +
+           evtoolRun({"serve", "--input", "serve.jsonl", "--sessions", "x"}) +
+           evtoolRun({"serve", "--input", "serve.jsonl", "--listen",
+                      "127.0.0.1:0"}) +
+           evtoolRun({"serve", "--listen", "127.0.0.1:0", "--unix", "s"}) +
+           evtoolRun({"serve"})},
       {"usage-errors", evtoolRun({"frobnicate", "fixed.evprof"}) +
                            evtoolRun({"flame", "fixed.evprof", "--shape"}) +
                            evtoolRun({"query", "fixed.evprof", "--e"})},
