@@ -6,25 +6,24 @@
 ///
 /// \file
 /// Regenerates Fig. 5 (and Appendix A2): end-to-end response time to OPEN a
-/// pprof profile — parsing, tree construction, metric computation, first
-/// top-down flame-graph render — for EasyView versus the default-pprof and
-/// GoLand-plugin baselines, across profile sizes.
+/// pprof profile and show its first flame graph, for EasyView versus the
+/// default-pprof and GoLand-plugin baselines, across profile sizes.
 ///
 /// The paper sweeps ~1MB to ~1GB production profiles; the sweep here is
 /// 1..64MB of in-process synthetic pprof (the 1GB point is an
 /// extrapolation in EXPERIMENTS.md). Expected SHAPE: EasyView < GoLand <
-/// PProf at every size, gap widening with size. The EasyView column runs
-/// the streaming pprof decoder (convert::fromPprof); the GoLand-style
-/// baseline parses with pprof::read into the object model.
+/// PProf at every size, gap widening with size. The GoLand-style baseline
+/// parses with pprof::read into the object model.
 ///
-/// Each row also splits EasyView's side of an editor's open into layers:
-/// the JSON parse of the pvp/open request that carries the bytes, the
-/// base64 decode of its 'dataBase64', the pprof decode into a frozen
-/// calling context tree (decoding and tree construction are one streamed
-/// pass), the metric columns ("build") and the first flame layout. The
-/// peak RSS column is what that whole server-side open (parse, base64,
-/// decode, build, layout) adds to the process's resident set at its peak,
-/// sampled while it runs.
+/// The EasyView column is what an editor waits for, on a standalone
+/// in-process PvpServer: the JSON parse of a pvp/open request carrying the
+/// bytes as 'dataBase64', the pvp/open handler (base64 decode, streaming
+/// pprof decode into a frozen calling context tree, verify, store), then
+/// pvp/flame of the new profile (layout and reply text). Each row splits
+/// it into those stages: "parse", "base64" (the same decode, timed alone),
+/// "open" (the pvp/open handler less the base64 column) and "flame". The
+/// peak RSS column is what that whole open-to-flame adds to the process's
+/// resident set at its peak, sampled while it runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +31,8 @@
 
 #include "baseline/GolandTreeTable.h"
 #include "baseline/PprofFlameView.h"
-#include "core/EasyView.h"
 #include "ide/JsonRpc.h"
+#include "ide/PvpServer.h"
 #include "support/Strings.h"
 #include "workload/SyntheticProfile.h"
 
@@ -42,6 +41,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <thread>
@@ -64,15 +64,70 @@ const std::string &profileBytes(size_t Mb) {
   return Cache.emplace(Mb, workload::generatePprofBytes(Opt)).first->second;
 }
 
+/// The pvp/open request an editor sends for \p Bytes, as JSON text.
+std::string openRequest(const std::string &Bytes) {
+  json::Object Params;
+  Params.set("name", "bench");
+  Params.set("dataBase64", base64Encode(Bytes));
+  return rpc::makeRequest(1, "pvp/open", std::move(Params)).dump();
+}
+
+double timeMs(const std::function<void()> &Fn) {
+  auto T0 = std::chrono::steady_clock::now();
+  Fn();
+  auto T1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(T1 - T0).count();
+}
+
+/// The server's stages of one editor open-to-first-flame, in ms.
+struct OpenStages {
+  double ParseMs = 0, Base64Ms = 0, OpenMs = 0, FlameMs = 0;
+  double totalMs() const { return ParseMs + Base64Ms + OpenMs + FlameMs; }
+};
+
+/// Runs pvp/open of \p Request (the text openRequest() built) and then
+/// pvp/flame of the opened profile on a fresh server, as an editor does.
+OpenStages openLikeAnEditor(const std::string &Request) {
+  // The sweep's 64 MB point is past the default open size limit.
+  ServerLimits Limits;
+  Limits.MaxOpenBytes = Request.size();
+  PvpServer Server(Limits);
+  OpenStages S;
+  Result<json::Value> Open = makeError("not parsed");
+  S.ParseMs = timeMs([&] { Open = json::parse(Request); });
+  std::string_view Data = Open->asObject()
+                              .find("params")
+                              ->asObject()
+                              .find("dataBase64")
+                              ->asString();
+  S.Base64Ms = timeMs([&] {
+    std::string Bytes;
+    benchmark::DoNotOptimize(base64Decode(Data, Bytes));
+  });
+  json::Value Opened;
+  S.OpenMs = timeMs([&] { Opened = Server.handleMessage(*Open); }) -
+             S.Base64Ms;
+  const json::Value *Result = Opened.asObject().find("result");
+  if (!Result) {
+    std::fprintf(stderr, "pvp/open failed: %s\n", Opened.dump().c_str());
+    std::exit(1);
+  }
+  json::Object Params;
+  Params.set("profile", Result->asObject().find("profile")->asInt());
+  json::Value Flame = rpc::makeRequest(2, "pvp/flame", std::move(Params));
+  S.FlameMs = timeMs([&] {
+    json::Value Reply = Server.handleMessage(Flame);
+    benchmark::DoNotOptimize(Reply);
+  });
+  return S;
+}
+
 void easyViewOpen(benchmark::State &State) {
   const std::string &Bytes = profileBytes(static_cast<size_t>(State.range(0)));
+  std::string Request = openRequest(Bytes);
   double LastMs = 0.0;
-  for (auto _ : State) {
-    EasyViewEngine Engine;
-    auto R = Engine.openProfileBytes(Bytes, "bench");
-    benchmark::DoNotOptimize(R);
-    LastMs = Engine.lastOpenStats().totalMs();
-  }
+  for (auto _ : State)
+    LastMs = openLikeAnEditor(Request).totalMs();
   State.counters["open_ms"] = LastMs;
   State.counters["input_mb"] =
       static_cast<double>(Bytes.size()) / (1 << 20);
@@ -104,13 +159,6 @@ BENCHMARK(golandOpen)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 BENCHMARK(pprofOpen)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-
-double timeMs(const std::function<void()> &Fn) {
-  auto T0 = std::chrono::steady_clock::now();
-  Fn();
-  auto T1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(T1 - T0).count();
-}
 
 /// Resident set size of this process now, in bytes.
 uint64_t currentRssBytes() {
@@ -151,45 +199,18 @@ double addedPeakRssMb(const std::function<void()> &Fn) {
   return static_cast<double>(Peak.load() - Before) / (1 << 20);
 }
 
-/// The server side of an editor's open: the JSON parse of the pvp/open
-/// request \p Frame, the base64 decode of its bytes, then the engine's
-/// open.
-struct OpenLayers {
-  double ParseMs = 0, Base64Ms = 0;
-  OpenStats Engine;
-};
-
-OpenLayers openLikeAnEditor(const std::string &Frame) {
-  OpenLayers L;
-  Result<json::Value> Request = makeError("not parsed");
-  L.ParseMs = timeMs([&] { Request = json::parse(Frame); });
-  std::string Bytes;
-  const json::Value &Params = *Request->asObject().find("params");
-  L.Base64Ms = timeMs([&] {
-    base64Decode(Params.asObject().find("dataBase64")->asString(), Bytes);
-  });
-  EasyViewEngine Engine;
-  auto R = Engine.openProfileBytes(Bytes);
-  benchmark::DoNotOptimize(R);
-  L.Engine = Engine.lastOpenStats();
-  return L;
-}
-
 /// Prints the figure rows with one timed run per (tool, size).
 void printFigure() {
   bench::row("Fig5: response time to open a profile (ms); lower is better");
   bench::row("(in-process synthetic pprof; the paper sweeps 1MB..1GB "
              "production profiles)");
-  bench::row("%-8s %10s %10s %10s | %8s %8s %8s %8s %8s | %8s", "size",
-             "EasyView", "GoLand", "PProf", "parse", "base64", "decode",
-             "build", "layout", "peakMB");
+  bench::row("%-8s %10s %10s %10s | %8s %8s %8s %8s | %8s", "size",
+             "EasyView", "GoLand", "PProf", "parse", "base64", "open",
+             "flame", "peakMB");
   for (size_t Mb : {1, 2, 4, 8, 16, 64}) {
     const std::string &Bytes = profileBytes(Mb);
-    double Ev = timeMs([&] {
-      EasyViewEngine Engine;
-      auto R = Engine.openProfileBytes(Bytes);
-      benchmark::DoNotOptimize(R);
-    });
+    std::string Request = openRequest(Bytes);
+    OpenStages Ev = openLikeAnEditor(Request);
     double Gl = timeMs([&] {
       auto R = baseline::openWithGolandView(Bytes);
       benchmark::DoNotOptimize(R);
@@ -198,17 +219,13 @@ void printFigure() {
       auto R = baseline::openWithPprofView(Bytes);
       benchmark::DoNotOptimize(R);
     });
-    json::Object Params;
-    Params.set("name", "bench");
-    Params.set("dataBase64", base64Encode(Bytes));
-    std::string Frame = rpc::makeRequest(1, "pvp/open", std::move(Params)).dump();
-    OpenLayers L = openLikeAnEditor(Frame);
-    double PeakMb = addedPeakRssMb([&] { (void)openLikeAnEditor(Frame); });
-    bench::row("%-6zuMB %10.1f %10.1f %10.1f | %8.1f %8.1f %8.1f %8.1f %8.1f | "
+    double PeakMb = addedPeakRssMb([&] { (void)openLikeAnEditor(Request); });
+    double EvMs = Ev.totalMs();
+    bench::row("%-6zuMB %10.1f %10.1f %10.1f | %8.1f %8.1f %8.1f %8.1f | "
                "%8.0f %s",
-               Mb, Ev, Gl, Pp, L.ParseMs, L.Base64Ms, L.Engine.ParseMs,
-               L.Engine.AnalyzeMs, L.Engine.LayoutMs, PeakMb,
-               Ev < Gl && Gl < Pp ? "ordered" : "ORDER VIOLATED");
+               Mb, EvMs, Gl, Pp, Ev.ParseMs, Ev.Base64Ms, Ev.OpenMs,
+               Ev.FlameMs, PeakMb,
+               EvMs < Gl && Gl < Pp ? "ordered" : "ORDER VIOLATED");
   }
 }
 

@@ -6,17 +6,20 @@
 ///
 /// \file
 /// Builds a small profile with the data-builder API (under 20 lines, the
-/// paper's §VII-A programmability claim), saves and reloads it through the
-/// .evprof container, and shows the core views: flame graph, tree table,
-/// summary, and an EVQL customization.
+/// paper's §VII-A programmability claim), opens its .evprof bytes the way
+/// an editor does (pvp/open through the in-process MockIde client), and
+/// shows the core views: summary, flame graph, tree table, an EVQL
+/// customization and the code link.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/EasyView.h"
+#include "ide/MockIde.h"
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
 #include "render/AnsiRenderer.h"
+#include "render/TreeTable.h"
 
+#include <chrono>
 #include <cstdio>
 
 using namespace ev;
@@ -38,27 +41,30 @@ int main() {
           B.functionFrame("memcpy", "", 0, "libc.so")};
   B.addSample(Path, Time, 180e6);
 
-  // --- 2. Serialize to the .evprof container and reopen via the engine,
-  // exactly like an IDE would open a file on disk.
+  // --- 2. Serialize to the .evprof container and open it through PVP,
+  // exactly like an IDE opens a file.
   std::string Bytes = writeEvProf(B.take());
-  EasyViewEngine Engine;
-  Result<int64_t> Id = Engine.openProfileBytes(Bytes, "quickstart.evprof");
+  MockIde Ide;
+  auto Start = std::chrono::steady_clock::now();
+  Result<int64_t> Id = Ide.openProfile("quickstart.evprof", Bytes);
   if (!Id) {
     std::fprintf(stderr, "error: %s\n", Id.error().c_str());
     return 1;
   }
-  std::printf("opened profile in %.2f ms (parse %.2f, analyze %.2f, "
-              "layout %.2f)\n\n",
-              Engine.lastOpenStats().totalMs(),
-              Engine.lastOpenStats().ParseMs,
-              Engine.lastOpenStats().AnalyzeMs,
-              Engine.lastOpenStats().LayoutMs);
+  std::printf("opened profile in %.2f ms\n\n",
+              std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - Start)
+                  .count());
+  json::Object Params;
+  Params.set("profile", *Id);
 
   // --- 3. The floating-window summary.
-  std::printf("%s\n", Engine.summaryText(*Id)->c_str());
+  Result<json::Value> Summary = Ide.call("pvp/summary", Params);
+  if (Summary)
+    std::printf("%s\n", Summary->asObject().find("text")->asString().c_str());
 
   // --- 4. A terminal flame graph (the IDE shows the same geometry).
-  const Profile *P = Engine.profile(*Id);
+  const Profile *P = Ide.server().profile(*Id);
   FlameGraph Graph(*P, 0);
   AnsiOptions Ansi;
   Ansi.Columns = 96;
@@ -67,40 +73,43 @@ int main() {
               renderAnsi(Graph, Ansi).c_str());
 
   // --- 5. The tree table with the hot path expanded.
-  std::printf("%s\n", Engine.treeTableText(*Id)->c_str());
+  TreeTable Table(*P);
+  Table.expandHotPath(0);
+  std::printf("%s\n", Table.renderText().c_str());
 
   // --- 6. Customized analysis in EVQL: derive a percentage metric and
   // prune everything below 10% of total time.
-  Result<evql::QueryOutput> Query = Engine.query(*Id, R"(
+  json::Object QueryParams = Params;
+  QueryParams.set("program", R"(
       let Total = total("cpu-time");
       derive share = 100 * inclusive("cpu-time") / Total;
       prune when inclusive("cpu-time") < 0.10 * Total;
       print "total time (ns): " + str(Total);
   )");
+  Result<json::Value> Query = Ide.call("pvp/query", std::move(QueryParams));
   if (!Query) {
     std::fprintf(stderr, "query error: %s\n", Query.error().c_str());
     return 1;
   }
-  for (const std::string &Line : Query->Printed)
-    std::printf("evql: %s\n", Line.c_str());
-  std::printf("after pruning: %zu contexts (of %zu)\n",
-              Query->Result.nodeCount(), P->nodeCount());
+  for (const json::Value &Line : Query->asObject().find("printed")->asArray())
+    std::printf("evql: %s\n", Line.asString().c_str());
+  const Profile *Pruned =
+      Ide.server().profile(Query->asObject().find("profile")->asInt());
+  std::printf("after pruning: %zu contexts (of %zu)\n", Pruned->nodeCount(),
+              P->nodeCount());
 
   // --- 7. The mandatory IDE action: click a frame, land in the editor.
-  Result<json::Value> Search = Engine.ide().call("pvp/search", [&] {
-    json::Object Params;
-    Params.set("profile", *Id);
-    Params.set("pattern", "kernel");
-    return Params;
-  }());
+  json::Object SearchParams = Params;
+  SearchParams.set("pattern", "kernel");
+  Result<json::Value> Search = Ide.call("pvp/search", std::move(SearchParams));
   if (Search && !Search->asObject().find("matches")->asArray().empty()) {
     NodeId Node = static_cast<NodeId>(
         Search->asObject().find("matches")->asArray()[0].asInt());
-    Result<bool> Linked = Engine.ide().clickNode(*Id, Node);
+    Result<bool> Linked = Ide.clickNode(*Id, Node);
     if (Linked && *Linked)
       std::printf("code link: kernel -> %s:%u\n",
-                  Engine.ide().navigations().back().File.c_str(),
-                  Engine.ide().navigations().back().Line);
+                  Ide.navigations().back().File.c_str(),
+                  Ide.navigations().back().Line);
   }
   return 0;
 }

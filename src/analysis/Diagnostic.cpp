@@ -7,6 +7,7 @@
 #include "analysis/Diagnostic.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace ev {
 
@@ -40,7 +41,7 @@ bool parseSeverity(std::string_view Name, Severity &Out) {
 
 bool DiagnosticSet::add(Diagnostic D) {
   if (Diags.size() >= Max) {
-    ++Dropped;
+    ++DroppedBy[static_cast<size_t>(D.Sev)];
     return false;
   }
   Diags.push_back(std::move(D));
@@ -50,31 +51,23 @@ bool DiagnosticSet::add(Diagnostic D) {
 void DiagnosticSet::append(const DiagnosticSet &Other) {
   for (const Diagnostic &D : Other.Diags)
     add(D);
-  Dropped += Other.Dropped;
+  for (size_t Sev = 0; Sev < std::size(DroppedBy); ++Sev)
+    DroppedBy[Sev] += Other.DroppedBy[Sev];
   TruncatedFlag = TruncatedFlag || Other.TruncatedFlag;
 }
 
 size_t DiagnosticSet::count(Severity Sev) const {
-  size_t N = 0;
+  size_t N = DroppedBy[static_cast<size_t>(Sev)];
   for (const Diagnostic &D : Diags)
-    if (D.Sev == Sev)
-      ++N;
+    N += D.Sev == Sev;
   return N;
 }
 
-size_t DiagnosticSet::countAtLeast(Severity Sev) const {
+size_t DiagnosticSet::dropped() const {
   size_t N = 0;
-  for (const Diagnostic &D : Diags)
-    if (D.Sev >= Sev)
-      ++N;
+  for (size_t Count : DroppedBy)
+    N += Count;
   return N;
-}
-
-Severity DiagnosticSet::maxSeverity() const {
-  Severity Max = Severity::Note;
-  for (const Diagnostic &D : Diags)
-    Max = std::max(Max, D.Sev);
-  return Max;
 }
 
 void DiagnosticSet::sortBySource() {

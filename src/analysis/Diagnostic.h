@@ -56,15 +56,16 @@ struct Diagnostic {
 
 /// An append-only collection of diagnostics with a hard cap. The cap comes
 /// from AnalysisLimits::MaxDiagnostics: hostile input that would produce
-/// millions of findings degrades to a truncated list plus a drop counter,
-/// never unbounded memory.
+/// millions of findings degrades to a truncated list plus drop counters
+/// per severity, never unbounded memory. The counts include the dropped
+/// findings, so a capped run still fails on an error it could not list.
 class DiagnosticSet {
 public:
   explicit DiagnosticSet(size_t MaxDiagnostics = 1000)
       : Max(MaxDiagnostics) {}
 
   /// Appends \p D unless the cap is reached, in which case the drop is
-  /// counted instead. \returns false once at the cap.
+  /// counted at its severity instead. \returns false once at the cap.
   bool add(Diagnostic D);
 
   const std::vector<Diagnostic> &all() const { return Diags; }
@@ -72,10 +73,10 @@ public:
   size_t size() const { return Diags.size(); }
 
   /// Number of diagnostics discarded because of the cap.
-  size_t dropped() const { return Dropped; }
+  size_t dropped() const;
   /// True when findings were discarded (cap) or a pass stopped early
   /// (deadline, lint-node budget).
-  bool truncated() const { return Dropped > 0 || TruncatedFlag; }
+  bool truncated() const { return dropped() > 0 || TruncatedFlag; }
   /// Records that a pass stopped before seeing all input.
   void markTruncated() { TruncatedFlag = true; }
 
@@ -86,12 +87,8 @@ public:
   /// had been added here directly.
   void append(const DiagnosticSet &Other);
 
-  /// Number of diagnostics at exactly \p Sev.
+  /// Number of findings at \p Sev, dropped ones included.
   size_t count(Severity Sev) const;
-  /// Number of diagnostics at \p Sev or more severe.
-  size_t countAtLeast(Severity Sev) const;
-  /// The most severe finding, or Note when empty.
-  Severity maxSeverity() const;
 
   /// Stable order for presentation: by line, column, then id.
   void sortBySource();
@@ -99,7 +96,8 @@ public:
 private:
   std::vector<Diagnostic> Diags;
   size_t Max;
-  size_t Dropped = 0;
+  /// Findings discarded because of the cap, indexed by Severity.
+  size_t DroppedBy[static_cast<size_t>(Severity::Error) + 1] = {};
   bool TruncatedFlag = false;
 };
 

@@ -47,9 +47,9 @@ struct RuleInfo {
 };
 
 /// Which findings a run keeps: those at or above MinSeverity whose rule
-/// is not disabled by id or by name. The linter and the regression
-/// analyzer apply it while emitting; pvp/diagnostics, pvp/regressions and
-/// `evtool check` apply it to finished findings.
+/// is not disabled by id or by name. The EVQL checker, the linter and the
+/// regression analyzer apply it while emitting, so a dropped finding never
+/// takes room under the diagnostics cap.
 struct RuleFilter {
   Severity MinSeverity = Severity::Note;
   /// Rules to skip, by id or name.

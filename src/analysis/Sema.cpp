@@ -153,6 +153,12 @@ std::string suggestFrom(std::string_view Name, const Range &Candidates,
   return "did you mean '" + std::string(Best) + "'?";
 }
 
+/// Adds \p D to \p Out unless \p Opts's rule filter drops it.
+void emit(const SemaOptions &Opts, DiagnosticSet &Out, Diagnostic D) {
+  if (Opts.Filter.keeps(D))
+    Out.add(std::move(D));
+}
+
 /// One checking run over one program.
 class Checker {
 public:
@@ -255,7 +261,7 @@ private:
     D.Hint = std::move(Hint);
     D.Line = Line;
     D.Column = Column;
-    Out.add(std::move(D));
+    emit(Opts, Out, std::move(D));
   }
 
   ExprInfo checkExpr(const Expr &E, bool NodeCtx, size_t Depth) {
@@ -524,7 +530,7 @@ void SemaChecker::checkSource(std::string_view Source,
     D.Rule = "program-too-large";
     D.Line = 1;
     D.Column = 1;
-    Out.add(std::move(D));
+    emit(Opts, Out, std::move(D));
     Out.markTruncated();
     return;
   }
@@ -537,7 +543,7 @@ void SemaChecker::checkSource(std::string_view Source,
     D.Rule = "syntax-error";
     D.Line = E.Line;
     D.Column = E.Column;
-    Out.add(std::move(D));
+    emit(Opts, Out, std::move(D));
   }
   check(Recovered.Prog, Out);
 }

@@ -30,7 +30,7 @@
 #ifndef EASYVIEW_ANALYSIS_SEMA_H
 #define EASYVIEW_ANALYSIS_SEMA_H
 
-#include "analysis/Diagnostic.h"
+#include "analysis/RuleRegistry.h"
 #include "query/Ast.h"
 #include "support/Limits.h"
 
@@ -69,6 +69,9 @@ struct SemaOptions {
   /// check is skipped.
   const Profile *MetricSource = nullptr;
   AnalysisLimits Limits = AnalysisLimits::defaults();
+  /// Findings this filter drops are never emitted, so they take no room
+  /// under Limits.MaxDiagnostics.
+  RuleFilter Filter;
 };
 
 /// The EVQL semantic analyzer. Stateless across runs; one instance can

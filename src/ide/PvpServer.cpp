@@ -892,25 +892,20 @@ Result<DiagnosticFilter> diagnosticFilter(const PvpServer::Args &A,
 }
 
 /// The reply shared by pvp/diagnostics and pvp/regressions: the findings
-/// \p Filter keeps, under \p Key, and their counts. Serialization stops
-/// once \p Expired reports the request deadline, degrading to a truncated
-/// (but valid) reply rather than discarding the findings.
+/// under \p Key and their counts, which include the findings the cap
+/// dropped. The passes applied the rule filter while emitting.
+/// Serialization stops once \p Expired reports the request deadline,
+/// degrading to a truncated (but valid) reply rather than discarding the
+/// findings.
 json::Object diagnosticsReply(const DiagnosticSet &Diags,
-                              const DiagnosticFilter &Filter,
                               std::string_view Key,
                               const std::function<bool()> &Expired) {
-  size_t Errors = 0, Warnings = 0, Kept = 0;
   json::Array Arr;
   bool DeadlineHit = false;
   for (const Diagnostic &D : Diags.all()) {
-    if (!Filter.Rules.keeps(D))
-      continue;
-    ++Kept;
-    Errors += D.Sev == Severity::Error;
-    Warnings += D.Sev == Severity::Warning;
-    // Past the deadline the rest is only counted.
-    if (DeadlineHit || ((Arr.size() & 255) == 0 && (DeadlineHit = Expired())))
-      continue;
+    // Past the deadline the rest is counted as dropped.
+    if ((Arr.size() & 255) == 0 && (DeadlineHit = Expired()))
+      break;
     json::Object DO;
     DO.set("id", D.Id);
     DO.set("severity", std::string(severityName(D.Sev)));
@@ -930,9 +925,9 @@ json::Object diagnosticsReply(const DiagnosticSet &Diags,
   json::Object Reply;
   size_t Shown = Arr.size();
   Reply.set(std::string(Key), std::move(Arr));
-  Reply.set("errors", Errors);
-  Reply.set("warnings", Warnings);
-  Reply.set("dropped", Diags.dropped() + (Kept - Shown));
+  Reply.set("errors", Diags.count(Severity::Error));
+  Reply.set("warnings", Diags.count(Severity::Warning));
+  Reply.set("dropped", Diags.dropped() + (Diags.size() - Shown));
   Reply.set("truncated", Diags.truncated() || DeadlineHit);
   if (DeadlineHit)
     Reply.set("deadlineExpired", true);
@@ -956,6 +951,7 @@ Result<json::Value> PvpServer::doDiagnostics(const Args &A) {
     SemaOptions SOpts;
     SOpts.MetricSource = P;
     SOpts.Limits = Filter->Analysis;
+    SOpts.Filter = Filter->Rules;
     SemaChecker(SOpts).checkSource(A.str("program"), Diags);
   }
   if (P) {
@@ -965,7 +961,7 @@ Result<json::Value> PvpServer::doDiagnostics(const Args &A) {
     ProfileLinter(LOpts).lintProfile(*P, Diags);
   }
   Diags.sortBySource();
-  return json::Value(diagnosticsReply(Diags, *Filter, "diagnostics",
+  return json::Value(diagnosticsReply(Diags, "diagnostics",
                                       [this] { return deadlineExpired(); }));
 }
 
@@ -1007,11 +1003,9 @@ Result<json::Value> PvpServer::doRegressions(const Args &A) {
   if (Result<bool> R = Fill(A.cohort("test"), Test); !R)
     return makeError(R.error());
 
-  // The analyzer applies the same filter while emitting, so the reply's
-  // pass over it keeps every finding.
   DiagnosticSet Diags(Filter->Analysis.MaxDiagnostics);
   RegressionAnalyzer(Opts).analyze(Base, Test, Diags, ActiveCancel);
-  json::Object Reply = diagnosticsReply(Diags, *Filter, "findings",
+  json::Object Reply = diagnosticsReply(Diags, "findings",
                                         [this] { return deadlineExpired(); });
   Reply.set("baseProfiles", Base.profileCount());
   Reply.set("testProfiles", Test.profileCount());

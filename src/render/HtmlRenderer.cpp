@@ -64,16 +64,15 @@ std::string renderHtmlReport(const Profile &P, const HtmlOptions &Options) {
     Profile BottomUp = bottomUpTree(P);
     MetricId M2 = Metric < BottomUp.metrics().size() ? Metric : 0;
     FlameGraph Graph(BottomUp, M2);
-    Svg.Title = "bottom-up";
-    Svg.Inverted = true;
+    Svg.Title = Svg.Shape = "bottom-up";
     Out += renderSvg(Graph, Svg);
-    Svg.Inverted = false;
   }
   if (Options.IncludeFlat) {
     Out += "<h2>Flat flame graph</h2>\n";
     Profile Flat = flatTree(P);
     MetricId M2 = Metric < Flat.metrics().size() ? Metric : 0;
     FlameGraph Graph(Flat, M2);
+    Svg.Shape = "flat";
     Svg.Title = "flat (module / file / function)";
     Out += renderSvg(Graph, Svg);
   }

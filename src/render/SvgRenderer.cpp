@@ -36,6 +36,7 @@ std::string renderSvg(const FlameGraph &Graph, const SvgOptions &Options) {
   const Profile &P = Graph.profile();
   unsigned HeaderPx = Options.Title.empty() ? 0 : 24;
   unsigned HeightPx = HeaderPx + Graph.depth() * Options.RowHeightPx + 4;
+  bool Icicle = Options.Shape == "bottom-up";
 
   std::string Out;
   Out.reserve(Graph.rects().size() * 160 + 512);
@@ -56,8 +57,7 @@ std::string renderSvg(const FlameGraph &Graph, const SvgOptions &Options) {
   for (const FlameRect &R : Graph.rects()) {
     double X = R.X * Options.WidthPx;
     double W = R.Width * Options.WidthPx;
-    unsigned Row = Options.Inverted ? R.Depth
-                                    : (Graph.depth() - 1 - R.Depth);
+    unsigned Row = Icicle ? R.Depth : (Graph.depth() - 1 - R.Depth);
     double Y = HeaderPx + static_cast<double>(Row) * Options.RowHeightPx;
 
     Rgb Color = R.Highlighted ? searchHighlightColor() : R.Color;

@@ -35,8 +35,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <thread>
 
@@ -45,11 +47,43 @@ namespace tool {
 
 namespace {
 
-/// One command line: positional arguments plus the declared options, a
-/// flag mapped to "1".
+/// How parseArgs reads an option's value.
+enum class Kind : uint8_t {
+  Flag,  ///< Takes no value.
+  Text,  ///< Any string.
+  Count, ///< An unsigned integer.
+  Ratio, ///< A non-negative number.
+};
+
+/// One given option: its text, and its number when its kind has one.
+struct OptionValue {
+  std::string Text;
+  uint64_t Count = 0;
+  double Ratio = 0.0;
+};
+
+/// One command line, checked against its command's declaration:
+/// positionals in the declared number, the declared profile positionals
+/// loaded (in order) and every given option read by its declared kind.
 struct ParsedArgs {
   std::vector<std::string> Positional;
-  std::map<std::string, std::string> Options;
+  std::vector<Profile> Profiles;
+  std::map<std::string, OptionValue, std::less<>> Options;
+
+  const OptionValue *find(std::string_view Name) const {
+    auto It = Options.find(Name);
+    return It == Options.end() ? nullptr : &It->second;
+  }
+  bool has(std::string_view Name) const { return find(Name); }
+  std::string text(std::string_view Name, std::string Default = {}) const {
+    return has(Name) ? find(Name)->Text : Default;
+  }
+  uint64_t count(std::string_view Name, uint64_t Default) const {
+    return has(Name) ? find(Name)->Count : Default;
+  }
+  double ratio(std::string_view Name, double Default) const {
+    return has(Name) ? find(Name)->Ratio : Default;
+  }
 };
 
 Result<Profile> loadProfile(const std::string &Path) {
@@ -61,19 +95,41 @@ Result<Profile> loadProfile(const std::string &Path) {
   return convert::load(*Bytes, Path);
 }
 
+/// Loads the profile at \p Path, or every file in \p Path when it is a
+/// directory, handing each to \p Take. \returns how many it loaded.
+Result<size_t> loadEach(const std::string &Path,
+                        const std::function<void(Profile)> &Take) {
+  std::vector<std::string> Files = {Path};
+  if (isDirectory(Path)) {
+    Result<std::vector<std::string>> Listed = listDirectory(Path);
+    if (!Listed)
+      return makeError(Listed.error());
+    Files = Listed.take();
+  }
+  for (const std::string &File : Files) {
+    Result<Profile> P = loadProfile(File);
+    if (!P)
+      return makeError(P.error());
+    Take(P.take());
+  }
+  return Files.size();
+}
+
+/// The metric --metric selects in \p P, by name or index; metric 0 when
+/// the option is absent.
 Result<MetricId> resolveMetric(const Profile &P, const ParsedArgs &Args) {
-  auto It = Args.Options.find("metric");
-  if (It == Args.Options.end()) {
+  if (!Args.has("metric")) {
     if (P.metrics().empty())
       return makeError("profile has no metrics");
     return MetricId(0);
   }
-  MetricId Id = P.findMetric(It->second);
+  std::string Name = Args.text("metric");
+  MetricId Id = P.findMetric(Name);
   if (Id == Profile::InvalidMetric) {
     uint64_t Index;
-    if (parseUnsigned(It->second, Index) && Index < P.metrics().size())
+    if (parseUnsigned(Name, Index) && Index < P.metrics().size())
       return static_cast<MetricId>(Index);
-    return makeError("unknown metric '" + It->second + "'");
+    return makeError("unknown metric '" + Name + "'");
   }
   return Id;
 }
@@ -83,38 +139,31 @@ int failUsage(std::string &Err, const std::string &Message) {
   return ExitUsageError;
 }
 
-/// Parses an optional unsigned numeric option into \p Value.
-/// \returns false (after reporting) on a malformed value.
-bool parseCountOption(const ParsedArgs &Args, const char *Name,
-                      uint64_t &Value, std::string &Err, int &Code) {
-  auto It = Args.Options.find(Name);
-  if (It == Args.Options.end())
-    return true;
-  if (!parseUnsigned(It->second, Value)) {
-    Code = failUsage(Err, std::string("--") + Name +
-                              " expects an unsigned number, got '" +
-                              It->second + "'");
-    return false;
-  }
-  return true;
-}
-
 int failData(std::string &Err, const std::string &Message) {
   Err += "evtool: error: " + Message + "\n";
   return ExitDataError;
 }
 
+/// Writes \p Bytes to \p Path and reports "wrote <Path><Note>" on \p Out.
+int writeOutput(const std::string &Path, const std::string &Bytes,
+                const std::string &Note, std::string &Out, std::string &Err) {
+  if (Result<bool> W = writeFile(Path, Bytes); !W)
+    return failData(Err, W.error());
+  Out += "wrote " + Path + Note + "\n";
+  return ExitSuccess;
+}
+
 int cmdInfo(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 1)
-    return failUsage(Err, "info expects exactly one profile");
-  Result<std::string> Bytes = readFile(Args.Positional[0]);
+  // info reads the bytes itself: it reports their format and size.
+  const std::string &Path = Args.Positional[0];
+  Result<std::string> Bytes = readFile(Path);
   if (!Bytes)
     return failData(Err, Bytes.error());
-  convert::Format F = convert::detectFormat(*Bytes, Args.Positional[0]);
-  Result<Profile> P = convert::load(*Bytes, Args.Positional[0]);
+  convert::Format F = convert::detectFormat(*Bytes, Path);
+  Result<Profile> P = convert::load(*Bytes, Path);
   if (!P)
     return failData(Err, P.error());
-  Out += "file:     " + Args.Positional[0] + "\n";
+  Out += "file:     " + Path + "\n";
   Out += "format:   " + std::string(convert::formatName(F)) + "\n";
   Out += "size:     " + formatBytes(static_cast<double>(Bytes->size())) +
          "\n";
@@ -129,27 +178,14 @@ int cmdInfo(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   return 0;
 }
 
-int cmdSummary(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 1)
-    return failUsage(Err, "summary expects exactly one profile");
-  Result<Profile> P = loadProfile(Args.Positional[0]);
-  if (!P)
-    return failData(Err, P.error());
-  Out += renderSummaryText(*P);
+int cmdSummary(const ParsedArgs &Args, std::string &Out, std::string &) {
+  Out += renderSummaryText(Args.Profiles[0]);
   return 0;
 }
 
 int cmdFlame(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 1)
-    return failUsage(Err, "flame expects exactly one profile");
-  Result<Profile> Loaded = loadProfile(Args.Positional[0]);
-  if (!Loaded)
-    return failData(Err, Loaded.error());
-
-  std::string Shape = "top-down";
-  if (auto It = Args.Options.find("shape"); It != Args.Options.end())
-    Shape = It->second;
-  std::optional<Profile> View = flameShape(*Loaded, Shape);
+  std::string Shape = Args.text("shape", "top-down");
+  std::optional<Profile> View = flameShape(Args.Profiles[0], Shape);
   if (!View)
     return failUsage(Err, "unknown shape '" + Shape + "'");
   Result<MetricId> Metric = resolveMetric(*View, Args);
@@ -157,99 +193,55 @@ int cmdFlame(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     return failData(Err, Metric.error());
 
   FlameGraph Graph(*View, *Metric);
-  if (auto It = Args.Options.find("svg"); It != Args.Options.end()) {
+  if (Args.has("svg")) {
     SvgOptions Svg;
     Svg.Title = View->name() + " (" + Shape + ")";
-    Result<bool> W = writeFile(It->second, renderSvg(Graph, Svg));
-    if (!W)
-      return failData(Err, W.error());
-    Out += "wrote " + It->second + "\n";
-    return 0;
+    Svg.Shape = Shape;
+    return writeOutput(Args.text("svg"), renderSvg(Graph, Svg), "", Out, Err);
   }
   AnsiOptions Ansi;
   Ansi.Color = false;
-  if (auto It = Args.Options.find("columns"); It != Args.Options.end()) {
-    uint64_t Columns;
-    if (!parseUnsigned(It->second, Columns))
-      return failUsage(Err, "--columns expects a number");
-    Ansi.Columns = static_cast<unsigned>(Columns);
-  }
+  Ansi.Columns = static_cast<unsigned>(Args.count("columns", Ansi.Columns));
   Out += renderAnsi(Graph, Ansi);
   return 0;
 }
 
-int cmdTable(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 1)
-    return failUsage(Err, "table expects exactly one profile");
-  Result<Profile> P = loadProfile(Args.Positional[0]);
-  if (!P)
-    return failData(Err, P.error());
+int cmdTable(const ParsedArgs &Args, std::string &Out, std::string &) {
+  const Profile &P = Args.Profiles[0];
   TreeTableOptions Opt;
-  if (auto It = Args.Options.find("rows"); It != Args.Options.end()) {
-    uint64_t Rows;
-    if (!parseUnsigned(It->second, Rows))
-      return failUsage(Err, "--rows expects a number");
-    Opt.MaxRows = Rows;
-  }
-  TreeTable Table(*P, Opt);
-  if (!P->metrics().empty())
+  Opt.MaxRows = Args.count("rows", Opt.MaxRows);
+  TreeTable Table(P, Opt);
+  if (!P.metrics().empty())
     Table.expandHotPath(0);
   Out += Table.renderText();
   return 0;
 }
 
 int cmdConvert(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 2)
-    return failUsage(Err, "convert expects <in> <out>");
-  Result<Profile> P = loadProfile(Args.Positional[0]);
-  if (!P)
-    return failData(Err, P.error());
-
-  std::string To = "evprof";
-  if (auto It = Args.Options.find("to"); It != Args.Options.end())
-    To = It->second;
-  std::optional<std::string> Bytes = convert::exportProfile(*P, To, 0);
+  std::string To = Args.text("to", "evprof");
+  std::optional<std::string> Bytes =
+      convert::exportProfile(Args.Profiles[0], To, 0);
   if (!Bytes)
     return failUsage(Err, "unknown target format '" + To + "'");
-  Result<bool> W = writeFile(Args.Positional[1], *Bytes);
-  if (!W)
-    return failData(Err, W.error());
-  Out += "wrote " + Args.Positional[1] + " (" +
-         formatBytes(static_cast<double>(Bytes->size())) + ", " + To +
-         ")\n";
-  return 0;
+  return writeOutput(Args.Positional[1], *Bytes,
+                     " (" + formatBytes(static_cast<double>(Bytes->size())) +
+                         ", " + To + ")",
+                     Out, Err);
 }
 
 int cmdDiff(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 2)
-    return failUsage(Err, "diff expects <base> <test>");
-  Result<Profile> Base = loadProfile(Args.Positional[0]);
-  if (!Base)
-    return failData(Err, Base.error());
-  Result<Profile> Test = loadProfile(Args.Positional[1]);
-  if (!Test)
-    return failData(Err, Test.error());
-  Result<MetricId> Metric = resolveMetric(*Base, Args);
+  const Profile &Base = Args.Profiles[0];
+  Result<MetricId> Metric = resolveMetric(Base, Args);
   if (!Metric)
     return failData(Err, Metric.error());
-  DiffResult D = diffProfiles(*Base, *Test, *Metric);
-  Out += renderDiffText(D);
+  Out += renderDiffText(diffProfiles(Base, Args.Profiles[1], *Metric));
   return 0;
 }
 
 int cmdAggregate(const ParsedArgs &Args, std::string &Out,
                  std::string &Err) {
-  if (Args.Positional.size() < 2)
-    return failUsage(Err, "aggregate expects <out.evprof> <in...>");
-  std::vector<Profile> Loaded;
-  for (size_t I = 1; I < Args.Positional.size(); ++I) {
-    Result<Profile> P = loadProfile(Args.Positional[I]);
-    if (!P)
-      return failData(Err, P.error());
-    Loaded.push_back(P.take());
-  }
   std::vector<const Profile *> Inputs;
-  for (const Profile &P : Loaded)
+  for (const Profile &P : Args.Profiles)
     Inputs.push_back(&P);
   AggregateOptions Opt;
   Opt.WithMin = Opt.WithMax = Opt.WithMean = true;
@@ -265,18 +257,12 @@ int cmdAggregate(const ParsedArgs &Args, std::string &Out,
 }
 
 int cmdQuery(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 1)
-    return failUsage(Err, "query expects exactly one profile");
-  Result<Profile> P = loadProfile(Args.Positional[0]);
-  if (!P)
-    return failData(Err, P.error());
-
+  const Profile &P = Args.Profiles[0];
   std::string Program;
-  if (auto It = Args.Options.find("e"); It != Args.Options.end()) {
-    Program = It->second;
-  } else if (auto FIt = Args.Options.find("file");
-             FIt != Args.Options.end()) {
-    Result<std::string> Src = readFile(FIt->second);
+  if (Args.has("e")) {
+    Program = Args.text("e");
+  } else if (Args.has("file")) {
+    Result<std::string> Src = readFile(Args.text("file"));
     if (!Src)
       return failData(Err, Src.error());
     Program = Src.take();
@@ -284,7 +270,7 @@ int cmdQuery(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     return failUsage(Err, "query needs --e <program> or --file <program.evql>");
   }
 
-  Result<evql::QueryOutput> R = evql::runProgram(*P, Program);
+  Result<evql::QueryOutput> R = evql::runProgram(P, Program);
   if (!R)
     return failData(Err, R.error());
   for (const std::string &Line : R->Printed)
@@ -296,90 +282,65 @@ int cmdQuery(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     Out += "\n";
   }
   Out += "result: " + std::to_string(R->Result.nodeCount()) +
-         " contexts (input " + std::to_string(P->nodeCount()) + ")\n";
-  if (auto It = Args.Options.find("out"); It != Args.Options.end()) {
-    Result<bool> W = writeFile(It->second, writeEvProf(R->Result));
-    if (!W)
-      return failData(Err, W.error());
-    Out += "wrote " + It->second + "\n";
-  }
+         " contexts (input " + std::to_string(P.nodeCount()) + ")\n";
+  if (Args.has("out"))
+    return writeOutput(Args.text("out"), writeEvProf(R->Result), "", Out,
+                       Err);
   return 0;
 }
 
-/// Shared tail of 'check' and 'lint': render the findings, print a
-/// summary, and map severities onto exit codes ('-Werror' escalates
-/// warnings, clang style).
+/// The exit code of a finished analysis: any error, or any warning under
+/// '-Werror' (clang style), fails it, dropped findings included.
+int diagnosticsExit(const DiagnosticSet &Diags, bool WError) {
+  bool Fails = Diags.count(Severity::Error) > 0 ||
+               (WError && Diags.count(Severity::Warning) > 0);
+  return Fails ? ExitDataError : ExitSuccess;
+}
+
+/// Shared tail of 'check', 'lint' and 'regress': render the findings,
+/// print a summary and map severities onto the exit code.
 int reportDiagnostics(const DiagnosticSet &Diags, const std::string &Subject,
                       bool WError, std::string &Out) {
   for (const Diagnostic &D : Diags.all())
     Out += renderDiagnostic(D, Subject) + "\n";
-  size_t Errors = Diags.countAtLeast(Severity::Error);
-  size_t Warnings = Diags.count(Severity::Warning);
-  Out += Subject + ": " + std::to_string(Errors) + " error(s), " +
-         std::to_string(Warnings) + " warning(s)";
+  Out += Subject + ": " + std::to_string(Diags.count(Severity::Error)) +
+         " error(s), " + std::to_string(Diags.count(Severity::Warning)) +
+         " warning(s)";
   if (Diags.truncated())
     Out += " (diagnostics truncated; " + std::to_string(Diags.dropped()) +
            " dropped)";
   Out += "\n";
-  if (Errors > 0 || (WError && Warnings > 0))
-    return ExitDataError;
-  return ExitSuccess;
+  return diagnosticsExit(Diags, WError);
 }
 
-/// Shared `--min-severity` / `--disable` parsing for check, lint, and
+/// Shared `--min-severity` / `--disable` reading for check, lint, and
 /// regress. Disabled names are validated against the unified registry
 /// (analysis/RuleRegistry.h), so any family's rules are accepted by any
 /// subcommand and a typo is a usage error everywhere.
-/// \returns false after reporting (setting \p Code) on a malformed option.
-bool parseRuleFilters(const ParsedArgs &Args, RuleFilter &Filter,
-                      std::string &Err, int &Code) {
-  if (auto It = Args.Options.find("min-severity");
-      It != Args.Options.end()) {
-    if (!parseSeverity(It->second, Filter.MinSeverity)) {
-      Code = failUsage(Err, "--min-severity expects note, info, warning, "
-                            "or error");
-      return false;
+/// \returns 0, or the exit code after reporting a malformed option.
+int parseRuleFilter(const ParsedArgs &Args, RuleFilter &Filter,
+                    std::string &Err) {
+  if (Args.has("min-severity") &&
+      !parseSeverity(Args.text("min-severity"), Filter.MinSeverity))
+    return failUsage(Err, "--min-severity expects note, info, warning, "
+                          "or error");
+  std::string Disabled = Args.text("disable");
+  for (std::string_view Rule : splitString(Disabled, ','))
+    if (!Rule.empty()) {
+      if (!findRule(Rule))
+        return failUsage(Err, "unknown rule '" + std::string(Rule) +
+                                  "' (see --list-rules)");
+      Filter.Disabled.emplace_back(Rule);
     }
-  }
-  if (auto It = Args.Options.find("disable"); It != Args.Options.end()) {
-    for (std::string_view Rule : splitString(It->second, ','))
-      if (!Rule.empty()) {
-        if (!findRule(Rule)) {
-          Code = failUsage(Err, "unknown rule '" + std::string(Rule) +
-                                    "' (see --list-rules)");
-          return false;
-        }
-        Filter.Disabled.emplace_back(Rule);
-      }
-  }
-  return true;
-}
-
-/// Post-filter for passes that do not take the filter natively (the EVQL
-/// checker): keeps the findings \p Filter keeps.
-DiagnosticSet filterDiagnostics(DiagnosticSet In, const RuleFilter &Filter) {
-  if (Filter.MinSeverity == Severity::Note && Filter.Disabled.empty())
-    return In;
-  DiagnosticSet Out(In.size() + In.dropped() + 1);
-  for (const Diagnostic &D : In.all())
-    if (Filter.keeps(D))
-      Out.add(D);
-  if (In.truncated())
-    Out.markTruncated();
-  return Out;
+  return 0;
 }
 
 int cmdCheck(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Options.count("list-rules")) {
-    Out += renderRuleList();
-    return ExitSuccess;
-  }
-  std::string Source;
-  std::string Subject;
-  if (auto It = Args.Options.find("e"); It != Args.Options.end()) {
-    Source = It->second;
+  std::string Source, Subject;
+  if (Args.has("e")) {
+    Source = Args.text("e");
     Subject = "<command-line>";
-  } else if (Args.Positional.size() == 1) {
+  } else if (!Args.Positional.empty()) {
     Result<std::string> Src = readFile(Args.Positional[0]);
     if (!Src)
       return failData(Err, Src.error());
@@ -389,42 +350,30 @@ int cmdCheck(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     return failUsage(Err, "check expects <query.evql> or --e <program>");
   }
 
-  Profile MetricSource;
   SemaOptions Opts;
-  if (auto It = Args.Options.find("profile"); It != Args.Options.end()) {
-    Result<Profile> P = loadProfile(It->second);
+  Profile MetricSource;
+  if (Args.has("profile")) {
+    Result<Profile> P = loadProfile(Args.text("profile"));
     if (!P)
       return failData(Err, P.error());
     MetricSource = P.take();
     Opts.MetricSource = &MetricSource;
   }
-
-  RuleFilter Filter;
-  int Code = ExitSuccess;
-  if (!parseRuleFilters(Args, Filter, Err, Code))
+  if (int Code = parseRuleFilter(Args, Opts.Filter, Err))
     return Code;
 
   DiagnosticSet Diags(Opts.Limits.MaxDiagnostics);
   SemaChecker(Opts).checkSource(Source, Diags);
-  Diags = filterDiagnostics(std::move(Diags), Filter);
   Diags.sortBySource();
-  return reportDiagnostics(Diags, Subject, Args.Options.count("werror") > 0,
-                           Out);
+  return reportDiagnostics(Diags, Subject, Args.has("werror"), Out);
 }
 
 int cmdLint(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Options.count("list-rules")) {
-    Out += renderRuleList();
-    return ExitSuccess;
-  }
-  if (Args.Positional.size() != 1)
-    return failUsage(Err, "lint expects exactly one profile");
-
   LintOptions Opts;
-  int Code = ExitSuccess;
-  if (!parseRuleFilters(Args, Opts.Filter, Err, Code))
+  if (int Code = parseRuleFilter(Args, Opts.Filter, Err))
     return Code;
 
+  // lint reads the bytes itself: an .evprof gets the wire-level scan.
   const std::string &Path = Args.Positional[0];
   Result<std::string> Bytes = readFileWithRetry(Path);
   if (!Bytes)
@@ -444,50 +393,7 @@ int cmdLint(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     Linter.lintProfile(*P, Diags);
   }
   Diags.sortBySource();
-  return reportDiagnostics(Diags, Path, Args.Options.count("werror") > 0,
-                           Out);
-}
-
-/// Loads one cohort for 'regress': a directory is streamed file-by-file
-/// into the accumulator (O(merged CCT) memory, never O(N profiles)); a
-/// single file is a cohort of one.
-Result<CohortAccumulator> loadCohort(const std::string &Path,
-                                     const FleetAggregateOptions &Opts) {
-  CohortAccumulator Acc(Opts);
-  if (isDirectory(Path)) {
-    Result<std::vector<std::string>> Files = listDirectory(Path);
-    if (!Files)
-      return makeError(Files.error());
-    for (const std::string &File : *Files) {
-      Result<Profile> P = loadProfile(File);
-      if (!P)
-        return makeError(P.error());
-      Acc.add(*P);
-    }
-    if (Acc.profileCount() == 0)
-      return makeError("cohort directory '" + Path + "' holds no profiles");
-    return Acc;
-  }
-  Result<Profile> P = loadProfile(Path);
-  if (!P)
-    return makeError(P.error());
-  Acc.add(*P);
-  return Acc;
-}
-
-/// Parses an optional double-valued option into \p Value.
-bool parseRatioOption(const ParsedArgs &Args, const char *Name,
-                      double &Value, std::string &Err, int &Code) {
-  auto It = Args.Options.find(Name);
-  if (It == Args.Options.end())
-    return true;
-  if (!parseDouble(It->second, Value) || Value < 0.0) {
-    Code = failUsage(Err, std::string("--") + Name +
-                              " expects a non-negative number, got '" +
-                              It->second + "'");
-    return false;
-  }
-  return true;
+  return reportDiagnostics(Diags, Path, Args.has("werror"), Out);
 }
 
 /// `evtool regress <base> <test>`: stream both cohorts through the fleet
@@ -495,131 +401,109 @@ bool parseRatioOption(const ParsedArgs &Args, const char *Name,
 /// same exit-code contract as check/lint ('-Werror' escalates warnings),
 /// so a CI job can gate a release on "no new regressions".
 int cmdRegress(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Options.count("list-rules")) {
-    Out += renderRuleList();
-    return ExitSuccess;
-  }
-  if (Args.Positional.size() != 2)
-    return failUsage(Err, "regress expects <base> <test> (profile files or "
-                          "cohort directories)");
-
   RegressionOptions Opts;
-  int Code = ExitSuccess;
-  if (!parseRuleFilters(Args, Opts.Filter, Err, Code))
+  if (int Code = parseRuleFilter(Args, Opts.Filter, Err))
     return Code;
-  if (!parseRatioOption(Args, "rel-min", Opts.RelativeMin, Err, Code) ||
-      !parseRatioOption(Args, "abs-min", Opts.AbsoluteMin, Err, Code) ||
-      !parseRatioOption(Args, "sigma", Opts.SigmaGate, Err, Code))
-    return Code;
+  Opts.RelativeMin = Args.ratio("rel-min", Opts.RelativeMin);
+  Opts.AbsoluteMin = Args.ratio("abs-min", Opts.AbsoluteMin);
+  Opts.SigmaGate = Args.ratio("sigma", Opts.SigmaGate);
   FleetAggregateOptions AggOpts;
-  uint64_t Budget = AggOpts.NodeBudget;
-  if (!parseCountOption(Args, "node-budget", Budget, Err, Code))
-    return Code;
-  AggOpts.NodeBudget = static_cast<size_t>(Budget);
+  AggOpts.NodeBudget =
+      static_cast<size_t>(Args.count("node-budget", AggOpts.NodeBudget));
 
-  std::string Format = "text";
-  if (auto It = Args.Options.find("format"); It != Args.Options.end())
-    Format = It->second;
+  std::string Format = Args.text("format", "text");
   if (Format != "text" && Format != "json")
     return failUsage(Err, "--format expects text or json");
 
-  Result<CohortAccumulator> Base = loadCohort(Args.Positional[0], AggOpts);
+  // A cohort directory streams file by file into its accumulator (O(merged
+  // CCT) memory, never O(N profiles)); a single file is a cohort of one.
+  auto LoadCohort = [&](const std::string &Path) -> Result<CohortAccumulator> {
+    CohortAccumulator Acc(AggOpts);
+    Result<size_t> Loaded = loadEach(Path, [&](Profile P) { Acc.add(P); });
+    if (!Loaded)
+      return makeError(Loaded.error());
+    if (*Loaded == 0)
+      return makeError("cohort directory '" + Path + "' holds no profiles");
+    return Acc;
+  };
+  const std::string &BasePath = Args.Positional[0];
+  const std::string &TestPath = Args.Positional[1];
+  Result<CohortAccumulator> Base = LoadCohort(BasePath);
   if (!Base)
     return failData(Err, Base.error());
-  Result<CohortAccumulator> Test = loadCohort(Args.Positional[1], AggOpts);
+  Result<CohortAccumulator> Test = LoadCohort(TestPath);
   if (!Test)
     return failData(Err, Test.error());
 
   DiagnosticSet Diags(Opts.Limits.MaxDiagnostics);
   RegressionAnalyzer(Opts).analyze(*Base, *Test, Diags);
 
-  bool WError = Args.Options.count("werror") > 0;
-  std::string Subject =
-      Args.Positional[0] + " vs " + Args.Positional[1];
-  if (Format == "json") {
-    json::Object Root;
-    json::Object BaseInfo;
-    BaseInfo.set("path", Args.Positional[0]);
-    BaseInfo.set("profiles", static_cast<uint64_t>(Base->profileCount()));
-    json::Object TestInfo;
-    TestInfo.set("path", Args.Positional[1]);
-    TestInfo.set("profiles", static_cast<uint64_t>(Test->profileCount()));
-    Root.set("base", std::move(BaseInfo));
-    Root.set("test", std::move(TestInfo));
-    json::Array Findings;
-    for (const Diagnostic &D : Diags.all()) {
-      json::Object F;
-      F.set("id", D.Id);
-      F.set("severity", std::string(severityName(D.Sev)));
-      F.set("rule", D.Rule);
-      F.set("message", D.Message);
-      if (!D.Hint.empty())
-        F.set("hint", D.Hint);
-      if (D.Node != InvalidNode)
-        F.set("node", static_cast<uint64_t>(D.Node));
-      Findings.push_back(std::move(F));
-    }
-    Root.set("findings", std::move(Findings));
-    Root.set("errors",
-             static_cast<uint64_t>(Diags.countAtLeast(Severity::Error)));
-    Root.set("warnings",
-             static_cast<uint64_t>(Diags.count(Severity::Warning)));
-    Root.set("truncated", Diags.truncated());
-    Out += json::Value(std::move(Root)).dump() + "\n";
-    size_t Errors = Diags.countAtLeast(Severity::Error);
-    size_t Warnings = Diags.count(Severity::Warning);
-    return Errors > 0 || (WError && Warnings > 0) ? ExitDataError
-                                                  : ExitSuccess;
+  bool WError = Args.has("werror");
+  if (Format == "text") {
+    Out += "base: " + BasePath + " (" +
+           std::to_string(Base->profileCount()) + " profile(s))\n";
+    Out += "test: " + TestPath + " (" +
+           std::to_string(Test->profileCount()) + " profile(s))\n";
+    return reportDiagnostics(Diags, BasePath + " vs " + TestPath, WError,
+                             Out);
   }
-  Out += "base: " + Args.Positional[0] + " (" +
-         std::to_string(Base->profileCount()) + " profile(s))\n";
-  Out += "test: " + Args.Positional[1] + " (" +
-         std::to_string(Test->profileCount()) + " profile(s))\n";
-  return reportDiagnostics(Diags, Subject, WError, Out);
+  auto Cohort = [](const std::string &Path, const CohortAccumulator &Acc) {
+    json::Object Info;
+    Info.set("path", Path);
+    Info.set("profiles", static_cast<uint64_t>(Acc.profileCount()));
+    return Info;
+  };
+  json::Object Root;
+  Root.set("base", Cohort(BasePath, *Base));
+  Root.set("test", Cohort(TestPath, *Test));
+  json::Array Findings;
+  for (const Diagnostic &D : Diags.all()) {
+    json::Object F;
+    F.set("id", D.Id);
+    F.set("severity", std::string(severityName(D.Sev)));
+    F.set("rule", D.Rule);
+    F.set("message", D.Message);
+    if (!D.Hint.empty())
+      F.set("hint", D.Hint);
+    if (D.Node != InvalidNode)
+      F.set("node", static_cast<uint64_t>(D.Node));
+    Findings.push_back(std::move(F));
+  }
+  Root.set("findings", std::move(Findings));
+  Root.set("errors", static_cast<uint64_t>(Diags.count(Severity::Error)));
+  Root.set("warnings",
+           static_cast<uint64_t>(Diags.count(Severity::Warning)));
+  Root.set("truncated", Diags.truncated());
+  Out += json::Value(std::move(Root)).dump() + "\n";
+  return diagnosticsExit(Diags, WError);
 }
 
 int cmdButterfly(const ParsedArgs &Args, std::string &Out,
                  std::string &Err) {
-  if (Args.Positional.size() != 2)
-    return failUsage(Err, "butterfly expects <profile> <function>");
-  Result<Profile> P = loadProfile(Args.Positional[0]);
-  if (!P)
-    return failData(Err, P.error());
-  Result<MetricId> Metric = resolveMetric(*P, Args);
+  const Profile &P = Args.Profiles[0];
+  const std::string &Function = Args.Positional[1];
+  Result<MetricId> Metric = resolveMetric(P, Args);
   if (!Metric)
     return failData(Err, Metric.error());
-  ButterflyResult B = butterfly(*P, Args.Positional[1], *Metric);
+  ButterflyResult B = butterfly(P, Function, *Metric);
   if (B.Occurrences == 0)
-    return failData(Err, "function '" + Args.Positional[1] +
-                         "' not found in the profile");
-  Out += renderButterflyText(*P, B, P->metrics()[*Metric].Unit);
+    return failData(Err, "function '" + Function +
+                             "' not found in the profile");
+  Out += renderButterflyText(P, B, P.metrics()[*Metric].Unit);
   return 0;
 }
 
-int cmdAnnotate(const ParsedArgs &Args, std::string &Out,
-                std::string &Err) {
-  if (Args.Positional.size() != 2)
-    return failUsage(Err, "annotate expects <profile> <source-file>");
-  Result<Profile> P = loadProfile(Args.Positional[0]);
-  if (!P)
-    return failData(Err, P.error());
-  Out += renderAnnotationsText(*P, Args.Positional[1]);
+int cmdAnnotate(const ParsedArgs &Args, std::string &Out, std::string &) {
+  Out += renderAnnotationsText(Args.Profiles[0], Args.Positional[1]);
   return 0;
 }
 
 int cmdReport(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Positional.size() != 2)
-    return failUsage(Err, "report expects <profile> <out.html>");
-  Result<Profile> P = loadProfile(Args.Positional[0]);
-  if (!P)
-    return failData(Err, P.error());
-  std::string Html = renderHtmlReport(*P);
-  Result<bool> W = writeFile(Args.Positional[1], Html);
-  if (!W)
-    return failData(Err, W.error());
-  Out += "wrote " + Args.Positional[1] + " (" +
-         formatBytes(static_cast<double>(Html.size())) + ")\n";
-  return 0;
+  std::string Html = renderHtmlReport(Args.Profiles[0]);
+  return writeOutput(Args.Positional[1], Html,
+                     " (" + formatBytes(static_cast<double>(Html.size())) +
+                         ")",
+                     Out, Err);
 }
 
 /// 'store': loads profiles into a ProfileStore — optionally under a memory
@@ -629,17 +513,10 @@ int cmdReport(const ParsedArgs &Args, std::string &Out, std::string &Err) {
 /// to eyeball spill/fault behavior on a cohort without standing up a
 /// server.
 int cmdStore(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (!Args.Options.count("stats"))
+  if (!Args.has("stats"))
     return failUsage(Err, "store requires --stats");
-  if (Args.Positional.empty())
-    return failUsage(Err, "store expects at least one profile or directory");
-  uint64_t Budget = 0;
-  int Code = 0;
-  if (!parseCountOption(Args, "budget", Budget, Err, Code))
-    return Code;
-  std::string SpillDir;
-  if (auto It = Args.Options.find("spill-dir"); It != Args.Options.end())
-    SpillDir = It->second;
+  uint64_t Budget = Args.count("budget", 0);
+  std::string SpillDir = Args.text("spill-dir");
   if (Budget != 0 && SpillDir.empty())
     return failUsage(Err, "--budget requires --spill-dir");
 
@@ -649,25 +526,11 @@ int cmdStore(const ParsedArgs &Args, std::string &Out, std::string &Err) {
       return failData(Err, R.error());
 
   std::vector<int64_t> Ids;
-  auto AddFile = [&](const std::string &File) -> Result<bool> {
-    Result<Profile> P = loadProfile(File);
-    if (!P)
-      return makeError(P.error());
-    Ids.push_back(Store.add(P.take()));
-    return true;
-  };
-  for (const std::string &Path : Args.Positional) {
-    if (isDirectory(Path)) {
-      Result<std::vector<std::string>> Files = listDirectory(Path);
-      if (!Files)
-        return failData(Err, Files.error());
-      for (const std::string &File : *Files)
-        if (Result<bool> R = AddFile(File); !R)
-          return failData(Err, R.error());
-    } else if (Result<bool> R = AddFile(Path); !R) {
+  for (const std::string &Path : Args.Positional)
+    if (Result<size_t> R = loadEach(
+            Path, [&](Profile P) { Ids.push_back(Store.add(std::move(P))); });
+        !R)
       return failData(Err, R.error());
-    }
-  }
   if (Ids.empty())
     return failData(Err, "no profiles found in the given inputs");
 
@@ -710,44 +573,30 @@ void serveSignalHandler(int) {
 /// (immediately — clients and tests wait for it), serves until a
 /// SIGINT/SIGTERM (or --drain-after-ms) triggers a graceful drain, and
 /// exits 0 when the drain finished cleanly inside its deadline.
-int cmdServeSocket(const ParsedArgs &Args, std::string &Out,
-                   std::string &Err) {
-  (void)Out;
-  bool Tcp = Args.Options.count("listen") > 0;
-  bool Unix = Args.Options.count("unix") > 0;
-  if (Tcp && Unix)
+int cmdServeSocket(const ParsedArgs &Args,
+                   const SessionManager::Options &MOpts, std::string &Err) {
+  bool Tcp = Args.has("listen");
+  if (Tcp && Args.has("unix"))
     return failUsage(Err, "serve takes --listen or --unix, not both");
-  if (Args.Options.count("input"))
+  if (Args.has("input") || !Args.Positional.empty())
     return failUsage(Err,
                      "serve takes --input (scripted) or a socket listener "
                      "(--listen/--unix), not both");
 
-  SessionManager::Options MOpts;
-  if (auto It = Args.Options.find("sessions"); It != Args.Options.end()) {
-    uint64_t N;
-    if (!parseUnsigned(It->second, N) || N == 0 || N > 256)
-      return failUsage(Err, "--sessions expects a count in [1, 256]");
-    MOpts.Sessions = static_cast<unsigned>(N);
-  }
-
   net::NetServerOptions NOpts;
-  int Code = ExitSuccess;
-  uint64_t MaxConns = NOpts.MaxConnections;
-  uint64_t DrainAfterMs = 0;
-  if (!parseCountOption(Args, "max-conns", MaxConns, Err, Code) ||
-      !parseCountOption(Args, "idle-ms", NOpts.IdleTimeoutMs, Err, Code) ||
-      !parseCountOption(Args, "frame-ms", NOpts.FrameTimeoutMs, Err, Code) ||
-      !parseCountOption(Args, "drain-ms", NOpts.DrainDeadlineMs, Err, Code) ||
-      !parseCountOption(Args, "drain-after-ms", DrainAfterMs, Err, Code))
-    return Code;
-  if (MaxConns == 0)
+  NOpts.MaxConnections =
+      static_cast<size_t>(Args.count("max-conns", NOpts.MaxConnections));
+  NOpts.IdleTimeoutMs = Args.count("idle-ms", NOpts.IdleTimeoutMs);
+  NOpts.FrameTimeoutMs = Args.count("frame-ms", NOpts.FrameTimeoutMs);
+  NOpts.DrainDeadlineMs = Args.count("drain-ms", NOpts.DrainDeadlineMs);
+  uint64_t DrainAfterMs = Args.count("drain-after-ms", 0);
+  if (NOpts.MaxConnections == 0)
     return failUsage(Err, "--max-conns must be at least 1");
-  NOpts.MaxConnections = static_cast<size_t>(MaxConns);
 
   SessionManager Manager(MOpts);
   net::NetServer Server(Manager, NOpts);
-  Result<bool> Bound = Tcp ? Server.listenTcp(Args.Options.at("listen"))
-                           : Server.listenUnix(Args.Options.at("unix"));
+  Result<bool> Bound = Tcp ? Server.listenTcp(Args.text("listen"))
+                           : Server.listenUnix(Args.text("unix"));
   if (!Bound)
     return failData(Err, Bound.error());
   if (Result<bool> Started = Server.start(); !Started)
@@ -772,8 +621,8 @@ int cmdServeSocket(const ParsedArgs &Args, std::string &Out,
   // producer chunking is fine.
   std::atomic<bool> FollowStop{false};
   std::thread FollowThread;
-  if (auto It = Args.Options.find("follow"); It != Args.Options.end()) {
-    std::string Path = It->second;
+  if (Args.has("follow")) {
+    std::string Path = Args.text("follow");
     DecodeLimits Decode = MOpts.Limits.Decode;
     FollowThread = std::thread([&Manager, &FollowStop, Path, Decode] {
       int64_t Id = -1;
@@ -851,25 +700,20 @@ int cmdServeSocket(const ParsedArgs &Args, std::string &Out,
 /// one per line, so the output of a concurrent run is byte-comparable to a
 /// sequential one.
 int cmdServe(const ParsedArgs &Args, std::string &Out, std::string &Err) {
-  if (Args.Options.count("listen") || Args.Options.count("unix"))
-    return cmdServeSocket(Args, Out, Err);
-  auto InputIt = Args.Options.find("input");
-  if (InputIt == Args.Options.end() && Args.Positional.size() != 1)
+  SessionManager::Options Opts;
+  uint64_t Sessions = Args.count("sessions", Opts.Sessions);
+  if (Sessions == 0 || Sessions > 256)
+    return failUsage(Err, "--sessions expects a count in [1, 256]");
+  Opts.Sessions = static_cast<unsigned>(Sessions);
+  if (Args.has("listen") || Args.has("unix"))
+    return cmdServeSocket(Args, Opts, Err);
+  std::string Path =
+      Args.text("input", Args.Positional.empty() ? "" : Args.Positional[0]);
+  if (Path.empty())
     return failUsage(Err, "serve needs --input <requests.jsonl>");
-  const std::string &Path = InputIt != Args.Options.end()
-                                ? InputIt->second
-                                : Args.Positional[0];
   Result<std::string> Script = readFileWithRetry(Path);
   if (!Script)
     return failData(Err, Script.error());
-
-  SessionManager::Options Opts;
-  if (auto It = Args.Options.find("sessions"); It != Args.Options.end()) {
-    uint64_t N;
-    if (!parseUnsigned(It->second, N) || N == 0 || N > 256)
-      return failUsage(Err, "--sessions expects a count in [1, 256]");
-    Opts.Sessions = static_cast<unsigned>(N);
-  }
   SessionManager Manager(Opts);
 
   std::vector<std::future<json::Value>> Replies;
@@ -903,12 +747,12 @@ int cmdServe(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   // traceEvents JSON: loadable in any trace viewer, and round-trippable
   // back into a profile through `evtool convert --to evprof` (the Chrome
   // converter treats it like any foreign trace).
-  if (auto It = Args.Options.find("trace-out"); It != Args.Options.end()) {
-    std::string Trace = trace::toChromeTraceJson();
-    if (Result<bool> W = writeFile(It->second, Trace); !W)
+  if (Args.has("trace-out")) {
+    std::string TracePath = Args.text("trace-out");
+    if (Result<bool> W = writeFile(TracePath, trace::toChromeTraceJson()); !W)
       return failData(Err, W.error());
     Err += "wrote trace of " + std::to_string(trace::retainedSpans()) +
-           " span(s) to " + It->second + "\n";
+           " span(s) to " + TracePath + "\n";
   }
   return ExitSuccess;
 }
@@ -918,19 +762,29 @@ int cmdHelp(const ParsedArgs &, std::string &Out, std::string &) {
   return ExitSuccess;
 }
 
-/// One option a command accepts: `--Name Meta`, or a flag when Meta is
-/// empty.
+/// One option a command accepts: `--Name Meta`, or a flag.
 struct Option {
   std::string_view Name;
-  std::string_view Meta = {};
+  Kind ValueKind = Kind::Flag;
+  std::string_view Meta = {}; ///< The value's placeholder in the usage.
+};
+
+/// One positional argument, named as the usage shows it: "[<a>]" may be
+/// left out and "<a...>" takes one or more.
+struct Arg {
+  std::string_view Name;
+  bool IsProfile = false; ///< parseArgs loads it into ParsedArgs::Profiles.
+
+  bool optional() const { return startsWith(Name, "["); }
+  bool repeated() const { return endsWith(Name, "...>"); }
 };
 
 /// One evtool subcommand. Argument parsing and the usage text both derive
 /// from this table, so an option is accepted exactly where it is
-/// documented.
+/// documented and a handler runs only on the arguments it declares.
 struct Command {
   std::string_view Name;
-  std::string_view Args;    ///< Positional synopsis.
+  std::vector<Arg> Args;
   std::string_view Summary; ///< One-line description.
   int (*Run)(const ParsedArgs &, std::string &, std::string &);
   std::vector<Option> Options = {};
@@ -944,63 +798,73 @@ struct Command {
 };
 
 const std::vector<Command> &commands() {
-  static const Option Metric{"metric", "M"};
-  static const Option MinSeverity{"min-severity", "S"};
-  static const Option Disable{"disable", "R,R..."};
+  static const Arg Prof{"<profile>", true};
+  static const Option Metric{"metric", Kind::Text, "M"};
+  static const Option MinSeverity{"min-severity", Kind::Text, "S"};
+  static const Option Disable{"disable", Kind::Text, "R,R..."};
   static const Option WError{"werror"};
   static const Option ListRules{"list-rules"};
   static const std::vector<Command> Table = {
-      {"info", "<profile>", "format, counts, metrics", cmdInfo},
-      {"summary", "<profile>", "floating-window summary", cmdSummary},
-      {"flame", "<profile>", "flame graph as text, or SVG with --svg",
-       cmdFlame,
-       {{"shape", "top-down|bottom-up|flat"}, Metric, {"svg", "F"},
-        {"columns", "N"}}},
-      {"table", "<profile>", "tree table, hot path open", cmdTable,
-       {{"rows", "N"}}},
-      {"convert", "<in> <out>", "convert between profile formats", cmdConvert,
-       {{"to", "evprof|pprof|collapsed|speedscope|chrome"}}},
-      {"diff", "<base> <test>", "differential view", cmdDiff, {Metric}},
-      {"aggregate", "<out.evprof> <in...>", "merge profiles", cmdAggregate},
-      {"query", "<profile>",
+      {"info", {{"<profile>"}}, "format, counts, metrics", cmdInfo},
+      {"summary", {Prof}, "floating-window summary", cmdSummary},
+      {"flame", {Prof}, "flame graph as text, or SVG with --svg", cmdFlame,
+       {{"shape", Kind::Text, "top-down|bottom-up|flat"}, Metric,
+        {"svg", Kind::Text, "F"}, {"columns", Kind::Count, "N"}}},
+      {"table", {Prof}, "tree table, hot path open", cmdTable,
+       {{"rows", Kind::Count, "N"}}},
+      {"convert", {{"<in>", true}, {"<out>"}},
+       "convert between profile formats", cmdConvert,
+       {{"to", Kind::Text, "evprof|pprof|collapsed|speedscope|chrome"}}},
+      {"diff", {{"<base>", true}, {"<test>", true}}, "differential view",
+       cmdDiff, {Metric}},
+      {"aggregate", {{"<out.evprof>"}, {"<in...>", true}}, "merge profiles",
+       cmdAggregate},
+      {"query", {Prof},
        "run an EVQL program given by --e or --file; --out writes the result",
-       cmdQuery, {{"e", "PROGRAM"}, {"file", "F"}, {"out", "F"}}},
-      {"check", "<query.evql>",
+       cmdQuery,
+       {{"e", Kind::Text, "PROGRAM"}, {"file", Kind::Text, "F"},
+        {"out", Kind::Text, "F"}}},
+      {"check", {{"[<query.evql>]"}},
        "EVQL static analysis (no execution); --e checks an inline program",
        cmdCheck,
-       {{"e", "PROGRAM"}, {"profile", "P"}, MinSeverity, Disable, WError,
-        ListRules}},
-      {"lint", "<profile.evprof>", "profile data-quality lints", cmdLint,
+       {{"e", Kind::Text, "PROGRAM"}, {"profile", Kind::Text, "P"},
+        MinSeverity, Disable, WError, ListRules}},
+      {"lint", {{"<profile.evprof>"}}, "profile data-quality lints", cmdLint,
        {MinSeverity, Disable, WError, ListRules}},
-      {"regress", "<base> <test>",
+      {"regress", {{"<base>"}, {"<test>"}},
        "diff two profile cohorts (files or directories) and report EVL3xx "
        "regressions",
        cmdRegress,
-       {{"format", "text|json"}, MinSeverity, Disable, WError,
-        {"rel-min", "F"}, {"abs-min", "F"}, {"sigma", "F"},
-        {"node-budget", "N"}, ListRules}},
-      {"butterfly", "<profile> <function>", "callers and callees of a function",
-       cmdButterfly, {Metric}},
-      {"annotate", "<profile> <source-file>", "per-line code lenses",
+       {{"format", Kind::Text, "text|json"}, MinSeverity, Disable, WError,
+        {"rel-min", Kind::Ratio, "F"}, {"abs-min", Kind::Ratio, "F"},
+        {"sigma", Kind::Ratio, "F"}, {"node-budget", Kind::Count, "N"},
+        ListRules}},
+      {"butterfly", {Prof, {"<function>"}},
+       "callers and callees of a function", cmdButterfly, {Metric}},
+      {"annotate", {Prof, {"<source-file>"}}, "per-line code lenses",
        cmdAnnotate},
-      {"report", "<profile> <out.html>", "self-contained HTML report",
+      {"report", {Prof, {"<out.html>"}}, "self-contained HTML report",
        cmdReport},
-      {"store", "<profile|dir...>",
+      {"store", {{"<profile|dir...>"}},
        "load into a (optionally budgeted) profile store and report resident, "
        "spilled and deduplicated memory; requires --stats",
-       cmdStore, {{"stats"}, {"budget", "BYTES"}, {"spill-dir", "D"}}},
-      {"serve", "",
+       cmdStore,
+       {{"stats"}, {"budget", Kind::Count, "BYTES"},
+        {"spill-dir", Kind::Text, "D"}}},
+      {"serve", {{"[<requests.jsonl>]"}},
        "run PVP requests from --input through the concurrent session "
        "service (--trace-out dumps the server's own spans as Chrome trace "
        "JSON), or serve PVP over a socket with --listen or --unix until "
        "SIGINT/SIGTERM drains it; --follow tails a growing .evprof as a live "
        "profile in every session",
        cmdServe,
-       {{"input", "F"}, {"sessions", "N"}, {"trace-out", "F"},
-        {"listen", "HOST:PORT"}, {"unix", "PATH"}, {"max-conns", "N"},
-        {"idle-ms", "N"}, {"frame-ms", "N"}, {"drain-ms", "N"},
-        {"drain-after-ms", "N"}, {"follow", "FILE"}}},
-      {"help", "", "this text", cmdHelp},
+       {{"input", Kind::Text, "F"}, {"sessions", Kind::Count, "N"},
+        {"trace-out", Kind::Text, "F"}, {"listen", Kind::Text, "HOST:PORT"},
+        {"unix", Kind::Text, "PATH"}, {"max-conns", Kind::Count, "N"},
+        {"idle-ms", Kind::Count, "N"}, {"frame-ms", Kind::Count, "N"},
+        {"drain-ms", Kind::Count, "N"}, {"drain-after-ms", Kind::Count, "N"},
+        {"follow", Kind::Text, "FILE"}}},
+      {"help", {}, "this text", cmdHelp},
   };
   return Table;
 }
@@ -1012,12 +876,14 @@ const Command *findCommand(std::string_view Name) {
   return nullptr;
 }
 
-/// Splits \p Args (after the command name) into positionals and the
-/// options \p Cmd declares; "-Werror" is the compiler-style spelling of
-/// --werror. Any other option is an error.
-Result<ParsedArgs> parseArgs(const Command &Cmd,
-                             const std::vector<std::string> &Args) {
-  ParsedArgs Out;
+/// Checks \p Args (after the command name) against \p Cmd's declaration
+/// into \p Out: every option declared, its value read by its kind
+/// ("-Werror" is the compiler-style spelling of --werror), the declared
+/// number of positionals, and each profile positional loaded. With
+/// --list-rules the positionals are not needed. \returns 0, or the exit
+/// code after reporting to \p Err.
+int parseArgs(const Command &Cmd, const std::vector<std::string> &Args,
+              ParsedArgs &Out, std::string &Err) {
   for (size_t I = 1; I < Args.size(); ++I) {
     const std::string &A = Args[I];
     std::string_view Name;
@@ -1031,17 +897,48 @@ Result<ParsedArgs> parseArgs(const Command &Cmd,
     }
     const Option *O = Cmd.option(Name);
     if (!O)
-      return makeError("unknown option '" + A + "' for '" +
-                       std::string(Cmd.Name) + "'");
-    if (O->Meta.empty()) {
-      Out.Options[std::string(Name)] = "1";
+      return failUsage(Err, "unknown option '" + A + "' for '" +
+                                std::string(Cmd.Name) + "'");
+    OptionValue &V = Out.Options[std::string(Name)];
+    if (O->ValueKind == Kind::Flag)
       continue;
-    }
     if (I + 1 >= Args.size())
-      return makeError("option '" + A + "' needs a value");
-    Out.Options[std::string(Name)] = Args[++I];
+      return failUsage(Err, "option '" + A + "' needs a value");
+    V.Text = Args[++I];
+    if (O->ValueKind == Kind::Count && !parseUnsigned(V.Text, V.Count))
+      return failUsage(Err, "--" + std::string(Name) +
+                                " expects an unsigned number, got '" +
+                                V.Text + "'");
+    if (O->ValueKind == Kind::Ratio &&
+        !(parseDouble(V.Text, V.Ratio) && V.Ratio >= 0.0))
+      return failUsage(Err, "--" + std::string(Name) +
+                                " expects a non-negative number, got '" +
+                                V.Text + "'");
   }
-  return Out;
+  if (Out.has("list-rules"))
+    return ExitSuccess;
+
+  size_t Min = 0;
+  for (const Arg &A : Cmd.Args)
+    Min += !A.optional();
+  bool Repeated = !Cmd.Args.empty() && Cmd.Args.back().repeated();
+  size_t Given = Out.Positional.size();
+  if (Given < Min || (!Repeated && Given > Cmd.Args.size())) {
+    std::string Expected;
+    for (const Arg &A : Cmd.Args)
+      Expected += " " + std::string(A.Name);
+    return failUsage(Err, std::string(Cmd.Name) + " expects" +
+                              (Expected.empty() ? " no arguments" : Expected));
+  }
+  for (size_t I = 0; I < Given; ++I) {
+    if (!Cmd.Args[std::min(I, Cmd.Args.size() - 1)].IsProfile)
+      continue;
+    Result<Profile> P = loadProfile(Out.Positional[I]);
+    if (!P)
+      return failData(Err, P.error());
+    Out.Profiles.push_back(P.take());
+  }
+  return ExitSuccess;
 }
 
 /// Appends \p Words to \p Out in lines of at most 78 columns: the first
@@ -1069,9 +966,8 @@ std::string usageText() {
   std::string Out = "usage: evtool <command> [options]\n\ncommands:\n";
   for (const Command &C : commands()) {
     std::vector<std::string> Synopsis = {std::string(C.Name)};
-    for (std::string_view Arg : splitString(C.Args, ' '))
-      if (!Arg.empty())
-        Synopsis.emplace_back(Arg);
+    for (const Arg &A : C.Args)
+      Synopsis.emplace_back(A.Name);
     for (const Option &O : C.Options)
       Synopsis.push_back("[--" + std::string(O.Name) +
                          (O.Meta.empty() ? "" : " " + std::string(O.Meta)) +
@@ -1096,12 +992,16 @@ int runEvTool(const std::vector<std::string> &Args, std::string &Out,
     Err += "evtool: error: unknown command '" + Args[0] + "'\n" + usageText();
     return ExitUsageError;
   }
-  Result<ParsedArgs> Parsed = parseArgs(*Cmd, Args);
-  if (!Parsed) {
-    Err += "evtool: error: " + Parsed.error() + "\n";
-    return ExitUsageError;
+  ParsedArgs Parsed;
+  if (int Code = parseArgs(*Cmd, Args, Parsed, Err))
+    return Code;
+  // --list-rules, wherever declared, prints the catalogue of every rule
+  // family instead of running the command.
+  if (Parsed.has("list-rules")) {
+    Out += renderRuleList();
+    return ExitSuccess;
   }
-  return Cmd->Run(*Parsed, Out, Err);
+  return Cmd->Run(Parsed, Out, Err);
 }
 
 } // namespace tool

@@ -813,6 +813,40 @@ TEST_F(PvpTest, DiagnosticsHonorsMaxDiagnostics) {
   EXPECT_GT(R->asObject().find("dropped")->asInt(), 0);
 }
 
+TEST_F(PvpTest, DiagnosticsFilterBeforeTheCapAndCountDrops) {
+  // Five EVQL007 warnings, then one EVQL002 error past a cap of three.
+  std::string Program;
+  for (int I = 0; I < 5; ++I)
+    Program += "print 1 / 0;\n";
+  Program += "print nosuchvar;\n";
+  auto Diagnose = [&](const char *MinSeverity) {
+    json::Object P;
+    P.set("program", Program);
+    P.set("maxDiagnostics", 3);
+    if (MinSeverity)
+      P.set("minSeverity", MinSeverity);
+    Result<json::Value> R = Ide.call("pvp/diagnostics", std::move(P));
+    EXPECT_TRUE(R.ok()) << R.error();
+    return R ? R.take() : json::Value();
+  };
+  // The totals count what the cap dropped, the error included.
+  json::Value All = Diagnose(nullptr);
+  EXPECT_EQ(All.asObject().find("diagnostics")->asArray().size(), 3u);
+  EXPECT_EQ(All.asObject().find("errors")->asInt(), 1);
+  EXPECT_EQ(All.asObject().find("warnings")->asInt(), 5);
+  EXPECT_EQ(All.asObject().find("dropped")->asInt(), 3);
+  EXPECT_TRUE(All.asObject().find("truncated")->asBool());
+  // Filtered warnings never take room under the cap, so the error shows.
+  json::Value Errors = Diagnose("error");
+  const json::Array &Shown = Errors.asObject().find("diagnostics")->asArray();
+  ASSERT_EQ(Shown.size(), 1u);
+  EXPECT_EQ(Shown[0].asObject().find("id")->asString(), "EVQL002");
+  EXPECT_EQ(Errors.asObject().find("errors")->asInt(), 1);
+  EXPECT_EQ(Errors.asObject().find("warnings")->asInt(), 0);
+  EXPECT_EQ(Errors.asObject().find("dropped")->asInt(), 0);
+  EXPECT_FALSE(Errors.asObject().find("truncated")->asBool());
+}
+
 TEST(PvpServerLimits, DiagnosticsDeadlineDegradesToTruncatedReply) {
   ServerLimits L;
   L.RequestDeadlineMs = 5;

@@ -16,8 +16,9 @@
 #include "analysis/Transform.h"
 #include "baseline/GolandTreeTable.h"
 #include "baseline/PprofFlameView.h"
-#include "core/EasyView.h"
+#include "ide/MockIde.h"
 #include "proto/EvProf.h"
+#include "query/Vm.h"
 #include "render/CorrelatedView.h"
 #include "support/Strings.h"
 #include "workload/GrpcLeakWorkload.h"
@@ -31,15 +32,14 @@
 using namespace ev;
 
 TEST(Integration, HpctoolkitToBottomUpHotspot) {
-  // The Fig. 6 pipeline: experiment.xml -> converter -> engine ->
-  // bottom-up view -> hottest leaf is libc!brk -> code link on a lulesh
-  // frame works.
-  EasyViewEngine Engine;
+  // The Fig. 6 pipeline: experiment.xml -> pvp/open -> bottom-up view ->
+  // hottest leaf is libc!brk -> code link on a lulesh frame works.
+  MockIde Ide;
   std::string Xml = workload::generateLuleshExperimentXml({});
-  Result<int64_t> Id = Engine.openProfileBytes(Xml, "lulesh-db");
+  Result<int64_t> Id = Ide.openProfile("lulesh-db", Xml);
   ASSERT_TRUE(Id.ok()) << Id.error();
 
-  Profile Up = bottomUpTree(*Engine.profile(*Id));
+  Profile Up = bottomUpTree(*Ide.server().profile(*Id));
   MetricView View(Up, 0);
   NodeId Hottest = InvalidNode;
   double Best = -1.0;
@@ -51,16 +51,16 @@ TEST(Integration, HpctoolkitToBottomUpHotspot) {
   EXPECT_EQ(Up.nameOf(Hottest), "brk");
 
   // Click a source-mapped frame in the original profile.
-  const Profile *P = Engine.profile(*Id);
+  const Profile *P = Ide.server().profile(*Id);
   NodeId Mapped = InvalidNode;
   for (NodeId N = 0; N < P->nodeCount(); ++N)
     if (P->nameOf(N) == "CalcHourglassControlForElems")
       Mapped = N;
   ASSERT_NE(Mapped, InvalidNode);
-  Result<bool> Linked = Engine.ide().clickNode(*Id, Mapped);
+  Result<bool> Linked = Ide.clickNode(*Id, Mapped);
   ASSERT_TRUE(Linked.ok());
   EXPECT_TRUE(*Linked);
-  EXPECT_EQ(Engine.ide().navigations().back().File, "lulesh.cc");
+  EXPECT_EQ(Ide.navigations().back().File, "lulesh.cc");
 }
 
 TEST(Integration, LeakHuntOverPvp) {
@@ -109,25 +109,27 @@ TEST(Integration, LeakHuntOverPvp) {
                                                    Series.end()));
 }
 
-TEST(Integration, SparkDiffOverEngine) {
-  // The Fig. 3 pipeline: two stored profiles -> engine diff -> tag counts
+TEST(Integration, SparkDiffOverPvp) {
+  // The Fig. 3 pipeline: two stored profiles -> pvp/diff -> tag counts
   // and headline contexts.
-  EasyViewEngine Engine;
+  MockIde Ide;
   workload::SparkWorkload W = workload::generateSparkWorkload();
-  int64_t Base = Engine.addProfile(std::move(W.Rdd));
-  int64_t Test = Engine.addProfile(std::move(W.Sql));
-  Result<DiffResult> D = Engine.diff(Base, Test, 0);
+  json::Object Params;
+  Params.set("base", Ide.server().addProfile(std::move(W.Rdd)));
+  Params.set("test", Ide.server().addProfile(std::move(W.Sql)));
+  Result<json::Value> D = Ide.call("pvp/diff", std::move(Params));
   ASSERT_TRUE(D.ok()) << D.error();
 
-  size_t Added = 0, Deleted = 0;
-  for (DiffTag Tag : D->Tags) {
-    Added += Tag == DiffTag::Added;
-    Deleted += Tag == DiffTag::Deleted;
-  }
-  EXPECT_GT(Added, 0u);
-  EXPECT_GT(Deleted, 0u);
-  // The root shows an overall improvement ([-]).
-  EXPECT_EQ(D->Tags[D->Merged.root()], DiffTag::Decreased);
+  EXPECT_GT(D->asObject().find("added")->asInt(), 0);
+  EXPECT_GT(D->asObject().find("deleted")->asInt(), 0);
+  // The root shows an overall improvement ([-]): its delta is negative.
+  const Profile *Merged =
+      Ide.server().profile(D->asObject().find("profile")->asInt());
+  ASSERT_NE(Merged, nullptr);
+  // Its columns are base, test and delta of the chosen metric.
+  ASSERT_EQ(Merged->metrics().size(), 3u);
+  EXPECT_TRUE(startsWith(Merged->metrics()[2].Name, "delta "));
+  EXPECT_LT(metricTotal(*Merged, 2), 0.0);
 }
 
 TEST(Integration, AllViewersAgreeOnTotals) {
@@ -137,10 +139,10 @@ TEST(Integration, AllViewersAgreeOnTotals) {
   Opt.TargetBytes = 64 << 10;
   std::string Bytes = workload::generatePprofBytes(Opt);
 
-  EasyViewEngine Engine;
-  Result<int64_t> Id = Engine.openProfileBytes(Bytes, "svc");
+  MockIde Ide;
+  Result<int64_t> Id = Ide.openProfile("svc", Bytes);
   ASSERT_TRUE(Id.ok()) << Id.error();
-  const Profile *P = Engine.profile(*Id);
+  const Profile *P = Ide.server().profile(*Id);
 
   Result<baseline::GolandViewResult> Goland =
       baseline::openWithGolandView(Bytes);
@@ -201,20 +203,21 @@ TEST(Integration, EvqlOverPvpMatchesDirectRun) {
             Direct->Printed[0]);
 }
 
-TEST(Integration, FullReportFromForeignFormat) {
-  // collapsed text -> engine -> HTML report containing all views.
-  EasyViewEngine Engine;
-  Result<int64_t> Id = Engine.openProfileBytes(
-      "main;net.Serve;handler.Process 60\n"
-      "main;net.Serve;codec.Encode 25\n"
-      "main;gc.background 15\n",
-      "service.folded");
+TEST(Integration, EveryFlameShapeFromForeignFormat) {
+  // collapsed text -> pvp/open -> the flame graph in every shape.
+  MockIde Ide;
+  Result<int64_t> Id = Ide.openProfile("service.folded",
+                                       "main;net.Serve;handler.Process 60\n"
+                                       "main;net.Serve;codec.Encode 25\n"
+                                       "main;gc.background 15\n");
   ASSERT_TRUE(Id.ok()) << Id.error();
   for (const char *Shape : {"top-down", "bottom-up", "flat"}) {
-    FlameRenderOptions Opt;
-    Opt.Shape = Shape;
-    Result<std::string> Svg = Engine.flameSvg(*Id, Opt);
-    ASSERT_TRUE(Svg.ok()) << Shape;
-    EXPECT_NE(Svg->find("handler.Process"), std::string::npos) << Shape;
+    json::Object Params;
+    Params.set("profile", *Id);
+    Params.set("shape", Shape);
+    Result<json::Value> Flame = Ide.call("pvp/flame", std::move(Params));
+    ASSERT_TRUE(Flame.ok()) << Shape << ": " << Flame.error();
+    EXPECT_NE(Flame->dump().find("handler.Process"), std::string::npos)
+        << Shape;
   }
 }

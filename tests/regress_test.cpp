@@ -322,7 +322,7 @@ TEST(RegressAnalyzer, SchemaMismatchIsAnError) {
   Test.add(Build("wall-time"));
   DiagnosticSet Diags(100);
   RegressionAnalyzer().analyze(Base, Test, Diags);
-  EXPECT_GE(Diags.countAtLeast(Severity::Error), 2u); // Both directions.
+  EXPECT_GE(Diags.count(Severity::Error), 2u); // Both directions.
   for (const Diagnostic &D : Diags.all())
     EXPECT_EQ(D.Id, "EVL307") << D.Message;
 }

@@ -110,9 +110,46 @@ TEST(Diagnostic, SetCapsAndCounts) {
   EXPECT_EQ(Set.size(), 2u);
   EXPECT_EQ(Set.dropped(), 3u);
   EXPECT_TRUE(Set.truncated());
+  // The counts include the three dropped warnings.
   EXPECT_EQ(Set.count(Severity::Error), 1u);
-  EXPECT_EQ(Set.countAtLeast(Severity::Warning), 2u);
-  EXPECT_EQ(Set.maxSeverity(), Severity::Error);
+  EXPECT_EQ(Set.count(Severity::Warning), 4u);
+  EXPECT_EQ(Set.count(Severity::Note), 0u);
+}
+
+TEST(Diagnostic, AppendCarriesDropsPerSeverity) {
+  auto Finding = [](Severity Sev) {
+    Diagnostic D;
+    D.Id = "X";
+    D.Sev = Sev;
+    return D;
+  };
+  DiagnosticSet Buffer(1);
+  Buffer.add(Finding(Severity::Warning));
+  Buffer.add(Finding(Severity::Error));
+  Buffer.add(Finding(Severity::Info));
+  DiagnosticSet Out(8);
+  Out.add(Finding(Severity::Error));
+  Out.append(Buffer);
+  EXPECT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out.dropped(), 2u);
+  EXPECT_EQ(Out.count(Severity::Error), 2u);
+  EXPECT_EQ(Out.count(Severity::Warning), 1u);
+  EXPECT_EQ(Out.count(Severity::Info), 1u);
+}
+
+TEST(Sema, RuleFilterAppliesBeforeTheCap) {
+  // 1005 EVQL007 warnings, then an EVQL002 error past the default cap.
+  std::string Source;
+  for (int I = 0; I < 1005; ++I)
+    Source += "print 1 / 0;\n";
+  Source += "print nosuchvar;\n";
+  SemaOptions Opts;
+  Opts.Filter.MinSeverity = Severity::Error;
+  DiagnosticSet Diags(Opts.Limits.MaxDiagnostics);
+  SemaChecker(Opts).checkSource(Source, Diags);
+  ASSERT_EQ(Diags.size(), 1u);
+  EXPECT_EQ(Diags.all()[0].Id, "EVQL002");
+  EXPECT_FALSE(Diags.truncated());
 }
 
 TEST(Diagnostic, SortBySourceOrdersBySpan) {

@@ -14,7 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <set>
+#include <string>
+#include <tuple>
 
 using namespace ev;
 using namespace ev::tool;
@@ -112,6 +116,46 @@ TEST_F(ToolTest, FlameSvgWritesFile) {
   ASSERT_TRUE(Written.ok());
   EXPECT_NE(Written->find("<svg"), std::string::npos);
   EXPECT_NE(Written->find("kernel"), std::string::npos);
+}
+
+namespace {
+
+/// The y coordinate of the flame rectangle titled \p Name in \p Svg, and
+/// the least and greatest y over all rectangles.
+struct SvgRows {
+  double Named = -1, Min = 1e300, Max = -1;
+};
+
+SvgRows svgRows(const std::string &Svg, std::string_view Name) {
+  SvgRows R;
+  static constexpr std::string_view Rect = "<g><rect x=\"";
+  for (size_t At = Svg.find(Rect); At != std::string::npos;
+       At = Svg.find(Rect, At + 1)) {
+    size_t Y = Svg.find(" y=\"", At) + 4;
+    double V = std::stod(Svg.substr(Y, Svg.find('"', Y) - Y));
+    R.Min = std::min(R.Min, V);
+    R.Max = std::max(R.Max, V);
+    if (Svg.compare(Svg.find("<title>", At) + 7, Name.size(), Name) == 0)
+      R.Named = V;
+  }
+  return R;
+}
+
+} // namespace
+
+TEST_F(ToolTest, FlameSvgOrientationFollowsTheShape) {
+  // Top-down grows up from a root at the bottom; bottom-up is an icicle
+  // with the root at the top, as in the HTML report.
+  std::string Svg = Dir + "/f.svg";
+  ASSERT_EQ(run({"flame", Evprof, "--svg", Svg}), 0) << Err;
+  SvgRows Down = svgRows(*readFile(Svg), "ROOT");
+  EXPECT_EQ(Down.Named, Down.Max);
+  EXPECT_LT(Down.Min, Down.Max);
+  ASSERT_EQ(run({"flame", Evprof, "--shape", "bottom-up", "--svg", Svg}), 0)
+      << Err;
+  SvgRows Up = svgRows(*readFile(Svg), "ROOT");
+  EXPECT_EQ(Up.Named, Up.Min);
+  EXPECT_LT(Up.Min, Up.Max);
 }
 
 TEST_F(ToolTest, TableShowsHotPath) {
@@ -271,6 +315,64 @@ TEST_F(ToolTest, UsageNamesEveryCommandWithTheParsedSpelling) {
     EXPECT_LE(Line.size(), 78u) << Line;
 }
 
+TEST_F(ToolTest, EveryNumericOptionRefusesAMalformedValue) {
+  // The numeric options every command declares, by kind.
+  using Decl = std::tuple<std::string, std::string, std::string>;
+  const std::set<Decl> Numeric = {
+      {"flame", "columns", "count"},      {"table", "rows", "count"},
+      {"regress", "rel-min", "ratio"},    {"regress", "abs-min", "ratio"},
+      {"regress", "sigma", "ratio"},      {"regress", "node-budget", "count"},
+      {"store", "budget", "count"},       {"serve", "sessions", "count"},
+      {"serve", "max-conns", "count"},    {"serve", "idle-ms", "count"},
+      {"serve", "frame-ms", "count"},     {"serve", "drain-ms", "count"},
+      {"serve", "drain-after-ms", "count"},
+  };
+  const std::string CountMsg = " expects an unsigned number, got '";
+  const std::string RatioMsg = " expects a non-negative number, got '";
+
+  // Every option of every command in the usage text: "-1" is malformed
+  // for both numeric kinds. The trailing undeclared option stops a
+  // command whose option takes text before it runs.
+  ASSERT_EQ(run({"help"}), ExitSuccess);
+  std::string Usage = Out;
+  std::set<Decl> Seen;
+  std::string Command;
+  for (std::string_view Line : splitString(Usage, '\n')) {
+    if (startsWith(Line, "  ") && Line.size() > 2 && Line[2] != ' ')
+      Command = std::string(splitString(Line.substr(2), ' ')[0]);
+    else if (!startsWith(Line, "    ") || startsWith(Line, "      "))
+      continue;
+    for (size_t At = Line.find("[--"); At != std::string_view::npos;
+         At = Line.find("[--", At + 1)) {
+      size_t End = Line.find_first_of(" ]", At);
+      std::string Option(Line.substr(At + 3, End - At - 3));
+      std::string Flag = "--" + Option;
+      ASSERT_EQ(run({Command, Flag, "-1", "--zz"}), ExitUsageError)
+          << Command << " " << Flag;
+      EXPECT_TRUE(Out.empty()) << Command << " " << Flag;
+      if (Err.find(Flag + CountMsg + "-1'") != std::string::npos)
+        Seen.insert({Command, Option, "count"});
+      else if (Err.find(Flag + RatioMsg + "-1'") != std::string::npos)
+        Seen.insert({Command, Option, "ratio"});
+      else
+        EXPECT_NE(Err.find("unknown option '--zz'"), std::string::npos)
+            << Command << " " << Flag << ": " << Err;
+    }
+  }
+  EXPECT_EQ(Seen, Numeric);
+
+  // Each numeric option names itself and the value it refused.
+  for (const auto &[Cmd, Option, Kind] : Numeric)
+    for (const char *Bad : {"x", "", "1e400", "nan"}) {
+      std::string Value = Kind == "count" && Bad[0] == 'n' ? "1.5" : Bad;
+      ASSERT_EQ(run({Cmd, "--" + Option, Value}), ExitUsageError)
+          << Cmd << " --" << Option << " " << Value;
+      EXPECT_EQ(Err, "evtool: error: --" + Option +
+                         (Kind == "count" ? CountMsg : RatioMsg) + Value +
+                         "'\n");
+    }
+}
+
 //===----------------------------------------------------------------------===
 // check / lint
 //===----------------------------------------------------------------------===
@@ -286,6 +388,31 @@ TEST_F(ToolTest, CheckReportsDiagnosticsWithSpans) {
   EXPECT_NE(Out.find("[EVQL003]"), std::string::npos) << Out;
   EXPECT_NE(Out.find("did you mean 'total'?"), std::string::npos) << Out;
   EXPECT_NE(Out.find("2 error(s), 1 warning(s)"), std::string::npos) << Out;
+}
+
+TEST_F(ToolTest, CheckFilterAndTotalsSeeEveryFinding) {
+  // 1005 EVQL007 warnings, then an EVQL002 error past the 1000-finding
+  // cap.
+  std::string Query = Dir + "/many.evql";
+  std::string Source;
+  for (int I = 0; I < 1005; ++I)
+    Source += "print 1 / 0;\n";
+  ASSERT_TRUE(writeFile(Query, Source + "print nosuchvar;\n").ok());
+  // The dropped findings count, so the run fails on its error.
+  EXPECT_EQ(run({"check", Query}), ExitDataError) << Out;
+  EXPECT_NE(Out.find(": 1 error(s), 1005 warning(s) (diagnostics "
+                     "truncated; 6 dropped)"),
+            std::string::npos)
+      << Out.substr(Out.size() - std::min<size_t>(Out.size(), 200));
+  // The severity filter runs before the cap: the error is listed.
+  EXPECT_EQ(run({"check", Query, "--min-severity", "error"}), ExitDataError);
+  EXPECT_NE(Out.find("many.evql:1006:7: error: undefined identifier "
+                     "'nosuchvar' [EVQL002]"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("many.evql: 1 error(s), 0 warning(s)\n"),
+            std::string::npos)
+      << Out;
 }
 
 TEST_F(ToolTest, CheckCleanProgramSucceeds) {
