@@ -85,6 +85,15 @@ struct OpenStages {
   double totalMs() const { return ParseMs + Base64Ms + OpenMs + FlameMs; }
 };
 
+/// Exits with \p Reply when it is an error reply: a failed stage times
+/// nothing an editor waits for.
+void requireSuccess(const json::Value &Reply) {
+  if (Reply.asObject().find("error")) {
+    std::fprintf(stderr, "request failed: %s\n", Reply.dump().c_str());
+    std::exit(1);
+  }
+}
+
 /// Runs pvp/open of \p Request (the text openRequest() built) and then
 /// pvp/flame of the opened profile on a fresh server, as an editor does.
 OpenStages openLikeAnEditor(const std::string &Request) {
@@ -107,18 +116,17 @@ OpenStages openLikeAnEditor(const std::string &Request) {
   json::Value Opened;
   S.OpenMs = timeMs([&] { Opened = Server.handleMessage(*Open); }) -
              S.Base64Ms;
-  const json::Value *Result = Opened.asObject().find("result");
-  if (!Result) {
-    std::fprintf(stderr, "pvp/open failed: %s\n", Opened.dump().c_str());
-    std::exit(1);
-  }
+  requireSuccess(Opened);
   json::Object Params;
-  Params.set("profile", Result->asObject().find("profile")->asInt());
+  Params.set("profile", Opened.asObject()
+                            .find("result")
+                            ->asObject()
+                            .find("profile")
+                            ->asInt());
   json::Value Flame = rpc::makeRequest(2, "pvp/flame", std::move(Params));
-  S.FlameMs = timeMs([&] {
-    json::Value Reply = Server.handleMessage(Flame);
-    benchmark::DoNotOptimize(Reply);
-  });
+  json::Value Reply;
+  S.FlameMs = timeMs([&] { Reply = Server.handleMessage(Flame); });
+  requireSuccess(Reply);
   return S;
 }
 

@@ -9,9 +9,11 @@
 /// the test suite can drive it in-process with captured output.
 ///
 /// One command table in CliDriver.cpp declares every subcommand, its
-/// positional arguments and the options it accepts; argument parsing and
-/// `evtool help` both derive from it, so an undeclared option is a usage
-/// error.
+/// positional arguments (marking the profiles) and the options it accepts
+/// with the kind of each value; argument parsing and `evtool help` both
+/// derive from it. A command runs only once its arguments, option values
+/// and profiles have passed, so an undeclared option, a wrong count of
+/// arguments or a malformed number is a usage error.
 ///
 /// Profiles load through format auto-detection, so any supported input
 /// format works everywhere a <profile> is expected.
