@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Diagnostics shared by the static-analysis passes: the EVQL semantic
-/// checker (analysis/Sema.h) and the profile lint engine
-/// (analysis/ProfileLint.h). A Diagnostic is one finding with a stable id
-/// ("EVQL005", "EVL201"), a severity, an optional source span or CCT node,
-/// and an optional fix hint — the same shape an IDE squiggle carries, so
-/// the pvp/diagnostics reply and the evtool text renderer are both thin
-/// projections of it. docs/ANALYSIS.md catalogues every id.
+/// Diagnostics shared by the analysis passes: the EVQL semantic checker
+/// (analysis/Sema.h), the profile lint engine (analysis/ProfileLint.h)
+/// and the regression analyzer (analysis/Regression.h). A Diagnostic is
+/// one finding with a stable id ("EVQL005", "EVL201"), a severity, an
+/// optional source span or CCT node, and an optional fix hint — the same
+/// shape an IDE squiggle carries, so the pvp/diagnostics reply and the
+/// evtool text renderer are both thin projections of it. The passes fill
+/// the id, rule name and severity from the rule's row
+/// (analysis/RuleRegistry.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +43,14 @@ std::string_view severityName(Severity Sev);
 /// Parses a severity name. \returns false (leaving \p Out untouched) when
 /// \p Name matches no severity.
 bool parseSeverity(std::string_view Name, Severity &Out);
+
+/// Where a finding points: a source position (EVQL checks) or a CCT node
+/// (lint and regression rules).
+struct DiagnosticLocation {
+  size_t Line = 0;
+  size_t Column = 0;
+  NodeId Node = InvalidNode;
+};
 
 /// One finding.
 struct Diagnostic {

@@ -21,6 +21,14 @@ namespace {
 /// Name of the per-parent catch-all node that absorbs pruned subtrees.
 constexpr std::string_view PrunedFrameName = "(pruned)";
 
+/// A prune shrinks the tree to this fraction of the budget, so ingestion
+/// does not re-trip the budget on every added profile.
+constexpr double PruneTargetFraction = 0.75;
+
+/// Nodes are ranked for pruning by the inclusive sum of this metric of
+/// the cohort schema (the first profile's).
+constexpr MetricId WeightMetric = 0;
+
 } // namespace
 
 void StreamingMoments::push(double Value) {
@@ -34,25 +42,6 @@ void StreamingMoments::push(double Value) {
     Min = std::min(Min, Value);
     Max = std::max(Max, Value);
   }
-}
-
-void StreamingMoments::mergeFrom(const StreamingMoments &Other) {
-  if (Other.Present == 0)
-    return;
-  if (Present == 0) {
-    *this = Other;
-    return;
-  }
-  // Chan et al. pairwise update: exact regardless of split sizes.
-  uint64_t N = Present + Other.Present;
-  double Delta = Other.Mean - Mean;
-  M2 += Other.M2 + Delta * Delta * static_cast<double>(Present) *
-                       static_cast<double>(Other.Present) /
-                       static_cast<double>(N);
-  Mean += Delta * static_cast<double>(Other.Present) / static_cast<double>(N);
-  Min = std::min(Min, Other.Min);
-  Max = std::max(Max, Other.Max);
-  Present = N;
 }
 
 CohortAccumulator::CohortAccumulator(FleetAggregateOptions O)
@@ -77,18 +66,12 @@ std::vector<MetricId> CohortAccumulator::mapMetrics(const Profile &P) {
   return MetricMap;
 }
 
-std::vector<NodeId> CohortAccumulator::mergeTree(const Profile &P,
-                                                 const CancelToken &Cancel) {
-  Frozen.reset();
-  std::vector<NodeId> OutNode = ev::mergeTree(Shape, P, Cancel);
-  Folded.resize(Shape.nodeCount(), 0);
-  return OutNode;
-}
-
 void CohortAccumulator::add(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/fleetAdd", "analysis");
   std::vector<MetricId> MetricMap = mapMetrics(P);
-  std::vector<NodeId> OutNode = mergeTree(P, Cancel);
+  Frozen.reset();
+  std::vector<NodeId> OutNode = mergeTree(Shape, P, Cancel);
+  Folded.resize(Shape.nodeCount(), 0);
 
   // Fold the input's exclusive samples. Two input nodes can land on the
   // same accumulator context (frames differing only by address), so the
@@ -109,43 +92,6 @@ void CohortAccumulator::add(const Profile &P, const CancelToken &Cancel) {
     Moments[Key].push(Value);
 
   ++Profiles;
-  if (Opts.NodeBudget && Shape.nodeCount() > Opts.NodeBudget)
-    pruneToBudget();
-}
-
-void CohortAccumulator::merge(const CohortAccumulator &Other,
-                              const CancelToken &Cancel) {
-  trace::Span Span("analysis/fleetMerge", "analysis");
-  if (Other.Profiles == 0)
-    return;
-  const Profile &OP = Other.shape();
-  std::vector<MetricId> MetricMap = mapMetrics(OP);
-  std::vector<NodeId> OutNode = mergeTree(OP, Cancel);
-  for (NodeId Id = 1; Id < OP.nodeCount(); ++Id)
-    if (Other.isFolded(Id))
-      Folded[OutNode[Id]] = 1;
-
-  // The accumulator CCT never holds two children of one parent with the
-  // same frame, so OutNode is injective: each of Other's moment entries
-  // lands on its own key here and the commutative Chan merge makes the
-  // result independent of hash-map iteration order. Walk in (node, metric)
-  // order anyway so map insertion order — and thus approxMemoryBytes and
-  // any future iteration — is reproducible.
-  for (NodeId Id = 0; Id < OP.nodeCount(); ++Id) {
-    if ((Id & 8191) == 0)
-      Cancel.checkpoint();
-    for (MetricId M = 0; M < OP.metrics().size(); ++M) {
-      if (MetricMap[M] == Profile::InvalidMetric)
-        continue;
-      auto It = Other.Moments.find(momentKey(Id, M));
-      if (It == Other.Moments.end())
-        continue;
-      Moments[momentKey(OutNode[Id], MetricMap[M])].mergeFrom(It->second);
-    }
-  }
-
-  Profiles += Other.Profiles;
-  Prunes += Other.Prunes;
   if (Opts.NodeBudget && Shape.nodeCount() > Opts.NodeBudget)
     pruneToBudget();
 }
@@ -207,7 +153,7 @@ void CohortAccumulator::pruneToBudget() {
   // child, so a single pass can land above the target — or even above the
   // budget. Halve the target and re-prune until the cap actually holds.
   size_t Target = static_cast<size_t>(
-      static_cast<double>(Opts.NodeBudget) * Opts.PruneTargetFraction);
+      static_cast<double>(Opts.NodeBudget) * PruneTargetFraction);
   Target = std::max<size_t>(Target, 1);
   while (Shape.nodeCount() > Opts.NodeBudget) {
     pruneOnce(Target);
@@ -226,7 +172,7 @@ void CohortAccumulator::pruneOnce(size_t Target) {
 
   // Rank non-root nodes by inclusive weight, heaviest first; ties break on
   // node id so the keep set is deterministic.
-  std::vector<double> Weight = inclusiveSumColumn(Opts.WeightMetric);
+  std::vector<double> Weight = inclusiveSumColumn(WeightMetric);
   const Profile &Old = shape();
   std::vector<NodeId> Order(Count > 0 ? Count - 1 : 0);
   for (NodeId Id = 1; Id < Count; ++Id)

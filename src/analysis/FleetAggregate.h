@@ -5,27 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Streaming, pairwise-mergeable aggregation over arbitrarily many
-/// profiles. The batch path (analysis/Aggregate.h) holds every decoded
+/// Streaming aggregation over arbitrarily many profiles. The batch path (analysis/Aggregate.h) holds every decoded
 /// input plus a dense (node, metric) x profile matrix — O(N profiles)
 /// memory, fine for the paper's 8-input aggregate view but hopeless for a
 /// fleet that ships thousands of profiles per release. A CohortAccumulator
 /// instead folds profiles into one canonical accumulator CCT as they
 /// arrive, keeping only streaming moments (count / mean / M2 / min / max —
-/// Welford's algorithm, merged with Chan's parallel update) per
-/// (node, metric), so memory is O(merged CCT) regardless of how many
-/// profiles stream through.
-///
-/// Two scalability levers:
-///  - add(profile) ingests one decoded profile and discards it — the
-///    caller never holds more than one input at a time;
-///  - merge(other) combines two accumulators exactly (the moments are
-///    pairwise-mergeable), so shards can aggregate independently and
-///    reduce.
+/// Welford's algorithm) per (node, metric), so memory is O(merged CCT)
+/// regardless of how many profiles stream through: add(profile) ingests
+/// one decoded profile and discards it, so the caller never holds more
+/// than one input at a time.
 ///
 /// Under a node budget the accumulator keeps the top-K heavy hitters by
-/// inclusive weight: when the CCT outgrows the budget, the lightest
-/// subtrees are folded into per-parent "(pruned)" catch-all children that
+/// inclusive weight of the first metric: when the CCT outgrows the
+/// budget, it shrinks to three quarters of the budget by folding the
+/// lightest subtrees into per-parent "(pruned)" catch-all children that
 /// conserve totals but give up attribution (isFolded() marks them; the
 /// regression analyzer skips them).
 ///
@@ -51,12 +45,6 @@ struct FleetAggregateOptions {
   /// Hard cap on accumulator CCT nodes. Exceeding it triggers a
   /// heavy-hitter prune back under the budget. 0 = unbounded.
   size_t NodeBudget = 1u << 16;
-  /// After a prune the tree is shrunk to this fraction of the budget so
-  /// ingestion does not re-trip the budget on every added profile.
-  double PruneTargetFraction = 0.75;
-  /// Weight metric for heavy-hitter ranking (index into the FIRST
-  /// profile's schema). Nodes are ranked by inclusive sum of this metric.
-  MetricId WeightMetric = 0;
 };
 
 /// Streaming moments of one (node, metric) pair over the profiles that
@@ -71,7 +59,6 @@ struct StreamingMoments {
   double Max = 0.0;     ///< Largest present value.
 
   void push(double Value);
-  void mergeFrom(const StreamingMoments &Other);
   double sum() const { return Mean * static_cast<double>(Present); }
 };
 
@@ -88,8 +75,7 @@ struct CohortNodeStats {
 };
 
 /// The streaming aggregator: one canonical CCT plus per-(node, metric)
-/// streaming moments. Not thread-safe; shard across accumulators and
-/// merge() instead.
+/// streaming moments. Not thread-safe.
 class CohortAccumulator {
 public:
   explicit CohortAccumulator(FleetAggregateOptions Opts = {});
@@ -99,12 +85,7 @@ public:
   /// aggregate. The input can be destroyed immediately afterwards.
   void add(const Profile &P, const CancelToken &Cancel = {});
 
-  /// Exact pairwise merge: afterwards this accumulator reports the same
-  /// statistics as if every profile of \p Other had been add()ed here (up
-  /// to pruning, which is re-evaluated against this node budget).
-  void merge(const CohortAccumulator &Other, const CancelToken &Cancel = {});
-
-  /// Profiles folded in so far (add() calls plus merged counts).
+  /// Profiles folded in so far.
   uint64_t profileCount() const { return Profiles; }
 
   /// The canonical accumulator CCT. Node metric lists stay empty — the
@@ -144,8 +125,6 @@ public:
   }
 
 private:
-  /// Merges \p P's tree into Shape; \returns its node -> shape node map.
-  std::vector<NodeId> mergeTree(const Profile &P, const CancelToken &Cancel);
   /// Maps \p P's metric ids onto Shape's (first profile wins, by name).
   std::vector<MetricId> mapMetrics(const Profile &P);
   void pruneToBudget();

@@ -16,62 +16,12 @@
 
 namespace ev {
 
-const std::vector<LintRuleInfo> &lintRules() {
-  static const std::vector<LintRuleInfo> Rules = {
-      {"EVL100", "malformed-wire", Severity::Error,
-       "the byte stream is not valid .evprof wire data"},
-      {"EVL101", "dangling-string-ref", Severity::Error,
-       "a frame or group references a string-table entry that does not "
-       "exist"},
-      {"EVL102", "dangling-frame-ref", Severity::Error,
-       "a node references a frame-table entry that does not exist"},
-      {"EVL103", "dangling-node-ref", Severity::Error,
-       "a context group references a CCT node that does not exist"},
-      {"EVL104", "dangling-metric-ref", Severity::Error,
-       "a metric value references a metric descriptor that does not exist"},
-      {"EVL105", "invalid-parent-order", Severity::Error,
-       "a node's parent reference breaks the parents-first ordering"},
-      {"EVL201", "exclusive-exceeds-inclusive", Severity::Warning,
-       "a node's exclusive metric value exceeds its inclusive sum"},
-      {"EVL202", "tree-depth-pathology", Severity::Warning,
-       "the CCT is implausibly deep"},
-      {"EVL203", "fan-out-pathology", Severity::Warning,
-       "one node has implausibly many children"},
-      {"EVL204", "duplicate-context-id", Severity::Warning,
-       "a context group lists the same node more than once"},
-      {"EVL205", "zero-metric-subtree", Severity::Info,
-       "a multi-node subtree carries no metric values at all"},
-      {"EVL206", "non-monotonic-source-offsets", Severity::Info,
-       "siblings in the same source file appear out of line order"},
-      {"EVL207", "duplicate-metric-value", Severity::Warning,
-       "a node carries two values for the same metric"},
-      {"EVL208", "unreferenced-frame", Severity::Info,
-       "the frame table has entries no node references"},
-  };
-  return Rules;
-}
-
-const LintRuleInfo *findLintRule(std::string_view IdOrName) {
-  for (const LintRuleInfo &Rule : lintRules())
-    if (Rule.Id == IdOrName || Rule.Name == IdOrName)
-      return &Rule;
-  return nullptr;
-}
-
-bool ProfileLinter::emit(DiagnosticSet &Out, std::string_view RuleId,
+void ProfileLinter::emit(DiagnosticSet &Out, RuleRef Rule,
                          std::string Message, std::string Hint,
                          NodeId Node) const {
-  const LintRuleInfo *Rule = findLintRule(RuleId);
-  if (!Rule || !Opts.Filter.keeps(Rule->DefaultSev, Rule->Id, Rule->Name))
-    return false;
-  Diagnostic D;
-  D.Id = std::string(Rule->Id);
-  D.Sev = Rule->DefaultSev;
-  D.Message = std::move(Message);
-  D.Rule = std::string(Rule->Name);
-  D.Hint = std::move(Hint);
-  D.Node = Node;
-  return Out.add(std::move(D));
+  if (std::optional<Diagnostic> D = Opts.Filter.diagnose(
+          Rule, std::move(Message), std::move(Hint), {.Node = Node}))
+    Out.add(std::move(*D));
 }
 
 using namespace evprof;

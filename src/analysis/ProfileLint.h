@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A registry of pluggable lint rules over .evprof profiles, reporting
+/// Lint rules over .evprof profiles, reporting
 /// data-quality problems the way a compiler reports code problems. Two
 /// complementary passes:
 ///
@@ -19,17 +19,16 @@
 ///    duplicate context ids in groups, zero-metric subtrees, non-monotonic
 ///    source offsets, unreferenced frames.
 ///
-/// Rules are identified by stable ids (EVL1xx wire, EVL2xx decoded) and
-/// kebab-case names, individually disableable, and filtered by a severity
-/// threshold. Every walk is bounded by AnalysisLimits. docs/ANALYSIS.md
-/// catalogues the rules.
+/// The rules are the EVL1xx (wire) and EVL2xx (decoded) rows of the rule
+/// table (analysis/RuleRegistry.h), individually disableable by id or
+/// name and filtered by a severity threshold. Every walk is bounded by
+/// AnalysisLimits. docs/ANALYSIS.md catalogues the rules.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EASYVIEW_ANALYSIS_PROFILELINT_H
 #define EASYVIEW_ANALYSIS_PROFILELINT_H
 
-#include "analysis/Diagnostic.h"
 #include "analysis/RuleRegistry.h"
 #include "support/Limits.h"
 
@@ -38,21 +37,6 @@
 #include <vector>
 
 namespace ev {
-
-/// Registry entry describing one lint rule.
-struct LintRuleInfo {
-  std::string_view Id;    ///< Stable id, e.g. "EVL101".
-  std::string_view Name;  ///< Stable kebab-case name.
-  Severity DefaultSev;
-  std::string_view Description;
-};
-
-/// The full rule registry, wire rules first, in id order.
-const std::vector<LintRuleInfo> &lintRules();
-
-/// Looks a rule up by id ("EVL201") or name ("exclusive-exceeds-inclusive").
-/// \returns nullptr when unknown.
-const LintRuleInfo *findLintRule(std::string_view IdOrName);
 
 /// Configuration for a lint run.
 struct LintOptions {
@@ -90,9 +74,8 @@ public:
   const LintOptions &options() const { return Opts; }
 
 private:
-  bool emit(DiagnosticSet &Out, std::string_view RuleId,
-            std::string Message, std::string Hint = "",
-            NodeId Node = InvalidNode) const;
+  void emit(DiagnosticSet &Out, RuleRef Rule, std::string Message,
+            std::string Hint = "", NodeId Node = InvalidNode) const;
 
   LintOptions Opts;
 };

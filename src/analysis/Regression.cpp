@@ -10,47 +10,10 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <unordered_map>
 
 namespace ev {
-
-const std::vector<RegressionRuleInfo> &regressionRules() {
-  static const std::vector<RegressionRuleInfo> Rules = {
-      {"EVL300", "exclusive-time-regression", Severity::Warning,
-       "a context's mean exclusive metric value grew past the absolute, "
-       "relative, and sigma thresholds"},
-      {"EVL301", "exclusive-time-improvement", Severity::Info,
-       "a context's mean exclusive metric value shrank past the thresholds"},
-      {"EVL302", "new-hot-path", Severity::Warning,
-       "a context absent from the base cohort holds a significant share of "
-       "the test cohort's total"},
-      {"EVL303", "disappeared-frame", Severity::Info,
-       "a context holding a significant share of the base cohort's total is "
-       "absent from the test cohort"},
-      {"EVL304", "inclusive-share-shift", Severity::Warning,
-       "a subtree's share of the cohort total grew by more than the share "
-       "threshold"},
-      {"EVL305", "fan-out-explosion", Severity::Warning,
-       "a context's child count multiplied between cohorts"},
-      {"EVL306", "allocation-drift", Severity::Warning,
-       "a bytes-unit metric drifted past the allocation thresholds"},
-      {"EVL307", "cohort-schema-mismatch", Severity::Error,
-       "the two cohorts disagree on the metric schema"},
-      {"EVL308", "total-regression", Severity::Warning,
-       "the whole-cohort mean total of a metric grew past the relative "
-       "threshold"},
-  };
-  return Rules;
-}
-
-const RegressionRuleInfo *findRegressionRule(std::string_view IdOrName) {
-  for (const RegressionRuleInfo &Rule : regressionRules())
-    if (Rule.Id == IdOrName || Rule.Name == IdOrName)
-      return &Rule;
-  return nullptr;
-}
 
 namespace {
 
@@ -89,7 +52,6 @@ FrameKey keyOf(const Profile &P, NodeId Id) {
 /// One finding plus its sort key; emitted into the DiagnosticSet only
 /// after the full walk so output order is independent of traversal.
 struct PendingFinding {
-  std::string_view RuleId;
   std::string Path;
   std::string Metric;
   Diagnostic D;
@@ -150,22 +112,11 @@ void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
     return;
 
   std::vector<PendingFinding> Pending;
-  auto Emit = [&](std::string_view RuleId, std::string Path,
-                  std::string Metric, std::string Message, std::string Hint,
-                  NodeId Node) {
-    const RegressionRuleInfo *Rule = findRegressionRule(RuleId);
-    assert(Rule && "unknown regression rule id");
-    if (!Opts.Filter.keeps(Rule->DefaultSev, Rule->Id, Rule->Name))
-      return;
-    Diagnostic D;
-    D.Id = std::string(Rule->Id);
-    D.Sev = Rule->DefaultSev;
-    D.Message = std::move(Message);
-    D.Rule = std::string(Rule->Name);
-    D.Hint = std::move(Hint);
-    D.Node = Node;
-    Pending.push_back(
-        {Rule->Id, std::move(Path), std::move(Metric), std::move(D)});
+  auto Emit = [&](RuleRef Rule, std::string Path, std::string Metric,
+                  std::string Message, std::string Hint, NodeId Node) {
+    if (std::optional<Diagnostic> D = Opts.Filter.diagnose(
+            Rule, std::move(Message), std::move(Hint), {.Node = Node}))
+      Pending.push_back({std::move(Path), std::move(Metric), std::move(*D)});
   };
 
   // Pair the metric schemas by name; disagreement is itself a finding
@@ -327,7 +278,7 @@ void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
     }
 
     // Pair the children by frame identity; unmatched children are the
-    // new-hot-path / disappeared-frame candidates.
+    // EVL302 / EVL303 candidates.
     std::unordered_map<FrameKey, NodeId, FrameKeyHash> BaseKids;
     BaseKids.reserve(FanB);
     for (NodeId Kid : BP.node(B).Children)
@@ -382,8 +333,8 @@ void RegressionAnalyzer::analyze(const CohortAccumulator &Base,
   // (stack, hash maps) must never leak into the output.
   std::sort(Pending.begin(), Pending.end(),
             [](const PendingFinding &A, const PendingFinding &B) {
-              if (A.RuleId != B.RuleId)
-                return A.RuleId < B.RuleId;
+              if (A.D.Id != B.D.Id)
+                return A.D.Id < B.D.Id;
               if (A.Path != B.Path)
                 return A.Path < B.Path;
               return A.Metric < B.Metric;

@@ -11,17 +11,8 @@
 /// isolation, the RegressionAnalyzer walks the base and test cohort
 /// accumulators (analysis/FleetAggregate.h) in lockstep — contexts paired
 /// by textual frame identity — and turns drift into the same Diagnostic
-/// currency the IDE problem pane and `evtool -Werror` already speak:
-///
-///   EVL300 exclusive-time-regression    mean exclusive value grew
-///   EVL301 exclusive-time-improvement   mean exclusive value shrank
-///   EVL302 new-hot-path                 context absent in base, hot in test
-///   EVL303 disappeared-frame            context hot in base, absent in test
-///   EVL304 inclusive-share-shift        subtree's share of total grew
-///   EVL305 fan-out-explosion            call-site fan-out multiplied
-///   EVL306 allocation-drift             bytes-unit metric drifted
-///   EVL307 cohort-schema-mismatch       metric schemas disagree
-///   EVL308 total-regression             whole-cohort total grew
+/// currency the IDE problem pane and `evtool -Werror` already speak. The
+/// rules are the EVL3xx rows of the rule table (analysis/RuleRegistry.h).
 ///
 /// A regression must clear three gates to fire: an absolute floor, a
 /// relative floor, and a statistical one (the delta must exceed
@@ -36,9 +27,8 @@
 #ifndef EASYVIEW_ANALYSIS_REGRESSION_H
 #define EASYVIEW_ANALYSIS_REGRESSION_H
 
-#include "analysis/Diagnostic.h"
-#include "analysis/RuleRegistry.h"
 #include "analysis/FleetAggregate.h"
+#include "analysis/RuleRegistry.h"
 #include "support/Limits.h"
 
 #include <string>
@@ -46,21 +36,6 @@
 #include <vector>
 
 namespace ev {
-
-/// Registry entry describing one regression rule.
-struct RegressionRuleInfo {
-  std::string_view Id;   ///< Stable id, e.g. "EVL300".
-  std::string_view Name; ///< Stable kebab-case name.
-  Severity DefaultSev;
-  std::string_view Description;
-};
-
-/// The full EVL3xx registry, in id order.
-const std::vector<RegressionRuleInfo> &regressionRules();
-
-/// Looks a rule up by id ("EVL300") or name ("exclusive-time-regression").
-/// \returns nullptr when unknown.
-const RegressionRuleInfo *findRegressionRule(std::string_view IdOrName);
 
 /// Configuration for a regression run. The numeric thresholds are the
 /// "configurable threshold" of the rule family: a delta only fires when it

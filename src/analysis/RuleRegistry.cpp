@@ -1,4 +1,4 @@
-//===- analysis/RuleRegistry.cpp - Unified analysis rule registry ---------===//
+//===- analysis/RuleRegistry.cpp - The analysis rule table ----------------===//
 //
 // Part of the EasyView reproduction. MIT licensed.
 //
@@ -6,53 +6,31 @@
 
 #include "analysis/RuleRegistry.h"
 
-#include "analysis/ProfileLint.h"
-#include "analysis/Regression.h"
-#include "analysis/Sema.h"
-
 namespace ev {
 
-bool RuleFilter::keeps(Severity Sev, std::string_view Id,
-                       std::string_view Name) const {
-  if (Sev < MinSeverity)
-    return false;
-  for (const std::string &Rule : Disabled)
-    if (Id == Rule || Name == Rule)
-      return false;
-  return true;
-}
-
-std::string_view ruleCategoryName(RuleCategory Category) {
-  switch (Category) {
-  case RuleCategory::Query:
-    return "query";
-  case RuleCategory::Lint:
-    return "lint";
-  case RuleCategory::Regression:
-    return "regression";
-  }
-  return "unknown";
-}
-
-const std::vector<RuleInfo> &allRules() {
-  static const std::vector<RuleInfo> Rules = [] {
-    std::vector<RuleInfo> Out;
-    for (const SemaCheckInfo &C : semaChecks())
-      Out.push_back({C.Id, C.Name, C.DefaultSev, C.Description,
-                     RuleCategory::Query});
-    for (const LintRuleInfo &R : lintRules())
-      Out.push_back(
-          {R.Id, R.Name, R.DefaultSev, R.Description, RuleCategory::Lint});
-    for (const RegressionRuleInfo &R : regressionRules())
-      Out.push_back({R.Id, R.Name, R.DefaultSev, R.Description,
-                     RuleCategory::Regression});
-    return Out;
-  }();
-  return Rules;
+std::optional<Diagnostic> RuleFilter::diagnose(RuleRef Rule,
+                                               std::string Message,
+                                               std::string Hint,
+                                               DiagnosticLocation At) const {
+  if (Rule->DefaultSev < MinSeverity)
+    return std::nullopt;
+  for (const std::string &Off : Disabled)
+    if (Rule->Id == Off || Rule->Name == Off)
+      return std::nullopt;
+  Diagnostic D;
+  D.Id = Rule->Id;
+  D.Sev = Rule->DefaultSev;
+  D.Message = std::move(Message);
+  D.Rule = Rule->Name;
+  D.Hint = std::move(Hint);
+  D.Line = At.Line;
+  D.Column = At.Column;
+  D.Node = At.Node;
+  return D;
 }
 
 const RuleInfo *findRule(std::string_view IdOrName) {
-  for (const RuleInfo &Rule : allRules())
+  for (const RuleInfo &Rule : AnalysisRules)
     if (Rule.Id == IdOrName || Rule.Name == IdOrName)
       return &Rule;
   return nullptr;
@@ -60,7 +38,7 @@ const RuleInfo *findRule(std::string_view IdOrName) {
 
 std::string renderRuleList() {
   std::string Out;
-  for (const RuleInfo &Rule : allRules()) {
+  for (const RuleInfo &Rule : AnalysisRules) {
     Out += std::string(Rule.Id) + "  " +
            std::string(severityName(Rule.DefaultSev)) + "  " +
            std::string(Rule.Name) + "\n    " +

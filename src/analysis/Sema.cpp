@@ -29,45 +29,6 @@ std::string_view semaTypeName(SemaType Type) {
   return "unknown";
 }
 
-const std::vector<SemaCheckInfo> &semaChecks() {
-  static const std::vector<SemaCheckInfo> Checks = {
-      {"EVQL001", "syntax-error", Severity::Error,
-       "the statement does not parse; recovery resumes at the next ';'"},
-      {"EVQL002", "undefined-identifier", Severity::Error,
-       "use of a name no 'let' statement binds"},
-      {"EVQL003", "unknown-builtin", Severity::Error,
-       "call target is not an EVQL builtin"},
-      {"EVQL004", "wrong-arity", Severity::Error,
-       "builtin called with the wrong number of arguments"},
-      {"EVQL005", "type-mismatch", Severity::Error,
-       "value of one type used where another is required"},
-      {"EVQL006", "unknown-metric", Severity::Error,
-       "metric name not present in the profile or derived earlier"},
-      {"EVQL007", "division-by-zero", Severity::Warning,
-       "'/' or '%' by a constant zero (EVQL defines the result as 0)"},
-      {"EVQL008", "constant-condition", Severity::Warning,
-       "condition folds to a compile-time constant"},
-      {"EVQL009", "unused-binding", Severity::Warning,
-       "'let' binding never referenced"},
-      {"EVQL010", "unreachable-code", Severity::Warning,
-       "statements after 'return' never execute"},
-      {"EVQL011", "node-context", Severity::Error,
-       "node builtin used outside derive/prune/keep"},
-      {"EVQL012", "expr-too-deep", Severity::Error,
-       "expression nesting exceeds AnalysisLimits::MaxExprDepth"},
-      {"EVQL013", "program-too-large", Severity::Error,
-       "source exceeds AnalysisLimits::MaxProgramBytes"},
-  };
-  return Checks;
-}
-
-const SemaCheckInfo *findSemaCheck(std::string_view IdOrName) {
-  for (const SemaCheckInfo &Check : semaChecks())
-    if (Check.Id == IdOrName || Check.Name == IdOrName)
-      return &Check;
-  return nullptr;
-}
-
 namespace {
 
 using evql::Expr;
@@ -153,12 +114,6 @@ std::string suggestFrom(std::string_view Name, const Range &Candidates,
   return "did you mean '" + std::string(Best) + "'?";
 }
 
-/// Adds \p D to \p Out unless \p Opts's rule filter drops it.
-void emit(const SemaOptions &Opts, DiagnosticSet &Out, Diagnostic D) {
-  if (Opts.Filter.keeps(D))
-    Out.add(std::move(D));
-}
-
 /// One checking run over one program.
 class Checker {
 public:
@@ -170,10 +125,9 @@ public:
     bool Returned = false;
     for (const Stmt &S : Prog.Statements) {
       if (Returned) {
-        report("EVQL010", Severity::Warning, S.Line, S.Column,
+        report("EVQL010", S.Line, S.Column,
                "unreachable statement: execution stops at the 'return' on "
                "line " + std::to_string(ReturnLine),
-               "unreachable-code",
                "remove the statement or move it before the 'return'");
         break; // One finding covers the whole dead tail.
       }
@@ -189,10 +143,10 @@ public:
       case Stmt::Kind::Derive: {
         ExprInfo V = checkExpr(*S.Value, /*NodeCtx=*/true, 0);
         if (V.Type == SemaType::String)
-          report("EVQL005", Severity::Error, S.Value->Line, S.Value->Column,
+          report("EVQL005", S.Value->Line, S.Value->Column,
                  "derived metric '" + S.Name +
                      "' must be a number, found a string",
-                 "type-mismatch", "wrap the formula in a numeric expression");
+                 "wrap the formula in a numeric expression");
         DerivedMetrics.push_back(S.Name);
         break;
       }
@@ -201,8 +155,8 @@ public:
         bool IsPrune = S.TheKind == Stmt::Kind::Prune;
         ExprInfo C = checkExpr(*S.Value, /*NodeCtx=*/true, 0);
         if (C.Type == SemaType::String)
-          report("EVQL005", Severity::Error, S.Value->Line, S.Value->Column,
-                 "expected a condition, found a string", "type-mismatch",
+          report("EVQL005", S.Value->Line, S.Value->Column,
+                 "expected a condition, found a string",
                  "compare the string with '==' or use contains()");
         std::optional<bool> T =
             C.Value ? C.Value->asCondition() : std::nullopt;
@@ -214,11 +168,10 @@ public:
           else
             Effect = *T ? "this statement has no effect"
                         : "this elides every node below the root";
-          report("EVQL008", Severity::Warning, S.Value->Line,
-                 S.Value->Column,
+          report("EVQL008", S.Value->Line, S.Value->Column,
                  std::string(IsPrune ? "'prune when'" : "'keep when'") +
                      " condition is always " + (*T ? "true" : "false"),
-                 "constant-condition", Effect);
+                 Effect);
         }
         break;
       }
@@ -236,10 +189,19 @@ public:
     for (const std::string &Name : BindingOrder) {
       const Binding &Slot = Bindings[Name];
       if (!Slot.Used)
-        report("EVQL009", Severity::Warning, Slot.Line, Slot.Column,
-               "unused binding '" + Name + "'", "unused-binding",
+        report("EVQL009", Slot.Line, Slot.Column,
+               "unused binding '" + Name + "'",
                "remove the 'let' or reference the binding");
     }
+  }
+
+  /// Adds \p Rule's finding at \p Line:\p Column unless the filter drops
+  /// it.
+  void report(RuleRef Rule, size_t Line, size_t Column, std::string Message,
+              std::string Hint = "") {
+    if (std::optional<Diagnostic> D = Opts.Filter.diagnose(
+            Rule, std::move(Message), std::move(Hint), {Line, Column}))
+      Out.add(std::move(*D));
   }
 
 private:
@@ -251,25 +213,13 @@ private:
     bool Used = false;
   };
 
-  void report(const char *Id, Severity Sev, size_t Line, size_t Column,
-              std::string Message, const char *Rule, std::string Hint) {
-    Diagnostic D;
-    D.Id = Id;
-    D.Sev = Sev;
-    D.Message = std::move(Message);
-    D.Rule = Rule;
-    D.Hint = std::move(Hint);
-    D.Line = Line;
-    D.Column = Column;
-    emit(Opts, Out, std::move(D));
-  }
 
   ExprInfo checkExpr(const Expr &E, bool NodeCtx, size_t Depth) {
     if (Depth >= Opts.Limits.MaxExprDepth) {
-      report("EVQL012", Severity::Error, E.Line, E.Column,
+      report("EVQL012", E.Line, E.Column,
              "expression nesting exceeds the analysis limit of " +
                  std::to_string(Opts.Limits.MaxExprDepth),
-             "expr-too-deep", "split the expression across 'let' bindings");
+             "split the expression across 'let' bindings");
       return {};
     }
     switch (E.TheKind) {
@@ -287,9 +237,8 @@ private:
                         [](const std::string &S) { return std::string_view(S); });
         if (Hint.empty() && evql::findBuiltin(E.Text))
           Hint = "'" + E.Text + "' is a builtin; call it: " + E.Text + "(...)";
-        report("EVQL002", Severity::Error, E.Line, E.Column,
-               "undefined identifier '" + E.Text + "'",
-               "undefined-identifier", std::move(Hint));
+        report("EVQL002", E.Line, E.Column,
+               "undefined identifier '" + E.Text + "'", std::move(Hint));
         return {};
       }
       It->second.Used = true;
@@ -311,11 +260,9 @@ private:
     ExprInfo V = checkExpr(*E.Operands[0], NodeCtx, Depth + 1);
     bool Minus = E.Op == TokenKind::Minus;
     if (V.Type == SemaType::String)
-      report("EVQL005", Severity::Error, E.Operands[0]->Line,
-             E.Operands[0]->Column,
+      report("EVQL005", E.Operands[0]->Line, E.Operands[0]->Column,
              Minus ? "cannot negate a string"
-                   : "expected a condition, found a string",
-             "type-mismatch", "");
+                   : "expected a condition, found a string");
     return {Minus ? SemaType::Number : SemaType::Bool,
             evql::foldUnary(E.Op, V.Value)};
   }
@@ -323,19 +270,16 @@ private:
   ExprInfo checkTernary(const Expr &E, bool NodeCtx, size_t Depth) {
     ExprInfo C = checkExpr(*E.Operands[0], NodeCtx, Depth + 1);
     if (C.Type == SemaType::String)
-      report("EVQL005", Severity::Error, E.Operands[0]->Line,
-             E.Operands[0]->Column,
-             "ternary condition cannot be a string", "type-mismatch", "");
+      report("EVQL005", E.Operands[0]->Line, E.Operands[0]->Column,
+             "ternary condition cannot be a string");
     ExprInfo Then = checkExpr(*E.Operands[1], NodeCtx, Depth + 1);
     ExprInfo Else = checkExpr(*E.Operands[2], NodeCtx, Depth + 1);
     std::optional<bool> Always =
         C.Value ? C.Value->asCondition() : std::nullopt;
     if (Always) {
-      report("EVQL008", Severity::Warning, E.Operands[0]->Line,
-             E.Operands[0]->Column,
+      report("EVQL008", E.Operands[0]->Line, E.Operands[0]->Column,
              std::string("ternary condition is always ") +
                  (*Always ? "true" : "false"),
-             "constant-condition",
              std::string("only the '") + (*Always ? "then" : "else") +
                  "' branch can execute");
       return *Always ? Then : Else;
@@ -350,10 +294,9 @@ private:
                : T == SemaType::Bool ? evql::VType::Bool
                                      : evql::VType::Str;
       };
-      report("EVQL005", Severity::Error, E.Line, E.Column,
+      report("EVQL005", E.Line, E.Column,
              evql::ternaryMismatch(EngineType(Then.Type),
                                    EngineType(Else.Type)),
-             "type-mismatch",
              "convert one branch, e.g. with str() or a comparison");
     }
     return {};
@@ -369,8 +312,8 @@ private:
         evql::foldBinary(E.Op, Lhs.Value, Rhs.Value);
 
     auto StringOperandError = [&](const Expr &Op) {
-      report("EVQL005", Severity::Error, Op.Line, Op.Column,
-             "string operand in numeric expression", "type-mismatch",
+      report("EVQL005", Op.Line, Op.Column,
+             "string operand in numeric expression",
              "convert with a comparison, or format numbers with str()/fmt()");
     };
 
@@ -378,11 +321,11 @@ private:
     case TokenKind::AmpAmp:
     case TokenKind::PipePipe:
       if (Lhs.Type == SemaType::String)
-        report("EVQL005", Severity::Error, L.Line, L.Column,
-               "expected a condition, found a string", "type-mismatch", "");
+        report("EVQL005", L.Line, L.Column,
+               "expected a condition, found a string");
       if (Rhs.Type == SemaType::String)
-        report("EVQL005", Severity::Error, R.Line, R.Column,
-               "expected a condition, found a string", "type-mismatch", "");
+        report("EVQL005", R.Line, R.Column,
+               "expected a condition, found a string");
       return {SemaType::Bool, Folded};
     case TokenKind::EqualEqual:
     case TokenKind::BangEqual:
@@ -419,11 +362,10 @@ private:
         StringOperandError(R);
       if ((E.Op == TokenKind::Slash || E.Op == TokenKind::Percent) &&
           Rhs.Value && Rhs.Value->asNumber() == 0.0)
-        report("EVQL007", Severity::Warning, R.Line, R.Column,
+        report("EVQL007", R.Line, R.Column,
                std::string("right operand of '") +
                    (E.Op == TokenKind::Slash ? "/" : "%") +
                    "' is the constant 0",
-               "division-by-zero",
                "EVQL defines x / 0 as 0; spell that out with ratio() if "
                "intended");
       return {SemaType::Number, Folded};
@@ -437,8 +379,7 @@ private:
     if (!B) {
       for (const evql::ExprPtr &Arg : E.Operands)
         checkExpr(*Arg, NodeCtx, Depth + 1);
-      report("EVQL003", Severity::Error, E.Line, E.Column,
-             "unknown builtin '" + E.Text + "'", "unknown-builtin",
+      report("EVQL003", E.Line, E.Column, "unknown builtin '" + E.Text + "'",
              suggestFrom(E.Text, evql::Builtins,
                          [](const evql::Builtin &B) { return B.Name; }));
       return {};
@@ -446,28 +387,25 @@ private:
     if (E.Operands.size() != B->Arity) {
       for (const evql::ExprPtr &Arg : E.Operands)
         checkExpr(*Arg, NodeCtx, Depth + 1);
-      report("EVQL004", Severity::Error, E.Line, E.Column,
+      report("EVQL004", E.Line, E.Column,
              "'" + E.Text + "' expects " + std::to_string(B->Arity) +
-                 " argument(s), got " + std::to_string(E.Operands.size()),
-             "wrong-arity", "");
+                 " argument(s), got " + std::to_string(E.Operands.size()));
       return {}; // Always fails at runtime, so it has no type to flow.
     }
     bool Misplaced = B->Where != evql::NodeUse::Anywhere && !NodeCtx;
     if (Misplaced)
-      report("EVQL011", Severity::Error, E.Line, E.Column,
-             "'" + E.Text + "()' needs a node context", "node-context",
+      report("EVQL011", E.Line, E.Column,
+             "'" + E.Text + "()' needs a node context",
              "use it inside 'derive', 'prune when', or 'keep when'");
     std::optional<evql::Const> Values[2];
     for (size_t I = 0; I < B->Arity; ++I) {
       ExprInfo Arg = checkExpr(*E.Operands[I], NodeCtx, Depth + 1);
       SemaType Want = semaType(B->Args[I]);
       if (!compatible(Arg.Type, Want))
-        report("EVQL005", Severity::Error, E.Operands[I]->Line,
-               E.Operands[I]->Column,
+        report("EVQL005", E.Operands[I]->Line, E.Operands[I]->Column,
                "argument " + std::to_string(I + 1) + " of '" + E.Text +
                    "' must be a " + std::string(semaTypeName(Want)) +
-                   ", found a " + std::string(semaTypeName(Arg.Type)),
-               "type-mismatch", "");
+                   ", found a " + std::string(semaTypeName(Arg.Type)));
       if (I == 0 && B->MetricArg && Arg.Value &&
           Arg.Value->T == evql::VType::Str && Opts.MetricSource)
         checkMetricName(Arg.Value->S, *E.Operands[0]);
@@ -501,8 +439,7 @@ private:
       if (P.metrics().empty())
         Hint = "";
     }
-    report("EVQL006", Severity::Error, At.Line, At.Column,
-           "unknown metric '" + Name + "'", "unknown-metric",
+    report("EVQL006", At.Line, At.Column, "unknown metric '" + Name + "'",
            std::move(Hint));
   }
 
@@ -521,31 +458,17 @@ void SemaChecker::check(const evql::Program &Prog, DiagnosticSet &Out) const {
 
 void SemaChecker::checkSource(std::string_view Source,
                               DiagnosticSet &Out) const {
+  Checker C(Opts, Out);
   if (std::optional<std::string> TooLarge =
           evql::programSizeError(Source, Opts.Limits)) {
-    Diagnostic D;
-    D.Id = "EVQL013";
-    D.Sev = Severity::Error;
-    D.Message = std::move(*TooLarge);
-    D.Rule = "program-too-large";
-    D.Line = 1;
-    D.Column = 1;
-    emit(Opts, Out, std::move(D));
+    C.report("EVQL013", 1, 1, std::move(*TooLarge));
     Out.markTruncated();
     return;
   }
   evql::RecoveredProgram Recovered = evql::parseProgramRecover(Source);
-  for (const evql::SyntaxError &E : Recovered.Errors) {
-    Diagnostic D;
-    D.Id = "EVQL001";
-    D.Sev = Severity::Error;
-    D.Message = E.Message;
-    D.Rule = "syntax-error";
-    D.Line = E.Line;
-    D.Column = E.Column;
-    emit(Opts, Out, std::move(D));
-  }
-  check(Recovered.Prog, Out);
+  for (const evql::SyntaxError &E : Recovered.Errors)
+    C.report("EVQL001", E.Line, E.Column, E.Message);
+  C.run(Recovered.Prog);
 }
 
 } // namespace ev

@@ -10,20 +10,9 @@
 /// parsed (or error-recovered) program and reports IDE-style findings with
 /// line:column spans and stable ids — without ever executing the program.
 ///
-/// Checks implemented (catalogued with examples in docs/ANALYSIS.md):
-///   EVQL001 syntax-error          parse failures (with statement recovery)
-///   EVQL002 undefined-identifier  use of a name with no 'let' binding
-///   EVQL003 unknown-builtin       call target is not a builtin
-///   EVQL004 wrong-arity           builtin called with wrong argument count
-///   EVQL005 type-mismatch         flow-insensitive type-lattice violations
-///   EVQL006 unknown-metric        metric name absent from the profile
-///   EVQL007 division-by-zero      '/' or '%' by a constant zero
-///   EVQL008 constant-condition    condition folds to always-true/false
-///   EVQL009 unused-binding        'let' binding never referenced
-///   EVQL010 unreachable-code      statements after 'return'
-///   EVQL011 node-context          node builtin outside derive/prune/keep
-///   EVQL012 expr-too-deep         nesting beyond AnalysisLimits
-///   EVQL013 program-too-large     source beyond AnalysisLimits
+/// Its checks are the EVQL0xx rows of the rule table
+/// (analysis/RuleRegistry.h); docs/ANALYSIS.md catalogues them with
+/// examples.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,21 +34,6 @@ enum class SemaType : uint8_t { Number, String, Bool, Unknown };
 
 /// \returns a stable lowercase name ("number", "string", ...).
 std::string_view semaTypeName(SemaType Type);
-
-/// Registry entry describing one semantic check.
-struct SemaCheckInfo {
-  std::string_view Id;   ///< Stable id, e.g. "EVQL002".
-  std::string_view Name; ///< Stable kebab-case name.
-  Severity DefaultSev;
-  std::string_view Description;
-};
-
-/// The full check registry, in id order.
-const std::vector<SemaCheckInfo> &semaChecks();
-
-/// Looks a check up by id ("EVQL005") or name ("type-mismatch").
-/// \returns nullptr when unknown.
-const SemaCheckInfo *findSemaCheck(std::string_view IdOrName);
 
 /// Configuration for a semantic check.
 struct SemaOptions {

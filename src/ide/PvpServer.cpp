@@ -881,7 +881,7 @@ Result<DiagnosticFilter> diagnosticFilter(const PvpServer::Args &A,
       !parseSeverity(A.str("minSeverity"), F.Rules.MinSeverity))
     return makeError(SeverityDiag);
   for (std::string_view Rule : A.names("disable")) {
-    // Names are validated against the UNIFIED registry, matching the
+    // Names are validated against the whole rule table, matching the
     // evtool subcommands: disabling another family's rule is accepted
     // (and inert), only typos are errors.
     if (!findRule(Rule))

@@ -19,8 +19,7 @@ namespace ev {
 SessionManager::SessionManager(Options Opts)
     : Opts(Opts), Store(std::make_shared<ProfileStore>()),
       Cache(std::make_shared<ViewCache>(Opts.Limits.MaxCachedViews)),
-      Dispatcher(Opts.Threads != 0 ? Opts.Threads
-                                   : std::max(1u, Opts.Sessions)) {
+      Dispatcher(std::max(1u, Opts.Sessions)) {
   unsigned Count = std::max(1u, Opts.Sessions);
   Sessions.reserve(Count);
   for (unsigned I = 0; I < Count; ++I) {

@@ -53,11 +53,10 @@ namespace ev {
 class SessionManager {
 public:
   struct Options {
-    /// Number of independent sessions to create.
+    /// Number of independent sessions to create. The shared dispatcher
+    /// gets one worker per session, so every session can be on-CPU at
+    /// once.
     unsigned Sessions = 4;
-    /// Worker threads in the shared dispatcher; 0 sizes it to the session
-    /// count (every session can be on-CPU at once).
-    unsigned Threads = 0;
     /// Guardrails applied to every session.
     ServerLimits Limits;
     /// Pending requests a single session may queue before new submissions

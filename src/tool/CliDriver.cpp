@@ -314,7 +314,7 @@ int reportDiagnostics(const DiagnosticSet &Diags, const std::string &Subject,
 }
 
 /// Shared `--min-severity` / `--disable` reading for check, lint, and
-/// regress. Disabled names are validated against the unified registry
+/// regress. Disabled names are validated against the rule table
 /// (analysis/RuleRegistry.h), so any family's rules are accepted by any
 /// subcommand and a typo is a usage error everywhere.
 /// \returns 0, or the exit code after reporting a malformed option.

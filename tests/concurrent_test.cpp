@@ -312,8 +312,9 @@ TEST(ConcurrentSessions, SharedStoreAllocatesGloballyUniqueIds) {
 
 TEST(ConcurrentSessions, PerSessionFifoOrderIsPreserved) {
   SessionManager::Options Opts;
-  Opts.Sessions = 1;
-  Opts.Threads = 4; // More workers than sessions: order must still hold.
+  // Four workers, all of session 0's requests on one strand: order must
+  // still hold with more workers than busy strands.
+  Opts.Sessions = 4;
   SessionManager M(Opts);
   std::string Bytes = writeEvProf(test::makeFixedProfile());
   // open must run before the flame that uses its id can be submitted, so

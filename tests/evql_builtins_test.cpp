@@ -9,14 +9,17 @@
 /// new row is covered without touching this file. For each row: a
 /// well-typed call is clean in the checker and the engine agrees with the
 /// oracle byte for byte; a call past its arity and a node builtin at top
-/// level fail alike in the checker, the engine and the oracle. A last test
-/// checks docs/EVQL.md "Builtins" lists exactly the rows, at their arity.
+/// level fail alike in the checker, the engine and the oracle. A docs test
+/// checks docs/EVQL.md "Builtins" lists exactly the rows, at their arity,
+/// and another checks the rule tables of docs/ANALYSIS.md against
+/// AnalysisRules, the one definition of every analysis rule.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "EvqlOracle.h"
 #include "TestHelpers.h"
 
+#include "analysis/RuleRegistry.h"
 #include "analysis/Sema.h"
 #include "proto/EvProf.h"
 #include "query/Compiler.h"
@@ -28,6 +31,7 @@
 #include <algorithm>
 #include <map>
 #include <regex>
+#include <sstream>
 #include <string>
 
 namespace ev {
@@ -169,6 +173,24 @@ TEST(EvqlBuiltinTable, DocsListEveryBuiltinAtItsArity) {
   for (const auto &[Name, Argc] : Documented)
     EXPECT_NE(evql::findBuiltin(Name), nullptr)
         << "docs/EVQL.md names '" << Name << "()', which is no builtin";
+}
+
+TEST(AnalysisRuleTable, DocsListEveryRuleInOrder) {
+  Result<std::string> Doc =
+      readFile(std::string(EASYVIEW_SOURCE_DIR) + "/docs/ANALYSIS.md");
+  ASSERT_TRUE(Doc.ok()) << Doc.error();
+  // Every table row whose first cell is a rule id, as "id name severity".
+  std::vector<std::string> Documented;
+  std::regex Row(R"(^\| *(EV[A-Z]*[0-9]+) *\| *([^ |]+) *\| *([^ |]+) *\|)");
+  std::istringstream Lines(*Doc);
+  for (std::string Line; std::getline(Lines, Line);)
+    if (std::smatch M; std::regex_search(Line, M, Row))
+      Documented.push_back(M[1].str() + " " + M[2].str() + " " + M[3].str());
+  std::vector<std::string> Table;
+  for (const RuleInfo &R : AnalysisRules)
+    Table.push_back(std::string(R.Id) + " " + std::string(R.Name) + " " +
+                    std::string(severityName(R.DefaultSev)));
+  EXPECT_EQ(Documented, Table);
 }
 
 } // namespace

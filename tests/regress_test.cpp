@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The differential-regression stack end to end: streaming cohort
-/// aggregation (Welford/Chan moments, heavy-hitter pruning, memory bound),
-/// the EVL3xx analyzer over the planted fleet workload (100% recall on
-/// plants, zero findings on the noise-only version pair), deterministic
-/// output across ingestion orders, the unified rule
-/// registry, `evtool regress`, and `pvp/regressions`.
+/// aggregation (Welford moments, heavy-hitter pruning, memory bound), the
+/// EVL3xx analyzer over the planted fleet workload (100% recall on plants,
+/// zero findings on the noise-only version pair), deterministic output
+/// across ingestion orders, the analysis rule table, `evtool regress`, and
+/// `pvp/regressions`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +31,7 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <map>
+#include <optional>
 
 using namespace ev;
 
@@ -43,27 +43,6 @@ CohortAccumulator cohortOf(const std::vector<Profile> &Profiles,
   for (const Profile &P : Profiles)
     Acc.add(P);
   return Acc;
-}
-
-/// Flattens an accumulator into path-keyed stats, so two accumulators can
-/// be compared independent of node-id assignment order.
-void flattenInto(const CohortAccumulator &Acc, NodeId Id, std::string Prefix,
-                 std::map<std::string, CohortNodeStats> &Out) {
-  const Profile &P = Acc.shape();
-  std::string Path = Prefix + "/" + std::string(P.nameOf(Id));
-  for (MetricId M = 0; M < P.metrics().size(); ++M) {
-    CohortNodeStats S = Acc.stats(Id, M);
-    if (S.Present > 0)
-      Out[Path + "#" + P.metrics()[M].Name] = S;
-  }
-  for (NodeId Kid : P.node(Id).Children)
-    flattenInto(Acc, Kid, Path, Out);
-}
-
-std::map<std::string, CohortNodeStats> flatten(const CohortAccumulator &A) {
-  std::map<std::string, CohortNodeStats> Out;
-  flattenInto(A, A.shape().root(), "", Out);
-  return Out;
 }
 
 std::string renderAll(const DiagnosticSet &Diags) {
@@ -121,37 +100,6 @@ TEST(RegressAggregate, StreamingStatsMatchDirectComputation) {
   // Inclusive column: root total = 10 + 20 + 3x5.
   std::vector<double> Incl = Acc.inclusiveSumColumn(0);
   EXPECT_NEAR(Incl[S.root()], 45.0, 1e-9);
-}
-
-TEST(RegressAggregate, PairwiseMergeMatchesSequentialIngestion) {
-  FleetAggregateOptions Unbounded;
-  Unbounded.NodeBudget = 0;
-
-  std::vector<Profile> Inputs;
-  for (uint64_t Seed = 100; Seed < 108; ++Seed)
-    Inputs.push_back(test::makeRandomProfile(Seed, 120));
-
-  CohortAccumulator Seq(Unbounded);
-  for (const Profile &P : Inputs)
-    Seq.add(P);
-
-  CohortAccumulator ShardA(Unbounded), ShardB(Unbounded);
-  for (size_t I = 0; I < Inputs.size(); ++I)
-    (I < Inputs.size() / 2 ? ShardA : ShardB).add(Inputs[I]);
-  ShardA.merge(ShardB);
-
-  EXPECT_EQ(Seq.profileCount(), ShardA.profileCount());
-  std::map<std::string, CohortNodeStats> A = flatten(Seq);
-  std::map<std::string, CohortNodeStats> B = flatten(ShardA);
-  ASSERT_EQ(A.size(), B.size());
-  for (const auto &[Key, SA] : A) {
-    ASSERT_TRUE(B.count(Key)) << Key;
-    const CohortNodeStats &SB = B[Key];
-    EXPECT_EQ(SA.Present, SB.Present) << Key;
-    EXPECT_NEAR(SA.Sum, SB.Sum, 1e-6 * (1.0 + std::fabs(SA.Sum))) << Key;
-    EXPECT_NEAR(SA.Mean, SB.Mean, 1e-6 * (1.0 + std::fabs(SA.Mean))) << Key;
-    EXPECT_NEAR(SA.Stddev, SB.Stddev, 1e-6 * (1.0 + SA.Stddev)) << Key;
-  }
 }
 
 TEST(RegressAggregate, PruneKeepsBudgetAndConservesTotals) {
@@ -363,15 +311,21 @@ TEST(RegressAnalyzer, GrowthFromAZeroBaseHasNoPercentage) {
 }
 
 //===----------------------------------------------------------------------===
-// Unified rule registry
+// The analysis rule table
 //===----------------------------------------------------------------------===
 
 TEST(RegressRules, RegistryUnifiesAllThreeFamilies) {
-  EXPECT_EQ(allRules().size(), semaChecks().size() + lintRules().size() +
-                                   regressionRules().size());
+  // 13 EVQL checks, 14 lints and 9 regression rules, each id and each
+  // name used once.
+  ASSERT_EQ(std::size(AnalysisRules), 36u);
+  for (size_t I = 0; I < std::size(AnalysisRules); ++I)
+    for (size_t J = 0; J < I; ++J) {
+      EXPECT_NE(AnalysisRules[I].Id, AnalysisRules[J].Id);
+      EXPECT_NE(AnalysisRules[I].Name, AnalysisRules[J].Name);
+    }
   const RuleInfo *ById = findRule("EVL300");
   ASSERT_NE(ById, nullptr);
-  EXPECT_EQ(ById->Category, RuleCategory::Regression);
+  EXPECT_EQ(ById->DefaultSev, Severity::Warning);
   const RuleInfo *ByName = findRule("exclusive-time-regression");
   ASSERT_NE(ByName, nullptr);
   EXPECT_EQ(ByName->Id, ById->Id);
@@ -379,11 +333,41 @@ TEST(RegressRules, RegistryUnifiesAllThreeFamilies) {
 
   // One listing covers every family.
   std::string Listing = renderRuleList();
-  EXPECT_NE(Listing.find("EVL300"), std::string::npos);
-  EXPECT_NE(Listing.find("EVQL"), std::string::npos);
-  for (const LintRuleInfo &Rule : lintRules())
+  for (const RuleInfo &Rule : AnalysisRules)
     EXPECT_NE(Listing.find(std::string(Rule.Id)), std::string::npos)
         << Rule.Id;
+}
+
+TEST(RegressRules, DiagnoseTakesIdNameAndSeverityFromTheRow) {
+  RuleFilter Keep;
+  std::optional<Diagnostic> D =
+      Keep.diagnose("EVL307", "schemas differ", "a hint", {.Node = 4});
+  ASSERT_TRUE(D);
+  EXPECT_EQ(D->Id, "EVL307");
+  EXPECT_EQ(D->Rule, "cohort-schema-mismatch");
+  EXPECT_EQ(D->Sev, Severity::Error);
+  EXPECT_EQ(D->Message, "schemas differ");
+  EXPECT_EQ(D->Hint, "a hint");
+  EXPECT_EQ(D->Node, 4u);
+  EXPECT_EQ(D->Line, 0u);
+  D = Keep.diagnose("EVQL009", "unused", "", {3, 7});
+  ASSERT_TRUE(D);
+  EXPECT_EQ(D->Sev, Severity::Warning);
+  EXPECT_EQ(D->Line, 3u);
+  EXPECT_EQ(D->Column, 7u);
+  EXPECT_EQ(D->Node, InvalidNode);
+
+  // Dropped below the threshold, and when disabled by id or by name.
+  RuleFilter ErrorsOnly;
+  ErrorsOnly.MinSeverity = Severity::Error;
+  EXPECT_FALSE(ErrorsOnly.diagnose("EVL301", "improved"));
+  EXPECT_TRUE(ErrorsOnly.diagnose("EVL307", "schemas differ"));
+  RuleFilter ById, ByName;
+  ById.Disabled = {"EVL205"};
+  ByName.Disabled = {"zero-metric-subtree"};
+  EXPECT_FALSE(ById.diagnose("EVL205", "empty subtree"));
+  EXPECT_FALSE(ByName.diagnose("EVL205", "empty subtree"));
+  EXPECT_TRUE(ByName.diagnose("EVL208", "dead frames"));
 }
 
 //===----------------------------------------------------------------------===

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace ev;
 
 namespace {
@@ -176,14 +178,18 @@ TEST(Diagnostic, SortBySourceOrdersBySpan) {
 //===----------------------------------------------------------------------===
 
 TEST(Sema, RegistryIsCompleteAndLookupWorks) {
-  EXPECT_EQ(semaChecks().size(), 13u);
-  const SemaCheckInfo *ById = findSemaCheck("EVQL005");
+  EXPECT_EQ(std::count_if(std::begin(AnalysisRules), std::end(AnalysisRules),
+                          [](const RuleInfo &R) {
+                            return R.Id.starts_with("EVQL");
+                          }),
+            13);
+  const RuleInfo *ById = findRule("EVQL005");
   ASSERT_NE(ById, nullptr);
   EXPECT_EQ(ById->Name, "type-mismatch");
-  const SemaCheckInfo *ByName = findSemaCheck("unused-binding");
+  const RuleInfo *ByName = findRule("unused-binding");
   ASSERT_NE(ByName, nullptr);
   EXPECT_EQ(ByName->Id, "EVQL009");
-  EXPECT_EQ(findSemaCheck("EVQL999"), nullptr);
+  EXPECT_EQ(findRule("EVQL999"), nullptr);
 }
 
 //===----------------------------------------------------------------------===
@@ -463,14 +469,18 @@ TEST(Sema, NoMetricSourceSkipsMetricCheck) {
 //===----------------------------------------------------------------------===
 
 TEST(ProfileLint, RegistryIsCompleteAndLookupWorks) {
-  EXPECT_EQ(lintRules().size(), 14u);
-  const LintRuleInfo *ById = findLintRule("EVL201");
+  EXPECT_EQ(std::count_if(std::begin(AnalysisRules), std::end(AnalysisRules),
+                          [](const RuleInfo &R) {
+                            return R.Id.starts_with("EVL1") ||
+                                   R.Id.starts_with("EVL2");
+                          }),
+            14);
+  const RuleInfo *ById = findRule("EVL201");
   ASSERT_NE(ById, nullptr);
   EXPECT_EQ(ById->Name, "exclusive-exceeds-inclusive");
-  const LintRuleInfo *ByName = findLintRule("duplicate-context-id");
+  const RuleInfo *ByName = findRule("duplicate-context-id");
   ASSERT_NE(ByName, nullptr);
   EXPECT_EQ(ByName->Id, "EVL204");
-  EXPECT_EQ(findLintRule("EVL999"), nullptr);
 }
 
 TEST(ProfileLint, CleanProfileProducesNoFindings) {

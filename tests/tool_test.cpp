@@ -474,7 +474,7 @@ TEST_F(ToolTest, LintListRulesAndRuleFilters) {
 
   EXPECT_EQ(run({"lint", Evprof, "--disable", "no-such-rule"}),
             ExitUsageError);
-  // Validation goes through the unified registry shared with check and
+  // Validation goes through the rule table shared with check and
   // regress, so the message no longer says "lint".
   EXPECT_NE(Err.find("unknown rule"), std::string::npos);
   EXPECT_EQ(run({"lint", Evprof, "--min-severity", "loud"}), ExitUsageError);

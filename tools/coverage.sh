@@ -8,10 +8,12 @@
 # Deletes the old counters, runs ctest in the build dir, then runs gcov over
 # every object of the easyview library and prints the lines executed and
 # the branches taken per src/ top-level directory, for all of src/, and for
-# ide/ViewCache.cpp. A line counts once however many objects instantiate it
-# (headers, inline functions). Branches are gcov's non-exception ones (not
-# `throw`), counted once per line and function: a branch is taken if any
-# object took it. Exits with ctest's status.
+# ide/ViewCache.cpp. Objects whose source no longer exists (left in the
+# build dir by a deleted file) are skipped. A line counts once however
+# many objects instantiate it (headers, inline functions). Branches are
+# gcov's non-exception ones (not `throw`), counted once per line and
+# function: a branch is taken if any object took it. Exits with ctest's
+# status.
 set -eu
 BUILD=$(cd "${1:-build-coverage}" && pwd)
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -33,6 +35,11 @@ branches = defaultdict(dict)
 for dirpath, _, names in os.walk(obj):
     for name in sorted(names):
         if not name.endswith(".gcno"):
+            continue
+        # An object whose source was deleted lingers in the build dir
+        # until a clean build; it no longer counts.
+        source = os.path.join(src, os.path.relpath(dirpath, obj), name[:-5])
+        if not os.path.exists(source):
             continue
         out = subprocess.run(
             ["gcov", "--branch-probabilities", "--stdout", "--json-format",
