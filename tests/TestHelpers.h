@@ -106,6 +106,22 @@ inline Profile makeRandomProfile(uint64_t Seed, size_t Paths = 200,
   return B.take();
 }
 
+/// A copy of \p P in which every value v reads v / 3 + 0.1: values that are
+/// not integers, so a sum of them depends on the order it adds them in.
+inline Profile withFractionalValues(const Profile &P) {
+  ProfileBuilder B(P.name());
+  std::vector<MetricId> Metrics = B.addMetrics(P);
+  std::vector<FrameId> Frames(P.frames().size());
+  for (FrameId F = 0; F < P.frames().size(); ++F)
+    Frames[F] = B.importFrame(P, F);
+  for (NodeId Id = 1; Id < P.nodeCount(); ++Id)
+    B.createNode(P.parents()[Id], Frames[P.frameRefs()[Id]]);
+  for (NodeId Id = 0; Id < P.nodeCount(); ++Id)
+    for (const MetricValue &MV : P.node(Id).Metrics)
+      B.appendValue(Id, {Metrics[MV.Metric], MV.Value / 3.0 + 0.1});
+  return B.take();
+}
+
 /// Canonical .evprof bytes of a profile that grows across \p Stages
 /// generations, with the *prefix property*: stage k+1's bytes extend stage
 /// k's byte-for-byte. The construction leans on the canonical field order

@@ -509,6 +509,17 @@ std::string pvpSession() {
   S.call("pvp/close", params({{"profile", R2}}));
   S.call("pvp/flame", params({{"profile", R2}}));
   S.call("pvp/close", params({{"profile", R2}}));
+
+  // Bottom-up flames: the default rect budget, a budget small enough to
+  // truncate the reply, and values that are not integers.
+  S.call("pvp/flame", params({{"profile", R1}, {"shape", "bottom-up"}}));
+  S.call("pvp/flame",
+         params({{"profile", Agg}, {"shape", "bottom-up"}, {"maxRects", 8}}));
+  int64_t Fractional = S.open(
+      "fractional.evprof",
+      writeEvProf(test::withFractionalValues(
+          test::makeRandomProfile(4, 60, 8, 12))));
+  S.call("pvp/flame", params({{"profile", Fractional}, {"shape", "bottom-up"}}));
   return std::move(S.Log);
 }
 
