@@ -8,7 +8,8 @@
 /// Regenerates Fig. 6: the bottom-up flame graph of LULESH's HPCToolkit
 /// CPUTIME profile, whose hot leaf is `brk` in libc reached from multiple
 /// memory-management call paths. Times the full pipeline (experiment.xml
-/// parse -> bottom-up transform -> layout).
+/// parse -> bottom-up transform -> layout), and the bottom-up flame as the
+/// views lay it out: straight from the caller groups, with no tree.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +54,15 @@ void bottomUpFlameLayout(benchmark::State &State) {
   }
 }
 BENCHMARK(bottomUpFlameLayout)->Unit(benchmark::kMicrosecond);
+
+void bottomUpFlame(benchmark::State &State) {
+  Profile P = workload::generateLuleshProfile({});
+  for (auto _ : State) {
+    FlameGraph G(CallersTree(P, 0));
+    benchmark::DoNotOptimize(G.rects().data());
+  }
+}
+BENCHMARK(bottomUpFlame)->Unit(benchmark::kMicrosecond);
 
 void printFigure() {
   std::string Xml = workload::generateLuleshExperimentXml({});

@@ -22,6 +22,7 @@
 #include "analysis/Transform.h"
 #include "ide/PvpServer.h"
 #include "proto/EvProf.h"
+#include "render/FlameLayout.h"
 #include "support/Trace.h"
 #include "workload/LuleshWorkload.h"
 #include "workload/SparkWorkload.h"
@@ -199,7 +200,7 @@ int main(int argc, char **argv) {
 
   Rss = bench::peakRssBytes();
   double FlameMs = timeMs(Reps, [&] {
-    Profile Up = bottomUpTree(Runs[0]);
+    FlameGraph Up(CallersTree(Runs[0], 0));
     (void)Up;
   });
   RssRow("flame-shape", FlameMs, Rss);
@@ -222,7 +223,7 @@ int main(int argc, char **argv) {
              WarmMs, CacheSpeedup);
 
   // Instrumentation-overhead ablation: the same pipeline
-  // (decode + aggregate + diff + flame shaping) with span retention on vs
+  // (decode + aggregate + diff + bottom-up flame) with span retention on vs
   // off. The delta is what self-profiling costs every request; the
   // acceptance bar is <= 5%.
   auto Pipeline = [&] {
@@ -234,7 +235,7 @@ int main(int argc, char **argv) {
     (void)Agg;
     DiffResult D = diffProfiles(Runs[0], Runs[1], 0);
     (void)D;
-    Profile Up = bottomUpTree(Runs[0]);
+    FlameGraph Up(CallersTree(Runs[0], 0));
     (void)Up;
   };
   const int AblateReps = Smoke ? 2 : 7;

@@ -61,31 +61,46 @@ struct CallerGroups {
   /// Stands for the output root where a shared node index is expected.
   static constexpr uint32_t Root = UINT32_MAX;
 
+  /// The output frame of each source frame, as importFrame interns it.
+  std::vector<FrameId> FrameMap;
+  /// Contexts that carry a non-zero metric, in id order.
+  std::vector<NodeId> Contributors;
   /// Shared nodes in level order: the first contributor passing through,
   /// the parent shared node and the output frame.
   std::vector<uint32_t> SharedFirst, SharedParent;
   std::vector<FrameId> SharedFrame;
   /// Per contributor: the shared node its tail hangs off (its leaf when
-  /// the tail is empty), and the source node the tail starts at (the
-  /// source root when it is empty).
+  /// the tail is empty), the source node the tail starts at (the source
+  /// root when it is empty) and the tail's node count.
   std::vector<uint32_t> Anchor;
   std::vector<NodeId> TailStart;
+  std::vector<uint32_t> TailLength;
+  /// The shared nodes contributor I reaches first are
+  /// ByFirst[FirstEnd[I]..FirstEnd[I + 1]), in level order.
+  std::vector<uint32_t> FirstEnd, ByFirst;
 };
 
-/// Groups \p Contributors level by level. Level k refines every group that
-/// still has two or more contributors climbing by the output frame of each
-/// one's k-th ancestor; a group with one contributor left climbing becomes
-/// a shared node plus that contributor's tail.
-CallerGroups groupCallers(const Profile &P,
-                          std::span<const NodeId> Contributors,
-                          std::span<const FrameId> FrameMap,
-                          size_t OutFrames, const CancelToken &Cancel) {
-  trace::Span Span("analysis/bottomUpTree.group", "analysis");
+/// Imports the frames of \p P into \p Out and groups the contributors level
+/// by level. Level k refines every group that still has two or more
+/// contributors climbing by the output frame of each one's k-th ancestor;
+/// a group with one contributor left climbing becomes a shared node plus
+/// that contributor's tail.
+CallerGroups groupCallers(const Profile &P, ProfileBuilder &Out,
+                          const CancelToken &Cancel) {
+  trace::Span Span("analysis/callerGroups", "analysis");
+  CallerGroups G;
+  G.FrameMap.resize(P.frames().size());
+  for (FrameId I = 0; I < P.frames().size(); ++I)
+    G.FrameMap[I] = Out.importFrame(P, I);
+  for (NodeId Id = 1; Id < P.nodeCount(); ++Id)
+    if (contributes(P.node(Id)))
+      G.Contributors.push_back(Id);
+
   std::span<const NodeId> Parents = P.parents();
   std::span<const FrameId> FrameRefs = P.frameRefs();
-  CallerGroups G;
-  G.Anchor.assign(Contributors.size(), CallerGroups::Root);
-  G.TailStart.assign(Contributors.size(), P.root());
+  size_t Count = G.Contributors.size();
+  G.Anchor.assign(Count, CallerGroups::Root);
+  G.TailStart.assign(Count, P.root());
 
   // A group's members sit contiguously in contributor order, each with
   // its source node at the current level.
@@ -112,18 +127,18 @@ CallerGroups groupCallers(const Profile &P,
     uint32_t Stamp = 0;
     uint32_t Subgroup = 0;
   };
-  std::vector<Slot> Slots(OutFrames);
+  std::vector<Slot> Slots(Out.frameCount());
   uint32_t Stamp = 0;
 
   // Both member arrays hold every contributor: a level never has more
   // members than the one before.
-  std::vector<Member> Active(Contributors.size()), Next(Contributors.size());
-  for (uint32_t I = 0; I < Contributors.size(); ++I)
-    Active[I] = {I, Contributors[I]};
-  std::vector<Group> Groups{{0, static_cast<uint32_t>(Active.size()),
-                             CallerGroups::Root}},
+  std::vector<Member> Active(Count), Next(Count);
+  for (uint32_t I = 0; I < Count; ++I)
+    Active[I] = {I, G.Contributors[I]};
+  std::vector<Group> Groups{
+      {0, static_cast<uint32_t>(Count), CallerGroups::Root}},
       NextGroups;
-  std::vector<uint32_t> SubgroupOf(Active.size());
+  std::vector<uint32_t> SubgroupOf(Count);
   std::vector<Subgroup> Subs;
   while (!Groups.empty()) {
     Cancel.checkpoint();
@@ -133,7 +148,7 @@ CallerGroups groupCallers(const Profile &P,
       Subs.clear();
       for (uint32_t I = Parent.Begin; I < Parent.End; ++I) {
         const Member &M = Active[I];
-        FrameId F = FrameMap[FrameRefs[M.At]];
+        FrameId F = G.FrameMap[FrameRefs[M.At]];
         Slot &S = Slots[F];
         if (S.Stamp != Stamp) {
           S = {Stamp, static_cast<uint32_t>(Subs.size())};
@@ -178,6 +193,22 @@ CallerGroups groupCallers(const Profile &P,
     std::swap(Groups, NextGroups);
     NextGroups.clear();
   }
+
+  // Bucket the shared nodes by first contributor; indices grow level by
+  // level, so each bucket is in level order.
+  G.FirstEnd.assign(Count + 1, 0);
+  for (uint32_t First : G.SharedFirst)
+    ++G.FirstEnd[First + 1];
+  for (size_t I = 1; I <= Count; ++I)
+    G.FirstEnd[I] += G.FirstEnd[I - 1];
+  G.ByFirst.resize(G.SharedFirst.size());
+  std::vector<uint32_t> Fill(G.FirstEnd.begin(), G.FirstEnd.end() - 1);
+  for (uint32_t S = 0; S < G.SharedFirst.size(); ++S)
+    G.ByFirst[Fill[G.SharedFirst[S]]++] = S;
+  std::vector<uint32_t> Depths = depthsFromParents(Parents);
+  G.TailLength.resize(Count);
+  for (uint32_t I = 0; I < Count; ++I)
+    G.TailLength[I] = Depths[G.TailStart[I]];
   return G;
 }
 
@@ -187,61 +218,37 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/bottomUpTree", "analysis");
   ProfileBuilder Out(P.name() + " (bottom-up)");
   std::vector<MetricId> MetricMap = Out.addMetrics(P);
-  std::vector<FrameId> FrameMap(P.frames().size());
-  for (FrameId I = 0; I < P.frames().size(); ++I)
-    FrameMap[I] = Out.importFrame(P, I);
-
-  // Contexts that carry a non-zero metric, in id order.
-  std::vector<NodeId> Contributors;
-  for (NodeId Id = 1; Id < P.nodeCount(); ++Id)
-    if (contributes(P.node(Id)))
-      Contributors.push_back(Id);
-  CallerGroups G =
-      groupCallers(P, Contributors, FrameMap, Out.frameCount(), Cancel);
+  CallerGroups G = groupCallers(P, Out, Cancel);
 
   {
     trace::Span Emit("analysis/bottomUpTree.emit", "analysis");
     // Merging reversed paths one contributor at a time creates nodes in
     // (first contributor, depth) order: a contributor's new shared nodes
     // in level order, then its tail. Emitting in that order keeps the node
-    // ids and bytes of that merge (tests/BottomUpOracle.cpp), so bucket
-    // the shared nodes by first contributor.
-    size_t SharedCount = G.SharedFrame.size();
-    std::vector<uint32_t> BucketEnd(Contributors.size() + 1, 0);
-    for (uint32_t First : G.SharedFirst)
-      ++BucketEnd[First + 1];
-    for (size_t I = 1; I < BucketEnd.size(); ++I)
-      BucketEnd[I] += BucketEnd[I - 1];
-    std::vector<uint32_t> ByFirst(SharedCount);
-    {
-      std::vector<uint32_t> Fill(BucketEnd.begin(), BucketEnd.end() - 1);
-      for (uint32_t S = 0; S < SharedCount; ++S)
-        ByFirst[Fill[G.SharedFirst[S]]++] = S;
-    }
-    std::vector<uint32_t> Depths = depthsFromParents(P.parents());
+    // ids and bytes of that merge (tests/BottomUpOracle.cpp).
     size_t TailNodes = 0;
-    for (NodeId Start : G.TailStart)
-      TailNodes += Depths[Start];
-    Out.reserve(SharedCount + TailNodes, 0);
+    for (uint32_t Length : G.TailLength)
+      TailNodes += Length;
+    Out.reserve(G.SharedFrame.size() + TailNodes, 0);
 
     std::span<const NodeId> Parents = P.parents();
     std::span<const FrameId> FrameRefs = P.frameRefs();
-    std::vector<NodeId> SharedNode(SharedCount);
+    std::vector<NodeId> SharedNode(G.SharedFrame.size());
     auto OutNode = [&](uint32_t Shared) {
       return Shared == CallerGroups::Root ? Out.root() : SharedNode[Shared];
     };
-    for (uint32_t I = 0; I < Contributors.size(); ++I) {
+    for (uint32_t I = 0; I < G.Contributors.size(); ++I) {
       if ((I & 1023) == 0)
         Cancel.checkpoint();
-      for (uint32_t B = BucketEnd[I]; B < BucketEnd[I + 1]; ++B) {
-        uint32_t S = ByFirst[B];
+      for (uint32_t B = G.FirstEnd[I]; B < G.FirstEnd[I + 1]; ++B) {
+        uint32_t S = G.ByFirst[B];
         SharedNode[S] =
             Out.createNode(OutNode(G.SharedParent[S]), G.SharedFrame[S]);
       }
       NodeId Leaf = OutNode(G.Anchor[I]);
       for (NodeId At = G.TailStart[I]; At != P.root(); At = Parents[At])
-        Leaf = Out.createNode(Leaf, FrameMap[FrameRefs[At]]);
-      for (const MetricValue &MV : P.node(Contributors[I]).Metrics)
+        Leaf = Out.createNode(Leaf, G.FrameMap[FrameRefs[At]]);
+      for (const MetricValue &MV : P.node(G.Contributors[I]).Metrics)
         Out.addValue(Leaf, MetricMap[MV.Metric], MV.Value);
     }
   }
@@ -249,15 +256,129 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
   return Out.take();
 }
 
-std::optional<Profile> flameShape(const Profile &P, std::string_view Shape,
-                                  const CancelToken &Cancel) {
-  if (Shape == "top-down")
-    return P;
-  if (Shape == "bottom-up")
-    return bottomUpTree(P, Cancel);
-  if (Shape == "flat")
-    return flatTree(P, Cancel);
-  return std::nullopt;
+CallersTree::CallersTree(const Profile &P, MetricId Metric,
+                         const CancelToken &Cancel)
+    : P(&P), Metric(Metric) {
+  trace::Span Span("analysis/callersTree", "analysis");
+  // Frames are interned as bottomUpTree interns them, so grouping merges
+  // the same texts. The lowest source frame of each output frame stands
+  // for it; a profile's frame 0 is the root frame every builder starts
+  // with, so it stands for the root's.
+  CallerGroups G;
+  std::vector<FrameId> SourceFrame;
+  {
+    ProfileBuilder Frames;
+    G = groupCallers(P, Frames, Cancel);
+    SourceFrame.resize(Frames.frameCount());
+    for (FrameId F = static_cast<FrameId>(P.frames().size()); F-- > 0;)
+      SourceFrame[G.FrameMap[F]] = F;
+  }
+  trace::Span Values("analysis/callersTree.values", "analysis");
+  uint32_t Count = static_cast<uint32_t>(G.Contributors.size());
+  size_t SharedCount = G.SharedFrame.size();
+
+  // Node ids as bottomUpTree's emit loop hands them out: contributor I's
+  // new shared nodes in level order, then its tail.
+  std::vector<NodeId> SharedId(SharedCount), TailId(Count);
+  NodeId NextId = 1;
+  for (uint32_t I = 0; I < Count; ++I) {
+    for (uint32_t B = G.FirstEnd[I]; B < G.FirstEnd[I + 1]; ++B)
+      SharedId[G.ByFirst[B]] = NextId++;
+    TailId[I] = NextId;
+    NextId += G.TailLength[I];
+  }
+
+  // Exclusive values, added in contributor order as addValue adds them:
+  // the first value is kept as is, later ones are added to it. A tail's
+  // last node holds its contributor's values; a shared node holds those of
+  // the contributors whose path ends there.
+  std::vector<double> SharedValue(SharedCount, 0.0);
+  std::vector<uint8_t> SharedHas(SharedCount, 0);
+  TailValue.assign(Count, 0.0);
+  for (uint32_t I = 0; I < Count; ++I) {
+    if ((I & 1023) == 0)
+      Cancel.checkpoint();
+    uint8_t TailHas = 0;
+    bool InTail = G.TailLength[I] != 0;
+    double &Sum = InTail ? TailValue[I] : SharedValue[G.Anchor[I]];
+    uint8_t &Has = InTail ? TailHas : SharedHas[G.Anchor[I]];
+    for (const MetricValue &MV : P.node(G.Contributors[I]).Metrics)
+      if (MV.Metric == Metric) {
+        Sum = Has ? Sum + MV.Value : MV.Value;
+        Has = 1;
+      }
+  }
+
+  // Inclusive values as inclusiveColumn sums them: the exclusive value,
+  // then the children in descending id order. Contributors in reverse,
+  // each one's tail before its new shared nodes and those deepest first,
+  // visit the nodes in that order.
+  auto InclusiveOf = [&](uint32_t Shared) -> double & {
+    return Shared == Root ? Total : SharedValue[Shared];
+  };
+  for (uint32_t I = Count; I-- > 0;) {
+    if ((I & 1023) == 0)
+      Cancel.checkpoint();
+    if (G.TailLength[I] != 0)
+      InclusiveOf(G.Anchor[I]) +=
+          tailNode(I, G.TailStart[I], TailId[I]).Value;
+    for (uint32_t B = G.FirstEnd[I + 1]; B-- > G.FirstEnd[I];) {
+      uint32_t S = G.ByFirst[B];
+      InclusiveOf(G.SharedParent[S]) += SharedValue[S];
+    }
+  }
+
+  // Child lists in id order: a shared node's children are the shared nodes
+  // whose parent it is and the first tail node of each contributor
+  // anchored at it.
+  auto SlotOf = [](uint32_t Shared) {
+    return Shared == Root ? 0 : Shared + 1;
+  };
+  KidsEnd.assign(SharedCount + 2, 0);
+  for (uint32_t Parent : G.SharedParent)
+    ++KidsEnd[SlotOf(Parent) + 1];
+  for (uint32_t I = 0; I < Count; ++I)
+    if (G.TailLength[I] != 0)
+      ++KidsEnd[SlotOf(G.Anchor[I]) + 1];
+  for (size_t S = 1; S < KidsEnd.size(); ++S)
+    KidsEnd[S] += KidsEnd[S - 1];
+  Kids.resize(KidsEnd.back());
+  std::vector<uint32_t> Fill(KidsEnd.begin(), KidsEnd.end() - 1);
+  for (uint32_t I = 0; I < Count; ++I) {
+    for (uint32_t B = G.FirstEnd[I]; B < G.FirstEnd[I + 1]; ++B) {
+      uint32_t S = G.ByFirst[B];
+      Kids[Fill[SlotOf(G.SharedParent[S])]++] = {
+          SharedId[S], SourceFrame[G.SharedFrame[S]], SharedValue[S], S,
+          InvalidNode};
+    }
+    if (G.TailLength[I] != 0)
+      Kids[Fill[SlotOf(G.Anchor[I])]++] =
+          tailNode(I, G.TailStart[I], TailId[I]);
+  }
+}
+
+CallersTree::Node CallersTree::root() const {
+  return {P->root(), 0, Total, Root, InvalidNode};
+}
+
+CallersTree::Node CallersTree::tailNode(uint32_t Contributor, NodeId At,
+                                        NodeId Id) const {
+  // Only a tail's last node holds a value; the nodes above it add it to
+  // their own exclusive 0.
+  double Value = TailValue[Contributor];
+  if (P->parents()[At] != P->root())
+    Value = 0.0 + Value;
+  return {Id, P->frameRefs()[At], Value, Contributor, At};
+}
+
+void CallersTree::children(const Node &N, std::vector<Node> &Out) const {
+  Out.clear();
+  if (N.At == InvalidNode) {
+    uint32_t Slot = N.Index == Root ? 0 : N.Index + 1;
+    Out.assign(Kids.begin() + KidsEnd[Slot], Kids.begin() + KidsEnd[Slot + 1]);
+  } else if (NodeId Up = P->parents()[N.At]; Up != P->root()) {
+    Out.push_back(tailNode(N.Index, Up, N.Id + 1));
+  }
 }
 
 Profile flatTree(const Profile &P, const CancelToken &Cancel) {

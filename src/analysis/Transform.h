@@ -28,8 +28,8 @@
 #include "profile/Profile.h"
 #include "support/Cancel.h"
 
-#include <optional>
-#include <string_view>
+#include <cstdint>
+#include <vector>
 
 namespace ev {
 
@@ -45,20 +45,59 @@ Profile topDownTree(const Profile &P, const CancelToken &Cancel = {});
 /// value, its reversed call path (leaf frame outermost) is inserted and the
 /// exclusive value attributed along it. The first tree level therefore
 /// aggregates each function's total exclusive cost across all call paths.
+/// It serves callers that keep the tree (pvp/transform); a flame graph of
+/// it is laid out from a CallersTree, which creates no node.
 Profile bottomUpTree(const Profile &P, const CancelToken &Cancel = {});
+
+/// The bottom-up tree of one metric of \p P, read straight off the caller
+/// groups bottomUpTree emits its nodes from. A flame graph shows a few
+/// thousand of that tree's nodes, while the tree can have ten times the
+/// source's, so none is created here. Node ids, inclusive values (bit for
+/// bit) and child order are those of the tree bottomUpTree builds; a
+/// node's frame is a frame of \p P with the texts of the tree's frame.
+class CallersTree {
+public:
+  CallersTree(const Profile &P, MetricId Metric,
+              const CancelToken &Cancel = {});
+
+  /// A node of the tree: the root, a shared caller node, or a node of one
+  /// contributor's unshared tail.
+  struct Node {
+    NodeId Id;      ///< Its id in the tree bottomUpTree builds.
+    FrameId Frame;  ///< Its frame, a frame of profile().
+    double Value;   ///< Its inclusive value of metric().
+    uint32_t Index; ///< The shared node (Root for the root) or, in a tail,
+                    ///< the contributor.
+    NodeId At;      ///< In a tail, the source node it reverses; else
+                    ///< InvalidNode.
+  };
+
+  const Profile &profile() const { return *P; }
+  MetricId metric() const { return Metric; }
+  Node root() const;
+  /// Replaces \p Out with the children of \p N in id order.
+  void children(const Node &N, std::vector<Node> &Out) const;
+
+private:
+  static constexpr uint32_t Root = UINT32_MAX;
+  Node tailNode(uint32_t Contributor, NodeId At, NodeId Id) const;
+
+  const Profile *P;
+  MetricId Metric;
+  double Total = 0.0;
+  /// The children of the root (slot 0) and of shared node S (slot S + 1)
+  /// are Kids[KidsEnd[Slot]..KidsEnd[Slot + 1]), in id order.
+  std::vector<uint32_t> KidsEnd;
+  std::vector<Node> Kids;
+  /// Per contributor: the exclusive value of the last node of its tail.
+  std::vector<double> TailValue;
+};
 
 /// Builds the flat tree with hierarchy: root -> load module -> file ->
 /// function. Exclusive values sum per function. For each input metric an
 /// additional "<name> (inclusive)" column records the call-path-aware
 /// inclusive sum per function (recursion counted once).
 Profile flatTree(const Profile &P, const CancelToken &Cancel = {});
-
-/// The tree a flame view of shape \p Shape draws: "top-down" is \p P
-/// itself (the copy shares its block), "bottom-up" and "flat" are the
-/// transforms above. \returns nullopt for any other shape name; callers
-/// word the error themselves.
-std::optional<Profile> flameShape(const Profile &P, std::string_view Shape,
-                                  const CancelToken &Cancel = {});
 
 /// Merges chains of the same frame along call paths, collapsing direct
 /// self-recursion into a single context (paper §V-A(a): "collapsing deep

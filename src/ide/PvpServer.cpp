@@ -522,16 +522,19 @@ std::vector<json::Value> PvpServer::takeNotifications() {
 }
 
 Result<ViewTable> PvpServer::doFlame(const Args &A) {
-  // Shape transforms produce a temporary tree; the geometry refers to it,
-  // so node ids in the reply are resolved back to names eagerly.
+  // The flat shape lays out a temporary flat tree, which adds inclusive
+  // columns, so the metric resolves in it. The bottom-up shape lays out
+  // the profile's callers tree and builds no tree.
   std::string_view Shape = A.str("shape", "top-down");
-  std::optional<Profile> View = flameShape(A.profile(), Shape, ActiveCancel);
-  if (!View)
+  bool BottomUp = Shape == "bottom-up";
+  std::optional<Profile> Flat;
+  if (Shape == "flat")
+    Flat = flatTree(A.profile(), ActiveCancel);
+  else if (!BottomUp && Shape != "top-down")
     return makeError("unknown shape '" + std::string(Shape) +
                      "' (top-down, bottom-up, flat)");
-  // The flat shape adds inclusive columns, so the metric resolves in the
-  // view.
-  Result<MetricId> Metric = A.metricIn(*View);
+  const Profile &View = Flat ? *Flat : A.profile();
+  Result<MetricId> Metric = A.metricIn(View);
   if (!Metric)
     return makeError(Metric.error());
 
@@ -540,7 +543,9 @@ Result<ViewTable> PvpServer::doFlame(const Args &A) {
   size_t MaxRects = std::min(static_cast<size_t>(A.id("maxRects", 4096)),
                              Limits.MaxFlameRects);
 
-  FlameGraph Graph(*View, *Metric);
+  FlameGraph Graph = BottomUp
+                         ? FlameGraph(CallersTree(View, *Metric, ActiveCancel))
+                         : FlameGraph(View, *Metric);
   size_t Kept = std::min(Graph.rects().size(), MaxRects);
   ViewTable Out(ViewKind::Flame);
   Out.addScalar("total", Graph.totalValue());
@@ -556,7 +561,7 @@ Result<ViewTable> PvpServer::doFlame(const Args &A) {
         return makeError(DeadlineDiag);
     }
     const FlameRect &R = Graph.rects()[I];
-    Out.addRow(R.Node, R.Depth, R.X, R.Width, R.Value, View->nameOf(R.Node),
+    Out.addRow(R.Node, R.Depth, R.X, R.Width, R.Value, Graph.nameOf(R),
                toHexColor(R.Color));
   }
   return Out;
@@ -757,15 +762,17 @@ Result<json::Value> PvpServer::doQuery(const Args &A) {
 Result<json::Value> PvpServer::doTransform(const Args &A) {
   const Profile &P = A.profile();
   std::string_view Shape = A.str("shape");
-  // A materialized top-down tree is a fresh copy (flameShape() would
-  // share the block); the other view shapes are the flame ones.
+  // A materialized top-down tree is a fresh copy, not a second handle on
+  // the profile's block.
   std::optional<Profile> Shaped;
   if (Shape == "top-down")
     Shaped = topDownTree(P, ActiveCancel);
+  else if (Shape == "bottom-up")
+    Shaped = bottomUpTree(P, ActiveCancel);
+  else if (Shape == "flat")
+    Shaped = flatTree(P, ActiveCancel);
   else if (Shape == "collapse-recursion")
     Shaped = collapseRecursion(P, ActiveCancel);
-  else
-    Shaped = flameShape(P, Shape, ActiveCancel);
   if (!Shaped)
     return makeError("unknown shape '" + std::string(Shape) + "'");
 

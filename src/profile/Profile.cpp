@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <unordered_set>
 
 namespace ev {
 
@@ -502,11 +503,22 @@ Result<bool> validateBlock(const Profile::Header &H, const char *B) {
   if (stringAt(StrOff, StrChars, 0) != "" ||
       stringAt(StrOff, StrChars, 1) != "ROOT")
     return Fail("canonical strings missing");
-  if (Frames[0].Kind != FrameKind::Root || Frames[0].Name != 1)
+  Frame RootFrame;
+  RootFrame.Kind = FrameKind::Root;
+  RootFrame.Name = 1;
+  if (Frames[0] != RootFrame)
     return Fail("frame 0 is not the canonical root frame");
-  for (uint64_t I = 0; I < H.Metrics; ++I)
+  // Metric names are unique, as ProfileBuilder::addMetric keeps them: a
+  // transform's copy of the schema keeps every id.
+  const uint32_t *SchemaOff = columnAt<uint32_t>(B, L.SchemaOff);
+  const char *SchemaChars = columnAt<char>(B, L.SchemaChars);
+  std::unordered_set<std::string_view> MetricNames;
+  for (uint64_t I = 0; I < H.Metrics; ++I) {
     if (Aggs[I] > static_cast<uint8_t>(MetricAggregation::Last))
       return Fail("unknown metric aggregation");
+    if (!MetricNames.insert(stringAt(SchemaOff, SchemaChars, 2 * I)).second)
+      return Fail("duplicate metric name");
+  }
 
   const uint32_t *GrKinds = columnAt<uint32_t>(B, L.GroupKinds);
   const uint32_t *GrMetrics = columnAt<uint32_t>(B, L.GroupMetrics);

@@ -13,7 +13,6 @@
 namespace ev {
 
 std::string renderAnsi(const FlameGraph &Graph, const AnsiOptions &Options) {
-  const Profile &P = Graph.profile();
   unsigned Cols = std::max(10u, Options.Columns);
 
   // Paint rows as character cells; each cell remembers its rect index.
@@ -44,7 +43,7 @@ std::string renderAnsi(const FlameGraph &Graph, const AnsiOptions &Options) {
         if (Idx == FlameGraph::npos) {
           Label.clear();
         } else {
-          Label = std::string(P.nameOf(Rects[Idx].Node));
+          Label = std::string(Graph.nameOf(Rects[Idx]));
         }
         LabelPos = 0;
         if (Options.Color) {

@@ -13,64 +13,101 @@
 
 namespace ev {
 
+namespace {
+
+/// A profile as the tree it lays out: its own node ids and frames.
+class ProfileTree {
+public:
+  struct Node {
+    NodeId Id;
+    FrameId Frame;
+    double Value; ///< Inclusive.
+  };
+
+  ProfileTree(const Profile &P, MetricId Metric)
+      : P(P), Inclusive(inclusiveColumn(P, Metric)) {}
+
+  Node root() const { return node(P.root()); }
+  void children(const Node &N, std::vector<Node> &Out) const {
+    Out.clear();
+    for (NodeId Child : P.node(N.Id).Children)
+      Out.push_back(node(Child));
+  }
+
+private:
+  Node node(NodeId Id) const { return {Id, P.frameRefs()[Id], Inclusive[Id]}; }
+
+  const Profile &P;
+  std::vector<double> Inclusive;
+};
+
+} // namespace
+
 FlameGraph::FlameGraph(const Profile &P, MetricId Metric,
                        FlameLayoutOptions Options)
     : P(&P), Metric(Metric), Options(Options) {
   trace::Span Span("render/flameLayout", "render");
-  std::vector<double> Inclusive = inclusiveColumn(P, Metric);
-  Total = Inclusive.empty() ? 0.0 : Inclusive[0];
+  layout(ProfileTree(P, Metric));
+}
+
+FlameGraph::FlameGraph(const CallersTree &Tree, FlameLayoutOptions Options)
+    : P(&Tree.profile()), Metric(Tree.metric()), Options(Options) {
+  trace::Span Span("render/flameLayout", "render");
+  layout(Tree);
+}
+
+template <typename Tree> void FlameGraph::layout(const Tree &T) {
+  using Node = typename Tree::Node;
+  Node Root = T.root();
+  Total = Root.Value;
   if (Total <= 0.0)
     return;
 
   struct WorkItem {
-    NodeId Node;
+    Node N;
     unsigned Depth;
     double X;
   };
-  std::vector<WorkItem> Stack{{P.root(), 0, 0.0}};
-  std::vector<NodeId> Ordered;
+  std::vector<WorkItem> Stack{{Root, 0, 0.0}};
+  std::vector<Node> Ordered;
   while (!Stack.empty()) {
     WorkItem W = Stack.back();
     Stack.pop_back();
-    double Width = Inclusive[W.Node] / Total;
+    double Width = W.N.Value / Total;
     if (Width < Options.MinWidth) {
       ++Culled;
       continue;
     }
     FlameRect R;
-    R.Node = W.Node;
+    R.Node = W.N.Id;
+    R.Frame = W.N.Frame;
     R.Depth = W.Depth;
     R.X = W.X;
     R.Width = Width;
-    R.Value = Inclusive[W.Node];
-    R.Color = colorForFrame(P, P.frameOf(W.Node));
+    R.Value = W.N.Value;
+    R.Color = colorForFrame(*P, P->frame(W.N.Frame));
     Rects.push_back(R);
     Depth = std::max(Depth, W.Depth + 1);
 
     if (Options.MaxDepth && W.Depth + 1 >= Options.MaxDepth)
       continue;
-    const CCTNode &Node = P.node(W.Node);
-    if (Node.Children.empty())
-      continue;
-    Ordered.assign(Node.Children.begin(), Node.Children.end());
+    T.children(W.N, Ordered);
     if (Options.SortByValue)
       std::sort(Ordered.begin(), Ordered.end(),
-                [&Inclusive](NodeId A, NodeId B) {
-                  if (Inclusive[A] != Inclusive[B])
-                    return Inclusive[A] > Inclusive[B];
-                  return A < B;
+                [](const Node &A, const Node &B) {
+                  if (A.Value != B.Value)
+                    return A.Value > B.Value;
+                  return A.Id < B.Id;
                 });
-    // Children are pushed in reverse so the widest lays out leftmost, and
-    // X advances left to right.
+    // X advances left to right; the children's items are then reversed on
+    // the stack so the widest lays out leftmost.
+    size_t First = Stack.size();
     double ChildX = W.X;
-    std::vector<WorkItem> Pending;
-    Pending.reserve(Ordered.size());
-    for (NodeId Child : Ordered) {
-      Pending.push_back({Child, W.Depth + 1, ChildX});
-      ChildX += Inclusive[Child] / Total;
+    for (const Node &Child : Ordered) {
+      Stack.push_back({Child, W.Depth + 1, ChildX});
+      ChildX += Child.Value / Total;
     }
-    for (size_t I = Pending.size(); I > 0; --I)
-      Stack.push_back(Pending[I - 1]);
+    std::reverse(Stack.begin() + static_cast<ptrdiff_t>(First), Stack.end());
   }
 }
 
@@ -78,7 +115,7 @@ size_t FlameGraph::search(std::string_view Pattern) {
   size_t Matches = 0;
   for (FlameRect &R : Rects) {
     R.Highlighted = !Pattern.empty() &&
-                    P->nameOf(R.Node).find(Pattern) != std::string_view::npos;
+                    nameOf(R).find(Pattern) != std::string_view::npos;
     if (R.Highlighted)
       ++Matches;
   }

@@ -11,6 +11,11 @@
 /// used for the code-link action, and the response-time benchmark (layout
 /// is part of "opening" a profile).
 ///
+/// One layout loop serves two tree sources: a profile laid out as it is
+/// (top-down, or a flat tree), and a CallersTree, the bottom-up tree of a
+/// profile read off its caller groups without building it. Either way the
+/// graph holds the profile whose frames name and colour the rects.
+///
 /// EasyView's efficiency claims map onto two layout policies ablated in
 /// bench_ablation: min-width culling (subtrees narrower than a pixel are
 /// skipped, the dominant saving on ~1M-node profiles) and value-sorted
@@ -21,6 +26,7 @@
 #ifndef EASYVIEW_RENDER_FLAMELAYOUT_H
 #define EASYVIEW_RENDER_FLAMELAYOUT_H
 
+#include "analysis/Transform.h"
 #include "profile/Profile.h"
 #include "render/Color.h"
 
@@ -32,7 +38,12 @@ namespace ev {
 
 /// One flame-graph rectangle in normalized coordinates.
 struct FlameRect {
+  /// The node laid out: an id of the tree the graph was laid out from,
+  /// which for a bottom-up graph is the tree bottomUpTree builds.
   NodeId Node = InvalidNode;
+  /// Its frame, a frame of the graph's profile(): the rect's name and
+  /// colour come from it.
+  FrameId Frame = 0;
   unsigned Depth = 0;
   double X = 0.0;     ///< Left edge in [0, 1].
   double Width = 0.0; ///< Fraction of the total metric.
@@ -55,12 +66,21 @@ struct FlameLayoutOptions {
 /// Computed flame graph for one (profile, metric) pair.
 class FlameGraph {
 public:
+  /// Lays out the tree \p P is: a profile top-down, or a flat tree.
   FlameGraph(const Profile &P, MetricId Metric,
              FlameLayoutOptions Options = {});
+  /// Lays out the bottom-up graph of Tree.profile().
+  explicit FlameGraph(const CallersTree &Tree,
+                      FlameLayoutOptions Options = {});
 
   const Profile &profile() const { return *P; }
   MetricId metric() const { return Metric; }
   const std::vector<FlameRect> &rects() const { return Rects; }
+  /// The frame and name of \p R, from profile().
+  const Frame &frameOf(const FlameRect &R) const { return P->frame(R.Frame); }
+  std::string_view nameOf(const FlameRect &R) const {
+    return P->text(frameOf(R).Name);
+  }
 
   /// Root inclusive value (the layout denominator).
   double totalValue() const { return Total; }
@@ -83,6 +103,8 @@ public:
   size_t rectIndexFor(NodeId Node) const;
 
 private:
+  template <typename Tree> void layout(const Tree &T);
+
   const Profile *P;
   MetricId Metric;
   FlameLayoutOptions Options;

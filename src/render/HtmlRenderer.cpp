@@ -61,9 +61,7 @@ std::string renderHtmlReport(const Profile &P, const HtmlOptions &Options) {
   }
   if (Options.IncludeBottomUp) {
     Out += "<h2>Bottom-up flame graph</h2>\n";
-    Profile BottomUp = bottomUpTree(P);
-    MetricId M2 = Metric < BottomUp.metrics().size() ? Metric : 0;
-    FlameGraph Graph(BottomUp, M2);
+    FlameGraph Graph(CallersTree(P, Metric));
     Svg.Title = Svg.Shape = "bottom-up";
     Out += renderSvg(Graph, Svg);
   }

@@ -61,8 +61,8 @@ std::string renderSvg(const FlameGraph &Graph, const SvgOptions &Options) {
     double Y = HeaderPx + static_cast<double>(Row) * Options.RowHeightPx;
 
     Rgb Color = R.Highlighted ? searchHighlightColor() : R.Color;
-    std::string Name(P.nameOf(R.Node));
-    const Frame &F = P.frameOf(R.Node);
+    std::string Name(Graph.nameOf(R));
+    const Frame &F = Graph.frameOf(R);
     std::string Tooltip = Name;
     if (F.Loc.hasSourceMapping()) {
       Tooltip += " (";

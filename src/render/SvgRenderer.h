@@ -24,8 +24,9 @@ namespace ev {
 struct SvgOptions {
   unsigned WidthPx = 1200;
   unsigned RowHeightPx = 16;
-  /// The flameShape() the graph was laid out from. A bottom-up graph is
-  /// drawn as an icicle, root at the top; the others grow up from it.
+  /// The shape the graph was laid out in (top-down, bottom-up, flat). A
+  /// bottom-up graph is drawn as an icicle, root at the top; the others
+  /// grow up from it.
   std::string Shape = "top-down";
   std::string Title;
 };

@@ -185,17 +185,22 @@ int cmdSummary(const ParsedArgs &Args, std::string &Out, std::string &) {
 
 int cmdFlame(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   std::string Shape = Args.text("shape", "top-down");
-  std::optional<Profile> View = flameShape(Args.Profiles[0], Shape);
-  if (!View)
+  bool BottomUp = Shape == "bottom-up";
+  std::optional<Profile> Flat;
+  if (Shape == "flat")
+    Flat = flatTree(Args.Profiles[0]);
+  else if (!BottomUp && Shape != "top-down")
     return failUsage(Err, "unknown shape '" + Shape + "'");
-  Result<MetricId> Metric = resolveMetric(*View, Args);
+  const Profile &View = Flat ? *Flat : Args.Profiles[0];
+  Result<MetricId> Metric = resolveMetric(View, Args);
   if (!Metric)
     return failData(Err, Metric.error());
 
-  FlameGraph Graph(*View, *Metric);
+  FlameGraph Graph = BottomUp ? FlameGraph(CallersTree(View, *Metric))
+                              : FlameGraph(View, *Metric);
   if (Args.has("svg")) {
     SvgOptions Svg;
-    Svg.Title = View->name() + " (" + Shape + ")";
+    Svg.Title = Args.Profiles[0].name() + " (" + Shape + ")";
     Svg.Shape = Shape;
     return writeOutput(Args.text("svg"), renderSvg(Graph, Svg), "", Out, Err);
   }

@@ -10,6 +10,12 @@
 /// oracle (tests/BottomUpOracle.h). Both must give byte-identical
 /// writeEvProf output: the same node ids, frames and value order.
 ///
+/// The same inputs check the bottom-up flame the views lay out from a
+/// CallersTree against FlameGraph(bottomUpTree(P)), the layout of the
+/// built tree: every rect field bit for bit, its frame by its texts, the
+/// total, the culled count and the depth, for every metric under four
+/// layout policies.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BottomUpOracle.h"
@@ -18,6 +24,7 @@
 #include "analysis/Transform.h"
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
+#include "render/FlameLayout.h"
 #include "support/FileIo.h"
 #include "support/Limits.h"
 #include "workload/SyntheticProfile.h"
@@ -26,27 +33,85 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace ev;
 
 namespace {
 
+bool sameBits(double A, double B) {
+  return std::bit_cast<uint64_t>(A) == std::bit_cast<uint64_t>(B);
+}
+
+/// What a rect's frame says; the two graphs hold different profiles.
+std::string frameText(const FlameGraph &G, const FlameRect &R) {
+  const Frame &F = G.frameOf(R);
+  const Profile &P = G.profile();
+  return std::to_string(static_cast<int>(F.Kind)) + " " +
+         std::string(P.text(F.Name)) + " " + std::string(P.text(F.Loc.File)) +
+         ":" + std::to_string(F.Loc.Line) + " " +
+         std::string(P.text(F.Loc.Module)) + " @" +
+         std::to_string(F.Loc.Address);
+}
+
+void expectSameFlame(const FlameGraph &Got, const FlameGraph &Want,
+                     const std::string &What) {
+  ASSERT_TRUE(sameBits(Got.totalValue(), Want.totalValue())) << What;
+  ASSERT_EQ(Got.culledCount(), Want.culledCount()) << What;
+  ASSERT_EQ(Got.depth(), Want.depth()) << What;
+  ASSERT_EQ(Got.rects().size(), Want.rects().size()) << What;
+  for (size_t I = 0; I < Got.rects().size(); ++I) {
+    const FlameRect &G = Got.rects()[I];
+    const FlameRect &W = Want.rects()[I];
+    std::string At = What + ", rect " + std::to_string(I);
+    ASSERT_EQ(G.Node, W.Node) << At;
+    ASSERT_EQ(G.Depth, W.Depth) << At;
+    ASSERT_TRUE(sameBits(G.X, W.X)) << At;
+    ASSERT_TRUE(sameBits(G.Width, W.Width)) << At;
+    ASSERT_TRUE(sameBits(G.Value, W.Value)) << At << ": " << G.Value
+                                            << " vs " << W.Value;
+    ASSERT_EQ(G.Color, W.Color) << At;
+    ASSERT_EQ(G.Highlighted, W.Highlighted) << At;
+    ASSERT_EQ(frameText(Got, G), frameText(Want, W)) << At;
+  }
+}
+
+const std::pair<const char *, FlameLayoutOptions> LayoutCases[] = {
+    {"default layout", {}},
+    {"MinWidth 0", {.MinWidth = 0.0}},
+    {"insertion order", {.SortByValue = false}},
+    {"MaxDepth 3", {.MaxDepth = 3}},
+};
+
 void expectSameAsOracle(const Profile &P, const std::string &What) {
   ASSERT_TRUE(P.verify().ok()) << What;
   Profile Up = bottomUpTree(P);
   EXPECT_TRUE(Up.verify().ok()) << What;
   EXPECT_EQ(writeEvProf(Up), writeEvProf(oracle::bottomUpTree(P))) << What;
+  // The flame of the built tree is the oracle of the flame laid out
+  // straight from the caller groups.
+  size_t Metrics = std::max<size_t>(P.metrics().size(), 1);
+  for (MetricId M = 0; M < Metrics; ++M)
+    for (const auto &[Name, Opt] : LayoutCases)
+      expectSameFlame(FlameGraph(CallersTree(P, M), Opt),
+                      FlameGraph(Up, M, Opt),
+                      What + ", metric " + std::to_string(M) + ", " + Name);
 }
 
 } // namespace
 
 TEST(BottomUpOracle, RandomProfiles) {
-  for (uint64_t Seed = 1; Seed <= 64; ++Seed)
-    expectSameAsOracle(test::makeRandomProfile(Seed),
-                       "seed " + std::to_string(Seed));
+  for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
+    Profile P = test::makeRandomProfile(Seed);
+    expectSameAsOracle(P, "seed " + std::to_string(Seed));
+    expectSameAsOracle(test::withFractionalValues(P),
+                       "fractional seed " + std::to_string(Seed));
+  }
 }
 
 TEST(BottomUpOracle, SyntheticPprofOfOneMegabyte) {
@@ -108,6 +173,39 @@ TEST(BottomUpOracle, ValuesOnANodeAndItsDescendants) {
   Path = {Leaf};
   B.addSample(Path, Bytes, 6);
   expectSameAsOracle(B.take(), "nested values");
+}
+
+TEST(BottomUpOracle, SignedZerosRepeatedMetricsAndSharedLeaves) {
+  // Sums that tell an order or a sign apart: -0 beside another metric's
+  // non-zero value, a metric repeated in one node's list, two contexts
+  // with one reversed path, and paths ending where others pass through.
+  ProfileBuilder B("edge values");
+  MetricId Time = B.addMetric("time", "ns");
+  MetricId Bytes = B.addMetric("bytes", "B");
+  FrameId Main = B.functionFrame("main");
+  FrameId Work = B.functionFrame("work");
+  FrameId Leaf = B.functionFrame("leaf");
+  NodeId MainA = B.createNode(B.root(), Main);
+  NodeId MainB = B.createNode(B.root(), Main);
+  NodeId WorkA = B.createNode(MainA, Work);
+  NodeId MainAgain = B.createNode(WorkA, Main);
+  NodeId WorkB = B.createNode(MainB, Work);
+  NodeId LeafB = B.createNode(WorkB, Leaf);
+  NodeId LeafTop = B.createNode(B.root(), Leaf);
+  B.appendValue(MainA, {Time, -0.0});
+  B.appendValue(MainA, {Bytes, 1});
+  B.appendValue(MainB, {Time, 0.1});
+  B.appendValue(MainB, {Time, 0.2});
+  B.appendValue(MainB, {Time, 1e16});
+  B.appendValue(WorkA, {Time, 1e16});
+  B.appendValue(MainAgain, {Time, 0.3});
+  B.appendValue(WorkB, {Time, -1e16});
+  B.appendValue(WorkB, {Bytes, 2});
+  B.appendValue(LeafB, {Bytes, -0.0});
+  B.appendValue(LeafB, {Time, 1});
+  B.appendValue(LeafTop, {Time, 0.7});
+  B.appendValue(LeafTop, {Bytes, -0.0});
+  expectSameAsOracle(B.take(), "edge values");
 }
 
 TEST(BottomUpOracle, ChainAtMaxTreeDepth) {
