@@ -89,6 +89,8 @@ CallerGroups groupCallers(const Profile &P, ProfileBuilder &Out,
                           const CancelToken &Cancel) {
   trace::Span Span("analysis/callerGroups", "analysis");
   CallerGroups G;
+  Out.reserve(0, P.frames().size());
+  Out.reserveStrings(P.strings().size(), P.strings().payloadBytes());
   G.FrameMap.resize(P.frames().size());
   for (FrameId I = 0; I < P.frames().size(); ++I)
     G.FrameMap[I] = Out.importFrame(P, I);

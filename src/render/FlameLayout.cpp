@@ -10,6 +10,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace ev {
 
@@ -70,6 +71,8 @@ template <typename Tree> void FlameGraph::layout(const Tree &T) {
   };
   std::vector<WorkItem> Stack{{Root, 0, 0.0}};
   std::vector<Node> Ordered;
+  // A colour depends only on the frame, and frames repeat across rects.
+  std::vector<std::optional<Rgb>> FrameColor(P->frames().size());
   while (!Stack.empty()) {
     WorkItem W = Stack.back();
     Stack.pop_back();
@@ -85,7 +88,10 @@ template <typename Tree> void FlameGraph::layout(const Tree &T) {
     R.X = W.X;
     R.Width = Width;
     R.Value = W.N.Value;
-    R.Color = colorForFrame(*P, P->frame(W.N.Frame));
+    std::optional<Rgb> &Color = FrameColor[W.N.Frame];
+    if (!Color)
+      Color = colorForFrame(*P, P->frame(W.N.Frame));
+    R.Color = *Color;
     Rects.push_back(R);
     Depth = std::max(Depth, W.Depth + 1);
 

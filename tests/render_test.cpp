@@ -67,6 +67,16 @@ TEST(FlameLayout, ChildrenNestWithinParents) {
   }
 }
 
+TEST(FlameLayout, TopDownRectsCarryTheirNodesFrame) {
+  Profile P = test::makeRandomProfile(31);
+  FlameGraph G(P, 0);
+  ASSERT_FALSE(G.rects().empty());
+  for (const FlameRect &R : G.rects()) {
+    EXPECT_EQ(R.Frame, P.frameRefs()[R.Node]);
+    EXPECT_EQ(G.nameOf(R), P.nameOf(R.Node));
+  }
+}
+
 TEST(FlameLayout, SiblingsDoNotOverlap) {
   Profile P = test::makeRandomProfile(32);
   FlameGraph G(P, 0);

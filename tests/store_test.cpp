@@ -214,6 +214,30 @@ TEST(StoreBlock, MapRejectsTruncatedAndGarbledBlocks) {
   EXPECT_TRUE(Profile::mapFrom(Path).ok());
 }
 
+TEST(StoreBlock, MapRejectsDuplicateMetricNames) {
+  // Metric names are unique in every builder; a block rewritten to repeat
+  // one would make a transform's copy of the schema renumber metrics.
+  std::string Dir = testDir();
+  ProfileBuilder B("two metrics");
+  std::vector<FrameId> Path = {B.functionFrame("main")};
+  B.addSample(Path, B.addMetric("metric-A", "ns"), 1);
+  B.addSample(Path, B.addMetric("metric-B", "ns"), 2);
+  std::string File = Dir + "/metrics.evcol";
+  ASSERT_TRUE(B.take().spillTo(File).ok());
+  Result<std::string> Bytes = readFile(File);
+  ASSERT_TRUE(Bytes.ok());
+  std::string Block = *Bytes;
+  size_t At = Block.find("metric-B");
+  ASSERT_NE(At, std::string::npos);
+  ASSERT_EQ(Block.find("metric-B", At + 1), std::string::npos);
+  Block[At + 7] = 'A';
+  ASSERT_TRUE(writeFile(File, Block).ok());
+  Result<Profile> Rejected = Profile::mapFrom(File);
+  ASSERT_FALSE(Rejected.ok());
+  EXPECT_NE(Rejected.error().find("duplicate metric name"), std::string::npos)
+      << Rejected.error();
+}
+
 TEST(StoreBlock, EveryWorkloadRoundTripsByteIdentically) {
   std::string Dir = testDir();
   workload::SyntheticOptions Synth;
