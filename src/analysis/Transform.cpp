@@ -333,15 +333,12 @@ CallersTree::CallersTree(const Profile &P, MetricId Metric,
   // Child lists in id order: a shared node's children are the shared nodes
   // whose parent it is and the first tail node of each contributor
   // anchored at it.
-  auto SlotOf = [](uint32_t Shared) {
-    return Shared == Root ? 0 : Shared + 1;
-  };
   KidsEnd.assign(SharedCount + 2, 0);
   for (uint32_t Parent : G.SharedParent)
-    ++KidsEnd[SlotOf(Parent) + 1];
+    ++KidsEnd[slotOf(Parent) + 1];
   for (uint32_t I = 0; I < Count; ++I)
     if (G.TailLength[I] != 0)
-      ++KidsEnd[SlotOf(G.Anchor[I]) + 1];
+      ++KidsEnd[slotOf(G.Anchor[I]) + 1];
   for (size_t S = 1; S < KidsEnd.size(); ++S)
     KidsEnd[S] += KidsEnd[S - 1];
   Kids.resize(KidsEnd.back());
@@ -349,12 +346,12 @@ CallersTree::CallersTree(const Profile &P, MetricId Metric,
   for (uint32_t I = 0; I < Count; ++I) {
     for (uint32_t B = G.FirstEnd[I]; B < G.FirstEnd[I + 1]; ++B) {
       uint32_t S = G.ByFirst[B];
-      Kids[Fill[SlotOf(G.SharedParent[S])]++] = {
+      Kids[Fill[slotOf(G.SharedParent[S])]++] = {
           SharedId[S], SourceFrame[G.SharedFrame[S]], SharedValue[S], S,
           InvalidNode};
     }
     if (G.TailLength[I] != 0)
-      Kids[Fill[SlotOf(G.Anchor[I])]++] =
+      Kids[Fill[slotOf(G.Anchor[I])]++] =
           tailNode(I, G.TailStart[I], TailId[I]);
   }
 }
@@ -376,7 +373,7 @@ CallersTree::Node CallersTree::tailNode(uint32_t Contributor, NodeId At,
 void CallersTree::children(const Node &N, std::vector<Node> &Out) const {
   Out.clear();
   if (N.At == InvalidNode) {
-    uint32_t Slot = N.Index == Root ? 0 : N.Index + 1;
+    uint32_t Slot = slotOf(N.Index);
     Out.assign(Kids.begin() + KidsEnd[Slot], Kids.begin() + KidsEnd[Slot + 1]);
   } else if (NodeId Up = P->parents()[N.At]; Up != P->root()) {
     Out.push_back(tailNode(N.Index, Up, N.Id + 1));

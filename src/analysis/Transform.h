@@ -80,13 +80,16 @@ public:
 
 private:
   static constexpr uint32_t Root = UINT32_MAX;
+  static uint32_t slotOf(uint32_t Shared) {
+    return Shared == Root ? 0 : Shared + 1;
+  }
   Node tailNode(uint32_t Contributor, NodeId At, NodeId Id) const;
 
   const Profile *P;
   MetricId Metric;
   double Total = 0.0;
-  /// The children of the root (slot 0) and of shared node S (slot S + 1)
-  /// are Kids[KidsEnd[Slot]..KidsEnd[Slot + 1]), in id order.
+  /// The children of the root (slot 0) and of shared node S (slot S + 1,
+  /// slotOf(S)) are Kids[KidsEnd[Slot]..KidsEnd[Slot + 1]), in id order.
   std::vector<uint32_t> KidsEnd;
   std::vector<Node> Kids;
   /// Per contributor: the exclusive value of the last node of its tail.
