@@ -200,8 +200,8 @@ int main(int argc, char **argv) {
 
   Rss = bench::peakRssBytes();
   double FlameMs = timeMs(Reps, [&] {
-    FlameGraph Up(CallersTree(Runs[0], 0));
-    (void)Up;
+    FlameGraph Flame(CallersTree(Runs[0], 0));
+    (void)Flame;
   });
   RssRow("flame-shape", FlameMs, Rss);
   bench::row("flame-shape ms=%.3f", FlameMs);
@@ -235,8 +235,8 @@ int main(int argc, char **argv) {
     (void)Agg;
     DiffResult D = diffProfiles(Runs[0], Runs[1], 0);
     (void)D;
-    FlameGraph Up(CallersTree(Runs[0], 0));
-    (void)Up;
+    FlameGraph Flame(CallersTree(Runs[0], 0));
+    (void)Flame;
   };
   const int AblateReps = Smoke ? 2 : 7;
   trace::setEnabled(true);
