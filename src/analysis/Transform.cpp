@@ -61,12 +61,10 @@ struct CallerGroups {
   /// Stands for the output root where a shared node index is expected.
   static constexpr uint32_t Root = UINT32_MAX;
 
-  /// The output frame of each source frame, as importFrame interns it.
-  std::vector<FrameId> FrameMap;
   /// Contexts that carry a non-zero metric, in id order.
   std::vector<NodeId> Contributors;
   /// Shared nodes in level order: the first contributor passing through,
-  /// the parent shared node and the output frame.
+  /// the parent shared node and the frame.
   std::vector<uint32_t> SharedFirst, SharedParent;
   std::vector<FrameId> SharedFrame;
   /// Per contributor: the shared node its tail hangs off (its leaf when
@@ -80,20 +78,15 @@ struct CallerGroups {
   std::vector<uint32_t> FirstEnd, ByFirst;
 };
 
-/// Imports the frames of \p P into \p Out and groups the contributors level
-/// by level. Level k refines every group that still has two or more
-/// contributors climbing by the output frame of each one's k-th ancestor;
-/// a group with one contributor left climbing becomes a shared node plus
-/// that contributor's tail.
-CallerGroups groupCallers(const Profile &P, ProfileBuilder &Out,
-                          const CancelToken &Cancel) {
+/// Groups the contributors of \p P level by level. Level k refines every
+/// group that still has two or more contributors climbing by the frame of
+/// each one's k-th ancestor; a group with one contributor left climbing
+/// becomes a shared node plus that contributor's tail. A profile's frames
+/// are distinct, and so are its strings, so equal frame ids are exactly
+/// equal frame texts.
+CallerGroups groupCallers(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/callerGroups", "analysis");
   CallerGroups G;
-  Out.reserve(0, P.frames().size());
-  Out.reserveStrings(P.strings().size(), P.strings().payloadBytes());
-  G.FrameMap.resize(P.frames().size());
-  for (FrameId I = 0; I < P.frames().size(); ++I)
-    G.FrameMap[I] = Out.importFrame(P, I);
   for (NodeId Id = 1; Id < P.nodeCount(); ++Id)
     if (contributes(P.node(Id)))
       G.Contributors.push_back(Id);
@@ -123,13 +116,13 @@ CallerGroups groupCallers(const Profile &P, ProfileBuilder &Out,
     uint32_t Shared = CallerGroups::Root;
     uint32_t Fill = 0; ///< Next free slot of its members one level up.
   };
-  // Frame ids are dense: a slot per output frame, valid while its stamp
-  // is the current group's, so the array is never cleared.
+  // Frame ids are dense: a slot per frame, valid while its stamp is the
+  // current group's, so the array is never cleared.
   struct Slot {
     uint32_t Stamp = 0;
     uint32_t Subgroup = 0;
   };
-  std::vector<Slot> Slots(Out.frameCount());
+  std::vector<Slot> Slots(P.frames().size());
   uint32_t Stamp = 0;
 
   // Both member arrays hold every contributor: a level never has more
@@ -150,7 +143,7 @@ CallerGroups groupCallers(const Profile &P, ProfileBuilder &Out,
       Subs.clear();
       for (uint32_t I = Parent.Begin; I < Parent.End; ++I) {
         const Member &M = Active[I];
-        FrameId F = G.FrameMap[FrameRefs[M.At]];
+        FrameId F = FrameRefs[M.At];
         Slot &S = Slots[F];
         if (S.Stamp != Stamp) {
           S = {Stamp, static_cast<uint32_t>(Subs.size())};
@@ -220,7 +213,12 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
   trace::Span Span("analysis/bottomUpTree", "analysis");
   ProfileBuilder Out(P.name() + " (bottom-up)");
   std::vector<MetricId> MetricMap = Out.addMetrics(P);
-  CallerGroups G = groupCallers(P, Out, Cancel);
+  Out.reserve(0, P.frames().size());
+  Out.reserveStrings(P.strings().size(), P.strings().payloadBytes());
+  std::vector<FrameId> FrameMap(P.frames().size());
+  for (FrameId I = 0; I < P.frames().size(); ++I)
+    FrameMap[I] = Out.importFrame(P, I);
+  CallerGroups G = groupCallers(P, Cancel);
 
   {
     trace::Span Emit("analysis/bottomUpTree.emit", "analysis");
@@ -244,12 +242,12 @@ Profile bottomUpTree(const Profile &P, const CancelToken &Cancel) {
         Cancel.checkpoint();
       for (uint32_t B = G.FirstEnd[I]; B < G.FirstEnd[I + 1]; ++B) {
         uint32_t S = G.ByFirst[B];
-        SharedNode[S] =
-            Out.createNode(OutNode(G.SharedParent[S]), G.SharedFrame[S]);
+        SharedNode[S] = Out.createNode(OutNode(G.SharedParent[S]),
+                                       FrameMap[G.SharedFrame[S]]);
       }
       NodeId Leaf = OutNode(G.Anchor[I]);
       for (NodeId At = G.TailStart[I]; At != P.root(); At = Parents[At])
-        Leaf = Out.createNode(Leaf, G.FrameMap[FrameRefs[At]]);
+        Leaf = Out.createNode(Leaf, FrameMap[FrameRefs[At]]);
       for (const MetricValue &MV : P.node(G.Contributors[I]).Metrics)
         Out.addValue(Leaf, MetricMap[MV.Metric], MV.Value);
     }
@@ -262,19 +260,7 @@ CallersTree::CallersTree(const Profile &P, MetricId Metric,
                          const CancelToken &Cancel)
     : P(&P), Metric(Metric) {
   trace::Span Span("analysis/callersTree", "analysis");
-  // Frames are interned as bottomUpTree interns them, so grouping merges
-  // the same texts. The lowest source frame of each output frame stands
-  // for it; a profile's frame 0 is the root frame every builder starts
-  // with, so it stands for the root's.
-  CallerGroups G;
-  std::vector<FrameId> SourceFrame;
-  {
-    ProfileBuilder Frames;
-    G = groupCallers(P, Frames, Cancel);
-    SourceFrame.resize(Frames.frameCount());
-    for (FrameId F = static_cast<FrameId>(P.frames().size()); F-- > 0;)
-      SourceFrame[G.FrameMap[F]] = F;
-  }
+  CallerGroups G = groupCallers(P, Cancel);
   trace::Span Values("analysis/callersTree.values", "analysis");
   uint32_t Count = static_cast<uint32_t>(G.Contributors.size());
   size_t SharedCount = G.SharedFrame.size();
@@ -347,8 +333,7 @@ CallersTree::CallersTree(const Profile &P, MetricId Metric,
     for (uint32_t B = G.FirstEnd[I]; B < G.FirstEnd[I + 1]; ++B) {
       uint32_t S = G.ByFirst[B];
       Kids[Fill[slotOf(G.SharedParent[S])]++] = {
-          SharedId[S], SourceFrame[G.SharedFrame[S]], SharedValue[S], S,
-          InvalidNode};
+          SharedId[S], G.SharedFrame[S], SharedValue[S], S, InvalidNode};
     }
     if (G.TailLength[I] != 0)
       Kids[Fill[slotOf(G.Anchor[I])]++] =

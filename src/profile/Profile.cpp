@@ -499,7 +499,9 @@ Result<bool> validateBlock(const Profile::Header &H, const char *B) {
       return Fail("frame string id out of range");
   }
   // Every profile starts from the builder's canonical "" and "ROOT"
-  // strings and root frame; ProfileBuilder(const Profile &) relies on it.
+  // strings and root frame, and its string and frame tables are
+  // duplicate-free, as interning keeps them: ProfileBuilder(const Profile &)
+  // re-interns them in order, and the callers tree groups by frame id.
   if (stringAt(StrOff, StrChars, 0) != "" ||
       stringAt(StrOff, StrChars, 1) != "ROOT")
     return Fail("canonical strings missing");
@@ -508,6 +510,16 @@ Result<bool> validateBlock(const Profile::Header &H, const char *B) {
   RootFrame.Name = 1;
   if (Frames[0] != RootFrame)
     return Fail("frame 0 is not the canonical root frame");
+  std::unordered_set<std::string_view> Texts;
+  Texts.reserve(H.Strings);
+  for (uint64_t I = 0; I < H.Strings; ++I)
+    if (!Texts.insert(stringAt(StrOff, StrChars, I)).second)
+      return Fail("duplicate string at index " + std::to_string(I));
+  std::unordered_set<Frame, FrameHash> Distinct;
+  Distinct.reserve(H.Frames);
+  for (uint64_t I = 0; I < H.Frames; ++I)
+    if (!Distinct.insert(Frames[I]).second)
+      return Fail("duplicate frame at index " + std::to_string(I));
   // Metric names are unique, as ProfileBuilder::addMetric keeps them: a
   // transform's copy of the schema keeps every id.
   const uint32_t *SchemaOff = columnAt<uint32_t>(B, L.SchemaOff);

@@ -76,6 +76,22 @@ struct Frame {
   bool operator==(const Frame &O) const = default;
 };
 
+/// Hashes every member of a Frame, for frame-keyed hash tables.
+struct FrameHash {
+  size_t operator()(const Frame &F) const {
+    uint64_t H = static_cast<uint64_t>(F.Kind);
+    auto Mix = [&H](uint64_t V) {
+      H ^= V + 0x9E3779B97F4A7C15ULL + (H << 6) + (H >> 2);
+    };
+    Mix(F.Name);
+    Mix(F.Loc.File);
+    Mix(F.Loc.Line);
+    Mix(F.Loc.Module);
+    Mix(F.Loc.Address);
+    return static_cast<size_t>(H);
+  }
+};
+
 // Frames and metric values are stored verbatim in the column block; the
 // block is zero-filled and written member by member, so padding is zero.
 static_assert(sizeof(Frame) == 32 && alignof(Frame) == 8);

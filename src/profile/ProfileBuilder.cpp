@@ -53,8 +53,8 @@ ProfileBuilder::ProfileBuilder(std::string Name) : Label(std::move(Name)) {
 }
 
 ProfileBuilder::ProfileBuilder(const Profile &P) : Label(P.name()) {
-  // Profile tables are duplicate-free, so re-interning in order reproduces
-  // every id.
+  // Profile tables are duplicate-free (validateBlock refuses a mapped block
+  // that is not), so re-interning in order reproduces every id.
   Strings.reserve(P.strings().size(), P.strings().payloadBytes());
   for (StringId I = 1; I < P.strings().size(); ++I)
     Strings.intern(P.text(I));

@@ -182,21 +182,6 @@ public:
 private:
   static constexpr uint32_t NoSlot = UINT32_MAX;
 
-  struct FrameHash {
-    size_t operator()(const Frame &F) const {
-      uint64_t H = static_cast<uint64_t>(F.Kind);
-      auto Mix = [&H](uint64_t V) {
-        H ^= V + 0x9E3779B97F4A7C15ULL + (H << 6) + (H >> 2);
-      };
-      Mix(F.Name);
-      Mix(F.Loc.File);
-      Mix(F.Loc.Line);
-      Mix(F.Loc.Module);
-      Mix(F.Loc.Address);
-      return static_cast<size_t>(H);
-    }
-  };
-
   /// Open-addressing (parent << 32 | frame) -> child table.
   class ChildTable {
   public:

@@ -25,7 +25,6 @@
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
 #include "render/FlameLayout.h"
-#include "support/FileIo.h"
 #include "support/Limits.h"
 #include "workload/SyntheticProfile.h"
 
@@ -35,7 +34,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -229,42 +227,3 @@ TEST(BottomUpOracle, ChainAtMaxTreeDepth) {
   expectSameAsOracle(B.take(), "recursive chain");
 }
 
-TEST(BottomUpOracle, SourceFramesMergedOnImport) {
-  // Two frames with the same texts under different string ids: spill a
-  // profile, rewrite one name into the other in the block and map it
-  // back. importFrame interns both to one output frame.
-  ProfileBuilder B("merged frames");
-  MetricId Time = B.addMetric("time", "ns");
-  FrameId Main = B.functionFrame("main");
-  FrameId A = B.functionFrame("helper-A", "h.cc", 7);
-  FrameId Other = B.functionFrame("helper-B", "h.cc", 7);
-  FrameId Leaf = B.functionFrame("leaf");
-  std::vector<FrameId> Paths[] = {{Main, A, Leaf}, {Main, Other, Leaf},
-                                  {Main, Other},   {Main, A},
-                                  {Other, Leaf},   {A, Leaf}};
-  double Value = 1;
-  for (const std::vector<FrameId> &Path : Paths)
-    B.addSample(Path, Time, Value++);
-  Profile P = B.take();
-
-  std::string Path = ::testing::TempDir() + "bottom_up_merged_frames.evcol";
-  ASSERT_TRUE(P.spillTo(Path).ok());
-  Result<std::string> Bytes = readFile(Path);
-  ASSERT_TRUE(Bytes.ok());
-  std::string Block = *Bytes;
-  size_t At = Block.find("helper-B");
-  ASSERT_NE(At, std::string::npos);
-  ASSERT_EQ(Block.find("helper-B", At + 1), std::string::npos);
-  Block[At + 7] = 'A';
-  ASSERT_TRUE(writeFile(Path, Block).ok());
-  Result<Profile> Mapped = Profile::mapFrom(Path);
-  ASSERT_TRUE(Mapped.ok()) << Mapped.error();
-  ASSERT_EQ(Mapped->text(Mapped->frame(Other).Name), "helper-A");
-  ASSERT_NE(Mapped->frame(Other), Mapped->frame(A));
-
-  Profile Up = bottomUpTree(*Mapped);
-  expectSameAsOracle(*Mapped, "merged frames");
-  // Fewer frames out than in: the two helpers became one.
-  EXPECT_EQ(Up.frames().size() + 1, Mapped->frames().size());
-  std::remove(Path.c_str());
-}

@@ -238,6 +238,63 @@ TEST(StoreBlock, MapRejectsDuplicateMetricNames) {
       << Rejected.error();
 }
 
+TEST(StoreBlock, MapRejectsDuplicateStrings) {
+  // Interning keeps every builder's strings distinct; a block rewritten to
+  // repeat one would give two frames with the same texts, which the
+  // callers tree would keep apart and a re-interning copy would renumber.
+  std::string Dir = testDir();
+  ProfileBuilder B("two names");
+  MetricId Time = B.addMetric("time", "ns");
+  std::vector<FrameId> Path = {B.functionFrame("helper-A"),
+                               B.functionFrame("helper-B")};
+  B.addSample(Path, Time, 1);
+  std::string File = Dir + "/strings.evcol";
+  ASSERT_TRUE(B.take().spillTo(File).ok());
+  ASSERT_TRUE(Profile::mapFrom(File).ok());
+  Result<std::string> Bytes = readFile(File);
+  ASSERT_TRUE(Bytes.ok());
+  std::string Block = *Bytes;
+  size_t At = Block.find("helper-B");
+  ASSERT_NE(At, std::string::npos);
+  ASSERT_EQ(Block.find("helper-B", At + 1), std::string::npos);
+  Block[At + 7] = 'A';
+  ASSERT_TRUE(writeFile(File, Block).ok());
+  Result<Profile> Rejected = Profile::mapFrom(File);
+  ASSERT_FALSE(Rejected.ok());
+  EXPECT_NE(Rejected.error().find("duplicate string"), std::string::npos)
+      << Rejected.error();
+}
+
+TEST(StoreBlock, MapRejectsDuplicateFrames) {
+  // Two frames that differ only in their address, rewritten to the same
+  // address: equal frames under two ids.
+  std::string Dir = testDir();
+  const uint64_t AddrA = 0x1111111111111111, AddrB = 0x2222222222222222;
+  ProfileBuilder B("two addresses");
+  MetricId Time = B.addMetric("time", "ns");
+  std::vector<FrameId> Path = {B.functionFrame("f", "f.cc", 1, "", AddrA),
+                               B.functionFrame("f", "f.cc", 1, "", AddrB)};
+  B.addSample(Path, Time, 1);
+  std::string File = Dir + "/frames.evcol";
+  ASSERT_TRUE(B.take().spillTo(File).ok());
+  ASSERT_TRUE(Profile::mapFrom(File).ok());
+  Result<std::string> Bytes = readFile(File);
+  ASSERT_TRUE(Bytes.ok());
+  std::string Block = *Bytes;
+  std::string_view A(reinterpret_cast<const char *>(&AddrA), sizeof(AddrA));
+  std::string_view Other(reinterpret_cast<const char *>(&AddrB),
+                         sizeof(AddrB));
+  size_t At = Block.find(Other);
+  ASSERT_NE(At, std::string::npos);
+  ASSERT_EQ(Block.find(Other, At + 1), std::string::npos);
+  Block.replace(At, A.size(), A);
+  ASSERT_TRUE(writeFile(File, Block).ok());
+  Result<Profile> Rejected = Profile::mapFrom(File);
+  ASSERT_FALSE(Rejected.ok());
+  EXPECT_NE(Rejected.error().find("duplicate frame"), std::string::npos)
+      << Rejected.error();
+}
+
 TEST(StoreBlock, EveryWorkloadRoundTripsByteIdentically) {
   std::string Dir = testDir();
   workload::SyntheticOptions Synth;
