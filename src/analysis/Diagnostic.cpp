@@ -7,7 +7,6 @@
 #include "analysis/Diagnostic.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace ev {
 
@@ -48,14 +47,6 @@ bool DiagnosticSet::add(Diagnostic D) {
   return true;
 }
 
-void DiagnosticSet::append(const DiagnosticSet &Other) {
-  for (const Diagnostic &D : Other.Diags)
-    add(D);
-  for (size_t Sev = 0; Sev < std::size(DroppedBy); ++Sev)
-    DroppedBy[Sev] += Other.DroppedBy[Sev];
-  TruncatedFlag = TruncatedFlag || Other.TruncatedFlag;
-}
-
 size_t DiagnosticSet::count(Severity Sev) const {
   size_t N = DroppedBy[static_cast<size_t>(Sev)];
   for (const Diagnostic &D : Diags)
@@ -94,7 +85,9 @@ std::string renderDiagnostic(const Diagnostic &D, std::string_view Subject) {
   Out += D.Message;
   if (D.Node != InvalidNode)
     Out += " (node " + std::to_string(D.Node) + ")";
-  Out += " [" + D.Id + "]";
+  Out += " [";
+  Out += D.Id;
+  Out += "]";
   if (!D.Hint.empty())
     Out += "\n  hint: " + D.Hint;
   return Out;

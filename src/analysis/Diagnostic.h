@@ -54,10 +54,12 @@ struct DiagnosticLocation {
 
 /// One finding.
 struct Diagnostic {
-  std::string Id;      ///< Stable id, e.g. "EVQL002" or "EVL101".
+  /// Stable id, e.g. "EVQL002" or "EVL101". Id and Rule view the rule's
+  /// row of AnalysisRules, which lives as long as the program.
+  std::string_view Id;
   Severity Sev = Severity::Warning;
-  std::string Message; ///< lowercase-first, no trailing period.
-  std::string Rule;    ///< Stable kebab-case rule name.
+  std::string Message;   ///< lowercase-first, no trailing period.
+  std::string_view Rule; ///< Stable kebab-case rule name.
   std::string Hint;    ///< Optional fix hint; "" when none applies.
   size_t Line = 0;     ///< 1-based source line; 0 when positionless.
   size_t Column = 0;   ///< 1-based source column; 0 when positionless.
@@ -89,13 +91,6 @@ public:
   bool truncated() const { return dropped() > 0 || TruncatedFlag; }
   /// Records that a pass stopped before seeing all input.
   void markTruncated() { TruncatedFlag = true; }
-
-  /// Slots left before the cap.
-  size_t room() const { return Diags.size() < Max ? Max - Diags.size() : 0; }
-  /// Adds \p Other's findings, drop count and truncation to this set. A
-  /// buffer capped at room() appends exactly as if each finding it saw
-  /// had been added here directly.
-  void append(const DiagnosticSet &Other);
 
   /// Number of findings at \p Sev, dropped ones included.
   size_t count(Severity Sev) const;

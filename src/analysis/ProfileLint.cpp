@@ -7,9 +7,7 @@
 #include "analysis/ProfileLint.h"
 
 #include "analysis/MetricEngine.h"
-#include "proto/EvProf.h"
-#include "proto/EvProfFields.h"
-#include "support/ProtoWire.h"
+#include "proto/EvProfStream.h"
 
 #include <algorithm>
 #include <cmath>
@@ -22,206 +20,6 @@ void ProfileLinter::emit(DiagnosticSet &Out, RuleRef Rule,
   if (std::optional<Diagnostic> D = Opts.Filter.diagnose(
           Rule, std::move(Message), std::move(Hint), {.Node = Node}))
     Out.add(std::move(*D));
-}
-
-using namespace evprof;
-
-namespace {
-
-std::string ofTable(uint64_t Ref, size_t Size, const char *Table) {
-  return "references " + std::string(Table) + " " + std::to_string(Ref) +
-         " of a " + std::to_string(Size) + "-entry table";
-}
-
-} // namespace
-
-void ProfileLinter::lintWire(std::string_view Bytes,
-                             DiagnosticSet &Out) const {
-  if (!isEvProf(Bytes)) {
-    emit(Out, "EVL100", "not an .evprof stream: bad magic",
-         "expected the 8-byte 'EVPROF1\\n' header");
-    return;
-  }
-  Bytes.remove_prefix(EvProfMagic.size());
-
-  // References resolve against the entries that arrived before them, the
-  // way readEvProf decodes. Findings wait in Found until the walk reaches
-  // the end: past a corrupt top-level field, reference checks are
-  // meaningless, so a malformed stream yields EVL100 alone. Found holds
-  // no more than Out has room for and counts the rest as drops, so
-  // appending it leaves Out as if every finding had gone there directly.
-  DiagnosticSet Found(Out.room());
-  size_t Strings = 0, Metrics = 0;
-  size_t FrameIdx = 0, NodeIdx = 0, GroupIdx = 0;
-  ProtoReader R(Bytes);
-  while (R.next()) {
-    switch (R.fieldNumber()) {
-    case FProfileString:
-      ++Strings;
-      R.skip();
-      break;
-    case FProfileMetric:
-      ++Metrics;
-      R.skip();
-      break;
-    case FProfileFrame: {
-      ProtoReader FR(R.bytes());
-      while (FR.next()) {
-        const char *Field = nullptr;
-        switch (FR.fieldNumber()) {
-        case FFrameName:
-          Field = "name";
-          break;
-        case FFrameFile:
-          Field = "file";
-          break;
-        case FFrameModule:
-          Field = "module";
-          break;
-        default:
-          break;
-        }
-        if (!Field) {
-          FR.skip();
-          continue;
-        }
-        uint64_t Ref = FR.varint();
-        if (Ref >= Strings)
-          emit(Found, "EVL101",
-               "frame " + std::to_string(FrameIdx) + " " + Field + " " +
-                   ofTable(Ref, Strings, "string"),
-               "re-export the profile; the string table is incomplete");
-      }
-      if (FR.failed())
-        emit(Found, "EVL100",
-             "malformed Frame message at index " + std::to_string(FrameIdx));
-      ++FrameIdx;
-      break;
-    }
-    case FProfileNode: {
-      if (NodeIdx >= Opts.Limits.MaxLintNodes) {
-        Found.markTruncated();
-        R.skip();
-        ++NodeIdx;
-        break;
-      }
-      uint64_t ParentPlus1 = 0, FrameRef = 0;
-      bool SawParent = false, SawFrame = false;
-      ProtoReader NR(R.bytes());
-      while (NR.next()) {
-        switch (NR.fieldNumber()) {
-        case FNodeParentPlus1:
-          ParentPlus1 = NR.varint();
-          SawParent = true;
-          break;
-        case FNodeFrame:
-          FrameRef = NR.varint();
-          SawFrame = true;
-          break;
-        case FNodeValue: {
-          ProtoReader VR(NR.bytes());
-          while (VR.next()) {
-            if (VR.fieldNumber() == FValueMetric) {
-              uint64_t Ref = VR.varint();
-              if (Ref >= Metrics)
-                emit(Found, "EVL104",
-                     "node " + std::to_string(NodeIdx) + " metric value " +
-                         ofTable(Ref, Metrics, "metric"),
-                     "drop the value or declare the metric",
-                     static_cast<NodeId>(NodeIdx));
-            } else {
-              VR.skip();
-            }
-          }
-          if (VR.failed())
-            emit(Found, "EVL100",
-                 "malformed MetricValue message in node " +
-                     std::to_string(NodeIdx));
-          break;
-        }
-        default:
-          NR.skip();
-        }
-      }
-      if (NR.failed())
-        emit(Found, "EVL100",
-             "malformed Node message at index " + std::to_string(NodeIdx));
-      if (NodeIdx == 0 && SawParent && ParentPlus1 != 0)
-        emit(Found, "EVL105", "first node is not a root",
-             "node 0 must omit its parent reference", 0);
-      if (NodeIdx > 0 && (ParentPlus1 == 0 || ParentPlus1 > NodeIdx))
-        emit(Found, "EVL105",
-             "node " + std::to_string(NodeIdx) +
-                 " has parent reference " + std::to_string(ParentPlus1) +
-                 "; parents must precede children",
-             "serialize nodes in id order with parents first",
-             static_cast<NodeId>(NodeIdx));
-      if (SawFrame && FrameRef >= FrameIdx)
-        emit(Found, "EVL102",
-             "node " + std::to_string(NodeIdx) + " " +
-                 ofTable(FrameRef, FrameIdx, "frame"),
-             "re-export the profile; the frame table is incomplete",
-             static_cast<NodeId>(NodeIdx));
-      ++NodeIdx;
-      break;
-    }
-    case FProfileGroup: {
-      ProtoReader GR(R.bytes());
-      while (GR.next()) {
-        switch (GR.fieldNumber()) {
-        case FGroupKind: {
-          uint64_t Ref = GR.varint();
-          if (Ref >= Strings)
-            emit(Found, "EVL101",
-                 "group " + std::to_string(GroupIdx) + " kind " +
-                     ofTable(Ref, Strings, "string"));
-          break;
-        }
-        case FGroupMetric: {
-          uint64_t Ref = GR.varint();
-          if (Ref >= Metrics)
-            emit(Found, "EVL104",
-                 "group " + std::to_string(GroupIdx) + " " +
-                     ofTable(Ref, Metrics, "metric"));
-          break;
-        }
-        case FGroupContext: {
-          std::string_view Packed = GR.bytes();
-          VarintReader VR(Packed.data(), Packed.size());
-          while (!VR.atEnd() && !VR.failed()) {
-            uint64_t Ref = VR.readVarint();
-            if (Ref >= NodeIdx)
-              emit(Found, "EVL103",
-                   "group " + std::to_string(GroupIdx) + " context " +
-                       ofTable(Ref, NodeIdx, "node"),
-                   "context groups may only reference decoded CCT nodes");
-          }
-          if (VR.failed())
-            emit(Found, "EVL100",
-                 "malformed packed context list in group " +
-                     std::to_string(GroupIdx));
-          break;
-        }
-        default:
-          GR.skip();
-        }
-      }
-      if (GR.failed())
-        emit(Found, "EVL100",
-             "malformed Group message at index " + std::to_string(GroupIdx));
-      ++GroupIdx;
-      break;
-    }
-    default:
-      R.skip();
-    }
-  }
-  if (R.failed()) {
-    emit(Out, "EVL100", "malformed EvProfile message",
-         "the stream truncates or corrupts a field tag or length");
-    return;
-  }
-  Out.append(Found);
 }
 
 void ProfileLinter::lintProfile(const Profile &P, DiagnosticSet &Out) const {
@@ -403,21 +201,55 @@ void ProfileLinter::lintProfile(const Profile &P, DiagnosticSet &Out) const {
 
 bool ProfileLinter::lint(std::string_view Bytes, const DecodeLimits &Decode,
                          DiagnosticSet &Out) const {
-  size_t Before = Out.size() + Out.dropped();
-  lintWire(Bytes, Out);
-  size_t WireFindings = Out.size() + Out.dropped() - Before;
-
-  Result<Profile> P = readEvProf(Bytes, Decode);
-  if (!P) {
-    // The wire scan usually already explained the refusal; surface the
-    // decoder's reason only when it did not (e.g. a decode-limit trip).
-    if (WireFindings == 0)
-      emit(Out, "EVL100", "profile does not decode: " + P.error());
-    Out.markTruncated(); // Decoded rules never ran.
-    return false;
+  EvProfStreamDecoder Decoder(Decode);
+  // A refusal poisons the decoder, so finish() repeats feed()'s error.
+  (void)Decoder.feed(Bytes);
+  Result<Profile> P = Decoder.finish();
+  if (P) {
+    lintProfile(*P, Out);
+    return true;
   }
-  lintProfile(*P, Out);
-  return true;
+  // The fault that refused the stream is the one finding, in the
+  // decoder's words.
+  const EvProfFault &Fault = Decoder.fault();
+  RuleRef Rule = "EVL100";
+  std::string Message = P.error();
+  const char *Hint = "";
+  switch (Fault.What) {
+  case EvProfFault::Malformed:
+    Hint = "the stream is not .evprof wire data, or it truncates or "
+           "corrupts a field";
+    break;
+  case EvProfFault::StringRef:
+    Rule = "EVL101";
+    Hint = "re-export the profile; the string table is incomplete";
+    break;
+  case EvProfFault::FrameRef:
+    Rule = "EVL102";
+    Hint = "re-export the profile; the frame table is incomplete";
+    break;
+  case EvProfFault::NodeRef:
+    Rule = "EVL103";
+    Hint = "context groups may only reference decoded CCT nodes";
+    break;
+  case EvProfFault::MetricRef:
+    Rule = "EVL104";
+    Hint = "drop the value or declare the metric";
+    break;
+  case EvProfFault::ParentOrder:
+    Rule = "EVL105";
+    Hint = "serialize nodes in id order with parents first";
+    break;
+  case EvProfFault::None:
+  case EvProfFault::Other:
+    Message = "profile does not decode: " + Message;
+    break;
+  }
+  emit(Out, Rule, std::move(Message), Hint,
+       Fault.Node == EvProfFault::NoNode ? InvalidNode
+                                         : static_cast<NodeId>(Fault.Node));
+  Out.markTruncated(); // Decoded rules never ran.
+  return false;
 }
 
 } // namespace ev

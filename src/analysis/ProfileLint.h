@@ -5,19 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lint rules over .evprof profiles, reporting
-/// data-quality problems the way a compiler reports code problems. Two
-/// complementary passes:
+/// Lint rules over .evprof profiles, reporting data-quality problems the
+/// way a compiler reports code problems:
 ///
-///  - a wire-level scan (lintWire) over the raw protobuf bytes that flags
-///    structural corruption — dangling string/frame/node/metric references,
-///    broken parent ordering, malformed messages. These are exactly the
-///    inputs readEvProf rejects, so the scan is how a corrupt profile gets
-///    *explained* rather than merely refused;
-///  - decoded-profile rules (lintProfile) over a loaded CCT — metric sums
-///    where exclusive exceeds inclusive, pathological depth or fan-out,
-///    duplicate context ids in groups, zero-metric subtrees, non-monotonic
-///    source offsets, unreferenced frames.
+///  - a refused stream gets one EVL1xx finding: the fault the .evprof
+///    decoder (proto/EvProfStream.h) refused it for, in the decoder's own
+///    words, under the rule of its kind (dangling string/frame/node/metric
+///    reference, broken parent order, malformed wire). The explanation of
+///    a refusal is the refusal itself, so lint() refuses exactly the
+///    streams readEvProf refuses, with readEvProf's message;
+///  - decoded-profile rules (lintProfile, EVL2xx) run over a loaded CCT:
+///    metric sums where exclusive exceeds inclusive, pathological depth or
+///    fan-out, duplicate context ids in groups, zero-metric subtrees,
+///    non-monotonic source offsets, unreferenced frames.
 ///
 /// The rules are the EVL1xx (wire) and EVL2xx (decoded) rows of the rule
 /// table (analysis/RuleRegistry.h), individually disableable by id or
@@ -55,19 +55,15 @@ class ProfileLinter {
 public:
   explicit ProfileLinter(LintOptions Opts = {}) : Opts(std::move(Opts)) {}
 
-  /// Scans raw .evprof bytes without decoding, appending structural
-  /// corruption findings (EVL1xx) to \p Out. One pass in arrival order:
-  /// a reference must name an entry that came before it, as readEvProf
-  /// requires. A stream whose top-level framing is corrupt yields only
-  /// EVL100.
-  void lintWire(std::string_view Bytes, DiagnosticSet &Out) const;
-
-  /// Runs the decoded-profile rules (EVL2xx) over \p P.
+  /// Runs the decoded-profile rules (EVL2xx) over \p P. pvp/diagnostics
+  /// and 'evtool lint' on a foreign format call it directly.
   void lintProfile(const Profile &P, DiagnosticSet &Out) const;
 
-  /// The combined entry point 'evtool lint' and pvp/diagnostics use: wire
-  /// scan, then decode under \p Decode, then decoded rules when the decode
-  /// succeeded. \returns true when the profile decoded.
+  /// The entry point 'evtool lint' uses on .evprof bytes: decodes them once
+  /// under \p Decode, then runs the decoded rules, or reports the fault
+  /// that refused the bytes as one EVL1xx finding (and marks \p Out
+  /// truncated, since the decoded rules never ran). \returns true when the
+  /// profile decoded.
   bool lint(std::string_view Bytes, const DecodeLimits &Decode,
             DiagnosticSet &Out) const;
 

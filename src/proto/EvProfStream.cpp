@@ -89,9 +89,11 @@ bool scanField(std::string_view In, size_t MaxLen, FieldSpan &F) {
 EvProfStreamDecoder::EvProfStreamDecoder(const DecodeLimits &L)
     : Limits(L), Guard(Limits) {}
 
-Error EvProfStreamDecoder::poison(std::string Message) {
+Error EvProfStreamDecoder::poison(std::string Message,
+                                  EvProfFault::Kind What, size_t Node) {
   Poisoned = true;
   Diag = std::move(Message);
+  Fault = {What, Node};
   return makeError(Diag);
 }
 
@@ -133,13 +135,8 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
                                               std::string_view Payload) {
   auto MapString = [&](uint64_t Old) -> Result<StringId> {
     if (Old >= StringMap.size())
-      return makeError("string reference out of range");
+      return poison("string reference out of range", EvProfFault::StringRef);
     return StringMap[Old];
-  };
-  auto MapFrame = [&](uint64_t Old) -> Result<FrameId> {
-    if (Old >= FrameMap.size())
-      return makeError("frame reference out of range");
-    return FrameMap[Old];
   };
 
   switch (FieldNumber) {
@@ -180,7 +177,7 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
       }
     }
     if (R.failed())
-      return poison("malformed Metric message");
+      return poison("malformed Metric message", EvProfFault::Malformed);
     // A duplicate is refused the moment it arrives: metric ids are
     // positional, so folding it onto one column would misattribute every
     // later per-node value.
@@ -222,25 +219,25 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
       }
     }
     if (R.failed())
-      return poison("malformed Frame message");
+      return poison("malformed Frame message", EvProfFault::Malformed);
     if (Kind > static_cast<uint64_t>(FrameKind::Thread))
       return poison("invalid frame kind");
     Frame F;
     F.Kind = static_cast<FrameKind>(Kind);
     Result<StringId> NameId = MapString(Name);
     if (!NameId)
-      return poison(NameId.error());
+      return makeError(NameId.error());
     F.Name = *NameId;
     Result<StringId> FileId = MapString(File);
     if (!FileId)
-      return poison(FileId.error());
+      return makeError(FileId.error());
     F.Loc.File = *FileId;
     if (Line > 0xFFFFFFFFULL)
       return poison("line number out of range");
     F.Loc.Line = static_cast<uint32_t>(Line);
     Result<StringId> ModuleId = MapString(Module);
     if (!ModuleId)
-      return poison(ModuleId.error());
+      return makeError(ModuleId.error());
     F.Loc.Module = *ModuleId;
     F.Loc.Address = Addr;
     FrameMap.push_back(P.internFrame(F));
@@ -250,6 +247,7 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
   case FProfileNode: {
     if (!Guard.chargeNode())
       return poison(Guard.error());
+    size_t I = WireNodes;
     uint64_t ParentPlus1 = 0, FrameRef = 0;
     NodeValues.clear();
     ProtoReader R(Payload);
@@ -277,7 +275,8 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
           }
         }
         if (VR.failed())
-          return poison("malformed MetricValue message");
+          return poison("malformed MetricValue message",
+                        EvProfFault::Malformed, I);
         if (!Guard.chargeAlloc(sizeof(MetricValue)))
           return poison(Guard.error());
         NodeValues.push_back(MV);
@@ -288,30 +287,31 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
       }
     }
     if (R.failed())
-      return poison("malformed Node message");
+      return poison("malformed Node message", EvProfFault::Malformed, I);
     for (const MetricValue &MV : NodeValues)
       if (MV.Metric >= P.metrics().size())
-        return poison("node metric reference out of range");
-    size_t I = WireNodes;
-    Result<FrameId> F = MapFrame(FrameRef);
-    if (!F)
-      return poison(F.error());
+        return poison("node metric reference out of range",
+                      EvProfFault::MetricRef, I);
+    if (FrameRef >= FrameMap.size())
+      return poison("frame reference out of range", EvProfFault::FrameRef, I);
+    FrameId F = FrameMap[FrameRef];
     NodeId Id = P.root();
     uint32_t Depth = 0;
     if (I == 0) {
       if (ParentPlus1 != 0)
-        return poison("first node is not a root");
+        return poison("first node is not a root", EvProfFault::ParentOrder, I);
       // Wire node 0 maps onto the implicit root.
-      P.setFrame(Id, *F);
+      P.setFrame(Id, F);
     } else {
       if (ParentPlus1 == 0 || ParentPlus1 > I)
         return poison("node " + std::to_string(I) +
-                      " has invalid parent reference");
+                          " has invalid parent reference",
+                      EvProfFault::ParentOrder, I);
       Depth = Depths[ParentPlus1 - 1] + 1;
       if (!Guard.checkDepth(Depth))
         return poison(Guard.error());
       // createNode appends sequentially, so wire ids equal NodeIds.
-      Id = P.createNode(static_cast<NodeId>(ParentPlus1 - 1), *F);
+      Id = P.createNode(static_cast<NodeId>(ParentPlus1 - 1), F);
     }
     for (const MetricValue &MV : NodeValues)
       P.appendValue(Id, MV);
@@ -342,7 +342,8 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
           Contexts.push_back(static_cast<NodeId>(Ctx));
         }
         if (VR.failed())
-          return poison("malformed packed context list");
+          return poison("malformed packed context list",
+                        EvProfFault::Malformed);
         break;
       }
       case FGroupMetric:
@@ -356,14 +357,16 @@ Result<bool> EvProfStreamDecoder::decodeField(uint32_t FieldNumber,
       }
     }
     if (R.failed())
-      return poison("malformed Group message");
+      return poison("malformed Group message", EvProfFault::Malformed);
     Result<StringId> KindId = MapString(Kind);
     if (!KindId)
-      return poison(KindId.error());
+      return makeError(KindId.error());
     if (Metric >= P.metrics().size())
-      return poison("group metric reference out of range");
+      return poison("group metric reference out of range",
+                    EvProfFault::MetricRef);
     if (Dangling)
-      return poison("group context reference out of range");
+      return poison("group context reference out of range",
+                    EvProfFault::NodeRef);
     P.addGroup(*KindId, Contexts, static_cast<MetricId>(Metric), Value);
     return true;
   }
@@ -388,7 +391,8 @@ Result<size_t> EvProfStreamDecoder::feed(std::string_view Bytes) {
     if (Pending.size() < EvProfMagic.size())
       return size_t(0);
     if (!isEvProf(Pending))
-      return poison("not an .evprof stream: bad magic");
+      return poison("not an .evprof stream: bad magic",
+                    EvProfFault::Malformed);
     Pending.clear();
     MagicSeen = true;
     reserveFor(Bytes);
@@ -405,13 +409,13 @@ Result<size_t> EvProfStreamDecoder::feed(std::string_view Bytes) {
   while (Off < In.size()) {
     FieldSpan F;
     if (!scanField(In.substr(Off), Limits.MaxInputBytes, F))
-      return poison("malformed EvProfile message");
+      return poison("malformed EvProfile message", EvProfFault::Malformed);
     if (F.Size == 0)
       break; // Wait for the rest of the field.
     if (F.Number <= FProfileGroup) {
       // A known field with the wrong wire type is structural corruption.
       if (F.Type != WireType::LengthDelimited)
-        return poison("malformed EvProfile message");
+        return poison("malformed EvProfile message", EvProfFault::Malformed);
       if (Result<bool> R = decodeField(F.Number, F.Payload); !R)
         return makeError(R.error());
     }
@@ -436,9 +440,9 @@ Result<Profile> EvProfStreamDecoder::finish() {
   if (Poisoned)
     return makeError(Diag);
   if (!MagicSeen)
-    return poison("not an .evprof stream: bad magic");
+    return poison("not an .evprof stream: bad magic", EvProfFault::Malformed);
   if (!Pending.empty())
-    return poison("malformed EvProfile message");
+    return poison("malformed EvProfile message", EvProfFault::Malformed);
   if (WireNodes == 0)
     return poison("profile stream has no nodes");
   // Release the wire-id tables before the builder freezes, so they never

@@ -27,6 +27,12 @@
 /// reference to an entry that has not arrived fails with the matching
 /// "... reference out of range" diagnostic.
 ///
+/// A refusal also comes with an EvProfFault: which rule the bytes broke and,
+/// for a fault inside a Node message, the wire index of that node. The lint
+/// engine (analysis/ProfileLint.h) reports that fault as its finding, so a
+/// refused profile is explained by the refusal itself, never by a second
+/// parser of the same messages.
+///
 /// The invariant tests pin (tests/proto_test.cpp): for a canonical stream
 /// split at any byte positions, writeEvProf of the decoded profile is
 /// byte-identical to writeEvProf(readEvProf(whole stream)).
@@ -41,11 +47,32 @@
 #include "support/Limits.h"
 #include "support/Result.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ev {
+
+/// Why a decoder refused its stream. The decoder's error text names the
+/// offending entry; the kind classifies it without parsing that text.
+struct EvProfFault {
+  enum Kind : uint8_t {
+    None,        ///< Nothing was refused.
+    Malformed,   ///< Bad magic, corrupt framing or an unparsable message.
+    StringRef,   ///< A frame or group names a string not yet arrived.
+    FrameRef,    ///< A node names a frame not yet arrived.
+    NodeRef,     ///< A group names a node not yet arrived.
+    MetricRef,   ///< A value or group names an undeclared metric.
+    ParentOrder, ///< A node's parent does not precede it.
+    Other,       ///< Decode limits, no nodes, invalid kinds, duplicates.
+  };
+  static constexpr size_t NoNode = SIZE_MAX;
+
+  Kind What = None;
+  /// The wire index of the node whose message broke the rule, or NoNode.
+  size_t Node = NoNode;
+};
 
 /// Decodes a .evprof stream, whole or growing, into a live profile.
 ///
@@ -83,6 +110,9 @@ public:
   /// The live profile (valid but node-less before the first node field).
   const ProfileBuilder &current() const { return P; }
 
+  /// What refused the stream; None while the decoder accepts bytes.
+  const EvProfFault &fault() const { return Fault; }
+
 private:
   /// Sizes the tables from a census of the first chunk's top-level fields,
   /// so decoding a whole file never reallocates them.
@@ -90,7 +120,8 @@ private:
   /// Decodes one top-level field: the only parser of the Metric, Frame,
   /// Node and Group messages.
   Result<bool> decodeField(uint32_t FieldNumber, std::string_view Payload);
-  Error poison(std::string Message);
+  Error poison(std::string Message, EvProfFault::Kind What = EvProfFault::Other,
+               size_t Node = EvProfFault::NoNode);
 
   DecodeLimits Limits;   ///< Owned: ResourceGuard keeps a reference.
   ResourceGuard Guard;
@@ -105,6 +136,7 @@ private:
   bool MagicSeen = false;
   bool Poisoned = false;
   std::string Diag;
+  EvProfFault Fault;
 };
 
 } // namespace ev

@@ -7,6 +7,7 @@
 #ifndef EASYVIEW_TESTS_TESTHELPERS_H
 #define EASYVIEW_TESTS_TESTHELPERS_H
 
+#include "analysis/ProfileLint.h"
 #include "profile/ProfileBuilder.h"
 #include "proto/EvProf.h"
 #include "proto/EvProfStream.h"
@@ -31,6 +32,34 @@ inline json::Value resultTree(const json::Value &Response) {
     return R ? *R : json::Value();
   Result<json::Value> Tree = json::parse(*R->serializedText());
   return Tree ? Tree.take() : json::Value();
+}
+
+/// Lints \p Bytes and \returns how the run breaks lint's contract with the
+/// decoder, or "" when it keeps it: lint decodes exactly what readEvProf
+/// decodes, and a refused stream gets one EVL1xx finding whose message is
+/// readEvProf's error (after "profile does not decode: " when no reference
+/// rule names the fault).
+inline std::string lintVersusDecoder(const ProfileLinter &Linter,
+                                     std::string_view Bytes,
+                                     const DecodeLimits &Limits) {
+  DiagnosticSet Diags(64);
+  bool Decoded = Linter.lint(Bytes, Limits, Diags);
+  Result<Profile> P = readEvProf(Bytes, Limits);
+  if (Decoded != P.ok())
+    return Decoded ? "lint decoded a stream readEvProf refuses"
+                   : "lint refused a stream readEvProf decodes";
+  if (Decoded)
+    return "";
+  if (Diags.size() != 1)
+    return std::to_string(Diags.size()) + " findings for one refusal";
+  const Diagnostic &D = Diags.all()[0];
+  if (!D.Id.starts_with("EVL1"))
+    return "refusal reported as " + std::string(D.Id);
+  if (D.Message != P.error() &&
+      D.Message != "profile does not decode: " + P.error())
+    return "message '" + D.Message + "' is not the decoder's '" + P.error() +
+           "'";
+  return "";
 }
 
 /// A small fixed profile used by many tests:

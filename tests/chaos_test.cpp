@@ -295,14 +295,11 @@ TEST_P(ChaosLintSeed, FaultedProfilesAreExplainedOrClean) {
       break;
     }
     }
-    // The contract under faults: lint never crashes, and any stream the
-    // decoder refuses comes back explained by at least one finding.
-    DiagnosticSet Diags(128);
-    bool Decoded = Linter.lint(Bytes, DecodeLimits(), Diags);
-    EXPECT_EQ(Decoded, readEvProf(Bytes).ok());
-    if (!Decoded) {
-      EXPECT_FALSE(Diags.empty()) << "seed " << Seed << " round " << Round;
-    }
+    // The contract under faults: lint never crashes, decodes exactly what
+    // readEvProf decodes, and explains each refusal with one finding for
+    // the decoder's own fault.
+    EXPECT_EQ(test::lintVersusDecoder(Linter, Bytes, DecodeLimits()), "")
+        << "seed " << Seed << " round " << Round;
   }
 }
 

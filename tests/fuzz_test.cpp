@@ -249,8 +249,9 @@ TEST(Fuzz, DeepJsonAndXmlDoNotOverflowStack) {
 
 TEST_P(FuzzSeed, LintSurvivesHostileBytes) {
   Rng R(GetParam());
-  // Tight budgets: hostile input must degrade (truncated flags, findings
-  // capped), never crash or loop.
+  // Tight budgets: hostile input must degrade (truncated flags, decode
+  // limits), never crash or loop, and every refusal is explained by the
+  // fault the decoder refused it for.
   LintOptions Opts;
   Opts.Limits.MaxLintNodes = 64;
   ProfileLinter Linter(Opts);
@@ -260,17 +261,10 @@ TEST_P(FuzzSeed, LintSurvivesHostileBytes) {
 
   for (int Round = 0; Round < 20; ++Round) {
     std::string Bytes = randomBytes(R, 16 + R.below(512));
-    DiagnosticSet Plain(32);
-    (void)Linter.lint(Bytes, Decode, Plain);
-    // A magic prefix routes the same garbage through the wire scan proper.
-    DiagnosticSet Prefixed(32);
-    bool Decoded =
-        Linter.lint(std::string(EvProfMagic) + Bytes, Decode, Prefixed);
-    // Whenever the decode fails, the lint run explains why: the wire scan
-    // blames a specific corruption or the generic EVL100 stands in.
-    if (!Decoded) {
-      EXPECT_FALSE(Prefixed.empty());
-    }
+    EXPECT_EQ(test::lintVersusDecoder(Linter, Bytes, Decode), "");
+    // A magic prefix routes the same garbage into the decoder proper.
+    std::string Prefixed = std::string(EvProfMagic) + Bytes;
+    EXPECT_EQ(test::lintVersusDecoder(Linter, Prefixed, Decode), "");
   }
 }
 
@@ -285,13 +279,9 @@ TEST_P(FuzzSeed, LintBitFlippedEvprofExplainsOrPasses) {
                   R.below(Mutated.size() - EvProfMagic.size());
       Mutated[At] = static_cast<char>(Mutated[At] ^ (1u << R.below(8)));
     }
-    DiagnosticSet Diags(64);
-    bool Decoded = Linter.lint(Mutated, DecodeLimits(), Diags);
-    if (!Decoded) {
-      EXPECT_FALSE(Diags.empty());
-    }
-    (void)Linter.lint(Mutated.substr(0, R.below(Mutated.size())),
-                      DecodeLimits(), Diags);
+    EXPECT_EQ(test::lintVersusDecoder(Linter, Mutated, DecodeLimits()), "");
+    std::string Cut = Mutated.substr(0, R.below(Mutated.size()));
+    EXPECT_EQ(test::lintVersusDecoder(Linter, Cut, DecodeLimits()), "");
   }
 }
 

@@ -8,7 +8,7 @@
 /// Tests for the static-analysis layer: the diagnostic primitives, the
 /// EVQL semantic analyzer (every EVQL rule with one firing and one
 /// non-firing program), and the profile lint engine (every EVL rule, with
-/// wire-level corruption crafted byte by byte).
+/// .evprof corruption crafted byte by byte).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,27 +116,6 @@ TEST(Diagnostic, SetCapsAndCounts) {
   EXPECT_EQ(Set.count(Severity::Error), 1u);
   EXPECT_EQ(Set.count(Severity::Warning), 4u);
   EXPECT_EQ(Set.count(Severity::Note), 0u);
-}
-
-TEST(Diagnostic, AppendCarriesDropsPerSeverity) {
-  auto Finding = [](Severity Sev) {
-    Diagnostic D;
-    D.Id = "X";
-    D.Sev = Sev;
-    return D;
-  };
-  DiagnosticSet Buffer(1);
-  Buffer.add(Finding(Severity::Warning));
-  Buffer.add(Finding(Severity::Error));
-  Buffer.add(Finding(Severity::Info));
-  DiagnosticSet Out(8);
-  Out.add(Finding(Severity::Error));
-  Out.append(Buffer);
-  EXPECT_EQ(Out.size(), 2u);
-  EXPECT_EQ(Out.dropped(), 2u);
-  EXPECT_EQ(Out.count(Severity::Error), 2u);
-  EXPECT_EQ(Out.count(Severity::Warning), 1u);
-  EXPECT_EQ(Out.count(Severity::Info), 1u);
 }
 
 TEST(Sema, RuleFilterAppliesBeforeTheCap) {
@@ -490,23 +469,20 @@ TEST(ProfileLint, CleanProfileProducesNoFindings) {
   Linter.lintProfile(P, Decoded);
   EXPECT_TRUE(Decoded.empty()) << describe(Decoded);
 
-  DiagnosticSet Wire(64);
-  Linter.lintWire(writeEvProf(P), Wire);
-  EXPECT_TRUE(Wire.empty()) << describe(Wire);
-
   DiagnosticSet Both(64);
   EXPECT_TRUE(Linter.lint(writeEvProf(P), DecodeLimits(), Both));
   EXPECT_TRUE(Both.empty()) << describe(Both);
 }
 
 //===----------------------------------------------------------------------===
-// ProfileLinter: wire-level corruption, crafted byte by byte
+// ProfileLinter: refused streams, crafted byte by byte
 //===----------------------------------------------------------------------===
 
 namespace {
 
 // Field numbers mirror proto/EvProf.cpp: EvProfile {name=1, string=2,
-// metric=3, frame=4, node=5, group=6}, Frame {kind=1, name=2, file=3},
+// metric=3, frame=4, node=5, group=6}, Metric {name=1},
+// Frame {kind=1, name=2, file=3},
 // Node {parent_plus1=1, frame=2, value=3}, MetricValue {metric=1,
 // value=2}, Group {kind=1, context=2(packed), metric=3, value=4}.
 std::string wrap(const ProtoWriter &W) {
@@ -535,6 +511,9 @@ std::string danglingNodeFrameRef() {
 std::string danglingGroupContext() {
   ProtoWriter W;
   W.writeBytes(2, "");
+  ProtoWriter M;
+  M.writeBytes(1, "time");
+  W.writeBytes(3, M.buffer()); // metric 0, which the group names
   W.writeBytes(4, "");
   W.writeBytes(5, ""); // one root node
   ProtoWriter G;
@@ -568,119 +547,142 @@ std::string forwardParentRef() {
   return wrap(W);
 }
 
-/// The fixed profile with its string table moved behind the frames that
-/// use it: every field is well formed, but references arrive before
-/// their targets, which readEvProf refuses.
+/// A frame naming string 1 before any string arrived: every field is well
+/// formed and the string comes later, but readEvProf resolves references
+/// as they arrive.
 std::string stringsAfterFrames() {
-  std::string Bytes = writeEvProf(test::makeFixedProfile());
-  ProtoReader R(std::string_view(Bytes).substr(EvProfMagic.size()));
-  ProtoWriter Name, Strings, Tables, Tree; // 1; 2; 3 and 4; 5 and 6.
-  while (R.next()) {
-    uint32_t Field = R.fieldNumber();
-    ProtoWriter &To = Field == 1   ? Name
-                      : Field == 2 ? Strings
-                      : Field <= 4 ? Tables
-                                   : Tree;
-    To.writeBytes(Field, R.bytes());
-  }
-  return std::string(EvProfMagic) + Name.buffer() + Tables.buffer() +
-         Strings.buffer() + Tree.buffer();
+  ProtoWriter W;
+  ProtoWriter F;
+  F.writeVarint(2, 1); // frame name -> string 1: not yet arrived
+  W.writeBytes(4, F.buffer());
+  W.writeBytes(2, "");
+  W.writeBytes(2, "main");
+  W.writeBytes(5, "");
+  return wrap(W);
 }
 
-struct WireCase {
-  const char *ExpectId;
+std::string frameOfUnknownKind() {
+  ProtoWriter W;
+  W.writeBytes(2, "");
+  ProtoWriter F;
+  F.writeVarint(1, 99); // frame kind 99: no such kind
+  W.writeBytes(4, F.buffer());
+  W.writeBytes(5, "");
+  return wrap(W);
+}
+
+std::string duplicateMetric() {
+  ProtoWriter W;
+  W.writeBytes(2, "");
+  ProtoWriter M;
+  M.writeBytes(1, "time");
+  W.writeBytes(3, M.buffer());
+  W.writeBytes(3, M.buffer()); // the same name again
+  W.writeBytes(4, "");
+  W.writeBytes(5, "");
+  return wrap(W);
+}
+
+std::string nodeWithoutAnyFrame() {
+  ProtoWriter W;
+  W.writeBytes(2, "");
+  W.writeBytes(5, ""); // frame 0 by default, but no frame arrived
+  return wrap(W);
+}
+
+/// A well-formed two-node stream, refused under a one-node decode limit.
+std::string twoNodes() {
+  ProtoWriter W;
+  W.writeBytes(2, "");
+  W.writeBytes(4, "");
+  W.writeBytes(5, "");
+  ProtoWriter N;
+  N.writeVarint(1, 1); // node 1 -> parent node 0
+  W.writeBytes(5, N.buffer());
+  return wrap(W);
+}
+
+DecodeLimits oneNode() {
+  DecodeLimits L;
+  L.MaxNodes = 1;
+  return L;
+}
+
+struct RefusalCase {
+  std::string_view ExpectId;
   std::string Bytes;
+  /// The wire node the fault is in, for faults inside a Node message.
+  NodeId Node = InvalidNode;
+  DecodeLimits Limits = DecodeLimits();
 };
 
 } // namespace
 
-TEST(ProfileLint, WireScanExplainsEveryCorruptionTheDecoderRejects) {
-  const WireCase Cases[] = {
+TEST(ProfileLint, RefusalIsOneFindingForTheDecodersFault) {
+  const RefusalCase Cases[] = {
       {"EVL101", danglingFrameStringRef()},
-      {"EVL102", danglingNodeFrameRef()},
+      {"EVL102", danglingNodeFrameRef(), 0},
       {"EVL103", danglingGroupContext()},
-      {"EVL104", danglingMetricRef()},
-      {"EVL105", forwardParentRef()},
+      {"EVL104", danglingMetricRef(), 0},
+      {"EVL105", forwardParentRef(), 1},
       {"EVL101", stringsAfterFrames()},
       {"EVL100", "not even close to a profile"},
       {"EVL100", std::string(EvProfMagic) + std::string(64, '\xff')},
+      // Faults no reference rule names: the generic EVL100.
+      {"EVL100", twoNodes(), InvalidNode, oneNode()},
+      {"EVL100", frameOfUnknownKind()},
+      {"EVL100", duplicateMetric()},
+      {"EVL102", nodeWithoutAnyFrame(), 0},
   };
   ProfileLinter Linter;
-  for (const WireCase &C : Cases) {
+  for (const RefusalCase &C : Cases) {
     // The decoder refuses the stream...
-    EXPECT_FALSE(readEvProf(C.Bytes).ok()) << C.ExpectId;
-    // ...and the wire scan explains why, with the expected rule.
+    Result<Profile> P = readEvProf(C.Bytes, C.Limits);
+    ASSERT_FALSE(P.ok()) << C.ExpectId;
+    // ...and lint reports that refusal as one finding of the expected
+    // rule, in the decoder's words.
     DiagnosticSet Diags(64);
-    Linter.lintWire(C.Bytes, Diags);
-    EXPECT_TRUE(hasId(Diags, C.ExpectId))
-        << C.ExpectId << " missing:\n"
-        << describe(Diags);
+    EXPECT_FALSE(Linter.lint(C.Bytes, C.Limits, Diags));
+    ASSERT_EQ(Diags.size(), 1u) << P.error() << "\n" << describe(Diags);
+    const Diagnostic &D = Diags.all()[0];
+    EXPECT_EQ(D.Id, C.ExpectId) << describe(Diags);
+    EXPECT_EQ(D.Node, C.Node) << describe(Diags);
+    EXPECT_TRUE(D.Message == P.error() ||
+                D.Message == "profile does not decode: " + P.error())
+        << P.error() << "\n" << describe(Diags);
+    EXPECT_TRUE(Diags.truncated());
   }
 }
 
-TEST(ProfileLint, MalformedStreamYieldsOnlyEVL100) {
+TEST(ProfileLint, FirstFaultWinsOverLaterCorruptFraming) {
   // A dangling reference followed by a truncated top-level field (frame
-  // tag, length 5, no payload): past the corruption, reference findings
-  // mean nothing, so the scan reports the framing alone.
+  // tag, length 5, no payload): the decoder refuses the stream at the
+  // reference and never reads the framing after it.
   std::string Bytes = danglingFrameStringRef() + "\x22\x05";
   ProfileLinter Linter;
   DiagnosticSet Diags(64);
-  Linter.lintWire(Bytes, Diags);
+  EXPECT_FALSE(Linter.lint(Bytes, DecodeLimits(), Diags));
   ASSERT_EQ(Diags.size(), 1u) << describe(Diags);
-  EXPECT_EQ(Diags.all()[0].Id, "EVL100") << describe(Diags);
-}
-
-TEST(ProfileLint, WireFindingsPastTheCapAreCountedAsDropped) {
-  // 25 frames, each naming string 7 of a 1-entry table: 25 EVL101s.
-  ProtoWriter W;
-  W.writeBytes(2, "");
-  ProtoWriter F;
-  F.writeVarint(2, 7);
-  for (int I = 0; I < 25; ++I)
-    W.writeBytes(4, F.buffer());
-  std::string Bytes = wrap(W);
-
-  // The output set's own cap decides what is kept and the rest is
-  // counted; the linter's analysis limits do not cap wire findings.
-  LintOptions Small;
-  Small.Limits.MaxDiagnostics = 5;
-  ProfileLinter Linter(Small);
-  DiagnosticSet Capped(10);
-  Linter.lintWire(Bytes, Capped);
-  EXPECT_EQ(Capped.size(), 10u);
-  EXPECT_EQ(Capped.dropped(), 15u);
-  EXPECT_TRUE(Capped.truncated());
-
-  // A set that already holds findings keeps only what fits after them.
-  DiagnosticSet Prefilled(10);
-  for (int I = 0; I < 4; ++I)
-    Prefilled.add(Diagnostic());
-  Linter.lintWire(Bytes, Prefilled);
-  EXPECT_EQ(Prefilled.size(), 10u);
-  EXPECT_EQ(Prefilled.dropped(), 19u);
-
-  DiagnosticSet Roomy(64);
-  Linter.lintWire(Bytes, Roomy);
-  EXPECT_EQ(Roomy.size(), 25u);
-  EXPECT_EQ(Roomy.dropped(), 0u);
-  EXPECT_FALSE(Roomy.truncated());
+  EXPECT_EQ(Diags.all()[0].Id, "EVL101") << describe(Diags);
+  EXPECT_EQ(Diags.all()[0].Message, readEvProf(Bytes).error());
 }
 
 TEST(ProfileLint, CombinedLintDoesNotDoubleReportExplainedCorruption) {
   ProfileLinter Linter;
   DiagnosticSet Diags(64);
   EXPECT_FALSE(Linter.lint(forwardParentRef(), DecodeLimits(), Diags));
-  EXPECT_TRUE(hasId(Diags, "EVL105")) << describe(Diags);
-  // The generic decode-failure finding only appears when the wire scan
-  // found nothing to blame.
-  for (const Diagnostic &D : Diags.all())
-    EXPECT_EQ(D.Message.find("profile does not decode"), std::string::npos)
-        << describe(Diags);
+  ASSERT_EQ(Diags.size(), 1u) << describe(Diags);
+  EXPECT_EQ(Diags.all()[0].Id, "EVL105") << describe(Diags);
+  // The generic decode-failure finding stands only for faults no rule
+  // names.
+  EXPECT_EQ(Diags.all()[0].Message.find("profile does not decode"),
+            std::string::npos)
+      << describe(Diags);
 }
 
 TEST(ProfileLint, UnexplainedDecodeFailureStillReported) {
-  // A stream the wire scan tolerates but the decoder rejects: structurally
-  // sound wire with zero nodes.
+  // A refusal no reference rule names: structurally sound wire with zero
+  // nodes.
   ProtoWriter W;
   W.writeBytes(2, "");
   W.writeBytes(4, "");
