@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Field numbers of the .evprof protobuf schema (see proto/EvProf.h for the
-/// message definitions). Shared by the encoder (EvProf.cpp), the decoder
-/// (EvProfStream.cpp) and the lint wire scan (analysis/ProfileLint.cpp) so
-/// they can never drift.
+/// message definitions). Shared by the encoder (EvProf.cpp) and the decoder
+/// (EvProfStream.cpp) so they can never drift.
 ///
 //===----------------------------------------------------------------------===//
 

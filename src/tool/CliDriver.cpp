@@ -378,7 +378,7 @@ int cmdLint(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   if (int Code = parseRuleFilter(Args, Opts.Filter, Err))
     return Code;
 
-  // lint reads the bytes itself: an .evprof gets the wire-level scan.
+  // lint reads the bytes itself: a refused .evprof is explained.
   const std::string &Path = Args.Positional[0];
   Result<std::string> Bytes = readFileWithRetry(Path);
   if (!Bytes)
@@ -387,8 +387,8 @@ int cmdLint(const ParsedArgs &Args, std::string &Out, std::string &Err) {
   ProfileLinter Linter(Opts);
   DiagnosticSet Diags(Opts.Limits.MaxDiagnostics);
   if (isEvProf(*Bytes)) {
-    // Native container: wire-level scan plus decoded rules, so corruption
-    // the loader would reject is explained instead of merely refused.
+    // Native container: a refusal comes back as the decoder's fault, so
+    // corruption the loader would reject is explained, not merely refused.
     Linter.lint(*Bytes, DecodeLimits::defaults(), Diags);
   } else {
     // Foreign format: convert first, then run the decoded rules.

@@ -445,7 +445,7 @@ TEST(SelfProfile, EmitsWellFormedEvprofThatLintsClean) {
   EXPECT_EQ(static_cast<int64_t>(Bytes.size()), R->find("bytes")->asInt());
 
   // The flagship acceptance: readEvProf decodes it and the full lint
-  // pass (EVL1xx wire + EVL2xx decoded) reports zero diagnostics.
+  // pass (EVL1xx refusals + EVL2xx decoded) reports zero diagnostics.
   Result<Profile> Decoded = readEvProf(Bytes);
   ASSERT_TRUE(Decoded.ok()) << Decoded.error();
   EXPECT_GT(Decoded->nodeCount(), 0u);
