@@ -37,8 +37,8 @@ inline json::Value resultTree(const json::Value &Response) {
 /// Lints \p Bytes and \returns how the run breaks lint's contract with the
 /// decoder, or "" when it keeps it: lint decodes exactly what readEvProf
 /// decodes, and a refused stream gets one EVL1xx finding whose message is
-/// readEvProf's error (after "profile does not decode: " when no reference
-/// rule names the fault).
+/// readEvProf's error (an EVL100 may put "profile does not decode: " before
+/// it, for a fault no reference rule names).
 inline std::string lintVersusDecoder(const ProfileLinter &Linter,
                                      std::string_view Bytes,
                                      const DecodeLimits &Limits) {
@@ -56,7 +56,8 @@ inline std::string lintVersusDecoder(const ProfileLinter &Linter,
   if (!D.Id.starts_with("EVL1"))
     return "refusal reported as " + std::string(D.Id);
   if (D.Message != P.error() &&
-      D.Message != "profile does not decode: " + P.error())
+      !(D.Id == "EVL100" &&
+        D.Message == "profile does not decode: " + P.error()))
     return "message '" + D.Message + "' is not the decoder's '" + P.error() +
            "'";
   return "";
